@@ -9,8 +9,9 @@
 //!
 //! Run: `cargo run --release -p sg-bench --bin fig8_distributed_sampling`
 
-use sg_bench::{json_requested, render_json, render_table, BenchRecord};
-use sg_dist::distributed_uniform_sample;
+use sg_bench::{json_requested, render_json, render_table, scheme, BenchRecord};
+use sg_core::SchemeRegistry;
+use sg_dist::distributed_compress;
 use sg_graph::generators;
 use sg_graph::properties::DegreeDistribution;
 
@@ -24,6 +25,7 @@ fn main() {
         ("h-clu-like", 15, 12, 5),
         ("h-dgh-like", 15, 8, 4),
     ];
+    let registry = SchemeRegistry::with_defaults();
     let json = json_requested();
     if !json {
         println!("== Figure 8: distributed uniform sampling (simulated ranks) ==\n");
@@ -41,8 +43,10 @@ fn main() {
             format!("{}", orig.support_size()),
         ];
         for p in [0.4, 0.7] {
-            let dist = distributed_uniform_sample(&g, p, ranks, seed);
-            let hist_support = dist.degree_histogram.len();
+            let uniform = scheme(&registry, "uniform", &[("p", &p.to_string())]);
+            let dist = distributed_compress(&g, uniform.as_ref(), ranks, seed)
+                .expect("uniform has an edge plan");
+            let hist_support = dist.degree_histogram().len();
             row.push(format!("{hist_support}"));
             records.push(BenchRecord {
                 workload: name.to_string(),

@@ -9,105 +9,7 @@
 
 use crate::atomic_bitset::AtomicBitset;
 use sg_graph::prng;
-use sg_graph::{CsrGraph, EdgeId, EncodedCsr, GraphView, NeighborCursor, VertexId, Weight};
-
-/// The input graph of one compression run: raw CSR or encoded adjacency.
-///
-/// Kernels with a purely local view (edge kernels reading `e.weight`,
-/// degrees, cursors) work against either variant through the [`GraphView`]
-/// impl; kernels that need raw slices or edge-id lookups (subgraph
-/// kernels walking `neighbor_edge_ids`) call [`GraphRef::csr`], which is
-/// only available on the raw variant — the engine never hands an encoded
-/// context to those kernel classes.
-#[derive(Clone, Copy)]
-pub enum GraphRef<'g> {
-    /// Raw CSR storage (the default engine path).
-    Csr(&'g CsrGraph),
-    /// Delta+varint / bitmap encoded storage (decode-on-the-fly path).
-    Encoded(&'g EncodedCsr),
-}
-
-impl<'g> GraphRef<'g> {
-    /// The raw CSR graph. Panics on the encoded variant: kernel classes
-    /// that need slot edge ids (triangle, subgraph) always run over raw
-    /// CSR, so reaching this panic means an engine wiring bug, not a
-    /// kernel bug.
-    #[inline]
-    pub fn csr(&self) -> &'g CsrGraph {
-        match self {
-            GraphRef::Csr(g) => g,
-            GraphRef::Encoded(_) => {
-                panic!("kernel requires raw CSR access but the run is over an encoded graph")
-            }
-        }
-    }
-}
-
-impl GraphView for GraphRef<'_> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        match self {
-            GraphRef::Csr(g) => g.num_vertices(),
-            GraphRef::Encoded(g) => g.num_vertices(),
-        }
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        match self {
-            GraphRef::Csr(g) => g.num_edges(),
-            GraphRef::Encoded(g) => g.num_edges(),
-        }
-    }
-
-    #[inline]
-    fn is_directed(&self) -> bool {
-        match self {
-            GraphRef::Csr(g) => g.is_directed(),
-            GraphRef::Encoded(g) => g.is_directed(),
-        }
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        match self {
-            GraphRef::Csr(g) => g.degree(v),
-            GraphRef::Encoded(g) => g.degree(v),
-        }
-    }
-
-    #[inline]
-    fn in_degree(&self, v: VertexId) -> usize {
-        match self {
-            GraphRef::Csr(g) => g.in_degree(v),
-            GraphRef::Encoded(g) => g.in_degree(v),
-        }
-    }
-
-    #[inline]
-    fn cursor(&self, v: VertexId) -> NeighborCursor<'_> {
-        match self {
-            GraphRef::Csr(g) => GraphView::cursor(*g, v),
-            GraphRef::Encoded(g) => g.cursor(v),
-        }
-    }
-
-    #[inline]
-    fn in_cursor(&self, v: VertexId) -> NeighborCursor<'_> {
-        match self {
-            GraphRef::Csr(g) => GraphView::in_cursor(*g, v),
-            GraphRef::Encoded(g) => g.in_cursor(v),
-        }
-    }
-
-    #[inline]
-    fn edge_weight(&self, e: EdgeId) -> Weight {
-        match self {
-            GraphRef::Csr(g) => g.edge_weight(e),
-            GraphRef::Encoded(g) => g.edge_weight(e),
-        }
-    }
-}
+use sg_graph::{CsrGraph, EdgeId, VertexId};
 
 /// The deterministic per-element random source behind `SG.rand`.
 ///
@@ -145,7 +47,7 @@ impl DetRand {
 /// Shared kernel-visible state for one compression run.
 pub struct SgContext<'g> {
     /// The input graph (kernels have read-only structural access).
-    pub graph: GraphRef<'g>,
+    pub graph: &'g CsrGraph,
     /// Global seed for deterministic per-element randomness.
     pub seed: u64,
     deleted_edges: AtomicBitset,
@@ -155,19 +57,8 @@ pub struct SgContext<'g> {
 }
 
 impl<'g> SgContext<'g> {
-    /// Creates a context for a raw CSR `graph` with deterministic seed
-    /// `seed`.
+    /// Creates a context for `graph` with deterministic seed `seed`.
     pub fn new(graph: &'g CsrGraph, seed: u64) -> Self {
-        Self::with_ref(GraphRef::Csr(graph), seed)
-    }
-
-    /// Creates a context for an encoded `graph` (the decode-on-the-fly
-    /// edge-kernel path) with deterministic seed `seed`.
-    pub fn new_encoded(graph: &'g EncodedCsr, seed: u64) -> Self {
-        Self::with_ref(GraphRef::Encoded(graph), seed)
-    }
-
-    fn with_ref(graph: GraphRef<'g>, seed: u64) -> Self {
         Self {
             graph,
             seed,

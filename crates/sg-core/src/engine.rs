@@ -1,10 +1,17 @@
 //! The Slim Graph execution engine (§3.2).
 //!
-//! Stage 1 of the paper's two-stage pipeline: compression kernels execute in
-//! parallel over their elements (edges, vertices, triangles, or subgraphs),
-//! recording deletions in the [`SgContext`] bitsets; the engine then
-//! *materializes* a compacted CSR graph. Stage 2 — running graph algorithms
-//! over the compressed graph — is `sg-algos`, invoked by the harness.
+//! Stage 1 of the paper's two-stage pipeline: compression kernels run over
+//! their elements (edges, vertices, triangles, or subgraphs) and the engine
+//! *materializes* a compacted CSR graph. Stage 2 — graph algorithms over
+//! the compressed graph — is `sg-algos`, invoked by the harness.
+//!
+//! Each kernel class decides in one place and every executor calls it:
+//! [`decide_edge`] / [`decide_vertex`] build the element's view and run the
+//! kernel, [`materialize_edges`] turns edge decisions into the output
+//! graph. [`Engine`] maps them over the whole graph on the rayon pool; an
+//! `sg-dist` rank maps them sequentially over its own range, and a
+//! federation shard is one such range. Triangle and subgraph kernels record
+//! deletions in the [`SgContext`] bitsets instead (the paper's `atomic`).
 
 use crate::context::SgContext;
 use crate::kernel::{
@@ -13,7 +20,7 @@ use crate::kernel::{
 };
 use crate::mapping::VertexMapping;
 use rayon::prelude::*;
-use sg_graph::{CsrGraph, EdgeId, EdgeList, EncodedCsr, VertexId};
+use sg_graph::{CsrGraph, EdgeId, VertexId};
 use std::time::{Duration, Instant};
 
 /// Outcome of one compression run.
@@ -32,6 +39,23 @@ pub struct CompressionResult {
 }
 
 impl CompressionResult {
+    /// Stamps the outcome of compressing `input` into `graph` by a run that
+    /// began at `start`.
+    pub fn of(
+        input: &CsrGraph,
+        graph: CsrGraph,
+        vertex_mapping: Option<Vec<Option<VertexId>>>,
+        start: Instant,
+    ) -> Self {
+        Self {
+            graph,
+            original_edges: input.num_edges(),
+            original_vertices: input.num_vertices(),
+            elapsed: start.elapsed(),
+            vertex_mapping,
+        }
+    }
+
     /// Number of removed edges; 0 when the scheme *added* edges (an
     /// ϵ-summary reconstruction or a future densifying kernel) — use
     /// [`CompressionResult::edge_delta`] for the signed count.
@@ -62,6 +86,49 @@ impl CompressionResult {
     }
 }
 
+/// The per-edge decision: builds the [`EdgeView`] of canonical edge `e` of
+/// `sg.graph` and runs `kernel` on it. Pure in `(sg.seed, e)`, so whoever
+/// asks — a pool worker, a rank, a shard — gets the same answer.
+#[inline]
+pub fn decide_edge<K: EdgeKernel + ?Sized>(
+    kernel: &K,
+    sg: &SgContext<'_>,
+    e: EdgeId,
+) -> EdgeDecision {
+    let g = sg.graph;
+    let (u, v) = g.edge_endpoints(e);
+    let view =
+        EdgeView { id: e, u, v, weight: g.edge_weight(e), deg_u: g.degree(u), deg_v: g.degree(v) };
+    kernel.process(view, sg)
+}
+
+/// The per-vertex decision: builds the [`VertexView`] of `v` and runs
+/// `kernel` on it.
+#[inline]
+pub fn decide_vertex<K: VertexKernel + ?Sized>(
+    kernel: &K,
+    sg: &SgContext<'_>,
+    v: VertexId,
+) -> VertexDecision {
+    kernel.process(VertexView { id: v, degree: sg.graph.degree(v) }, sg)
+}
+
+/// The edge materializer: `decisions[e]` keeps, deletes or reweights
+/// canonical edge `e` of `g`. One [`EdgeDecision::Reweight`] makes the
+/// output weighted (kept edges carry their input weight).
+pub fn materialize_edges(g: &CsrGraph, decisions: &[EdgeDecision]) -> CsrGraph {
+    assert_eq!(decisions.len(), g.num_edges(), "one decision per canonical edge");
+    if decisions.par_iter().any(|d| matches!(d, EdgeDecision::Reweight(_))) {
+        g.filter_reweight(|e| match decisions[e as usize] {
+            EdgeDecision::Keep => Some(g.edge_weight(e)),
+            EdgeDecision::Delete => None,
+            EdgeDecision::Reweight(w) => Some(w),
+        })
+    } else {
+        g.filter_edges(|e| decisions[e as usize] != EdgeDecision::Delete)
+    }
+}
+
 /// The kernel executor. Holds the deterministic seed for the run.
 #[derive(Clone, Copy, Debug)]
 pub struct Engine {
@@ -81,121 +148,9 @@ impl Engine {
     pub fn run_edge_kernel<K: EdgeKernel>(&self, g: &CsrGraph, kernel: &K) -> CompressionResult {
         let start = Instant::now();
         let sg = SgContext::new(g, self.seed);
-        let decisions: Vec<EdgeDecision> = g
-            .par_edge_ids()
-            .map(|e| {
-                let (u, v) = g.edge_endpoints(e);
-                let view = EdgeView {
-                    id: e,
-                    u,
-                    v,
-                    weight: g.edge_weight(e),
-                    deg_u: g.degree(u),
-                    deg_v: g.degree(v),
-                };
-                kernel.process(view, &sg)
-            })
-            .collect();
-        let any_reweight = decisions.par_iter().any(|d| matches!(d, EdgeDecision::Reweight(_)));
-        let graph = if any_reweight {
-            g.filter_reweight(|e| match decisions[e as usize] {
-                EdgeDecision::Keep => Some(g.edge_weight(e)),
-                EdgeDecision::Delete => None,
-                EdgeDecision::Reweight(w) => Some(w),
-            })
-        } else {
-            g.filter_edges(|e| decisions[e as usize] != EdgeDecision::Delete)
-        };
-        CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        }
-    }
-
-    /// Executes an edge kernel over an *encoded* graph, decoding rows on
-    /// the fly — raw CSR is never materialized for the input. The canonical
-    /// edge id of the k-th forward slot of row `v` is
-    /// `forward_edge_offsets()[v] + k`, a pure function of the row index,
-    /// so kernel decisions (and hence the output graph) are bit-identical
-    /// to [`Engine::run_edge_kernel`] over the equivalent raw graph at any
-    /// `SG_THREADS`.
-    pub fn run_edge_kernel_encoded<K: EdgeKernel>(
-        &self,
-        g: &EncodedCsr,
-        kernel: &K,
-    ) -> CompressionResult {
-        let start = Instant::now();
-        let sg = SgContext::new_encoded(g, self.seed);
-        let directed = g.is_directed();
-        let offsets = g.forward_edge_offsets();
-        let n = g.num_vertices();
-        let decisions: Vec<EdgeDecision> = (0..n as VertexId)
-            .into_par_iter()
-            .flat_map_iter(|v| {
-                let base = offsets[v as usize];
-                let deg_u = g.degree(v);
-                let mut row = Vec::with_capacity(offsets[v as usize + 1] - base);
-                let mut k = 0usize;
-                g.cursor(v).for_each(|t| {
-                    if directed || t > v {
-                        let e = (base + k) as EdgeId;
-                        let view = EdgeView {
-                            id: e,
-                            u: v,
-                            v: t,
-                            weight: g.edge_weight(e),
-                            deg_u,
-                            deg_v: g.degree(t),
-                        };
-                        row.push(kernel.process(view, &sg));
-                        k += 1;
-                    }
-                });
-                row
-            })
-            .collect();
-        let any_reweight = decisions.par_iter().any(|d| matches!(d, EdgeDecision::Reweight(_)));
-        // Materialize survivors by a second forward enumeration (same
-        // order, so `decisions[e]` lines up with the slot being visited).
-        let weighted = any_reweight || g.is_weighted();
-        let mut edges = Vec::with_capacity(g.num_edges());
-        let mut weights = weighted.then(|| Vec::with_capacity(g.num_edges()));
-        let mut next = 0usize;
-        for v in 0..n as VertexId {
-            g.cursor(v).for_each(|t| {
-                if directed || t > v {
-                    let e = next as EdgeId;
-                    next += 1;
-                    let kept = match decisions[e as usize] {
-                        EdgeDecision::Keep => Some(g.edge_weight(e)),
-                        EdgeDecision::Delete => None,
-                        EdgeDecision::Reweight(w) => Some(w),
-                    };
-                    if let Some(w) = kept {
-                        edges.push((v, t));
-                        if let Some(ws) = &mut weights {
-                            ws.push(w);
-                        }
-                    }
-                }
-            });
-        }
-        let el = EdgeList { num_vertices: n, edges, weights };
-        let graph = if directed {
-            CsrGraph::from_edge_list_directed(el)
-        } else {
-            CsrGraph::from_edge_list(el)
-        };
-        CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: n,
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        }
+        let decisions: Vec<EdgeDecision> =
+            g.par_edge_ids().map(|e| decide_edge(kernel, &sg, e)).collect();
+        CompressionResult::of(g, materialize_edges(g, &decisions), None, start)
     }
 
     /// Executes a vertex kernel over every vertex in parallel (§4.4).
@@ -211,19 +166,10 @@ impl Engine {
         let sg = SgContext::new(g, self.seed);
         let removed: Vec<bool> = (0..g.num_vertices() as VertexId)
             .into_par_iter()
-            .map(|v| {
-                let view = VertexView { id: v, degree: g.degree(v) };
-                kernel.process(view, &sg) == VertexDecision::Delete
-            })
+            .map(|v| decide_vertex(kernel, &sg, v) == VertexDecision::Delete)
             .collect();
         let (graph, mapping) = g.remove_vertices(&removed);
-        CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: Some(mapping),
-        }
+        CompressionResult::of(g, graph, Some(mapping), start)
     }
 
     /// Executes a triangle kernel over every triangle (§4.3). Kernels that
@@ -244,14 +190,7 @@ impl Engine {
                 kernel.process(&t, &sg);
             }
         }
-        let graph = g.filter_edges(|e| !sg.edge_deleted(e));
-        CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        }
+        CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
     }
 
     /// Executes a subgraph kernel over every cluster of `mapping` in
@@ -270,14 +209,7 @@ impl Engine {
             let view = SubgraphView { cluster_id: cid, members, assignment: &mapping.assignment };
             kernel.process(view, &sg);
         });
-        let graph = g.filter_edges(|e| !sg.edge_deleted(e));
-        CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        }
+        CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
     }
 }
 
@@ -352,6 +284,25 @@ mod tests {
     }
 
     #[test]
+    fn materializer_keeps_deletes_and_reweights_on_weighted_input() {
+        let g = generators::with_random_weights(&generators::cycle(4), 2.0, 3.0, 1);
+        let input = g.weight_slice().expect("weighted input");
+        let decisions = [
+            EdgeDecision::Keep,
+            EdgeDecision::Delete,
+            EdgeDecision::Reweight(9.0),
+            EdgeDecision::Keep,
+        ];
+        let out = materialize_edges(&g, &decisions);
+        let kept = [g.edge_slice()[0], g.edge_slice()[2], g.edge_slice()[3]];
+        assert_eq!(out.edge_slice(), kept);
+        assert_eq!(out.weight_slice(), Some(&[input[0], 9.0, input[3]][..]));
+        // Without a reweight the input weights still ride along.
+        let out = materialize_edges(&g, &[EdgeDecision::Keep; 4]);
+        assert_eq!(out.weight_slice(), Some(input));
+    }
+
+    #[test]
     fn vertex_kernel_removes_and_relabels() {
         let g = generators::star(6); // hub + 5 leaves
         let r = Engine::new(0).run_vertex_kernel(&g, &DropLeaves);
@@ -380,8 +331,8 @@ mod tests {
     impl SubgraphKernel for DropIntraCluster {
         fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>) {
             for &v in sgv.members {
-                let row = sg.graph.csr().neighbors(v);
-                let eids = sg.graph.csr().neighbor_edge_ids(v);
+                let row = sg.graph.neighbors(v);
+                let eids = sg.graph.neighbor_edge_ids(v);
                 for (i, &u) in row.iter().enumerate() {
                     if sgv.assignment[u as usize] == sgv.cluster_id as u32 {
                         sg.del_edge(eids[i]);
@@ -435,50 +386,5 @@ mod tests {
         let a = Engine::new(123).run_edge_kernel(&g, &CoinFlip);
         let b = Engine::new(123).run_edge_kernel(&g, &CoinFlip);
         assert_eq!(a.graph.edge_slice(), b.graph.edge_slice());
-    }
-
-    struct RandomDrop;
-    impl EdgeKernel for RandomDrop {
-        fn process(&self, e: EdgeView, sg: &SgContext<'_>) -> EdgeDecision {
-            if sg.rand_unit(e.id as u64, 0) < 0.4 {
-                EdgeDecision::Delete
-            } else {
-                EdgeDecision::Keep
-            }
-        }
-    }
-
-    #[test]
-    fn encoded_edge_kernel_matches_raw() {
-        let g = generators::rmat_graph500(10, 8, 21);
-        let enc = sg_graph::EncodedCsr::from_graph(&g);
-        let raw = Engine::new(77).run_edge_kernel(&g, &RandomDrop);
-        let dec = Engine::new(77).run_edge_kernel_encoded(&enc, &RandomDrop);
-        assert_eq!(raw.graph.edge_slice(), dec.graph.edge_slice());
-        assert_eq!(raw.graph.csr_offsets(), dec.graph.csr_offsets());
-        assert_eq!(raw.original_edges, dec.original_edges);
-    }
-
-    struct WeightScaled;
-    impl EdgeKernel for WeightScaled {
-        fn process(&self, e: EdgeView, _sg: &SgContext<'_>) -> EdgeDecision {
-            if e.deg_u + e.deg_v > 6 {
-                EdgeDecision::Reweight(e.weight * 0.5)
-            } else {
-                EdgeDecision::Keep
-            }
-        }
-    }
-
-    #[test]
-    fn encoded_edge_kernel_matches_raw_weighted_reweight() {
-        let g =
-            generators::with_random_weights(&generators::erdos_renyi(300, 1400, 5), 1.0, 9.0, 6);
-        let enc = sg_graph::EncodedCsr::from_graph(&g);
-        let raw = Engine::new(3).run_edge_kernel(&g, &WeightScaled);
-        let dec = Engine::new(3).run_edge_kernel_encoded(&enc, &WeightScaled);
-        assert!(raw.graph.is_weighted() && dec.graph.is_weighted());
-        assert_eq!(raw.graph.edge_slice(), dec.graph.edge_slice());
-        assert_eq!(raw.graph.weight_slice(), dec.graph.weight_slice());
     }
 }

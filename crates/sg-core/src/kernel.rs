@@ -46,6 +46,13 @@ pub enum EdgeDecision {
 pub trait EdgeKernel: Sync {
     /// Decides the fate of one edge. Invoked in parallel across edges.
     fn process(&self, edge: EdgeView, sg: &SgContext<'_>) -> EdgeDecision;
+
+    /// Whether `process` can return [`EdgeDecision::Reweight`]. Federation
+    /// shards reply with deletion ids only, so a reweighting kernel runs
+    /// on the coordinator instead (`sg_dist::federation_plan`).
+    fn reweights(&self) -> bool {
+        false
+    }
 }
 
 /// Local view of a vertex handed to a [`VertexKernel`].

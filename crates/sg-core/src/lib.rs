@@ -54,8 +54,8 @@ pub mod spec;
 
 pub use cache::{CacheStats, StageCache, StageKey};
 pub use catalog::{graph_approx_bytes, GraphCatalog, GraphFormat, GraphHandle, GraphId};
-pub use context::{DetRand, GraphRef, SgContext};
-pub use engine::{CompressionResult, Engine};
+pub use context::{DetRand, SgContext};
+pub use engine::{decide_edge, decide_vertex, materialize_edges, CompressionResult, Engine};
 pub use pipeline::{run_stage, Pipeline, PipelineResult, StageReport};
 pub use scheme::{CompressionScheme, DistPlan, SchemeParams, SchemeRegistry};
 pub use session::{SessionRun, SgSession, StageOutcome};

@@ -63,22 +63,14 @@ pub trait CompressionScheme: Send + Sync {
         }
     }
 
-    /// For schemes expressible as a pure edge kernel: builds the kernel for
-    /// `g`, enabling the simulated distributed backend (`sg-dist`) to shard
-    /// the scheme. `None` (the default) means shared-memory only.
-    fn edge_kernel(&self, g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
-        let _ = g;
-        None
-    }
-
-    /// The scheme's sharded-execution plan, if it can run distributed.
-    /// Defaults to wrapping [`CompressionScheme::edge_kernel`]; schemes with
-    /// triangle- or vertex-class kernels override this to opt into the
-    /// shared-state executors. `None` means shared-memory only
+    /// The scheme's sharded-execution plan, if it can run distributed:
+    /// schemes with an edge-, triangle- or vertex-class kernel build it for
+    /// `g`. `None` (the default) means shared-memory only
     /// (contraction/summarization classes that rewrite the vertex set
     /// globally).
     fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
-        self.edge_kernel(g).map(DistPlan::EdgeKernel)
+        let _ = g;
+        None
     }
 }
 
@@ -191,8 +183,8 @@ impl CompressionScheme for Uniform {
         uniform_sample(g, self.p, seed)
     }
 
-    fn edge_kernel(&self, _g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
-        Some(Box::new(UniformKernel::new(self.p)))
+    fn dist_plan(&self, _g: &CsrGraph) -> Option<DistPlan> {
+        Some(DistPlan::EdgeKernel(Box::new(UniformKernel::new(self.p))))
     }
 }
 
@@ -228,8 +220,9 @@ impl CompressionScheme for Spectral {
         spectral_sparsify(g, self.p, self.variant, self.reweight, seed)
     }
 
-    fn edge_kernel(&self, g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
-        Some(Box::new(SpectralKernel::for_graph(g, self.p, self.variant, self.reweight)))
+    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
+        let kernel = SpectralKernel::for_graph(g, self.p, self.variant, self.reweight);
+        Some(DistPlan::EdgeKernel(Box::new(kernel)))
     }
 }
 
@@ -372,8 +365,11 @@ impl CompressionScheme for CutSparsifier {
         cut_sparsify(g, self.k, seed)
     }
 
-    fn edge_kernel(&self, g: &CsrGraph) -> Option<Box<dyn EdgeKernel>> {
-        Some(Box::new(CutSparsifyKernel { indices: forest_indices(g), k: self.k }))
+    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
+        Some(DistPlan::EdgeKernel(Box::new(CutSparsifyKernel {
+            indices: forest_indices(g),
+            k: self.k,
+        })))
     }
 }
 
@@ -410,10 +406,14 @@ impl SchemeRegistry {
     /// reduction probability, default 0.5), `k` (spanner stretch or cut
     /// threshold, default 8), `epsilon` (summarization error, default 0.1),
     /// `variant` (`logn` | `avgdeg`), `reweight` (bool), `x` (TR edges
-    /// removed per triangle, 1 or 2).
+    /// removed per triangle, 1 or 2). Every numeric value is range-checked
+    /// here, so an out-of-range or non-finite parameter is an `Err` from
+    /// [`SchemeRegistry::create`] and never reaches a scheme body's assert.
     pub fn with_defaults() -> Self {
         let mut registry = Self::new();
-        registry.register("uniform", &["p"], |p| Ok(Box::new(Uniform { p: p.get_f64("p", 0.5)? })));
+        registry.register("uniform", &["p"], |p| {
+            Ok(Box::new(Uniform { p: ranged_f64(p, "p", 0.5, 0.0, 1.0)? }))
+        });
         registry.register("spectral", &["p", "variant", "reweight"], |p| {
             let variant = match p.get_str("variant").unwrap_or("logn") {
                 "logn" => UpsilonVariant::LogN,
@@ -421,7 +421,7 @@ impl SchemeRegistry {
                 other => return Err(format!("unknown spectral variant '{other}'")),
             };
             Ok(Box::new(Spectral {
-                p: p.get_f64("p", 0.5)?,
+                p: ranged_f64(p, "p", 0.5, 0.0, f64::MAX)?,
                 variant,
                 reweight: p.get_bool("reweight", false)?,
             }))
@@ -447,17 +447,21 @@ impl SchemeRegistry {
             }))
         });
         registry.register("collapse", &["p"], |p| {
-            Ok(Box::new(TriangleCollapse { p: p.get_f64("p", 0.5)? }))
+            Ok(Box::new(TriangleCollapse { p: ranged_f64(p, "p", 0.5, 0.0, 1.0)? }))
         });
         registry.register("lowdeg", &[], |_| Ok(Box::new(LowDegree)));
-        registry.register("spanner", &["k"], |p| Ok(Box::new(Spanner { k: p.get_f64("k", 8.0)? })));
+        registry.register("spanner", &["k"], |p| {
+            Ok(Box::new(Spanner { k: ranged_f64(p, "k", 8.0, 1.0, f64::MAX)? }))
+        });
         registry.register("summary", &["epsilon"], |p| {
-            Ok(Box::new(Summarization { epsilon: p.get_f64("epsilon", 0.1)? }))
+            Ok(Box::new(Summarization { epsilon: ranged_f64(p, "epsilon", 0.1, 0.0, f64::MAX)? }))
         });
         registry.register("cut", &["k"], |p| {
-            // k is accepted as a float (truncated) so one shared --k flag
-            // serves both spanner and cut stages.
-            Ok(Box::new(CutSparsifier { k: p.get_f64("k", 8.0)?.max(1.0) as u32 }))
+            // k is accepted as a float (truncated, floored at 1) so one
+            // shared --k flag serves both spanner and cut stages.
+            Ok(Box::new(CutSparsifier {
+                k: ranged_f64(p, "k", 8.0, 0.0, f64::MAX)?.max(1.0) as u32,
+            }))
         });
         registry
     }
@@ -538,12 +542,35 @@ fn tr_config(
     discipline: Discipline,
     choice: EdgeChoice,
 ) -> Result<TrConfig, String> {
-    let p = params.get_f64("p", 0.5)?;
-    let x = params.get_u32("x", 1)? as usize;
-    if x != 1 && x != 2 {
-        return Err(format!("TR parameter x must be 1 or 2, got {x}"));
+    let cfg = TrConfig {
+        p: params.get_f64("p", 0.5)?,
+        x: params.get_u32("x", 1)? as usize,
+        discipline,
+        choice,
+    };
+    cfg.validate()?;
+    Ok(cfg)
+}
+
+/// Numeric parameter `key`, required to lie in `[min, max]`; NaN fails the
+/// range test, and `max = f64::MAX` means "any finite value from `min`".
+fn ranged_f64(
+    params: &SchemeParams,
+    key: &str,
+    default: f64,
+    min: f64,
+    max: f64,
+) -> Result<f64, String> {
+    let value = params.get_f64(key, default)?;
+    if (min..=max).contains(&value) {
+        return Ok(value);
     }
-    Ok(TrConfig { p, x, discipline, choice })
+    let bound = if max == f64::MAX {
+        format!("a finite number >= {min}")
+    } else {
+        format!("in [{min}, {max}]")
+    };
+    Err(format!("parameter {key} must be {bound}, got {value}"))
 }
 
 #[cfg(test)]
@@ -593,6 +620,29 @@ mod tests {
         assert!(registry.create("uniform", &bad).is_err());
         let bad_x = SchemeParams::from_pairs(&[("x", "3")]);
         assert!(registry.create("tr", &bad_x).is_err());
+    }
+
+    #[test]
+    fn out_of_range_numeric_parameters_are_errors_not_panics() {
+        let registry = SchemeRegistry::with_defaults();
+        for name in registry.names() {
+            for &key in registry.param_keys(name).expect("registered") {
+                let out_of_range = match (name, key) {
+                    (_, "variant" | "reweight") => continue, // not numeric
+                    ("spectral", "p") => "-0.5",
+                    (_, "p") => "1.5",
+                    ("spanner", "k") => "0.5",
+                    ("cut", "k") => "-1",
+                    (_, "epsilon") => "-0.1",
+                    (_, "x") => "3",
+                    other => panic!("no out-of-range value declared for {other:?}"),
+                };
+                for bad in [out_of_range, "nan", "inf"] {
+                    let result = registry.create(name, &SchemeParams::from_pairs(&[(key, bad)]));
+                    assert!(result.is_err(), "{name}:{key}={bad} must be rejected by create");
+                }
+            }
+        }
     }
 
     #[test]

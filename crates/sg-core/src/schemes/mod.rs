@@ -24,7 +24,8 @@ pub use spanner::{spanner, SpannerKernel};
 pub use spectral::{spectral_sparsify, SpectralKernel, UpsilonVariant};
 pub use summarization::{summarize, summarize_to_graph, SummarizationConfig, Summary};
 pub use triangle_reduction::{
-    ranked_triangle_edges, triangle_collapse, triangle_key, triangle_reduce, triangle_sampled,
-    Discipline, EdgeChoice, TrConfig, TriangleReductionKernel,
+    edge_once_commit, for_sampled_triangles, plain_tr_deletions, ranked_triangle_edges,
+    triangle_collapse, triangle_key, triangle_reduce, triangle_sampled, Discipline, EdgeChoice,
+    TrConfig, TriangleReductionKernel,
 };
 pub use uniform::{uniform_sample, UniformKernel};

@@ -33,7 +33,7 @@ pub struct SpannerKernel<'a> {
 
 impl SubgraphKernel for SpannerKernel<'_> {
     fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>) {
-        let g = sg.graph.csr();
+        let g = sg.graph;
         let my = sgv.cluster_id as u32;
 
         // (a) Replace "subgraph" with a spanning tree: delete intra-cluster

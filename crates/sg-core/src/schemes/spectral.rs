@@ -56,6 +56,10 @@ impl EdgeKernel for SpectralKernel {
             EdgeDecision::Keep
         }
     }
+
+    fn reweights(&self) -> bool {
+        self.reweight
+    }
 }
 
 /// Convenience wrapper: spectral sparsification with parameter `p`.

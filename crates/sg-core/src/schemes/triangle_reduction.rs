@@ -26,7 +26,7 @@ use crate::kernel::{Triangle, TriangleKernel};
 use sg_algos::tc;
 use sg_algos::union_find::UnionFind;
 use sg_graph::prng::mix64;
-use sg_graph::{CsrGraph, EdgeId, EdgeList, GraphView, VertexId, Weight};
+use sg_graph::{CsrGraph, EdgeId, EdgeList, VertexId, Weight};
 use std::time::Instant;
 
 /// Which edge(s) of a sampled triangle are removed.
@@ -88,9 +88,16 @@ impl TrConfig {
         Self { p, x: 1, discipline: Discipline::EdgeOnce, choice: EdgeChoice::MaxWeight }
     }
 
-    fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.p), "p must be in [0, 1]");
-        assert!(self.x == 1 || self.x == 2, "x must be 1 or 2");
+    /// The one TR parameter check (NaN fails the range test): the registry
+    /// turns a failure into a `bad-spec`, every TR executor asserts it.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.p) {
+            return Err(format!("TR parameter p must be in [0, 1], got {}", self.p));
+        }
+        if self.x != 1 && self.x != 2 {
+            return Err(format!("TR parameter x must be 1 or 2, got {}", self.x));
+        }
+        Ok(())
     }
 
     /// Scheme label matching the paper's naming (`EO-0.5-1-TR`, …).
@@ -160,6 +167,87 @@ pub fn ranked_triangle_edges(
     edges
 }
 
+/// Calls `f` on every sampled triangle whose smallest vertex lies in
+/// `vertices`, in canonical `(u, v, w)` order — the triangles one part (an
+/// `sg-dist` rank, a federation shard) owns and reduces. Sequential.
+pub fn for_sampled_triangles(
+    g: &CsrGraph,
+    p: f64,
+    rand: DetRand,
+    vertices: std::ops::Range<usize>,
+    mut f: impl FnMut(Triangle),
+) {
+    for u in vertices {
+        tc::for_triangles_at(g, u as VertexId, &mut |t: Triangle| {
+            if triangle_sampled(&t, p, rand) {
+                f(t);
+            }
+        });
+    }
+}
+
+/// Plain TR over the part's sampled triangles: calls `delete(e)` once per
+/// sampled triangle and chosen edge (so an edge shared by two sampled
+/// triangles may be reported twice). An `sg-dist` rank routes each call to
+/// the edge's owner; a federation shard collects them into its deletion
+/// list.
+pub fn plain_tr_deletions(
+    g: &CsrGraph,
+    cfg: TrConfig,
+    rand: DetRand,
+    tri_counts: Option<&[u64]>,
+    vertices: std::ops::Range<usize>,
+    mut delete: impl FnMut(EdgeId),
+) {
+    for_sampled_triangles(g, cfg.p, rand, vertices, |t| {
+        let ranked = ranked_triangle_edges(&t, cfg.choice, rand, |e| g.edge_weight(e), tri_counts);
+        ranked.iter().take(cfg.x).for_each(|&e| delete(e));
+    });
+}
+
+/// The Edge-Once commit of one sampled triangle, given the `considered`
+/// flags it observes on its edges: `claim(e, delete)` marks `e` considered
+/// and, when `delete`, deleted. The in-process kernel reads and writes the
+/// [`SgContext`] bitsets; an `sg-dist` rank reads the flags its edge owners
+/// reported and sends each claim to the owner.
+pub fn edge_once_commit(
+    t: &Triangle,
+    cfg: TrConfig,
+    rand: DetRand,
+    weight_of: impl Fn(EdgeId) -> Weight,
+    tri_counts: Option<&[u64]>,
+    considered: impl Fn(EdgeId) -> bool,
+    mut claim: impl FnMut(EdgeId, bool),
+) {
+    let ranked = || ranked_triangle_edges(t, cfg.choice, rand, &weight_of, tri_counts);
+    if cfg.choice == EdgeChoice::FewestTriangles {
+        // CT: each edge is considered at most once, and edges in the fewest
+        // triangles are removed first. A sampled triangle deletes its first
+        // x still-unconsidered edges in rank order — so overlapping
+        // triangles spread their deletions over *distinct* edges, which is
+        // why CT consistently yields smaller m than plain p-1-TR (Figure 6,
+        // right).
+        for e in ranked().into_iter().filter(|&e| !considered(e)).take(cfg.x) {
+            claim(e, true);
+        }
+    } else {
+        // Protective EO: a sampled triangle proceeds only when *all three*
+        // edges are unconsidered, then claims them and deletes x. Reduced
+        // triangles are therefore edge-disjoint — the assumption under
+        // which §6.1 proves CC preservation, ≤2× stretch, and (with the
+        // max-weight choice) exact MST weight. (Listing 1's EO kernel is
+        // ambiguous on this point; we pick the reading that realizes the
+        // paper's stated guarantees.)
+        if t.edges().iter().any(|&e| considered(e)) {
+            return; // some edge already claimed by another triangle
+        }
+        let ranked = ranked();
+        for e in t.edges() {
+            claim(e, ranked[..cfg.x].contains(&e));
+        }
+    }
+}
+
 /// The TR compression kernel (`p-1-reduction` / `p-1-reduction-EO` of
 /// Listing 1, generalized over x and the edge choice).
 pub struct TriangleReductionKernel {
@@ -172,7 +260,7 @@ impl TriangleReductionKernel {
     /// Builds the kernel, precomputing per-edge triangle counts when the CT
     /// choice needs them.
     pub fn new(g: &CsrGraph, cfg: TrConfig) -> Self {
-        cfg.validate();
+        cfg.validate().expect("valid TR configuration");
         let tri_counts =
             (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
         Self { cfg, tri_counts }
@@ -209,47 +297,20 @@ impl TriangleKernel for TriangleReductionKernel {
                     sg.del_edge(e);
                 }
             }
-            Discipline::EdgeOnce => {
-                if self.cfg.choice == EdgeChoice::FewestTriangles {
-                    // CT: each edge is considered at most once, and edges in
-                    // the fewest triangles are removed first. A sampled
-                    // triangle deletes its first x still-unconsidered edges
-                    // in rank order — so overlapping triangles spread their
-                    // deletions over *distinct* edges, which is why CT
-                    // consistently yields smaller m than plain p-1-TR
-                    // (Figure 6, right).
-                    let ranked = self.ranked_edges(t, sg);
-                    let mut deleted = 0usize;
-                    for &e in &ranked {
-                        if deleted == self.cfg.x {
-                            break;
-                        }
-                        if sg.consider_edge_once(e) {
-                            sg.del_edge(e);
-                            deleted += 1;
-                        }
-                    }
-                } else {
-                    // Protective EO: a sampled triangle proceeds only when
-                    // *all three* edges are unconsidered, then claims them
-                    // and deletes x. Reduced triangles are therefore
-                    // edge-disjoint — the assumption under which §6.1 proves
-                    // CC preservation, ≤2× stretch, and (with the max-weight
-                    // choice) exact MST weight. (Listing 1's EO kernel is
-                    // ambiguous on this point; we pick the reading that
-                    // realizes the paper's stated guarantees.)
-                    if t.edges().iter().any(|&e| sg.edge_considered(e)) {
-                        return; // some edge already claimed by another triangle
-                    }
-                    for &e in &t.edges() {
-                        sg.consider_edge_once(e);
-                    }
-                    let ranked = self.ranked_edges(t, sg);
-                    for &e in ranked.iter().take(self.cfg.x) {
+            Discipline::EdgeOnce => edge_once_commit(
+                t,
+                self.cfg,
+                sg.rand(),
+                |e| sg.graph.edge_weight(e),
+                self.tri_counts.as_deref(),
+                |e| sg.edge_considered(e),
+                |e, delete| {
+                    sg.consider_edge_once(e);
+                    if delete {
                         sg.del_edge(e);
                     }
-                }
-            }
+                },
+            ),
         }
     }
 }
@@ -268,7 +329,6 @@ pub fn edge_triangle_counts(g: &CsrGraph) -> Vec<u64> {
 
 /// Runs Triangle Reduction with the given configuration.
 pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionResult {
-    cfg.validate();
     let kernel = TriangleReductionKernel::new(g, cfg);
     if cfg.choice == EdgeChoice::FewestTriangles {
         // CT processes triangles starting from the rarest edges, so the
@@ -284,14 +344,7 @@ pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionRes
         for t in &tris {
             kernel.process(t, &sg);
         }
-        let graph = g.filter_edges(|e| !sg.edge_deleted(e));
-        CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        }
+        CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
     } else {
         Engine::new(seed).run_triangle_kernel(g, &kernel)
     }
@@ -336,14 +389,7 @@ pub fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> CompressionResult {
             el.edges.push((nu, nv));
         }
     }
-    let graph = CsrGraph::from_edge_list(el);
-    CompressionResult {
-        graph,
-        original_edges: g.num_edges(),
-        original_vertices: g.num_vertices(),
-        elapsed: start.elapsed(),
-        vertex_mapping: Some(mapping),
-    }
+    CompressionResult::of(g, CsrGraph::from_edge_list(el), Some(mapping), start)
 }
 
 #[cfg(test)]

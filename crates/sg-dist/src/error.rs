@@ -29,13 +29,6 @@ pub enum DistError {
         /// Total shard count of the request.
         shards: usize,
     },
-    /// A storage operation failed (mapping an `.sgr` file).
-    Io {
-        /// Path of the failing file.
-        path: String,
-        /// Underlying error rendered as text.
-        message: String,
-    },
 }
 
 impl DistError {
@@ -46,7 +39,6 @@ impl DistError {
             DistError::Unsupported { .. } => "dist-unsupported",
             DistError::InvalidRanks { .. } => "dist-invalid-ranks",
             DistError::InvalidShard { .. } => "dist-invalid-shard",
-            DistError::Io { .. } => "dist-io",
         }
     }
 }
@@ -63,7 +55,6 @@ impl fmt::Display for DistError {
             DistError::InvalidShard { shard, shards } => {
                 write!(f, "shard {shard} out of range for {shards} shard(s)")
             }
-            DistError::Io { path, message } => write!(f, "{path}: {message}"),
         }
     }
 }
@@ -80,13 +71,9 @@ mod tests {
             DistError::Unsupported { scheme: "summary".into(), reason: "global rewrite".into() },
             DistError::InvalidRanks { ranks: 0 },
             DistError::InvalidShard { shard: 3, shards: 2 },
-            DistError::Io { path: "x.sgr".into(), message: "missing".into() },
         ];
         let codes: Vec<&str> = variants.iter().map(|e| e.code()).collect();
-        assert_eq!(
-            codes,
-            vec!["dist-unsupported", "dist-invalid-ranks", "dist-invalid-shard", "dist-io"]
-        );
+        assert_eq!(codes, vec!["dist-unsupported", "dist-invalid-ranks", "dist-invalid-shard"]);
         for (e, code) in variants.iter().zip(&codes) {
             assert!(code.chars().all(|c| c.is_ascii_lowercase() || c == '-'));
             assert!(!e.to_string().is_empty());

@@ -1,46 +1,51 @@
 //! # sg-dist — simulated distributed-memory compression (§7.3)
 //!
 //! The paper compresses its largest graphs (up to Web Data Commons 2012 at
-//! ≈128 B edges) with a *distributed* implementation of compression kernels
-//! built on MPI Remote Memory Access. That substrate is simulated here:
-//! each MPI rank becomes an OS thread owning a contiguous shard of the
-//! graph (`sg_graph::partition`), kernels run per shard, and gather phases
-//! flow over channels and deterministic mailboxes instead of RMA windows.
+//! ≈128 B edges) with compression kernels distributed over MPI Remote
+//! Memory Access. Here each MPI rank is an OS thread (`run_ranks`) owning
+//! a contiguous part of the graph (`sg_graph::partition`), and the root
+//! gathers the ranks' results in rank order.
 //!
-//! Three kernel classes run distributed:
+//! No kernel logic lives in this crate: a rank calls the per-element
+//! functions the shared-memory engine maps over its pool
+//! (`sg_core::decide_edge`, `decide_vertex`, `plain_tr_deletions`),
+//! sequentially over its own range — ranks are the parallelism here.
 //!
-//! * **edge kernels** — decisions are pure in `(seed, edge id)`, so shards
-//!   are embarrassingly parallel ([`distributed_edge_kernel`]);
-//! * **triangle kernels** — the Triangle Reduction family, including the
-//!   stateful Edge-Once/Count-Triangles disciplines, via the superstep
-//!   reservation protocol in [`sharded`];
-//! * **vertex kernels** — per-rank decisions over owned vertex ranges,
-//!   merged in rank order ([`sharded`]).
+//! * **edge kernels** — ranks return their shard's decisions and the root
+//!   materializes through `sg_core::materialize_edges` (reweights included);
+//! * **vertex kernels** — ranks return their range's removal verdicts;
+//! * **Triangle Reduction** — the one class whose ranks exchange messages
+//!   (the `sharded` module): Plain routes each deletion to the edge's owner
+//!   in one superstep, Edge-Once / Count-Triangles run the reservation
+//!   protocol.
 //!
-//! In every case the distributed result is **bit-identical** to the
-//! shared-memory `scheme.apply(g, seed)` for any rank count — the property
-//! the tests pin down. Schemes that rewrite the graph globally
-//! (summarization, spanners, collapse) report [`DistError::Unsupported`].
+//! The result is **bit-identical** — edges, weights, vertex mapping — to
+//! `scheme.apply(g, seed)` at any rank count. Schemes that rewrite the
+//! graph globally (summarization, spanners, collapse) report
+//! [`DistError::Unsupported`].
 //!
-//! The `shard_*` helpers at the bottom are the *federation* building
-//! blocks: sg-serve's coordinator splits a request into `(shard, shards)`
-//! sub-requests answered by worker daemons holding full graph replicas, and
-//! merges the returned deletion lists with [`apply_edge_deletions`] /
-//! [`apply_vertex_removals`].
+//! A *federation* shard ([`shard_compress`]) is the same per-part closure
+//! for one part, converted to a sorted id list: sg-serve's coordinator
+//! fans `(shard, shards)` sub-requests out to worker daemons holding full
+//! replicas and merges the lists with [`apply_edge_deletions`] /
+//! [`apply_vertex_removals`]. Replies carry ids only, so plans that need
+//! more — the Edge-Once flag exchange, reweighted survivors — are not
+//! federable ([`federation_plan`]).
 
 pub mod error;
-pub mod sharded;
+mod sharded;
 
 pub use error::DistError;
-pub use sharded::ShardedContext;
 
-use crossbeam::channel;
-use sg_core::kernel::{
-    EdgeDecision, EdgeKernel, EdgeView, Triangle, VertexDecision, VertexKernel, VertexView,
+use sg_core::kernel::{EdgeDecision, EdgeKernel, VertexDecision, VertexKernel};
+use sg_core::schemes::triangle_reduction::edge_triangle_counts;
+use sg_core::schemes::{plain_tr_deletions, Discipline, EdgeChoice};
+use sg_core::{
+    decide_edge, decide_vertex, materialize_edges, CompressionResult, CompressionScheme, DetRand,
+    DistPlan, SgContext,
 };
-use sg_core::schemes::{ranked_triangle_edges, triangle_sampled, Discipline, EdgeChoice, TrConfig};
-use sg_core::{CompressionResult, CompressionScheme, DetRand, DistPlan, SgContext};
 use sg_graph::partition::{partition_edges, partition_vertices, EdgeShard};
+use sg_graph::properties::DegreeDistribution;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 use std::time::Instant;
 
@@ -62,6 +67,29 @@ pub struct RankStats {
     pub supersteps: u64,
 }
 
+/// Statistics of stateless ranks — one superstep, one gather message each —
+/// where rank `r` owns the edge ids `edge_starts[r]..edge_starts[r + 1]` and
+/// `owned_vertices(r)` vertices, and `survives(e)` tells whether edge `e`
+/// is in the output.
+fn stateless_stats(
+    edge_starts: &[usize],
+    owned_vertices: impl Fn(usize) -> usize,
+    survives: impl Fn(EdgeId) -> bool,
+) -> Vec<RankStats> {
+    edge_starts
+        .windows(2)
+        .enumerate()
+        .map(|(rank, owned)| RankStats {
+            rank,
+            owned_edges: owned[1] - owned[0],
+            kept_edges: (owned[0]..owned[1]).filter(|&e| survives(e as EdgeId)).count(),
+            owned_vertices: owned_vertices(rank),
+            messages_sent: 1,
+            supersteps: 1,
+        })
+        .collect()
+}
+
 /// Outcome of a distributed compression run.
 #[derive(Clone, Debug)]
 pub struct DistResult {
@@ -69,9 +97,6 @@ pub struct DistResult {
     pub result: CompressionResult,
     /// Per-rank statistics.
     pub ranks: Vec<RankStats>,
-    /// Merged degree histogram of the compressed graph
-    /// (`degree -> #vertices`), the Figure-8 artifact.
-    pub degree_histogram: Vec<(usize, usize)>,
 }
 
 impl DistResult {
@@ -102,104 +127,62 @@ impl DistResult {
     pub fn max_supersteps(&self) -> u64 {
         self.ranks.iter().map(|r| r.supersteps).max().unwrap_or(0)
     }
+
+    /// Degree histogram of the compressed graph (`degree -> #vertices`),
+    /// the Figure-8 artifact; computed on demand.
+    pub fn degree_histogram(&self) -> Vec<(usize, usize)> {
+        DegreeDistribution::of(&self.result.graph).entries
+    }
 }
 
-/// Runs an edge kernel over `ranks` simulated distributed ranks.
-pub fn distributed_edge_kernel<K: EdgeKernel + ?Sized>(
-    g: &CsrGraph,
-    kernel: &K,
-    ranks: usize,
-    seed: u64,
-) -> DistResult {
-    assert!(ranks > 0, "need at least one rank");
-    let start = Instant::now();
-    let shards = partition_edges(g, ranks);
-    let (tx, rx) = channel::unbounded::<(usize, Vec<EdgeId>)>();
-
-    // Each rank runs its shard independently (thread = MPI rank).
+/// Runs `body(rank)` on one scoped thread per rank (thread = MPI rank) and
+/// returns the results in rank order — the gather at the root.
+pub(crate) fn run_ranks<T: Send>(ranks: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
-        for shard in &shards {
-            let tx = tx.clone();
-            let shard: EdgeShard = *shard;
-            scope.spawn(move || {
-                let sg = SgContext::new(g, seed);
-                let kept: Vec<EdgeId> = shard
-                    .edge_ids()
-                    .filter(|&e| {
-                        let (u, v) = g.edge_endpoints(e);
-                        let view = EdgeView {
-                            id: e,
-                            u,
-                            v,
-                            weight: g.edge_weight(e),
-                            deg_u: g.degree(u),
-                            deg_v: g.degree(v),
-                        };
-                        !matches!(kernel.process(view, &sg), EdgeDecision::Delete)
-                    })
-                    .collect();
-                tx.send((shard.rank, kept)).expect("root outlives ranks");
-            });
-        }
-    });
-    drop(tx);
-
-    // Gather phase at the root.
-    let mut per_rank: Vec<Vec<EdgeId>> = vec![Vec::new(); ranks];
-    for (rank, kept) in rx {
-        per_rank[rank] = kept;
-    }
-    let stats: Vec<RankStats> = shards
-        .iter()
-        .map(|s| RankStats {
-            rank: s.rank,
-            owned_edges: s.len(),
-            kept_edges: per_rank[s.rank].len(),
-            owned_vertices: 0,
-            messages_sent: 1, // one gather send per rank
-            supersteps: 1,
-        })
-        .collect();
-    let mut keep_mask = vec![false; g.num_edges()];
-    for kept in &per_rank {
-        for &e in kept {
-            keep_mask[e as usize] = true;
-        }
-    }
-    let graph = g.filter_edges(|e| keep_mask[e as usize]);
-    let degree_histogram = distributed_degree_histogram(&graph, ranks);
-    DistResult {
-        result: CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        },
-        ranks: stats,
-        degree_histogram,
-    }
+        let body = &body;
+        let handles: Vec<_> = (0..ranks).map(|rank| scope.spawn(move || body(rank))).collect();
+        handles
+            .into_iter()
+            .map(|rank| rank.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
-/// Distributed random uniform sampling — the §7.3 experiment (Figure 8).
-pub fn distributed_uniform_sample(g: &CsrGraph, p: f64, ranks: usize, seed: u64) -> DistResult {
-    let kernel = sg_core::schemes::UniformKernel::new(p);
-    distributed_edge_kernel(g, &kernel, ranks, seed)
+/// One part's edge-kernel decisions, in edge-id order: what a rank returns
+/// for its shard and what a federation shard converts to deletion ids.
+fn edge_part(
+    g: &CsrGraph,
+    kernel: &dyn EdgeKernel,
+    part: EdgeShard,
+    seed: u64,
+) -> Vec<EdgeDecision> {
+    let sg = SgContext::new(g, seed);
+    part.edge_ids().map(|e| decide_edge(kernel, &sg, e)).collect()
 }
 
-/// Runs any registry scheme with a sharded-execution plan over the
-/// simulated distributed pipeline:
+/// One part's vertex-kernel verdicts (`true` = removed) for the vertex
+/// range `[lo, hi)`, in vertex order.
+fn vertex_part(
+    g: &CsrGraph,
+    kernel: &dyn VertexKernel,
+    (lo, hi): (usize, usize),
+    seed: u64,
+) -> Vec<bool> {
+    let sg = SgContext::new(g, seed);
+    (lo..hi).map(|v| decide_vertex(kernel, &sg, v as VertexId) == VertexDecision::Delete).collect()
+}
+
+/// Runs any registry scheme with a sharded-execution plan over `ranks`
+/// simulated ranks: edge-kernel schemes (`uniform`, `spectral`, `cut`)
+/// shard the edge array, vertex-kernel schemes (`lowdeg`) the vertex set,
+/// and the Triangle Reduction family (`tr`, `tr-eo`, `tr-ct`, `tr-mw`) runs
+/// the superstep protocol. Schemes that rewrite the graph globally
+/// (`collapse`, `spanner`, `summary`) return [`DistError::Unsupported`].
+/// Bit-identical to `scheme.apply(g, seed)` for any rank count.
 ///
-/// * edge-kernel schemes (`uniform`, `spectral`, `cut`) shard the edge
-///   array and run embarrassingly parallel;
-/// * the Triangle Reduction family (`tr`, `tr-eo`, `tr-ct`, `tr-mw`) runs
-///   the superstep reservation protocol of [`sharded`];
-/// * vertex-kernel schemes (`lowdeg`) decide per owned vertex range and
-///   merge removals in rank order.
-///
-/// Schemes that rewrite the graph globally (`collapse`, `spanner`,
-/// `summary`) return [`DistError::Unsupported`]. Results are bit-identical
-/// to `scheme.apply(g, seed)` for any rank count.
+/// `g` may be an `.sgr` mapping (`sg_store::MmapGraph` derefs to
+/// `CsrGraph`): every rank borrows it, so the simulated cluster holds one
+/// copy — the paper's ranks reading the node-local graph through RMA.
 pub fn distributed_compress(
     g: &CsrGraph,
     scheme: &dyn CompressionScheme,
@@ -209,66 +192,46 @@ pub fn distributed_compress(
     if ranks == 0 {
         return Err(DistError::InvalidRanks { ranks });
     }
-    match scheme.dist_plan(g) {
-        Some(DistPlan::EdgeKernel(kernel)) => {
-            Ok(distributed_edge_kernel(g, kernel.as_ref(), ranks, seed))
+    let start = Instant::now();
+    let plan = scheme.dist_plan(g).ok_or_else(|| unsupported_global(scheme))?;
+    let (graph, vertex_mapping, stats) = match &plan {
+        DistPlan::EdgeKernel(kernel) => {
+            let shards = partition_edges(g, ranks);
+            let decisions =
+                run_ranks(ranks, |rank| edge_part(g, kernel.as_ref(), shards[rank], seed)).concat();
+            let mut edge_starts: Vec<usize> = shards.iter().map(|s| s.start as usize).collect();
+            edge_starts.push(g.num_edges());
+            let stats = stateless_stats(
+                &edge_starts,
+                |_| 0, // the edge array is sharded directly
+                |e| decisions[e as usize] != EdgeDecision::Delete,
+            );
+            (materialize_edges(g, &decisions), None, stats)
         }
-        Some(DistPlan::Triangle(cfg)) => sharded::sharded_triangle_compress(g, cfg, ranks, seed),
-        Some(DistPlan::Vertex(kernel)) => {
-            sharded::sharded_vertex_compress(g, kernel.as_ref(), ranks, seed)
+        DistPlan::Triangle(cfg) => {
+            let (deleted, stats) = sharded::sharded_triangle_compress(g, *cfg, ranks, seed);
+            (g.filter_edges(|e| !deleted[e as usize]), None, stats)
         }
-        None => Err(unsupported_global(scheme)),
-    }
-}
-
-/// Runs a registry scheme's sharded plan over `ranks` simulated ranks with
-/// the graph served zero-copy out of one shared read-only `.sgr` mapping —
-/// the paper's setting where every rank reads the node-local graph through
-/// RMA windows without private copies.
-///
-/// `sg_store::MmapGraph` borrows the CSR sections straight from the
-/// mapping, and each rank thread borrows the same `CsrGraph`, so the whole
-/// simulated cluster holds exactly one copy of the graph: the page cache's.
-/// Results are bit-identical to [`distributed_compress`] over a heap-loaded
-/// graph.
-pub fn distributed_compress_sgr(
-    path: impl AsRef<std::path::Path>,
-    scheme: &dyn CompressionScheme,
-    ranks: usize,
-    seed: u64,
-) -> Result<DistResult, DistError> {
-    let path = path.as_ref();
-    let mapped = sg_store::MmapGraph::open(path)
-        .map_err(|e| DistError::Io { path: path.display().to_string(), message: e.to_string() })?;
-    distributed_compress(&mapped, scheme, ranks, seed)
-}
-
-/// Computes the degree histogram with per-rank partial histograms merged at
-/// the root (each rank owns a contiguous vertex range — the reduction the
-/// paper performs with RMA accumulate).
-pub fn distributed_degree_histogram(g: &CsrGraph, ranks: usize) -> Vec<(usize, usize)> {
-    let parts = partition_vertices(g.num_vertices(), ranks);
-    let (tx, rx) = channel::unbounded::<Vec<(usize, usize)>>();
-    std::thread::scope(|scope| {
-        for &(lo, hi) in &parts {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let mut local: rustc_lite::Map = rustc_lite::Map::new();
-                for v in lo..hi {
-                    local.add(g.degree(v as VertexId));
-                }
-                tx.send(local.into_sorted()).expect("root outlives ranks");
-            });
+        DistPlan::Vertex(kernel) => {
+            let parts = partition_vertices(g.num_vertices(), ranks);
+            let removed =
+                run_ranks(ranks, |rank| vertex_part(g, kernel.as_ref(), parts[rank], seed))
+                    .concat();
+            let stats = stateless_stats(
+                &sharded::edge_rank_starts(g, &parts),
+                |rank| parts[rank].1 - parts[rank].0,
+                |e| {
+                    // An edge survives when both endpoints survive.
+                    let (u, v) = g.edge_endpoints(e);
+                    !removed[u as usize] && !removed[v as usize]
+                },
+            );
+            let (graph, mapping) = g.remove_vertices(&removed);
+            (graph, Some(mapping), stats)
         }
-    });
-    drop(tx);
-    let mut merged: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    for part in rx {
-        for (d, c) in part {
-            *merged.entry(d).or_insert(0) += c;
-        }
-    }
-    merged.into_iter().collect()
+    };
+    let result = CompressionResult::of(g, graph, vertex_mapping, start);
+    Ok(DistResult { result, ranks: stats })
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +258,7 @@ pub enum ShardKind {
     Vertices,
 }
 
-/// Classifies `scheme` for federation **without doing any work**:
+/// Classifies `scheme` for federation **without running a kernel**:
 /// `Ok(kind)` if independent `(shard, shards)` sub-runs against full
 /// replicas reconstruct the shared-memory result, else exactly the typed
 /// error [`shard_compress`] would return. The serving coordinator calls
@@ -304,27 +267,27 @@ pub fn federation_plan(
     g: &CsrGraph,
     scheme: &dyn CompressionScheme,
 ) -> Result<ShardKind, DistError> {
-    match scheme.dist_plan(g) {
-        Some(DistPlan::EdgeKernel(_)) => Ok(ShardKind::Edges),
-        Some(DistPlan::Triangle(cfg)) => triangle_shard_supported(cfg).map(|()| ShardKind::Edges),
-        Some(DistPlan::Vertex(_)) => Ok(ShardKind::Vertices),
-        None => Err(unsupported_global(scheme)),
-    }
+    let plan = scheme.dist_plan(g).ok_or_else(|| unsupported_global(scheme))?;
+    shard_kind(scheme, &plan)
 }
 
-/// Plain Triangle Reduction federates; the stateful Edge-Once disciplines
-/// need the superstep flag exchange and must run through
-/// [`distributed_compress`] instead.
-fn triangle_shard_supported(cfg: TrConfig) -> Result<(), DistError> {
-    if cfg.discipline != Discipline::Plain {
-        return Err(DistError::Unsupported {
-            scheme: cfg.label(),
-            reason: "Edge-Once disciplines need the cross-shard flag exchange; \
-                     run them through distributed_compress"
-                .to_string(),
-        });
-    }
-    Ok(())
+/// What the shards of `plan` return, or why the plan cannot federate: a
+/// shard reply is a list of ids, so it can carry neither the Edge-Once flag
+/// exchange nor a survivor's new weight.
+fn shard_kind(scheme: &dyn CompressionScheme, plan: &DistPlan) -> Result<ShardKind, DistError> {
+    let reason = match plan {
+        DistPlan::EdgeKernel(kernel) if kernel.reweights() => {
+            "the kernel reweights surviving edges and shard replies carry deletion ids only; \
+             run it through distributed_compress"
+        }
+        DistPlan::Triangle(cfg) if cfg.discipline != Discipline::Plain => {
+            "Edge-Once disciplines need the cross-shard flag exchange; \
+             run them through distributed_compress"
+        }
+        DistPlan::EdgeKernel(_) | DistPlan::Triangle(_) => return Ok(ShardKind::Edges),
+        DistPlan::Vertex(_) => return Ok(ShardKind::Vertices),
+    };
+    Err(DistError::Unsupported { scheme: scheme.label(), reason: reason.to_string() })
 }
 
 fn unsupported_global(scheme: &dyn CompressionScheme) -> DistError {
@@ -334,12 +297,12 @@ fn unsupported_global(scheme: &dyn CompressionScheme) -> DistError {
     }
 }
 
-/// Computes shard `shard` of `shards` for any federable scheme. Dispatches
-/// on the scheme's [`DistPlan`]: edge kernels and *Plain* Triangle
-/// Reduction yield [`ShardOutcome::Edges`]; vertex kernels yield
-/// [`ShardOutcome::Vertices`]. Stateful disciplines (Edge-Once,
-/// Count-Triangles) need the cross-shard flag exchange of [`sharded`] and
-/// are rejected — the coordinator runs those locally instead.
+/// Computes shard `shard` of `shards` for any federable scheme: the part's
+/// decisions — exactly what rank `shard` of a `shards`-rank
+/// [`distributed_compress`] decides — as a sorted id list. Edge kernels and
+/// *Plain* Triangle Reduction yield [`ShardOutcome::Edges`]; vertex kernels
+/// yield [`ShardOutcome::Vertices`]. Plans [`federation_plan`] rejects are
+/// rejected here with the same error — the coordinator runs those locally.
 pub fn shard_compress(
     g: &CsrGraph,
     scheme: &dyn CompressionScheme,
@@ -347,110 +310,38 @@ pub fn shard_compress(
     shards: usize,
     seed: u64,
 ) -> Result<ShardOutcome, DistError> {
-    check_shard(shard, shards)?;
-    match scheme.dist_plan(g) {
-        Some(DistPlan::EdgeKernel(kernel)) => {
-            shard_edge_deletions(g, kernel.as_ref(), shard, shards, seed).map(ShardOutcome::Edges)
-        }
-        Some(DistPlan::Triangle(cfg)) => {
-            shard_triangle_deletions(g, cfg, shard, shards, seed).map(ShardOutcome::Edges)
-        }
-        Some(DistPlan::Vertex(kernel)) => {
-            shard_vertex_removals(g, kernel.as_ref(), shard, shards, seed)
-                .map(ShardOutcome::Vertices)
-        }
-        None => Err(unsupported_global(scheme)),
+    if shards == 0 || shard >= shards {
+        return Err(DistError::InvalidShard { shard, shards });
     }
-}
-
-/// Edge ids shard `shard` of `shards` deletes under `kernel`. Decisions are
-/// pure in `(seed, edge id)`, so the union over all shards equals the
-/// shared-memory deletion set exactly.
-pub fn shard_edge_deletions(
-    g: &CsrGraph,
-    kernel: &dyn EdgeKernel,
-    shard: usize,
-    shards: usize,
-    seed: u64,
-) -> Result<Vec<EdgeId>, DistError> {
-    check_shard(shard, shards)?;
-    let sg = SgContext::new(g, seed);
-    let deleted = partition_edges(g, shards)[shard]
-        .edge_ids()
-        .filter(|&e| {
-            let (u, v) = g.edge_endpoints(e);
-            let view = EdgeView {
-                id: e,
-                u,
-                v,
-                weight: g.edge_weight(e),
-                deg_u: g.degree(u),
-                deg_v: g.degree(v),
-            };
-            matches!(kernel.process(view, &sg), EdgeDecision::Delete)
-        })
-        .collect();
-    Ok(deleted)
-}
-
-/// Edge ids shard `shard` of `shards` deletes under *Plain* Triangle
-/// Reduction: the shard enumerates the triangles whose smallest vertex it
-/// owns and applies the sampling/ranking rules against its full replica.
-/// Stateful disciplines are rejected — they need the superstep exchange.
-pub fn shard_triangle_deletions(
-    g: &CsrGraph,
-    cfg: TrConfig,
-    shard: usize,
-    shards: usize,
-    seed: u64,
-) -> Result<Vec<EdgeId>, DistError> {
-    check_shard(shard, shards)?;
-    triangle_shard_supported(cfg)?;
-    let rand = DetRand::new(seed);
-    let counts = (cfg.choice == EdgeChoice::FewestTriangles)
-        .then(|| sg_core::schemes::triangle_reduction::edge_triangle_counts(g));
-    let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
-    let mut deleted: Vec<EdgeId> = Vec::new();
-    for u in lo..hi {
-        sg_algos::tc::for_triangles_at(g, u as VertexId, &mut |t: Triangle| {
-            if !triangle_sampled(&t, cfg.p, rand) {
-                return;
-            }
-            let ranked = ranked_triangle_edges(
-                &t,
-                cfg.choice,
-                rand,
-                |e| g.edge_weight(e),
-                counts.as_deref(),
-            );
-            deleted.extend(ranked.iter().take(cfg.x));
-        });
-    }
-    deleted.sort_unstable();
-    deleted.dedup();
-    Ok(deleted)
-}
-
-/// Vertex ids shard `shard` of `shards` removes under `kernel` (decided
-/// over the shard's owned vertex range).
-pub fn shard_vertex_removals(
-    g: &CsrGraph,
-    kernel: &dyn VertexKernel,
-    shard: usize,
-    shards: usize,
-    seed: u64,
-) -> Result<Vec<VertexId>, DistError> {
-    check_shard(shard, shards)?;
-    let sg = SgContext::new(g, seed);
-    let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
-    let removed = (lo..hi)
-        .filter(|&v| {
-            let view = VertexView { id: v as VertexId, degree: g.degree(v as VertexId) };
-            kernel.process(view, &sg) == VertexDecision::Delete
-        })
-        .map(|v| v as VertexId)
-        .collect();
-    Ok(removed)
+    let plan = scheme.dist_plan(g).ok_or_else(|| unsupported_global(scheme))?;
+    shard_kind(scheme, &plan)?;
+    Ok(match &plan {
+        DistPlan::EdgeKernel(kernel) => {
+            let part = partition_edges(g, shards)[shard];
+            let decisions = edge_part(g, kernel.as_ref(), part, seed);
+            let deleted =
+                part.edge_ids().zip(decisions).filter(|&(_, d)| d == EdgeDecision::Delete);
+            ShardOutcome::Edges(deleted.map(|(e, _)| e).collect())
+        }
+        DistPlan::Triangle(cfg) => {
+            let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
+            let counts =
+                (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
+            let mut deleted: Vec<EdgeId> = Vec::new();
+            plain_tr_deletions(g, *cfg, DetRand::new(seed), counts.as_deref(), lo..hi, |e| {
+                deleted.push(e)
+            });
+            deleted.sort_unstable();
+            deleted.dedup();
+            ShardOutcome::Edges(deleted)
+        }
+        DistPlan::Vertex(kernel) => {
+            let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
+            let removed = vertex_part(g, kernel.as_ref(), (lo, hi), seed);
+            let ids = (lo..hi).zip(removed).filter(|&(_, gone)| gone);
+            ShardOutcome::Vertices(ids.map(|(v, _)| v as VertexId).collect())
+        }
+    })
 }
 
 /// Materializes the merged result of edge-deleting shards.
@@ -475,40 +366,22 @@ pub fn apply_vertex_removals(
     g.remove_vertices(&mask)
 }
 
-fn check_shard(shard: usize, shards: usize) -> Result<(), DistError> {
-    if shards == 0 || shard >= shards {
-        return Err(DistError::InvalidShard { shard, shards });
-    }
-    Ok(())
-}
-
-/// Tiny local histogram helper (keeps per-rank state allocation-light).
-mod rustc_lite {
-    pub struct Map {
-        counts: Vec<usize>,
-    }
-    impl Map {
-        pub fn new() -> Self {
-            Self { counts: Vec::new() }
-        }
-        pub fn add(&mut self, degree: usize) {
-            if degree >= self.counts.len() {
-                self.counts.resize(degree + 1, 0);
-            }
-            self.counts[degree] += 1;
-        }
-        pub fn into_sorted(self) -> Vec<(usize, usize)> {
-            self.counts.into_iter().enumerate().filter(|&(_, c)| c > 0).collect()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sg_core::schemes::uniform_sample;
     use sg_core::{SchemeParams, SchemeRegistry};
     use sg_graph::generators;
+
+    fn scheme(name: &str, params: &[(&str, &str)]) -> Box<dyn CompressionScheme> {
+        let params = SchemeParams::from_pairs(params);
+        SchemeRegistry::with_defaults().create(name, &params).expect("registered")
+    }
+
+    fn uniform_ranks(g: &CsrGraph, p: &str, ranks: usize, seed: u64) -> DistResult {
+        distributed_compress(g, scheme("uniform", &[("p", p)]).as_ref(), ranks, seed)
+            .expect("uniform has an edge plan")
+    }
 
     #[test]
     fn distributed_matches_shared_memory_exactly() {
@@ -517,7 +390,7 @@ mod tests {
         let g = generators::rmat_graph500(12, 8, 1);
         let shared = uniform_sample(&g, 0.4, 42);
         for ranks in [1, 2, 7, 16] {
-            let dist = distributed_uniform_sample(&g, 0.4, ranks, 42);
+            let dist = uniform_ranks(&g, "0.4", ranks, 42);
             assert_eq!(
                 dist.result.graph.edge_slice(),
                 shared.graph.edge_slice(),
@@ -529,7 +402,7 @@ mod tests {
     #[test]
     fn rank_stats_cover_all_edges() {
         let g = generators::erdos_renyi(1000, 5000, 2);
-        let dist = distributed_uniform_sample(&g, 0.3, 5, 3);
+        let dist = uniform_ranks(&g, "0.3", 5, 3);
         let owned: usize = dist.ranks.iter().map(|r| r.owned_edges).sum();
         let kept: usize = dist.ranks.iter().map(|r| r.kept_edges).sum();
         assert_eq!(owned, g.num_edges());
@@ -540,41 +413,39 @@ mod tests {
 
     #[test]
     fn histogram_matches_direct_computation() {
+        // p = 0 keeps every edge, so the histogram is the input's own.
         let g = generators::barabasi_albert(800, 4, 4);
-        let hist = distributed_degree_histogram(&g, 6);
-        let direct = sg_graph::properties::DegreeDistribution::of(&g);
-        assert_eq!(hist, direct.entries);
+        let hist = uniform_ranks(&g, "0", 6, 1).degree_histogram();
+        assert_eq!(hist, DegreeDistribution::of(&g).entries);
     }
 
     #[test]
     fn histogram_total_is_n() {
         let g = generators::rmat_graph500(11, 10, 5);
-        let dist = distributed_uniform_sample(&g, 0.7, 4, 6);
-        let total: usize = dist.degree_histogram.iter().map(|&(_, c)| c).sum();
+        let dist = uniform_ranks(&g, "0.7", 4, 6);
+        let total: usize = dist.degree_histogram().iter().map(|&(_, c)| c).sum();
         assert_eq!(total, g.num_vertices());
     }
 
     #[test]
     fn registry_schemes_dispatch_through_their_plans() {
         let g = generators::planted_triangles(&generators::erdos_renyi(900, 2000, 9), 1500, 3);
-        let registry = SchemeRegistry::with_defaults();
-        let params = SchemeParams::from_pairs(&[("p", "0.4")]);
         // Edge plan.
-        let uniform = registry.create("uniform", &params).expect("known");
+        let uniform = scheme("uniform", &[("p", "0.4")]);
         let dist = distributed_compress(&g, uniform.as_ref(), 5, 17).expect("edge kernel");
         assert_eq!(dist.result.graph.edge_slice(), uniform.apply(&g, 17).graph.edge_slice());
         // Triangle plan — the edge-kernel-only restriction is gone.
-        let tr = registry.create("tr", &params).expect("known");
+        let tr = scheme("tr", &[("p", "0.4")]);
         let dist = distributed_compress(&g, tr.as_ref(), 5, 17).expect("triangle plan");
         assert_eq!(dist.result.graph.edge_slice(), tr.apply(&g, 17).graph.edge_slice());
         // Vertex plan.
-        let lowdeg = registry.create("lowdeg", &SchemeParams::default()).expect("known");
+        let lowdeg = scheme("lowdeg", &[]);
         let dist = distributed_compress(&g, lowdeg.as_ref(), 5, 17).expect("vertex plan");
         let shared = lowdeg.apply(&g, 17);
         assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice());
         assert_eq!(dist.result.vertex_mapping, shared.vertex_mapping);
         // Global rewrites stay unsupported, with a typed error.
-        let summary = registry.create("summary", &SchemeParams::default()).expect("known");
+        let summary = scheme("summary", &[]);
         let err = distributed_compress(&g, summary.as_ref(), 5, 17).unwrap_err();
         assert_eq!(err.code(), "dist-unsupported");
     }
@@ -587,41 +458,25 @@ mod tests {
         let path = dir.join("shared.sgr");
         sg_store::save_sgr(&g, &path).expect("save");
 
-        // The mapping really is zero-copy before the ranks start.
+        let uniform = scheme("uniform", &[("p", "0.35")]);
+        let shared = distributed_compress(&g, uniform.as_ref(), 6, 99).expect("heap run");
+        // Every rank borrows the one mapping: zero-copy, no private copies.
         let mapped = sg_store::MmapGraph::open(&path).expect("map");
         #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
         assert!(mapped.is_zero_copy());
-        drop(mapped);
-
-        let registry = SchemeRegistry::with_defaults();
-        let uniform = registry
-            .create("uniform", &SchemeParams::from_pairs(&[("p", "0.35")]))
-            .expect("known scheme");
-        let shared = distributed_compress(&g, uniform.as_ref(), 6, 99).expect("heap run");
-        let via_map = distributed_compress_sgr(&path, uniform.as_ref(), 6, 99).expect("mmap run");
+        let via_map = distributed_compress(&mapped, uniform.as_ref(), 6, 99).expect("mmap run");
         assert_eq!(
             shared.result.graph.edge_slice(),
             via_map.result.graph.edge_slice(),
             "mmap-served shards must be bit-identical to the heap run"
         );
-        assert_eq!(shared.degree_histogram, via_map.degree_histogram);
-    }
-
-    #[test]
-    fn missing_sgr_is_a_typed_io_error() {
-        let registry = SchemeRegistry::with_defaults();
-        let uniform = registry
-            .create("uniform", &SchemeParams::from_pairs(&[("p", "0.5")]))
-            .expect("known scheme");
-        let err =
-            distributed_compress_sgr("/nonexistent/graph.sgr", uniform.as_ref(), 2, 1).unwrap_err();
-        assert_eq!(err.code(), "dist-io");
+        assert_eq!(shared.degree_histogram(), via_map.degree_histogram());
     }
 
     #[test]
     fn single_rank_degenerates_gracefully() {
         let g = generators::path(10);
-        let dist = distributed_uniform_sample(&g, 0.0, 1, 7);
+        let dist = uniform_ranks(&g, "0", 1, 7);
         assert_eq!(dist.result.graph.num_edges(), 9);
         assert_eq!(dist.ranks.len(), 1);
     }
@@ -629,10 +484,8 @@ mod tests {
     #[test]
     fn shard_union_reconstructs_shared_memory_result() {
         let g = generators::planted_triangles(&generators::erdos_renyi(700, 1500, 5), 1000, 6);
-        let registry = SchemeRegistry::with_defaults();
-        let params = SchemeParams::from_pairs(&[("p", "0.5")]);
         for name in ["uniform", "tr"] {
-            let scheme = registry.create(name, &params).expect("known");
+            let scheme = scheme(name, &[("p", "0.5")]);
             let shared = scheme.apply(&g, 23);
             let mut deleted: Vec<EdgeId> = Vec::new();
             for shard in 0..3 {
@@ -647,7 +500,7 @@ mod tests {
             assert_eq!(merged.edge_slice(), shared.graph.edge_slice(), "scheme {name}");
         }
         // Vertex scheme: removals merge across shards.
-        let lowdeg = registry.create("lowdeg", &SchemeParams::default()).expect("known");
+        let lowdeg = scheme("lowdeg", &[]);
         let shared = lowdeg.apply(&g, 23);
         let mut removed: Vec<VertexId> = Vec::new();
         for shard in 0..3 {
@@ -664,24 +517,26 @@ mod tests {
     #[test]
     fn federation_plan_classifies_without_running() {
         let g = generators::planted_triangles(&generators::erdos_renyi(200, 400, 2), 200, 3);
-        let registry = SchemeRegistry::with_defaults();
-        let params = SchemeParams::from_pairs(&[("p", "0.5")]);
-        let plan = |name: &str| {
-            federation_plan(&g, registry.create(name, &params).expect("known").as_ref())
-        };
+        let plan = |name: &str| federation_plan(&g, scheme(name, &[("p", "0.5")]).as_ref());
         assert_eq!(plan("uniform").expect("edge kernel"), ShardKind::Edges);
         assert_eq!(plan("tr").expect("plain triangles"), ShardKind::Edges);
         assert_eq!(plan("lowdeg").expect("vertex kernel"), ShardKind::Vertices);
         assert_eq!(plan("tr-eo").unwrap_err().code(), "dist-unsupported");
         assert_eq!(plan("summary").unwrap_err().code(), "dist-unsupported");
+        // Shard replies carry ids only: a reweighting kernel cannot federate,
+        // and the shard itself refuses with the same typed error.
+        let spectral = |reweight: &str| scheme("spectral", &[("p", "0.5"), ("reweight", reweight)]);
+        assert_eq!(federation_plan(&g, spectral("false").as_ref()), Ok(ShardKind::Edges));
+        let err = federation_plan(&g, spectral("true").as_ref()).unwrap_err();
+        assert_eq!(err.code(), "dist-unsupported");
+        assert!(err.to_string().contains("reweights"), "{err}");
+        assert_eq!(shard_compress(&g, spectral("true").as_ref(), 0, 2, 1), Err(err));
     }
 
     #[test]
     fn stateful_disciplines_refuse_federation_shards() {
         let g = generators::planted_triangles(&generators::erdos_renyi(300, 600, 7), 400, 8);
-        let registry = SchemeRegistry::with_defaults();
-        let tr_eo =
-            registry.create("tr-eo", &SchemeParams::from_pairs(&[("p", "0.5")])).expect("known");
+        let tr_eo = scheme("tr-eo", &[("p", "0.5")]);
         let err = shard_compress(&g, tr_eo.as_ref(), 0, 2, 9).unwrap_err();
         assert_eq!(err.code(), "dist-unsupported");
         // But the same scheme runs fine through the superstep protocol.
@@ -691,9 +546,7 @@ mod tests {
     #[test]
     fn shard_bounds_are_checked() {
         let g = generators::path(10);
-        let registry = SchemeRegistry::with_defaults();
-        let uniform =
-            registry.create("uniform", &SchemeParams::from_pairs(&[("p", "0.5")])).expect("known");
+        let uniform = scheme("uniform", &[("p", "0.5")]);
         for (shard, shards) in [(2, 2), (0, 0), (5, 3)] {
             let err = shard_compress(&g, uniform.as_ref(), shard, shards, 1).unwrap_err();
             assert_eq!(err.code(), "dist-invalid-shard", "({shard}, {shards})");

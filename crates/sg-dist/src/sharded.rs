@@ -1,10 +1,10 @@
-//! Sharded execution with shared-state reconciliation (§7.3 beyond edge
-//! kernels).
+//! The Triangle Reduction superstep protocol (§7.3 beyond edge kernels) —
+//! the one discipline in `sg-dist` whose ranks talk to each other.
 //!
 //! The paper's distributed engine partitions vertices across MPI ranks and
 //! shares the Edge-Once `considered` flags through RMA windows. This module
-//! simulates that substrate with OS threads and an explicit, *deterministic*
-//! message protocol:
+//! simulates that substrate with OS threads ([`run_ranks`]) and an
+//! explicit, *deterministic* message protocol:
 //!
 //! * every rank owns a contiguous vertex range ([`partition_vertices`]) and
 //!   with it the canonical edges whose smaller endpoint falls in the range
@@ -26,17 +26,17 @@
 //! the protocol terminates; committed triangles within one round are
 //! edge-disjoint (each edge has a single winner), so their updates commute.
 
-use crate::error::DistError;
-use crate::{distributed_degree_histogram, DistResult, RankStats};
-use sg_core::kernel::{Triangle, VertexDecision, VertexKernel, VertexView};
-use sg_core::schemes::{ranked_triangle_edges, triangle_sampled, Discipline, EdgeChoice, TrConfig};
-use sg_core::{CompressionResult, DetRand, SgContext};
+use crate::{run_ranks, RankStats};
+use sg_core::kernel::Triangle;
+use sg_core::schemes::{
+    edge_once_commit, for_sampled_triangles, plain_tr_deletions, Discipline, EdgeChoice, TrConfig,
+};
+use sg_core::DetRand;
 use sg_graph::partition::partition_vertices;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-use std::time::Instant;
+use std::sync::{Barrier, Mutex};
 
 /// Per-`(src, dst)` outboxes with deterministic drain order.
 ///
@@ -113,29 +113,36 @@ struct Pending {
     considered: [bool; 3],
 }
 
+/// Everything the ranks of one run share: the barrier, the global count of
+/// unresolved triangles, and one exchange per message type.
+struct Net {
+    barrier: Barrier,
+    pending_total: AtomicUsize,
+    proposals: Exchange<Proposal>,
+    replies: Exchange<Reply>,
+    updates: Exchange<Update>,
+}
+
 /// One rank's partitioned state: its vertex range, the canonical edges it
 /// owns, and the authoritative `considered`/deletion flags for those edges
 /// (the paper's RMA window, sliced per rank).
-pub struct ShardedContext<'g> {
+struct ShardedContext<'g> {
     /// The shared read-only input graph.
-    pub graph: &'g CsrGraph,
-    /// This rank's id.
-    pub rank: usize,
-    /// Total rank count.
-    pub ranks: usize,
+    graph: &'g CsrGraph,
+    rank: usize,
     /// Owned vertex range `[lo, hi)`.
-    pub vertices: (usize, usize),
+    vertices: (usize, usize),
     /// Owned canonical-edge range `[lo, hi)` (edges whose smaller endpoint
     /// this rank owns).
-    pub edges: (usize, usize),
-    /// Deterministic random source (same formulas as [`SgContext`]).
-    pub rand: DetRand,
+    edges: (usize, usize),
+    /// Deterministic random source (same formulas as `SgContext`).
+    rand: DetRand,
     /// Messages this rank sent over the exchange.
-    pub messages_sent: u64,
+    messages_sent: u64,
     /// Superstep rounds this rank executed.
-    pub supersteps: u64,
+    supersteps: u64,
     /// Edge-id boundaries of every rank's owned edge range (len `ranks+1`).
-    edge_starts: Arc<Vec<usize>>,
+    edge_starts: &'g [usize],
     /// Authoritative `considered` flags for owned edges.
     considered: Vec<bool>,
     /// Authoritative deletion flags for owned edges.
@@ -146,9 +153,8 @@ impl<'g> ShardedContext<'g> {
     fn new(
         graph: &'g CsrGraph,
         rank: usize,
-        ranks: usize,
         vertices: (usize, usize),
-        edge_starts: Arc<Vec<usize>>,
+        edge_starts: &'g [usize],
         seed: u64,
     ) -> Self {
         let edges = (edge_starts[rank], edge_starts[rank + 1]);
@@ -156,7 +162,6 @@ impl<'g> ShardedContext<'g> {
         Self {
             graph,
             rank,
-            ranks,
             vertices,
             edges,
             rand: DetRand::new(seed),
@@ -168,10 +173,18 @@ impl<'g> ShardedContext<'g> {
         }
     }
 
-    /// The rank owning canonical edge `e`.
+    /// The rank owning canonical edge `e`: the last one whose range starts
+    /// at or before `e` (`edge_starts[0] = 0 <= e < m = edge_starts[ranks]`).
     #[inline]
-    pub fn owner_of(&self, e: EdgeId) -> usize {
-        self.edge_starts.partition_point(|&s| s <= e as usize).saturating_sub(1).min(self.ranks - 1)
+    fn owner_of(&self, e: EdgeId) -> usize {
+        self.edge_starts.partition_point(|&s| s <= e as usize) - 1
+    }
+
+    /// Sends `msg` to rank `dst` over `exchange`, counting it.
+    #[inline]
+    fn send<M>(&mut self, exchange: &Exchange<M>, dst: usize, msg: M) {
+        exchange.send(self.rank, dst, msg);
+        self.messages_sent += 1;
     }
 
     /// Authoritative `considered` flag of an *owned* edge.
@@ -180,22 +193,22 @@ impl<'g> ShardedContext<'g> {
         self.considered[e as usize - self.edges.0]
     }
 
-    /// Applies one flag update to an owned edge.
-    #[inline]
-    fn apply(&mut self, update: &Update) {
-        let i = update.edge as usize - self.edges.0;
-        self.considered[i] = true;
-        if update.delete {
-            self.deleted[i] = true;
+    /// Applies the updates addressed to this rank to its owned edges.
+    fn apply_updates(&mut self, updates: &Exchange<Update>) {
+        for update in updates.drain(self.rank) {
+            let i = update.edge as usize - self.edges.0;
+            self.considered[i] = true;
+            if update.delete {
+                self.deleted[i] = true;
+            }
         }
     }
 
     fn stats(&self) -> RankStats {
-        let kept = self.deleted.iter().filter(|&&d| !d).count();
         RankStats {
             rank: self.rank,
             owned_edges: self.edges.1 - self.edges.0,
-            kept_edges: kept,
+            kept_edges: self.deleted.iter().filter(|&&d| !d).count(),
             owned_vertices: self.vertices.1 - self.vertices.0,
             messages_sent: self.messages_sent,
             supersteps: self.supersteps,
@@ -207,7 +220,7 @@ impl<'g> ShardedContext<'g> {
 /// lexicographically sorted, so the edges whose smaller endpoint lies in
 /// rank `r`'s vertex range form the contiguous id range
 /// `[starts[r], starts[r+1])`.
-fn edge_rank_starts(g: &CsrGraph, parts: &[(usize, usize)]) -> Vec<usize> {
+pub(crate) fn edge_rank_starts(g: &CsrGraph, parts: &[(usize, usize)]) -> Vec<usize> {
     let edges = g.edge_slice();
     let mut starts: Vec<usize> =
         parts.iter().map(|&(lo, _)| edges.partition_point(|&(u, _)| (u as usize) < lo)).collect();
@@ -223,219 +236,118 @@ fn sampled_triangles(
     counts: Option<&[u64]>,
 ) -> Vec<Pending> {
     let mut pending = Vec::new();
-    for u in ctx.vertices.0..ctx.vertices.1 {
-        sg_algos::tc::for_triangles_at(ctx.graph, u as VertexId, &mut |t: Triangle| {
-            if triangle_sampled(&t, cfg.p, ctx.rand) {
-                let count = counts
-                    .map(|c| t.edges().iter().map(|&e| c[e as usize]).min().expect("three edges"))
-                    .unwrap_or(0);
-                pending.push(Pending {
-                    t,
-                    key: TriKey { count, u: t.u, v: t.v, w: t.w },
-                    resolved: false,
-                    won: [false; 3],
-                    considered: [false; 3],
-                });
-            }
+    for_sampled_triangles(ctx.graph, cfg.p, ctx.rand, ctx.vertices.0..ctx.vertices.1, |t| {
+        let count = counts
+            .map(|c| t.edges().iter().map(|&e| c[e as usize]).min().expect("three edges"))
+            .unwrap_or(0);
+        pending.push(Pending {
+            t,
+            key: TriKey { count, u: t.u, v: t.v, w: t.w },
+            resolved: false,
+            won: [false; 3],
+            considered: [false; 3],
         });
-    }
+    });
     pending
 }
 
-/// Runs the Triangle Reduction family over `ranks` sharded rank threads.
-/// Bit-identical to `triangle_reduce(g, cfg, seed)` at any rank count.
+/// Per-edge participation counts over the triangles one rank owns (smallest
+/// vertex in `[lo, hi)`) — the rank's share of the Count-Triangles histogram.
+fn owned_triangle_counts(g: &CsrGraph, (lo, hi): (usize, usize)) -> Vec<u64> {
+    let mut partial = vec![0u64; g.num_edges()];
+    for u in lo..hi {
+        sg_algos::tc::for_triangles_at(g, u as VertexId, &mut |t: Triangle| {
+            for e in t.edges() {
+                partial[e as usize] += 1;
+            }
+        });
+    }
+    partial
+}
+
+/// Runs the Triangle Reduction family over `ranks` rank threads and returns
+/// the deletion flag of every canonical edge (the ranks' owned ranges
+/// concatenated in rank order) plus the per-rank statistics. Materialized
+/// by the caller, the result is bit-identical to `triangle_reduce(g, cfg,
+/// seed)` at any rank count.
 pub(crate) fn sharded_triangle_compress(
     g: &CsrGraph,
     cfg: TrConfig,
     ranks: usize,
     seed: u64,
-) -> Result<DistResult, DistError> {
-    if ranks == 0 {
-        return Err(DistError::InvalidRanks { ranks });
-    }
-    assert!((0.0..=1.0).contains(&cfg.p), "p must be in [0, 1]");
-    assert!(cfg.x == 1 || cfg.x == 2, "x must be 1 or 2");
-    let start = Instant::now();
+) -> (Vec<bool>, Vec<RankStats>) {
+    cfg.validate().expect("valid TR configuration");
     let parts = partition_vertices(g.num_vertices(), ranks);
-    let edge_starts = Arc::new(edge_rank_starts(g, &parts));
-
-    let barrier = Barrier::new(ranks);
-    let pending_total = AtomicUsize::new(0);
-    let proposals: Exchange<Proposal> = Exchange::new(ranks);
-    let replies: Exchange<Reply> = Exchange::new(ranks);
-    let updates: Exchange<Update> = Exchange::new(ranks);
+    let edge_starts = edge_rank_starts(g, &parts);
+    let net = Net {
+        barrier: Barrier::new(ranks),
+        pending_total: AtomicUsize::new(0),
+        proposals: Exchange::new(ranks),
+        replies: Exchange::new(ranks),
+        updates: Exchange::new(ranks),
+    };
     // Count-Triangles needs global per-edge triangle counts: every rank
-    // contributes a partial histogram over its owned triangles; rank 0
-    // merges them in rank order (sums commute) and republishes.
-    let count_slots: Vec<Mutex<Option<Vec<u64>>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
-    let merged_counts: Mutex<Option<Arc<Vec<u64>>>> = Mutex::new(None);
-    let outputs: Vec<Mutex<Option<RankStats>>> = (0..ranks).map(|_| Mutex::new(None)).collect();
-    let deleted_slots: Vec<Mutex<Vec<bool>>> = (0..ranks).map(|_| Mutex::new(Vec::new())).collect();
-
-    std::thread::scope(|scope| {
-        for (rank, &part) in parts.iter().enumerate() {
-            let edge_starts = Arc::clone(&edge_starts);
-            let (barrier, pending_total) = (&barrier, &pending_total);
-            let (proposals, replies, updates) = (&proposals, &replies, &updates);
-            let (count_slots, merged_counts) = (&count_slots, &merged_counts);
-            let (outputs, deleted_slots) = (&outputs, &deleted_slots);
-            scope.spawn(move || {
-                let mut ctx = ShardedContext::new(g, rank, ranks, part, edge_starts, seed);
-
-                let counts: Option<Arc<Vec<u64>>> = if cfg.choice == EdgeChoice::FewestTriangles {
-                    let mut partial = vec![0u64; g.num_edges()];
-                    for u in ctx.vertices.0..ctx.vertices.1 {
-                        sg_algos::tc::for_triangles_at(g, u as VertexId, &mut |t: Triangle| {
-                            for e in t.edges() {
-                                partial[e as usize] += 1;
-                            }
-                        });
-                    }
-                    *count_slots[rank].lock().expect("no poisoned lock") = Some(partial);
-                    ctx.messages_sent += 1;
-                    ctx.supersteps += 1;
-                    barrier.wait();
-                    if rank == 0 {
-                        let mut total = vec![0u64; g.num_edges()];
-                        for slot in count_slots.iter() {
-                            let partial =
-                                slot.lock().expect("no poisoned lock").take().expect("published");
-                            for (t, p) in total.iter_mut().zip(&partial) {
-                                *t += p;
-                            }
-                        }
-                        *merged_counts.lock().expect("no poisoned lock") = Some(Arc::new(total));
-                    }
-                    barrier.wait();
-                    Some(Arc::clone(
-                        merged_counts.lock().expect("no poisoned lock").as_ref().expect("merged"),
-                    ))
-                } else {
-                    None
-                };
-
-                match cfg.discipline {
-                    Discipline::Plain => run_rank_plain(
-                        &mut ctx,
-                        cfg,
-                        counts.as_deref().map(|v| v.as_slice()),
-                        updates,
-                        barrier,
-                    ),
-                    Discipline::EdgeOnce => run_rank_edge_once(
-                        &mut ctx,
-                        cfg,
-                        counts.as_deref().map(|v| v.as_slice()),
-                        proposals,
-                        replies,
-                        updates,
-                        pending_total,
-                        barrier,
-                    ),
-                }
-
-                *outputs[rank].lock().expect("no poisoned lock") = Some(ctx.stats());
-                *deleted_slots[rank].lock().expect("no poisoned lock") =
-                    std::mem::take(&mut ctx.deleted);
-            });
+    // counts its owned triangles — one superstep and one gather message
+    // each — and the root sums the partial histograms (sums commute).
+    let counts: Option<Vec<u64>> = (cfg.choice == EdgeChoice::FewestTriangles).then(|| {
+        let mut total = vec![0u64; g.num_edges()];
+        for partial in run_ranks(ranks, |rank| owned_triangle_counts(g, parts[rank])) {
+            for (t, p) in total.iter_mut().zip(&partial) {
+                *t += p;
+            }
         }
+        total
+    });
+    let counts = counts.as_deref();
+
+    let per_rank = run_ranks(ranks, |rank| {
+        let mut ctx = ShardedContext::new(g, rank, parts[rank], &edge_starts, seed);
+        if counts.is_some() {
+            ctx.messages_sent += 1;
+            ctx.supersteps += 1;
+        }
+        match cfg.discipline {
+            Discipline::Plain => run_rank_plain(&mut ctx, cfg, counts, &net),
+            Discipline::EdgeOnce => run_rank_edge_once(&mut ctx, cfg, counts, &net),
+        }
+        (ctx.stats(), ctx.deleted)
     });
 
     // Gather at the root: per-rank deletion flags concatenated in rank
     // order cover the canonical edge array exactly once.
-    let mut deleted = Vec::with_capacity(g.num_edges());
-    for slot in &deleted_slots {
-        deleted.append(&mut slot.lock().expect("no poisoned lock"));
-    }
-    let mut stats: Vec<RankStats> = Vec::with_capacity(ranks);
-    for slot in &outputs {
-        stats.push(slot.lock().expect("no poisoned lock").take().expect("rank finished"));
-    }
-    let graph = g.filter_edges(|e| !deleted[e as usize]);
-    let degree_histogram = distributed_degree_histogram(&graph, ranks);
-    Ok(DistResult {
-        result: CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: None,
-        },
-        ranks: stats,
-        degree_histogram,
-    })
+    let (stats, deleted): (Vec<RankStats>, Vec<Vec<bool>>) = per_rank.into_iter().unzip();
+    (deleted.concat(), stats)
 }
 
 /// Plain TR: sampling decisions are state-independent, so one superstep
 /// suffices — ranks send deletions of their sampled triangles' chosen edges
 /// to the edge owners, then owners apply them.
-fn run_rank_plain(
-    ctx: &mut ShardedContext<'_>,
-    cfg: TrConfig,
-    counts: Option<&[u64]>,
-    updates: &Exchange<Update>,
-    barrier: &Barrier,
-) {
+fn run_rank_plain(ctx: &mut ShardedContext<'_>, cfg: TrConfig, counts: Option<&[u64]>, net: &Net) {
     ctx.supersteps += 1;
-    for u in ctx.vertices.0..ctx.vertices.1 {
-        let (rank, rand) = (ctx.rank, ctx.rand);
-        let mut messages = 0u64;
-        let graph = ctx.graph;
-        let mut emit = |t: Triangle| {
-            if !triangle_sampled(&t, cfg.p, rand) {
-                return;
-            }
-            let ranked =
-                ranked_triangle_edges(&t, cfg.choice, rand, |e| graph.edge_weight(e), counts);
-            for &e in ranked.iter().take(cfg.x) {
-                updates.send(
-                    rank,
-                    ctx_owner(&ctx.edge_starts, ctx.ranks, e),
-                    Update { edge: e, delete: true },
-                );
-                messages += 1;
-            }
-        };
-        sg_algos::tc::for_triangles_at(ctx.graph, u as VertexId, &mut emit);
-        ctx.messages_sent += messages;
-    }
-    barrier.wait();
-    for update in updates.drain(ctx.rank) {
-        ctx.apply(&update);
-    }
-    barrier.wait();
-}
-
-/// Owner lookup without borrowing the whole context (used inside closures
-/// that already borrow `ctx` mutably elsewhere).
-#[inline]
-fn ctx_owner(edge_starts: &[usize], ranks: usize, e: EdgeId) -> usize {
-    edge_starts.partition_point(|&s| s <= e as usize).saturating_sub(1).min(ranks - 1)
+    let owned = ctx.vertices.0..ctx.vertices.1;
+    plain_tr_deletions(ctx.graph, cfg, ctx.rand, counts, owned, |e| {
+        ctx.send(&net.updates, ctx.owner_of(e), Update { edge: e, delete: true });
+    });
+    net.barrier.wait();
+    ctx.apply_updates(&net.updates);
+    net.barrier.wait();
 }
 
 /// Edge-Once / Count-Triangles: the superstep reservation protocol. Every
 /// round, pending triangles propose on their three edges; owners grant each
 /// edge to the smallest pending key; triangles holding all three grants
 /// commit against the authoritative flags and resolve.
-#[allow(clippy::too_many_arguments)]
 fn run_rank_edge_once(
     ctx: &mut ShardedContext<'_>,
     cfg: TrConfig,
     counts: Option<&[u64]>,
-    proposals: &Exchange<Proposal>,
-    replies: &Exchange<Reply>,
-    updates: &Exchange<Update>,
-    pending_total: &AtomicUsize,
-    barrier: &Barrier,
+    net: &Net,
 ) {
     let mut pending = sampled_triangles(ctx, cfg, counts);
-    pending_total.fetch_add(pending.len(), Ordering::SeqCst);
-    barrier.wait();
+    net.pending_total.fetch_add(pending.len(), Ordering::SeqCst);
+    net.barrier.wait();
 
-    loop {
-        if pending_total.load(Ordering::SeqCst) == 0 {
-            break;
-        }
+    while net.pending_total.load(Ordering::SeqCst) != 0 {
         ctx.supersteps += 1;
 
         // Phase 1: unresolved triangles propose on their three edges.
@@ -445,55 +357,40 @@ fn run_rank_edge_once(
             }
             p.won = [false; 3];
             for (slot, &e) in p.t.edges().iter().enumerate() {
-                proposals.send(
-                    ctx.rank,
-                    ctx_owner(&ctx.edge_starts, ctx.ranks, e),
-                    Proposal {
-                        edge: e,
-                        key: p.key,
-                        src: ctx.rank,
-                        tri: i as u32,
-                        slot: slot as u8,
-                    },
-                );
-                ctx.messages_sent += 1;
+                let proposal = Proposal {
+                    edge: e,
+                    key: p.key,
+                    src: ctx.rank,
+                    tri: i as u32,
+                    slot: slot as u8,
+                };
+                ctx.send(&net.proposals, ctx.owner_of(e), proposal);
             }
         }
-        barrier.wait();
+        net.barrier.wait();
 
         // Phase 2: owners grant each edge to the smallest pending key and
         // report the authoritative `considered` flag.
-        let inbox = proposals.drain(ctx.rank);
+        let inbox = net.proposals.drain(ctx.rank);
         let mut winner: HashMap<EdgeId, TriKey> = HashMap::new();
         for p in &inbox {
-            winner
-                .entry(p.edge)
-                .and_modify(|k| {
-                    if p.key < *k {
-                        *k = p.key;
-                    }
-                })
-                .or_insert(p.key);
+            winner.entry(p.edge).and_modify(|k| *k = p.key.min(*k)).or_insert(p.key);
         }
         for p in &inbox {
-            replies.send(
-                ctx.rank,
-                p.src,
-                Reply {
-                    tri: p.tri,
-                    slot: p.slot,
-                    won: winner[&p.edge] == p.key,
-                    considered: ctx.edge_considered(p.edge),
-                },
-            );
-            ctx.messages_sent += 1;
+            let reply = Reply {
+                tri: p.tri,
+                slot: p.slot,
+                won: winner[&p.edge] == p.key,
+                considered: ctx.edge_considered(p.edge),
+            };
+            ctx.send(&net.replies, p.src, reply);
         }
-        barrier.wait();
+        net.barrier.wait();
 
         // Phase 3: triangles holding all three grants commit. Same-round
         // committers are edge-disjoint (one winner per edge), so the flag
         // snapshot from the replies is exact.
-        for r in replies.drain(ctx.rank) {
+        for r in net.replies.drain(ctx.rank) {
             let p = &mut pending[r.tri as usize];
             p.won[r.slot as usize] = r.won;
             p.considered[r.slot as usize] = r.considered;
@@ -505,149 +402,34 @@ fn run_rank_edge_once(
             }
             p.resolved = true;
             resolved_now += 1;
-            let graph = ctx.graph;
-            let ranked =
-                ranked_triangle_edges(&p.t, cfg.choice, ctx.rand, |e| graph.edge_weight(e), counts);
-            let edges = p.t.edges();
+            let (graph, edges) = (ctx.graph, p.t.edges());
             let slot_of = |e: EdgeId| edges.iter().position(|&x| x == e).expect("triangle edge");
-            if cfg.choice == EdgeChoice::FewestTriangles {
-                // CT claim loop: delete the first x still-unconsidered
-                // edges in rank order (consider-and-claim per edge).
-                let mut deleted = 0usize;
-                for &e in &ranked {
-                    if deleted == cfg.x {
-                        break;
-                    }
-                    if !p.considered[slot_of(e)] {
-                        updates.send(
-                            ctx.rank,
-                            ctx_owner(&ctx.edge_starts, ctx.ranks, e),
-                            Update { edge: e, delete: true },
-                        );
-                        ctx.messages_sent += 1;
-                        deleted += 1;
-                    }
-                    // Already-considered edges stay considered (the
-                    // sequential re-claim is a no-op); nothing to send.
-                }
-            } else {
-                // Protective EO: proceed only when all three edges are
-                // unconsidered, then claim all three and delete the first x.
-                if p.considered.iter().any(|&c| c) {
-                    continue; // skipped — resolved without updates
-                }
-                for &e in edges.iter() {
-                    let delete = ranked.iter().take(cfg.x).any(|&d| d == e);
-                    updates.send(
-                        ctx.rank,
-                        ctx_owner(&ctx.edge_starts, ctx.ranks, e),
-                        Update { edge: e, delete },
-                    );
-                    ctx.messages_sent += 1;
-                }
-            }
+            edge_once_commit(
+                &p.t,
+                cfg,
+                ctx.rand,
+                |e| graph.edge_weight(e),
+                counts,
+                |e| p.considered[slot_of(e)],
+                |e, delete| ctx.send(&net.updates, ctx.owner_of(e), Update { edge: e, delete }),
+            );
         }
         if resolved_now > 0 {
-            pending_total.fetch_sub(resolved_now, Ordering::SeqCst);
+            net.pending_total.fetch_sub(resolved_now, Ordering::SeqCst);
         }
-        barrier.wait();
+        net.barrier.wait();
 
         // Phase 4: owners apply the committed updates.
-        for update in updates.drain(ctx.rank) {
-            ctx.apply(&update);
-        }
-        barrier.wait();
+        ctx.apply_updates(&net.updates);
+        net.barrier.wait();
     }
-}
-
-/// Runs a vertex kernel over `ranks` sharded rank threads: each rank
-/// decides its owned vertex range, removals are merged in rank order, and
-/// the root materializes the relabelled graph. Bit-identical to
-/// `Engine::run_vertex_kernel` at any rank count.
-/// One rank's removal verdicts (`removed[i]` for vertex `lo + i`) plus its
-/// decision count, parked until the root merges them in rank order.
-type RemovedSlot = Mutex<Option<(Vec<bool>, u64)>>;
-
-pub(crate) fn sharded_vertex_compress(
-    g: &CsrGraph,
-    kernel: &dyn VertexKernel,
-    ranks: usize,
-    seed: u64,
-) -> Result<DistResult, DistError> {
-    if ranks == 0 {
-        return Err(DistError::InvalidRanks { ranks });
-    }
-    let start = Instant::now();
-    let parts = partition_vertices(g.num_vertices(), ranks);
-    let edge_starts = edge_rank_starts(g, &parts);
-    let removed_slots: Vec<RemovedSlot> = (0..ranks).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for (rank, &(lo, hi)) in parts.iter().enumerate() {
-            let removed_slots = &removed_slots;
-            scope.spawn(move || {
-                let sg = SgContext::new(g, seed);
-                let removed: Vec<bool> = (lo..hi)
-                    .map(|v| {
-                        let view =
-                            VertexView { id: v as VertexId, degree: g.degree(v as VertexId) };
-                        kernel.process(view, &sg) == VertexDecision::Delete
-                    })
-                    .collect();
-                // One gather message per rank (the RMA put of its range).
-                *removed_slots[rank].lock().expect("no poisoned lock") = Some((removed, 1));
-            });
-        }
-    });
-
-    let mut removed = Vec::with_capacity(g.num_vertices());
-    let mut messages = Vec::with_capacity(ranks);
-    for slot in &removed_slots {
-        let (part, sent) = slot.lock().expect("no poisoned lock").take().expect("rank finished");
-        removed.extend(part);
-        messages.push(sent);
-    }
-    let (graph, mapping) = g.remove_vertices(&removed);
-    let stats: Vec<RankStats> = parts
-        .iter()
-        .enumerate()
-        .map(|(rank, &(lo, hi))| {
-            let (elo, ehi) = (edge_starts[rank], edge_starts[rank + 1]);
-            // An owned edge survives when both endpoints survive.
-            let kept = (elo..ehi)
-                .filter(|&e| {
-                    let (u, v) = g.edge_endpoints(e as EdgeId);
-                    !removed[u as usize] && !removed[v as usize]
-                })
-                .count();
-            RankStats {
-                rank,
-                owned_edges: ehi - elo,
-                kept_edges: kept,
-                owned_vertices: hi - lo,
-                messages_sent: messages[rank],
-                supersteps: 1,
-            }
-        })
-        .collect();
-    let degree_histogram = distributed_degree_histogram(&graph, ranks);
-    Ok(DistResult {
-        result: CompressionResult {
-            graph,
-            original_edges: g.num_edges(),
-            original_vertices: g.num_vertices(),
-            elapsed: start.elapsed(),
-            vertex_mapping: Some(mapping),
-        },
-        ranks: stats,
-        degree_histogram,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::schemes::LowDegreeKernel;
+    use crate::distributed_compress;
+    use sg_core::scheme::{LowDegree, TriangleReduction};
     use sg_graph::generators;
 
     fn triangle_rich() -> CsrGraph {
@@ -672,10 +454,10 @@ mod tests {
     #[test]
     fn plain_tr_matches_shared_memory_at_every_rank_count() {
         let g = triangle_rich();
-        let shared = sg_core::schemes::triangle_reduce(&g, TrConfig::plain_1(0.6), 33);
+        let scheme = TriangleReduction { cfg: TrConfig::plain_1(0.6) };
+        let shared = sg_core::schemes::triangle_reduce(&g, scheme.cfg, 33);
         for ranks in [1, 2, 3, 8] {
-            let dist = sharded_triangle_compress(&g, TrConfig::plain_1(0.6), ranks, 33)
-                .expect("plain shards");
+            let dist = distributed_compress(&g, &scheme, ranks, 33).expect("plain shards");
             assert_eq!(
                 dist.result.graph.edge_slice(),
                 shared.graph.edge_slice(),
@@ -692,7 +474,8 @@ mod tests {
         {
             let shared = sg_core::schemes::triangle_reduce(&g, cfg, 91);
             for ranks in [1, 2, 4, 7] {
-                let dist = sharded_triangle_compress(&g, cfg, ranks, 91).expect("EO shards");
+                let dist = distributed_compress(&g, &TriangleReduction { cfg }, ranks, 91)
+                    .expect("EO shards");
                 assert_eq!(
                     dist.result.graph.edge_slice(),
                     shared.graph.edge_slice(),
@@ -712,8 +495,7 @@ mod tests {
         let g = generators::barabasi_albert(900, 3, 7);
         let shared = sg_core::schemes::remove_low_degree(&g, 5);
         for ranks in [1, 2, 6] {
-            let dist = sharded_vertex_compress(&g, &LowDegreeKernel::default(), ranks, 5)
-                .expect("vertex shards");
+            let dist = distributed_compress(&g, &LowDegree, ranks, 5).expect("vertex shards");
             assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice());
             assert_eq!(dist.result.vertex_mapping, shared.vertex_mapping);
             let kept: usize = dist.ranks.iter().map(|r| r.kept_edges).sum();
@@ -724,15 +506,17 @@ mod tests {
     #[test]
     fn triangle_free_graph_terminates_without_supersteps() {
         let g = generators::cycle(64); // no triangles
-        let dist = sharded_triangle_compress(&g, TrConfig::edge_once_1(1.0), 4, 3).expect("runs");
-        assert_eq!(dist.result.graph.num_edges(), 64);
-        assert!(dist.ranks.iter().all(|r| r.supersteps == 0));
+        let (deleted, stats) = sharded_triangle_compress(&g, TrConfig::edge_once_1(1.0), 4, 3);
+        assert!(deleted.iter().all(|&d| !d));
+        assert_eq!(deleted.len(), 64);
+        assert!(stats.iter().all(|r| r.supersteps == 0));
     }
 
     #[test]
     fn zero_ranks_is_a_typed_error() {
         let g = generators::cycle(8);
-        let err = sharded_triangle_compress(&g, TrConfig::plain_1(0.5), 0, 1).unwrap_err();
+        let scheme = TriangleReduction { cfg: TrConfig::plain_1(0.5) };
+        let err = distributed_compress(&g, &scheme, 0, 1).unwrap_err();
         assert_eq!(err.code(), "dist-invalid-ranks");
     }
 }

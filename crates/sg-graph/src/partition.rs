@@ -48,8 +48,8 @@ pub fn partition_edges(g: &CsrGraph, ranks: usize) -> Vec<EdgeShard> {
     shards
 }
 
-/// Splits the vertex set into `ranks` balanced contiguous ranges (used when
-/// aggregating per-rank degree histograms).
+/// Splits the vertex set into `ranks` balanced contiguous ranges (the
+/// ownership ranges of `sg-dist`'s vertex and triangle plans).
 pub fn partition_vertices(n: usize, ranks: usize) -> Vec<(usize, usize)> {
     assert!(ranks > 0);
     let base = n / ranks;

@@ -2,13 +2,14 @@
 //!
 //! Mirrors the paper's §7.3 pipeline: a hyperlink-like graph is partitioned
 //! across ranks, each rank executes the uniform-sampling edge kernel over
-//! its shard, and the root gathers surviving edges plus per-rank degree
-//! histograms. The binary also shows the storage effect by serializing
+//! its shard, and the root gathers the decisions and materializes the
+//! compressed graph. The binary also shows the storage effect by serializing
 //! both graphs with sg-graph's binary format.
 //!
 //! Run: `cargo run --release -p slimgraph --example web_compression_pipeline`
 
-use sg_dist::distributed_uniform_sample;
+use sg_core::{SchemeParams, SchemeRegistry};
+use sg_dist::distributed_compress;
 use sg_graph::properties::DegreeDistribution;
 use sg_graph::{generators, io};
 
@@ -18,8 +19,12 @@ fn main() {
     println!("crawl: n = {}, m = {}", crawl.num_vertices(), crawl.num_edges());
 
     let ranks = 8;
-    for p in [0.4, 0.7] {
-        let dist = distributed_uniform_sample(&crawl, p, ranks, 5);
+    let registry = SchemeRegistry::with_defaults();
+    for p in ["0.4", "0.7"] {
+        let uniform =
+            registry.create("uniform", &SchemeParams::from_pairs(&[("p", p)])).expect("registered");
+        let dist = distributed_compress(&crawl, uniform.as_ref(), ranks, 5)
+            .expect("uniform has an edge plan");
         println!("\n== distributed sampling p = {p} over {ranks} ranks ==");
         for r in &dist.ranks {
             println!(
@@ -31,7 +36,7 @@ fn main() {
         println!(
             "  degree-distribution support: {} -> {} distinct degrees (clutter removed)",
             orig_support,
-            dist.degree_histogram.len()
+            dist.degree_histogram().len()
         );
         let before = io::to_binary(&crawl).len();
         let after = io::to_binary(&dist.result.graph).len();

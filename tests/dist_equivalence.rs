@@ -21,11 +21,18 @@ fn triangle_rich() -> CsrGraph {
     generators::planted_triangles(&generators::erdos_renyi(900, 2200, 11), 1800, 12)
 }
 
+/// Edge weights by bit pattern (`None` when unweighted): a reweighted
+/// survivor must match to the last bit, not to a tolerance.
+fn weight_bits(g: &CsrGraph) -> Option<Vec<u32>> {
+    g.weight_slice().map(|w| w.iter().map(|x| x.to_bits()).collect())
+}
+
 /// Every scheme with a sharded plan, with the params the sweep uses.
 fn sharded_schemes() -> Vec<(&'static str, SchemeParams)> {
     let p = SchemeParams::from_pairs(&[("p", "0.6")]);
     vec![
         ("uniform", p.clone()),
+        ("spectral", SchemeParams::from_pairs(&[("p", "0.5"), ("reweight", "true")])),
         ("cut", SchemeParams::from_pairs(&[("k", "3")])),
         ("tr", p.clone()),
         ("tr-eo", p.clone()),
@@ -59,7 +66,56 @@ fn sharded_runs_are_bit_identical_to_local_at_every_rank_count() {
                 dist.result.vertex_mapping, shared.vertex_mapping,
                 "{name} at ranks={ranks}: vertex mappings diverge"
             );
+            assert!(
+                weight_bits(&dist.result.graph) == weight_bits(&shared.graph),
+                "{name} at ranks={ranks}: edge weights diverge"
+            );
         }
+    }
+}
+
+#[test]
+fn input_weights_survive_distribution() {
+    // Max-weight TR reads the weights to rank a triangle's edges and must
+    // hand the survivors' weights through untouched.
+    let g = generators::with_random_weights(&triangle_rich(), 1.0, 100.0, 13);
+    let registry = SchemeRegistry::with_defaults();
+    let scheme =
+        registry.create("tr-mw", &SchemeParams::from_pairs(&[("p", "0.6")])).expect("registered");
+    let shared = scheme.apply(&g, 45);
+    assert!(shared.graph.is_weighted());
+    for ranks in [1, 2, 4] {
+        let dist = distributed_compress(&g, scheme.as_ref(), ranks, 45).expect("runs");
+        assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice(), "ranks={ranks}");
+        assert!(weight_bits(&dist.result.graph) == weight_bits(&shared.graph), "ranks={ranks}");
+    }
+}
+
+#[test]
+fn message_and_superstep_counts_are_pinned() {
+    // Exact work counters of the exchange, measured before the per-part
+    // closure was shared between ranks and shards: a refactor of sg-dist
+    // may not move them. `(scheme, ranks, total_messages, max_supersteps)`.
+    let pinned = [
+        ("uniform", 2, 2, 1),
+        ("uniform", 4, 4, 1),
+        ("tr", 2, 1512, 1),
+        ("tr", 4, 1512, 1),
+        ("tr-eo", 2, 17757, 6),
+        ("tr-eo", 4, 17757, 6),
+        ("tr-ct", 2, 14234, 6),
+        ("tr-ct", 4, 14236, 6),
+        ("lowdeg", 2, 2, 1),
+        ("lowdeg", 4, 4, 1),
+    ];
+    let g = triangle_rich();
+    let registry = SchemeRegistry::with_defaults();
+    let params = SchemeParams::from_pairs(&[("p", "0.6")]);
+    for (name, ranks, messages, supersteps) in pinned {
+        let scheme = registry.create(name, &params).expect("registered");
+        let dist = distributed_compress(&g, scheme.as_ref(), ranks, 45).expect("runs");
+        assert_eq!(dist.total_messages(), messages, "{name} at ranks={ranks}: messages");
+        assert_eq!(dist.max_supersteps(), supersteps, "{name} at ranks={ranks}: supersteps");
     }
 }
 

@@ -1,18 +1,26 @@
 //! Integration tests for the simulated distributed pipeline against the
 //! shared-memory engine and the analytics subsystem.
 
-use sg_core::schemes::{uniform_sample, SpectralKernel};
+use sg_core::schemes::uniform_sample;
 use sg_core::{SchemeParams, SchemeRegistry};
-use sg_dist::{distributed_compress, distributed_edge_kernel, distributed_uniform_sample};
-use sg_graph::generators;
+use sg_dist::{distributed_compress, DistResult};
 use sg_graph::properties::DegreeDistribution;
+use sg_graph::{generators, CsrGraph};
+
+/// `uniform:p=<p>` from the registry over `ranks` simulated ranks.
+fn uniform_ranks(g: &CsrGraph, p: &str, ranks: usize, seed: u64) -> DistResult {
+    let uniform = SchemeRegistry::with_defaults()
+        .create("uniform", &SchemeParams::from_pairs(&[("p", p)]))
+        .expect("registered");
+    distributed_compress(g, uniform.as_ref(), ranks, seed).expect("uniform has an edge plan")
+}
 
 #[test]
 fn distributed_uniform_equals_shared_for_any_rank_count() {
     let g = generators::rmat_graph500(11, 8, 21);
     let shared = uniform_sample(&g, 0.35, 1234);
     for ranks in [1, 3, 8, 12] {
-        let dist = distributed_uniform_sample(&g, 0.35, ranks, 1234);
+        let dist = uniform_ranks(&g, "0.35", ranks, 1234);
         assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice());
         assert_eq!(dist.result.original_edges, g.num_edges());
     }
@@ -23,13 +31,12 @@ fn distributed_spectral_kernel_runs() {
     // Any edge kernel can run distributed; spectral reads only local degree
     // information, matching the paper's RMA access pattern.
     let g = generators::barabasi_albert(2000, 4, 22);
-    let kernel = SpectralKernel::for_graph(&g, 0.5, sg_core::schemes::UpsilonVariant::LogN, false);
-    let dist = distributed_edge_kernel(&g, &kernel, 6, 23);
+    let spectral = SchemeRegistry::with_defaults()
+        .create("spectral", &SchemeParams::from_pairs(&[("p", "0.5")]))
+        .expect("registered");
+    let dist = distributed_compress(&g, spectral.as_ref(), 6, 23).expect("edge plan");
     assert!(dist.result.graph.num_edges() < g.num_edges());
     assert!(dist.result.graph.num_edges() > 0);
-    // NOTE: reweighting survivors is a shared-memory-only feature for now;
-    // the distributed pipeline treats Reweight as Keep (delete decisions
-    // only), matching the paper's distributed edge-compression scope.
 }
 
 #[test]
@@ -68,29 +75,21 @@ fn registry_schemes_shard_through_their_plans() {
 }
 
 #[test]
-fn histograms_match_between_pipelines() {
-    let g = generators::rmat_graph500(11, 10, 24);
-    let dist = distributed_uniform_sample(&g, 0.5, 4, 25);
-    let direct = DegreeDistribution::of(&dist.result.graph);
-    assert_eq!(dist.degree_histogram, direct.entries);
-}
-
-#[test]
 fn fig8_clutter_removal_shape() {
     // Figure 8's qualitative claim: sampling shrinks the number of distinct
     // degree values while keeping the distribution's span.
     let g = generators::rmat_graph500(13, 12, 26);
     let orig_support = DegreeDistribution::of(&g).support_size();
-    let p04 = distributed_uniform_sample(&g, 0.4, 6, 27);
-    let p07 = distributed_uniform_sample(&g, 0.7, 6, 27);
-    assert!(p04.degree_histogram.len() <= orig_support);
-    assert!(p07.degree_histogram.len() <= p04.degree_histogram.len());
+    let p04 = uniform_ranks(&g, "0.4", 6, 27).degree_histogram();
+    let p07 = uniform_ranks(&g, "0.7", 6, 27).degree_histogram();
+    assert!(p04.len() <= orig_support);
+    assert!(p07.len() <= p04.len());
 }
 
 #[test]
 fn rank_stats_consistent_under_skew() {
     let g = generators::rmat_graph500(12, 8, 28);
-    let dist = distributed_uniform_sample(&g, 0.25, 7, 29);
+    let dist = uniform_ranks(&g, "0.25", 7, 29);
     let owned: usize = dist.ranks.iter().map(|r| r.owned_edges).sum();
     assert_eq!(owned, g.num_edges());
     for r in &dist.ranks {

@@ -275,6 +275,40 @@ fn non_federable_plans_fall_back_to_the_coordinator() {
 }
 
 #[test]
+fn reweighting_edge_kernels_run_on_the_coordinator() {
+    // A shard reply carries deletion ids only, so the survivors' new
+    // weights cannot cross the wire: the plan is not federable, and the
+    // coordinator's answer equals a standalone daemon's, weights included.
+    let g = input_graph();
+    let sgr = tmp("fed-reweight.sgr");
+    slimgraph::store::save_sgr(&g, &sgr).expect("write input");
+    let load =
+        Client::request_for("load").with("name", Json::str("g")).with("path", Json::str(&sgr));
+
+    let worker = spawn_worker();
+    let coordinator = spawn_coordinator(vec![worker.0.clone()], 1, 5_000);
+    let mut client = Client::connect(&coordinator.0).expect("connect");
+    ok(&client.request(&load).expect("load"));
+    let mut standalone = Client::connect(&worker.0).expect("connect worker");
+    ok(&standalone.request(&load).expect("load on the standalone daemon"));
+
+    let request = compress_request("g", "spectral:p=0.5:reweight=true", 5);
+    let federated = client.request(&request).expect("compress");
+    let direct = standalone.request(&request).expect("direct compress");
+    let reference = cold("spectral:p=0.5:reweight=true", &g, 5);
+    assert!(reference.is_weighted(), "the reference run reweights its survivors");
+    let checksum = ok(&federated).get("checksum").and_then(Json::as_str);
+    assert_eq!(checksum, Some(format!("{:016x}", graph_digest(&reference)).as_str()));
+    assert_eq!(checksum, ok(&direct).get("checksum").and_then(Json::as_str));
+    let fed = federated.get("federation").expect("federation block");
+    assert_eq!(fed.get("mode").and_then(Json::as_str), Some("local"));
+    let reason = fed.get("reason").and_then(Json::as_str).expect("fallback says why");
+    assert!(reason.contains("reweights"), "{reason}");
+
+    shutdown(vec![coordinator, worker]);
+}
+
+#[test]
 fn replica_digest_mismatch_aborts_the_merge() {
     let g = input_graph();
     let sgr = tmp("fed-split.sgr");

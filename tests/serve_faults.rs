@@ -238,6 +238,60 @@ fn fault_storm_at_4_threads() {
     rayon::set_num_threads(0);
 }
 
+/// An out-of-range parameter value is a `bad-spec` answered by the
+/// registry, not an assert in a scheme body: more such requests than the
+/// daemon has workers must leave every worker alive.
+#[test]
+fn out_of_range_parameters_are_bad_spec_and_cost_no_worker() {
+    let workers = 2;
+    let g = generators::barabasi_albert(300, 3, 5);
+    let path = tmp("faults-range.sgr");
+    slimgraph::store::save_sgr(&g, &path).expect("save input");
+    let (addr, daemon) = spawn(ServeConfig { workers, ..fault_config() });
+    let compress = |spec: &str| {
+        Client::request_for("compress")
+            .with("graph", Json::str("g"))
+            .with("spec", Json::str(spec))
+            .with("seed", Json::u64(5))
+    };
+    let mut healthy = Client::connect(&addr).expect("connect");
+    ok(&healthy
+        .request(
+            &Client::request_for("load")
+                .with("name", Json::str("g"))
+                .with("path", Json::str(&path)),
+        )
+        .expect("load"));
+    drop(healthy);
+
+    // One connection per request, so each lands on whichever worker is
+    // free: `workers + 1` of them would exhaust a pool that lost a worker
+    // per request.
+    let mut specs = vec!["uniform:p=1.5"; workers + 1];
+    specs.push("uniform:p=nan");
+    for spec in specs {
+        let mut client = Client::connect(&addr).expect("connect");
+        let response = client.request(&compress(spec)).expect("answered, not dropped");
+        assert_eq!(error_code(&response), "bad-spec", "{spec}: {}", response.render());
+    }
+
+    let spec = "uniform:p=0.5";
+    let reference = PipelineSpec::parse(spec)
+        .expect("spec")
+        .build(&SchemeRegistry::with_defaults())
+        .expect("builds")
+        .apply(&g, 5);
+    let mut healthy = Client::connect(&addr).expect("connect");
+    let response = healthy.request(&compress(spec)).expect("compress");
+    assert_eq!(
+        ok(&response).get("checksum").and_then(Json::as_str),
+        Some(format!("{:016x}", graph_digest(&reference.result.graph)).as_str()),
+        "a healthy request after the bad ones must byte-match the direct run"
+    );
+    ok(&healthy.request(&Client::request_for("shutdown")).expect("shutdown"));
+    daemon.join().expect("daemon thread").expect("clean exit");
+}
+
 /// Satellite: the frame deadline must not cut clients that are merely
 /// *idle* between requests — only mid-frame stalls are slow-loris.
 #[test]
