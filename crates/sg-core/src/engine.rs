@@ -173,9 +173,10 @@ impl Engine {
     }
 
     /// Executes a triangle kernel over every triangle (§4.3). Kernels that
-    /// declare `parallel()` stream triangles concurrently; order-sensitive
-    /// disciplines (Edge-Once, Count-Triangles) run over the deterministic
-    /// sorted triangle list so results are reproducible.
+    /// declare `parallel()` stream triangles concurrently, edge-parallel;
+    /// order-sensitive ones run sequentially over the triangle listing,
+    /// which is collected in parallel and arrives in canonical `(u, v, w)`
+    /// order because canonical edge ids do — nothing is locked or sorted.
     pub fn run_triangle_kernel<K: TriangleKernel>(
         &self,
         g: &CsrGraph,

@@ -88,7 +88,8 @@ pub trait TriangleKernel: Sync {
 
     /// Whether instances may run concurrently. Disciplines that need a
     /// deterministic consideration order (Edge-Once, Count-Triangles) return
-    /// false and are executed over the deterministic sorted triangle stream.
+    /// false and are executed sequentially in canonical `(u, v, w)` order —
+    /// the order of canonical edge ids, so the stream is never sorted.
     fn parallel(&self) -> bool {
         true
     }

@@ -277,19 +277,9 @@ impl TriangleReductionKernel {
             self.tri_counts.as_deref(),
         )
     }
-}
 
-impl TriangleKernel for TriangleReductionKernel {
-    fn parallel(&self) -> bool {
-        // Edge-Once semantics are enforced via a deterministic sequential
-        // pass over the sorted triangle stream.
-        self.cfg.discipline == Discipline::Plain
-    }
-
-    fn process(&self, t: &Triangle, sg: &SgContext<'_>) {
-        if !triangle_sampled(t, self.cfg.p, sg.rand()) {
-            return; // triangle not sampled for reduction
-        }
+    /// Reduces one *sampled* triangle under the configured discipline.
+    fn reduce(&self, t: &Triangle, sg: &SgContext<'_>) {
         match self.cfg.discipline {
             Discipline::Plain => {
                 let ranked = self.ranked_edges(t, sg);
@@ -315,6 +305,20 @@ impl TriangleKernel for TriangleReductionKernel {
     }
 }
 
+impl TriangleKernel for TriangleReductionKernel {
+    fn parallel(&self) -> bool {
+        // Edge-Once semantics are enforced via a deterministic sequential
+        // pass over the canonically ordered triangle stream.
+        self.cfg.discipline == Discipline::Plain
+    }
+
+    fn process(&self, t: &Triangle, sg: &SgContext<'_>) {
+        if triangle_sampled(t, self.cfg.p, sg.rand()) {
+            self.reduce(t, sg);
+        }
+    }
+}
+
 /// Per-edge triangle participation counts.
 pub fn edge_triangle_counts(g: &CsrGraph) -> Vec<u64> {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -327,27 +331,31 @@ pub fn edge_triangle_counts(g: &CsrGraph) -> Vec<u64> {
     counts.into_iter().map(|a| a.into_inner()).collect()
 }
 
-/// Runs Triangle Reduction with the given configuration.
+/// Runs Triangle Reduction with the given configuration. Plain TR streams
+/// every triangle through the engine in parallel. The Edge-Once family (EO,
+/// max-weight, CT) is order-sensitive: it collects only the *sampled*
+/// triangles — in parallel, already in canonical `(u, v, w)` order because
+/// canonical edge ids are — and commits them sequentially.
 pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionResult {
     let kernel = TriangleReductionKernel::new(g, cfg);
-    if cfg.choice == EdgeChoice::FewestTriangles {
-        // CT processes triangles starting from the rarest edges, so the
-        // stream must be re-ordered before the sequential EO pass.
-        let start = Instant::now();
-        let counts = kernel.tri_counts.as_ref().expect("CT counts");
-        let mut tris = tc::list_triangles(g);
+    if cfg.discipline == Discipline::Plain {
+        return Engine::new(seed).run_triangle_kernel(g, &kernel);
+    }
+    let start = Instant::now();
+    let sg = SgContext::new(g, seed);
+    let rand = sg.rand();
+    let mut tris = tc::collect_triangles(g, |t| triangle_sampled(t, cfg.p, rand));
+    if let Some(counts) = &kernel.tri_counts {
+        // CT processes triangles starting from the rarest edges.
         tris.sort_by_key(|t| {
             let c = t.edges().map(|e| counts[e as usize]);
             (*c.iter().min().expect("three edges"), t.u, t.v, t.w)
         });
-        let sg = SgContext::new(g, seed);
-        for t in &tris {
-            kernel.process(t, &sg);
-        }
-        CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
-    } else {
-        Engine::new(seed).run_triangle_kernel(g, &kernel)
     }
+    for t in &tris {
+        kernel.reduce(t, &sg);
+    }
+    CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
 }
 
 /// Triangle p-Reduction by Collapse: each sampled triangle is contracted to
@@ -356,15 +364,11 @@ pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionRes
 pub fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> CompressionResult {
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
     let start = Instant::now();
-    let sg = SgContext::new(g, seed);
-    let tris = tc::list_triangles(g);
+    let rand = DetRand::new(seed);
     let mut uf = UnionFind::new(g.num_vertices());
-    for t in &tris {
-        let key = triangle_key(t);
-        if 1.0 - p < sg.rand_unit(key, 1) {
-            uf.union(t.u, t.v);
-            uf.union(t.v, t.w);
-        }
+    for t in tc::collect_triangles(g, |t| triangle_sampled(t, p, rand)) {
+        uf.union(t.u, t.v);
+        uf.union(t.v, t.w);
     }
     // Compact representative ids.
     let n = g.num_vertices();

@@ -89,6 +89,28 @@ fn every_registry_scheme_is_thread_count_invariant() {
     assert!(checked >= 9, "registry shrank to {checked} schemes");
 }
 
+/// `collapse` is not distributable, so `dist_equivalence`'s sharded oracle
+/// never sees it, and `tr-ct` is the one ordered variant that re-sorts its
+/// triangle stream. Both are pinned to `(n', m', graph_digest)` as printed
+/// by this same code at commit 9476721 — the last one whose ordered path
+/// listed every triangle under a mutex and sorted the lot.
+#[test]
+fn collapse_and_ct_match_the_outputs_of_the_sorted_listing() {
+    let g = test_graph();
+    let registry = SchemeRegistry::with_defaults();
+    let params = SchemeParams::from_pairs(&[("p", "0.5")]);
+    for (name, pinned) in [
+        ("collapse", (209, 451, 0x84e1_bec4_a2a3_ff4e_u64)),
+        ("tr-ct", (800, 3778, 0x80ad_14fa_a98b_898b)),
+    ] {
+        // Thread invariance is the registry test's job; this pins the value.
+        let r = registry.create(name, &params).expect("default factories succeed").apply(&g, 3);
+        let got =
+            (r.graph.num_vertices(), r.graph.num_edges(), slimgraph::serve::graph_digest(&r.graph));
+        assert_eq!(got, pinned, "`{name}:p=0.5` moved off its parent-commit output");
+    }
+}
+
 #[test]
 fn chained_pipeline_is_thread_count_invariant() {
     let g = test_graph();
