@@ -77,9 +77,7 @@ pub fn run_algorithm(name: &str, g: &CsrGraph) -> Duration {
 
 /// Root choice for BFS runs: the highest-degree vertex (stable across
 /// compression, reached component is large).
-pub fn densest_vertex(g: &CsrGraph) -> u32 {
-    (0..g.num_vertices() as u32).max_by_key(|&v| g.degree(v)).unwrap_or(0)
-}
+pub use sg_metrics::max_degree_vertex as densest_vertex;
 
 /// Figure 5's y-axis: relative difference between runtimes over the
 /// compressed and the original graph (positive = speedup).
@@ -171,17 +169,7 @@ impl BenchRecord {
 /// Escapes a string for embedding in a JSON literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    sg_obs::trace::escape_into(&mut out, s);
     out
 }
 

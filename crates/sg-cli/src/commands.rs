@@ -6,12 +6,11 @@
 //! instead of a long-running one.
 
 use crate::args::Args;
-use sg_algos::{cc, pagerank, tc};
+use sg_algos::{cc, tc};
 use sg_core::{
     catalog, GraphCatalog, PipelineSpec, SchemeParams, SchemeRegistry, SessionRun, SgSession,
 };
 use sg_graph::{generators, CsrGraph, EncodedCsr, GraphView};
-use sg_metrics::kl_divergence;
 use sg_serve::Json;
 use std::sync::Arc;
 
@@ -294,29 +293,18 @@ fn analyze(args: &Args) -> Result<(), String> {
     // With --encoding delta|auto the "before" metrics run over the encoded
     // adjacency (decode-on-the-fly kernels); results are bit-identical to
     // the raw run, the path is just exercised end to end.
-    let enc = (encoding != sg_store::Encoding::Raw).then(|| EncodedCsr::from_graph(&g));
-    let (cc0, t0) = match &enc {
-        Some(e) => (cc::connected_components(e).num_components, tc::count_triangles(e)),
-        None => (cc::connected_components(&g).num_components, tc::count_triangles(&g)),
+    let report = match (encoding != sg_store::Encoding::Raw).then(|| EncodedCsr::from_graph(&g)) {
+        Some(encoded) => sg_metrics::accuracy_report(&encoded, &g, &run.graph),
+        None => sg_metrics::accuracy_report(&*g, &g, &run.graph),
     };
-    let cc1 = cc::connected_components(&run.graph).num_components;
-    println!("components:        {cc0} -> {cc1}");
-    let t1 = tc::count_triangles(&run.graph);
-    println!("triangles:         {t0} -> {t1}");
-    if run.graph.num_vertices() == g.num_vertices() {
-        let pr0 = match &enc {
-            Some(e) => pagerank::pagerank_default(e).scores,
-            None => pagerank::pagerank_default(&g).scores,
-        };
-        let pr1 = pagerank::pagerank_default(&run.graph).scores;
-        println!("PageRank KL:       {:.5} bits", kl_divergence(&pr0, &pr1));
-        let root = (0..g.num_vertices() as u32).max_by_key(|&v| g.degree(v)).unwrap_or(0);
-        println!(
-            "BFS critical kept: {:.1}%",
-            sg_metrics::critical_edge_preservation(&g, &run.graph, root) * 100.0
-        );
-    } else {
-        println!("(vertex set changed; distribution metrics skipped)");
+    println!("components:        {} -> {}", report.components[0], report.components[1]);
+    println!("triangles:         {} -> {}", report.triangles[0], report.triangles[1]);
+    match (report.pagerank_kl, report.bfs_critical_kept) {
+        (Some(kl), Some(kept)) => {
+            println!("PageRank KL:       {kl:.5} bits");
+            println!("BFS critical kept: {:.1}%", kept * 100.0);
+        }
+        _ => println!("(vertex set changed; distribution metrics skipped)"),
     }
     Ok(())
 }

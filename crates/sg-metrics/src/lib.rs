@@ -12,12 +12,16 @@
 //!   → [`bfs_critical`] critical-edge preservation,
 //! * whole-graph structure → [`degree_dist`] degree-distribution comparison
 //!   (the visual instrument of Figures 7 and 8).
+//!
+//! [`report`] runs one metric of each class as the before/after accuracy
+//! report `slimgraph analyze` and the daemon's `analyze` op print.
 
 pub mod bfs_critical;
 pub mod degree_dist;
 pub mod divergences;
 pub mod projection;
 pub mod reordered;
+pub mod report;
 pub mod scalar;
 
 pub use bfs_critical::{critical_edge_preservation, critical_edges};
@@ -27,4 +31,5 @@ pub use degree_dist::{
 pub use divergences::{hellinger, jensen_shannon, kl_divergence, total_variation};
 pub use projection::project_scores;
 pub use reordered::{reordered_neighbor_fraction, reordered_pair_fraction};
+pub use report::{accuracy_report, max_degree_vertex, AccuracyReport};
 pub use scalar::{relative_change, relative_error};

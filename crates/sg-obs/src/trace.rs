@@ -242,20 +242,31 @@ pub fn collect() -> Vec<(u64, String, Vec<TraceEvent>)> {
         .collect()
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Appends `s` to `out` escaped for the inside of a JSON string literal
+/// (quotes not included). The workspace's one JSON string escaper: the
+/// trace export, `sg-serve`'s renderer and the bench / tune records all
+/// write through it. Everything it rewrites is ASCII, so clean runs are
+/// copied whole.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{:04x}", u32::from(b));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[clean..]);
 }
 
 /// Renders every buffered span as Chrome trace-event JSON (the

@@ -25,7 +25,21 @@ pub struct Client {
 impl Client {
     /// Connects to `addr` (`host:port` or `unix:/path`).
     pub fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = Stream::connect(addr)?;
+        Client::over(Stream::connect(addr)?)
+    }
+
+    /// Dials `addr` once, giving up after `timeout`, and bounds every
+    /// read and write on the connection by the same `timeout` — the
+    /// federation coordinator's view of a worker: a dead one is refused
+    /// at once, a black-holed or hung one costs at most `timeout` per
+    /// step, and either becomes a retryable I/O error.
+    pub(crate) fn connect_bounded(addr: &str, timeout: Duration) -> std::io::Result<Client> {
+        let mut client = Client::over(Stream::dial(addr, Some(timeout))?)?;
+        client.set_timeout(Some(timeout))?;
+        Ok(client)
+    }
+
+    fn over(stream: Stream) -> std::io::Result<Client> {
         let writer = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(stream), writer, token: None })
     }
@@ -50,9 +64,7 @@ impl Client {
     }
 
     /// Bounds every subsequent read and write on this connection.
-    /// `None` restores fully blocking I/O. The federation coordinator
-    /// sets this so a hung worker turns into a retryable I/O error
-    /// instead of stalling the whole request.
+    /// `None` restores fully blocking I/O.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.reader.get_ref().set_read_timeout(timeout)?;
         self.writer.set_write_timeout(timeout)

@@ -24,10 +24,12 @@
 //!
 //! Failure handling: each shard gets `1 + retries` attempts, walking the
 //! worker ring (`workers[(shard + attempt) % W]`), so a dead worker's
-//! shards migrate to live ones. A worker that does not know the graph is
-//! lazily sent a `load` with the coordinator's source path first. When a
-//! shard exhausts its attempts the whole request fails with
-//! `fed-shard-failed` — never a silently partial merge.
+//! shards migrate to live ones. Each attempt dials its worker once: a
+//! refused address moves the ring on at once, and an unanswering one costs
+//! at most `timeout_ms` per connect / read / write. A worker that does not
+//! know the graph is lazily sent a `load` with the coordinator's source
+//! path first. When a shard exhausts its attempts the whole request fails
+//! with `fed-shard-failed` — never a silently partial merge.
 
 use crate::client::Client;
 use crate::json::Json;
@@ -184,9 +186,8 @@ fn attempt_shard(
     let timeout = Duration::from_millis(job.cfg.timeout_ms.max(1));
     let transient =
         |stage: &str, detail: String| ShardError::Transient(format!("{addr}: {stage}: {detail}"));
-    let mut client = Client::connect_with_patience(addr, timeout)
-        .map_err(|e| transient("connect", e.to_string()))?;
-    client.set_timeout(Some(timeout)).map_err(|e| transient("timeout setup", e.to_string()))?;
+    let mut client =
+        Client::connect_bounded(addr, timeout).map_err(|e| transient("connect", e.to_string()))?;
     client.set_token(job.cfg.token.clone());
     let request = Client::request_for("shard_run")
         .with("id", Json::str(format!("{}/s{shard}", job.trace_id)))
@@ -307,12 +308,9 @@ pub(crate) fn local_block(reason: &str) -> Json {
 /// Liveness probe used by the `federation` status op: connect + `ping`
 /// within `timeout`.
 pub(crate) fn probe_worker(addr: &str, timeout: Duration, token: Option<&str>) -> bool {
-    let Ok(mut client) = Client::connect_with_patience(addr, timeout) else {
+    let Ok(mut client) = Client::connect_bounded(addr, timeout) else {
         return false;
     };
-    if client.set_timeout(Some(timeout)).is_err() {
-        return false;
-    }
     client.set_token(token.map(str::to_string));
     client.request(&Client::request_for("ping")).is_ok_and(|r| is_ok(&r))
 }

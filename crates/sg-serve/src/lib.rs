@@ -19,24 +19,25 @@
 //! gates non-loopback binds, and per-peer byte quotas bound each
 //! client's catalog/cache footprint.
 //!
-//! ## Protocol (v2, v1 still served)
+//! ## Protocol (v2, the one version served)
 //!
 //! Line-delimited JSON over TCP or a unix socket — one request per line,
-//! one response per line, in order. The canonical reference (schema,
+//! one response per line, in order; a request declaring any other `"v"`
+//! is answered with the `version` error. The canonical reference (schema,
 //! versioning, error codes) is `docs/PROTOCOL.md`; in brief:
 //!
 //! | op | effect |
 //! |----|--------|
 //! | `ping` | liveness probe |
 //! | `load` | register a server-side graph file under a name (load-once) |
-//! | `upload` | v2: chunked, digest-verified client-side graph transfer into the catalog |
+//! | `upload` | chunked, digest-verified client-side graph transfer into the catalog |
 //! | `compress` | run a pipeline spec; report shape/digest/per-stage timings, optionally write the result server-side |
 //! | `analyze` | `compress` + accuracy metrics vs the loaded original |
 //! | `stats` | server-wide stats (graphs, cache, pool, clients, uploads) or one graph's structure |
-//! | `metrics` | v2: full sg-obs snapshot — counters, gauges, cumulative latency histograms (see `docs/OBSERVABILITY.md`) |
-//! | `slowlog` | v2: the slow-request ring — op, trace id, queue wait, service ms per request over `--slow-ms` |
-//! | `shard_run` | v2: one federation shard of a single-stage spec against the local replica (see [`fed`]) |
-//! | `federation` | v2: federation topology + live worker reachability (`standalone` on plain daemons) |
+//! | `metrics` | full sg-obs snapshot — counters, gauges, cumulative latency histograms (see `docs/OBSERVABILITY.md`) |
+//! | `slowlog` | the slow-request ring — op, trace id, queue wait, service ms per request over `--slow-ms` |
+//! | `shard_run` | one federation shard of a single-stage spec against the local replica (see [`fed`]) |
+//! | `federation` | federation topology + live worker reachability (`standalone` on plain daemons) |
 //! | `evict` | drop a graph and its cache entries, and/or clear the cache |
 //! | `shutdown` | stop accepting and drain in-flight connections |
 //!
@@ -93,6 +94,6 @@ pub mod upload;
 pub use client::Client;
 pub use fed::FedConfig;
 pub use json::Json;
-pub use proto::{ErrorCode, ProtoError, Request, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+pub use proto::{ErrorCode, ProtoError, Request, PROTOCOL_VERSION};
 pub use server::{graph_digest, snapshot_json, ServeConfig, Server};
 pub use slowlog::{SlowLog, SlowRecord};

@@ -6,7 +6,7 @@
 //! for unix sockets (rejected off unix targets).
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::Duration;
@@ -26,6 +26,13 @@ pub enum Stream {
 impl Stream {
     /// Connects to `addr` (`host:port` or `unix:/path`).
     pub fn connect(addr: &str) -> io::Result<Stream> {
+        Stream::dial(addr, None)
+    }
+
+    /// [`Stream::connect`], giving up on a TCP address after `timeout`
+    /// when one is set (a unix socket connects or fails at once, and a
+    /// refused address fails at once either way).
+    pub(crate) fn dial(addr: &str, timeout: Option<Duration>) -> io::Result<Stream> {
         if let Some(path) = addr.strip_prefix(UNIX_PREFIX) {
             #[cfg(unix)]
             return Ok(Stream::Unix(UnixStream::connect(path)?));
@@ -35,7 +42,10 @@ impl Stream {
                 format!("unix sockets are not available on this platform ({path})"),
             ));
         }
-        let stream = TcpStream::connect(addr)?;
+        let stream = match timeout {
+            None => TcpStream::connect(addr)?,
+            Some(timeout) => tcp_within(addr, timeout)?,
+        };
         // Request/response lines are tiny; Nagle + delayed ACK would add
         // ~40ms per turn on loopback.
         stream.set_nodelay(true)?;
@@ -93,6 +103,20 @@ impl Stream {
             Stream::Unix(_) => "unix".to_string(),
         }
     }
+}
+
+/// `TcpStream::connect` with a per-address timeout: tries every address
+/// `addr` resolves to, returning the last failure.
+fn tcp_within(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let mut last =
+        io::Error::new(io::ErrorKind::InvalidInput, format!("{addr} resolves to no address"));
+    for resolved in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&resolved, timeout) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
 }
 
 impl Read for Stream {

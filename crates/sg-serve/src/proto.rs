@@ -1,35 +1,26 @@
-//! The wire protocol: versioned line-delimited JSON requests/responses.
+//! The wire protocol: line-delimited JSON requests/responses.
 //!
 //! One request per line, one response per line, in order. Every request
 //! is a JSON object with an `"op"` field; `"v"` (protocol version,
 //! default [`PROTOCOL_VERSION`]) and `"id"` (echoed verbatim into the
-//! response) are optional. Responses always carry `"v"` (echoing the
-//! request's version), the echoed `"id"` (when given), and `"ok"`;
-//! failures add an `"error"` object with a stable machine-readable
-//! `code` and a human `message`, plus `retry_after_ms` for `busy`.
+//! response) are optional. Responses always carry `"v"`, the echoed
+//! `"id"` (when given), and `"ok"`; failures add an `"error"` object with
+//! a stable machine-readable `code` and a human `message`, plus
+//! `retry_after_ms` for `busy`.
 //!
-//! Version negotiation: this build speaks [`PROTOCOL_VERSION`] and
-//! accepts any version down to [`MIN_PROTOCOL_VERSION`]. v2 adds the
-//! `upload`, `metrics`, `slowlog`, `shard_run`, and `federation` ops,
-//! the `token` envelope field, and the `busy` / `auth-required` /
-//! `quota-exceeded` / `frame-too-large` / `timeout` / `digest-mismatch`
-//! / `fed-shard-failed` / `fed-digest-mismatch` error codes; v1
-//! requests are still served unchanged (they simply cannot name the
-//! v2-only ops).
+//! This build speaks exactly one version, [`PROTOCOL_VERSION`]: a request
+//! declaring any other `"v"` is answered with code `version`.
 //!
 //! The full message schema is documented in `docs/PROTOCOL.md` at the
 //! repository root; this module is the single point where request syntax
-//! is validated, so the daemon and any embedded consumer agree on it.
+//! is validated and where the response envelope is built, so the daemon
+//! and any embedded consumer agree on both.
 
 use crate::json::Json;
 
-/// Highest protocol version spoken by this build.
+/// The protocol version spoken by this build. Requests carrying any
+/// other `"v"` are rejected with code `version`.
 pub const PROTOCOL_VERSION: u64 = 2;
-
-/// Oldest protocol version still accepted. Requests carrying `"v"`
-/// outside `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION` are rejected with
-/// code `version`.
-pub const MIN_PROTOCOL_VERSION: u64 = 1;
 
 /// Machine-readable error codes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +29,7 @@ pub enum ErrorCode {
     BadRequest,
     /// Unsupported protocol version.
     Version,
-    /// Unknown `"op"` (or an op newer than the request's version).
+    /// Unknown `"op"`.
     UnknownOp,
     /// `"graph"` names nothing in the catalog.
     UnknownGraph,
@@ -115,7 +106,7 @@ impl ProtoError {
     }
 }
 
-/// One phase of a chunked client-side graph upload (v2).
+/// One phase of a chunked client-side graph upload.
 #[derive(Clone, Debug)]
 pub enum UploadPhase {
     /// Open (or resume) an upload slot for `name`.
@@ -157,7 +148,7 @@ pub enum Request {
         /// Skip the `.sgr` checksum pass (trusted files).
         no_verify: bool,
     },
-    /// Chunked client-side graph transfer into the catalog (v2).
+    /// Chunked client-side graph transfer into the catalog.
     Upload {
         /// Catalog name the finished graph will be registered under.
         name: String,
@@ -192,13 +183,13 @@ pub enum Request {
         graph: Option<String>,
     },
     /// Observability snapshot: every counter, gauge, and latency
-    /// histogram the daemon and its libraries recorded (v2).
+    /// histogram the daemon and its libraries recorded.
     Metrics,
     /// The slow-request log: the retained ring of requests whose
-    /// service time met the daemon's `--slow-ms` threshold (v2).
+    /// service time met the daemon's `--slow-ms` threshold.
     Slowlog,
     /// Compute one federation shard of a single-stage spec against the
-    /// full local replica of `graph` (v2). Answered by *worker* daemons;
+    /// full local replica of `graph`. Answered by *worker* daemons;
     /// coordinators fan a `compress`/`analyze` out into these.
     ShardRun {
         /// Catalog name of the replica to shard against.
@@ -212,7 +203,7 @@ pub enum Request {
         /// Total shard count of the federated run.
         shards: usize,
     },
-    /// Federation topology and worker health of this daemon (v2).
+    /// Federation topology and worker health of this daemon.
     Federation,
     /// Drop a graph (and its cache entries) and/or clear the stage cache.
     Evict {
@@ -225,72 +216,69 @@ pub enum Request {
     Shutdown,
 }
 
-/// Parsed request envelope: the operation plus routing metadata.
+/// Parsed request envelope: the operation plus what the shell needs to
+/// route, authenticate and observe it without looking inside.
 #[derive(Clone, Debug)]
 pub struct Envelope {
     /// The operation.
     pub request: Request,
     /// Client-chosen correlation id, echoed verbatim.
     pub id: Option<Json>,
-    /// Protocol version the request was phrased in (echoed in responses).
-    pub version: u64,
     /// Auth token, when the client sent one.
     pub token: Option<String>,
+    /// The request's `"op"` as sent (per-op metrics, transcript, slowlog).
+    pub op: String,
+    /// The catalog name the request targets, when it names one.
+    pub graph: Option<String>,
+}
+
+/// A `bad-request`: malformed JSON, missing or ill-typed fields, and
+/// requests that are well-formed but cannot apply.
+pub(crate) fn bad_request(message: impl Into<String>) -> ProtoError {
+    ProtoError::new(ErrorCode::BadRequest, message)
+}
+
+/// Reads optional field `key` through `get` (absent and `null` are
+/// `None`); `what` names the expected type in the error.
+fn field<T>(
+    obj: &Json,
+    key: &str,
+    what: &str,
+    get: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, ProtoError> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => {
+            get(v).map(Some).ok_or_else(|| bad_request(format!("field '{key}' must be {what}")))
+        }
+    }
+}
+
+fn required<T>(value: Option<T>, key: &str) -> Result<T, ProtoError> {
+    value.ok_or_else(|| bad_request(format!("missing field '{key}'")))
 }
 
 fn str_field(obj: &Json, key: &str) -> Result<Option<String>, ProtoError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => {
-            Err(ProtoError::new(ErrorCode::BadRequest, format!("field '{key}' must be a string")))
-        }
-    }
+    field(obj, key, "a string", |v| v.as_str().map(str::to_string))
 }
 
 fn require_str(obj: &Json, key: &str) -> Result<String, ProtoError> {
-    str_field(obj, key)?
-        .ok_or_else(|| ProtoError::new(ErrorCode::BadRequest, format!("missing field '{key}'")))
+    required(str_field(obj, key)?, key)
 }
 
 fn bool_field(obj: &Json, key: &str, default: bool) -> Result<bool, ProtoError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => {
-            Err(ProtoError::new(ErrorCode::BadRequest, format!("field '{key}' must be a boolean")))
-        }
-    }
+    Ok(field(obj, key, "a boolean", Json::as_bool)?.unwrap_or(default))
 }
 
 fn u64_field(obj: &Json, key: &str, default: u64) -> Result<u64, ProtoError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ProtoError::new(
-                ErrorCode::BadRequest,
-                format!("field '{key}' must be an unsigned integer"),
-            )
-        }),
-    }
+    Ok(field(obj, key, "an unsigned integer", Json::as_u64)?.unwrap_or(default))
 }
 
 fn require_u64(obj: &Json, key: &str) -> Result<u64, ProtoError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => {
-            Err(ProtoError::new(ErrorCode::BadRequest, format!("missing field '{key}'")))
-        }
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ProtoError::new(
-                ErrorCode::BadRequest,
-                format!("field '{key}' must be an unsigned integer"),
-            )
-        }),
-    }
+    required(field(obj, key, "an unsigned integer", Json::as_u64)?, key)
 }
 
-fn parse_upload(value: &Json) -> Result<Request, ProtoError> {
-    let name = require_str(value, "name")?;
+fn parse_upload(value: &Json, name: String) -> Result<Request, ProtoError> {
     let phase = match require_str(value, "phase")?.as_str() {
         "begin" => UploadPhase::Begin {
             total_bytes: require_u64(value, "total_bytes")?,
@@ -304,10 +292,9 @@ fn parse_upload(value: &Json) -> Result<Request, ProtoError> {
         "commit" => UploadPhase::Commit,
         "abort" => UploadPhase::Abort,
         other => {
-            return Err(ProtoError::new(
-                ErrorCode::BadRequest,
-                format!("unknown upload phase '{other}' (begin/chunk/commit/abort)"),
-            ))
+            return Err(bad_request(format!(
+                "unknown upload phase '{other}' (begin/chunk/commit/abort)"
+            )))
         }
     };
     Ok(Request::Upload { name, phase })
@@ -315,139 +302,108 @@ fn parse_upload(value: &Json) -> Result<Request, ProtoError> {
 
 /// Parses one request line into its envelope.
 pub fn parse_request(line: &str) -> Result<Envelope, ProtoError> {
-    let value = Json::parse(line)
-        .map_err(|e| ProtoError::new(ErrorCode::BadRequest, format!("invalid JSON: {e}")))?;
+    let value = Json::parse(line).map_err(|e| bad_request(format!("invalid JSON: {e}")))?;
     if !matches!(value, Json::Obj(_)) {
-        return Err(ProtoError::new(ErrorCode::BadRequest, "request must be a JSON object"));
+        return Err(bad_request("request must be a JSON object"));
     }
     let id = value.get("id").cloned();
     let version = u64_field(&value, "v", PROTOCOL_VERSION)?;
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(ProtoError::new(
             ErrorCode::Version,
             format!(
                 "unsupported protocol version {version} \
-                 (this daemon speaks {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                 (this daemon speaks version {PROTOCOL_VERSION} only)"
             ),
         ));
     }
     let token = str_field(&value, "token")?;
     let op = require_str(&value, "op")?;
+    // The catalog name the request targets, noted as its field is read.
+    let mut graph = None;
+    let mut target = |key: &str| -> Result<String, ProtoError> {
+        let name = require_str(&value, key)?;
+        graph = Some(name.clone());
+        Ok(name)
+    };
     let request = match op.as_str() {
         "ping" => Request::Ping,
         "load" => Request::Load {
-            name: require_str(&value, "name")?,
+            name: target("name")?,
             path: require_str(&value, "path")?,
             format: str_field(&value, "format")?,
             no_verify: bool_field(&value, "no_verify", false)?,
         },
-        "upload" if version >= 2 => parse_upload(&value)?,
-        "upload" => {
-            return Err(ProtoError::new(
-                ErrorCode::UnknownOp,
-                "op 'upload' requires protocol v2 (request declared v1)",
-            ))
-        }
+        "upload" => parse_upload(&value, target("name")?)?,
         "compress" => Request::Compress {
-            graph: require_str(&value, "graph")?,
+            graph: target("graph")?,
             spec: require_str(&value, "spec")?,
             seed: u64_field(&value, "seed", 42)?,
             output: str_field(&value, "output")?,
             output_format: str_field(&value, "output_format")?,
         },
         "analyze" => Request::Analyze {
-            graph: require_str(&value, "graph")?,
+            graph: target("graph")?,
             spec: require_str(&value, "spec")?,
             seed: u64_field(&value, "seed", 42)?,
         },
-        "stats" => Request::Stats { graph: str_field(&value, "graph")? },
-        "metrics" if version >= 2 => Request::Metrics,
-        "metrics" => {
-            return Err(ProtoError::new(
-                ErrorCode::UnknownOp,
-                "op 'metrics' requires protocol v2 (request declared v1)",
-            ))
+        "stats" => {
+            graph = str_field(&value, "graph")?;
+            Request::Stats { graph: graph.clone() }
         }
-        "slowlog" if version >= 2 => Request::Slowlog,
-        "slowlog" => {
-            return Err(ProtoError::new(
-                ErrorCode::UnknownOp,
-                "op 'slowlog' requires protocol v2 (request declared v1)",
-            ))
-        }
-        "shard_run" if version >= 2 => {
+        "metrics" => Request::Metrics,
+        "slowlog" => Request::Slowlog,
+        "shard_run" => {
             let shard = require_u64(&value, "shard")? as usize;
             let shards = require_u64(&value, "shards")? as usize;
             if shards == 0 || shard >= shards {
-                return Err(ProtoError::new(
-                    ErrorCode::BadRequest,
-                    format!("shard {shard} out of range for {shards} shards"),
-                ));
+                return Err(bad_request(format!("shard {shard} out of range for {shards} shards")));
             }
             Request::ShardRun {
-                graph: require_str(&value, "graph")?,
+                graph: target("graph")?,
                 spec: require_str(&value, "spec")?,
                 seed: u64_field(&value, "seed", 42)?,
                 shard,
                 shards,
             }
         }
-        "shard_run" => {
-            return Err(ProtoError::new(
-                ErrorCode::UnknownOp,
-                "op 'shard_run' requires protocol v2 (request declared v1)",
-            ))
-        }
-        "federation" if version >= 2 => Request::Federation,
-        "federation" => {
-            return Err(ProtoError::new(
-                ErrorCode::UnknownOp,
-                "op 'federation' requires protocol v2 (request declared v1)",
-            ))
-        }
+        "federation" => Request::Federation,
         "evict" => {
-            let graph = str_field(&value, "graph")?;
+            graph = str_field(&value, "graph")?;
             let cache = bool_field(&value, "cache", false)?;
             if graph.is_none() && !cache {
-                return Err(ProtoError::new(
-                    ErrorCode::BadRequest,
-                    "evict needs 'graph' and/or 'cache': true",
-                ));
+                return Err(bad_request("evict needs 'graph' and/or 'cache': true"));
             }
-            Request::Evict { graph, cache }
+            Request::Evict { graph: graph.clone(), cache }
         }
         "shutdown" => Request::Shutdown,
         other => {
             return Err(ProtoError::new(ErrorCode::UnknownOp, format!("unknown op '{other}'")))
         }
     };
-    Ok(Envelope { request, id, version, token })
+    Ok(Envelope { request, id, token, op, graph })
 }
 
-/// Starts a success response: `{"v":…,"id":…,"ok":true}` ready for
-/// op-specific fields. `version` echoes the request's declared version
-/// so v1 clients keep seeing `"v":1`.
-pub fn ok_response(version: u64, id: Option<&Json>) -> Json {
-    let mut out = Json::obj().with("v", Json::u64(version));
-    if let Some(id) = id {
-        out = out.with("id", id.clone());
+/// Builds the one response envelope: `{"v":…,"id":…,"ok":…}` first, then
+/// a success's body fields in the handler's order, or the `error` object.
+pub fn response(id: Option<Json>, outcome: Result<Json, ProtoError>) -> Json {
+    let mut fields = vec![("v".to_string(), Json::u64(PROTOCOL_VERSION))];
+    fields.extend(id.map(|id| ("id".to_string(), id)));
+    fields.push(("ok".to_string(), Json::Bool(outcome.is_ok())));
+    match outcome {
+        Ok(Json::Obj(body)) => fields.extend(body),
+        Ok(_) => panic!("a response body is a JSON object"),
+        Err(err) => {
+            let mut error = Json::obj()
+                .with("code", Json::str(err.code.name()))
+                .with("message", Json::str(err.message));
+            if let Some(ms) = err.retry_after_ms {
+                error = error.with("retry_after_ms", Json::u64(ms));
+            }
+            fields.push(("error".to_string(), error));
+        }
     }
-    out.with("ok", Json::Bool(true))
-}
-
-/// Builds a failure response.
-pub fn error_response(version: u64, id: Option<&Json>, err: &ProtoError) -> Json {
-    let mut out = Json::obj().with("v", Json::u64(version));
-    if let Some(id) = id {
-        out = out.with("id", id.clone());
-    }
-    let mut error = Json::obj()
-        .with("code", Json::str(err.code.name()))
-        .with("message", Json::str(err.message.clone()));
-    if let Some(ms) = err.retry_after_ms {
-        error = error.with("retry_after_ms", Json::u64(ms));
-    }
-    out.with("ok", Json::Bool(false)).with("error", error)
+    Json::Obj(fields)
 }
 
 #[cfg(test)]
@@ -487,32 +443,20 @@ mod tests {
         ];
         for (line, expect) in cases {
             let env = parse_request(line).unwrap_or_else(|e| panic!("{line}: {}", e.message));
-            let got = match env.request {
-                Request::Ping => "ping",
-                Request::Load { .. } => "load",
-                Request::Upload { .. } => "upload",
-                Request::Compress { .. } => "compress",
-                Request::Analyze { .. } => "analyze",
-                Request::Stats { .. } => "stats",
-                Request::Metrics => "metrics",
-                Request::Slowlog => "slowlog",
-                Request::ShardRun { .. } => "shard_run",
-                Request::Federation => "federation",
-                Request::Evict { .. } => "evict",
-                Request::Shutdown => "shutdown",
-            };
-            assert_eq!(got, expect);
+            assert_eq!(env.op, expect);
+            // The envelope names the target graph exactly when the op has one.
+            let names_graph = line.contains("\"graph\":") || line.contains("\"name\":");
+            assert_eq!(env.graph.as_deref(), names_graph.then_some("g"), "{line}");
         }
     }
 
     #[test]
     fn defaults_and_ids() {
         let env = parse_request(
-            "{\"v\":1,\"id\":\"req-9\",\"op\":\"compress\",\"graph\":\"g\",\"spec\":\"lowdeg\"}",
+            "{\"v\":2,\"id\":\"req-9\",\"op\":\"compress\",\"graph\":\"g\",\"spec\":\"lowdeg\"}",
         )
         .expect("parses");
         assert_eq!(env.id, Some(Json::Str("req-9".into())));
-        assert_eq!(env.version, 1);
         assert!(env.token.is_none());
         match env.request {
             Request::Compress { seed, output, .. } => {
@@ -521,10 +465,9 @@ mod tests {
             }
             other => panic!("wrong op: {other:?}"),
         }
-        // Numeric ids echo too; omitted "v" means the current version.
+        // Numeric ids echo too.
         let env = parse_request("{\"id\":7,\"op\":\"ping\"}").expect("parses");
         assert_eq!(env.id, Some(Json::Num("7".into())));
-        assert_eq!(env.version, PROTOCOL_VERSION);
         // Tokens ride the envelope, not the op.
         let env = parse_request("{\"op\":\"ping\",\"token\":\"sesame\"}").expect("parses");
         assert_eq!(env.token.as_deref(), Some("sesame"));
@@ -532,33 +475,29 @@ mod tests {
 
     #[test]
     fn version_negotiation() {
-        // Both supported versions parse; the envelope records which.
-        for v in [1, 2] {
-            let env = parse_request(&format!("{{\"v\":{v},\"op\":\"ping\"}}")).expect("parses");
-            assert_eq!(env.version, v);
+        // One version is spoken; an absent `v` means that version.
+        for line in
+            ["{\"op\":\"ping\"}", "{\"v\":2,\"op\":\"ping\"}", "{\"v\":null,\"op\":\"ping\"}"]
+        {
+            assert_eq!(parse_request(line).expect(line).op, "ping");
         }
-        // Outside the window: stable `version` code.
-        for v in [0, 3, 99] {
+        // Anything else: the stable `version` code, naming what is spoken.
+        for v in [0, 1, 3, 99] {
             let err =
                 parse_request(&format!("{{\"v\":{v},\"op\":\"ping\"}}")).expect_err("rejects");
             assert_eq!(err.code, ErrorCode::Version, "v={v}");
+            assert!(
+                err.message.contains(&format!("version {v}"))
+                    && err.message.contains(&format!("version {PROTOCOL_VERSION} only")),
+                "{}",
+                err.message
+            );
         }
-        // v2-only ops are invisible to v1 requests.
-        let err = parse_request("{\"v\":1,\"op\":\"upload\",\"name\":\"g\",\"phase\":\"commit\"}")
-            .expect_err("rejects");
-        assert_eq!(err.code, ErrorCode::UnknownOp);
+        // The version is checked before the op: no op is "newer" than a request.
         let err = parse_request("{\"v\":1,\"op\":\"metrics\"}").expect_err("rejects");
-        assert_eq!(err.code, ErrorCode::UnknownOp);
-        let err = parse_request("{\"v\":1,\"op\":\"slowlog\"}").expect_err("rejects");
-        assert_eq!(err.code, ErrorCode::UnknownOp);
-        let err = parse_request(
-            "{\"v\":1,\"op\":\"shard_run\",\"graph\":\"g\",\"spec\":\"tr\",\
-             \"shard\":0,\"shards\":2}",
-        )
-        .expect_err("rejects");
-        assert_eq!(err.code, ErrorCode::UnknownOp);
-        let err = parse_request("{\"v\":1,\"op\":\"federation\"}").expect_err("rejects");
-        assert_eq!(err.code, ErrorCode::UnknownOp);
+        assert_eq!(err.code, ErrorCode::Version);
+        let err = parse_request("{\"v\":\"2\",\"op\":\"ping\"}").expect_err("rejects");
+        assert_eq!(err.code, ErrorCode::BadRequest, "an ill-typed v is a malformed request");
     }
 
     #[test]
@@ -604,20 +543,18 @@ mod tests {
     #[test]
     fn responses_envelope_correctly() {
         let id = Json::Str("a".into());
-        let ok = ok_response(2, Some(&id)).with("pong", Json::Bool(true));
+        let ok = response(Some(id), Ok(Json::obj().with("pong", Json::Bool(true))));
         assert_eq!(ok.render(), "{\"v\":2,\"id\":\"a\",\"ok\":true,\"pong\":true}");
-        // v1 requests get v1-stamped responses.
-        let ok = ok_response(1, None);
-        assert_eq!(ok.render(), "{\"v\":1,\"ok\":true}");
-        let err = error_response(1, None, &ProtoError::new(ErrorCode::UnknownGraph, "no 'g'"));
+        assert_eq!(response(None, Ok(Json::obj())).render(), "{\"v\":2,\"ok\":true}");
+        let err = response(None, Err(ProtoError::new(ErrorCode::UnknownGraph, "no 'g'")));
         assert_eq!(
             err.render(),
-            "{\"v\":1,\"ok\":false,\"error\":{\"code\":\"unknown-graph\",\"message\":\"no 'g'\"}}"
+            "{\"v\":2,\"ok\":false,\"error\":{\"code\":\"unknown-graph\",\"message\":\"no 'g'\"}}"
         );
-        let busy = error_response(2, None, &ProtoError::busy(250));
+        let busy = response(Some(Json::u64(7)), Err(ProtoError::busy(250)));
         assert_eq!(
             busy.render(),
-            "{\"v\":2,\"ok\":false,\"error\":{\"code\":\"busy\",\
+            "{\"v\":2,\"id\":7,\"ok\":false,\"error\":{\"code\":\"busy\",\
              \"message\":\"all workers busy; retry later\",\"retry_after_ms\":250}}"
         );
     }

@@ -1,16 +1,20 @@
 //! The serve loop: a fixed acceptor, a bounded worker pool, and one
 //! shared [`SgSession`] answering protocol requests.
 //!
-//! PR 5's daemon spawned one thread per connection; under a connection
-//! storm that meant unbounded threads. This layer is now front-line
-//! shaped: the acceptor hands connections to `workers` session threads
-//! through a bounded [`ConnQueue`]; when the queue is full new clients
-//! get a stable `busy` error (with `retry_after_ms`) on a half-closed
-//! socket instead of a thread. Per-connection *frame* deadlines (time
-//! from a request's first byte to its newline) kill slow-loris writers,
-//! a max-frame-size cap kills oversized requests, and write timeouts
-//! kill clients that stop draining responses — while a connection that
-//! is merely *idle* between requests is never disconnected.
+//! The acceptor hands connections to `workers` session threads through a
+//! bounded [`ConnQueue`]; when the queue is full new clients get a stable
+//! `busy` error (with `retry_after_ms`) on a half-closed socket instead
+//! of a thread. Per-connection *frame* deadlines (time from a request's
+//! first byte to its newline) kill slow-loris writers, a max-frame-size
+//! cap kills oversized requests, and write timeouts kill clients that
+//! stop draining responses — while a connection that is merely *idle*
+//! between requests is never disconnected.
+//!
+//! A request takes one straight path, each step of which exists once:
+//! [`parse_request`] → policy (trace id, auth) → `handle`, which returns
+//! the response *body* or a [`ProtoError`] → `observe` (metrics, span,
+//! slowlog, transcript — read from that outcome, never from rendered
+//! JSON) → `write_response`, which envelopes and writes the line.
 //!
 //! All workers share the session (catalog + registry + stage cache), so
 //! a graph loaded by one client serves every client, and chain prefixes
@@ -26,16 +30,16 @@ use crate::json::Json;
 use crate::net::{Listener, Stream, UNIX_PREFIX};
 use crate::pool::ConnQueue;
 use crate::proto::{
-    error_response, ok_response, parse_request, Envelope, ErrorCode, ProtoError, Request,
-    UploadPhase, PROTOCOL_VERSION,
+    self, bad_request, parse_request, Envelope, ErrorCode, ProtoError, Request, UploadPhase,
+    PROTOCOL_VERSION,
 };
 use crate::slowlog::{SlowLog, SlowRecord, DEFAULT_SLOWLOG_CAPACITY, DEFAULT_SLOW_MS};
 use crate::upload::UploadRegistry;
 use crate::{b64, quota::QuotaBook};
-use sg_algos::{cc, pagerank, tc};
+use sg_algos::cc;
 use sg_core::{
-    GraphCatalog, PipelineSpec, SchemeParams, SchemeRegistry, SessionRun, SgSession, StageCache,
-    StageOutcome, StageReport,
+    CompressionScheme, GraphCatalog, GraphHandle, PipelineSpec, SchemeParams, SchemeRegistry,
+    SessionRun, SgSession, StageCache, StageOutcome, StageReport,
 };
 use sg_graph::CsrGraph;
 use std::io::{Read, Write};
@@ -182,10 +186,9 @@ fn non_loopback(listen: &str) -> bool {
 /// Per-daemon observability: a dedicated [`sg_obs::Registry`] (so
 /// concurrent daemons in one process — the integration tests spawn
 /// several — don't blend request metrics) plus pre-resolved handles for
-/// every hot-path counter. Replaces the hand-rolled `PoolCounters` of
-/// PR 6; the `stats` response reads the same numbers from here, and the
-/// v2 `metrics` op exposes the whole registry (merged with the
-/// process-global one carrying session/cache/pool-shim metrics).
+/// every hot-path counter. The `stats` response reads its numbers from
+/// here, and the `metrics` op exposes the whole registry (merged with
+/// the process-global one carrying session/cache/pool-shim metrics).
 struct ServeMetrics {
     registry: sg_obs::Registry,
     requests: Arc<sg_obs::Counter>,
@@ -248,13 +251,9 @@ struct ServeState {
     slowlog: SlowLog,
     shutdown: AtomicBool,
     addr: String,
-    transcript: bool,
-    token: Option<String>,
-    read_timeout: Duration,
-    max_frame_bytes: usize,
-    retry_after_ms: u64,
-    workers: usize,
-    fed: Option<FedConfig>,
+    /// The daemon's configuration, with its floors applied (at least one
+    /// worker, a 1 ms frame deadline, a 1 KiB frame cap).
+    cfg: ServeConfig,
 }
 
 impl ServeState {
@@ -264,18 +263,19 @@ impl ServeState {
         let _ = Stream::connect(&self.addr);
     }
 
-    fn log_event(&self, op: &str, ok: bool, elapsed: Duration, detail: &str) {
-        if !self.transcript {
+    fn uptime_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
+    }
+
+    fn log_event(&self, op: &str, ok: bool, elapsed: Duration) {
+        if !self.cfg.transcript {
             return;
         }
-        let mut event = Json::obj()
+        let event = Json::obj()
             .with("event", Json::str("request"))
             .with("op", Json::str(op))
             .with("ok", Json::Bool(ok))
             .with("ms", Json::f64(elapsed.as_secs_f64() * 1e3));
-        if !detail.is_empty() {
-            event = event.with("detail", Json::str(detail));
-        }
         println!("{}", event.render());
     }
 }
@@ -333,13 +333,12 @@ impl Server {
                 slowlog: SlowLog::new(cfg.slow_ms, cfg.slowlog_capacity),
                 shutdown: AtomicBool::new(false),
                 addr,
-                transcript: cfg.transcript,
-                token: cfg.token.clone(),
-                read_timeout: Duration::from_millis(cfg.read_timeout_ms.max(1)),
-                max_frame_bytes: cfg.max_frame_bytes.max(1024),
-                retry_after_ms: cfg.retry_after_ms,
-                workers: cfg.workers.max(1),
-                fed: cfg.federation.clone(),
+                cfg: ServeConfig {
+                    workers: cfg.workers.max(1),
+                    read_timeout_ms: cfg.read_timeout_ms.max(1),
+                    max_frame_bytes: cfg.max_frame_bytes.max(1024),
+                    ..cfg.clone()
+                },
             }),
         })
     }
@@ -356,31 +355,24 @@ impl Server {
         let state = &self.state;
         let queue = &self.queue;
         std::thread::scope(|scope| {
-            for _ in 0..state.workers {
+            for _ in 0..state.cfg.workers {
                 scope.spawn(move || worker_loop(state, queue));
             }
             let result = loop {
-                let conn = match self.listener.accept() {
-                    Ok(conn) => conn,
-                    Err(e) => {
-                        if state.shutdown.load(Ordering::SeqCst) {
-                            break Ok(());
-                        }
-                        break Err(e);
-                    }
-                };
+                let accepted = self.listener.accept();
                 if state.shutdown.load(Ordering::SeqCst) {
                     break Ok(()); // the wake-up connection, or a late client
                 }
-                match queue.try_push(conn) {
-                    Ok(()) => {}
-                    Err(conn) => {
-                        state.metrics.busy_rejected.inc();
-                        // A rejection write can block on a hostile client;
-                        // a short scoped thread keeps the acceptor hot and
-                        // is itself bounded by the write timeout.
-                        scope.spawn(move || reject_busy(state, conn));
-                    }
+                let conn = match accepted {
+                    Ok(conn) => conn,
+                    Err(e) => break Err(e),
+                };
+                if let Err(conn) = queue.try_push(conn) {
+                    state.metrics.busy_rejected.inc();
+                    // A rejection write can block on a hostile client; a
+                    // short scoped thread keeps the acceptor hot and is
+                    // itself bounded by the write timeout.
+                    scope.spawn(move || reject_busy(state, conn));
                 }
             };
             // Unblock every worker; queued-but-unserved connections are
@@ -391,27 +383,12 @@ impl Server {
     }
 }
 
-/// Writes the `busy` rejection and half-closes, so the response line
-/// survives even if the peer was still writing its request.
-fn reject_busy(state: &ServeState, stream: Stream) {
-    let mut stream = stream;
+/// Turns an over-capacity connection away with `busy`. The short write
+/// timeout bounds what a hostile peer can cost the rejecting thread.
+fn reject_busy(state: &ServeState, mut stream: Stream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_read_timeout(Some(DRAIN_POLL));
-    let response = error_response(PROTOCOL_VERSION, None, &ProtoError::busy(state.retry_after_ms));
-    let _ = stream
-        .write_all(response.render().as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush());
-    let _ = stream.shutdown_write();
-    // Brief drain: absorb bytes the client already sent so the close does
-    // not RST the in-flight response out of its receive buffer.
-    let mut sink = [0u8; 4096];
-    for _ in 0..4 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
+    farewell(&mut stream, ProtoError::busy(state.cfg.retry_after_ms));
 }
 
 /// One session worker: serve queued connections until shutdown.
@@ -439,42 +416,51 @@ fn worker_loop(state: &ServeState, queue: &ConnQueue) {
 enum Frame {
     /// One complete request line (newline stripped).
     Line(String),
-    /// Clean end of stream (or peer vanished).
+    /// Nothing more to serve: clean end of stream, the peer vanished, or
+    /// the daemon is shutting down.
     Gone,
-    /// The daemon is shutting down.
-    Shutdown,
-    /// The frame deadline expired with a partial request buffered.
-    TimedOut,
-    /// The buffered frame exceeded the size cap.
-    TooLarge,
+    /// The connection is dropped for cause — the frame outgrew the size
+    /// cap, or its deadline expired with a partial request buffered.
+    Rejected(ProtoError),
 }
 
 /// Accumulates bytes until a newline. The *socket* timeout is
 /// [`DRAIN_POLL`] (shutdown-flag granularity); the *frame* deadline is
-/// `state.read_timeout`, measured from the first buffered byte of the
+/// `read_timeout_ms`, measured from the first buffered byte of the
 /// current frame — an idle connection with an empty buffer has no
 /// deadline, so slow-but-legal clients are never cut.
 fn next_frame(state: &ServeState, stream: &mut Stream, buf: &mut Vec<u8>) -> Frame {
+    let cap = state.cfg.max_frame_bytes;
+    let too_large = || {
+        state.metrics.frames_rejected.inc();
+        let message = format!("request frame exceeds {cap} bytes");
+        Frame::Rejected(ProtoError::new(ErrorCode::FrameTooLarge, message))
+    };
     let mut frame_started = (!buf.is_empty()).then(Instant::now);
     loop {
         if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            if pos > state.max_frame_bytes {
-                return Frame::TooLarge;
+            if pos > cap {
+                return too_large();
             }
             let line: Vec<u8> = buf.drain(..=pos).collect();
             let text = String::from_utf8_lossy(&line[..line.len() - 1]);
             return Frame::Line(text.trim_end_matches('\r').to_string());
         }
-        if buf.len() > state.max_frame_bytes {
-            return Frame::TooLarge;
+        if buf.len() > cap {
+            return too_large();
         }
         if state.shutdown.load(Ordering::SeqCst) {
-            return Frame::Shutdown;
+            return Frame::Gone;
         }
-        if let Some(started) = frame_started {
-            if started.elapsed() >= state.read_timeout {
-                return Frame::TimedOut;
-            }
+        let deadline = Duration::from_millis(state.cfg.read_timeout_ms);
+        if frame_started.is_some_and(|started| started.elapsed() >= deadline) {
+            state.metrics.timeouts.inc();
+            let message = format!(
+                "request frame incomplete after {} ms (deadline is measured from the frame's \
+                 first byte)",
+                state.cfg.read_timeout_ms
+            );
+            return Frame::Rejected(ProtoError::new(ErrorCode::Timeout, message));
         }
         let mut chunk = [0u8; 16 * 1024];
         match stream.read(&mut chunk) {
@@ -503,29 +489,8 @@ fn handle_connection(state: &ServeState, conn_id: u64, stream: Stream, queue_wai
     loop {
         let line = match next_frame(state, &mut reader, &mut buf) {
             Frame::Line(line) => line,
-            Frame::Gone | Frame::Shutdown => return,
-            Frame::TimedOut => {
-                state.metrics.timeouts.inc();
-                let err = ProtoError::new(
-                    ErrorCode::Timeout,
-                    format!(
-                        "request frame incomplete after {} ms (deadline is measured from the \
-                         frame's first byte)",
-                        state.read_timeout.as_millis()
-                    ),
-                );
-                farewell(&mut writer, &error_response(PROTOCOL_VERSION, None, &err));
-                return;
-            }
-            Frame::TooLarge => {
-                state.metrics.frames_rejected.inc();
-                let err = ProtoError::new(
-                    ErrorCode::FrameTooLarge,
-                    format!("request frame exceeds {} bytes", state.max_frame_bytes),
-                );
-                farewell(&mut writer, &error_response(PROTOCOL_VERSION, None, &err));
-                return;
-            }
+            Frame::Gone => return,
+            Frame::Rejected(err) => return farewell(&mut writer, err),
         };
         if line.trim().is_empty() {
             continue;
@@ -539,55 +504,12 @@ fn handle_connection(state: &ServeState, conn_id: u64, stream: Stream, queue_wai
         state.metrics.requests.inc();
         state.quotas.bump_requests(&ctx.peer);
         let started = Instant::now();
-        let mut req_span = sg_obs::span!("serve.request");
-        let (response, meta) = respond(state, &ctx, line.trim());
-        let elapsed = started.elapsed();
-        let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(false);
-        if !ok {
-            state.metrics.errors.inc();
-        }
-        state.metrics.observe_service(&meta.op, elapsed);
-        if req_span.is_recording() {
-            req_span.arg("op", meta.op.as_str());
-            req_span.arg("trace", meta.trace_id.as_str());
-            req_span.arg("ok", if ok { "true" } else { "false" });
-            if let Some(graph) = &meta.graph {
-                req_span.arg("graph", graph.as_str());
-            }
-            // Cache flags, when the op reports them: how much of the
-            // pipeline was served from the stage cache.
-            for key in ["stages_cached", "stages_executed"] {
-                if let Some(v) = response.get(key).and_then(Json::as_u64) {
-                    req_span.arg(key, v.to_string());
-                }
-            }
-        }
-        drop(req_span);
-        let service_ms = elapsed.as_secs_f64() * 1e3;
-        if state.slowlog.qualifies(service_ms) {
-            state.metrics.slow_requests.inc();
-            state.slowlog.record(SlowRecord {
-                seq: 0, // assigned at insert
-                op: meta.op.clone(),
-                trace_id: meta.trace_id.clone(),
-                peer: ctx.peer.clone(),
-                graph: meta.graph.clone(),
-                ok,
-                queue_wait_ms: queue_wait.as_secs_f64() * 1e3,
-                service_ms,
-                stages_executed: response.get("stages_executed").and_then(Json::as_u64),
-                stages_cached: response.get("stages_cached").and_then(Json::as_u64),
-                uptime_ms: state.started.elapsed().as_millis() as u64,
-            });
-        }
-        let (op, shutdown) = (meta.op, meta.shutdown);
-        state.log_event(&op, ok, elapsed, "");
-        let written = writer
-            .write_all(response.render().as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if shutdown {
-            state.shutdown.store(true, Ordering::SeqCst);
+        let span = sg_obs::span!("serve.request");
+        let served = serve(state, &ctx, line.trim());
+        observe(state, &ctx, &served, started.elapsed(), queue_wait, span);
+        let written = write_response(&mut writer, served.id, served.outcome.map(|r| r.body));
+        // Set by the `shutdown` handler (this connection's or another's).
+        if state.shutdown.load(Ordering::SeqCst) {
             state.wake_acceptor();
             return;
         }
@@ -597,16 +519,26 @@ fn handle_connection(state: &ServeState, conn_id: u64, stream: Stream, queue_wai
     }
 }
 
-/// Writes one final response and half-closes, for connections being
-/// dropped for cause. The half-close (FIN, not RST) plus a brief drain
-/// of whatever the client is still sending keeps the error line
-/// deliverable: closing with unread bytes pending would RST the
-/// response out of the peer's receive buffer.
-fn farewell(writer: &mut Stream, response: &Json) {
-    let _ = writer
-        .write_all(response.render().as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush());
+/// Envelopes `outcome` and writes it as one line: the one place a
+/// response is built and the one way it reaches the wire.
+fn write_response(
+    writer: &mut Stream,
+    id: Option<Json>,
+    outcome: Result<Json, ProtoError>,
+) -> std::io::Result<()> {
+    let mut line = proto::response(id, outcome).render();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
+/// Writes one final error and half-closes, for connections being dropped
+/// for cause. The half-close (FIN, not RST) plus a brief drain of
+/// whatever the client is still sending keeps the error line
+/// deliverable: closing with unread bytes pending would RST the response
+/// out of the peer's receive buffer.
+fn farewell(writer: &mut Stream, err: ProtoError) {
+    let _ = write_response(writer, None, Err(err));
     let _ = writer.shutdown_write();
     let mut sink = [0u8; 4096];
     for _ in 0..8 {
@@ -617,31 +549,25 @@ fn farewell(writer: &mut Stream, response: &Json) {
     }
 }
 
-/// What [`respond`] learned about a request besides its response: the
-/// op name (transcript + per-op histograms), the graph it targeted (the
-/// request span's `graph` arg), the trace id correlating its spans and
-/// slowlog record, and whether it was a shutdown.
-struct RespondMeta {
+/// What a handler hands back to the shell: the response body, and — for
+/// the ops that run a pipeline — how many of its stages `(executed, came
+/// from the cache)`, so the shell can observe that without re-reading
+/// the body.
+struct Reply {
+    body: Json,
+    stages: Option<(u64, u64)>,
+}
+
+/// One request line, served: who asked for what (the op for the
+/// transcript and per-op histograms, the graph it targeted, the trace id
+/// correlating its spans and slowlog record) and the outcome to envelope
+/// under the echoed `id`.
+struct Served {
     op: String,
     graph: Option<String>,
     trace_id: String,
-    shutdown: bool,
-}
-
-/// The graph a request targets, when it names one.
-fn request_graph(request: &Request) -> Option<&str> {
-    match request {
-        Request::Load { name, .. } | Request::Upload { name, .. } => Some(name),
-        Request::Compress { graph, .. }
-        | Request::Analyze { graph, .. }
-        | Request::ShardRun { graph, .. } => Some(graph),
-        Request::Stats { graph } | Request::Evict { graph, .. } => graph.as_deref(),
-        Request::Ping
-        | Request::Metrics
-        | Request::Slowlog
-        | Request::Federation
-        | Request::Shutdown => None,
-    }
+    id: Option<Json>,
+    outcome: Result<Reply, ProtoError>,
 }
 
 /// The request's trace id: the client-supplied envelope `"id"` (string
@@ -657,117 +583,169 @@ fn trace_id_for(state: &ServeState, id: Option<&Json>) -> String {
     }
 }
 
-/// Parses + authenticates + dispatches one request line.
-fn respond(state: &ServeState, ctx: &ConnCtx, line: &str) -> (Json, RespondMeta) {
-    let envelope = match parse_request(line) {
+/// The request path up to the outcome: parse, policy (trace id, auth),
+/// handle. A line that does not parse is op `invalid` and echoes no id.
+fn serve(state: &ServeState, ctx: &ConnCtx, line: &str) -> Served {
+    let Envelope { request, id, token, op, graph } = match parse_request(line) {
         Ok(envelope) => envelope,
         Err(err) => {
-            let meta = RespondMeta {
+            return Served {
                 op: "invalid".to_string(),
                 graph: None,
                 trace_id: trace_id_for(state, None),
-                shutdown: false,
-            };
-            return (error_response(PROTOCOL_VERSION, None, &err), meta);
+                id: None,
+                outcome: Err(err),
+            }
         }
     };
-    let Envelope { request, id, version, token } = envelope;
-    let mut meta = RespondMeta {
-        op: op_name(&request).to_string(),
-        graph: request_graph(&request).map(str::to_string),
-        trace_id: trace_id_for(state, id.as_ref()),
-        shutdown: false,
-    };
-    // From here to the end of dispatch, every span this worker thread
+    let trace_id = trace_id_for(state, id.as_ref());
+    // From here to the end of the handler, every span this worker thread
     // opens — session.run, session.stage, anything deeper — carries the
     // request's trace id.
-    let _trace_ctx = sg_obs::trace::set_trace_id(&meta.trace_id);
-    // Everything except the liveness probe requires the shared secret
-    // when one is configured.
-    if let Some(expected) = &state.token {
-        let presented_ok = token.as_deref().is_some_and(|t| token_eq(expected, t));
-        if !presented_ok && !matches!(request, Request::Ping) {
-            state.metrics.auth_failures.inc();
-            let err = ProtoError::new(
-                ErrorCode::AuthRequired,
-                "this daemon requires a token (send \"token\" in the request envelope)",
-            );
-            return (error_response(version, id.as_ref(), &err), meta);
+    let _trace_ctx = sg_obs::trace::set_trace_id(&trace_id);
+    let outcome =
+        authorize(state, &op, token.as_deref()).and_then(|()| handle(state, ctx, request));
+    Served { op, graph, trace_id, id, outcome }
+}
+
+/// Everything except the liveness probe requires the shared secret when
+/// one is configured.
+fn authorize(state: &ServeState, op: &str, token: Option<&str>) -> Result<(), ProtoError> {
+    let Some(expected) = &state.cfg.token else { return Ok(()) };
+    if op == "ping" || token.is_some_and(|presented| token_eq(expected, presented)) {
+        return Ok(());
+    }
+    state.metrics.auth_failures.inc();
+    Err(ProtoError::new(
+        ErrorCode::AuthRequired,
+        "this daemon requires a token (send \"token\" in the request envelope)",
+    ))
+}
+
+/// Everything the daemon records about a served request — error and
+/// service-time metrics, the request span's args, the slowlog, the
+/// transcript — read from the outcome itself.
+fn observe(
+    state: &ServeState,
+    ctx: &ConnCtx,
+    served: &Served,
+    elapsed: Duration,
+    queue_wait: Duration,
+    mut span: sg_obs::Span,
+) {
+    let ok = served.outcome.is_ok();
+    let stages = served.outcome.as_ref().ok().and_then(|reply| reply.stages);
+    if !ok {
+        state.metrics.errors.inc();
+    }
+    state.metrics.observe_service(&served.op, elapsed);
+    if span.is_recording() {
+        span.arg("op", served.op.as_str());
+        span.arg("trace", served.trace_id.as_str());
+        span.arg("ok", if ok { "true" } else { "false" });
+        if let Some(graph) = &served.graph {
+            span.arg("graph", graph.as_str());
+        }
+        // How much of the pipeline was served from the stage cache.
+        if let Some((executed, cached)) = stages {
+            span.arg("stages_cached", cached.to_string());
+            span.arg("stages_executed", executed.to_string());
         }
     }
-    meta.shutdown = matches!(request, Request::Shutdown);
-    let response = match dispatch(state, ctx, request, version, id.as_ref()) {
-        Ok(ok) => ok,
-        Err(err) => error_response(version, id.as_ref(), &err),
-    };
-    (response, meta)
-}
-
-fn op_name(request: &Request) -> &'static str {
-    match request {
-        Request::Ping => "ping",
-        Request::Load { .. } => "load",
-        Request::Upload { .. } => "upload",
-        Request::Compress { .. } => "compress",
-        Request::Analyze { .. } => "analyze",
-        Request::ShardRun { .. } => "shard_run",
-        Request::Federation => "federation",
-        Request::Stats { .. } => "stats",
-        Request::Metrics => "metrics",
-        Request::Slowlog => "slowlog",
-        Request::Evict { .. } => "evict",
-        Request::Shutdown => "shutdown",
+    drop(span);
+    let service_ms = elapsed.as_secs_f64() * 1e3;
+    if state.slowlog.qualifies(service_ms) {
+        state.metrics.slow_requests.inc();
+        state.slowlog.record(SlowRecord {
+            seq: 0, // assigned at insert
+            op: served.op.clone(),
+            trace_id: served.trace_id.clone(),
+            peer: ctx.peer.clone(),
+            graph: served.graph.clone(),
+            ok,
+            queue_wait_ms: queue_wait.as_secs_f64() * 1e3,
+            service_ms,
+            stages_executed: stages.map(|(executed, _)| executed),
+            stages_cached: stages.map(|(_, cached)| cached),
+            uptime_ms: state.uptime_ms(),
+        });
     }
+    state.log_event(&served.op, ok, elapsed);
 }
 
-/// Describes a freshly registered graph (shared by `load` and committed
-/// `upload` responses).
-fn registered_response(
-    version: u64,
-    id: Option<&Json>,
-    handle: &sg_core::GraphHandle,
-    loaded: bool,
-) -> Json {
-    ok_response(version, id)
+fn unknown_graph(name: &str) -> ProtoError {
+    ProtoError::new(ErrorCode::UnknownGraph, format!("no graph loaded as '{name}'"))
+}
+
+fn lookup(state: &ServeState, name: &str) -> Result<GraphHandle, ProtoError> {
+    state.session.catalog().get(name).ok_or_else(|| unknown_graph(name))
+}
+
+fn bad_spec(message: String) -> ProtoError {
+    ProtoError::new(ErrorCode::BadSpec, message)
+}
+
+/// The fields every description of a catalog graph starts with (`load`
+/// and committed `upload` responses, `stats` of one graph, the `stats`
+/// listing).
+fn describe(handle: &GraphHandle) -> Json {
+    Json::obj()
         .with("name", Json::str(handle.name()))
         .with("graph_id", Json::u64(handle.id().0))
         .with("source", Json::str(handle.source()))
         .with("vertices", Json::u64(handle.graph().num_vertices() as u64))
         .with("edges", Json::u64(handle.graph().num_edges() as u64))
-        .with("loaded", Json::Bool(loaded))
 }
 
-/// Registers `graph` in the catalog under the peer's catalog quota;
-/// rolls the registration back if the peer's budget is blown.
-fn insert_with_quota(
-    state: &ServeState,
-    peer: &str,
-    name: &str,
-    graph: CsrGraph,
-    source: &str,
-) -> Result<sg_core::GraphHandle, ProtoError> {
-    let bytes = sg_core::graph_approx_bytes(&graph) as u64;
-    let handle = state
-        .session
-        .catalog()
-        .insert(name, graph, source)
-        .map_err(|e| ProtoError::new(ErrorCode::BadRequest, e))?;
-    if let Err(err) = state.quotas.charge_catalog(peer, name, bytes) {
-        state.session.catalog().remove(name);
-        return Err(err);
-    }
-    Ok(handle)
+/// The stage-cache counters of `stats` and `metrics`.
+fn cache_block(state: &ServeState) -> Json {
+    let cache = state.session.cache().stats();
+    Json::obj()
+        .with("entries", Json::u64(cache.entries as u64))
+        .with("bytes", Json::u64(cache.bytes as u64))
+        .with("hits", Json::u64(cache.hits))
+        .with("misses", Json::u64(cache.misses))
+        .with("evictions", Json::u64(cache.evictions))
 }
 
-fn dispatch(
-    state: &ServeState,
-    ctx: &ConnCtx,
-    request: Request,
-    version: u64,
-    id: Option<&Json>,
-) -> Result<Json, ProtoError> {
-    match request {
-        Request::Ping => Ok(ok_response(version, id).with("pong", Json::Bool(true))),
+/// The build identity of `stats` and `metrics` (`stats` appends the
+/// front-line counters).
+fn server_block(state: &ServeState) -> Json {
+    Json::obj()
+        .with("build", Json::str(env!("CARGO_PKG_VERSION")))
+        .with("protocol_version", Json::u64(PROTOCOL_VERSION))
+        .with("workers", Json::u64(state.cfg.workers as u64))
+}
+
+/// Runs one request and returns its response body (the shell envelopes
+/// it). Only `compress` / `analyze` report stage counts beside the body.
+fn handle(state: &ServeState, ctx: &ConnCtx, request: Request) -> Result<Reply, ProtoError> {
+    let body = match request {
+        Request::Compress { graph, spec, seed, output, output_format } => {
+            let ran = run_or_federate(state, ctx, &graph, &spec, seed)?;
+            let mut body = run_body(&ran.run);
+            if let Some(path) = output {
+                sg_core::catalog::save_graph(&ran.run.graph, &path, output_format.as_deref())
+                    .map_err(|e| ProtoError::new(ErrorCode::Io, e))?;
+                body = body.with("output", Json::str(path));
+            }
+            return Ok(ran.reply(body));
+        }
+        Request::Analyze { graph, spec, seed } => {
+            let ran = run_or_federate(state, ctx, &graph, &spec, seed)?;
+            let original = ran.input.graph();
+            let report = sg_metrics::accuracy_report(original, original, &ran.run.graph);
+            let [cc0, cc1] = report.components.map(|n| Json::u64(n as u64));
+            let [tc0, tc1] = report.triangles.map(Json::u64);
+            let metrics = Json::obj()
+                .with("components", Json::Arr(vec![cc0, cc1]))
+                .with("triangles", Json::Arr(vec![tc0, tc1]))
+                .with("pagerank_kl", report.pagerank_kl.map_or(Json::Null, Json::f64))
+                .with("bfs_critical_kept", report.bfs_critical_kept.map_or(Json::Null, Json::f64));
+            let body = run_body(&ran.run).with("metrics", metrics);
+            return Ok(ran.reply(body));
+        }
+        Request::Ping => Json::obj().with("pong", Json::Bool(true)),
         Request::Load { name, path, format, no_verify } => {
             let fresh = state.session.catalog().get(&name).is_none();
             let (handle, loaded) = state
@@ -782,80 +760,18 @@ fn dispatch(
                     return Err(err);
                 }
             }
-            Ok(registered_response(version, id, &handle, loaded))
+            describe(&handle).with("loaded", Json::Bool(loaded))
         }
-        Request::Upload { name, phase } => dispatch_upload(state, ctx, &name, phase, version, id),
-        Request::Compress { graph, spec, seed, output, output_format } => {
-            let (run, federation) = run_or_federate(state, ctx, &graph, &spec, seed)?;
-            let mut response = run_response(ok_response(version, id), &run);
-            if let Some(path) = output {
-                sg_core::catalog::save_graph(&run.graph, &path, output_format.as_deref())
-                    .map_err(|e| ProtoError::new(ErrorCode::Io, e))?;
-                response = response.with("output", Json::str(path));
-            }
-            if let Some(block) = federation {
-                response = response.with("federation", block);
-            }
-            Ok(response)
-        }
-        Request::Analyze { graph, spec, seed } => {
-            let handle =
-                state.session.catalog().get(&graph).ok_or_else(|| unknown_graph(&graph))?;
-            let (run, federation) = run_or_federate(state, ctx, &graph, &spec, seed)?;
-            let original = handle.graph();
-            let compressed = run.graph.as_ref();
-            let mut metrics = Json::obj()
-                .with(
-                    "components",
-                    Json::Arr(vec![
-                        Json::u64(cc::connected_components(original).num_components as u64),
-                        Json::u64(cc::connected_components(compressed).num_components as u64),
-                    ]),
-                )
-                .with(
-                    "triangles",
-                    Json::Arr(vec![
-                        Json::u64(tc::count_triangles(original)),
-                        Json::u64(tc::count_triangles(compressed)),
-                    ]),
-                );
-            if compressed.num_vertices() == original.num_vertices() {
-                let pr0 = pagerank::pagerank_default(original).scores;
-                let pr1 = pagerank::pagerank_default(compressed).scores;
-                metrics =
-                    metrics.with("pagerank_kl", Json::f64(sg_metrics::kl_divergence(&pr0, &pr1)));
-                let root = (0..original.num_vertices() as u32)
-                    .max_by_key(|&v| original.degree(v))
-                    .unwrap_or(0);
-                metrics = metrics.with(
-                    "bfs_critical_kept",
-                    Json::f64(sg_metrics::critical_edge_preservation(original, compressed, root)),
-                );
-            } else {
-                metrics =
-                    metrics.with("pagerank_kl", Json::Null).with("bfs_critical_kept", Json::Null);
-            }
-            let mut response =
-                run_response(ok_response(version, id), &run).with("metrics", metrics);
-            if let Some(block) = federation {
-                response = response.with("federation", block);
-            }
-            Ok(response)
-        }
+        Request::Upload { name, phase } => handle_upload(state, ctx, &name, phase)?,
         Request::ShardRun { graph, spec, seed, shard, shards } => {
-            dispatch_shard_run(state, &graph, &spec, seed, shard, shards, version, id)
+            shard_run(state, &graph, &spec, seed, shard, shards)?
         }
-        Request::Federation => Ok(federation_status(state, version, id)),
+        Request::Federation => federation_status(state),
         Request::Stats { graph: Some(name) } => {
-            let handle = state.session.catalog().get(&name).ok_or_else(|| unknown_graph(&name))?;
+            let handle = lookup(state, &name)?;
             let g = handle.graph();
             let stats = sg_graph::properties::degree_stats(g);
-            Ok(ok_response(version, id)
-                .with("name", Json::str(handle.name()))
-                .with("graph_id", Json::u64(handle.id().0))
-                .with("source", Json::str(handle.source()))
-                .with("vertices", Json::u64(g.num_vertices() as u64))
-                .with("edges", Json::u64(g.num_edges() as u64))
+            describe(&handle)
                 .with("weighted", Json::Bool(g.is_weighted()))
                 .with("bytes", Json::u64(handle.approx_bytes() as u64))
                 .with(
@@ -865,30 +781,18 @@ fn dispatch(
                         .with("mean", Json::f64(stats.mean))
                         .with("max", Json::u64(stats.max as u64)),
                 )
-                .with("components", Json::u64(cc::connected_components(g).num_components as u64)))
+                .with("components", Json::u64(cc::connected_components(g).num_components as u64))
         }
         Request::Stats { graph: None } => {
-            let cache = state.session.cache().stats();
             let graphs: Vec<Json> = state
                 .session
                 .catalog()
                 .list()
-                .into_iter()
-                .map(|h| {
-                    Json::obj()
-                        .with("name", Json::str(h.name()))
-                        .with("graph_id", Json::u64(h.id().0))
-                        .with("source", Json::str(h.source()))
-                        .with("vertices", Json::u64(h.graph().num_vertices() as u64))
-                        .with("edges", Json::u64(h.graph().num_edges() as u64))
-                        .with("bytes", Json::u64(h.approx_bytes() as u64))
-                })
+                .iter()
+                .map(|h| describe(h).with("bytes", Json::u64(h.approx_bytes() as u64)))
                 .collect();
             let m = &state.metrics;
-            let server = Json::obj()
-                .with("build", Json::str(env!("CARGO_PKG_VERSION")))
-                .with("protocol_version", Json::u64(PROTOCOL_VERSION))
-                .with("workers", Json::u64(state.workers as u64))
+            let server = server_block(state)
                 .with("active", Json::u64(m.active.get().max(0) as u64))
                 .with("peak_active", Json::u64(m.peak_active.get().max(0) as u64))
                 .with("admitted", Json::u64(m.admitted.get()))
@@ -909,23 +813,15 @@ fn dispatch(
                         .with("orphaned", Json::Bool(u.orphaned))
                 })
                 .collect();
-            Ok(ok_response(version, id)
+            Json::obj()
                 .with("graphs", Json::Arr(graphs))
                 .with("catalog_bytes", Json::u64(state.session.catalog().total_bytes() as u64))
-                .with(
-                    "cache",
-                    Json::obj()
-                        .with("entries", Json::u64(cache.entries as u64))
-                        .with("bytes", Json::u64(cache.bytes as u64))
-                        .with("hits", Json::u64(cache.hits))
-                        .with("misses", Json::u64(cache.misses))
-                        .with("evictions", Json::u64(cache.evictions)),
-                )
+                .with("cache", cache_block(state))
                 .with("server", server)
                 .with("clients", Json::Arr(state.quotas.snapshot()))
                 .with("uploads", Json::Arr(uploads))
-                .with("requests", Json::u64(state.metrics.requests.get()))
-                .with("uptime_ms", Json::u64(state.started.elapsed().as_millis() as u64)))
+                .with("requests", Json::u64(m.requests.get()))
+                .with("uptime_ms", Json::u64(state.uptime_ms()))
         }
         Request::Metrics => {
             // One snapshot covering both registries: this daemon's own
@@ -935,73 +831,61 @@ fn dispatch(
             // daemons share the global half; the serve.* half is always
             // exclusively this daemon's.
             let snapshot = state.metrics.registry.snapshot().merged(sg_obs::global_snapshot());
-            let cache = state.session.cache().stats();
-            Ok(ok_response(version, id)
+            Json::obj()
                 .with("metrics", snapshot_json(&snapshot))
-                .with(
-                    "cache",
-                    Json::obj()
-                        .with("entries", Json::u64(cache.entries as u64))
-                        .with("bytes", Json::u64(cache.bytes as u64))
-                        .with("hits", Json::u64(cache.hits))
-                        .with("misses", Json::u64(cache.misses))
-                        .with("evictions", Json::u64(cache.evictions)),
-                )
-                .with(
-                    "server",
-                    Json::obj()
-                        .with("build", Json::str(env!("CARGO_PKG_VERSION")))
-                        .with("protocol_version", Json::u64(PROTOCOL_VERSION))
-                        .with("workers", Json::u64(state.workers as u64)),
-                )
-                .with("uptime_ms", Json::u64(state.started.elapsed().as_millis() as u64)))
+                .with("cache", cache_block(state))
+                .with("server", server_block(state))
+                .with("uptime_ms", Json::u64(state.uptime_ms()))
         }
         Request::Slowlog => {
             let (records, total) = state.slowlog.snapshot();
             let entries: Vec<Json> = records.iter().map(SlowRecord::to_json).collect();
-            Ok(ok_response(version, id)
+            Json::obj()
                 .with("slow_ms", Json::u64(state.slowlog.slow_ms()))
                 .with("capacity", Json::u64(state.slowlog.capacity() as u64))
                 .with("recorded", Json::u64(total))
                 .with("returned", Json::u64(entries.len() as u64))
-                .with("slowlog", Json::Arr(entries)))
+                .with("slowlog", Json::Arr(entries))
         }
         Request::Evict { graph, cache } => {
-            let mut response = ok_response(version, id);
+            let mut body = Json::obj();
             if let Some(name) = graph {
                 let (handle, purged) =
                     state.session.evict(&name).ok_or_else(|| unknown_graph(&name))?;
                 state.quotas.release_graph(&name);
-                response = response
+                body = body
                     .with("evicted", Json::str(handle.name()))
                     .with("cache_entries_dropped", Json::u64(purged as u64));
             }
             if cache {
                 let dropped = state.session.cache().clear();
                 state.quotas.reset_cache();
-                response = response.with("cache_cleared", Json::u64(dropped as u64));
+                body = body.with("cache_cleared", Json::u64(dropped as u64));
             }
-            Ok(response)
+            body
         }
-        Request::Shutdown => Ok(ok_response(version, id).with("shutting_down", Json::Bool(true))),
-    }
+        Request::Shutdown => {
+            // Every connection stops serving at its next frame; this one
+            // wakes the acceptor once its acknowledgement is written.
+            state.shutdown.store(true, Ordering::SeqCst);
+            Json::obj().with("shutting_down", Json::Bool(true))
+        }
+    };
+    Ok(Reply { body, stages: None })
 }
 
-fn dispatch_upload(
+fn handle_upload(
     state: &ServeState,
     ctx: &ConnCtx,
     name: &str,
     phase: UploadPhase,
-    version: u64,
-    id: Option<&Json>,
 ) -> Result<Json, ProtoError> {
     match phase {
         UploadPhase::Begin { total_bytes, digest, format } => {
             if state.session.catalog().get(name).is_some() {
-                return Err(ProtoError::new(
-                    ErrorCode::BadRequest,
-                    format!("graph '{name}' is already loaded (evict it to replace)"),
-                ));
+                return Err(bad_request(format!(
+                    "graph '{name}' is already loaded (evict it to replace)"
+                )));
             }
             // Early headroom check on the declared *file* size; the
             // binding check happens at commit against the loaded graph's
@@ -1015,18 +899,15 @@ fn dispatch_upload(
                 &digest,
                 format.as_deref(),
             )?;
-            Ok(ok_response(version, id)
+            Ok(Json::obj()
                 .with("name", Json::str(name))
                 .with("offset", Json::u64(offset))
                 .with("resumed", Json::Bool(offset > 0)))
         }
         UploadPhase::Chunk { offset, data } => {
-            let bytes = b64::decode(&data)
-                .map_err(|e| ProtoError::new(ErrorCode::BadRequest, format!("chunk data: {e}")))?;
+            let bytes = b64::decode(&data).map_err(|e| bad_request(format!("chunk data: {e}")))?;
             let received = state.uploads.chunk(ctx.conn_id, name, offset, &bytes)?;
-            Ok(ok_response(version, id)
-                .with("name", Json::str(name))
-                .with("received", Json::u64(received)))
+            Ok(Json::obj().with("name", Json::str(name)).with("received", Json::u64(received)))
         }
         UploadPhase::Commit => {
             let finished = state.uploads.commit(ctx.conn_id, name)?;
@@ -1034,49 +915,49 @@ fn dispatch_upload(
             // The declared format applies to the uploaded bytes; with
             // none given, infer from the catalog name's extension (the
             // spool path carries no meaningful one).
-            let format = match &finished.format {
-                Some(f) => Some(f.clone()),
-                None => match sg_core::GraphFormat::resolve(name, None) {
-                    Ok(sg_core::GraphFormat::Bin) => Some("bin".to_string()),
-                    Ok(sg_core::GraphFormat::Sgr) => Some("sgr".to_string()),
-                    _ => Some("text".to_string()),
-                },
-            };
-            let loaded = sg_core::catalog::load_graph(&spool, format.as_deref(), false);
+            let format = finished.format.as_deref().unwrap_or_else(|| {
+                match sg_core::GraphFormat::resolve(name, None) {
+                    Ok(sg_core::GraphFormat::Bin) => "bin",
+                    Ok(sg_core::GraphFormat::Sgr) => "sgr",
+                    _ => "text",
+                }
+            });
+            let loaded = sg_core::catalog::load_graph(&spool, Some(format), false);
             state.uploads.discard_spool(&finished);
+            let corrupted = |what: String| {
+                let message = format!("{what} — transfer corrupted, upload dropped");
+                ProtoError::new(ErrorCode::DigestMismatch, message)
+            };
             // The client proved the file loadable when it computed the
             // declared digest, so a spool that fails to load here means
             // the transfer corrupted it.
-            let graph = loaded.map_err(|e| {
-                ProtoError::new(
-                    ErrorCode::DigestMismatch,
-                    format!(
-                        "uploaded bytes do not load ({e}) — transfer corrupted, upload dropped"
-                    ),
-                )
-            })?;
+            let graph =
+                loaded.map_err(|e| corrupted(format!("uploaded bytes do not load ({e})")))?;
             let actual = format!("{:016x}", graph_digest(&graph));
             if actual != finished.digest {
-                return Err(ProtoError::new(
-                    ErrorCode::DigestMismatch,
-                    format!(
-                        "uploaded graph digests to {actual}, client declared {} — transfer \
-                         corrupted, upload dropped",
-                        finished.digest
-                    ),
-                ));
+                return Err(corrupted(format!(
+                    "uploaded graph digests to {actual}, client declared {}",
+                    finished.digest
+                )));
             }
+            // Register under the uploader's catalog quota; a blown budget
+            // rolls the registration back.
+            let bytes = sg_core::graph_approx_bytes(&graph) as u64;
             let source = format!("upload:{}", finished.peer);
-            let handle = insert_with_quota(state, &finished.peer, name, graph, &source)?;
-            Ok(registered_response(version, id, &handle, true)
+            let catalog = state.session.catalog();
+            let handle = catalog.insert(name, graph, &source).map_err(bad_request)?;
+            if let Err(err) = state.quotas.charge_catalog(&finished.peer, name, bytes) {
+                catalog.remove(name);
+                return Err(err);
+            }
+            Ok(describe(&handle)
+                .with("loaded", Json::Bool(true))
                 .with("checksum", Json::str(actual))
                 .with("uploaded_bytes", Json::u64(finished.total_bytes)))
         }
         UploadPhase::Abort => {
             state.uploads.abort(ctx.conn_id, name)?;
-            Ok(ok_response(version, id)
-                .with("name", Json::str(name))
-                .with("aborted", Json::Bool(true)))
+            Ok(Json::obj().with("name", Json::str(name)).with("aborted", Json::Bool(true)))
         }
     }
 }
@@ -1120,29 +1001,61 @@ pub fn snapshot_json(snapshot: &sg_obs::Snapshot) -> Json {
     Json::obj().with("counters", counters).with("gauges", gauges).with("histograms", histograms)
 }
 
-fn unknown_graph(name: &str) -> ProtoError {
-    ProtoError::new(ErrorCode::UnknownGraph, format!("no graph loaded as '{name}'"))
+/// A served compress/analyze request: the catalog graph it ran against,
+/// the run, and — on a coordinator — the response's `federation` block
+/// (`{"mode":"federated",…}` or `{"mode":"local","reason":…}`).
+struct Ran {
+    input: GraphHandle,
+    run: SessionRun,
+    federation: Option<Json>,
 }
 
-fn run_pipeline(
+impl Ran {
+    /// Closes `body` (the [`run_body`] plus the op's own fields) with the
+    /// `federation` block and sets the run's stage counts beside it.
+    fn reply(self, mut body: Json) -> Reply {
+        if let Some(block) = self.federation {
+            body = body.with("federation", block);
+        }
+        let stages = (self.run.stages_executed() as u64, self.run.stages_cached() as u64);
+        Reply { body, stages: Some(stages) }
+    }
+}
+
+/// Runs a compress/analyze request locally or — on a coordinator, when
+/// the plan is federable — across the worker fleet. The graph is looked
+/// up and the spec parsed once, here, for every path below.
+fn run_or_federate(
     state: &ServeState,
     ctx: &ConnCtx,
     graph: &str,
     spec: &str,
     seed: u64,
+) -> Result<Ran, ProtoError> {
+    let input = lookup(state, graph)?;
+    let spec = PipelineSpec::parse(spec).map_err(bad_spec)?;
+    let (run, federation) = match &state.cfg.federation {
+        None => (run_pipeline(state, ctx, &input, &spec, seed)?, None),
+        Some(cfg) => {
+            let (run, block) = federated_run(state, ctx, cfg, &input, &spec, seed)?;
+            (run, Some(block))
+        }
+    };
+    Ok(Ran { input, run, federation })
+}
+
+fn run_pipeline(
+    state: &ServeState,
+    ctx: &ConnCtx,
+    input: &GraphHandle,
+    spec: &PipelineSpec,
+    seed: u64,
 ) -> Result<SessionRun, ProtoError> {
-    let spec = PipelineSpec::parse(spec).map_err(|e| ProtoError::new(ErrorCode::BadSpec, e))?;
     // Cache quota: peers whose executed stages have already filled their
     // cache byte budget are refused further pipeline work until they (or
     // anyone) clear the cache with `evict cache:true`.
     state.quotas.check_cache(&ctx.peer)?;
-    let run = state.session.run_named(graph, &spec, seed).map_err(|e| {
-        if e.contains("no graph loaded") {
-            ProtoError::new(ErrorCode::UnknownGraph, e)
-        } else {
-            ProtoError::new(ErrorCode::BadSpec, e)
-        }
-    })?;
+    let run = state.session.run(input, spec, seed).map_err(bad_spec)?;
     // Charge what this run newly materialized: executed (non-cached)
     // stage outputs. Approximate by design — cache evictions are not
     // refunded — and documented as such in PROTOCOL.md.
@@ -1157,77 +1070,54 @@ fn run_pipeline(
     Ok(run)
 }
 
-/// How a coordinator decided to serve one compress/analyze request.
-enum FedOutcome {
-    /// Served by the worker fleet; carries the synthesized run and the
-    /// `federation` response block.
-    Run(Box<SessionRun>, Json),
-    /// Not federable; carries the reason for the `federation` block of
-    /// the coordinator-local run.
-    Local(String),
-}
-
-/// Runs a compress/analyze request locally or — on a coordinator, when
-/// the plan is federable — across the worker fleet. The second element
-/// is the response's `federation` block: `None` on a plain daemon,
-/// `{"mode":"federated",…}` or `{"mode":"local","reason":…}` on a
-/// coordinator.
-fn run_or_federate(
+/// Resolves `spec` against the registry and, when it is a single stage,
+/// instantiates that stage's scheme (`None` for a chain) — the unit both
+/// sides of a federation work in.
+fn sole_stage(
     state: &ServeState,
-    ctx: &ConnCtx,
-    graph: &str,
-    spec: &str,
-    seed: u64,
-) -> Result<(SessionRun, Option<Json>), ProtoError> {
-    let Some(cfg) = &state.fed else {
-        return Ok((run_pipeline(state, ctx, graph, spec, seed)?, None));
+    spec: &PipelineSpec,
+) -> Result<(PipelineSpec, Option<Box<dyn CompressionScheme>>), ProtoError> {
+    let registry = state.session.registry();
+    let resolved = spec.resolve(registry, &SchemeParams::new()).map_err(bad_spec)?;
+    let scheme = match resolved.stages.as_slice() {
+        [stage] => Some(registry.create(&stage.name, &stage.params).map_err(bad_spec)?),
+        _ => None,
     };
-    match federated_run(state, cfg, graph, spec, seed)? {
-        FedOutcome::Run(run, block) => Ok((*run, Some(block))),
-        FedOutcome::Local(reason) => {
-            state.metrics.registry.counter("fed.local_fallbacks").inc();
-            let run = run_pipeline(state, ctx, graph, spec, seed)?;
-            Ok((run, Some(fed::local_block(&reason))))
-        }
-    }
+    Ok((resolved, scheme))
 }
 
 /// The coordinator path: classify the spec, fan `shard_run` requests out
 /// to the workers, verify replica digests, and merge the shard outcomes
 /// into a [`SessionRun`] shaped exactly like a local one (so
-/// [`run_response`] emits the same contract fields, `checksum`
-/// included). Returns [`FedOutcome::Local`] for plans that need
-/// cross-shard state (multi-stage chains, Edge-Once disciplines, global
-/// rewrites) — those run on the coordinator itself.
+/// [`run_body`] emits the same contract fields, `checksum` included).
+/// Plans that need cross-shard state (multi-stage chains, Edge-Once
+/// disciplines, global rewrites) run on the coordinator itself. Returns
+/// the run with the response's `federation` block, which says which of
+/// the two happened (and, for a local run, why).
 fn federated_run(
     state: &ServeState,
+    ctx: &ConnCtx,
     cfg: &FedConfig,
-    graph: &str,
-    spec: &str,
+    handle: &GraphHandle,
+    spec: &PipelineSpec,
     seed: u64,
-) -> Result<FedOutcome, ProtoError> {
-    let parsed = PipelineSpec::parse(spec).map_err(|e| ProtoError::new(ErrorCode::BadSpec, e))?;
-    let resolved = parsed
-        .resolve(state.session.registry(), &SchemeParams::from_pairs(&[]))
-        .map_err(|e| ProtoError::new(ErrorCode::BadSpec, e))?;
-    if resolved.stages.len() != 1 {
-        return Ok(FedOutcome::Local(format!(
+) -> Result<(SessionRun, Json), ProtoError> {
+    let local = |reason: String| {
+        state.metrics.registry.counter("fed.local_fallbacks").inc();
+        Ok((run_pipeline(state, ctx, handle, spec, seed)?, fed::local_block(&reason)))
+    };
+    let (resolved, Some(scheme)) = sole_stage(state, spec)? else {
+        return local(format!(
             "only single-stage specs federate; this chain has {} stages",
-            resolved.stages.len()
-        )));
-    }
-    let handle = state.session.catalog().get(graph).ok_or_else(|| unknown_graph(graph))?;
-    let stage = &resolved.stages[0];
-    let scheme = state
-        .session
-        .registry()
-        .create(&stage.name, &stage.params)
-        .map_err(|e| ProtoError::new(ErrorCode::BadSpec, e))?;
-    if let Err(e) = sg_dist::federation_plan(handle.graph(), scheme.as_ref()) {
-        return Ok(FedOutcome::Local(e.to_string()));
+            spec.len()
+        ));
+    };
+    let input = handle.graph();
+    if let Err(e) = sg_dist::federation_plan(input, scheme.as_ref()) {
+        return local(e.to_string());
     }
     state.metrics.registry.counter("fed.requests").inc();
-    let input = handle.graph();
+    let graph = handle.name();
     let local_checksum = format!("{:016x}", graph_digest(input));
     let trace_id = sg_obs::trace::current_trace_id().map(|id| id.to_string()).unwrap_or_default();
     let started = Instant::now();
@@ -1268,49 +1158,37 @@ fn federated_run(
             graph: Some(merged),
         }],
     };
-    Ok(FedOutcome::Run(Box::new(run), block))
+    Ok((run, block))
 }
 
 /// The worker side of federation: compute one shard of a single-stage
 /// spec against the local replica and return the deletion/removal id
 /// list plus the replica's digest (the coordinator refuses to merge
 /// shards whose digests disagree with its own copy).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_shard_run(
+fn shard_run(
     state: &ServeState,
     graph: &str,
     spec: &str,
     seed: u64,
     shard: usize,
     shards: usize,
-    version: u64,
-    id: Option<&Json>,
 ) -> Result<Json, ProtoError> {
-    let handle = state.session.catalog().get(graph).ok_or_else(|| unknown_graph(graph))?;
-    let parsed = PipelineSpec::parse(spec).map_err(|e| ProtoError::new(ErrorCode::BadSpec, e))?;
-    let resolved = parsed
-        .resolve(state.session.registry(), &SchemeParams::from_pairs(&[]))
-        .map_err(|e| ProtoError::new(ErrorCode::BadSpec, e))?;
-    if resolved.stages.len() != 1 {
-        return Err(ProtoError::new(
-            ErrorCode::BadSpec,
-            format!("shard_run takes a single-stage spec, got {} stages", resolved.stages.len()),
-        ));
-    }
-    let stage = &resolved.stages[0];
-    let scheme = state
-        .session
-        .registry()
-        .create(&stage.name, &stage.params)
-        .map_err(|e| ProtoError::new(ErrorCode::BadSpec, e))?;
+    let handle = lookup(state, graph)?;
+    let spec = PipelineSpec::parse(spec).map_err(bad_spec)?;
+    let (_, Some(scheme)) = sole_stage(state, &spec)? else {
+        return Err(bad_spec(format!(
+            "shard_run takes a single-stage spec, got {} stages",
+            spec.len()
+        )));
+    };
     let g = handle.graph();
     let started = Instant::now();
     let outcome =
         sg_dist::shard_compress(g, scheme.as_ref(), shard, shards, seed).map_err(|e| match e {
             sg_dist::DistError::InvalidShard { .. } | sg_dist::DistError::InvalidRanks { .. } => {
-                ProtoError::new(ErrorCode::BadRequest, e.to_string())
+                bad_request(e.to_string())
             }
-            other => ProtoError::new(ErrorCode::BadSpec, other.to_string()),
+            other => bad_spec(other.to_string()),
         })?;
     let (kind, ids): (&str, Vec<Json>) = match outcome {
         sg_dist::ShardOutcome::Edges(edges) => {
@@ -1320,7 +1198,7 @@ fn dispatch_shard_run(
             ("vertices", vertices.into_iter().map(|v| Json::u64(u64::from(v))).collect())
         }
     };
-    Ok(ok_response(version, id)
+    Ok(Json::obj()
         .with("graph", Json::str(graph))
         .with("kind", Json::str(kind))
         .with("count", Json::u64(ids.len() as u64))
@@ -1333,37 +1211,36 @@ fn dispatch_shard_run(
 
 /// The `federation` status op: topology + live worker reachability on a
 /// coordinator, `{"mode":"standalone"}` elsewhere.
-fn federation_status(state: &ServeState, version: u64, id: Option<&Json>) -> Json {
-    let Some(cfg) = &state.fed else {
-        return ok_response(version, id)
-            .with("federation", Json::obj().with("mode", Json::str("standalone")));
+fn federation_status(state: &ServeState) -> Json {
+    let status = match &state.cfg.federation {
+        None => Json::obj().with("mode", Json::str("standalone")),
+        Some(cfg) => {
+            let probe_timeout = Duration::from_millis(cfg.timeout_ms.clamp(1, 2_000));
+            let workers: Vec<Json> = cfg
+                .workers
+                .iter()
+                .map(|addr| {
+                    Json::obj().with("addr", Json::str(addr.clone())).with(
+                        "reachable",
+                        Json::Bool(fed::probe_worker(addr, probe_timeout, cfg.token.as_deref())),
+                    )
+                })
+                .collect();
+            Json::obj()
+                .with("mode", Json::str("coordinator"))
+                .with("shards", Json::u64(cfg.workers.len() as u64))
+                .with("retries", Json::u64(cfg.retries as u64))
+                .with("timeout_ms", Json::u64(cfg.timeout_ms))
+                .with("workers", Json::Arr(workers))
+        }
     };
-    let probe_timeout = Duration::from_millis(cfg.timeout_ms.clamp(1, 2_000));
-    let workers: Vec<Json> = cfg
-        .workers
-        .iter()
-        .map(|addr| {
-            Json::obj().with("addr", Json::str(addr.clone())).with(
-                "reachable",
-                Json::Bool(fed::probe_worker(addr, probe_timeout, cfg.token.as_deref())),
-            )
-        })
-        .collect();
-    ok_response(version, id).with(
-        "federation",
-        Json::obj()
-            .with("mode", Json::str("coordinator"))
-            .with("shards", Json::u64(cfg.workers.len() as u64))
-            .with("retries", Json::u64(cfg.retries as u64))
-            .with("timeout_ms", Json::u64(cfg.timeout_ms))
-            .with("workers", Json::Arr(workers)),
-    )
+    Json::obj().with("federation", status)
 }
 
-/// Appends the shared compress/analyze result fields: output shape,
-/// compression ratio, content digest, per-stage reports with cache flags,
-/// and `BenchRecord`-style timings.
-fn run_response(envelope: Json, run: &SessionRun) -> Json {
+/// The shared compress/analyze result fields: output shape, compression
+/// ratio, content digest, per-stage reports with cache flags, and
+/// `BenchRecord`-style timings.
+fn run_body(run: &SessionRun) -> Json {
     let stages: Vec<Json> = run
         .stages
         .iter()
@@ -1377,7 +1254,7 @@ fn run_response(envelope: Json, run: &SessionRun) -> Json {
                 .with("cached", Json::Bool(s.cached))
         })
         .collect();
-    envelope
+    Json::obj()
         .with("vertices", Json::u64(run.graph.num_vertices() as u64))
         .with("edges", Json::u64(run.graph.num_edges() as u64))
         .with("original_vertices", Json::u64(run.original_vertices as u64))

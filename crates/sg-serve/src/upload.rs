@@ -11,7 +11,7 @@
 //! with the same `(total_bytes, digest)`, learn the current offset from
 //! the response, and resume where the wire cut out.
 
-use crate::proto::{ErrorCode, ProtoError};
+use crate::proto::{bad_request as bad, ErrorCode, ProtoError};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -71,10 +71,6 @@ pub struct UploadRegistry {
     dir: PathBuf,
     grace: Duration,
     slots: Mutex<BTreeMap<String, Slot>>,
-}
-
-fn bad(message: impl Into<String>) -> ProtoError {
-    ProtoError::new(ErrorCode::BadRequest, message)
 }
 
 impl UploadRegistry {

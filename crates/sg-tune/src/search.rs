@@ -138,14 +138,9 @@ impl TuneOutcome {
     /// Serializes the outcome as one JSON object (spec strings escaped).
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
+            let mut out = String::with_capacity(s.len());
+            sg_obs::trace::escape_into(&mut out, s);
+            out
         }
         fn num(x: f64) -> String {
             if x.is_finite() {

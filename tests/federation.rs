@@ -186,7 +186,9 @@ fn dead_worker_shards_migrate_to_the_next_in_the_ring() {
     let worker = spawn_worker();
     // Shard 0's first attempt lands on the dead address and must migrate
     // to the live worker; shard 1 starts on the live worker directly.
-    let coordinator = spawn_coordinator(vec![dead_addr(), worker.0.clone()], 1, 300);
+    // The per-attempt patience is the default 5 s: a refused connect must
+    // move the ring on at once, not after re-dialing for the whole window.
+    let coordinator = spawn_coordinator(vec![dead_addr(), worker.0.clone()], 1, 5_000);
     let mut client = Client::connect(&coordinator.0).expect("connect");
     ok(&client
         .request(
@@ -194,7 +196,13 @@ fn dead_worker_shards_migrate_to_the_next_in_the_ring() {
         )
         .expect("load"));
 
+    let asked = std::time::Instant::now();
     let response = client.request(&compress_request("g", "uniform:p=0.4", 11)).expect("compress");
+    let waited = asked.elapsed();
+    assert!(
+        waited < std::time::Duration::from_secs(2),
+        "a dead worker must cost a refused connect, not the 5 s timeout (took {waited:?})"
+    );
     let reference = cold("uniform:p=0.4", &g, 11);
     assert_eq!(
         ok(&response).get("checksum").and_then(Json::as_str),

@@ -322,31 +322,36 @@ fn slow_but_legal_client_is_not_disconnected() {
     daemon.join().expect("daemon thread").expect("clean exit");
 }
 
-/// Stable code for a request that is valid JSON but declares a protocol
-/// version outside the supported window — and v1 requests still served.
+/// One protocol version is served: an absent `v` means it, and a request
+/// declaring any other gets the stable `version` code — whose message
+/// names the version to speak — without losing the connection.
 #[test]
-fn version_window_is_enforced_but_v1_is_served() {
+fn only_the_current_protocol_version_is_served() {
     let (addr, daemon) = spawn(fault_config());
     let mut client = Client::connect(&addr).expect("connect");
+    let ping = |v: Option<u64>| {
+        let request = Json::obj().with("op", Json::str("ping"));
+        v.map_or(request.clone(), |v| request.with("v", Json::u64(v)))
+    };
+    let response = client.request(&ping(None)).expect("answered");
+    assert_eq!(ok(&response).get("v").and_then(Json::as_u64), Some(2), "absent v is served as 2");
+    for v in [1, 3, 99] {
+        let response = client.request(&ping(Some(v))).expect("answered");
+        assert_eq!(error_code(&response), "version", "v={v}: {}", response.render());
+        assert_eq!(response.get("v").and_then(Json::as_u64), Some(2), "replies are always v2");
+        let message = response
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("version 2 only"), "v={v}: {message}");
+    }
+    // The version is refused before the op is looked at, whatever the op.
     let response = client
-        .request(&Json::obj().with("v", Json::u64(99)).with("op", Json::str("ping")))
+        .request(&Json::obj().with("v", Json::u64(1)).with("op", Json::str("metrics")))
         .expect("answered");
     assert_eq!(error_code(&response), "version");
-    // A v1 client: response echoes v:1 and upload is invisible.
-    let response = client
-        .request(&Json::obj().with("v", Json::u64(1)).with("op", Json::str("ping")))
-        .expect("answered");
-    assert_eq!(ok(&response).get("v").and_then(Json::as_u64), Some(1), "v1 echoed");
-    let response = client
-        .request(
-            &Json::obj()
-                .with("v", Json::u64(1))
-                .with("op", Json::str("upload"))
-                .with("name", Json::str("g"))
-                .with("phase", Json::str("commit")),
-        )
-        .expect("answered");
-    assert_eq!(error_code(&response), "unknown-op", "upload needs v2");
+    ok(&client.request(&ping(Some(2))).expect("the connection survives"));
     ok(&client.request(&Client::request_for("shutdown")).expect("shutdown"));
     daemon.join().expect("daemon thread").expect("clean exit");
 }
