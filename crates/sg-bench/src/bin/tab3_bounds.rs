@@ -244,8 +244,8 @@ fn main() {
         let c0 = cc::connected_components(&g).num_components;
         let c1 = cc::connected_components(h).num_components;
         check(&mut checks, "Spanner k", "#CC", "= C", format!("{c0} -> {c1}"), c0 == c1);
-        let d0 = sssp::dijkstra(&g, sg_bench::densest_vertex(&g));
-        let d1 = sssp::dijkstra(h, sg_bench::densest_vertex(&g));
+        let d0 = sssp::dijkstra(&g, sg_metrics::max_degree_vertex(&g));
+        let d1 = sssp::dijkstra(h, sg_metrics::max_degree_vertex(&g));
         let bound = 2.0 * k * (g.num_vertices() as f64).ln();
         let stretch_ok = d0
             .iter()
@@ -386,7 +386,7 @@ fn main() {
 /// Weighted max degree of the sparsifier should be within 2x of the
 /// original degree at the original max-degree vertex.
 fn weighted_degree_ok(g: &CsrGraph, h: &CsrGraph) -> bool {
-    let v = sg_bench::densest_vertex(g);
+    let v = sg_metrics::max_degree_vertex(g);
     let orig = g.degree(v) as f64;
     let weighted: f64 = h.neighbor_edge_ids(v).iter().map(|&e| h.edge_weight(e) as f64).sum();
     weighted >= orig / 2.5 && weighted <= orig * 2.5

@@ -39,7 +39,7 @@ fn main() {
             let t_mst1 = median_time(3, || {
                 mst::minimum_spanning_forest(&r.graph);
             });
-            let root = sg_bench::densest_vertex(&g);
+            let root = sg_metrics::max_degree_vertex(&g);
             let t_sssp0 = median_time(3, || {
                 sssp::delta_stepping_auto(&g, root);
             });

@@ -22,13 +22,6 @@ pub fn scheme(
         .unwrap_or_else(|e| panic!("building scheme '{name}': {e}"))
 }
 
-/// Times a closure.
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
-
 /// Median wall time of `runs` executions (first run discarded as warmup
 /// when `runs > 1`, mirroring the paper's warmup policy).
 pub fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
@@ -54,7 +47,9 @@ pub const FIG5_ALGORITHMS: [&str; 4] = ["BFS", "CC", "PR", "TC"];
 pub fn run_algorithm(name: &str, g: &CsrGraph) -> Duration {
     match name {
         "BFS" => {
-            let root = densest_vertex(g);
+            // The highest-degree vertex: stable across compression, and
+            // the component it reaches is large.
+            let root = sg_metrics::max_degree_vertex(g);
             median_time(3, || {
                 bfs::bfs_parallel(g, root);
             })
@@ -74,10 +69,6 @@ pub fn run_algorithm(name: &str, g: &CsrGraph) -> Duration {
         other => panic!("unknown algorithm {other}"),
     }
 }
-
-/// Root choice for BFS runs: the highest-degree vertex (stable across
-/// compression, reached component is large).
-pub use sg_metrics::max_degree_vertex as densest_vertex;
 
 /// Figure 5's y-axis: relative difference between runtimes over the
 /// compressed and the original graph (positive = speedup).
@@ -167,7 +158,7 @@ impl BenchRecord {
 }
 
 /// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     sg_obs::trace::escape_into(&mut out, s);
     out
@@ -202,11 +193,6 @@ pub fn json_requested() -> bool {
 /// Formats a fraction as a fixed-width value.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// Formats a duration in milliseconds.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]

@@ -101,8 +101,8 @@ pub struct DistResult {
 
 impl DistResult {
     /// Largest relative deviation of any rank's `owned_edges` from the
-    /// mean, in percent — the load-imbalance figure of the dist_scale
-    /// bench.
+    /// mean, in percent — the load-imbalance figure `slimbench` reports
+    /// as `sg-dist.imbalance_pct`.
     pub fn edge_imbalance_pct(&self) -> f64 {
         if self.ranks.is_empty() {
             return 0.0;

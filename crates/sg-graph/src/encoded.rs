@@ -560,8 +560,8 @@ impl EncodedCsr {
     }
 
     /// Bytes of the adjacency sections alone (row index + degrees + blob,
-    /// both directions) — the quantity the raw-vs-encoded accounting in
-    /// `sg-bench` compares against raw offsets + targets + slot ids.
+    /// both directions) — the quantity `slimgraph stats` prints next to
+    /// the raw offsets + targets + slot ids it replaces.
     pub fn adjacency_bytes(&self) -> usize {
         self.out_adj.encoded_bytes() + self.in_adj.as_ref().map_or(0, |a| a.encoded_bytes())
     }

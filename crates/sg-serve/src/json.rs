@@ -117,11 +117,11 @@ impl Json {
     /// Parses one JSON document (trailing whitespace allowed, trailing
     /// garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing garbage at byte {}", p.pos));
         }
         Ok(value)
@@ -177,23 +177,21 @@ fn render_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; on a char boundary wherever a `&str` slice
+    /// is taken (every token delimiter is ASCII).
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -206,7 +204,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -307,10 +305,7 @@ impl Parser<'_> {
                 return Err(format!("invalid number at byte {start}"));
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII")
-            .to_string();
-        Ok(Json::Num(raw))
+        Ok(Json::Num(self.text[start..self.pos].to_string()))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -368,13 +363,16 @@ impl Parser<'_> {
                     return Err(format!("raw control byte in string at {}", self.pos))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty checked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the clean run up to the next quote, backslash or
+                    // control byte whole. All three are ASCII, so the run
+                    // ends on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest
+                        .bytes()
+                        .position(|b| matches!(b, b'"' | b'\\') || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -382,11 +380,11 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "invalid \\u escape".to_string())?;
+        // `None` when a multi-byte char straddles `end`.
+        let hex = self.text.get(self.pos..end).ok_or("invalid \\u escape")?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())?;
         self.pos = end;
         Ok(v)
@@ -474,6 +472,24 @@ mod tests {
         }
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
+    }
+
+    /// Parse time must be linear in string length: a frame is parsed
+    /// before `authorize`, and an `upload` chunk is one long base64 string.
+    #[test]
+    fn megabyte_strings_parse_in_linear_time() {
+        const LEN: usize = 1 << 20;
+        let plain = "é".repeat(LEN / 2);
+        let escaped = ("x".repeat(63) + "\n").repeat(LEN / 64);
+        for member in [plain, escaped] {
+            let doc = Json::obj().with("data", Json::str(&member)).render();
+            let start = std::time::Instant::now();
+            let v = Json::parse(&doc).expect("parses");
+            let took = start.elapsed();
+            assert!(took.as_millis() < 500, "1 MiB string member took {took:?} to parse");
+            assert_eq!(v.get("data").and_then(Json::as_str).map(str::len), Some(LEN));
+            assert_eq!(v.render(), doc, "render round-trips");
+        }
     }
 
     #[test]

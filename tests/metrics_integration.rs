@@ -8,7 +8,8 @@ use sg_core::CompressionScheme;
 use sg_graph::generators;
 use sg_metrics::{
     compare_degree_distributions, critical_edge_preservation, hellinger, jensen_shannon,
-    kl_divergence, reordered_neighbor_fraction, reordered_pair_fraction, total_variation,
+    kl_divergence, max_degree_vertex, reordered_neighbor_fraction, reordered_pair_fraction,
+    total_variation,
 };
 
 #[test]
@@ -157,7 +158,7 @@ fn spectral_beats_uniform_on_critical_edges_too() {
     let g = generators::barabasi_albert(1500, 5, 14);
     let spec = Spectral { p: 0.4, variant: UpsilonVariant::LogN, reweight: false }.apply(&g, 15);
     let unif = uniform_sample(&g, spec.edge_reduction(), 16);
-    let root = sg_bench::densest_vertex(&g);
+    let root = max_degree_vertex(&g);
     let p_spec = critical_edge_preservation(&g, &spec.graph, root);
     let p_unif = critical_edge_preservation(&g, &unif.graph, root);
     // Spectral protects low-degree vertices' edges, keeping BFS structure.
