@@ -326,7 +326,7 @@ fn main() {
     {
         let g = generators::watts_strogatz(1200, 5, 0.05, seed ^ 7);
         let eps = 0.1;
-        let s = summarize(&g, SummarizationConfig { epsilon: eps, max_iterations: 8, seed });
+        let s = summarize(&g, SummarizationConfig { epsilon: eps, seed, ..Default::default() });
         let err = s.reconstruction_error(&g) as f64;
         let bound = 2.0 * eps * g.num_edges() as f64;
         check(

@@ -2,10 +2,17 @@
 //!
 //! Expected shape (paper): sampling fastest; spectral negligibly slower
 //! (kernels read vertex degrees); spanners >20% slower than the edge
-//! kernels (LDD overhead); TR slower than spanners (O(m^{3/2}) vs O(m));
-//! summarization >200% slower than TR (iterations + complex design). The
+//! kernels (LDD overhead); TR slower than spanners (O(m^{3/2}) vs O(m)). The
 //! ordered TR variants (EO, CT) enumerate like plain TR and commit only the
 //! sampled triangles sequentially, so EO-TR stays within ~1.5x of plain TR.
+//!
+//! One departure from §7.4, which reports summarization >200% slower than
+//! TR ("iterations + complex design"): here it is not slower. The merge
+//! loop scores its minhash groups in parallel and settles most candidates
+//! by their sizes, and the encoding is one sort of the edges by supervertex
+//! pair instead of a hash map of per-pair sets — the iterations remain, the
+//! per-pair allocations do not. The table's last line prints the measured
+//! `summary / tr` ratio.
 //!
 //! Run: `cargo run --release -p sg-bench --bin timing_compression [-- --json]`
 
@@ -33,6 +40,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut base_ms: Option<f64> = None;
+    let mut medians: Vec<(String, f64)> = Vec::new();
     for scheme in schemes {
         // Median of 3 runs (first result discarded as warmup inside apply's
         // repetitions).
@@ -46,6 +54,7 @@ fn main() {
         times.sort_by(f64::total_cmp);
         let med = times[1];
         let base = *base_ms.get_or_insert(med);
+        medians.push((scheme.name().to_string(), med));
         let r = last.expect("ran at least once");
         records.push(BenchRecord {
             workload: "v-ewk-like".into(),
@@ -66,6 +75,11 @@ fn main() {
         return;
     }
     println!("{}", render_table(&["scheme", "median ms", "vs sampling", "m'/m"], &rows));
-    println!("(expected ordering: sampling <= spectral < spanner < TR < summarization;");
-    println!(" EO-TR within ~1.5x of plain TR)");
+    let median = |name: &str| medians.iter().find(|(n, _)| n == name).expect("scheme ran").1;
+    println!("(expected ordering: sampling <= spectral < spanner < TR; EO-TR within ~1.5x of");
+    println!(
+        " plain TR. summary / tr = {:.2}: the paper's \"summarization >200% slower than",
+        median("summary") / median("tr")
+    );
+    println!(" TR\" does not hold here — group-parallel merge, sorted encoding; see the header)");
 }

@@ -340,7 +340,7 @@ impl CompressionScheme for Summarization {
     }
 
     fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
-        let cfg = SummarizationConfig { epsilon: self.epsilon, max_iterations: 8, seed };
+        let cfg = SummarizationConfig { epsilon: self.epsilon, seed, ..Default::default() };
         summarize_to_graph(g, cfg).1
     }
 }

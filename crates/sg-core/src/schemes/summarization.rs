@@ -9,20 +9,53 @@
 //! lossy knob ϵ drops up to `ϵ·m` corrections from each set, bounding the
 //! symmetric difference of the reconstruction by `2ϵm` (Table 3's
 //! `m ± 2ϵm` row).
+//!
+//! Four phases over flat, sorted arrays:
+//!
+//! 1. **Group.** Each iteration hashes every alive supervertex's
+//!    neighbourhood in parallel and sorts the `(minhash, supervertex)`
+//!    pairs: runs of equal hash are the candidate groups, members ascending.
+//! 2. **Score and merge.** Inside a group the smallest id is the
+//!    representative and every later member is scored against the *running*
+//!    union of what it absorbed so far — sequential by definition. Across
+//!    groups nothing is shared: the groups partition the alive
+//!    supervertices, and a group reads and replaces only its own members'
+//!    state, held in vectors indexed by vertex id (a neighbourhood nobody
+//!    merged into is the borrowed CSR row). So all groups are scored in
+//!    parallel against the state the iteration began with and committed
+//!    afterwards; the outcome cannot depend on the order in which, or the
+//!    thread on which, a group was handled — the workspace's determinism
+//!    contract by construction rather than by an ordered reduction.
+//! 3. **Encode.** The edges are sorted once by `(supervertex pair, edge)`;
+//!    each run is one pair. A run covering more than half of its pair's
+//!    potential becomes a superedge whose missing pairs are found by binary
+//!    search in the run itself; any other run goes to `corrections_plus`.
+//!    The ϵ budget then drops corrections and whole superedge groups in a
+//!    seeded pseudo-random order.
+//! 4. **Reconstruct** ([`Summary::decompress`]), on sorted vectors. The
+//!    reconstruction is **unweighted** — input weights are dropped — and
+//!    keeps all `n` input vertices, merged or isolated.
 
 use crate::engine::CompressionResult;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rayon::prelude::*;
 use sg_graph::prng::mix64;
 use sg_graph::{CsrGraph, EdgeList, VertexId};
+use std::ops::Range;
 use std::time::Instant;
+
+type Edge = (VertexId, VertexId);
+
+/// Merge iterations of the registry's `summary` scheme and of
+/// [`SummarizationConfig::default`] (SWeG uses tens; clusters converge fast
+/// at our scales).
+pub const MAX_MERGE_ITERATIONS: usize = 8;
 
 /// Configuration for ϵ-summarization.
 #[derive(Clone, Copy, Debug)]
 pub struct SummarizationConfig {
     /// Error knob: up to `ϵ·m` corrections dropped from each correction set.
     pub epsilon: f64,
-    /// Maximum merge iterations (SWeG uses tens; clusters converge fast at
-    /// our scales).
+    /// Maximum merge iterations.
     pub max_iterations: usize,
     /// Seed for minhash grouping and correction dropping.
     pub seed: u64,
@@ -30,7 +63,7 @@ pub struct SummarizationConfig {
 
 impl Default for SummarizationConfig {
     fn default() -> Self {
-        Self { epsilon: 0.0, max_iterations: 10, seed: 0 }
+        Self { epsilon: 0.0, max_iterations: MAX_MERGE_ITERATIONS, seed: 0 }
     }
 }
 
@@ -45,9 +78,9 @@ pub struct Summary {
     /// near-clique.
     pub superedges: Vec<(u32, u32)>,
     /// Edges that exist but are not covered by any superedge.
-    pub corrections_plus: Vec<(VertexId, VertexId)>,
+    pub corrections_plus: Vec<Edge>,
     /// Non-edges covered by a superedge (to delete on decompression).
-    pub corrections_minus: Vec<(VertexId, VertexId)>,
+    pub corrections_minus: Vec<Edge>,
     /// Corrections irreversibly dropped by the ϵ knob.
     pub dropped_plus: usize,
     /// Dropped minus-corrections.
@@ -70,38 +103,28 @@ impl Summary {
         self.supervertices.len()
     }
 
-    /// Reconstructs the (approximate) graph the summary encodes. With
-    /// `ϵ = 0` this is exactly the input graph.
+    /// Reconstructs the (approximate) graph the summary encodes: every
+    /// superedge expanded, `corrections_minus` removed, `corrections_plus`
+    /// added. Unweighted, on all `n` input vertices; with `ϵ = 0` its edges
+    /// are exactly the input's.
     pub fn decompress(&self) -> CsrGraph {
-        let mut edges: FxHashSet<(VertexId, VertexId)> = FxHashSet::default();
-        for &(a, b) in &self.superedges {
-            let ma = &self.supervertices[a as usize];
-            let mb = &self.supervertices[b as usize];
-            if a == b {
-                for i in 0..ma.len() {
-                    for j in (i + 1)..ma.len() {
-                        edges.insert(ordered(ma[i], ma[j]));
-                    }
-                }
-            } else {
-                for &u in ma {
-                    for &v in mb {
-                        edges.insert(ordered(u, v));
-                    }
-                }
-            }
+        let mut edges: Vec<Edge> =
+            Vec::with_capacity(self.superedges.len() + self.corrections_plus.len());
+        for &pair in &self.superedges {
+            for_member_pairs(&self.supervertices, pair, |p| edges.push(p));
         }
-        for &(u, v) in &self.corrections_minus {
-            edges.remove(&ordered(u, v));
+        if !self.corrections_minus.is_empty() {
+            let mut minus: Vec<Edge> =
+                self.corrections_minus.iter().map(|&(u, v)| ordered(u, v)).collect();
+            minus.sort_unstable();
+            edges.retain(|e| minus.binary_search(e).is_err());
         }
-        for &(u, v) in &self.corrections_plus {
-            edges.insert(ordered(u, v));
-        }
-        let mut list: Vec<(VertexId, VertexId)> = edges.into_iter().collect();
-        list.sort_unstable();
+        edges.extend(self.corrections_plus.iter().map(|&(u, v)| ordered(u, v)));
+        // Sorted here, so the builder's own stable sort only confirms it.
+        edges.sort_unstable();
         CsrGraph::from_edge_list(EdgeList {
             num_vertices: self.original_vertices,
-            edges: list,
+            edges,
             weights: None,
         })
     }
@@ -110,9 +133,8 @@ impl Summary {
     /// (the accuracy the ϵ bound guards).
     pub fn reconstruction_error(&self, original: &CsrGraph) -> usize {
         let recon = self.decompress();
-        let a: FxHashSet<(VertexId, VertexId)> = original.edge_slice().iter().copied().collect();
-        let b: FxHashSet<(VertexId, VertexId)> = recon.edge_slice().iter().copied().collect();
-        a.symmetric_difference(&b).count()
+        let (a, b) = (original.edge_slice(), recon.edge_slice());
+        a.len() + b.len() - 2 * intersection_len(a, b, 0).expect("zero is always reached")
     }
 
     /// Edge count of the input graph.
@@ -121,191 +143,269 @@ impl Summary {
     }
 }
 
-#[inline]
-fn ordered(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
-    if u < v {
-        (u, v)
-    } else {
-        (v, u)
-    }
+fn ordered(u: u32, v: u32) -> (u32, u32) {
+    (u.min(v), u.max(v))
 }
 
-/// Jaccard similarity of two sorted vertex sets.
-fn jaccard_sorted(a: &[VertexId], b: &[VertexId]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
+/// A pair as one word: it sorts like the tuple at half the comparisons, and
+/// it is the element id the seeded drop orders hash.
+fn pack((a, b): (u32, u32)) -> u64 {
+    (a as u64) << 32 | b as u64
+}
+
+/// `|a ∩ b|` of two strictly ascending slices, or `None` as soon as it is
+/// certain to stay below `need`: an element one side steps over is one the
+/// intersection cannot contain.
+fn intersection_len<T: Ord>(a: &[T], b: &[T], need: usize) -> Option<usize> {
+    let (spare_a, spare_b) = (a.len().checked_sub(need)?, b.len().checked_sub(need)?);
+    let (mut i, mut j, mut inter) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
+        // Branch-free: which side advances is a coin flip to the predictor.
+        let (le, ge) = (a[i] <= b[j], a[i] >= b[j]);
+        i += usize::from(le);
+        j += usize::from(ge);
+        inter += usize::from(le && ge);
+        if i - inter > spare_a || j - inter > spare_b {
+            return None;
         }
     }
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
+    (inter >= need).then_some(inter)
 }
 
-fn merge_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let take_a = j >= b.len() || (i < a.len() && a[i] <= b[j]);
-        if take_a {
-            if j < b.len() && i < a.len() && a[i] == b[j] {
-                j += 1;
-            }
-            out.push(a[i]);
-            i += 1;
+/// Whether the Jaccard similarity of two ascending vertex sets is at least
+/// `threshold` (two empty sets are identical).
+fn jaccard_reaches(a: &[VertexId], b: &[VertexId], threshold: f64) -> bool {
+    let total = a.len() + b.len();
+    // `|a ∩ b| / (total − |a ∩ b|) ≥ threshold` takes an intersection of
+    // `threshold · total / (1 + threshold)`. One less absorbs the rounding;
+    // the walk gives up once even that is out of reach, which settles most
+    // candidates by their sizes alone.
+    let need = ((threshold * total as f64 / (1.0 + threshold)) as usize).saturating_sub(1);
+    total == 0
+        || intersection_len(a, b, need)
+            .is_some_and(|inter| inter as f64 / (total - inter) as f64 >= threshold)
+}
+
+/// Writes `a ∪ b` (both ascending) into `out`.
+fn union_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Calls `f` on every vertex pair the superedge `(a, b)` covers, as a
+/// canonical edge: all of `A × B`, or the `|A|·(|A|−1)/2` internal pairs
+/// when `a == b`.
+fn for_member_pairs(supervertices: &[Vec<VertexId>], (a, b): (u32, u32), mut f: impl FnMut(Edge)) {
+    let (ma, mb) = (&supervertices[a as usize], &supervertices[b as usize]);
+    for (i, &u) in ma.iter().enumerate() {
+        let partners = if a == b { &ma[i + 1..] } else { &mb[..] };
+        partners.iter().for_each(|&v| f(ordered(u, v)));
+    }
+}
+
+/// Supervertex state of the merge loop, in vectors indexed by vertex id.
+struct MergeState<'g> {
+    g: &'g CsrGraph,
+    /// `parent[s] == s` while `s` represents a supervertex; an absorbed
+    /// representative points at the (smaller) one that absorbed it.
+    parent: Vec<u32>,
+    /// The representatives, ascending.
+    alive: Vec<u32>,
+    /// Neighbourhood of a representative that absorbed others; empty for
+    /// one that never did, whose neighbourhood is still its CSR row.
+    merged: Vec<Vec<VertexId>>,
+}
+
+/// The merges one chunk of groups accepted: the new neighbourhood of every
+/// representative that absorbed something, and `(absorbed, into)` pairs.
+#[derive(Default)]
+struct Merges {
+    unions: Vec<(u32, Vec<VertexId>)>,
+    absorbed: Vec<(u32, u32)>,
+}
+
+impl<'g> MergeState<'g> {
+    fn new(g: &'g CsrGraph) -> Self {
+        let n = g.num_vertices();
+        let ids: Vec<u32> = (0..n as u32).collect();
+        Self { g, parent: ids.clone(), alive: ids, merged: vec![Vec::new(); n] }
+    }
+
+    fn neighbourhood(&self, s: u32) -> &[VertexId] {
+        let merged = &self.merged[s as usize];
+        if merged.is_empty() {
+            self.g.neighbors(s)
         } else {
-            out.push(b[j]);
-            j += 1;
+            merged
         }
     }
-    out
+
+    /// Phase 1: the sorted `(minhash, supervertex)` pairs of the alive
+    /// supervertices; a run of equal hash is a group, smallest id first.
+    fn minhash_pairs(&self, seed: u64, t: usize) -> Vec<(u64, u32)> {
+        let salt = seed ^ (t as u64) << 32;
+        let mut pairs: Vec<(u64, u32)> = self
+            .alive
+            .par_iter()
+            .map(|&s| {
+                let hashes = self.neighbourhood(s).iter().map(|&u| mix64(salt ^ u as u64));
+                (hashes.min().unwrap_or(mix64(seed ^ s as u64)), s)
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// Phase 2, against the frozen state: each group's later members scored
+    /// in order against the running union of its first; groups in parallel.
+    fn score(&self, groups: &[&[(u64, u32)]], threshold: f64) -> Vec<Merges> {
+        groups
+            .par_iter()
+            .fold(
+                || (Merges::default(), Vec::new()),
+                |(mut out, mut next), group| {
+                    let (rep, mut union) = (group[0].1, Vec::new());
+                    for &(_, s) in &group[1..] {
+                        let a = if union.is_empty() { self.neighbourhood(rep) } else { &union };
+                        let b = self.neighbourhood(s);
+                        if jaccard_reaches(a, b, threshold) {
+                            union_into(a, b, &mut next);
+                            std::mem::swap(&mut union, &mut next);
+                            out.absorbed.push((s, rep));
+                        }
+                    }
+                    if !union.is_empty() {
+                        out.unions.push((rep, union));
+                    }
+                    (out, next)
+                },
+            )
+            .map(|(out, _)| out)
+            .collect()
+    }
+
+    /// Commits scored merges; returns how many supervertices were absorbed.
+    fn commit(&mut self, chunks: Vec<Merges>) -> usize {
+        let mut merges = 0;
+        for chunk in chunks {
+            merges += chunk.absorbed.len();
+            for (rep, union) in chunk.unions {
+                self.merged[rep as usize] = union;
+            }
+            for (s, rep) in chunk.absorbed {
+                self.parent[s as usize] = rep;
+                self.merged[s as usize] = Vec::new();
+            }
+        }
+        let parent = &self.parent;
+        self.alive.retain(|&s| parent[s as usize] == s);
+        merges
+    }
+
+    /// One iteration of the merge loop at SWeG's threshold `θ(t) = 1/(1+t)`.
+    fn iterate(&mut self, seed: u64, t: usize) -> usize {
+        let pairs = self.minhash_pairs(seed, t);
+        let groups: Vec<&[(u64, u32)]> =
+            pairs.chunk_by(|x, y| x.0 == y.0).filter(|group| group.len() > 1).collect();
+        let merges = self.score(&groups, 1.0 / (1.0 + t as f64));
+        self.commit(merges)
+    }
+
+    /// Ends the merge loop: the dense supervertex id (rank of its
+    /// representative) of every vertex.
+    fn into_supervertex_of(self) -> Vec<u32> {
+        // An absorber is smaller than what it absorbs, so ascending order
+        // meets every parent already rewritten to its root's dense id.
+        let (mut sv, mut roots) = (self.parent, 0);
+        for v in 0..sv.len() {
+            let p = sv[v] as usize;
+            sv[v] = if p == v { roots } else { sv[p] };
+            roots += u32::from(p == v);
+        }
+        sv
+    }
+}
+
+/// A dense supervertex pair: a superedge unless the ϵ budget drops it.
+struct Code {
+    pair: (u32, u32),
+    /// Number of edges the pair actually contains.
+    present: usize,
+    /// Its missing pairs, as a range of the shared `minus` list.
+    minus: Range<usize>,
+}
+
+/// Phase 3 (the `derive_summary` kernel per cluster pair): a run of the
+/// `(supervertex pair, edge)` order holding more than half of the pairs its
+/// supervertices span becomes a [`Code`] with the pairs it lacks as `minus`
+/// corrections (`SG.superedge` returning `(se, inter)`), any other run's
+/// edges are `plus` corrections. Returns `(codes, minus, plus)`, each in
+/// pair order, then edge order.
+fn encode(
+    g: &CsrGraph,
+    supervertex_of: &[u32],
+    supervertices: &[Vec<VertexId>],
+) -> (Vec<Code>, Vec<Edge>, Vec<Edge>) {
+    let sv = |v: VertexId| supervertex_of[v as usize];
+    let mut keyed: Vec<(u64, Edge)> = g
+        .edge_slice()
+        .par_iter()
+        .map(|&(u, v)| (pack(ordered(sv(u), sv(v))), ordered(u, v)))
+        .collect();
+    keyed.sort_unstable();
+    let (mut codes, mut minus, mut plus) = (Vec::new(), Vec::new(), Vec::new());
+    for run in keyed.chunk_by(|x, y| x.0 == y.0) {
+        let (u, v) = run[0].1;
+        let pair @ (a, b) = ordered(sv(u), sv(v));
+        let (na, nb) = (supervertices[a as usize].len(), supervertices[b as usize].len());
+        let potential = if a == b { na * (na - 1) / 2 } else { na * nb };
+        if 2 * run.len() <= potential {
+            plus.extend(run.iter().map(|x| x.1));
+            continue;
+        }
+        let start = minus.len();
+        // A full run (every 1 × 1 pair is one) has nothing to look for.
+        if run.len() < potential {
+            for_member_pairs(supervertices, pair, |p| {
+                if run.binary_search_by_key(&p, |x| x.1).is_err() {
+                    minus.push(p);
+                }
+            });
+        }
+        codes.push(Code { pair, present: run.len(), minus: start..minus.len() });
+    }
+    (codes, minus, plus)
 }
 
 /// Builds a summary of `g` (the convergence loop of Listing 2: construct
 /// mapping, run kernels, repeat until converged).
 pub fn summarize(g: &CsrGraph, cfg: SummarizationConfig) -> Summary {
     assert!(cfg.epsilon >= 0.0, "epsilon must be non-negative");
-    let n = g.num_vertices();
     let m = g.num_edges();
 
-    // --- Merge phase -----------------------------------------------------
-    // Supervertex state: representative id per vertex + neighborhood sets.
-    let mut sv_of: Vec<u32> = (0..n as u32).collect();
-    let mut members: FxHashMap<u32, Vec<VertexId>> =
-        (0..n as u32).map(|v| (v, vec![v as VertexId])).collect();
-    let mut neigh: FxHashMap<u32, Vec<VertexId>> =
-        (0..n as u32).map(|v| (v, g.neighbors(v as VertexId).to_vec())).collect();
-
+    let mut state = MergeState::new(g);
     let mut iterations = 0;
     for t in 0..cfg.max_iterations {
         iterations = t + 1;
-        let threshold = 1.0 / (1.0 + t as f64); // SWeG schedule
-                                                // Group current supervertices by a minhash of their neighborhoods.
-        let mut groups: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut sv_ids: Vec<u32> = members.keys().copied().collect();
-        sv_ids.sort_unstable();
-        for &s in &sv_ids {
-            let h = neigh[&s]
-                .iter()
-                .map(|&u| mix64(cfg.seed ^ (t as u64) << 32 ^ u as u64))
-                .min()
-                .unwrap_or(mix64(cfg.seed ^ s as u64));
-            groups.entry(h).or_default().push(s);
-        }
-        let mut merges = 0usize;
-        let mut keys: Vec<u64> = groups.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let group = &groups[&key];
-            if group.len() < 2 {
-                continue;
-            }
-            let rep = group[0];
-            for &s in &group[1..] {
-                if !members.contains_key(&rep) || !members.contains_key(&s) {
-                    continue;
-                }
-                if jaccard_sorted(&neigh[&rep], &neigh[&s]) >= threshold {
-                    // Merge s into rep.
-                    let moved = members.remove(&s).expect("present");
-                    for &v in &moved {
-                        sv_of[v as usize] = rep;
-                    }
-                    members.get_mut(&rep).expect("present").extend(moved);
-                    let ns = neigh.remove(&s).expect("present");
-                    let merged = merge_sorted(&neigh[&rep], &ns);
-                    neigh.insert(rep, merged);
-                    merges += 1;
-                }
-            }
-        }
-        if merges == 0 {
+        if state.iterate(cfg.seed, t) == 0 {
             break;
         }
     }
-
-    // Densify supervertex ids.
-    let mut dense: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut reps: Vec<u32> = members.keys().copied().collect();
-    reps.sort_unstable();
-    for (i, &r) in reps.iter().enumerate() {
-        dense.insert(r, i as u32);
-    }
-    let supervertex_of: Vec<u32> = sv_of.iter().map(|r| dense[r]).collect();
-    let mut supervertices: Vec<Vec<VertexId>> = vec![Vec::new(); reps.len()];
+    let mut supervertices: Vec<Vec<VertexId>> = vec![Vec::new(); state.alive.len()];
+    let supervertex_of = state.into_supervertex_of();
     for (v, &s) in supervertex_of.iter().enumerate() {
         supervertices[s as usize].push(v as VertexId);
     }
 
-    // --- Encoding phase (the derive_summary kernel per cluster pair) ------
-    let mut pair_edges: FxHashMap<(u32, u32), Vec<(VertexId, VertexId)>> = FxHashMap::default();
-    for (_, u, v) in g.edge_iter() {
-        let (a, b) = {
-            let (sa, sb) = (supervertex_of[u as usize], supervertex_of[v as usize]);
-            if sa <= sb {
-                (sa, sb)
-            } else {
-                (sb, sa)
-            }
-        };
-        pair_edges.entry((a, b)).or_default().push(ordered(u, v));
-    }
-    // Per-pair encoding decision, kept grouped so the lossy phase can drop
-    // whole superedge groups.
-    struct PairCode {
-        pair: (u32, u32),
-        /// Edges the pair actually contains.
-        present: Vec<(VertexId, VertexId)>,
-        /// Missing pairs the superedge over-covers (None = sparse group).
-        minus: Option<Vec<(VertexId, VertexId)>>,
-    }
-    let mut codes: Vec<PairCode> = Vec::new();
-    let mut corrections_plus = Vec::new();
-    let mut pairs: Vec<(u32, u32)> = pair_edges.keys().copied().collect();
-    pairs.sort_unstable();
-    for (a, b) in pairs {
-        let present: &Vec<(VertexId, VertexId)> = &pair_edges[&(a, b)];
-        let (ma, mb) = (&supervertices[a as usize], &supervertices[b as usize]);
-        let potential = if a == b { ma.len() * (ma.len() - 1) / 2 } else { ma.len() * mb.len() };
-        if 2 * present.len() > potential {
-            // Dense: superedge + minus-corrections for the missing pairs
-            // (SG.superedge returning (se, inter)).
-            let have: FxHashSet<(VertexId, VertexId)> = present.iter().copied().collect();
-            let mut minus = Vec::with_capacity(potential - present.len());
-            if a == b {
-                for i in 0..ma.len() {
-                    for j in (i + 1)..ma.len() {
-                        let p = ordered(ma[i], ma[j]);
-                        if !have.contains(&p) {
-                            minus.push(p);
-                        }
-                    }
-                }
-            } else {
-                for &u in ma {
-                    for &v in mb {
-                        let p = ordered(u, v);
-                        if !have.contains(&p) {
-                            minus.push(p);
-                        }
-                    }
-                }
-            }
-            codes.push(PairCode { pair: (a, b), present: present.clone(), minus: Some(minus) });
-        } else {
-            // Sparse: keep the edges themselves (corrections_plus).
-            corrections_plus.extend_from_slice(present);
-        }
-    }
+    let (mut codes, minus, mut corrections_plus) = encode(g, &supervertex_of, &supervertices);
 
     // --- Lossy drop (the ϵ knob) ------------------------------------------
     // Two mechanisms, matching §4.5.4: (a) `summary_select` drops
@@ -318,23 +418,18 @@ pub fn summarize(g: &CsrGraph, cfg: SummarizationConfig) -> Summary {
     // remaining plus-budget allows (losing `present` edges per group).
     let mut superedge_budget = budget - dropped_plus;
     if superedge_budget > 0 {
-        codes.sort_by_key(|c| {
-            (c.present.len(), mix64(cfg.seed ^ 0xB ^ ((c.pair.0 as u64) << 32 | c.pair.1 as u64)))
-        });
+        codes.sort_by_cached_key(|c| (c.present, mix64(cfg.seed ^ 0xB ^ pack(c.pair))));
         codes.retain(|c| {
-            if superedge_budget >= c.present.len() && !c.present.is_empty() {
-                superedge_budget -= c.present.len();
-                false // drop the group: edges lost, corrections freed
-            } else {
-                true
-            }
+            let dropped = superedge_budget >= c.present; // edges lost, corrections freed
+            superedge_budget -= if dropped { c.present } else { 0 };
+            !dropped
         });
-        codes.sort_by_key(|c| c.pair);
+        codes.sort_unstable_by_key(|c| c.pair);
     }
-    let dropped_plus = dropped_plus + (budget - dropped_plus - superedge_budget);
+    let dropped_plus = budget - superedge_budget;
     let superedges: Vec<(u32, u32)> = codes.iter().map(|c| c.pair).collect();
-    let mut corrections_minus: Vec<(VertexId, VertexId)> =
-        codes.iter_mut().flat_map(|c| c.minus.take().unwrap_or_default()).collect();
+    let mut corrections_minus: Vec<Edge> =
+        codes.iter().flat_map(|c| &minus[c.minus.clone()]).copied().collect();
     corrections_minus.sort_unstable();
     let dropped_minus = drop_corrections(&mut corrections_minus, budget, cfg.seed ^ 0xA);
 
@@ -347,25 +442,27 @@ pub fn summarize(g: &CsrGraph, cfg: SummarizationConfig) -> Summary {
         dropped_plus,
         dropped_minus,
         iterations,
-        original_vertices: n,
+        original_vertices: g.num_vertices(),
         original_edges: m,
     }
 }
 
 /// Drops up to `budget` corrections pseudo-randomly (deterministic per
-/// seed); returns the number dropped.
-fn drop_corrections(
-    corrections: &mut Vec<(VertexId, VertexId)>,
-    budget: usize,
-    seed: u64,
-) -> usize {
+/// seed) and leaves the rest sorted; returns the number dropped.
+fn drop_corrections(corrections: &mut Vec<Edge>, budget: usize, seed: u64) -> usize {
     if budget == 0 || corrections.is_empty() {
         return 0;
     }
     let drop = budget.min(corrections.len());
-    // Deterministic random order, then truncate the victims.
-    corrections.sort_unstable_by_key(|&(u, v)| mix64(seed ^ ((u as u64) << 32 | v as u64)));
-    corrections.drain(0..drop);
+    // The victims are the `drop` smallest in a seeded random order; each
+    // key is hashed once and nothing but the cut needs that order.
+    let mut keyed: Vec<(u64, Edge)> =
+        corrections.iter().map(|&e| (mix64(seed ^ pack(e)), e)).collect();
+    if drop < keyed.len() {
+        keyed.select_nth_unstable(drop);
+    }
+    corrections.clear();
+    corrections.extend(keyed[drop..].iter().map(|x| x.1));
     corrections.sort_unstable();
     drop
 }
@@ -376,20 +473,14 @@ pub fn summarize_to_graph(g: &CsrGraph, cfg: SummarizationConfig) -> (Summary, C
     let start = Instant::now();
     let summary = summarize(g, cfg);
     let graph = summary.decompress();
-    let result = CompressionResult {
-        graph,
-        original_edges: g.num_edges(),
-        original_vertices: g.num_vertices(),
-        elapsed: start.elapsed(),
-        vertex_mapping: None,
-    };
-    (summary, result)
+    (summary, CompressionResult::of(g, graph, None, start))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sg_graph::generators;
+    use sg_graph::CsrGraph;
 
     fn cfg(eps: f64, seed: u64) -> SummarizationConfig {
         SummarizationConfig { epsilon: eps, max_iterations: 8, seed }
@@ -480,5 +571,151 @@ mod tests {
         assert_eq!(a.decompress().edge_slice(), b.decompress().edge_slice());
     }
 
-    use sg_graph::CsrGraph;
+    /// Four planted 12-vertex blocks — near-cliques and near-bicliques with
+    /// ~15 % of their edges missing — plus noise edges and isolated
+    /// vertices: small, yet merges, `minus` corrections and internal
+    /// superedges all occur.
+    fn blocks(seed: u64) -> CsrGraph {
+        let mut edges = Vec::new();
+        for base in [0u32, 12, 24, 36] {
+            let split = base + 2 + (mix64(seed ^ base as u64) % 5) as u32;
+            for u in base..base + 12 {
+                for v in u + 1..base + 12 {
+                    let spanned = base % 24 == 0 || (u < split) != (v < split);
+                    if spanned && sg_graph::prng::unit_f64(seed, pack((u, v))) >= 0.15 {
+                        edges.push((u, v));
+                    }
+                }
+            }
+        }
+        let noise = |i: u64| (mix64(seed ^ i) % 60) as u32;
+        edges.extend((0..20).map(|i| (noise(2 * i), noise(2 * i + 1))));
+        CsrGraph::from_pairs(60, &edges)
+    }
+
+    /// What the merge loop has decided so far: parents, representatives and
+    /// each representative's neighbourhood.
+    fn snapshot(state: &MergeState) -> (Vec<u32>, Vec<u32>, Vec<Vec<VertexId>>) {
+        let rows = state.alive.iter().map(|&s| state.neighbourhood(s).to_vec()).collect();
+        (state.parent.clone(), state.alive.clone(), rows)
+    }
+
+    #[test]
+    fn group_order_and_thread_count_do_not_change_the_merge() {
+        // The only test in this binary that turns the process-global knob.
+        let mut merging = 0;
+        for seed in 0..40 {
+            let g = blocks(seed);
+            let (mut forward, mut backward) = (MergeState::new(&g), MergeState::new(&g));
+            for t in 0..MAX_MERGE_ITERATIONS {
+                rayon::set_num_threads(1);
+                let merged = forward.iterate(seed, t);
+                rayon::set_num_threads(8);
+                let pairs = backward.minhash_pairs(seed, t);
+                let mut groups: Vec<_> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
+                groups.retain(|group| group.len() > 1);
+                groups.reverse();
+                let merges = backward.score(&groups, 1.0 / (1.0 + t as f64));
+                backward.commit(merges);
+                rayon::set_num_threads(0);
+                assert_eq!(snapshot(&forward), snapshot(&backward), "seed {seed}, iteration {t}");
+                if merged == 0 {
+                    break;
+                }
+            }
+            merging += usize::from(forward.alive.len() < 60);
+            assert_eq!(forward.into_supervertex_of(), summarize(&g, cfg(0.0, seed)).supervertex_of);
+        }
+        assert!(merging >= 20, "only {merging} of 40 graphs merged anything");
+    }
+
+    #[test]
+    fn dense_pairs_list_exactly_the_missing_pairs() {
+        // (vertices, supervertex of each, edges removed from the K_{3,4} /
+        // K_5 the supervertices span): one superedge, `minus` = the removed.
+        let cases: [(&[u32], &[Edge]); 2] =
+            [(&[0, 0, 0, 1, 1, 1, 1], &[(0, 4), (2, 6)]), (&[0, 0, 0, 0, 0], &[(1, 3)])];
+        for (supervertex_of, removed) in cases {
+            let n = supervertex_of.len() as u32;
+            let internal = supervertex_of.iter().all(|&s| s == 0);
+            let spanned = |u: u32, v: u32| {
+                internal || supervertex_of[u as usize] != supervertex_of[v as usize]
+            };
+            let all = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|&(u, v)| spanned(u, v));
+            let edges: Vec<Edge> = all.clone().filter(|e| !removed.contains(e)).collect();
+            let g = CsrGraph::from_pairs(n as usize, &edges);
+            let mut supervertices = vec![Vec::new(); if internal { 1 } else { 2 }];
+            (0..n).for_each(|v| supervertices[supervertex_of[v as usize] as usize].push(v));
+            let (codes, minus, plus) = encode(&g, supervertex_of, &supervertices);
+            let brute_force: Vec<Edge> = all.filter(|&(u, v)| !g.has_edge(u, v)).collect();
+            assert_eq!((codes.len(), plus.len()), (1, 0));
+            assert_eq!(codes[0].pair, (0, if internal { 0 } else { 1 }));
+            assert_eq!((codes[0].present, codes[0].minus.clone()), (edges.len(), 0..removed.len()));
+            assert_eq!(minus, brute_force);
+            assert_eq!(minus, removed);
+        }
+    }
+
+    /// Set-semantics reconstruction: expand superedges, remove `minus`, add
+    /// `plus`.
+    fn oracle(s: &Summary) -> std::collections::BTreeSet<Edge> {
+        let mut edges = std::collections::BTreeSet::new();
+        for &(a, b) in &s.superedges {
+            for &u in &s.supervertices[a as usize] {
+                for &v in &s.supervertices[b as usize] {
+                    if u != v {
+                        edges.insert(ordered(u, v));
+                    }
+                }
+            }
+        }
+        s.corrections_minus
+            .iter()
+            .for_each(|e| assert!(edges.remove(e), "minus {e:?} not covered"));
+        edges.extend(&s.corrections_plus);
+        edges
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn grouping_partitions_the_alive_supervertices(seed in 0u64..10_000) {
+            let g = blocks(seed);
+            let mut state = MergeState::new(&g);
+            for t in 0..4 {
+                let pairs = state.minhash_pairs(seed, t);
+                // Strictly ascending pairs: hashes ascend across groups, ids within.
+                assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+                let mut members: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+                members.sort_unstable();
+                assert_eq!(&members, &state.alive);
+                state.iterate(seed, t);
+                let roots: Vec<u32> = (0..60).filter(|&v| state.parent[v as usize] == v).collect();
+                assert_eq!(&roots, &state.alive);
+            }
+        }
+
+        #[test]
+        fn decompress_is_the_set_semantics_of_the_summary(seed in 0u64..10_000, eps in 0.0f64..0.6) {
+            let g = blocks(seed);
+            let s = summarize(&g, cfg(eps, seed));
+            let expected = oracle(&s);
+            let recon = s.decompress();
+            assert!(recon.edge_slice().iter().eq(&expected));
+            assert_eq!((recon.num_vertices(), recon.is_weighted()), (60, false));
+            let original: std::collections::BTreeSet<Edge> = g.edge_slice().iter().copied().collect();
+            assert_eq!(s.reconstruction_error(&g), expected.symmetric_difference(&original).count());
+        }
+
+        #[test]
+        fn epsilon_zero_round_trips_exactly(seed in 0u64..10_000, iterations in 1usize..10) {
+            let g = blocks(seed);
+            let s = summarize(&g, SummarizationConfig { epsilon: 0.0, max_iterations: iterations, seed });
+            assert_eq!(s.decompress().edge_slice(), g.edge_slice());
+            assert_eq!((s.dropped_plus, s.dropped_minus, s.reconstruction_error(&g)), (0, 0, 0));
+        }
+    }
 }

@@ -129,6 +129,149 @@ fn collapse_and_ct_match_the_outputs_of_the_sorted_listing() {
     }
 }
 
+/// A few near-bicliques and near-cliques — each with ~10 % of its edges
+/// removed — over sparse noise: the input on which ϵ-summarization merges
+/// vertices, emits dense superedges with `minus` corrections and encodes a
+/// near-clique as an internal `a == b` superedge.
+fn planted_dense_blocks() -> CsrGraph {
+    use slimgraph::graph::prng::unit_f64;
+    let kept = |u: u32, v: u32| unit_f64(77, u64::from(u) << 32 | u64::from(v)) >= 0.1;
+    let mut edges: Vec<(u32, u32)> = generators::erdos_renyi(400, 300, 9).edge_slice().to_vec();
+    let mut next = 0u32;
+    for (a, b) in [(6, 9), (12, 5), (8, 8)] {
+        for u in next..next + a {
+            edges.extend((next + a..next + a + b).filter(|&v| kept(u, v)).map(|v| (u, v)));
+        }
+        next += a + b;
+    }
+    for c in [7, 10, 14] {
+        for u in next..next + c {
+            edges.extend((u + 1..next + c).filter(|&v| kept(u, v)).map(|v| (u, v)));
+        }
+        next += c;
+    }
+    CsrGraph::from_pairs(400, &edges)
+}
+
+/// FNV-1a over a word stream (the constants of `graph_digest`).
+fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The whole `Summary` of ϵ-summarization — every count, the supervertex
+/// assignment, the three pair lists *in their stored order*, and the
+/// reconstruction — pinned to the values the hash-map implementation of
+/// commit 610e50a printed, on inputs that reach every branch of the scheme:
+/// merges over several iterations (R-MAT), dense superedges with `minus`
+/// corrections and an internal `a == b` superedge (planted blocks), whole
+/// superedge groups dropped by the ϵ budget (Watts–Strogatz at ϵ = 0.3).
+/// The registry row above cannot do this: on its graph not one merge happens.
+#[test]
+fn summary_matches_the_hash_map_implementation_field_for_field() {
+    use slimgraph::core::schemes::{summarize, SummarizationConfig};
+    // iterations, supervertices, superedges, plus, minus, dropped plus / minus;
+    // FNV of `supervertex_of`, of the three pair lists, digest of `decompress()`.
+    type Pin = ([usize; 7], [u64; 3]);
+    let rmat = generators::rmat_graph500(12, 10, 5);
+    let blocks = planted_dense_blocks();
+    let ws = generators::watts_strogatz(500, 5, 0.05, 4);
+    let cases: [(&str, &CsrGraph, f64, u64, Pin); 6] = [
+        (
+            "rmat e=0.1",
+            &rmat,
+            0.1,
+            5,
+            (
+                [8, 3095, 11401, 15008, 0, 3253, 1052],
+                [0xfc28_a8fd_c9f9_6120, 0x40e5_32d5_247d_3d6e, 0x032e_bb00_85e0_4d57],
+            ),
+        ),
+        (
+            "rmat e=0",
+            &rmat,
+            0.0,
+            5,
+            (
+                [8, 3095, 11401, 18261, 1052, 0, 0],
+                [0xfc28_a8fd_c9f9_6120, 0x8b11_3c77_ad39_3ee0, 0x37d4_7d17_9522_da40],
+            ),
+        ),
+        (
+            "blocks e=0",
+            &blocks,
+            0.0,
+            3,
+            (
+                [8, 208, 50, 202, 57, 0, 0],
+                [0x90bd_af3e_cc15_e2f8, 0x0bbb_89f8_0937_a228, 0x8644_9723_5eb5_3c51],
+            ),
+        ),
+        (
+            "blocks e=0.05",
+            &blocks,
+            0.05,
+            3,
+            (
+                [8, 208, 50, 172, 27, 30, 30],
+                [0x90bd_af3e_cc15_e2f8, 0xb671_daa2_45b7_34d2, 0x5091_b3b5_78d6_a80f],
+            ),
+        ),
+        (
+            "blocks e=0.5",
+            &blocks,
+            0.5,
+            3,
+            (
+                [8, 208, 7, 0, 0, 300, 29],
+                [0x90bd_af3e_cc15_e2f8, 0x8f28_5647_dd4d_db28, 0x24cf_c964_5a15_2977],
+            ),
+        ),
+        (
+            "ws e=0.3",
+            &ws,
+            0.3,
+            5,
+            (
+                [1, 500, 1748, 0, 0, 749, 0],
+                [0x8e07_d716_feaf_3681, 0x54e6_5c7e_b2be_04e9, 0xeed2_bf5f_199b_d945],
+            ),
+        ),
+    ];
+    for (label, g, epsilon, seed, pinned) in cases {
+        let got: Pin = assert_thread_invariant(label, || {
+            let s = summarize(g, SummarizationConfig { epsilon, max_iterations: 8, seed });
+            if std::ptr::eq(g, &blocks) && epsilon < 0.1 {
+                assert!(!s.corrections_minus.is_empty(), "{label}: no minus correction");
+                assert!(
+                    s.superedges.iter().any(|&(a, b)| a == b),
+                    "{label}: no internal superedge"
+                );
+            }
+            assert_eq!(s.supervertices.concat().len(), g.num_vertices());
+            let pairs = [&s.superedges, &s.corrections_plus, &s.corrections_minus];
+            (
+                [
+                    s.iterations,
+                    s.num_supervertices(),
+                    s.superedges.len(),
+                    s.corrections_plus.len(),
+                    s.corrections_minus.len(),
+                    s.dropped_plus,
+                    s.dropped_minus,
+                ],
+                [
+                    fnv(s.supervertex_of.iter().map(|&x| u64::from(x))),
+                    fnv(pairs.iter().flat_map(|list| {
+                        list.iter().map(|&(a, b)| u64::from(a) << 32 | u64::from(b))
+                    })),
+                    slimgraph::serve::graph_digest(&s.decompress()),
+                ],
+            )
+        });
+        assert_eq!(got, pinned, "`{label}` moved off its pinned summary");
+    }
+}
+
 #[test]
 fn chained_pipeline_is_thread_count_invariant() {
     let g = test_graph();
