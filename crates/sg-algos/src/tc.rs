@@ -2,15 +2,37 @@
 //!
 //! Triangles are the "smallest unit of graph compression" in Triangle
 //! Reduction (§4.3): the engine streams every triangle to a kernel instance.
-//! Enumeration uses the standard sorted-adjacency intersection with id
-//! ordering (`u < v < w`), O(m^{3/2})-class work. Edge-id consumers share
-//! one kernel, [`for_triangles_on_edge`], parallel over canonical edge ids:
-//! those are sorted by `(u, v)`, so walking edges in id order *is* canonical
-//! `(u, v, w)` order and no listing is ever sorted.
+//! Edge-id consumers share one kernel, [`for_triangles_on_edge`], parallel
+//! over canonical edge ids: those are sorted by `(u, v)`, so walking edges in
+//! id order *is* canonical `(u, v, w)` order and no listing is ever sorted.
+//!
+//! **Min-side row probing.** For canonical edge `(u, v)` the kernel needs
+//! `{w > v} ∩ N(u) ∩ N(v)`. Merging the two rows costs their summed length,
+//! and in vertex-id order that is the wrong side to pay for: every generator
+//! we run (R-MAT, Barabási–Albert) puts its hubs at the *lowest* ids, so `u`
+//! is nearly always the hub and each of its `d(u)` edges re-walks `N(u)` —
+//! Θ(Σ d²) steps in total. Instead a [`RowScratch`] marks the higher row of
+//! the current `u` once (`slot[w] = 1 + index of w in N(u)`), and each edge
+//! walks only `N(v)>v`, probing the marks: a hit *is* the slot of `e_uw`.
+//! When `N(u)>v` is [`GALLOP_SKEW`] times shorter still (hubs at the
+//! *highest* ids), the kernel walks that side and gallops forward through
+//! `N(v)>v`. Either way `w` ascends, so the stream is the merge walk's,
+//! triangle for triangle, and the work is Σₑ min(d(u), d(v)) ≤ 2·α·m row
+//! steps (α the arboricity; Chiba & Nishizeki 1985, the mark array is
+//! Latapy's 2008 *new-listing*) up to the constant `GALLOP_SKEW` on the
+//! probe branch and a `log d(v)` factor on the gallop branch, plus one
+//! mark / un-mark of each row per chunk that touches it.
+//!
+//! **Scratch ownership.** A scratch is `n` words, so it is created once per
+//! worker, rank or shard *per call* — the parallel entry points check one
+//! out of a per-call free list for each of the shim's 64 chunks; sequential
+//! callers ([`for_triangles_at`] users) hold their own — never per chunk,
+//! vertex or edge.
 
 use rayon::prelude::*;
 use sg_graph::{CsrGraph, EdgeId, GraphView, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// A triangle with its three canonical edge ids. Vertices satisfy
 /// `u < v < w`; `e_uv` connects `u`/`v`, etc.
@@ -31,30 +53,120 @@ impl Triangle {
     }
 }
 
+/// The kernel walks `N(u)>v` and gallops through `N(v)>v` when the former
+/// is more than this many times shorter; otherwise it walks `N(v)>v` and
+/// probes the marks. A probe is one load and a gallop costs a dozen
+/// data-dependent branches per element, so the crossover sits far above 1:
+/// on `rmat_graph500(15, 10, 21)` as generated (hubs low), relabelled
+/// `v -> n-1-v` (hubs high), shuffled and with the hubs mid-range, 2 costs
+/// +45–65 % over the best setting, 8 about +10 %, and 32–64 is a flat
+/// optimum (table in ROADMAP item 3); 32 keeps the probe branch's worst
+/// case the tighter of the two. Never galloping costs up to 10 % there —
+/// and d(v) per edge under a mid-range hub (180× on a graph built to show
+/// it), which is the bound the branch is for.
+const GALLOP_SKEW: usize = 32;
+
+/// The marked higher row of one vertex of one graph: the state
+/// [`for_triangles_on_edge`] keeps between edges of the same `u`. `n` words;
+/// see the module docs for who owns one.
+pub struct RowScratch<'g> {
+    g: &'g CsrGraph,
+    /// `1 + index of w in N(owner)` for every neighbour `w > owner` of the
+    /// owner, 0 everywhere else.
+    slot: Vec<u32>,
+    owner: Option<VertexId>,
+}
+
+impl<'g> RowScratch<'g> {
+    /// An unmarked scratch for `g`.
+    pub fn new(g: &'g CsrGraph) -> Self {
+        Self { g, slot: vec![0; g.num_vertices()], owner: None }
+    }
+
+    /// Makes `u` the owner: un-marks the previous owner's row, marks `u`'s.
+    /// Canonical edge ids are sorted by `u`, so an edge range pays this once
+    /// per vertex.
+    #[inline]
+    fn own(&mut self, u: VertexId) {
+        if self.owner == Some(u) {
+            return;
+        }
+        self.unmark();
+        let row = self.g.neighbors(u);
+        let first_higher = row.partition_point(|&x| x <= u);
+        for (i, &w) in row.iter().enumerate().skip(first_higher) {
+            self.slot[w as usize] = i as u32 + 1;
+        }
+        self.owner = Some(u);
+    }
+
+    /// Clears the owner's marks; the scratch is all-zero afterwards.
+    fn unmark(&mut self) {
+        if let Some(u) = self.owner.take() {
+            let row = self.g.neighbors(u);
+            for &w in &row[row.partition_point(|&x| x <= u)..] {
+                self.slot[w as usize] = 0;
+            }
+        }
+    }
+}
+
+/// Index of the first element of ascending `row` that is `>= w`: doubling
+/// steps from the front, then a binary search inside the last step —
+/// O(log answer), which is what keeps a short row's walk through a long one
+/// near the short row's length.
+#[inline]
+fn gallop(row: &[VertexId], w: VertexId) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= row.len() && row[lo + step - 1] < w {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(row.len());
+    lo + row[lo..hi].partition_point(|&x| x < w)
+}
+
 /// Invokes `f` for every triangle whose two smallest vertices are the
-/// endpoints of canonical edge `e_uv`, in ascending `w`. Each triangle
-/// belongs to exactly one such edge; a directed edge with `u > v` owns none.
+/// endpoints of canonical edge `e_uv` of `scratch`'s graph, in ascending
+/// `w`. Each triangle belongs to exactly one such edge; a directed edge with
+/// `u > v` owns none. Cheapest when consecutive calls share `u` (the scratch
+/// re-marks only when `u` changes), i.e. over ascending edge ids.
 // Inlined so `for_triangles_at`'s walk over a vertex's edges compiles to one
 // nested loop (that sequential walk measured ~8% slower without it).
 #[inline]
-pub fn for_triangles_on_edge(g: &CsrGraph, e_uv: EdgeId, f: &mut impl FnMut(Triangle)) {
+pub fn for_triangles_on_edge(
+    scratch: &mut RowScratch<'_>,
+    e_uv: EdgeId,
+    f: &mut impl FnMut(Triangle),
+) {
+    let g = scratch.g;
     let (u, v) = g.edge_endpoints(e_uv);
     if u >= v {
         return;
     }
+    scratch.own(u);
     let (nu, eu) = (g.neighbors(u), g.neighbor_edge_ids(u));
     let (nv, ev) = (g.neighbors(v), g.neighbor_edge_ids(v));
-    // Intersect {w in N(u) : w > v} with {w in N(v) : w > v}.
-    let mut a = nu.partition_point(|&x| x <= v);
-    let mut b = nv.partition_point(|&x| x <= v);
-    while a < nu.len() && b < nv.len() {
-        match nu[a].cmp(&nv[b]) {
-            std::cmp::Ordering::Less => a += 1,
-            std::cmp::Ordering::Greater => b += 1,
-            std::cmp::Ordering::Equal => {
+    // {w in N(u) : w > v} starts right after v, whose mark is its index + 1.
+    let a0 = scratch.slot[v as usize] as usize;
+    let b0 = nv.partition_point(|&x| x <= v);
+    if (nu.len() - a0) * GALLOP_SKEW < nv.len() - b0 {
+        let mut b = b0;
+        for a in a0..nu.len() {
+            b += gallop(&nv[b..], nu[a]);
+            if b == nv.len() {
+                break;
+            }
+            if nv[b] == nu[a] {
                 f(Triangle { u, v, w: nu[a], e_uv, e_vw: ev[b], e_uw: eu[a] });
-                a += 1;
                 b += 1;
+            }
+        }
+    } else {
+        for b in b0..nv.len() {
+            let mark = scratch.slot[nv[b] as usize] as usize;
+            if mark != 0 {
+                f(Triangle { u, v, w: nv[b], e_uv, e_vw: ev[b], e_uw: eu[mark - 1] });
             }
         }
     }
@@ -64,37 +176,97 @@ pub fn for_triangles_on_edge(g: &CsrGraph, e_uv: EdgeId, f: &mut impl FnMut(Tria
 /// canonical `(u, v, w)` order (ascending `v`, then `w`): `u`'s edges to
 /// higher neighbors, in id order. Exposed so partitioned executors (sg-dist
 /// ranks owning a vertex range) can enumerate exactly the triangles they
-/// own — each triangle belongs to exactly one vertex.
-pub fn for_triangles_at(g: &CsrGraph, u: VertexId, f: &mut impl FnMut(Triangle)) {
+/// own — each triangle belongs to exactly one vertex. The caller holds the
+/// scratch across its whole vertex range.
+pub fn for_triangles_at(scratch: &mut RowScratch<'_>, u: VertexId, f: &mut impl FnMut(Triangle)) {
+    let g = scratch.g;
     let first_higher = g.neighbors(u).partition_point(|&x| x <= u);
     for &e_uv in &g.neighbor_edge_ids(u)[first_higher..] {
-        for_triangles_on_edge(g, e_uv, f);
+        for_triangles_on_edge(scratch, e_uv, f);
     }
+}
+
+/// Folds `items` into one `identity()` accumulator per chunk of the shim's
+/// `fold`, returned in chunk order, lending each chunk a scratch: a chunk
+/// takes one off the call's free list at its start (creating it when the
+/// list is empty) and puts it back at its end, so the call creates one
+/// scratch per worker that ran a chunk, not one per chunk.
+fn fold_with_scratch<I, S, T>(
+    items: I,
+    new_scratch: impl Fn() -> S + Sync,
+    identity: impl Fn() -> T + Sync,
+    step: impl Fn(&mut S, &mut T, I::Item) + Sync,
+) -> Vec<T>
+where
+    I: ParallelIterator + Sync,
+    S: Send,
+    T: Send,
+{
+    let free: Mutex<Vec<S>> = Mutex::new(Vec::new());
+    let free_list = || free.lock().expect("no panic while the free list is held");
+    items
+        .fold(
+            || {
+                // The lock is released before a missing scratch is created.
+                let reused = free_list().pop();
+                (reused.unwrap_or_else(&new_scratch), identity())
+            },
+            |(mut scratch, mut acc), item| {
+                step(&mut scratch, &mut acc, item);
+                (scratch, acc)
+            },
+        )
+        .map(|(scratch, acc)| {
+            free_list().push(scratch);
+            acc
+        })
+        .collect()
+}
+
+/// Streams every triangle into one `identity()` accumulator per chunk of
+/// canonical edge ids, in parallel, and returns the accumulators in chunk —
+/// hence canonical — order. Inside a chunk `visit` sees the triangles in
+/// canonical order; the chunking depends only on `m`.
+fn fold_triangles<T: Send>(
+    g: &CsrGraph,
+    identity: impl Fn() -> T + Sync,
+    visit: impl Fn(&mut T, Triangle) + Sync,
+) -> Vec<T> {
+    fold_with_scratch(
+        g.par_edge_ids(),
+        || RowScratch::new(g),
+        identity,
+        |scratch, acc, e_uv| for_triangles_on_edge(scratch, e_uv, &mut |t| visit(acc, t)),
+    )
 }
 
 /// Invokes `f` once per triangle, in parallel over canonical edges. `f`
 /// must be thread-safe; the visit order is unspecified but the *set* of
 /// triangles is deterministic.
 pub fn for_each_triangle(g: &CsrGraph, f: impl Fn(Triangle) + Sync) {
-    g.par_edge_ids().for_each(|e_uv| for_triangles_on_edge(g, e_uv, &mut |t| f(t)));
+    fold_triangles(g, || (), |_, t| f(t));
 }
 
-/// Collects the triangles `keep` accepts, in canonical `(u, v, w)` order.
-/// Each chunk of edge ids fills its own vector and the chunks concatenate
-/// in id order, so only kept triangles are ever materialized and the result
-/// is the same at any thread count.
+/// Collects the triangles `keep` accepts as one vector per chunk of edge
+/// ids; walking the chunks in order is canonical `(u, v, w)` order. Only
+/// kept triangles are ever materialized, the result is the same at any
+/// thread count, and a consumer that only walks the stream (Edge-Once TR,
+/// collapse) never pays for a second, concatenated copy.
+pub fn collect_triangle_chunks(
+    g: &CsrGraph,
+    keep: impl Fn(&Triangle) -> bool + Sync,
+) -> Vec<Vec<Triangle>> {
+    fold_triangles(g, Vec::new, |kept, t| {
+        if keep(&t) {
+            kept.push(t);
+        }
+    })
+}
+
+/// [`collect_triangle_chunks`] concatenated into one vector in canonical
+/// `(u, v, w)` order, for consumers that index or re-sort the listing.
 pub fn collect_triangles(g: &CsrGraph, keep: impl Fn(&Triangle) -> bool + Sync) -> Vec<Triangle> {
-    g.par_edge_ids()
-        .fold(Vec::new, |mut kept, e_uv| {
-            for_triangles_on_edge(g, e_uv, &mut |t| {
-                if keep(&t) {
-                    kept.push(t);
-                }
-            });
-            kept
-        })
-        .collect::<Vec<_>>()
-        .concat()
+    collect_triangle_chunks(g, keep).concat()
 }
 
 /// Collects all triangles in canonical `(u, v, w)` order. Intended for
@@ -103,44 +275,65 @@ pub fn list_triangles(g: &CsrGraph) -> Vec<Triangle> {
     collect_triangles(g, |_| true)
 }
 
+/// Per-worker state of [`count_triangles`]: a bitset over the vertices and
+/// two row buffers for encoded views.
+struct CountScratch {
+    marked: Vec<u64>,
+    row_u: Vec<VertexId>,
+    row_v: Vec<VertexId>,
+}
+
+impl CountScratch {
+    fn new(n: usize) -> Self {
+        Self { marked: vec![0; n.div_ceil(64)], row_u: Vec::new(), row_v: Vec::new() }
+    }
+
+    /// Number of triangles whose smallest vertex is `u`: marks `u`'s higher
+    /// row, then makes one pass over `N(v)>v` of each higher neighbour `v` —
+    /// any marked `w` there is above `v`, so it closes `(u, v, w)`. The pass
+    /// stops at `u`'s last neighbour, where a merge of the two rows would
+    /// have run out of `N(u)`: it never takes more steps than that merge.
+    fn triangles_at<G: GraphView>(&mut self, g: &G, u: VertexId) -> u64 {
+        let nu = g.row_into(u, &mut self.row_u);
+        let higher = &nu[nu.partition_point(|&x| x <= u)..];
+        // The last higher neighbour has no marked vertex above it.
+        let Some((&last, owners)) = higher.split_last() else { return 0 };
+        for &w in higher {
+            self.marked[w as usize / 64] |= 1 << (w % 64);
+        }
+        let mut count = 0;
+        for &v in owners {
+            let nv = g.row_into(v, &mut self.row_v);
+            let above = &nv[nv.partition_point(|&x| x <= v)..];
+            for &w in above.iter().take_while(|&&w| w <= last) {
+                count += self.marked[w as usize / 64] >> (w % 64) & 1;
+            }
+        }
+        for &w in higher {
+            self.marked[w as usize / 64] = 0;
+        }
+        count
+    }
+}
+
 /// Total number of triangles `T`.
 ///
 /// Generic over [`GraphView`]: counting needs only sorted target rows, not
-/// edge ids, so the intersection runs over [`GraphView::row_into`] slices —
-/// borrowed directly from raw CSR, or decoded once per row into per-chunk
-/// scratch buffers for encoded graphs.
+/// edge ids, so it runs over [`GraphView::row_into`] slices — borrowed
+/// directly from raw CSR, or decoded once per `(u, v)` into a per-worker
+/// buffer for encoded graphs. Same idea as the listing kernel without the
+/// slots: a bitset of `u`'s higher row and one pass over each `N(v)>v`, a
+/// row the encoded views decode in full anyway.
 pub fn count_triangles<G: GraphView>(g: &G) -> u64 {
-    let n = g.num_vertices() as VertexId;
-    (0..n)
-        .into_par_iter()
-        .fold(
-            || (0u64, Vec::new(), Vec::new()),
-            |(mut count, mut scratch_u, mut scratch_v), u| {
-                let nu = g.row_into(u, &mut scratch_u);
-                let start_u = nu.partition_point(|&x| x <= u);
-                for i in start_u..nu.len() {
-                    let v = nu[i];
-                    let nv = g.row_into(v, &mut scratch_v);
-                    // Intersect {w in N(u) : w > v} with {w in N(v) : w > v}.
-                    let mut a = nu.partition_point(|&x| x <= v);
-                    let mut b = nv.partition_point(|&x| x <= v);
-                    while a < nu.len() && b < nv.len() {
-                        match nu[a].cmp(&nv[b]) {
-                            std::cmp::Ordering::Less => a += 1,
-                            std::cmp::Ordering::Greater => b += 1,
-                            std::cmp::Ordering::Equal => {
-                                count += 1;
-                                a += 1;
-                                b += 1;
-                            }
-                        }
-                    }
-                }
-                (count, scratch_u, scratch_v)
-            },
-        )
-        .map(|(count, _, _)| count)
-        .sum()
+    let n = g.num_vertices();
+    fold_with_scratch(
+        (0..n as VertexId).into_par_iter(),
+        || CountScratch::new(n),
+        || 0u64,
+        |scratch, count, u| *count += scratch.triangles_at(g, u),
+    )
+    .into_iter()
+    .sum()
 }
 
 /// Number of triangles incident to each vertex (each triangle contributes to
@@ -169,7 +362,195 @@ pub fn doulion_estimate(g: &CsrGraph, q: f64, seed: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_graph::generators;
+    use sg_graph::prng::bounded_u64;
+    use sg_graph::{generators, EdgeList, EncodedCsr};
+
+    /// The merge walk the kernel replaced — both rows above `v` in lockstep —
+    /// kept as the reference the kernel's stream is compared against.
+    fn merge_triangles_on_edge(g: &CsrGraph, e_uv: EdgeId, f: &mut impl FnMut(Triangle)) {
+        let (u, v) = g.edge_endpoints(e_uv);
+        if u >= v {
+            return;
+        }
+        let (nu, eu) = (g.neighbors(u), g.neighbor_edge_ids(u));
+        let (nv, ev) = (g.neighbors(v), g.neighbor_edge_ids(v));
+        let mut a = nu.partition_point(|&x| x <= v);
+        let mut b = nv.partition_point(|&x| x <= v);
+        while a < nu.len() && b < nv.len() {
+            match nu[a].cmp(&nv[b]) {
+                std::cmp::Ordering::Less => a += 1,
+                std::cmp::Ordering::Greater => b += 1,
+                std::cmp::Ordering::Equal => {
+                    f(Triangle { u, v, w: nu[a], e_uv, e_vw: ev[b], e_uw: eu[a] });
+                    a += 1;
+                    b += 1;
+                }
+            }
+        }
+    }
+
+    /// The reference stream over an edge-id range.
+    fn merge_stream(g: &CsrGraph, edges: std::ops::Range<usize>) -> Vec<Triangle> {
+        let mut out = Vec::new();
+        edges.for_each(|e| merge_triangles_on_edge(g, e as EdgeId, &mut |t| out.push(t)));
+        out
+    }
+
+    /// The kernel's stream over an edge-id range, through `scratch`.
+    fn kernel_stream(scratch: &mut RowScratch<'_>, edges: std::ops::Range<usize>) -> Vec<Triangle> {
+        let mut out = Vec::new();
+        edges.for_each(|e| for_triangles_on_edge(scratch, e as EdgeId, &mut |t| out.push(t)));
+        out
+    }
+
+    /// Rows of `e_uv` above `v`: `(|N(u)>v|, |N(v)>v|)`, what the kernel's
+    /// branch condition compares.
+    fn rows_above(g: &CsrGraph, e_uv: EdgeId) -> (usize, usize) {
+        let (u, v) = g.edge_endpoints(e_uv);
+        let above = |x: VertexId| g.neighbors(x).iter().filter(|&&w| w > v).count();
+        (above(u), above(v))
+    }
+
+    /// A hub-heavy random graph under a random relabelling: up to three raw
+    /// ids see ~70 % of the vertices, the other endpoints are products of two
+    /// uniform draws (low raw ids collect the edges), then every id goes
+    /// through a random permutation, so the hubs land anywhere in id order.
+    fn skewed_random_graph(case: u64, directed: bool) -> CsrGraph {
+        let draw = |i: u64, stream: u64, bound: u64| bounded_u64(case, i, stream, bound);
+        let n = 2 + draw(0, 0, 300);
+        let mut relabel: Vec<VertexId> = (0..n as VertexId).collect();
+        relabel.sort_by_key(|&v| draw(u64::from(v), 2, u64::MAX));
+        let skewed = |i: u64| draw(i, 3, n) * draw(i, 4, n + 1) / n;
+        let sparse = (1..=draw(0, 1, 3 * n)).map(|i| (skewed(i), draw(i, 5, n)));
+        let hubs = (0..draw(0, 6, 4))
+            .flat_map(|h| (0..n).filter(move |&v| draw(v, 7 + h, 10) < 7).map(move |v| (h, v)));
+        let pairs = sparse.chain(hubs).map(|(a, b)| (relabel[a as usize], relabel[b as usize]));
+        let el = EdgeList::from_pairs(n as usize, pairs);
+        if directed {
+            CsrGraph::from_edge_list_directed(el)
+        } else {
+            CsrGraph::from_edge_list(el)
+        }
+    }
+
+    #[test]
+    fn kernel_stream_is_the_merge_walks_on_random_relabelled_graphs() {
+        // Same triangles, same order, same three edge ids — sequentially
+        // through one scratch, per vertex, and through the parallel listing.
+        let (mut triangles, mut probed, mut galloped, mut ownerless) = (0, 0, 0, 0);
+        for case in 0..300 {
+            let directed = case % 4 == 3;
+            let g = skewed_random_graph(case, directed);
+            let m = g.num_edges();
+            let expected = merge_stream(&g, 0..m);
+            let mut scratch = RowScratch::new(&g);
+            assert_eq!(kernel_stream(&mut scratch, 0..m), expected, "case {case}");
+            let mut by_vertex = Vec::new();
+            for u in 0..g.num_vertices() as VertexId {
+                for_triangles_at(&mut scratch, u, &mut |t| by_vertex.push(t));
+            }
+            assert_eq!(by_vertex, expected, "case {case}, by vertex");
+            assert_eq!(list_triangles(&g), expected, "case {case}, parallel");
+            assert_eq!(count_triangles(&g), expected.len() as u64, "case {case}, count");
+            // A directed edge with u > v owns nothing: u < v < w always.
+            assert!(expected.iter().all(|t| t.u < t.v && t.v < t.w));
+            ownerless += g.edge_slice().iter().filter(|&&(u, v)| u > v).count();
+            triangles += expected.len();
+            for e in 0..m as EdgeId {
+                let (len_u, len_v) = rows_above(&g, e);
+                if g.edge_endpoints(e).0 < g.edge_endpoints(e).1 && len_u.min(len_v) > 0 {
+                    *(if len_u * GALLOP_SKEW < len_v { &mut galloped } else { &mut probed }) += 1;
+                }
+            }
+        }
+        assert!(triangles > 2_000, "only {triangles} triangles over all cases");
+        assert!(probed > 500 && galloped > 500, "{probed} probed, {galloped} galloped");
+        assert!(ownerless > 500, "{ownerless} directed edges with u > v");
+    }
+
+    #[test]
+    fn hub_at_id_zero_is_probed_and_low_degree_u_under_a_high_hub_gallops() {
+        // Hub 0 is adjacent to everyone; every other vertex has two higher
+        // neighbours of its own: on every edge (0, v) the long row is u's,
+        // so the kernel walks N(v)>v against the marks.
+        let n: VertexId = 120;
+        let mut pairs: Vec<(VertexId, VertexId)> = (1..n).map(|v| (0, v)).collect();
+        pairs.extend((1..n - 2).flat_map(|v| [(v, v + 1), (v, v + 2)]));
+        let g = CsrGraph::from_pairs(n as usize, &pairs);
+        for v in 1..n - 2 {
+            let e = g.find_edge(0, v).expect("hub edge");
+            let (len_u, len_v) = rows_above(&g, e);
+            assert_eq!((len_u, len_v), ((n - 1 - v) as usize, 2));
+            assert!(len_u * GALLOP_SKEW >= len_v, "edge (0, {v}) must probe");
+        }
+        let expected = merge_stream(&g, 0..g.num_edges());
+        assert_eq!(expected.iter().filter(|t| t.u == 0).count(), 2 * (n as usize - 3));
+        assert_eq!(kernel_stream(&mut RowScratch::new(&g), 0..g.num_edges()), expected);
+
+        // Vertices 0..10 each see only hub 100 and two of its higher
+        // neighbours; the hub is adjacent to all of 101..300. On every edge
+        // (u, 100) the short row is u's: the kernel walks it and gallops
+        // through the hub's row, hitting near its front, middle and end.
+        let hub: VertexId = 100;
+        let mut pairs: Vec<(VertexId, VertexId)> = (hub + 1..300).map(|w| (hub, w)).collect();
+        for u in 0..10 {
+            pairs.extend([(u, hub), (u, hub + 1 + u), (u, 299 - 7 * u)]);
+        }
+        pairs.push((3, 400)); // a higher neighbour beyond the hub's last: the walk stops early
+        let g = CsrGraph::from_pairs(401, &pairs);
+        for u in 0..10 {
+            let e = g.find_edge(u, hub).expect("edge under the hub");
+            let (len_u, len_v) = rows_above(&g, e);
+            assert!(len_u * GALLOP_SKEW < len_v, "edge ({u}, {hub}) must gallop: {len_u} {len_v}");
+        }
+        let expected = merge_stream(&g, 0..g.num_edges());
+        assert_eq!(expected.len(), 20);
+        assert_eq!(kernel_stream(&mut RowScratch::new(&g), 0..g.num_edges()), expected);
+        assert_eq!(count_triangles(&g), 20);
+    }
+
+    #[test]
+    fn one_scratch_across_owners_and_split_rows_equals_fresh_scratches() {
+        let g = generators::rmat_graph500(9, 8, 3);
+        let m = g.num_edges();
+        let fresh = |edges: std::ops::Range<usize>| kernel_stream(&mut RowScratch::new(&g), edges);
+        let at = |scratch: &mut RowScratch<'_>, u: VertexId| {
+            let mut out = Vec::new();
+            for_triangles_at(scratch, u, &mut |t| out.push(t));
+            out
+        };
+        // Owners u1, u2, u1: the marks of one never leak into the next.
+        let (u1, u2) = (0, 5);
+        let mut scratch = RowScratch::new(&g);
+        let first = at(&mut scratch, u1);
+        assert!(!first.is_empty());
+        assert_eq!(first, at(&mut RowScratch::new(&g), u1));
+        assert_eq!(at(&mut scratch, u2), at(&mut RowScratch::new(&g), u2));
+        assert_eq!(at(&mut scratch, u1), first);
+        // An edge range that ends in the middle of the hub's row, the rest of
+        // the row taken up later by the same scratch, another row in between.
+        let row = g.neighbor_edge_ids(u1);
+        let mid = row[row.len() / 2] as usize;
+        assert_eq!(g.edge_endpoints(mid as EdgeId).0, g.edge_endpoints(mid as EdgeId + 1).0);
+        assert_eq!(kernel_stream(&mut scratch, 0..mid), fresh(0..mid));
+        assert_eq!(kernel_stream(&mut scratch, m / 2..m), fresh(m / 2..m));
+        assert_eq!(kernel_stream(&mut scratch, mid..m / 2), fresh(mid..m / 2));
+        assert_eq!([fresh(0..mid), fresh(mid..m)].concat(), merge_stream(&g, 0..m));
+        // Released, nothing stays marked.
+        assert!(scratch.slot.iter().any(|&s| s != 0));
+        scratch.unmark();
+        assert!(scratch.slot.iter().all(|&s| s == 0));
+        assert_eq!(scratch.owner, None);
+    }
+
+    #[test]
+    fn gallop_finds_the_first_element_not_below() {
+        let row: Vec<VertexId> = (0..100).map(|i| 3 * i + 1).collect();
+        for w in 0..310 {
+            assert_eq!(gallop(&row, w), row.partition_point(|&x| x < w), "w = {w}");
+        }
+        assert_eq!(gallop(&[], 7), 0);
+    }
 
     #[test]
     fn counts_single_triangle() {
@@ -218,11 +599,23 @@ mod tests {
         // Nothing sorts the listing, so a mis-ordered chunk merge would show.
         // The only test in this binary that turns the process-global knob.
         let g = generators::rmat_graph500(10, 8, 7);
+        let encoded = EncodedCsr::from_graph(&g);
         let expected = count_triangles(&g);
         assert!(expected > 0);
         let listings = [1, 4, 8].map(|threads| {
             rayon::set_num_threads(threads);
             let tris = list_triangles(&g);
+            // The counter agrees on the raw rows and on the delta-encoded view.
+            assert_eq!(count_triangles(&g), expected, "{threads} threads");
+            assert_eq!(count_triangles(&encoded), expected, "{threads} threads, encoded");
+            // 64 chunks share at most one scratch per worker.
+            let created = AtomicU64::new(0);
+            let new_scratch = || created.fetch_add(1, Ordering::Relaxed);
+            let sums =
+                fold_with_scratch(g.par_edge_ids(), new_scratch, || 0, |_, sum, e| *sum += e);
+            assert_eq!(sums.len(), 64);
+            assert_eq!(sums.iter().sum::<EdgeId>(), (0..g.num_edges() as EdgeId).sum());
+            assert!((1..=threads as u64).contains(&created.into_inner()), "{threads} threads");
             rayon::set_num_threads(0);
             tris
         });
@@ -247,13 +640,14 @@ mod tests {
     fn vertex_stream_is_its_higher_edges_concatenated() {
         let g = generators::planted_triangles(&generators::erdos_renyi(300, 900, 3), 200, 4);
         let mut all = Vec::new();
+        let mut scratch = RowScratch::new(&g);
         for u in 0..g.num_vertices() as VertexId {
             let mut at = Vec::new();
-            for_triangles_at(&g, u, &mut |t| at.push(t));
+            for_triangles_at(&mut scratch, u, &mut |t| at.push(t));
             let mut by_edge = Vec::new();
             for (&v, &e_uv) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
                 if v > u {
-                    for_triangles_on_edge(&g, e_uv, &mut |t| by_edge.push(t));
+                    for_triangles_on_edge(&mut scratch, e_uv, &mut |t| by_edge.push(t));
                 }
             }
             assert_eq!(at, by_edge, "vertex {u}");
@@ -272,8 +666,9 @@ mod tests {
         let tris = list_triangles(&g);
         assert_eq!(tris.iter().map(key).collect::<Vec<_>>(), vec![(0, 1, 2)]);
         assert_eq!(count_triangles(&g), 1);
+        let mut scratch = RowScratch::new(&g);
         for u in 3..6 {
-            for_triangles_at(&g, u, &mut |t| panic!("triangle {t:?} at vertex {u}"));
+            for_triangles_at(&mut scratch, u, &mut |t| panic!("triangle {t:?} at vertex {u}"));
         }
     }
 
@@ -297,6 +692,4 @@ mod tests {
         let dense = generators::planted_triangles(&base, 300, 2);
         assert!(count_triangles(&dense) > count_triangles(&base));
     }
-
-    use sg_graph::CsrGraph;
 }

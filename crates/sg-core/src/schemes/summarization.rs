@@ -120,7 +120,8 @@ impl Summary {
             edges.retain(|e| minus.binary_search(e).is_err());
         }
         edges.extend(self.corrections_plus.iter().map(|&(u, v)| ordered(u, v)));
-        // Sorted here, so the builder's own stable sort only confirms it.
+        // Sorted here: unless a pair repeats, the builder's one scan finds
+        // the list canonical and neither copies nor sorts it.
         edges.sort_unstable();
         CsrGraph::from_edge_list(EdgeList {
             num_vertices: self.original_vertices,

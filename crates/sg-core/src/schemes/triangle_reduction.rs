@@ -169,7 +169,8 @@ pub fn ranked_triangle_edges(
 
 /// Calls `f` on every sampled triangle whose smallest vertex lies in
 /// `vertices`, in canonical `(u, v, w)` order — the triangles one part (an
-/// `sg-dist` rank, a federation shard) owns and reduces. Sequential.
+/// `sg-dist` rank, a federation shard) owns and reduces. Sequential; the
+/// call owns the one [`tc::RowScratch`] its part needs.
 pub fn for_sampled_triangles(
     g: &CsrGraph,
     p: f64,
@@ -177,8 +178,9 @@ pub fn for_sampled_triangles(
     vertices: std::ops::Range<usize>,
     mut f: impl FnMut(Triangle),
 ) {
+    let mut scratch = tc::RowScratch::new(g);
     for u in vertices {
-        tc::for_triangles_at(g, u as VertexId, &mut |t: Triangle| {
+        tc::for_triangles_at(&mut scratch, u as VertexId, &mut |t: Triangle| {
             if triangle_sampled(&t, p, rand) {
                 f(t);
             }
@@ -334,8 +336,10 @@ pub fn edge_triangle_counts(g: &CsrGraph) -> Vec<u64> {
 /// Runs Triangle Reduction with the given configuration. Plain TR streams
 /// every triangle through the engine in parallel. The Edge-Once family (EO,
 /// max-weight, CT) is order-sensitive: it collects only the *sampled*
-/// triangles — in parallel, already in canonical `(u, v, w)` order because
-/// canonical edge ids are — and commits them sequentially.
+/// triangles — in parallel, one vector per chunk of canonical edge ids,
+/// already in canonical `(u, v, w)` order because the ids are — and commits
+/// them sequentially, chunk after chunk. Only CT, which re-sorts the stream,
+/// pays for a concatenated copy of the sampled list.
 pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionResult {
     let kernel = TriangleReductionKernel::new(g, cfg);
     if cfg.discipline == Discipline::Plain {
@@ -344,16 +348,18 @@ pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionRes
     let start = Instant::now();
     let sg = SgContext::new(g, seed);
     let rand = sg.rand();
-    let mut tris = tc::collect_triangles(g, |t| triangle_sampled(t, cfg.p, rand));
+    let sampled = |t: &Triangle| triangle_sampled(t, cfg.p, rand);
     if let Some(counts) = &kernel.tri_counts {
         // CT processes triangles starting from the rarest edges.
+        let mut tris = tc::collect_triangles(g, sampled);
         tris.sort_by_key(|t| {
             let c = t.edges().map(|e| counts[e as usize]);
             (*c.iter().min().expect("three edges"), t.u, t.v, t.w)
         });
-    }
-    for t in &tris {
-        kernel.reduce(t, &sg);
+        tris.iter().for_each(|t| kernel.reduce(t, &sg));
+    } else {
+        let chunks = tc::collect_triangle_chunks(g, sampled);
+        chunks.iter().flatten().for_each(|t| kernel.reduce(t, &sg));
     }
     CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
 }
@@ -366,7 +372,8 @@ pub fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> CompressionResult {
     let start = Instant::now();
     let rand = DetRand::new(seed);
     let mut uf = UnionFind::new(g.num_vertices());
-    for t in tc::collect_triangles(g, |t| triangle_sampled(t, p, rand)) {
+    let chunks = tc::collect_triangle_chunks(g, |t| triangle_sampled(t, p, rand));
+    for t in chunks.iter().flatten() {
         uf.union(t.u, t.v);
         uf.union(t.v, t.w);
     }

@@ -229,7 +229,8 @@ pub(crate) fn edge_rank_starts(g: &CsrGraph, parts: &[(usize, usize)]) -> Vec<us
 }
 
 /// Triangles owned by one rank (smallest vertex in the owned range) that
-/// the TR sampling coin selects, in canonical enumeration order.
+/// the TR sampling coin selects, in canonical enumeration order — one walk
+/// of the range, one row scratch (`for_sampled_triangles` holds it).
 fn sampled_triangles(
     ctx: &ShardedContext<'_>,
     cfg: TrConfig,
@@ -253,10 +254,12 @@ fn sampled_triangles(
 
 /// Per-edge participation counts over the triangles one rank owns (smallest
 /// vertex in `[lo, hi)`) — the rank's share of the Count-Triangles histogram.
+/// The rank holds one row scratch for the whole range.
 fn owned_triangle_counts(g: &CsrGraph, (lo, hi): (usize, usize)) -> Vec<u64> {
     let mut partial = vec![0u64; g.num_edges()];
+    let mut scratch = sg_algos::tc::RowScratch::new(g);
     for u in lo..hi {
-        sg_algos::tc::for_triangles_at(g, u as VertexId, &mut |t: Triangle| {
+        sg_algos::tc::for_triangles_at(&mut scratch, u as VertexId, &mut |t: Triangle| {
             for e in t.edges() {
                 partial[e as usize] += 1;
             }

@@ -87,8 +87,13 @@ impl EdgeList {
     ///
     /// After this call each undirected edge appears exactly once, which is the
     /// contract [`crate::CsrGraph::from_edge_list`] relies on to assign
-    /// canonical edge ids.
+    /// canonical edge ids. A list that already has that form — what every
+    /// scheme that filters or monotonically relabels a canonical list hands
+    /// in — is recognised in one scan and left as it is: no copy, no sort.
     pub fn canonicalize_undirected(&mut self) {
+        if self.is_canonical(|u, v| u < v) {
+            return;
+        }
         let weighted = self.weights.is_some();
         if weighted {
             let weights = self.weights.take().expect("checked above");
@@ -118,8 +123,12 @@ impl EdgeList {
     }
 
     /// Canonicalizes for a *directed* graph: drops self-loops, sorts by
-    /// (source, target), deduplicates.
+    /// (source, target), deduplicates. An already canonical list is left as
+    /// it is, as in [`EdgeList::canonicalize_undirected`].
     pub fn canonicalize_directed(&mut self) {
+        if self.is_canonical(|u, v| u != v) {
+            return;
+        }
         let weighted = self.weights.is_some();
         if weighted {
             let weights = self.weights.take().expect("checked above");
@@ -142,6 +151,17 @@ impl EdgeList {
             edges.dedup();
             self.edges = edges;
         }
+    }
+
+    /// One scan: every pair is `oriented` and the pairs strictly ascend, i.e.
+    /// canonicalization would change nothing.
+    fn is_canonical(&self, oriented: impl Fn(VertexId, VertexId) -> bool) -> bool {
+        let mut previous = None;
+        self.edges.iter().all(|&(u, v)| {
+            let ascends = previous.is_none_or(|p| p < (u, v));
+            previous = Some((u, v));
+            ascends && oriented(u, v)
+        })
     }
 
     /// Largest endpoint id + 1, or 0 when empty. Used to validate
@@ -187,6 +207,62 @@ mod tests {
         let mut el = EdgeList::from_pairs(3, vec![(0, 1), (1, 0), (1, 0)]);
         el.canonicalize_directed();
         assert_eq!(el.edges, vec![(0, 1), (1, 0)]);
+    }
+
+    #[test]
+    fn canonical_input_comes_back_untouched() {
+        // Same allocation, so nothing was copied or sorted.
+        let mut el = EdgeList::from_pairs(4, vec![(0, 1), (0, 3), (1, 2), (2, 3)]);
+        let allocation = el.edges.as_ptr();
+        el.canonicalize_undirected();
+        assert_eq!(el.edges, vec![(0, 1), (0, 3), (1, 2), (2, 3)]);
+        assert_eq!(el.edges.as_ptr(), allocation);
+
+        let mut el = EdgeList::from_weighted(3, vec![(0, 1, 2.0), (0, 2, 9.0), (1, 2, 1.0)]);
+        let allocation = el.weights.as_ref().expect("weighted list").as_ptr();
+        el.canonicalize_undirected();
+        assert_eq!(el.edges, vec![(0, 1), (0, 2), (1, 2)]);
+        assert_eq!(el.weights.as_deref(), Some(&[2.0, 9.0, 1.0][..]));
+        assert_eq!(el.weights.as_ref().expect("weighted list").as_ptr(), allocation);
+
+        // Directed: u > v is canonical too, as long as the pairs ascend.
+        let mut el = EdgeList::from_pairs(3, vec![(0, 1), (1, 0), (2, 1)]);
+        let allocation = el.edges.as_ptr();
+        el.canonicalize_directed();
+        assert_eq!(el.edges, vec![(0, 1), (1, 0), (2, 1)]);
+        assert_eq!(el.edges.as_ptr(), allocation);
+
+        let mut el = EdgeList::new(5);
+        el.canonicalize_undirected();
+        el.canonicalize_directed();
+        assert!(el.is_empty() && el.num_vertices == 5);
+    }
+
+    #[test]
+    fn nearly_canonical_input_is_still_canonicalized() {
+        // One swapped pair sorts.
+        let mut el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (0, 3), (2, 3)]);
+        el.canonicalize_undirected();
+        assert_eq!(el.edges, vec![(0, 1), (0, 3), (1, 2), (2, 3)]);
+        // One reversed pair in sorted position is oriented (and then sorts).
+        let mut el = EdgeList::from_pairs(4, vec![(0, 1), (2, 1), (2, 3)]);
+        el.canonicalize_undirected();
+        assert_eq!(el.edges, vec![(0, 1), (1, 2), (2, 3)]);
+        // An adjacent duplicate dedups, keeping the first weight.
+        let mut el = EdgeList::from_weighted(3, vec![(0, 1, 2.0), (0, 1, 9.0), (1, 2, 1.0)]);
+        el.canonicalize_undirected();
+        assert_eq!(el.edges, vec![(0, 1), (1, 2)]);
+        assert_eq!(el.weights, Some(vec![2.0, 1.0]));
+        // A self-loop in sorted position is dropped, directed or not.
+        for directed in [false, true] {
+            let mut el = EdgeList::from_pairs(3, vec![(0, 1), (1, 1), (1, 2)]);
+            if directed {
+                el.canonicalize_directed();
+            } else {
+                el.canonicalize_undirected();
+            }
+            assert_eq!(el.edges, vec![(0, 1), (1, 2)]);
+        }
     }
 
     #[test]

@@ -272,6 +272,71 @@ fn summary_matches_the_hash_map_implementation_field_for_field() {
     }
 }
 
+/// The triangle schemes and the two triangle counters on *skewed* ids,
+/// pinned to what the merge-walk kernel of commit e4ed0f7 printed. R-MAT puts
+/// its hubs at the lowest ids, so nearly every canonical edge `(u, v)` has
+/// the long row on the `u` side (the kernel probes `N(v)` against `u`'s
+/// marked row); relabelled `v -> n-1-v` the hubs sit at the highest ids and
+/// the short row is `u`'s (the kernel gallops through `N(v)`). The registry
+/// row above runs on ER + planted triangles, which has no skew and reaches
+/// neither case on purpose.
+#[test]
+fn triangle_schemes_match_the_merge_kernel_on_skewed_ids() {
+    use slimgraph::algos::tc;
+    type Pin = ([(usize, usize, u64); 6], u64, u64);
+    const SPECS: [&str; 6] = ["tr", "tr:x=2", "tr-eo", "tr-mw", "tr-ct", "collapse"];
+    const PINNED_HUBS_LOW: Pin = (
+        [
+            (4096, 10124, 0x8591_d537_ee9d_0169),
+            (4096, 6439, 0x665b_96a7_557b_3f24),
+            (4096, 26726, 0xaeee_9026_54d9_a429),
+            (4096, 26726, 0x776f_2af6_9214_c66d),
+            (4096, 5686, 0x544c_1cb4_cbde_edea),
+            (2145, 1157, 0xaa20_6700_12ac_ff81),
+        ],
+        211_387,
+        0xbcfe_7be6_056a_e5fe,
+    );
+    const PINNED_HUBS_HIGH: Pin = (
+        [
+            (4096, 10161, 0x7be7_a3a2_e998_b218),
+            (4096, 6512, 0x1c43_8f69_587d_9c04),
+            (4096, 25546, 0x29a3_4bc1_41cc_0773),
+            (4096, 25546, 0x7a05_ef94_765c_7795),
+            (4096, 5754, 0xb517_2afe_b53e_e34c),
+            (2154, 1169, 0x0e60_c574_7841_0fe9),
+        ],
+        211_387,
+        0x5218_ff02_10c1_14e4,
+    );
+    let hubs_low = generators::rmat_graph500(12, 10, 5);
+    let n = hubs_low.num_vertices() as u32;
+    let flipped: Vec<(u32, u32)> =
+        hubs_low.edge_slice().iter().map(|&(u, v)| (n - 1 - u, n - 1 - v)).collect();
+    let hubs_high = CsrGraph::from_pairs(n as usize, &flipped);
+    let cases: [(&str, &CsrGraph, Pin); 2] =
+        [("hubs low", &hubs_low, PINNED_HUBS_LOW), ("hubs high", &hubs_high, PINNED_HUBS_HIGH)];
+    let registry = SchemeRegistry::with_defaults();
+    let params = SchemeParams::from_pairs(&[("p", "0.5")]);
+    for (label, g, pinned) in cases {
+        let weighted = generators::with_random_weights(g, 1.0, 100.0, 6);
+        let got: Pin = assert_thread_invariant(label, || {
+            let outputs = SPECS.map(|spec| {
+                let input = if spec == "tr-mw" { &weighted } else { g };
+                let pipeline = registry.parse_pipeline(spec, &params).expect("spec parses");
+                let r = pipeline.apply(input, 3).result;
+                (
+                    r.graph.num_vertices(),
+                    r.graph.num_edges(),
+                    slimgraph::serve::graph_digest(&r.graph),
+                )
+            });
+            (outputs, tc::count_triangles(g), fnv(tc::triangles_per_vertex(g).into_iter()))
+        });
+        assert_eq!(got, pinned, "`{label}` moved off the merge kernel's output");
+    }
+}
+
 #[test]
 fn chained_pipeline_is_thread_count_invariant() {
     let g = test_graph();
