@@ -5,6 +5,27 @@
 //! compressed graphs with the Kullback-Leibler divergence, so this
 //! implementation guarantees the output sums to 1 (dangling mass is
 //! redistributed uniformly).
+//!
+//! One sweep is one pass over the vertices. As in the GAP benchmark suite's
+//! reference pull PageRank (Beamer, Asanović, Patterson 2015, `pr.cc`:
+//! `outgoing_contrib[n] = scores[n] / out_degree(n)`), what a vertex hands
+//! each out-neighbour is divided once per *vertex* into a contribution
+//! vector, not once per edge inside the pull. The same pass that pulls row
+//! `v` also writes `v`'s new rank, its next contribution, its term of the L1
+//! residual and — when `v` dangles — its term of the next sweep's dangling
+//! mass, so an iteration drives the pool once.
+//!
+//! The fusion cannot move a bit. Every term is the one the separate passes
+//! computed (`rank[u] / out_degree[u]` is the same quotient whether it is
+//! taken per edge or stored per vertex); a row still adds its in-neighbours
+//! in cursor order; and the two sums are folded per chunk in vertex order and
+//! combined in chunk order over the shim's length-only chunk bounds, exactly
+//! as `sum()` folded and combined them. (`sum()` may seed a chunk with
+//! `-0.0` where the fold seeds `0.0`; ranks are positive and residual terms
+//! are absolute values, so only a chunk without dangling vertices keeps its
+//! seed, and the sign of that zero is lost in `teleport + share`.) Pinned on
+//! raw and encoded views at 1, 4 and 8 threads in
+//! `tests/parallel_equivalence.rs`.
 
 use rayon::prelude::*;
 use sg_graph::{GraphView, VertexId};
@@ -50,28 +71,45 @@ pub fn pagerank<G: GraphView>(g: &G, cfg: PageRankConfig) -> PageRankResult {
         return PageRankResult { scores: Vec::new(), iterations: 0, residual: 0.0 };
     }
     let inv_n = 1.0 / n as f64;
-    let mut rank = vec![inv_n; n];
-    let mut next = vec![0.0f64; n];
     let base_teleport = (1.0 - cfg.damping) * inv_n;
-    let out_degree: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
+    let out_degree: Vec<f64> = (0..n as VertexId).map(|v| g.degree(v) as f64).collect();
+    let mut rank = vec![inv_n; n];
+    // What each vertex hands every out-neighbour in the coming sweep. A
+    // dangling vertex's slot is never read: no row lists it.
+    let mut contrib: Vec<f64> =
+        out_degree.iter().map(|&d| if d == 0.0 { 0.0 } else { inv_n / d }).collect();
+    let mut next_contrib = vec![0.0f64; n];
+    // Mass of dangling vertices (out-degree 0), which teleports everywhere.
+    let mut dangling: f64 =
+        (0..n).into_par_iter().filter(|&v| out_degree[v] == 0.0).map(|v| rank[v]).sum();
 
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
     while iterations < cfg.max_iterations && residual > cfg.tolerance {
-        // Mass of dangling vertices (out-degree 0) teleports everywhere.
-        let dangling: f64 =
-            (0..n).into_par_iter().filter(|&v| out_degree[v] == 0).map(|v| rank[v]).sum();
         let dangling_share = cfg.damping * dangling * inv_n;
-
-        next.par_iter_mut().enumerate().for_each(|(v, slot)| {
-            let mut pulled = 0.0f64;
-            g.in_cursor(v as VertexId)
-                .for_each(|u| pulled += rank[u as usize] / out_degree[u as usize] as f64);
-            *slot = base_teleport + dangling_share + cfg.damping * pulled;
-        });
-
-        residual = rank.par_iter().zip(next.par_iter()).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut rank, &mut next);
+        (residual, dangling) = rank
+            .par_iter_mut()
+            .zip(next_contrib.par_iter_mut())
+            .enumerate()
+            .fold(
+                || (0.0f64, 0.0f64),
+                |(residual, dangling), (v, (slot, next))| {
+                    let mut pulled = 0.0f64;
+                    g.in_cursor(v as VertexId).for_each(|u| pulled += contrib[u as usize]);
+                    let new = base_teleport + dangling_share + cfg.damping * pulled;
+                    let residual = residual + (*slot - new).abs();
+                    *slot = new;
+                    let degree = out_degree[v];
+                    if degree == 0.0 {
+                        (residual, dangling + new)
+                    } else {
+                        *next = new / degree;
+                        (residual, dangling)
+                    }
+                },
+            )
+            .reduce(|| (0.0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
+        std::mem::swap(&mut contrib, &mut next_contrib);
         iterations += 1;
     }
 

@@ -855,6 +855,28 @@ mod tests {
     }
 
     #[test]
+    fn analyze_of_an_empty_graph_succeeds() {
+        // An empty file is a zero-vertex graph; its (empty) PageRank
+        // support used to trip `kl_divergence`'s non-emptiness assert.
+        let gpath = tmp("empty.txt");
+        std::fs::write(&gpath, "").expect("write empty input");
+        for encoding in ["raw", "delta"] {
+            run(&sv(&[
+                "analyze",
+                "--input",
+                &gpath,
+                "--scheme",
+                "uniform",
+                "--p",
+                "0.5",
+                "--encoding",
+                encoding,
+            ]))
+            .expect("analyze of an empty graph");
+        }
+    }
+
+    #[test]
     fn binary_and_text_io_paths_roundtrip() {
         // generate → compress → stats across both serialization formats:
         // .bin in / .txt out, then .txt in / .bin out.

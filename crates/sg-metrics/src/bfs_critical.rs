@@ -34,23 +34,27 @@ impl CriticalEdges {
     }
 }
 
+/// Whether edge `(u, v)` joins consecutive BFS frontiers — such an edge
+/// either is a tree edge or could replace one.
+fn is_critical(depth: &[u32], u: VertexId, v: VertexId) -> bool {
+    let (du, dv) = (depth[u as usize], depth[v as usize]);
+    du != UNREACHABLE && dv != UNREACHABLE && du.abs_diff(dv) == 1
+}
+
 /// Computes the critical-edge set for a BFS from `root`: every edge whose
-/// endpoints sit on consecutive BFS frontiers (such an edge either is a tree
-/// edge or could replace one).
+/// endpoints sit on consecutive BFS frontiers.
 pub fn critical_edges(g: &CsrGraph, root: VertexId) -> CriticalEdges {
     let r = bfs(g, root);
-    let mut edges = Vec::new();
-    for (_, u, v) in g.edge_iter() {
-        let du = r.depth[u as usize];
-        let dv = r.depth[v as usize];
-        if du == UNREACHABLE || dv == UNREACHABLE {
-            continue;
-        }
-        if du.abs_diff(dv) == 1 {
-            edges.push((u, v));
-        }
-    }
+    let edges =
+        g.edge_slice().iter().copied().filter(|&(u, v)| is_critical(&r.depth, u, v)).collect();
     CriticalEdges { edges, tree_edges: r.reached.saturating_sub(1), total_edges: g.num_edges() }
+}
+
+/// `|Ecr|` for a BFS from `root`: [`critical_edges`]`(g, root).count()`
+/// without materialising the set.
+pub fn critical_edge_count(g: &CsrGraph, root: VertexId) -> usize {
+    let depth = bfs(g, root).depth;
+    g.edge_slice().iter().filter(|&&(u, v)| is_critical(&depth, u, v)).count()
 }
 
 /// The paper's preservation ratio `|Ẽcr| / |Ecr|` for the same root.
@@ -61,12 +65,16 @@ pub fn critical_edge_preservation(
     compressed: &CsrGraph,
     root: VertexId,
 ) -> f64 {
-    let ecr = critical_edges(original, root).count();
-    if ecr == 0 {
+    preservation_of(critical_edge_count(original, root), compressed, root)
+}
+
+/// [`critical_edge_preservation`] against an original whose `|Ecr|` for
+/// `root` is already known.
+pub(crate) fn preservation_of(original_ecr: usize, compressed: &CsrGraph, root: VertexId) -> f64 {
+    if original_ecr == 0 {
         return 1.0;
     }
-    let etil = critical_edges(compressed, root).count();
-    etil as f64 / ecr as f64
+    critical_edge_count(compressed, root) as f64 / original_ecr as f64
 }
 
 #[cfg(test)]
@@ -113,6 +121,25 @@ mod tests {
         let g = CsrGraph::from_pairs(5, &[(0, 1), (2, 3), (3, 4)]);
         let c = critical_edges(&g, 0);
         assert_eq!(c.count(), 1); // only (0,1); component {2,3,4} unreached
+    }
+
+    /// The count is the set's size on every shape the predicate branches
+    /// on: connected, disconnected, and a root whose component is a sliver
+    /// of the graph (most edges have both ends unreachable).
+    #[test]
+    fn count_agrees_with_the_collected_set() {
+        // Many components.
+        let sparse = generators::erdos_renyi(400, 300, 7);
+        // Root 0 reaches one edge; the 200-vertex path is out of its reach.
+        let far: Vec<(u32, u32)> =
+            std::iter::once((0, 1)).chain((2..201).map(|v| (v, v + 1))).collect();
+        let far = CsrGraph::from_pairs(202, &far);
+        let mut cases = vec![(generators::erdos_renyi(300, 1500, 5), 0), (far.clone(), 0)];
+        cases.extend((0..400).step_by(37).map(|root| (sparse.clone(), root)));
+        for (g, root) in cases {
+            assert_eq!(critical_edge_count(&g, root), critical_edges(&g, root).count());
+        }
+        assert_eq!((critical_edge_count(&far, 0), critical_edge_count(&far, 100)), (1, 199));
     }
 
     use sg_graph::CsrGraph;

@@ -38,13 +38,15 @@ use crate::upload::UploadRegistry;
 use crate::{b64, quota::QuotaBook};
 use sg_algos::cc;
 use sg_core::{
-    CompressionScheme, GraphCatalog, GraphHandle, PipelineSpec, SchemeParams, SchemeRegistry,
-    SessionRun, SgSession, StageCache, StageOutcome, StageReport,
+    CompressionScheme, GraphCatalog, GraphHandle, GraphId, PipelineSpec, SchemeParams,
+    SchemeRegistry, SessionRun, SgSession, StageCache, StageOutcome, StageReport,
 };
 use sg_graph::CsrGraph;
+use sg_metrics::AccuracyBaseline;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Socket-level read timeout: the granularity at which a blocked worker
@@ -200,6 +202,10 @@ struct ServeMetrics {
     auth_failures: Arc<sg_obs::Counter>,
     /// Requests whose service time met the slowlog threshold.
     slow_requests: Arc<sg_obs::Counter>,
+    /// Registrations whose accuracy baseline / digest the facts ledger
+    /// had to compute (each at most once per registration).
+    baselines_computed: Arc<sg_obs::Counter>,
+    digests_computed: Arc<sg_obs::Counter>,
     active: Arc<sg_obs::Gauge>,
     peak_active: Arc<sg_obs::Gauge>,
     /// Admission-to-worker-pickup wait per connection.
@@ -221,6 +227,8 @@ impl ServeMetrics {
             frames_rejected: registry.counter("serve.frames_rejected"),
             auth_failures: registry.counter("serve.auth_failures"),
             slow_requests: registry.counter("serve.slow_requests"),
+            baselines_computed: registry.counter("serve.facts.baseline_computed"),
+            digests_computed: registry.counter("serve.facts.digest_computed"),
             active: registry.gauge("serve.active"),
             peak_active: registry.gauge("serve.peak_active"),
             queue_wait: registry.histogram("serve.queue_wait_ms"),
@@ -237,9 +245,26 @@ impl ServeMetrics {
     }
 }
 
+/// What the daemon derives from a *loaded* graph, once per registration: a
+/// registration is an immutable graph under a [`GraphId`] that is never
+/// recycled, so neither fact can go stale. Each is computed under its own
+/// `OnceLock` — a second request needing it meanwhile waits instead of
+/// recomputing.
+#[derive(Default)]
+struct GraphFacts {
+    /// [`graph_digest`] of the registered graph.
+    digest: OnceLock<u64>,
+    /// The original's side of every `analyze` report (≤ 8 n bytes).
+    baseline: OnceLock<AccuracyBaseline>,
+}
+
 /// Shared daemon state.
 struct ServeState {
     session: SgSession,
+    /// The facts ledger, one entry per registration some request needed a
+    /// fact of. Locked only to find, add or drop an entry — never while a
+    /// fact is computed.
+    facts: Mutex<BTreeMap<GraphId, Arc<GraphFacts>>>,
     uploads: UploadRegistry,
     quotas: QuotaBook,
     started: Instant,
@@ -257,6 +282,48 @@ struct ServeState {
 }
 
 impl ServeState {
+    fn ledger(&self) -> std::sync::MutexGuard<'_, BTreeMap<GraphId, Arc<GraphFacts>>> {
+        // Every update is one map operation, so a poisoned ledger is intact.
+        self.facts.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The facts of `handle`'s registration. A request can outlive its
+    /// registration (evicted mid-flight); its facts then live for that
+    /// request only, not in a ledger no eviction would clean.
+    fn facts(&self, handle: &GraphHandle) -> Arc<GraphFacts> {
+        let mut ledger = self.ledger();
+        if let Some(facts) = ledger.get(&handle.id()) {
+            return Arc::clone(facts);
+        }
+        let facts = Arc::new(GraphFacts::default());
+        // Checked under the ledger lock: `unregister` removes the catalog
+        // entry first and the ledger entry second, so a registration still
+        // in the catalog is one whose eviction will yet find this entry.
+        if self.session.catalog().get(handle.name()).is_some_and(|h| h.id() == handle.id()) {
+            ledger.insert(handle.id(), Arc::clone(&facts));
+        }
+        facts
+    }
+
+    /// [`graph_digest`] of a catalog graph, as the 16 hex digits of the
+    /// wire, computed once per registration.
+    fn input_checksum(&self, handle: &GraphHandle) -> String {
+        let digest = *self.facts(handle).digest.get_or_init(|| {
+            self.metrics.digests_computed.inc();
+            graph_digest(handle.graph())
+        });
+        format!("{digest:016x}")
+    }
+
+    /// Drops the registration `name` and everything derived from it: the
+    /// catalog entry, its stage-cache entries, its facts. Returns the
+    /// evicted handle and the number of cache entries dropped.
+    fn unregister(&self, name: &str) -> Option<(GraphHandle, usize)> {
+        let evicted = self.session.evict(name)?;
+        self.ledger().remove(&evicted.0.id());
+        Some(evicted)
+    }
+
     /// Wakes the accept loop after the shutdown flag flips (a blocked
     /// `accept` only returns on a connection).
     fn wake_acceptor(&self) {
@@ -324,6 +391,7 @@ impl Server {
             queue: ConnQueue::new(cfg.queue_depth),
             state: Arc::new(ServeState {
                 session,
+                facts: Mutex::new(BTreeMap::new()),
                 uploads,
                 quotas: QuotaBook::new(cfg.catalog_quota_bytes, cfg.cache_quota_bytes),
                 started: Instant::now(),
@@ -734,7 +802,13 @@ fn handle(state: &ServeState, ctx: &ConnCtx, request: Request) -> Result<Reply, 
         Request::Analyze { graph, spec, seed } => {
             let ran = run_or_federate(state, ctx, &graph, &spec, seed)?;
             let original = ran.input.graph();
-            let report = sg_metrics::accuracy_report(original, original, &ran.run.graph);
+            let facts = state.facts(&ran.input);
+            let baseline = facts.baseline.get_or_init(|| {
+                state.metrics.baselines_computed.inc();
+                let _span = sg_obs::span!("serve.facts.baseline", graph = ran.input.name());
+                AccuracyBaseline::new(original)
+            });
+            let report = baseline.compare(original, original, &ran.run.graph);
             let [cc0, cc1] = report.components.map(|n| Json::u64(n as u64));
             let [tc0, tc1] = report.triangles.map(Json::u64);
             let metrics = Json::obj()
@@ -756,7 +830,7 @@ fn handle(state: &ServeState, ctx: &ConnCtx, request: Request) -> Result<Reply, 
             if loaded && fresh {
                 let bytes = handle.approx_bytes() as u64;
                 if let Err(err) = state.quotas.charge_catalog(&ctx.peer, &name, bytes) {
-                    state.session.evict(&name);
+                    state.unregister(&name);
                     return Err(err);
                 }
             }
@@ -851,7 +925,7 @@ fn handle(state: &ServeState, ctx: &ConnCtx, request: Request) -> Result<Reply, 
             let mut body = Json::obj();
             if let Some(name) = graph {
                 let (handle, purged) =
-                    state.session.evict(&name).ok_or_else(|| unknown_graph(&name))?;
+                    state.unregister(&name).ok_or_else(|| unknown_graph(&name))?;
                 state.quotas.release_graph(&name);
                 body = body
                     .with("evicted", Json::str(handle.name()))
@@ -933,7 +1007,8 @@ fn handle_upload(
             // the transfer corrupted it.
             let graph =
                 loaded.map_err(|e| corrupted(format!("uploaded bytes do not load ({e})")))?;
-            let actual = format!("{:016x}", graph_digest(&graph));
+            let digest = graph_digest(&graph);
+            let actual = format!("{digest:016x}");
             if actual != finished.digest {
                 return Err(corrupted(format!(
                     "uploaded graph digests to {actual}, client declared {}",
@@ -947,9 +1022,11 @@ fn handle_upload(
             let catalog = state.session.catalog();
             let handle = catalog.insert(name, graph, &source).map_err(bad_request)?;
             if let Err(err) = state.quotas.charge_catalog(&finished.peer, name, bytes) {
-                catalog.remove(name);
+                state.unregister(name);
                 return Err(err);
             }
+            // The digest just verified is the registration's.
+            let _ = state.facts(&handle).digest.set(digest);
             Ok(describe(&handle)
                 .with("loaded", Json::Bool(true))
                 .with("checksum", Json::str(actual))
@@ -1118,7 +1195,7 @@ fn federated_run(
     }
     state.metrics.registry.counter("fed.requests").inc();
     let graph = handle.name();
-    let local_checksum = format!("{:016x}", graph_digest(input));
+    let local_checksum = state.input_checksum(handle);
     let trace_id = sg_obs::trace::current_trace_id().map(|id| id.to_string()).unwrap_or_default();
     let started = Instant::now();
     let _span = sg_obs::span!("fed.run", graph = graph, shards = cfg.workers.len());
@@ -1205,7 +1282,7 @@ fn shard_run(
         .with("ids", Json::Arr(ids))
         .with("shard", Json::u64(shard as u64))
         .with("shards", Json::u64(shards as u64))
-        .with("checksum", Json::str(format!("{:016x}", graph_digest(g))))
+        .with("checksum", Json::str(state.input_checksum(&handle)))
         .with("ms", Json::f64(started.elapsed().as_secs_f64() * 1e3)))
 }
 

@@ -349,3 +349,50 @@ fn replica_digest_mismatch_aborts_the_merge() {
 
     shutdown(vec![coordinator, worker]);
 }
+
+/// The worker's memoised replica digest is keyed by registration: swap
+/// the replica (`evict` + `load` of another file under the same name)
+/// after a request has verified it, and the very next request is refused.
+#[test]
+fn a_replica_swapped_after_it_was_verified_is_refused_on_the_next_request() {
+    let g = input_graph();
+    let sgr = tmp("fed-swap.sgr");
+    slimgraph::store::save_sgr(&g, &sgr).expect("write input");
+    let other_sgr = tmp("fed-swap-other.sgr");
+    slimgraph::store::save_sgr(&generators::erdos_renyi(300, 900, 5), &other_sgr)
+        .expect("write other");
+
+    let worker = spawn_worker();
+    let coordinator = spawn_coordinator(vec![worker.0.clone()], 1, 5_000);
+    let mut client = Client::connect(&coordinator.0).expect("connect");
+    let load = |path: &str| {
+        Client::request_for("load").with("name", Json::str("g")).with("path", Json::str(path))
+    };
+    ok(&client.request(&load(&sgr)).expect("load"));
+    for seed in [11, 12] {
+        let response = client.request(&compress_request("g", "uniform:p=0.4", seed)).expect("ok");
+        assert_eq!(
+            ok(&response).get("checksum").and_then(Json::as_str),
+            Some(format!("{:016x}", graph_digest(&cold("uniform:p=0.4", &g, seed))).as_str())
+        );
+    }
+
+    let mut direct = Client::connect(&worker.0).expect("connect worker");
+    ok(&direct
+        .request(&Client::request_for("evict").with("graph", Json::str("g")))
+        .expect("evict replica"));
+    ok(&direct.request(&load(&other_sgr)).expect("swap replica"));
+    let response = client.request(&compress_request("g", "uniform:p=0.4", 13)).expect("request");
+    assert_eq!(error_code(&response), "fed-digest-mismatch");
+
+    // One FNV pass per registration the worker was asked about, not per request.
+    let metrics = direct.request(&Client::request_for("metrics")).expect("metrics");
+    let digests = ok(&metrics)
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("serve.facts.digest_computed"))
+        .and_then(Json::as_u64);
+    assert_eq!(digests, Some(2));
+
+    shutdown(vec![coordinator, worker]);
+}

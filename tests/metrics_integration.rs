@@ -1,15 +1,15 @@
 //! Integration tests for the analytics subsystem against real compression
 //! outputs (not synthetic score vectors).
 
-use sg_algos::{bc, pagerank, tc};
+use sg_algos::{bc, cc, pagerank, tc};
 use sg_core::scheme::{Spanner, Spectral};
 use sg_core::schemes::{uniform_sample, UpsilonVariant};
-use sg_core::CompressionScheme;
-use sg_graph::generators;
+use sg_core::{CompressionScheme, SchemeParams, SchemeRegistry};
+use sg_graph::{generators, CsrGraph, EncodedCsr, GraphView};
 use sg_metrics::{
-    compare_degree_distributions, critical_edge_preservation, hellinger, jensen_shannon,
-    kl_divergence, max_degree_vertex, reordered_neighbor_fraction, reordered_pair_fraction,
-    total_variation,
+    accuracy_report, compare_degree_distributions, critical_edge_preservation, critical_edges,
+    hellinger, jensen_shannon, kl_divergence, max_degree_vertex, reordered_neighbor_fraction,
+    reordered_pair_fraction, total_variation, AccuracyBaseline, AccuracyReport,
 };
 
 #[test]
@@ -163,4 +163,95 @@ fn spectral_beats_uniform_on_critical_edges_too() {
     let p_unif = critical_edge_preservation(&g, &unif.graph, root);
     // Spectral protects low-degree vertices' edges, keeping BFS structure.
     assert!(p_spec > 0.0 && p_unif > 0.0);
+}
+
+/// `accuracy_report` as commit e8654ec computed it — both sides from
+/// scratch on every call, the critical edges collected to be counted —
+/// kept as the reference the baseline form is compared against.
+fn from_scratch_report<B: GraphView>(
+    before: &B,
+    original: &CsrGraph,
+    compressed: &CsrGraph,
+) -> AccuracyReport {
+    let components = [
+        cc::connected_components(before).num_components,
+        cc::connected_components(compressed).num_components,
+    ];
+    let triangles = [tc::count_triangles(before), tc::count_triangles(compressed)];
+    let (pagerank_kl, bfs_critical_kept) = if compressed.num_vertices() == original.num_vertices() {
+        let pr0 = pagerank::pagerank_default(before).scores;
+        let pr1 = pagerank::pagerank_default(compressed).scores;
+        let root = max_degree_vertex(original);
+        let ecr = critical_edges(original, root).count();
+        let kept = match ecr {
+            0 => 1.0,
+            _ => critical_edges(compressed, root).count() as f64 / ecr as f64,
+        };
+        (Some(kl_divergence(&pr0, &pr1)), Some(kept))
+    } else {
+        (None, None)
+    };
+    AccuracyReport { components, triangles, pagerank_kl, bfs_critical_kept }
+}
+
+/// Every field of a report, floats as raw bits.
+fn report_bits(r: &AccuracyReport) -> ([usize; 2], [u64; 2], Option<u64>, Option<u64>) {
+    (
+        r.components,
+        r.triangles,
+        r.pagerank_kl.map(f64::to_bits),
+        r.bfs_critical_kept.map(f64::to_bits),
+    )
+}
+
+/// One baseline per "before" view — raw and encoded — compared against
+/// the output of every registry scheme in turn answers what a
+/// from-scratch report of each pair answers, to the last bit: the
+/// vertex-removing schemes (`lowdeg`, `collapse`) interleaved with the
+/// vertex-preserving ones, the one-shot form included.
+#[test]
+fn one_baseline_answers_every_scheme_as_a_from_scratch_report_does() {
+    let g = generators::planted_triangles(&generators::erdos_renyi(800, 2400, 1), 600, 2);
+    let encoded = EncodedCsr::from_graph(&g);
+    let registry = SchemeRegistry::with_defaults();
+    let params = SchemeParams::from_pairs(&[("p", "0.5")]);
+    let (raw_baseline, encoded_baseline) =
+        (AccuracyBaseline::new(&g), AccuracyBaseline::new(&encoded));
+    let mut vertex_removing = 0;
+    for name in registry.names() {
+        let out = registry.create(name, &params).expect("default factories succeed").apply(&g, 3);
+        let reference = report_bits(&from_scratch_report(&g, &g, &out.graph));
+        vertex_removing += usize::from(reference.2.is_none());
+        let reports = [
+            ("raw baseline", raw_baseline.compare(&g, &g, &out.graph)),
+            ("encoded baseline", encoded_baseline.compare(&encoded, &g, &out.graph)),
+            ("one-shot", accuracy_report(&g, &g, &out.graph)),
+            ("one-shot, encoded", accuracy_report(&encoded, &g, &out.graph)),
+        ];
+        for (form, report) in reports {
+            assert_eq!(report_bits(&report), reference, "`{name}`, {form}");
+        }
+    }
+    assert!(vertex_removing >= 2, "lowdeg and collapse must change the vertex set here");
+    assert!(raw_baseline.has_distribution() && encoded_baseline.has_distribution());
+}
+
+/// The PageRank half of a baseline is filled by the first comparison that
+/// can use it: a graph only ever analysed through vertex-removing schemes
+/// never pays for one.
+#[test]
+fn a_lowdeg_only_sequence_never_fills_the_distribution_part() {
+    let g = generators::erdos_renyi(800, 2400, 1);
+    let registry = SchemeRegistry::with_defaults();
+    let lowdeg = registry.create("lowdeg", &SchemeParams::new()).expect("lowdeg");
+    let baseline = AccuracyBaseline::new(&g);
+    for seed in 1..=3 {
+        let out = lowdeg.apply(&g, seed).graph;
+        assert!(out.num_vertices() < g.num_vertices(), "lowdeg must remove a vertex");
+        let report = baseline.compare(&g, &g, &out);
+        assert_eq!(report_bits(&report), report_bits(&from_scratch_report(&g, &g, &out)));
+        assert!(!baseline.has_distribution());
+    }
+    baseline.compare(&g, &g, &g);
+    assert!(baseline.has_distribution(), "a vertex-preserving comparison fills it");
 }

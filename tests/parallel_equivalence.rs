@@ -377,6 +377,55 @@ fn pagerank_scores_are_bit_identical_across_thread_counts() {
     });
 }
 
+/// `(iterations, residual bits, FNV of the scores' bits)` of
+/// `pagerank_default`, pinned to what the four-pass sweep of commit e8654ec
+/// (dangling sum, pull with a divide per edge, residual sum — three drives
+/// per iteration) printed, on the raw graph and on its encoded twin, at 1, 4
+/// and 8 threads. The inputs reach every term of the update: a skewed graph,
+/// a sample with isolated vertices (dangling mass ≠ 0), a directed graph
+/// with sinks and a source, and the degenerate sizes. Elsewhere PageRank is
+/// pinned only indirectly (raw == encoded, a KL inside a transcript), which
+/// would not say *which* bit moved.
+#[test]
+fn pagerank_matches_the_four_pass_sweep_to_the_last_bit() {
+    use slimgraph::graph::{EdgeList, EncodedCsr};
+    type Pin = (usize, u64, u64);
+    let ba = generators::barabasi_albert(4000, 4, 5);
+    let sampled = SchemeRegistry::with_defaults()
+        .parse_pipeline("uniform:p=0.5", &SchemeParams::new())
+        .expect("spec parses")
+        .apply(&ba, 3)
+        .result
+        .graph;
+    assert!((0..4000).any(|v| sampled.degree(v) == 0), "the sample must isolate a vertex");
+    // Vertex v points at 3v+1 and 7v+2 (mod 600) unless v is a multiple of
+    // five: 120 sinks, and in-degrees from 0 upwards.
+    let arcs = (0..600u32).filter(|v| v % 5 != 0).flat_map(|v| {
+        [(v, (3 * v + 1) % 600), (v, (7 * v + 2) % 600)].into_iter().filter(|&(u, w)| u != w)
+    });
+    let sinks = CsrGraph::from_edge_list_directed(EdgeList::from_pairs(600, arcs));
+    assert!(sinks.is_directed() && (0..600).any(|v| sinks.degree(v) == 0));
+    let rmat = generators::rmat_graph500(11, 8, 5);
+    let cases: [(&str, CsrGraph, Pin); 6] = [
+        ("barabasi_albert(4000, 4)", ba, (30, 0x3e0f_2616_cee6_0000, 0xed0c_4a05_e7f5_95df)),
+        ("its uniform:p=0.5 sample", sampled, (85, 0x3e10_c155_de21_0000, 0x40b7_a263_bb28_426e)),
+        ("rmat_graph500(11, 8)", rmat, (32, 0x3e0a_517f_1dfc_0000, 0xbe85_032b_1692_2db9)),
+        ("directed with sinks", sinks, (24, 0x3dff_5b81_2680_0000, 0x885c_96b0_5efd_e22d)),
+        ("empty", CsrGraph::from_pairs(0, &[]), (0, 0, 0xcbf2_9ce4_8422_2325)),
+        ("single vertex", CsrGraph::from_pairs(1, &[]), (1, 0, 0xc293_bd4c_8601_b7df)),
+    ];
+    for (label, g, pinned) in cases {
+        let encoded = EncodedCsr::from_graph(&g);
+        let got: [Pin; 2] = assert_thread_invariant(label, || {
+            let pin = |r: pagerank::PageRankResult| {
+                (r.iterations, r.residual.to_bits(), fnv(r.scores.iter().map(|x| x.to_bits())))
+            };
+            [pin(pagerank::pagerank_default(&g)), pin(pagerank::pagerank_default(&encoded))]
+        });
+        assert_eq!(got, [pinned; 2], "`{label}` (raw, encoded) moved off the four-pass sweep");
+    }
+}
+
 #[test]
 fn connected_components_are_thread_count_invariant() {
     let g = generators::erdos_renyi(2000, 2500, 4); // sparse: many components

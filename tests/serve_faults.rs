@@ -355,3 +355,164 @@ fn only_the_current_protocol_version_is_served() {
     ok(&client.request(&Client::request_for("shutdown")).expect("shutdown"));
     daemon.join().expect("daemon thread").expect("clean exit");
 }
+
+fn load_request(name: &str, path: &str) -> Json {
+    Client::request_for("load").with("name", Json::str(name)).with("path", Json::str(path))
+}
+
+fn analyze_request(graph: &str, spec: &str, seed: u64) -> Json {
+    Client::request_for("analyze")
+        .with("graph", Json::str(graph))
+        .with("spec", Json::str(spec))
+        .with("seed", Json::u64(seed))
+}
+
+/// One of the daemon's own counters, read through the `metrics` op.
+fn counter(client: &mut Client, name: &str) -> u64 {
+    let response = client.request(&Client::request_for("metrics")).expect("metrics");
+    ok(&response)
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no counter {name} in {}", response.render()))
+}
+
+/// What an `analyze` reply says about the graphs: the output's digest
+/// and the whole `metrics` block, as rendered on the wire.
+fn analysis(response: &Json) -> (String, String) {
+    let field = |key: &str| ok(response).get(key).map(Json::render).expect("analyze field");
+    (field("checksum"), field("metrics"))
+}
+
+/// `analyze` of a zero-vertex graph used to reach `kl_divergence(&[], &[])`,
+/// whose assert took the worker with it: on a one-worker daemon the next
+/// request never returned.
+#[test]
+fn analyze_of_an_empty_graph_answers_and_costs_no_worker() {
+    let path = tmp("faults-empty.txt");
+    std::fs::write(&path, "").expect("write empty input");
+    let (addr, daemon) = spawn(ServeConfig { workers: 1, ..fault_config() });
+    let mut client = Client::connect(&addr).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(20))).expect("bound the wait");
+    let loaded = client.request(&load_request("empty", &path)).expect("load");
+    assert_eq!(ok(&loaded).get("vertices").and_then(Json::as_u64), Some(0));
+    let response = client.request(&analyze_request("empty", "uniform:p=0.5", 1)).expect("answered");
+    let metrics = ok(&response).get("metrics").expect("metrics block");
+    assert_eq!(metrics.get("pagerank_kl").and_then(Json::as_f64), Some(0.0));
+    assert_eq!(metrics.get("bfs_critical_kept").and_then(Json::as_f64), Some(1.0));
+    drop(client);
+    let mut next = Client::connect(&addr).expect("connect");
+    next.set_timeout(Some(Duration::from_secs(20))).expect("bound the wait");
+    ok(&next.request(&Client::request_for("ping")).expect("the one worker still serves"));
+    ok(&next.request(&Client::request_for("shutdown")).expect("shutdown"));
+    daemon.join().expect("daemon thread").expect("clean exit");
+}
+
+/// Two connections whose first `analyze` of one graph arrive together
+/// share one baseline computation — whichever worker gets there second
+/// waits for the first — and both read what a daemon that served only
+/// their request would have answered.
+#[test]
+fn concurrent_first_analyzes_compute_one_baseline() {
+    let g = generators::planted_triangles(&generators::barabasi_albert(3000, 4, 71), 600, 72);
+    let path = tmp("faults-ledger.sgr");
+    slimgraph::store::save_sgr(&g, &path).expect("save input");
+    let requests =
+        [analyze_request("g", "uniform:p=0.5", 3), analyze_request("g", "spanner:k=4", 4)];
+    let alone = requests.each_ref().map(|request| {
+        let (addr, daemon) = spawn(fault_config());
+        let mut client = Client::connect(&addr).expect("connect");
+        ok(&client.request(&load_request("g", &path)).expect("load"));
+        let answer = analysis(&client.request(request).expect("analyze"));
+        ok(&client.request(&Client::request_for("shutdown")).expect("shutdown"));
+        daemon.join().expect("daemon thread").expect("clean exit");
+        answer
+    });
+
+    let (addr, daemon) = spawn(fault_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    ok(&client.request(&load_request("g", &path)).expect("load"));
+    let start = std::sync::Barrier::new(requests.len());
+    let together = std::thread::scope(|scope| {
+        let asked = requests.each_ref().map(|request| {
+            let mut client = Client::connect(&addr).expect("connect");
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                analysis(&client.request(request).expect("analyze"))
+            })
+        });
+        asked.map(|thread| thread.join().expect("client thread"))
+    });
+    assert_eq!(together, alone);
+    assert_eq!(counter(&mut client, "serve.facts.baseline_computed"), 1);
+    ok(&client.request(&Client::request_for("shutdown")).expect("shutdown"));
+    daemon.join().expect("daemon thread").expect("clean exit");
+}
+
+/// Facts belong to a registration, not to a name: evicting `g` and
+/// loading a different file as `g` mints a new `graph_id`, and both the
+/// baseline and the digest are derived again, from the new graph.
+#[test]
+fn facts_follow_the_registration_not_the_name() {
+    let first = generators::barabasi_albert(400, 3, 5); // connected
+    let second = generators::erdos_renyi(400, 300, 6); // many components
+    let paths = [tmp("faults-facts-1.sgr"), tmp("faults-facts-2.sgr")];
+    slimgraph::store::save_sgr(&first, &paths[0]).expect("save input");
+    slimgraph::store::save_sgr(&second, &paths[1]).expect("save input");
+    let components = |g| slimgraph::algos::cc::connected_components(g).num_components as u64;
+    assert_ne!(components(&first), components(&second));
+    let shard_run = |graph: &str| {
+        Client::request_for("shard_run")
+            .with("graph", Json::str(graph))
+            .with("spec", Json::str("uniform:p=0.5"))
+            .with("seed", Json::u64(1))
+            .with("shard", Json::u64(0))
+            .with("shards", Json::u64(2))
+    };
+
+    let (addr, daemon) = spawn(fault_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut ids = Vec::new();
+    for (round, (g, path)) in [&first, &second].into_iter().zip(&paths).enumerate() {
+        let loaded = client.request(&load_request("g", path)).expect("load");
+        ids.push(ok(&loaded).get("graph_id").and_then(Json::as_u64).expect("graph_id"));
+        // Twice each: the second answer comes from the ledger.
+        for seed in [7, 8] {
+            let response =
+                client.request(&analyze_request("g", "uniform:p=0.5", seed)).expect("analyze");
+            let before = ok(&response)
+                .get("metrics")
+                .and_then(|m| m.get("components"))
+                .and_then(Json::as_arr)
+                .and_then(|pair| pair[0].as_u64());
+            assert_eq!(before, Some(components(g)), "round {round}: the original's components");
+            let response = client.request(&shard_run("g")).expect("shard_run");
+            assert_eq!(
+                ok(&response).get("checksum").and_then(Json::as_str),
+                Some(format!("{:016x}", graph_digest(g)).as_str()),
+                "round {round}: the replica digest"
+            );
+        }
+        let computed = round as u64 + 1;
+        assert_eq!(counter(&mut client, "serve.facts.baseline_computed"), computed);
+        assert_eq!(counter(&mut client, "serve.facts.digest_computed"), computed);
+        ok(&client
+            .request(&Client::request_for("evict").with("graph", Json::str("g")))
+            .expect("evict"));
+    }
+    assert_ne!(ids[0], ids[1], "a re-registered name gets a fresh graph_id");
+
+    // An upload's commit has just verified the digest: the registration
+    // starts with it, and no later request makes the pass again.
+    ok(&client.upload("up", &paths[0], None, 256).expect("upload"));
+    let response = client.request(&shard_run("up")).expect("shard_run");
+    assert_eq!(
+        ok(&response).get("checksum").and_then(Json::as_str),
+        Some(format!("{:016x}", graph_digest(&first)).as_str())
+    );
+    assert_eq!(counter(&mut client, "serve.facts.digest_computed"), 2);
+    ok(&client.request(&Client::request_for("shutdown")).expect("shutdown"));
+    daemon.join().expect("daemon thread").expect("clean exit");
+}
