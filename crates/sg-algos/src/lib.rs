@@ -19,7 +19,7 @@
 //! * [`kcore`] — core decomposition, degeneracy, arboricity bounds,
 //! * [`mis`] — maximal independent set,
 //! * [`diameter`] — exact (small graphs) and double-sweep estimates,
-//! * [`spanning`] — BFS spanning forests.
+//! * [`spanning`] — BFS spanning trees of clusters.
 
 pub mod bc;
 pub mod bfs;

@@ -1,131 +1,106 @@
-//! BFS spanning trees and forests.
+//! BFS spanning trees of vertex subsets.
 //!
 //! The spanner kernel (§4.5.3) replaces every low-diameter cluster by a
-//! spanning tree; this module provides the tree machinery, both for whole
-//! graphs and restricted to vertex subsets (clusters).
+//! spanning tree; this module is that tree routine. It owns no memory: the
+//! tree is written into a caller-owned slot per vertex and the BFS queue is
+//! the caller's too, so one pair of arrays serves every cluster a worker
+//! processes.
 
-use crate::bfs::bfs;
-use sg_graph::types::NO_VERTEX;
+use sg_graph::types::NO_EDGE;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 
-/// Spanning forest via BFS from every unvisited vertex: returns the chosen
-/// canonical edge ids (n - #components edges).
-pub fn spanning_forest(g: &CsrGraph) -> Vec<EdgeId> {
-    let n = g.num_vertices();
-    let mut visited = vec![false; n];
-    let mut edges = Vec::new();
-    for root in 0..n as VertexId {
-        if visited[root as usize] {
-            continue;
-        }
-        let r = bfs(g, root);
-        for v in 0..n as VertexId {
-            if r.is_reached(v) {
-                visited[v as usize] = true;
-                let p = r.parent[v as usize];
-                if p != NO_VERTEX {
-                    edges.push(g.find_edge(p, v).expect("BFS tree edge exists"));
-                }
-            }
-        }
-    }
-    edges
-}
-
 /// BFS spanning tree of the subgraph induced by `members` (a cluster),
-/// starting at `members\[0\]`, with membership given by a predicate. Only
-/// edges with both endpoints in the cluster are traversed. Returns tree
-/// edge ids plus the tree's depth (the low-diameter guarantee spanners rely
-/// on). The predicate form avoids allocating an O(n) bitmap per cluster —
-/// important when a decomposition yields thousands of clusters.
+/// rooted at `members\[0\]` and exploring rows in order, with membership
+/// given by a predicate. Only edges with both endpoints in the cluster are
+/// traversed.
+///
+/// The tree is returned through `parent_edge`, one slot per vertex of `g`:
+/// every member reached other than the root gets the id of the edge to its
+/// BFS parent, so an intra-cluster edge is a tree edge iff it is the
+/// `parent_edge` of one of its endpoints. The slots of `members` must be
+/// [`NO_EDGE`] on entry (that is how an unvisited member is told apart);
+/// the root's slot and every non-member's are left alone, so over a
+/// partition of the vertices the array never needs resetting. `queue` is
+/// working space, overwritten with the reached members in BFS order.
+///
+/// Returns the number of tree edges — `members.len() - 1` exactly when the
+/// cluster is connected.
 pub fn cluster_spanning_tree_by(
     g: &CsrGraph,
     members: &[VertexId],
     in_cluster: impl Fn(VertexId) -> bool,
-) -> (Vec<EdgeId>, u32) {
-    let mut edges = Vec::with_capacity(members.len().saturating_sub(1));
-    if members.is_empty() {
-        return (edges, 0);
-    }
-    let mut depth_of = rustc_hash::FxHashMap::default();
-    let root = members[0];
-    depth_of.insert(root, 0u32);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(root);
-    let mut max_depth = 0;
-    while let Some(u) = queue.pop_front() {
-        let du = depth_of[&u];
-        let row = g.neighbors(u);
-        let eids = g.neighbor_edge_ids(u);
-        for (i, &v) in row.iter().enumerate() {
-            if in_cluster(v) && !depth_of.contains_key(&v) {
-                depth_of.insert(v, du + 1);
-                max_depth = max_depth.max(du + 1);
-                edges.push(eids[i]);
-                queue.push_back(v);
+    parent_edge: &mut [EdgeId],
+    queue: &mut Vec<VertexId>,
+) -> usize {
+    queue.clear();
+    let Some(&root) = members.first() else { return 0 };
+    queue.push(root);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        for (&v, &e) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
+            if in_cluster(v) && v != root && parent_edge[v as usize] == NO_EDGE {
+                parent_edge[v as usize] = e;
+                queue.push(v);
             }
         }
     }
-    (edges, max_depth)
-}
-
-/// Bitmap-based variant of [`cluster_spanning_tree_by`].
-pub fn cluster_spanning_tree(
-    g: &CsrGraph,
-    members: &[VertexId],
-    in_cluster: &[bool],
-) -> (Vec<EdgeId>, u32) {
-    cluster_spanning_tree_by(g, members, |v| in_cluster[v as usize])
+    queue.len() - 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::connected_components;
     use sg_graph::generators;
-
-    #[test]
-    fn forest_size_is_n_minus_components() {
-        let g = generators::erdos_renyi(300, 450, 2);
-        let cc = connected_components(&g);
-        let f = spanning_forest(&g);
-        assert_eq!(f.len(), 300 - cc.num_components);
-    }
-
-    #[test]
-    fn forest_is_acyclic_and_spanning() {
-        let g = generators::erdos_renyi(200, 800, 3);
-        let f = spanning_forest(&g);
-        let keep: rustc_hash::FxHashSet<EdgeId> = f.iter().copied().collect();
-        let tree = g.filter_edges(|e| keep.contains(&e));
-        let cc_tree = connected_components(&tree);
-        let cc_full = connected_components(&g);
-        assert_eq!(cc_tree.num_components, cc_full.num_components);
-        assert_eq!(tree.num_edges(), 200 - cc_full.num_components);
-    }
 
     #[test]
     fn cluster_tree_respects_membership() {
         let g = generators::grid(4, 4);
         let members: Vec<VertexId> = vec![0, 1, 4, 5]; // 2x2 corner block
-        let mut in_cluster = vec![false; 16];
-        for &v in &members {
-            in_cluster[v as usize] = true;
+        let mut parent_edge = vec![NO_EDGE; 16];
+        let mut queue = Vec::new();
+        let inside = |v: VertexId| members.contains(&v);
+        let tree_edges =
+            cluster_spanning_tree_by(&g, &members, inside, &mut parent_edge, &mut queue);
+        assert_eq!(tree_edges, 3);
+        assert_eq!(queue[0], 0, "the BFS starts at members[0]");
+        assert_eq!(parent_edge[0], NO_EDGE, "the root has no parent edge");
+        for v in 0..16 {
+            if v == 0 || !inside(v) {
+                assert_eq!(parent_edge[v as usize], NO_EDGE, "slot {v} is not the tree's");
+                continue;
+            }
+            // A parent edge joins its vertex to another member.
+            let (a, b) = g.edge_endpoints(parent_edge[v as usize]);
+            assert!(a == v || b == v);
+            assert!(inside(a) && inside(b));
         }
-        let (edges, depth) = cluster_spanning_tree(&g, &members, &in_cluster);
-        assert_eq!(edges.len(), 3);
-        assert!(depth <= 2);
-        for &e in &edges {
-            let (u, v) = g.edge_endpoints(e);
-            assert!(in_cluster[u as usize] && in_cluster[v as usize]);
-        }
+    }
+
+    #[test]
+    fn disconnected_cluster_stops_at_the_roots_component() {
+        let g = generators::path(5);
+        let members: Vec<VertexId> = vec![0, 1, 3, 4];
+        let mut parent_edge = vec![NO_EDGE; 5];
+        let mut queue = Vec::new();
+        let tree_edges = cluster_spanning_tree_by(
+            &g,
+            &members,
+            |v| members.contains(&v),
+            &mut parent_edge,
+            &mut queue,
+        );
+        assert_eq!(tree_edges, 1);
+        assert_eq!(queue, [0, 1]);
     }
 
     #[test]
     fn empty_cluster() {
         let g = generators::path(4);
-        let (edges, depth) = cluster_spanning_tree(&g, &[], &[false; 4]);
-        assert!(edges.is_empty());
-        assert_eq!(depth, 0);
+        let mut queue = vec![7];
+        let tree_edges =
+            cluster_spanning_tree_by(&g, &[], |_| false, &mut [NO_EDGE; 4], &mut queue);
+        assert_eq!(tree_edges, 0);
+        assert!(queue.is_empty());
     }
 }

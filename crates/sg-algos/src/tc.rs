@@ -190,8 +190,10 @@ pub fn for_triangles_at(scratch: &mut RowScratch<'_>, u: VertexId, f: &mut impl 
 /// `fold`, returned in chunk order, lending each chunk a scratch: a chunk
 /// takes one off the call's free list at its start (creating it when the
 /// list is empty) and puts it back at its end, so the call creates one
-/// scratch per worker that ran a chunk, not one per chunk.
-fn fold_with_scratch<I, S, T>(
+/// scratch per worker that ran a chunk, not one per chunk. Public because the
+/// pattern is not the triangle kernels' alone: `sg-core`'s engine lends a
+/// subgraph kernel its per-worker scratch through this same function.
+pub fn fold_with_scratch<I, S, T>(
     items: I,
     new_scratch: impl Fn() -> S + Sync,
     identity: impl Fn() -> T + Sync,

@@ -84,5 +84,6 @@ fn main() {
     println!("{}", render_table(&["graph", "0.5-1-TR", "CT-0.5-1-TR", "EO-0.5-1-TR"], &rows));
     println!("(edge reduction = fraction of edges removed; Fig. 6's y-axis)");
     println!("note: EO here is the protective edge-disjoint variant that realizes the");
-    println!("paper's §6.1 guarantees; it trades some reduction for them (see EXPERIMENTS.md)");
+    println!("paper's §6.1 guarantees; it trades some reduction for them (see the module docs");
+    println!("of sg-core's schemes/triangle_reduction.rs)");
 }

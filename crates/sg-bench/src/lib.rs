@@ -1,7 +1,8 @@
 //! # sg-bench — harness utilities shared by the experiment binaries
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (the mapping is in DESIGN.md §4 and EXPERIMENTS.md).
+//! paper's evaluation (each binary's header names its experiment — `E5` is
+//! `fig7_spanner_degrees`, `E9` is `bfs_critical_edges` — and what it expects).
 //! This library holds the shared pieces: stage-2 algorithm timing, relative
 //! runtime differences (Figure 5's y-axis), and plain-text table rendering.
 

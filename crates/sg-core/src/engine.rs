@@ -15,8 +15,8 @@
 
 use crate::context::SgContext;
 use crate::kernel::{
-    EdgeDecision, EdgeKernel, EdgeView, SubgraphKernel, SubgraphView, TriangleKernel,
-    VertexDecision, VertexKernel, VertexView,
+    EdgeDecision, EdgeKernel, EdgeView, SubgraphKernel, SubgraphScratch, SubgraphView,
+    TriangleKernel, VertexDecision, VertexKernel, VertexView,
 };
 use crate::mapping::VertexMapping;
 use rayon::prelude::*;
@@ -197,7 +197,11 @@ impl Engine {
     /// Executes a subgraph kernel over every cluster of `mapping` in
     /// parallel (§4.5). The runtime follows Listing 2: the mapping has
     /// already been constructed (`SG.construct_mapping()`), then all kernels
-    /// run concurrently (`SG.run_kernels()`).
+    /// run concurrently (`SG.run_kernels()`). Every instance is lent a
+    /// [`SubgraphScratch`]: `n` + `#clusters` words, created once per worker
+    /// that runs a chunk of clusters (the free list of
+    /// [`sg_algos::tc::fold_with_scratch`], as for the triangle kernels'
+    /// row scratch) and dropped when the call returns.
     pub fn run_subgraph_kernel<K: SubgraphKernel>(
         &self,
         g: &CsrGraph,
@@ -206,10 +210,16 @@ impl Engine {
     ) -> CompressionResult {
         let start = Instant::now();
         let sg = SgContext::new(g, self.seed);
-        mapping.clusters.par_iter().enumerate().for_each(|(cid, members)| {
-            let view = SubgraphView { cluster_id: cid, members, assignment: &mapping.assignment };
-            kernel.process(view, &sg);
-        });
+        sg_algos::tc::fold_with_scratch(
+            mapping.clusters.par_iter().enumerate(),
+            || SubgraphScratch::new(g.num_vertices(), mapping.num_clusters()),
+            || (),
+            |scratch, (), (cid, members)| {
+                let view =
+                    SubgraphView { cluster_id: cid, members, assignment: &mapping.assignment };
+                kernel.process(view, &sg, scratch);
+            },
+        );
         CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
     }
 }
@@ -330,7 +340,7 @@ mod tests {
 
     struct DropIntraCluster;
     impl SubgraphKernel for DropIntraCluster {
-        fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>) {
+        fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>, _: &mut SubgraphScratch) {
             for &v in sgv.members {
                 let row = sg.graph.neighbors(v);
                 let eids = sg.graph.neighbor_edge_ids(v);

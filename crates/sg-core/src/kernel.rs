@@ -6,10 +6,13 @@
 //! provide (`e.u`, `e.v`, `e.weight`, `v.deg`, …). Kernels either return a
 //! declarative decision (edge/vertex kernels — pure per element) or mutate
 //! shared state through [`crate::SgContext`] (triangle/subgraph kernels,
-//! which need the paper's `atomic` semantics).
+//! which need the paper's `atomic` semantics). A subgraph kernel is also
+//! lent private working memory, a per-worker [`SubgraphScratch`]; the kernel
+//! author still writes only the body of `process`.
 
 use crate::context::SgContext;
 pub use sg_algos::tc::Triangle;
+use sg_graph::types::NO_EDGE;
 use sg_graph::{EdgeId, VertexId, Weight};
 
 /// Local view of an edge handed to an [`EdgeKernel`] (the paper's `E e`
@@ -107,10 +110,57 @@ pub struct SubgraphView<'a> {
     pub assignment: &'a [u32],
 }
 
+/// Flat working memory the engine lends a [`SubgraphKernel`], so that a
+/// kernel instance needs no container of its own (on a decomposition into
+/// 10 000 clusters, three hash containers per instance were about half of
+/// `derive_spanner`'s time). [`crate::Engine::run_subgraph_kernel`] creates
+/// one scratch per worker that runs clusters, *per call* — never per cluster
+/// — and hands it to every `process` that worker executes, one at a time.
+///
+/// The state an instance finds is what the rules below leave behind, so a
+/// kernel that uses a field must keep that field's rule.
+pub struct SubgraphScratch {
+    /// One edge slot per vertex, all [`NO_EDGE`] when the call starts. An
+    /// instance writes only its own members' slots: clusters partition the
+    /// vertices and each is processed once per call, so an instance finds
+    /// its members' slots untouched and nobody has to reset them.
+    pub vertex_edge: Vec<EdgeId>,
+    /// One edge slot per cluster id. All [`NO_EDGE`] on entry to `process`,
+    /// and `process` leaves them so (clear through a touched list, not by a
+    /// sweep: the vector is as long as the mapping has clusters).
+    pub cluster_edge: Vec<EdgeId>,
+    /// A vertex work list (e.g. a BFS queue). Contents on entry are
+    /// unspecified; only the capacity is worth keeping.
+    pub queue: Vec<VertexId>,
+    /// A cluster-id work list (e.g. the touched `cluster_edge` slots). Empty
+    /// on entry, and `process` leaves it so.
+    pub touched: Vec<u32>,
+}
+
+impl SubgraphScratch {
+    /// A scratch for a graph of `num_vertices` vertices mapped onto
+    /// `num_clusters` clusters.
+    pub fn new(num_vertices: usize, num_clusters: usize) -> Self {
+        Self {
+            vertex_edge: vec![NO_EDGE; num_vertices],
+            cluster_edge: vec![NO_EDGE; num_clusters],
+            queue: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+}
+
 /// A subgraph compression kernel (§4.5).
 pub trait SubgraphKernel: Sync {
-    /// Processes one cluster. Invoked in parallel across clusters.
-    fn process(&self, subgraph: SubgraphView<'_>, sg: &SgContext<'_>);
+    /// Processes one cluster. Invoked in parallel across clusters; `scratch`
+    /// is the invoking worker's own (see [`SubgraphScratch`] for the state
+    /// it arrives in and must be left in).
+    fn process(
+        &self,
+        subgraph: SubgraphView<'_>,
+        sg: &SgContext<'_>,
+        scratch: &mut SubgraphScratch,
+    );
 }
 
 #[cfg(test)]

@@ -9,14 +9,21 @@
 //! produces larger clusters, hence fewer surviving edges — the
 //! `O(n^{1+1/k})` edge bound — at the cost of `O(k)`-class distance
 //! stretch.
+//!
+//! Both halves are linear. The decomposition is a race in rounds over flat
+//! vectors; the kernel keeps no container of its own — the tree is a
+//! parent-edge slot per vertex and "one edge per neighbouring cluster" a
+//! slot per cluster id, both in the [`SubgraphScratch`] the engine lends
+//! each worker — so a mapping with thousands of clusters costs one BFS and
+//! one row pass over each cluster's vertices and nothing per cluster.
 
 use crate::context::SgContext;
 use crate::engine::{CompressionResult, Engine};
-use crate::kernel::{SubgraphKernel, SubgraphView};
+use crate::kernel::{SubgraphKernel, SubgraphScratch, SubgraphView};
 use crate::ldd::ldd_for_spanner;
-use rustc_hash::FxHashMap;
 use sg_algos::spanning::cluster_spanning_tree_by;
-use sg_graph::{CsrGraph, EdgeId};
+use sg_graph::types::NO_EDGE;
+use sg_graph::CsrGraph;
 
 /// The `derive_spanner` kernel of Listing 1.
 ///
@@ -25,60 +32,58 @@ use sg_graph::{CsrGraph, EdgeId};
 /// Instances never race: each instance only deletes edges incident to its
 /// own members, and cross-cluster deletions compose (an edge survives iff
 /// neither side prunes it — see `process` for why connectivity holds).
-pub struct SpannerKernel<'a> {
-    /// The shared vertex→cluster assignment (the §4.5.2 mapping); used for
-    /// O(1) membership tests instead of per-instance O(n) bitmaps.
-    pub assignment: &'a [u32],
-}
+pub struct SpannerKernel;
 
-impl SubgraphKernel for SpannerKernel<'_> {
-    fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>) {
+impl SubgraphKernel for SpannerKernel {
+    fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>, scratch: &mut SubgraphScratch) {
         let g = sg.graph;
         let my = sgv.cluster_id as u32;
+        let SubgraphScratch { vertex_edge: parent_edge, cluster_edge: kept, queue, touched } =
+            scratch;
 
-        // (a) Replace "subgraph" with a spanning tree: delete intra-cluster
-        // edges that are not part of the BFS tree.
-        let (tree_edges, _depth) =
-            cluster_spanning_tree_by(g, sgv.members, |u| self.assignment[u as usize] == my);
-        let tree: rustc_hash::FxHashSet<EdgeId> = tree_edges.into_iter().collect();
+        // (a) Replace "subgraph" with a spanning tree: the BFS tree of the
+        // cluster, as each member's edge to its parent.
+        cluster_spanning_tree_by(
+            g,
+            sgv.members,
+            |u| sgv.assignment[u as usize] == my,
+            parent_edge,
+            queue,
+        );
         for &v in sgv.members {
-            let row = g.neighbors(v);
             let eids = g.neighbor_edge_ids(v);
-            for (i, &u) in row.iter().enumerate() {
-                if self.assignment[u as usize] == my && u > v && !tree.contains(&eids[i]) {
-                    sg.del_edge(eids[i]);
-                }
-            }
-        }
-
-        // (b) Per vertex, keep one edge to each neighbouring cluster
-        // (Miller et al.'s construction: "for each vertex v in C connected
-        // to another subgraph with edges e1..el, only one of these is
-        // added"). Each side of an inter-cluster edge prunes independently,
-        // so an edge survives iff it is the minimum-id representative for
-        // *both* endpoints; the globally minimal edge of every cluster pair
-        // satisfies this, preserving inter-cluster connectivity while
-        // retaining the O(n^{1+1/k}) per-vertex granularity the paper's
-        // edge counts reflect.
-        let mut chosen: FxHashMap<u32, EdgeId> = FxHashMap::default();
-        for &v in sgv.members {
-            let row = g.neighbors(v);
-            let eids = g.neighbor_edge_ids(v);
-            chosen.clear();
-            for (i, &u) in row.iter().enumerate() {
-                let other = self.assignment[u as usize];
-                if other != my {
-                    let entry = chosen.entry(other).or_insert(eids[i]);
-                    if eids[i] < *entry {
-                        *entry = eids[i];
+            // "Smallest edge id" below is "first in row order" only because
+            // edge ids ascend along every CSR row (`CsrGraph::from_parts`
+            // rejects anything else).
+            debug_assert!(eids.windows(2).all(|w| w[0] < w[1]), "row {v}: edge ids out of order");
+            for (&u, &e) in g.neighbors(v).iter().zip(eids) {
+                let other = sgv.assignment[u as usize];
+                if other == my {
+                    // (a) Delete intra-cluster edges (once, from the lower
+                    // endpoint) that are neither endpoint's tree edge.
+                    if u > v && parent_edge[u as usize] != e && parent_edge[v as usize] != e {
+                        sg.del_edge(e);
                     }
+                } else if kept[other as usize] == NO_EDGE {
+                    // (b) Per vertex, keep one edge to each neighbouring
+                    // cluster — the one with the smallest id (Miller et
+                    // al.'s construction: "for each vertex v in C connected
+                    // to another subgraph with edges e1..el, only one of
+                    // these is added"). Each side of an inter-cluster edge
+                    // prunes independently, so an edge survives iff it is
+                    // the minimum-id representative for *both* endpoints;
+                    // the globally minimal edge of every cluster pair
+                    // satisfies this, preserving inter-cluster connectivity
+                    // while retaining the O(n^{1+1/k}) per-vertex granularity
+                    // the paper's edge counts reflect.
+                    kept[other as usize] = e;
+                    touched.push(other);
+                } else {
+                    sg.del_edge(e);
                 }
             }
-            for (i, &u) in row.iter().enumerate() {
-                let other = self.assignment[u as usize];
-                if other != my && chosen[&other] != eids[i] {
-                    sg.del_edge(eids[i]);
-                }
+            for other in touched.drain(..) {
+                kept[other as usize] = NO_EDGE;
             }
         }
     }
@@ -89,8 +94,7 @@ pub fn spanner(g: &CsrGraph, k: f64, seed: u64) -> CompressionResult {
     assert!(k >= 1.0, "spanner parameter k must be >= 1");
     let start = std::time::Instant::now();
     let mapping = ldd_for_spanner(g, k, seed);
-    let kernel = SpannerKernel { assignment: &mapping.assignment };
-    let mut result = Engine::new(seed).run_subgraph_kernel(g, &mapping, &kernel);
+    let mut result = Engine::new(seed).run_subgraph_kernel(g, &mapping, &SpannerKernel);
     // Fold the mapping-construction time into the reported compression time
     // (the paper attributes LDD overhead to the spanner scheme: "spanners
     // are >20% slower due to overheads from low-diameter decomposition").
@@ -101,9 +105,117 @@ pub fn spanner(g: &CsrGraph, k: f64, seed: u64) -> CompressionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ldd::heap_race::{heap_race, start_keys};
+    use crate::ldd::low_diameter_decomposition;
+    use crate::mapping::VertexMapping;
+    use rustc_hash::{FxHashMap, FxHashSet};
     use sg_algos::cc::connected_components;
     use sg_algos::sssp::dijkstra;
-    use sg_graph::generators;
+    use sg_graph::{generators, EdgeId, VertexId};
+
+    /// `derive_spanner` as it was on hash containers — a depth map under the
+    /// cluster BFS, a set of tree edges, a min-edge map per member vertex —
+    /// kept as the reference [`SpannerKernel`] is compared against.
+    struct HashMapSpannerKernel;
+
+    impl HashMapSpannerKernel {
+        fn cluster_tree(g: &CsrGraph, members: &[VertexId], assignment: &[u32]) -> Vec<EdgeId> {
+            let mut edges = Vec::new();
+            let root = members[0];
+            let my = assignment[root as usize];
+            let mut depth_of: FxHashMap<VertexId, u32> = FxHashMap::default();
+            depth_of.insert(root, 0);
+            let mut queue = std::collections::VecDeque::from([root]);
+            while let Some(u) = queue.pop_front() {
+                let du = depth_of[&u];
+                let row = g.neighbors(u);
+                let eids = g.neighbor_edge_ids(u);
+                for (i, &v) in row.iter().enumerate() {
+                    if assignment[v as usize] == my && !depth_of.contains_key(&v) {
+                        depth_of.insert(v, du + 1);
+                        edges.push(eids[i]);
+                        queue.push_back(v);
+                    }
+                }
+            }
+            edges
+        }
+    }
+
+    impl SubgraphKernel for HashMapSpannerKernel {
+        fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>, _: &mut SubgraphScratch) {
+            let g = sg.graph;
+            let my = sgv.cluster_id as u32;
+            let tree: FxHashSet<EdgeId> =
+                Self::cluster_tree(g, sgv.members, sgv.assignment).into_iter().collect();
+            for &v in sgv.members {
+                let row = g.neighbors(v);
+                let eids = g.neighbor_edge_ids(v);
+                for (i, &u) in row.iter().enumerate() {
+                    if sgv.assignment[u as usize] == my && u > v && !tree.contains(&eids[i]) {
+                        sg.del_edge(eids[i]);
+                    }
+                }
+            }
+            let mut chosen: FxHashMap<u32, EdgeId> = FxHashMap::default();
+            for &v in sgv.members {
+                let row = g.neighbors(v);
+                let eids = g.neighbor_edge_ids(v);
+                chosen.clear();
+                for (i, &u) in row.iter().enumerate() {
+                    let other = sgv.assignment[u as usize];
+                    if other != my {
+                        let entry = chosen.entry(other).or_insert(eids[i]);
+                        if eids[i] < *entry {
+                            *entry = eids[i];
+                        }
+                    }
+                }
+                for (i, &u) in row.iter().enumerate() {
+                    let other = sgv.assignment[u as usize];
+                    if other != my && chosen[&other] != eids[i] {
+                        sg.del_edge(eids[i]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The flat kernel against the hash-map kernel: same surviving edges on
+    /// the mappings of the LDD sweep — singletons only, a few giant clusters,
+    /// one cluster per component — and on graphs with no edge at all.
+    #[test]
+    fn flat_kernel_deletes_what_the_hash_map_kernel_deleted() {
+        for (label, g) in &crate::ldd::tests::sweep_graphs() {
+            for beta in [1e-6, 0.05, 0.13, 0.4, 0.7, 1.7, 50.0] {
+                for seed in 0..3 {
+                    let mapping = low_diameter_decomposition(g, beta, seed);
+                    let engine = Engine::new(seed);
+                    let flat = engine.run_subgraph_kernel(g, &mapping, &SpannerKernel);
+                    let hashed = engine.run_subgraph_kernel(g, &mapping, &HashMapSpannerKernel);
+                    assert_eq!(
+                        flat.graph.edge_slice(),
+                        hashed.graph.edge_slice(),
+                        "{label}, beta {beta}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `k` is user input (aim 3): at `1e300` and `f64::MAX` the spanner is
+    /// the reference race under the reference kernel, edge for edge.
+    #[test]
+    fn hostile_k_matches_the_references() {
+        let g = generators::erdos_renyi(2_000, 6_000, 8);
+        let mapping = VertexMapping::from_labels(&heap_race(&g, &start_keys(2_000, 1e-6, 9)));
+        let expected = Engine::new(9).run_subgraph_kernel(&g, &mapping, &HashMapSpannerKernel);
+        for k in [1e300, f64::MAX] {
+            assert_eq!(ldd_for_spanner(&g, k, 9).assignment, mapping.assignment, "k = {k}");
+            let r = spanner(&g, k, 9);
+            assert_eq!(r.graph.edge_slice(), expected.graph.edge_slice(), "k = {k}");
+        }
+    }
 
     #[test]
     fn spanner_preserves_connectivity() {

@@ -8,6 +8,11 @@ use sg_core::mapping::VertexMapping;
 use sg_core::SgContext;
 use sg_graph::generators;
 
+/// The reference `sg-core`'s own unit tests use; test-only there, so it is
+/// included by path here.
+#[path = "../src/ldd/heap_race.rs"]
+mod heap_race;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,24 +68,31 @@ proptest! {
     }
 
     /// LDD always yields a valid partition into connected clusters, for any
-    /// beta and seed.
+    /// beta and seed — the partition the binary-heap race yields.
     #[test]
     fn ldd_partitions_connectedly(
         n in 20usize..120,
         m_factor in 1usize..5,
-        beta in 0.05f64..4.0,
+        beta in 1e-6f64..50.0,
         seed in 0u64..100,
     ) {
         let g = generators::erdos_renyi(n, m_factor * n, seed);
         let mapping = low_diameter_decomposition(&g, beta, seed ^ 1);
         prop_assert!(mapping.validate());
-        for members in &mapping.clusters {
-            let cid = mapping.assignment[members[0] as usize];
-            let (tree, _) = sg_algos::spanning::cluster_spanning_tree_by(&g, members, |v| {
-                mapping.assignment[v as usize] == cid
-            });
-            prop_assert_eq!(tree.len(), members.len() - 1, "cluster disconnected");
+        let mut parent_edge = vec![sg_graph::types::NO_EDGE; n];
+        let mut queue = Vec::new();
+        for (cid, members) in mapping.clusters.iter().enumerate() {
+            let tree_edges = sg_algos::spanning::cluster_spanning_tree_by(
+                &g,
+                members,
+                |v| mapping.assignment[v as usize] == cid as u32,
+                &mut parent_edge,
+                &mut queue,
+            );
+            prop_assert_eq!(tree_edges, members.len() - 1, "cluster disconnected");
         }
+        let owners = heap_race::heap_race(&g, &heap_race::start_keys(n, beta, seed ^ 1));
+        prop_assert_eq!(mapping.assignment, VertexMapping::from_labels(&owners).assignment);
     }
 
     /// Edge-Once consideration is first-wins exactly once per edge even

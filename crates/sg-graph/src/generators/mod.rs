@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates on SNAP/KONECT/WebGraph datasets; those are not
 //! redistributable here, so every experiment runs on seeded synthetic
-//! analogs (see DESIGN.md §2 for the substitution argument). The generators
+//! analogs ([`presets`] maps each of the paper's graphs to the regime its
+//! stand-in has to match). The generators
 //! cover the structural regimes the evaluation varies over: degree skew
 //! (R-MAT, Barabási–Albert), triangle density (planted triangles,
 //! Watts–Strogatz), and near-planar sparsity (grids as road networks).

@@ -15,6 +15,10 @@ pub type Weight = f32;
 /// Sentinel for "no vertex" (e.g. BFS parent of the root before assignment).
 pub const NO_VERTEX: VertexId = VertexId::MAX;
 
+/// Sentinel for "no edge" in flat per-vertex / per-cluster edge slots. Never
+/// a real id: a graph holds at most `EdgeId::MAX` edges, numbered from 0.
+pub const NO_EDGE: EdgeId = EdgeId::MAX;
+
 #[cfg(test)]
 mod tests {
     use super::*;

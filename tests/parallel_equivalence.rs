@@ -337,6 +337,69 @@ fn triangle_schemes_match_the_merge_kernel_on_skewed_ids() {
     }
 }
 
+/// The spanner and the low-diameter decomposition under it, pinned to what
+/// the binary-heap race and the hash-map `derive_spanner` of commit 3ef2dc1
+/// printed: `(n', m', graph_digest)` of `spanner:k=` plus an FNV of the LDD's
+/// `assignment`, at the small, the default and a near-forest `k`, on hub-heavy
+/// R-MAT (one giant cluster from `k = 8` on), on Barabási–Albert, and on a
+/// sparse Erdős–Rényi graph with isolated vertices and well over 100
+/// components (the race must start a cluster in every one of them). The
+/// registry row above pins the spanner at one point, `k = 8` on 800 vertices.
+#[test]
+fn spanner_matches_the_heap_race_and_the_hash_map_kernel() {
+    use slimgraph::core::ldd::ldd_for_spanner;
+    type Pin = ((usize, usize, u64), u64);
+    const KS: [f64; 3] = [2.0, 8.0, 128.0];
+    const PINNED_RMAT: [Pin; 3] = [
+        ((2048, 2927, 0x82ea_a074_dc6a_3ce4), 0xcc8f_57e5_ec84_ce89),
+        ((2048, 1622, 0xdd5d_2618_78ce_14b1), 0x50f4_eb37_2bcc_4aa2),
+        ((2048, 1525, 0x9b77_578f_48da_effe), 0x9cb5_3063_05e6_c57c),
+    ];
+    const PINNED_BA: [Pin; 3] = [
+        ((4000, 14717, 0xf61c_76e4_db4f_3bdc), 0xefc2_d95e_9632_938e),
+        ((4000, 5216, 0xb006_f0f3_ffe6_803b), 0x1efa_7cdf_75c7_29a8),
+        ((4000, 4124, 0x6c05_c4b1_a7c3_dcb8), 0x4ea6_f7d1_6a36_05ce),
+    ];
+    const PINNED_SPARSE: [Pin; 3] = [
+        ((3000, 3299, 0x81c0_0619_c445_c4c4), 0xb2d6_6d04_24a4_a4c2),
+        ((3000, 3286, 0x74d7_f872_81fd_da5d), 0xaf33_6791_d05e_b76c),
+        ((3000, 2885, 0x8f0b_3ecf_9762_7051), 0x144a_29b6_4337_7eee),
+    ];
+    let rmat = generators::rmat_graph500(11, 8, 5);
+    let ba = generators::barabasi_albert(4_000, 4, 6);
+    let sparse = generators::erdos_renyi(3_000, 3_300, 7);
+    let components = cc::connected_components(&sparse);
+    assert!(components.num_components > 100, "the sparse case lost its components");
+    assert!(
+        (0..3_000).any(|v| sparse.degree(v) == 0),
+        "the sparse case lost its isolated vertices"
+    );
+    let cases: [(&str, &CsrGraph, [Pin; 3]); 3] = [
+        ("rmat hubs low", &rmat, PINNED_RMAT),
+        ("barabasi-albert", &ba, PINNED_BA),
+        ("sparse, isolated vertices", &sparse, PINNED_SPARSE),
+    ];
+    let registry = SchemeRegistry::with_defaults();
+    for (label, g, pinned) in cases {
+        let got: [Pin; 3] = assert_thread_invariant(label, || {
+            KS.map(|k| {
+                let params = SchemeParams::from_pairs(&[("k", &k.to_string())]);
+                let r = registry.create("spanner", &params).expect("k is valid").apply(g, 3);
+                let mapping = ldd_for_spanner(g, k, 3);
+                (
+                    (
+                        r.graph.num_vertices(),
+                        r.graph.num_edges(),
+                        slimgraph::serve::graph_digest(&r.graph),
+                    ),
+                    fnv(mapping.assignment.iter().map(|&c| u64::from(c))),
+                )
+            })
+        });
+        assert_eq!(got, pinned, "`{label}` moved off the heap race's output");
+    }
+}
+
 #[test]
 fn chained_pipeline_is_thread_count_invariant() {
     let g = test_graph();

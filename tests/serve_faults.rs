@@ -292,6 +292,44 @@ fn out_of_range_parameters_are_bad_spec_and_cost_no_worker() {
     daemon.join().expect("daemon thread").expect("clean exit");
 }
 
+/// `spanner:k=` is legal up to `f64::MAX`. The decomposition's β then sits on
+/// its floor and the race behind it spans ≈ 10⁷ rounds, nearly all idle: the
+/// request must cost what the *graph* costs, never an allocation or a loop
+/// sized by `k`. It answers `ok` with the direct run's digest, and the
+/// daemon answers the next `ping`.
+#[test]
+fn a_huge_spanner_k_is_served_and_the_daemon_stays_responsive() {
+    let g = generators::barabasi_albert(2_000, 3, 5);
+    let path = tmp("faults-huge-k.sgr");
+    slimgraph::store::save_sgr(&g, &path).expect("save input");
+    let (addr, daemon) = spawn(ServeConfig { workers: 1, ..fault_config() });
+    let mut client = Client::connect(&addr).expect("connect");
+    ok(&client.request(&load_request("g", &path)).expect("load"));
+    for spec in ["spanner:k=1e300", "spanner:k=1.7976931348623157e308"] {
+        let reference = PipelineSpec::parse(spec)
+            .expect("spec")
+            .build(&SchemeRegistry::with_defaults())
+            .expect("builds")
+            .apply(&g, 5);
+        let response = client
+            .request(
+                &Client::request_for("compress")
+                    .with("graph", Json::str("g"))
+                    .with("spec", Json::str(spec))
+                    .with("seed", Json::u64(5)),
+            )
+            .expect("answered, not dropped");
+        assert_eq!(
+            ok(&response).get("checksum").and_then(Json::as_str),
+            Some(format!("{:016x}", graph_digest(&reference.result.graph)).as_str()),
+            "{spec}"
+        );
+        ok(&client.request(&Client::request_for("ping")).expect("ping"));
+    }
+    ok(&client.request(&Client::request_for("shutdown")).expect("shutdown"));
+    daemon.join().expect("daemon thread").expect("clean exit");
+}
+
 /// Satellite: the frame deadline must not cut clients that are merely
 /// *idle* between requests — only mid-frame stalls are slow-loris.
 #[test]
