@@ -26,8 +26,13 @@
 //! **Scratch ownership.** A scratch is `n` words, so it is created once per
 //! worker, rank or shard *per call* — the parallel entry points check one
 //! out of a per-call free list for each of the shim's 64 chunks; sequential
-//! callers ([`for_triangles_at`] users) hold their own — never per chunk,
-//! vertex or edge.
+//! callers (an `sg-dist` rank or a federation shard walking its edge-id
+//! range) hold their own — never per chunk, vertex or edge.
+//!
+//! **Ownership.** A triangle `(u, v, w)`, `u < v < w`, belongs to its
+//! canonical edge `e_uv`: every partitioned consumer — the chunks here,
+//! `sg-dist`'s ranks, federation shards — owns a range of canonical edge ids
+//! and exactly the triangles [`for_triangles_on_edge`] streams for them.
 
 use rayon::prelude::*;
 use sg_graph::{CsrGraph, EdgeId, GraphView, VertexId};
@@ -131,8 +136,8 @@ fn gallop(row: &[VertexId], w: VertexId) -> usize {
 /// `w`. Each triangle belongs to exactly one such edge; a directed edge with
 /// `u > v` owns none. Cheapest when consecutive calls share `u` (the scratch
 /// re-marks only when `u` changes), i.e. over ascending edge ids.
-// Inlined so `for_triangles_at`'s walk over a vertex's edges compiles to one
-// nested loop (that sequential walk measured ~8% slower without it).
+// Inlined so a part's walk over its edge range compiles to one nested loop
+// (the sequential walk measured ~8% slower without it).
 #[inline]
 pub fn for_triangles_on_edge(
     scratch: &mut RowScratch<'_>,
@@ -169,20 +174,6 @@ pub fn for_triangles_on_edge(
                 f(Triangle { u, v, w: nv[b], e_uv, e_vw: ev[b], e_uw: eu[mark - 1] });
             }
         }
-    }
-}
-
-/// Invokes `f` for every triangle whose *smallest* vertex is `u`, in
-/// canonical `(u, v, w)` order (ascending `v`, then `w`): `u`'s edges to
-/// higher neighbors, in id order. Exposed so partitioned executors (sg-dist
-/// ranks owning a vertex range) can enumerate exactly the triangles they
-/// own — each triangle belongs to exactly one vertex. The caller holds the
-/// scratch across its whole vertex range.
-pub fn for_triangles_at(scratch: &mut RowScratch<'_>, u: VertexId, f: &mut impl FnMut(Triangle)) {
-    let g = scratch.g;
-    let first_higher = g.neighbors(u).partition_point(|&x| x <= u);
-    for &e_uv in &g.neighbor_edge_ids(u)[first_higher..] {
-        for_triangles_on_edge(scratch, e_uv, f);
     }
 }
 
@@ -438,7 +429,8 @@ mod tests {
     #[test]
     fn kernel_stream_is_the_merge_walks_on_random_relabelled_graphs() {
         // Same triangles, same order, same three edge ids — sequentially
-        // through one scratch, per vertex, and through the parallel listing.
+        // through one scratch, over a part's edge range at a time, and through
+        // the parallel listing.
         let (mut triangles, mut probed, mut galloped, mut ownerless) = (0, 0, 0, 0);
         for case in 0..300 {
             let directed = case % 4 == 3;
@@ -447,11 +439,13 @@ mod tests {
             let expected = merge_stream(&g, 0..m);
             let mut scratch = RowScratch::new(&g);
             assert_eq!(kernel_stream(&mut scratch, 0..m), expected, "case {case}");
-            let mut by_vertex = Vec::new();
-            for u in 0..g.num_vertices() as VertexId {
-                for_triangles_at(&mut scratch, u, &mut |t| by_vertex.push(t));
-            }
-            assert_eq!(by_vertex, expected, "case {case}, by vertex");
+            let parts = 1 + case as usize % 7;
+            let by_part: Vec<Triangle> = (0..parts)
+                .flat_map(|part| {
+                    kernel_stream(&mut scratch, m * part / parts..m * (part + 1) / parts)
+                })
+                .collect();
+            assert_eq!(by_part, expected, "case {case}, {parts} edge ranges");
             assert_eq!(list_triangles(&g), expected, "case {case}, parallel");
             assert_eq!(count_triangles(&g), expected.len() as u64, "case {case}, count");
             // A directed edge with u > v owns nothing: u < v < w always.
@@ -516,10 +510,12 @@ mod tests {
         let g = generators::rmat_graph500(9, 8, 3);
         let m = g.num_edges();
         let fresh = |edges: std::ops::Range<usize>| kernel_stream(&mut RowScratch::new(&g), edges);
+        // The triangles whose smallest vertex is `u`: its edges to higher
+        // neighbours, one contiguous id range of an undirected graph.
         let at = |scratch: &mut RowScratch<'_>, u: VertexId| {
-            let mut out = Vec::new();
-            for_triangles_at(scratch, u, &mut |t| out.push(t));
-            out
+            let higher = &g.neighbor_edge_ids(u)[g.neighbors(u).partition_point(|&x| x <= u)..];
+            let first = higher.first().map_or(0, |&e| e as usize);
+            kernel_stream(scratch, first..first + higher.len())
         };
         // Owners u1, u2, u1: the marks of one never leak into the next.
         let (u1, u2) = (0, 5);
@@ -639,23 +635,23 @@ mod tests {
     }
 
     #[test]
-    fn vertex_stream_is_its_higher_edges_concatenated() {
+    fn edge_ranges_partition_the_listing() {
+        // What a partitioned executor relies on: contiguous edge-id ranges,
+        // walked through one scratch each, stream every triangle exactly once
+        // — under the range that holds its `e_uv` — and in listing order.
         let g = generators::planted_triangles(&generators::erdos_renyi(300, 900, 3), 200, 4);
-        let mut all = Vec::new();
-        let mut scratch = RowScratch::new(&g);
-        for u in 0..g.num_vertices() as VertexId {
-            let mut at = Vec::new();
-            for_triangles_at(&mut scratch, u, &mut |t| at.push(t));
-            let mut by_edge = Vec::new();
-            for (&v, &e_uv) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
-                if v > u {
-                    for_triangles_on_edge(&mut scratch, e_uv, &mut |t| by_edge.push(t));
-                }
+        let (m, listing) = (g.num_edges(), list_triangles(&g));
+        assert!(!listing.is_empty());
+        for parts in [1, 2, 3, 7, m + 3] {
+            let mut all = Vec::new();
+            for part in sg_graph::partition::partition_edges(&g, parts) {
+                let range = part.start as usize..part.end as usize;
+                let owned = kernel_stream(&mut RowScratch::new(&g), range.clone());
+                assert!(owned.iter().all(|t| range.contains(&(t.e_uv as usize))), "{parts} parts");
+                all.extend(owned);
             }
-            assert_eq!(at, by_edge, "vertex {u}");
-            all.extend(at);
+            assert_eq!(all, listing, "{parts} parts");
         }
-        assert_eq!(all, list_triangles(&g));
     }
 
     #[test]
@@ -668,10 +664,8 @@ mod tests {
         let tris = list_triangles(&g);
         assert_eq!(tris.iter().map(key).collect::<Vec<_>>(), vec![(0, 1, 2)]);
         assert_eq!(count_triangles(&g), 1);
-        let mut scratch = RowScratch::new(&g);
-        for u in 3..6 {
-            for_triangles_at(&mut scratch, u, &mut |t| panic!("triangle {t:?} at vertex {u}"));
-        }
+        // The pendant edge (2, 3) owns nothing.
+        assert!(kernel_stream(&mut RowScratch::new(&g), 3..4).is_empty());
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!   weight exactly,
 //! * **Collapse** — contract each sampled triangle into a single vertex
 //!   (changes the vertex set; maximal storage reduction).
+//!
+//! Partitioned executors (engine chunks, `sg-dist` ranks, federation shards)
+//! split the canonical edge ids: a triangle belongs to its edge `e_uv`.
 
 use crate::context::{DetRand, SgContext};
 use crate::engine::{CompressionResult, Engine};
@@ -167,20 +170,20 @@ pub fn ranked_triangle_edges(
     edges
 }
 
-/// Calls `f` on every sampled triangle whose smallest vertex lies in
-/// `vertices`, in canonical `(u, v, w)` order — the triangles one part (an
+/// Calls `f` on every sampled triangle whose `e_uv` is a canonical edge in
+/// `edges`, in canonical `(u, v, w)` order — the triangles one part (an
 /// `sg-dist` rank, a federation shard) owns and reduces. Sequential; the
 /// call owns the one [`tc::RowScratch`] its part needs.
 pub fn for_sampled_triangles(
     g: &CsrGraph,
     p: f64,
     rand: DetRand,
-    vertices: std::ops::Range<usize>,
+    edges: impl IntoIterator<Item = EdgeId>,
     mut f: impl FnMut(Triangle),
 ) {
     let mut scratch = tc::RowScratch::new(g);
-    for u in vertices {
-        tc::for_triangles_at(&mut scratch, u as VertexId, &mut |t: Triangle| {
+    for e_uv in edges {
+        tc::for_triangles_on_edge(&mut scratch, e_uv, &mut |t: Triangle| {
             if triangle_sampled(&t, p, rand) {
                 f(t);
             }
@@ -198,10 +201,10 @@ pub fn plain_tr_deletions(
     cfg: TrConfig,
     rand: DetRand,
     tri_counts: Option<&[u64]>,
-    vertices: std::ops::Range<usize>,
+    edges: impl IntoIterator<Item = EdgeId>,
     mut delete: impl FnMut(EdgeId),
 ) {
-    for_sampled_triangles(g, cfg.p, rand, vertices, |t| {
+    for_sampled_triangles(g, cfg.p, rand, edges, |t| {
         let ranked = ranked_triangle_edges(&t, cfg.choice, rand, |e| g.edge_weight(e), tri_counts);
         ranked.iter().take(cfg.x).for_each(|&e| delete(e));
     });

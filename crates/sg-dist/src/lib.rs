@@ -58,9 +58,6 @@ pub struct RankStats {
     pub owned_edges: usize,
     /// Owned edges that survived compression.
     pub kept_edges: usize,
-    /// Vertices owned by the rank (0 on the edge-partitioned path, which
-    /// shards the edge array directly).
-    pub owned_vertices: usize,
     /// Messages the rank sent over the exchange (gather sends included).
     pub messages_sent: u64,
     /// Superstep rounds the rank executed (1 for stateless kernels).
@@ -69,13 +66,8 @@ pub struct RankStats {
 
 /// Statistics of stateless ranks — one superstep, one gather message each —
 /// where rank `r` owns the edge ids `edge_starts[r]..edge_starts[r + 1]` and
-/// `owned_vertices(r)` vertices, and `survives(e)` tells whether edge `e`
-/// is in the output.
-fn stateless_stats(
-    edge_starts: &[usize],
-    owned_vertices: impl Fn(usize) -> usize,
-    survives: impl Fn(EdgeId) -> bool,
-) -> Vec<RankStats> {
+/// `survives(e)` tells whether edge `e` is in the output.
+fn stateless_stats(edge_starts: &[usize], survives: impl Fn(EdgeId) -> bool) -> Vec<RankStats> {
     edge_starts
         .windows(2)
         .enumerate()
@@ -83,7 +75,6 @@ fn stateless_stats(
             rank,
             owned_edges: owned[1] - owned[0],
             kept_edges: (owned[0]..owned[1]).filter(|&e| survives(e as EdgeId)).count(),
-            owned_vertices: owned_vertices(rank),
             messages_sent: 1,
             supersteps: 1,
         })
@@ -201,11 +192,8 @@ pub fn distributed_compress(
                 run_ranks(ranks, |rank| edge_part(g, kernel.as_ref(), shards[rank], seed)).concat();
             let mut edge_starts: Vec<usize> = shards.iter().map(|s| s.start as usize).collect();
             edge_starts.push(g.num_edges());
-            let stats = stateless_stats(
-                &edge_starts,
-                |_| 0, // the edge array is sharded directly
-                |e| decisions[e as usize] != EdgeDecision::Delete,
-            );
+            let stats =
+                stateless_stats(&edge_starts, |e| decisions[e as usize] != EdgeDecision::Delete);
             (materialize_edges(g, &decisions), None, stats)
         }
         DistPlan::Triangle(cfg) => {
@@ -217,15 +205,11 @@ pub fn distributed_compress(
             let removed =
                 run_ranks(ranks, |rank| vertex_part(g, kernel.as_ref(), parts[rank], seed))
                     .concat();
-            let stats = stateless_stats(
-                &sharded::edge_rank_starts(g, &parts),
-                |rank| parts[rank].1 - parts[rank].0,
-                |e| {
-                    // An edge survives when both endpoints survive.
-                    let (u, v) = g.edge_endpoints(e);
-                    !removed[u as usize] && !removed[v as usize]
-                },
-            );
+            let stats = stateless_stats(&sharded::edge_rank_starts(g, &parts), |e| {
+                // An edge survives when both endpoints survive.
+                let (u, v) = g.edge_endpoints(e);
+                !removed[u as usize] && !removed[v as usize]
+            });
             let (graph, mapping) = g.remove_vertices(&removed);
             (graph, Some(mapping), stats)
         }
@@ -324,11 +308,12 @@ pub fn shard_compress(
             ShardOutcome::Edges(deleted.map(|(e, _)| e).collect())
         }
         DistPlan::Triangle(cfg) => {
-            let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
+            let part = partition_edges(g, shards)[shard];
             let counts =
                 (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
             let mut deleted: Vec<EdgeId> = Vec::new();
-            plain_tr_deletions(g, *cfg, DetRand::new(seed), counts.as_deref(), lo..hi, |e| {
+            let rand = DetRand::new(seed);
+            plain_tr_deletions(g, *cfg, rand, counts.as_deref(), part.edge_ids(), |e| {
                 deleted.push(e)
             });
             deleted.sort_unstable();
@@ -344,8 +329,12 @@ pub fn shard_compress(
     })
 }
 
-/// Materializes the merged result of edge-deleting shards.
-pub fn apply_edge_deletions(g: &CsrGraph, deleted: &[EdgeId]) -> CsrGraph {
+/// Materializes the merged result of edge-deleting shards (`deleted` in any
+/// order, repeats allowed: the ids only set a mask).
+pub fn apply_edge_deletions<'a>(
+    g: &CsrGraph,
+    deleted: impl IntoIterator<Item = &'a EdgeId>,
+) -> CsrGraph {
     let mut mask = vec![false; g.num_edges()];
     for &e in deleted {
         mask[e as usize] = true;
@@ -353,11 +342,11 @@ pub fn apply_edge_deletions(g: &CsrGraph, deleted: &[EdgeId]) -> CsrGraph {
     g.filter_edges(|e| !mask[e as usize])
 }
 
-/// Materializes the merged result of vertex-removing shards, returning the
-/// relabelled graph and the old→new vertex mapping.
-pub fn apply_vertex_removals(
+/// Materializes the merged result of vertex-removing shards (any order,
+/// repeats allowed): the relabelled graph and the old→new vertex mapping.
+pub fn apply_vertex_removals<'a>(
     g: &CsrGraph,
-    removed: &[VertexId],
+    removed: impl IntoIterator<Item = &'a VertexId>,
 ) -> (CsrGraph, Vec<Option<VertexId>>) {
     let mut mask = vec![false; g.num_vertices()];
     for &v in removed {

@@ -1,20 +1,21 @@
 //! The Triangle Reduction superstep protocol (§7.3 beyond edge kernels) —
 //! the one discipline in `sg-dist` whose ranks talk to each other.
 //!
-//! The paper's distributed engine partitions vertices across MPI ranks and
+//! The paper's distributed engine partitions the graph across MPI ranks and
 //! shares the Edge-Once `considered` flags through RMA windows. This module
 //! simulates that substrate with OS threads ([`run_ranks`]) and an
 //! explicit, *deterministic* message protocol:
 //!
-//! * every rank owns a contiguous vertex range ([`partition_vertices`]) and
-//!   with it the canonical edges whose smaller endpoint falls in the range
-//!   (canonical edges are lexicographically sorted, so each rank's edges are
-//!   a contiguous id range) and the triangles whose smallest vertex falls in
-//!   the range (each triangle has exactly one owner);
-//! * ranks communicate through per-`(src, dst)` outboxes; a receiver drains
-//!   its inboxes **merged in source-rank order**, so the view every rank
-//!   observes is a pure function of the input — results are bit-identical
-//!   at any `ranks` × `SG_THREADS` combination;
+//! * every rank owns a contiguous range of canonical edge ids
+//!   ([`partition_edges`], balanced to within one edge): the authoritative
+//!   flags of those edges *and* the triangles that belong to them — triangle
+//!   `(u, v, w)`, `u < v < w`, belongs to its edge `e_uv` — so a rank's share
+//!   of the enumeration follows its share of the edges, wherever the hubs sit;
+//! * ranks communicate through per-`(src, dst)` outboxes, one batch per
+//!   destination posted before each barrier; a receiver drains its inboxes
+//!   **merged in source-rank order**, so the view every rank observes is a
+//!   pure function of the input — results are bit-identical at any `ranks` ×
+//!   `SG_THREADS` combination;
 //! * stateful disciplines (Edge-Once, Count-Triangles) run in *superstep
 //!   rounds*: pending sampled triangles propose on their three edges, edge
 //!   owners grant each edge to the smallest pending triangle in the
@@ -32,7 +33,7 @@ use sg_core::schemes::{
     edge_once_commit, for_sampled_triangles, plain_tr_deletions, Discipline, EdgeChoice, TrConfig,
 };
 use sg_core::DetRand;
-use sg_graph::partition::partition_vertices;
+use sg_graph::partition::{partition_edges, EdgeShard};
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,9 +41,10 @@ use std::sync::{Barrier, Mutex};
 
 /// Per-`(src, dst)` outboxes with deterministic drain order.
 ///
-/// `send` appends to the `(src, dst)` slot (uncontended: one writer per
-/// slot); `drain` concatenates everything addressed to a rank **in source-
-/// rank order** — the merge that keeps the protocol deterministic.
+/// A rank fills one local `Vec` per destination ([`outbox`]) and `post`s
+/// them — one lock per destination, not per message — before the barrier;
+/// `drain` concatenates everything addressed to a rank **in source-rank
+/// order** — the merge that keeps the protocol deterministic.
 struct Exchange<M> {
     ranks: usize,
     slots: Vec<Mutex<Vec<M>>>,
@@ -53,8 +55,15 @@ impl<M> Exchange<M> {
         Self { ranks, slots: (0..ranks * ranks).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
-    fn send(&self, src: usize, dst: usize, msg: M) {
-        self.slots[src * self.ranks + dst].lock().expect("no poisoned lock").push(msg);
+    /// Moves `src`'s batches (`outbox[dst]`, left empty) into its slots and
+    /// returns how many messages that sent.
+    fn post(&self, src: usize, outbox: &mut [Vec<M>]) -> u64 {
+        let mut sent = 0;
+        for (dst, batch) in outbox.iter_mut().enumerate().filter(|(_, batch)| !batch.is_empty()) {
+            sent += batch.len() as u64;
+            self.slots[src * self.ranks + dst].lock().expect("no poisoned lock").append(batch);
+        }
+        sent
     }
 
     fn drain(&self, dst: usize) -> Vec<M> {
@@ -64,6 +73,11 @@ impl<M> Exchange<M> {
         }
         out
     }
+}
+
+/// One empty batch per destination rank.
+fn outbox<M>(ranks: usize) -> Vec<Vec<M>> {
+    (0..ranks).map(|_| Vec::new()).collect()
 }
 
 /// Sequential processing-order key of a triangle: Count-Triangles orders by
@@ -123,26 +137,23 @@ struct Net {
     updates: Exchange<Update>,
 }
 
-/// One rank's partitioned state: its vertex range, the canonical edges it
-/// owns, and the authoritative `considered`/deletion flags for those edges
-/// (the paper's RMA window, sliced per rank).
+/// One rank's partitioned state: the canonical edges it owns — and through
+/// them its triangles — and the authoritative `considered`/deletion flags
+/// for those edges (the paper's RMA window, sliced per rank).
 struct ShardedContext<'g> {
     /// The shared read-only input graph.
     graph: &'g CsrGraph,
     rank: usize,
-    /// Owned vertex range `[lo, hi)`.
-    vertices: (usize, usize),
-    /// Owned canonical-edge range `[lo, hi)` (edges whose smaller endpoint
-    /// this rank owns).
-    edges: (usize, usize),
+    /// Owned canonical-edge range.
+    edges: EdgeShard,
     /// Deterministic random source (same formulas as `SgContext`).
     rand: DetRand,
     /// Messages this rank sent over the exchange.
     messages_sent: u64,
     /// Superstep rounds this rank executed.
     supersteps: u64,
-    /// Edge-id boundaries of every rank's owned edge range (len `ranks+1`).
-    edge_starts: &'g [usize],
+    /// Every rank's owned edge range, in rank order.
+    shards: &'g [EdgeShard],
     /// Authoritative `considered` flags for owned edges.
     considered: Vec<bool>,
     /// Authoritative deletion flags for owned edges.
@@ -150,53 +161,38 @@ struct ShardedContext<'g> {
 }
 
 impl<'g> ShardedContext<'g> {
-    fn new(
-        graph: &'g CsrGraph,
-        rank: usize,
-        vertices: (usize, usize),
-        edge_starts: &'g [usize],
-        seed: u64,
-    ) -> Self {
-        let edges = (edge_starts[rank], edge_starts[rank + 1]);
-        let owned = edges.1 - edges.0;
+    fn new(graph: &'g CsrGraph, rank: usize, shards: &'g [EdgeShard], seed: u64) -> Self {
+        let edges = shards[rank];
         Self {
             graph,
             rank,
-            vertices,
             edges,
             rand: DetRand::new(seed),
             messages_sent: 0,
             supersteps: 0,
-            edge_starts,
-            considered: vec![false; owned],
-            deleted: vec![false; owned],
+            shards,
+            considered: vec![false; edges.len()],
+            deleted: vec![false; edges.len()],
         }
     }
 
     /// The rank owning canonical edge `e`: the last one whose range starts
-    /// at or before `e` (`edge_starts[0] = 0 <= e < m = edge_starts[ranks]`).
+    /// at or before `e` (rank 0 starts at 0; empty ranges, if any, are last).
     #[inline]
     fn owner_of(&self, e: EdgeId) -> usize {
-        self.edge_starts.partition_point(|&s| s <= e as usize) - 1
-    }
-
-    /// Sends `msg` to rank `dst` over `exchange`, counting it.
-    #[inline]
-    fn send<M>(&mut self, exchange: &Exchange<M>, dst: usize, msg: M) {
-        exchange.send(self.rank, dst, msg);
-        self.messages_sent += 1;
+        self.shards.partition_point(|s| s.start <= e) - 1
     }
 
     /// Authoritative `considered` flag of an *owned* edge.
     #[inline]
     fn edge_considered(&self, e: EdgeId) -> bool {
-        self.considered[e as usize - self.edges.0]
+        self.considered[(e - self.edges.start) as usize]
     }
 
     /// Applies the updates addressed to this rank to its owned edges.
     fn apply_updates(&mut self, updates: &Exchange<Update>) {
         for update in updates.drain(self.rank) {
-            let i = update.edge as usize - self.edges.0;
+            let i = (update.edge - self.edges.start) as usize;
             self.considered[i] = true;
             if update.delete {
                 self.deleted[i] = true;
@@ -207,19 +203,18 @@ impl<'g> ShardedContext<'g> {
     fn stats(&self) -> RankStats {
         RankStats {
             rank: self.rank,
-            owned_edges: self.edges.1 - self.edges.0,
+            owned_edges: self.edges.len(),
             kept_edges: self.deleted.iter().filter(|&&d| !d).count(),
-            owned_vertices: self.vertices.1 - self.vertices.0,
             messages_sent: self.messages_sent,
             supersteps: self.supersteps,
         }
     }
 }
 
-/// Edge-id boundary of every rank's owned range: canonical edges are
-/// lexicographically sorted, so the edges whose smaller endpoint lies in
-/// rank `r`'s vertex range form the contiguous id range
-/// `[starts[r], starts[r+1])`.
+/// Edge-id boundary of every rank's range under a *vertex* partition (the
+/// vertex-kernel plan's statistics): canonical edges are lexicographically
+/// sorted, so the edges whose smaller endpoint lies in rank `r`'s vertex
+/// range form the contiguous id range `[starts[r], starts[r+1])`.
 pub(crate) fn edge_rank_starts(g: &CsrGraph, parts: &[(usize, usize)]) -> Vec<usize> {
     let edges = g.edge_slice();
     let mut starts: Vec<usize> =
@@ -228,16 +223,16 @@ pub(crate) fn edge_rank_starts(g: &CsrGraph, parts: &[(usize, usize)]) -> Vec<us
     starts
 }
 
-/// Triangles owned by one rank (smallest vertex in the owned range) that
-/// the TR sampling coin selects, in canonical enumeration order — one walk
-/// of the range, one row scratch (`for_sampled_triangles` holds it).
+/// Triangles owned by one rank (`e_uv` in the owned range) that the TR
+/// sampling coin selects, in canonical enumeration order — one walk of the
+/// range, one row scratch (`for_sampled_triangles` holds it).
 fn sampled_triangles(
     ctx: &ShardedContext<'_>,
     cfg: TrConfig,
     counts: Option<&[u64]>,
 ) -> Vec<Pending> {
     let mut pending = Vec::new();
-    for_sampled_triangles(ctx.graph, cfg.p, ctx.rand, ctx.vertices.0..ctx.vertices.1, |t| {
+    for_sampled_triangles(ctx.graph, cfg.p, ctx.rand, ctx.edges.edge_ids(), |t| {
         let count = counts
             .map(|c| t.edges().iter().map(|&e| c[e as usize]).min().expect("three edges"))
             .unwrap_or(0);
@@ -252,14 +247,14 @@ fn sampled_triangles(
     pending
 }
 
-/// Per-edge participation counts over the triangles one rank owns (smallest
-/// vertex in `[lo, hi)`) — the rank's share of the Count-Triangles histogram.
-/// The rank holds one row scratch for the whole range.
-fn owned_triangle_counts(g: &CsrGraph, (lo, hi): (usize, usize)) -> Vec<u64> {
+/// Per-edge participation counts over the triangles one rank owns (`e_uv` in
+/// `part`) — the rank's share of the Count-Triangles histogram. The rank
+/// holds one row scratch for the whole range.
+fn owned_triangle_counts(g: &CsrGraph, part: EdgeShard) -> Vec<u64> {
     let mut partial = vec![0u64; g.num_edges()];
     let mut scratch = sg_algos::tc::RowScratch::new(g);
-    for u in lo..hi {
-        sg_algos::tc::for_triangles_at(&mut scratch, u as VertexId, &mut |t: Triangle| {
+    for e_uv in part.edge_ids() {
+        sg_algos::tc::for_triangles_on_edge(&mut scratch, e_uv, &mut |t: Triangle| {
             for e in t.edges() {
                 partial[e as usize] += 1;
             }
@@ -280,8 +275,7 @@ pub(crate) fn sharded_triangle_compress(
     seed: u64,
 ) -> (Vec<bool>, Vec<RankStats>) {
     cfg.validate().expect("valid TR configuration");
-    let parts = partition_vertices(g.num_vertices(), ranks);
-    let edge_starts = edge_rank_starts(g, &parts);
+    let shards = partition_edges(g, ranks);
     let net = Net {
         barrier: Barrier::new(ranks),
         pending_total: AtomicUsize::new(0),
@@ -294,7 +288,7 @@ pub(crate) fn sharded_triangle_compress(
     // each — and the root sums the partial histograms (sums commute).
     let counts: Option<Vec<u64>> = (cfg.choice == EdgeChoice::FewestTriangles).then(|| {
         let mut total = vec![0u64; g.num_edges()];
-        for partial in run_ranks(ranks, |rank| owned_triangle_counts(g, parts[rank])) {
+        for partial in run_ranks(ranks, |rank| owned_triangle_counts(g, shards[rank])) {
             for (t, p) in total.iter_mut().zip(&partial) {
                 *t += p;
             }
@@ -304,7 +298,7 @@ pub(crate) fn sharded_triangle_compress(
     let counts = counts.as_deref();
 
     let per_rank = run_ranks(ranks, |rank| {
-        let mut ctx = ShardedContext::new(g, rank, parts[rank], &edge_starts, seed);
+        let mut ctx = ShardedContext::new(g, rank, &shards, seed);
         if counts.is_some() {
             ctx.messages_sent += 1;
             ctx.supersteps += 1;
@@ -327,10 +321,11 @@ pub(crate) fn sharded_triangle_compress(
 /// to the edge owners, then owners apply them.
 fn run_rank_plain(ctx: &mut ShardedContext<'_>, cfg: TrConfig, counts: Option<&[u64]>, net: &Net) {
     ctx.supersteps += 1;
-    let owned = ctx.vertices.0..ctx.vertices.1;
-    plain_tr_deletions(ctx.graph, cfg, ctx.rand, counts, owned, |e| {
-        ctx.send(&net.updates, ctx.owner_of(e), Update { edge: e, delete: true });
+    let mut updates = outbox(net.updates.ranks);
+    plain_tr_deletions(ctx.graph, cfg, ctx.rand, counts, ctx.edges.edge_ids(), |e| {
+        updates[ctx.owner_of(e)].push(Update { edge: e, delete: true });
     });
+    ctx.messages_sent += net.updates.post(ctx.rank, &mut updates);
     net.barrier.wait();
     ctx.apply_updates(&net.updates);
     net.barrier.wait();
@@ -349,6 +344,8 @@ fn run_rank_edge_once(
     let mut pending = sampled_triangles(ctx, cfg, counts);
     net.pending_total.fetch_add(pending.len(), Ordering::SeqCst);
     net.barrier.wait();
+    let ranks = net.updates.ranks;
+    let (mut proposals, mut replies, mut updates) = (outbox(ranks), outbox(ranks), outbox(ranks));
 
     while net.pending_total.load(Ordering::SeqCst) != 0 {
         ctx.supersteps += 1;
@@ -367,9 +364,10 @@ fn run_rank_edge_once(
                     tri: i as u32,
                     slot: slot as u8,
                 };
-                ctx.send(&net.proposals, ctx.owner_of(e), proposal);
+                proposals[ctx.owner_of(e)].push(proposal);
             }
         }
+        ctx.messages_sent += net.proposals.post(ctx.rank, &mut proposals);
         net.barrier.wait();
 
         // Phase 2: owners grant each edge to the smallest pending key and
@@ -386,8 +384,9 @@ fn run_rank_edge_once(
                 won: winner[&p.edge] == p.key,
                 considered: ctx.edge_considered(p.edge),
             };
-            ctx.send(&net.replies, p.src, reply);
+            replies[p.src].push(reply);
         }
+        ctx.messages_sent += net.replies.post(ctx.rank, &mut replies);
         net.barrier.wait();
 
         // Phase 3: triangles holding all three grants commit. Same-round
@@ -414,9 +413,10 @@ fn run_rank_edge_once(
                 |e| graph.edge_weight(e),
                 counts,
                 |e| p.considered[slot_of(e)],
-                |e, delete| ctx.send(&net.updates, ctx.owner_of(e), Update { edge: e, delete }),
+                |e, delete| updates[ctx.owner_of(e)].push(Update { edge: e, delete }),
             );
         }
+        ctx.messages_sent += net.updates.post(ctx.rank, &mut updates);
         if resolved_now > 0 {
             net.pending_total.fetch_sub(resolved_now, Ordering::SeqCst);
         }
@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn edge_rank_starts_cover_and_agree_with_ownership() {
         let g = triangle_rich();
-        let parts = partition_vertices(g.num_vertices(), 5);
+        let parts = sg_graph::partition::partition_vertices(g.num_vertices(), 5);
         let starts = edge_rank_starts(&g, &parts);
         assert_eq!(starts[0], 0);
         assert_eq!(*starts.last().expect("non-empty"), g.num_edges());

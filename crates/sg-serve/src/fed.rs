@@ -34,6 +34,7 @@
 use crate::client::Client;
 use crate::json::Json;
 use crate::proto::{ErrorCode, ProtoError};
+use sg_dist::ShardOutcome;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -61,12 +62,6 @@ impl Default for FedConfig {
     }
 }
 
-/// Id payload of one shard's response.
-pub(crate) enum ShardIds {
-    Edges(Vec<EdgeId>),
-    Vertices(Vec<VertexId>),
-}
-
 /// One successfully served shard, as reported in the response's
 /// `federation.workers` array.
 pub(crate) struct ShardReport {
@@ -75,7 +70,7 @@ pub(crate) struct ShardReport {
     pub attempts: u64,
     pub checksum: String,
     pub ms: f64,
-    pub ids: ShardIds,
+    pub ids: ShardOutcome,
 }
 
 /// Everything one fan-out needs, borrowed from the dispatching request.
@@ -224,20 +219,14 @@ fn attempt_shard(
         .get("ids")
         .and_then(Json::as_arr)
         .ok_or_else(|| transient("shard_run", "response carries no 'ids' array".to_string()))?;
-    let mut ids: Vec<u64> = Vec::with_capacity(raw.len());
-    for v in raw {
-        ids.push(
-            v.as_u64()
-                .ok_or_else(|| transient("shard_run", format!("non-numeric id {}", v.render())))?,
-        );
-    }
     let ids = match response.get("kind").and_then(Json::as_str) {
-        Some("edges") => ShardIds::Edges(ids.into_iter().map(|e| e as EdgeId).collect()),
-        Some("vertices") => ShardIds::Vertices(ids.into_iter().map(|v| v as VertexId).collect()),
+        Some("edges") => ids_as(raw, |e| e as EdgeId).map(ShardOutcome::Edges),
+        Some("vertices") => ids_as(raw, |v| v as VertexId).map(ShardOutcome::Vertices),
         other => {
             return Err(transient("shard_run", format!("unknown shard kind {other:?}")));
         }
-    };
+    }
+    .map_err(|v| transient("shard_run", format!("non-numeric id {}", v.render())))?;
     Ok(ShardReport {
         addr: addr.to_string(),
         shard,
@@ -248,8 +237,14 @@ fn attempt_shard(
     })
 }
 
-/// Merges shard id lists into the final graph: union, sort, dedup, then
-/// one [`sg_dist::apply_edge_deletions`] / [`sg_dist::apply_vertex_removals`]
+/// A reply's id array as `T`s, or its first element that is not an id.
+fn ids_as<T>(raw: &[Json], cast: fn(u64) -> T) -> Result<Vec<T>, &Json> {
+    raw.iter().map(|v| v.as_u64().map(cast).ok_or(v)).collect()
+}
+
+/// Merges shard id lists into the final graph: their union, marked straight
+/// from the reports (a mask: order-free, idempotent) by one
+/// [`sg_dist::apply_edge_deletions`] / [`sg_dist::apply_vertex_removals`]
 /// against the coordinator's copy — exactly the reconstruction the
 /// `federation_shards_union_to_the_local_result` test proves bit-identical
 /// to `scheme.apply`.
@@ -257,27 +252,19 @@ pub(crate) fn merge_reports(
     g: &CsrGraph,
     reports: &[ShardReport],
 ) -> (CsrGraph, Option<Vec<Option<VertexId>>>) {
-    let mut edges: Vec<EdgeId> = Vec::new();
-    let mut vertices: Vec<VertexId> = Vec::new();
-    let mut vertex_kind = false;
-    for report in reports {
-        match &report.ids {
-            ShardIds::Edges(d) => edges.extend_from_slice(d),
-            ShardIds::Vertices(v) => {
-                vertex_kind = true;
-                vertices.extend_from_slice(v);
-            }
-        }
-    }
-    if vertex_kind {
-        vertices.sort_unstable();
-        vertices.dedup();
-        let (merged, mapping) = sg_dist::apply_vertex_removals(g, &vertices);
+    let edges = reports.iter().filter_map(|r| match &r.ids {
+        ShardOutcome::Edges(deleted) => Some(deleted),
+        ShardOutcome::Vertices(_) => None,
+    });
+    let vertices = reports.iter().filter_map(|r| match &r.ids {
+        ShardOutcome::Vertices(removed) => Some(removed),
+        ShardOutcome::Edges(_) => None,
+    });
+    if vertices.clone().next().is_some() {
+        let (merged, mapping) = sg_dist::apply_vertex_removals(g, vertices.flatten());
         (merged, Some(mapping))
     } else {
-        edges.sort_unstable();
-        edges.dedup();
-        (sg_dist::apply_edge_deletions(g, &edges), None)
+        (sg_dist::apply_edge_deletions(g, edges.flatten()), None)
     }
 }
 

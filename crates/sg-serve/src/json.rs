@@ -4,9 +4,11 @@
 //! The build container has no crates registry, so the wire protocol
 //! cannot use `serde`; this module implements exactly the JSON subset the
 //! protocol needs — which is all of JSON, minus any opinion about
-//! numbers: numeric tokens are kept as their **raw text** ([`Json::Num`]),
-//! so `u64` seeds and graph ids round-trip exactly (no `f64` precision
-//! loss) and rendering re-emits what was parsed.
+//! numbers: rendering re-emits the token that was parsed, byte for byte. A
+//! *canonical unsigned* token (digits only, no leading zero, fits `u64` —
+//! every id, count and seed) is a heap-free [`Json::Int`]; any other number
+//! keeps its **raw text** ([`Json::Num`]). Constructors and parser classify
+//! through one function, so built and parsed values compare equal.
 //!
 //! Objects preserve insertion order and are rendered without extra
 //! whitespace, which keeps responses one-line (the protocol is
@@ -19,7 +21,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, stored as its raw (validated) token text.
+    /// A canonical unsigned integer: the token is its decimal digits.
+    Int(u64),
+    /// Any other number, as its raw (validated) token text. Build numbers
+    /// with [`Json::u64`] / [`Json::f64`], never a `Num` by hand.
     Num(String),
     /// A string (unescaped).
     Str(String),
@@ -53,13 +58,13 @@ impl Json {
 
     /// An unsigned integer value (exact).
     pub fn u64(v: u64) -> Json {
-        Json::Num(v.to_string())
+        Json::Int(v)
     }
 
     /// A float value; non-finite floats become `null` (JSON has no NaN).
     pub fn f64(v: f64) -> Json {
         if v.is_finite() {
-            Json::Num(format!("{v}"))
+            number(&format!("{v}"))
         } else {
             Json::Null
         }
@@ -93,6 +98,8 @@ impl Json {
     /// range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(v) => Some(*v),
+            // A non-canonical spelling the parser lets through (`007`).
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
         }
@@ -101,6 +108,7 @@ impl Json {
     /// The number as an `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(v) => Some(*v as f64),
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
         }
@@ -139,6 +147,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            Json::Int(v) => render_u64(*v, out),
             Json::Num(raw) => out.push_str(raw),
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
@@ -165,6 +174,27 @@ impl Json {
             }
         }
     }
+}
+
+/// The value of a validated number token: [`Json::Int`] when it is digits
+/// only, without a leading zero or overflow; raw text for any other (`-0`,
+/// `1.50`, `1e3`, `007`, 2^64 and up).
+fn number(token: &str) -> Json {
+    let digits_only = token.bytes().all(|b| b.is_ascii_digit());
+    let canonical = digits_only && (token == "0" || !token.starts_with('0'));
+    let int = if canonical { token.parse().ok() } else { None };
+    int.map_or_else(|| Json::Num(token.to_string()), Json::Int)
+}
+
+/// Decimal digits through a stack buffer: no `fmt` call or `String` per id.
+fn render_u64(mut v: u64, out: &mut String) {
+    let (mut digits, mut at) = ([b'0'; 20], 19);
+    while v >= 10 {
+        digits[at] += (v % 10) as u8;
+        (v, at) = (v / 10, at - 1);
+    }
+    digits[at] += v as u8;
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -305,7 +335,7 @@ impl Parser<'_> {
                 return Err(format!("invalid number at byte {start}"));
             }
         }
-        Ok(Json::Num(self.text[start..self.pos].to_string()))
+        Ok(number(&self.text[start..self.pos]))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -394,6 +424,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sg_graph::prng::mix64;
 
     #[test]
     fn roundtrips_scalars_and_containers() {
@@ -423,6 +454,62 @@ mod tests {
         let v = Json::parse(&format!("{{\"seed\":{big}}}")).expect("parses");
         assert_eq!(v.get("seed").and_then(Json::as_u64), Some(big));
         assert_eq!(Json::u64(big).render(), big.to_string());
+    }
+
+    #[test]
+    fn number_tokens_render_as_parsed_and_only_canonical_unsigned_ones_are_int() {
+        let long = "1234567890123456789012345";
+        for (token, int) in [
+            ("0", Some(0)),
+            ("7", Some(7)),
+            ("18446744073709551615", Some(u64::MAX)),
+            ("-0", None),
+            ("-12", None),
+            ("1.50", None),
+            ("1e3", None),
+            ("007", None),
+            ("18446744073709551616", None),
+            (long, None),
+        ] {
+            let v = Json::parse(token).unwrap_or_else(|e| panic!("{token}: {e}"));
+            assert_eq!(v.render(), token, "byte for byte");
+            assert_eq!(v, int.map_or_else(|| Json::Num(token.to_string()), Json::Int), "{token}");
+            assert_eq!(v.as_f64(), token.parse().ok(), "{token}");
+        }
+        // Out of range stays raw and is no u64; a spelling the parser lets
+        // through still reads as before.
+        for token in ["18446744073709551616", long, "-0", "1.50", "1e3"] {
+            assert_eq!(Json::parse(token).expect("parses").as_u64(), None, "{token}");
+        }
+        assert_eq!(Json::parse("007").expect("parses").as_u64(), Some(7));
+    }
+
+    #[test]
+    fn random_u64s_round_trip_and_agree_with_the_raw_form() {
+        let edge_cases = [0, 1, 9, 10, 99, 100, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
+        let random = (0..2_000).map(|i| mix64(i) >> (mix64(i ^ 0x5eed) % 64));
+        for v in edge_cases.into_iter().chain(random) {
+            let text = Json::u64(v).render();
+            assert_eq!(text, v.to_string());
+            let parsed = Json::parse(&text).expect("parses");
+            assert_eq!(parsed, Json::u64(v));
+            assert_eq!(parsed.as_u64(), Some(v));
+            assert_eq!(parsed.as_f64(), Json::Num(text).as_f64(), "{v}: Int and raw as_f64");
+        }
+    }
+
+    #[test]
+    fn constructed_and_parsed_numbers_compare_equal() {
+        // Equal exactly when they render alike: the constructors classify
+        // like the parser does.
+        for v in [0.0, 3.0, 0.5, -0.0, -2.0, 1e15, 1e20, 1.5e300, u64::MAX as f64] {
+            let built = Json::f64(v);
+            assert_eq!(Json::parse(&built.render()).expect("reparses"), built, "{v}");
+        }
+        assert_eq!(Json::f64(3.0), Json::u64(3));
+        assert_eq!(Json::f64(3.0), Json::parse("3").expect("parses"));
+        assert_eq!(Json::f64(-0.0).render(), "-0");
+        assert_ne!(Json::f64(3.5), Json::u64(3));
     }
 
     #[test]

@@ -467,7 +467,7 @@ mod tests {
         }
         // Numeric ids echo too.
         let env = parse_request("{\"id\":7,\"op\":\"ping\"}").expect("parses");
-        assert_eq!(env.id, Some(Json::Num("7".into())));
+        assert_eq!(env.id, Some(Json::u64(7)));
         // Tokens ride the envelope, not the op.
         let env = parse_request("{\"op\":\"ping\",\"token\":\"sesame\"}").expect("parses");
         assert_eq!(env.token.as_deref(), Some("sesame"));

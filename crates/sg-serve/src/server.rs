@@ -1267,14 +1267,11 @@ fn shard_run(
             }
             other => bad_spec(other.to_string()),
         })?;
-    let (kind, ids): (&str, Vec<Json>) = match outcome {
-        sg_dist::ShardOutcome::Edges(edges) => {
-            ("edges", edges.into_iter().map(|e| Json::u64(e as u64)).collect())
-        }
-        sg_dist::ShardOutcome::Vertices(vertices) => {
-            ("vertices", vertices.into_iter().map(|v| Json::u64(u64::from(v))).collect())
-        }
+    let (kind, ids) = match outcome {
+        sg_dist::ShardOutcome::Edges(edges) => ("edges", edges),
+        sg_dist::ShardOutcome::Vertices(vertices) => ("vertices", vertices),
     };
+    let ids: Vec<Json> = ids.into_iter().map(|id| Json::u64(u64::from(id))).collect();
     Ok(Json::obj()
         .with("graph", Json::str(graph))
         .with("kind", Json::str(kind))

@@ -7,11 +7,15 @@
 //! {1, 2, 4}. CI runs the whole suite at SG_THREADS ∈ {1, 4}, closing the
 //! ranks × threads matrix.
 
-use sg_core::{SchemeParams, SchemeRegistry};
+use proptest::prelude::*;
+use sg_algos::tc;
+use sg_core::schemes::for_sampled_triangles;
+use sg_core::{DetRand, SchemeParams, SchemeRegistry};
 use sg_dist::{
     apply_edge_deletions, apply_vertex_removals, distributed_compress, shard_compress, ShardOutcome,
 };
-use sg_graph::generators;
+use sg_graph::partition::partition_edges;
+use sg_graph::{generators, EdgeList};
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 
 /// A graph with enough planted triangles that every TR discipline has real
@@ -137,9 +141,21 @@ fn sharded_runs_are_seed_sensitive_but_rank_insensitive() {
 #[test]
 fn rank_stats_account_for_the_whole_graph() {
     let g = triangle_rich();
+    // Hubs at the lowest ids, where every generator we run puts them: a TR
+    // rank owns an equal share of the canonical edges — and with them of the
+    // triangles — all the same (79 % off the mean under the vertex ranges).
+    let hubs_low = generators::barabasi_albert(2_000, 6, 5);
     let registry = SchemeRegistry::with_defaults();
     for (name, params) in sharded_schemes() {
         let scheme = registry.create(name, &params).expect("registered");
+        if name.starts_with("tr") {
+            for ranks in [2, 4] {
+                let dist =
+                    distributed_compress(&hubs_low, scheme.as_ref(), ranks, 45).expect("runs");
+                let imbalance = dist.edge_imbalance_pct();
+                assert!(imbalance < 1.0, "{name} at ranks={ranks}: {imbalance} % imbalance");
+            }
+        }
         let dist = distributed_compress(&g, scheme.as_ref(), 4, 45).expect("runs");
         let owned_edges: usize = dist.ranks.iter().map(|r| r.owned_edges).sum();
         assert_eq!(owned_edges, g.num_edges(), "{name}: ranks must own every edge once");
@@ -194,6 +210,82 @@ fn federation_shards_union_to_the_local_result() {
                 let (merged, mapping) = apply_vertex_removals(&g, &vertices);
                 assert_eq!(merged.edge_slice(), shared.graph.edge_slice(), "{name}");
                 assert_eq!(Some(mapping), shared.vertex_mapping, "{name}");
+            }
+        }
+    }
+}
+
+/// A small random graph in one of the shapes the ownership rule has to
+/// survive: plain undirected, directed (an edge with `u > v` owns nothing),
+/// one hub adjacent to everyone, bipartite (triangle-free), and fewer edges
+/// than shards.
+fn shaped_graph(n: usize, pairs: &[(VertexId, VertexId)], shape: u8) -> CsrGraph {
+    let n = n as VertexId;
+    let mut pairs: Vec<(VertexId, VertexId)> = pairs.iter().map(|&(a, b)| (a % n, b % n)).collect();
+    match shape {
+        2 => pairs.extend((1..n).map(|v| (0, v))),
+        // Even endpoints on one side, odd ones on the other.
+        3 => {
+            pairs =
+                pairs.iter().map(|&(a, b)| (a & !1, if b | 1 < n { b | 1 } else { 1 })).collect()
+        }
+        4 => pairs.truncate(4),
+        _ => {}
+    }
+    let el = EdgeList::from_pairs(n as usize, pairs);
+    if shape == 1 {
+        CsrGraph::from_edge_list_directed(el)
+    } else {
+        CsrGraph::from_edge_list(el)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Triangles belong to their canonical edge: at any shard count the parts
+    /// enumerate every triangle exactly once, and the union of the shards'
+    /// Plain-TR deletions is `scheme.apply`'s.
+    #[test]
+    fn tr_shards_own_each_triangle_once_and_union_to_the_local_result(
+        n in 4usize..48,
+        pairs in proptest::collection::vec((0u32..48, 0u32..48), 0..260),
+        shape in 0u8..5,
+        seed in 0u64..1000,
+    ) {
+        let g = shaped_graph(n, &pairs, shape);
+        let listing = tc::list_triangles(&g);
+        if shape == 3 {
+            prop_assert!(listing.is_empty(), "a bipartite graph has no triangle");
+        }
+        let registry = SchemeRegistry::with_defaults();
+        for shards in [1, 2, 3, 7] {
+            let mut owned = Vec::new();
+            for part in partition_edges(&g, shards) {
+                for_sampled_triangles(&g, 1.0, DetRand::new(seed), part.start..part.end, |t| {
+                    owned.push(t)
+                });
+            }
+            prop_assert_eq!(&owned, &listing, "shards={}", shards);
+            for x in ["1", "2"] {
+                let params = SchemeParams::from_pairs(&[("p", "0.6"), ("x", x)]);
+                let scheme = registry.create("tr", &params).expect("registered");
+                let mut deleted: Vec<EdgeId> = Vec::new();
+                for shard in 0..shards {
+                    match shard_compress(&g, scheme.as_ref(), shard, shards, seed).expect("federable") {
+                        ShardOutcome::Edges(d) => deleted.extend(d),
+                        ShardOutcome::Vertices(_) => panic!("TR shards return edges"),
+                    }
+                }
+                let merged = apply_edge_deletions(&g, &deleted);
+                let shared = scheme.apply(&g, seed);
+                prop_assert_eq!(
+                    merged.edge_slice(),
+                    shared.graph.edge_slice(),
+                    "tr:x={} at shards={}",
+                    x,
+                    shards
+                );
             }
         }
     }

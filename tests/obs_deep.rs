@@ -301,3 +301,47 @@ fn alloc_profiling_reports_gauges_and_stays_bit_identical() {
     rayon::set_num_threads(0);
     restore_obs();
 }
+
+/// A shard reply's id array costs the heap its own growth steps and
+/// nothing per element: a canonical unsigned token is a `Json::Int`, built,
+/// rendered, parsed and read back without a `String` of its own. Counted
+/// here, not in `sg-serve`'s unit tests, because only a serialized binary
+/// that installs the tracking allocator can count.
+#[test]
+fn id_arrays_cross_json_without_an_allocation_per_element() {
+    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    const IDS: u64 = 100_000;
+    let allocs_of = |work: &mut dyn FnMut()| {
+        slimgraph::obs::alloc::reset();
+        slimgraph::obs::alloc::set_profiling(true);
+        work();
+        slimgraph::obs::alloc::set_profiling(false);
+        slimgraph::obs::alloc::stats().allocs
+    };
+    // A `Vec` or `String` that doubles from empty grows ~log2(len) times.
+    let budget = 64;
+
+    let mut reply = Json::Null;
+    let built = allocs_of(&mut || {
+        let ids = (0..IDS).map(|i| Json::u64(i * 7)).collect();
+        reply = Json::obj().with("kind", Json::str("edges")).with("ids", Json::Arr(ids));
+    });
+    assert!(built <= budget, "{built} allocations to build {IDS} ids");
+
+    let mut text = String::new();
+    let rendered = allocs_of(&mut || text = reply.render());
+    assert!(rendered <= budget, "{rendered} allocations to render {IDS} ids");
+
+    let mut parsed = Json::Null;
+    let parse = allocs_of(&mut || parsed = Json::parse(&text).expect("parses"));
+    assert!(parse <= budget, "{parse} allocations to parse {IDS} ids");
+    assert_eq!(parsed, reply);
+
+    let mut sum = 0;
+    let read = allocs_of(&mut || {
+        let ids = parsed.get("ids").and_then(Json::as_arr).expect("ids");
+        sum = ids.iter().map(|id| id.as_u64().expect("an id")).sum();
+    });
+    assert_eq!((read, sum), (0, 7 * IDS * (IDS - 1) / 2));
+    restore_obs();
+}
