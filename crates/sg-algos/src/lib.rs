@@ -35,3 +35,8 @@ pub mod spanning;
 pub mod sssp;
 pub mod tc;
 pub mod union_find;
+
+/// Serialises the unit tests that turn rayon's process-global thread knob,
+/// so one never runs at a count another set.
+#[cfg(test)]
+static THREAD_KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());

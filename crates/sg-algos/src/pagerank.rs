@@ -6,29 +6,62 @@
 //! implementation guarantees the output sums to 1 (dangling mass is
 //! redistributed uniformly).
 //!
-//! One sweep is one pass over the vertices. As in the GAP benchmark suite's
-//! reference pull PageRank (Beamer, Asanović, Patterson 2015, `pr.cc`:
-//! `outgoing_contrib[n] = scores[n] / out_degree(n)`), what a vertex hands
-//! each out-neighbour is divided once per *vertex* into a contribution
-//! vector, not once per edge inside the pull. The same pass that pulls row
-//! `v` also writes `v`'s new rank, its next contribution, its term of the L1
-//! residual and — when `v` dangles — its term of the next sweep's dangling
-//! mass, so an iteration drives the pool once.
+//! As in the GAP benchmark suite's reference pull PageRank (Beamer,
+//! Asanović, Patterson 2015, `pr.cc`: `outgoing_contrib[n] = scores[n] /
+//! out_degree(n)`), what a vertex hands each out-neighbour is divided once
+//! per *vertex* into a contribution vector, not once per edge inside the
+//! pull. One sweep is two phases:
 //!
-//! The fusion cannot move a bit. Every term is the one the separate passes
-//! computed (`rank[u] / out_degree[u]` is the same quotient whether it is
-//! taken per edge or stored per vertex); a row still adds its in-neighbours
-//! in cursor order; and the two sums are folded per chunk in vertex order and
-//! combined in chunk order over the shim's length-only chunk bounds, exactly
-//! as `sum()` folded and combined them. (`sum()` may seed a chunk with
-//! `-0.0` where the fold seeds `0.0`; ranks are positive and residual terms
-//! are absolute values, so only a chunk without dangling vertices keeps its
-//! seed, and the sign of that zero is lost in `teleport + share`.) Pinned on
-//! raw and encoded views at 1, 4 and 8 threads in
-//! `tests/parallel_equivalence.rs`.
+//! * **Pull** (order-free): `pulled[v]` is `v`'s in-row of contributions,
+//!   summed in cursor order. Rows are visited window by window — runs of
+//!   `PULL_WINDOW` consecutive ids, in parallel — and inside a window in
+//!   `(in_degree, id)` order, so rows of equal length run back to back.
+//! * **Update** (in vertex order): one fold writes `v`'s new rank, its next
+//!   contribution, its term of the L1 residual and — when `v` dangles — its
+//!   term of the next sweep's dangling mass.
+//!
+//! The visit order cannot move a bit. A row's sum has the same terms in the
+//! same order whichever window, thread or position visits it, and it lands
+//! in `v`'s own slot. The two reductions live in the update phase, folded
+//! per chunk in vertex order and combined in chunk order over the shim's
+//! length-only chunk bounds, exactly as `sum()` folded and combined them.
+//! (`sum()` may seed a chunk with `-0.0` where the fold seeds `0.0`; ranks
+//! are positive and residual terms are absolute values, so only a chunk
+//! without dangling vertices keeps its seed, and the sign of that zero is
+//! lost in `teleport + share`.) Scores, residual and iteration count are
+//! therefore those of a plain vertex-order loop, pinned on raw and encoded
+//! views at 1, 4 and 8 threads in `tests/parallel_equivalence.rs`.
+//!
+//! Why sort at all: on cache-resident graphs (50 k vertices, ≈ 4 slots a
+//! row) the pull is limited less by memory than by the row loop's
+//! hard-to-predict exit, and equal trip counts in a row make that exit
+//! predictable (2.4× on the 50 k column below). Why windows and not one
+//! global degree sort: a window keeps the rows it reads adjacent, so a
+//! graph larger than cache keeps its streaming order. Ms a call at one
+//! thread on a 2-vCPU host, median of 9 alternated rounds,
+//! scores bit-equal in every cell; "50 k" is `pagerank_default` on a
+//! `uniform:p=0.5` sample of `barabasi_albert(50 000, 4)`, "200 k" is 20
+//! sweeps over a `uniform:p=0.2` sample of `barabasi_albert(200 000, 8)`
+//! (`kernels_encoded`'s 23 MB graph), raw and delta-encoded:
+//!
+//! | visit order                       | 50 k | 200 k raw | 200 k encoded |
+//! |-----------------------------------|------|-----------|---------------|
+//! | vertex order, one fused pass      | 80.9 | 129.7     | 316.2         |
+//! | vertex order, pull + update       | 93.6 | 139.4     | 325.8         |
+//! | one global `(in_degree, id)` sort | 38.3 | 158.3     | 364.2         |
+//! | windows of 64                     | 37.6 | 105.2     | 310.6         |
+//! | windows of 256                    | 33.4 | 107.2     | 325.4         |
+//! | windows of 1024                   | 34.3 | 113.8     | 330.7         |
+//!
+//! At two threads windows of 64, 128 and 256 read within noise of each
+//! other on all three graphs; 256 keeps the 50 k gain largest.
 
 use rayon::prelude::*;
 use sg_graph::{GraphView, VertexId};
+
+/// Width of a pull window: the pull phase sorts each run of this many
+/// consecutive ids by in-degree and no further.
+const PULL_WINDOW: usize = 256;
 
 /// PageRank configuration.
 #[derive(Clone, Copy, Debug)]
@@ -82,20 +115,31 @@ pub fn pagerank<G: GraphView>(g: &G, cfg: PageRankConfig) -> PageRankResult {
     // Mass of dangling vertices (out-degree 0), which teleports everywhere.
     let mut dangling: f64 =
         (0..n).into_par_iter().filter(|&v| out_degree[v] == 0.0).map(|v| rank[v]).sum();
+    let order = visit_order(g);
+    let mut pulled = vec![0.0f64; n];
 
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
     while iterations < cfg.max_iterations && residual > cfg.tolerance {
+        // Pull: each window sums its own rows, in `order`, into its own slots.
+        pulled.par_chunks_mut(PULL_WINDOW).enumerate().for_each(|(w, sums)| {
+            let base = w * PULL_WINDOW;
+            for &v in &order[base..base + sums.len()] {
+                let mut sum = 0.0f64;
+                g.in_cursor(v).for_each(|u| sum += contrib[u as usize]);
+                sums[v as usize - base] = sum;
+            }
+        });
+        // Update: in vertex order, over the shim's chunk bounds of `n`.
         let dangling_share = cfg.damping * dangling * inv_n;
         (residual, dangling) = rank
             .par_iter_mut()
             .zip(next_contrib.par_iter_mut())
+            .zip(pulled.par_iter())
             .enumerate()
             .fold(
                 || (0.0f64, 0.0f64),
-                |(residual, dangling), (v, (slot, next))| {
-                    let mut pulled = 0.0f64;
-                    g.in_cursor(v as VertexId).for_each(|u| pulled += contrib[u as usize]);
+                |(residual, dangling), (v, ((slot, next), &pulled))| {
                     let new = base_teleport + dangling_share + cfg.damping * pulled;
                     let residual = residual + (*slot - new).abs();
                     *slot = new;
@@ -125,6 +169,17 @@ pub fn pagerank<G: GraphView>(g: &G, cfg: PageRankConfig) -> PageRankResult {
 /// PageRank with default configuration.
 pub fn pagerank_default<G: GraphView>(g: &G) -> PageRankResult {
     pagerank(g, PageRankConfig::default())
+}
+
+/// The pull phase's row order: `0..n` with every [`PULL_WINDOW`]-wide run
+/// of ids sorted by `(in_degree, id)`. The key is unique, so the order is a
+/// pure function of the graph.
+fn visit_order<G: GraphView>(g: &G) -> Vec<VertexId> {
+    let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+    order
+        .par_chunks_mut(PULL_WINDOW)
+        .for_each(|window| window.sort_unstable_by_key(|&v| (g.in_degree(v), v)));
+    order
 }
 
 #[cfg(test)]
@@ -178,6 +233,36 @@ mod tests {
         let g = sg_graph::CsrGraph::from_pairs(0, &[]);
         let r = pagerank_default(&g);
         assert!(r.scores.is_empty());
+    }
+
+    #[test]
+    fn visit_order_sorts_each_window_by_in_degree() {
+        // 1000 vertices: three full windows and a short one. Arcs land on
+        // low ids, so in-degree falls with the id while out-degree cycles.
+        let arcs = (0..1000u32).flat_map(|v| (0..v % 7).map(move |j| (v, (v * 31 + j * 17) % 300)));
+        let g = sg_graph::CsrGraph::from_edge_list_directed(EdgeList::from_pairs(1000, arcs));
+        let _knob = crate::THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        let orders = [1, 4].map(|threads| {
+            rayon::set_num_threads(threads);
+            let order = visit_order(&g);
+            rayon::set_num_threads(0);
+            order
+        });
+        assert_eq!(orders[0], orders[1], "the order must not depend on the thread count");
+        let order = &orders[0];
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..1000).collect::<Vec<VertexId>>(), "a permutation of 0..n");
+        for (w, window) in order.chunks(PULL_WINDOW).enumerate() {
+            let ids = w * PULL_WINDOW..(w * PULL_WINDOW + window.len());
+            assert!(
+                window.iter().all(|&v| ids.contains(&(v as usize))),
+                "window {w} keeps its ids"
+            );
+            let keys: Vec<_> = window.iter().map(|&v| (g.in_degree(v), v)).collect();
+            assert!(keys.windows(2).all(|k| k[0] < k[1]), "window {w} in (in_degree, id) order");
+        }
+        assert_ne!(order[..PULL_WINDOW], (0..PULL_WINDOW as VertexId).collect::<Vec<_>>());
     }
 
     #[test]

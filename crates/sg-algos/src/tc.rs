@@ -595,7 +595,7 @@ mod tests {
     #[test]
     fn listing_is_canonically_ordered_at_any_thread_count() {
         // Nothing sorts the listing, so a mis-ordered chunk merge would show.
-        // The only test in this binary that turns the process-global knob.
+        let _knob = crate::THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let g = generators::rmat_graph500(10, 8, 7);
         let encoded = EncodedCsr::from_graph(&g);
         let expected = count_triangles(&g);

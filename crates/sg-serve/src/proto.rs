@@ -55,6 +55,9 @@ pub enum ErrorCode {
     /// A worker's replica digests differently than the coordinator's
     /// graph — the federation would merge shards of different inputs.
     FedDigestMismatch,
+    /// The request's handler panicked. The worker and the connection
+    /// survive; what the request changed before the panic is unspecified.
+    Internal,
 }
 
 impl ErrorCode {
@@ -75,6 +78,7 @@ impl ErrorCode {
             ErrorCode::DigestMismatch => "digest-mismatch",
             ErrorCode::FedShardFailed => "fed-shard-failed",
             ErrorCode::FedDigestMismatch => "fed-digest-mismatch",
+            ErrorCode::Internal => "internal",
         }
     }
 }

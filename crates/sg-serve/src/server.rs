@@ -12,7 +12,8 @@
 //!
 //! A request takes one straight path, each step of which exists once:
 //! [`parse_request`] → policy (trace id, auth) → `handle`, which returns
-//! the response *body* or a [`ProtoError`] → `observe` (metrics, span,
+//! the response *body* or a [`ProtoError`] (a panic becomes code
+//! `internal`, and the worker lives on) → `observe` (metrics, span,
 //! slowlog, transcript — read from that outcome, never from rendered
 //! JSON) → `write_response`, which envelopes and writes the line.
 //!
@@ -671,9 +672,27 @@ fn serve(state: &ServeState, ctx: &ConnCtx, line: &str) -> Served {
     // opens — session.run, session.stage, anything deeper — carries the
     // request's trace id.
     let _trace_ctx = sg_obs::trace::set_trace_id(&trace_id);
-    let outcome =
-        authorize(state, &op, token.as_deref()).and_then(|()| handle(state, ctx, request));
+    let outcome = authorize(state, &op, token.as_deref())
+        .and_then(|()| contain_panic(&op, || handle(state, ctx, request)));
     Served { op, graph, trace_id, id, outcome }
+}
+
+/// Runs a request's handler, turning a panic into an `internal` error so
+/// the worker thread and the connection outlive it. A panic inside a
+/// parallel kernel reaches here too: the pool re-raises it on the thread
+/// that submitted the work.
+fn contain_panic<T>(
+    op: &str,
+    handler: impl FnOnce() -> Result<T, ProtoError>,
+) -> Result<T, ProtoError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|payload| {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        Err(ProtoError::new(ErrorCode::Internal, format!("the '{op}' handler panicked: {detail}")))
+    })
 }
 
 /// Everything except the liveness probe requires the shared secret when
@@ -1385,5 +1404,28 @@ mod tests {
         let cfg = ServeConfig { token: Some("secret".to_string()), ..cfg };
         let server = Server::bind(&cfg).expect("token unlocks the bind");
         drop(server);
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_internal_and_the_state_serves_on() {
+        let cfg = ServeConfig { transcript: false, ..ServeConfig::default() };
+        let server = Server::bind(&cfg).expect("bind a loopback daemon");
+        let state = &server.state;
+        let ctx = ConnCtx { conn_id: 1, peer: "test".to_string() };
+        let outcome: Result<Reply, ProtoError> = contain_panic("analyze", || panic!("kernel bug"));
+        let Err(err) = outcome else { panic!("a panicking handler must yield an error") };
+        assert_eq!(err.code, ErrorCode::Internal);
+        assert_eq!(err.message, "the 'analyze' handler panicked: kernel bug");
+        let served = Served {
+            op: "analyze".to_string(),
+            graph: None,
+            trace_id: "t".to_string(),
+            id: None,
+            outcome: Err(err),
+        };
+        observe(state, &ctx, &served, Duration::ZERO, Duration::ZERO, sg_obs::span!("test"));
+        assert_eq!(state.metrics.errors.get(), 1, "counted like any other error");
+        let next = serve(state, &ctx, r#"{"op":"ping"}"#);
+        assert!(next.outcome.is_ok(), "the next request on the same state is served");
     }
 }

@@ -446,9 +446,13 @@ fn pagerank_scores_are_bit_identical_across_thread_counts() {
 /// per iteration) printed, on the raw graph and on its encoded twin, at 1, 4
 /// and 8 threads. The inputs reach every term of the update: a skewed graph,
 /// a sample with isolated vertices (dangling mass ≠ 0), a directed graph
-/// with sinks and a source, and the degenerate sizes. Elsewhere PageRank is
-/// pinned only indirectly (raw == encoded, a KL inside a transcript), which
-/// would not say *which* bit moved.
+/// with sinks and a source, and the degenerate sizes. The last five inputs
+/// sit at the edges of the pull phase's 256-vertex windows (a short, an
+/// exact and a one-over last window; windows of mixed degrees and one of
+/// isolated vertices only; in-degrees that order a window differently than
+/// out-degrees) and are pinned to what the fused vertex-order sweep printed.
+/// Elsewhere PageRank is pinned only indirectly (raw == encoded, a KL
+/// inside a transcript), which would not say *which* bit moved.
 #[test]
 fn pagerank_matches_the_four_pass_sweep_to_the_last_bit() {
     use slimgraph::graph::{EdgeList, EncodedCsr};
@@ -469,13 +473,21 @@ fn pagerank_matches_the_four_pass_sweep_to_the_last_bit() {
     let sinks = CsrGraph::from_edge_list_directed(EdgeList::from_pairs(600, arcs));
     assert!(sinks.is_directed() && (0..600).any(|v| sinks.degree(v) == 0));
     let rmat = generators::rmat_graph500(11, 8, 5);
-    let cases: [(&str, CsrGraph, Pin); 6] = [
+    let [short, exact, over] = [255, 256, 257].map(|n| generators::barabasi_albert(n, 3, n as u64));
+    let mixed = mixed_degree_windows();
+    let skew = in_out_skewed();
+    let cases: [(&str, CsrGraph, Pin); 11] = [
         ("barabasi_albert(4000, 4)", ba, (30, 0x3e0f_2616_cee6_0000, 0xed0c_4a05_e7f5_95df)),
         ("its uniform:p=0.5 sample", sampled, (85, 0x3e10_c155_de21_0000, 0x40b7_a263_bb28_426e)),
         ("rmat_graph500(11, 8)", rmat, (32, 0x3e0a_517f_1dfc_0000, 0xbe85_032b_1692_2db9)),
         ("directed with sinks", sinks, (24, 0x3dff_5b81_2680_0000, 0x885c_96b0_5efd_e22d)),
         ("empty", CsrGraph::from_pairs(0, &[]), (0, 0, 0xcbf2_9ce4_8422_2325)),
         ("single vertex", CsrGraph::from_pairs(1, &[]), (1, 0, 0xc293_bd4c_8601_b7df)),
+        ("barabasi_albert(255, 3)", short, (36, 0x3e0b_3b93_3040_0000, 0x9f8f_f93e_488a_6267)),
+        ("barabasi_albert(256, 3)", exact, (39, 0x3e10_20b8_5390_0000, 0x4127_2dd0_f2c7_a99c)),
+        ("barabasi_albert(257, 3)", over, (39, 0x3e0e_5900_4360_0000, 0xe153_2867_c7e5_0744)),
+        ("mixed-degree windows", mixed, (64, 0x3e0d_9581_25e0_0000, 0xecf3_3477_e384_815e)),
+        ("in- and out-degree disagree", skew, (29, 0x3e08_5c66_bf90_0000, 0x4cd7_85a4_49d2_8432)),
     ];
     for (label, g, pinned) in cases {
         let encoded = EncodedCsr::from_graph(&g);
@@ -487,6 +499,56 @@ fn pagerank_matches_the_four_pass_sweep_to_the_last_bit() {
         });
         assert_eq!(got, [pinned; 2], "`{label}` (raw, encoded) moved off the four-pass sweep");
     }
+}
+
+/// Pull windows are 256 ids wide. This graph has three full windows and a
+/// five-vertex tail: windows 0 and 2 mix degrees from 0 upwards (every
+/// multiple of 16 is isolated), window 1 holds isolated vertices only, and
+/// the tail hangs off vertex 1.
+fn mixed_degree_windows() -> CsrGraph {
+    let window = |base: u32| {
+        (1..256u32).filter(|i| i % 16 != 0).flat_map(move |i| {
+            (0..(i * 13) % 41)
+                .map(move |j| (i + 1 + j) % 256)
+                .filter(|t| t % 16 != 0)
+                .map(move |t| (base + i, base + t))
+        })
+    };
+    let tail = (768..773u32).flat_map(|v| [(v, 1), (v, 768 + (v - 767) % 5)]);
+    let pairs: Vec<(u32, u32)> = window(0).chain(window(512)).chain(tail).collect();
+    let g = CsrGraph::from_pairs(773, &pairs);
+    let degrees = |w: std::ops::Range<u32>| w.map(|v| g.degree(v)).collect::<Vec<_>>();
+    assert!(degrees(256..512).iter().all(|&d| d == 0), "window 1 is isolated vertices only");
+    for w in [0..256, 512..768] {
+        let d = degrees(w);
+        assert!(d.contains(&0) && d.iter().any(|&x| x >= 40), "windows 0 and 2 mix degrees");
+    }
+    g
+}
+
+/// A directed graph on 600 vertices whose arcs land only on `0..97` and
+/// `550..600` while out-degrees cycle with `v % 9`, so sorting a window by
+/// in-row length and by out-row length give different visit orders.
+fn in_out_skewed() -> CsrGraph {
+    use slimgraph::graph::EdgeList;
+    let arcs = (0..600u32).flat_map(|v| {
+        (0..v % 9).map(move |j| {
+            let t = if j % 2 == 0 { (j * 613 + v * 7) % 97 } else { 599 - (v * j) % 50 };
+            (v, t)
+        })
+    });
+    let g = CsrGraph::from_edge_list_directed(EdgeList::from_pairs(600, arcs));
+    let window_sorted = |key: &dyn Fn(u32) -> usize| {
+        let mut ids: Vec<u32> = (0..600).collect();
+        ids.chunks_mut(256).for_each(|w| w.sort_by_key(|&v| (key(v), v)));
+        ids
+    };
+    assert_ne!(
+        window_sorted(&|v| g.in_degree(v)),
+        window_sorted(&|v| g.degree(v)),
+        "in-degree and out-degree orders must disagree"
+    );
+    g
 }
 
 #[test]
