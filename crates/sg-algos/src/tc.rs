@@ -1,10 +1,11 @@
 //! Triangle counting and listing.
 //!
 //! Triangles are the "smallest unit of graph compression" in Triangle
-//! Reduction (§4.3): the engine streams every triangle to a kernel instance.
-//! Edge-id consumers share one kernel, [`for_triangles_on_edge`], parallel
-//! over canonical edge ids: those are sorted by `(u, v)`, so walking edges in
-//! id order *is* canonical `(u, v, w)` order and no listing is ever sorted.
+//! Reduction (§4.3). Edge-id consumers share one emitter,
+//! [`for_triangles_on_edge`], parallel over canonical edge ids: those are
+//! sorted by `(u, v)`, so walking edges in id order *is* canonical
+//! `(u, v, w)` order and no listing is ever sorted. The emitter hands its
+//! consumer each edge's triangles as one slice, in ascending `w`.
 //!
 //! **Min-side row probing.** For canonical edge `(u, v)` the kernel needs
 //! `{w > v} ∩ N(u) ∩ N(v)`. Merging the two rows costs their summed length,
@@ -23,11 +24,27 @@
 //! probe branch and a `log d(v)` factor on the gallop branch, plus one
 //! mark / un-mark of each row per chunk that touches it.
 //!
-//! **Scratch ownership.** A scratch is `n` words, so it is created once per
-//! worker, rank or shard *per call* — the parallel entry points check one
-//! out of a per-call free list for each of the shim's 64 chunks; sequential
-//! callers (an `sg-dist` rank or a federation shard walking its edge-id
-//! range) hold their own — never per chunk, vertex or edge.
+//! **No branch, no read-modify-write in the probe loop.** A probe hits about
+//! one time in nine on R-MAT, at no predictable place, so the loop writes
+//! *every* candidate — row index and mark, 8 bytes — into the scratch's
+//! buffer and advances its length by `mark != 0`; one pass over the hits
+//! builds the edge's triangles (24-byte `Triangle`s written per candidate
+//! made the listing ≈ 40 % slower). The consumer then gets them as one
+//! slice, outside the loop: on `rmat_graph500(15, 10, 21)` (2.67 M
+//! triangles, 24.7 M probes, two threads) a per-triangle callback listing
+//! cost 37 ms, a 50 % sampling branch per triangle 43–45 ms, and one atomic
+//! `fetch_or` per sampled triangle 74 ms — the lock prefix serialises the
+//! probes' loads. A bitset in place of the `u32` slots measured no better
+//! (a hit still needs the slot, the index of `e_uw`). Where hits are rare
+//! and a branch predicts well (Barabási–Albert, one hit in a hundred
+//! probes) the stores cost ≈ 7 % of a sequential walk.
+//!
+//! **Scratch ownership.** A scratch is `n` words plus two buffers as long
+//! as the most triangles one edge could own, so it is created once per
+//! worker, rank or shard *per call* — the parallel entry points check one out of a
+//! per-call free list for each of the shim's 64 chunks; sequential callers
+//! (an `sg-dist` rank or a federation shard walking its edge-id range,
+//! [`for_triangles_in`]) hold their own — never per chunk, vertex or edge.
 //!
 //! **Ownership.** A triangle `(u, v, w)`, `u < v < w`, belongs to its
 //! canonical edge `e_uv`: every partitioned consumer — the chunks here,
@@ -41,7 +58,7 @@ use std::sync::Mutex;
 
 /// A triangle with its three canonical edge ids. Vertices satisfy
 /// `u < v < w`; `e_uv` connects `u`/`v`, etc.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Triangle {
     pub u: VertexId,
     pub v: VertexId,
@@ -71,21 +88,34 @@ impl Triangle {
 /// it), which is the bound the branch is for.
 const GALLOP_SKEW: usize = 32;
 
-/// The marked higher row of one vertex of one graph: the state
-/// [`for_triangles_on_edge`] keeps between edges of the same `u`. `n` words;
-/// see the module docs for who owns one.
+/// The marked higher row of one vertex of one graph — the state
+/// [`for_triangles_on_edge`] keeps between edges of the same `u` — and the
+/// buffer it writes an edge's triangles into. `n` words; see the module
+/// docs for who owns one.
 pub struct RowScratch<'g> {
     g: &'g CsrGraph,
     /// `1 + index of w in N(owner)` for every neighbour `w > owner` of the
     /// owner, 0 everywhere else.
     slot: Vec<u32>,
     owner: Option<VertexId>,
+    /// The current edge's candidates as `(index in N(v), mark)` pairs, and
+    /// its triangles built from the hits among them. Both are grown, never
+    /// shrunk, to one more than the most triangles an edge walked so far
+    /// could have.
+    hits: Vec<(u32, u32)>,
+    found: Vec<Triangle>,
 }
 
 impl<'g> RowScratch<'g> {
     /// An unmarked scratch for `g`.
     pub fn new(g: &'g CsrGraph) -> Self {
-        Self { g, slot: vec![0; g.num_vertices()], owner: None }
+        Self {
+            g,
+            slot: vec![0; g.num_vertices()],
+            owner: None,
+            hits: Vec::new(),
+            found: Vec::new(),
+        }
     }
 
     /// Makes `u` the owner: un-marks the previous owner's row, marks `u`'s.
@@ -131,18 +161,19 @@ fn gallop(row: &[VertexId], w: VertexId) -> usize {
     lo + row[lo..hi].partition_point(|&x| x < w)
 }
 
-/// Invokes `f` for every triangle whose two smallest vertices are the
-/// endpoints of canonical edge `e_uv` of `scratch`'s graph, in ascending
-/// `w`. Each triangle belongs to exactly one such edge; a directed edge with
-/// `u > v` owns none. Cheapest when consecutive calls share `u` (the scratch
-/// re-marks only when `u` changes), i.e. over ascending edge ids.
+/// Hands `f` the triangles whose two smallest vertices are the endpoints of
+/// canonical edge `e_uv` of `scratch`'s graph, as one slice in ascending
+/// `w`; `f` is not called for an edge that owns none (a directed edge with
+/// `u > v` never does). Each triangle belongs to exactly one such edge.
+/// Cheapest when consecutive calls share `u` (the scratch re-marks only
+/// when `u` changes), i.e. over ascending edge ids.
 // Inlined so a part's walk over its edge range compiles to one nested loop
 // (the sequential walk measured ~8% slower without it).
 #[inline]
 pub fn for_triangles_on_edge(
     scratch: &mut RowScratch<'_>,
     e_uv: EdgeId,
-    f: &mut impl FnMut(Triangle),
+    f: &mut impl FnMut(&[Triangle]),
 ) {
     let g = scratch.g;
     let (u, v) = g.edge_endpoints(e_uv);
@@ -152,28 +183,65 @@ pub fn for_triangles_on_edge(
     scratch.own(u);
     let (nu, eu) = (g.neighbors(u), g.neighbor_edge_ids(u));
     let (nv, ev) = (g.neighbors(v), g.neighbor_edge_ids(v));
-    // {w in N(u) : w > v} starts right after v, whose mark is its index + 1.
+    // {w in N(u) : w > v} starts right after v, whose mark is its index + 1;
+    // when it is empty there is no triangle and no row of v to search.
     let a0 = scratch.slot[v as usize] as usize;
+    if a0 == nu.len() {
+        return;
+    }
     let b0 = nv.partition_point(|&x| x <= v);
+    // At most min(|N(u)>v|, |N(v)>v|) hits, and the probe loop writes one
+    // candidate past the last of them.
+    let room = (nu.len() - a0).min(nv.len() - b0) + 1;
+    if scratch.hits.len() < room {
+        scratch.hits.resize(room, (0, 0));
+        scratch.found.resize(room, Triangle::default());
+    }
+    let (slot, hits, found) = (&scratch.slot[..], &mut scratch.hits[..], &mut scratch.found[..]);
+    let mut len = 0;
     if (nu.len() - a0) * GALLOP_SKEW < nv.len() - b0 {
         let mut b = b0;
-        for a in a0..nu.len() {
-            b += gallop(&nv[b..], nu[a]);
+        for (mark, &w) in (a0 as u32 + 1..).zip(&nu[a0..]) {
+            b += gallop(&nv[b..], w);
             if b == nv.len() {
                 break;
             }
-            if nv[b] == nu[a] {
-                f(Triangle { u, v, w: nu[a], e_uv, e_vw: ev[b], e_uw: eu[a] });
+            if nv[b] == w {
+                hits[len] = (b as u32, mark);
+                len += 1;
                 b += 1;
             }
         }
     } else {
-        for b in b0..nv.len() {
-            let mark = scratch.slot[nv[b] as usize] as usize;
-            if mark != 0 {
-                f(Triangle { u, v, w: nv[b], e_uv, e_vw: ev[b], e_uw: eu[mark - 1] });
-            }
+        for (b, &w) in (b0 as u32..).zip(&nv[b0..]) {
+            let mark = slot[w as usize];
+            hits[len] = (b, mark);
+            len += usize::from(mark != 0);
         }
+    }
+    if len == 0 {
+        return;
+    }
+    // mark = 1 + the index of w in N(u), whose edge id is e_uw.
+    for (t, &(b, mark)) in found.iter_mut().zip(&hits[..len]) {
+        let (b, a) = (b as usize, mark as usize - 1);
+        *t = Triangle { u, v, w: nv[b], e_uv, e_vw: ev[b], e_uw: eu[a] };
+    }
+    f(&found[..len]);
+}
+
+/// Hands `f` the triangles of every canonical edge in `edges`, in that
+/// order, one slice per edge: one part's walk over its edge-id range (an
+/// `sg-dist` rank, a federation shard), sequential, through the one
+/// [`RowScratch`] the call holds.
+pub fn for_triangles_in(
+    g: &CsrGraph,
+    edges: impl IntoIterator<Item = EdgeId>,
+    mut f: impl FnMut(&[Triangle]),
+) {
+    let mut scratch = RowScratch::new(g);
+    for e_uv in edges {
+        for_triangles_on_edge(&mut scratch, e_uv, &mut f);
     }
 }
 
@@ -202,14 +270,19 @@ where
             || {
                 // The lock is released before a missing scratch is created.
                 let reused = free_list().pop();
-                (reused.unwrap_or_else(&new_scratch), identity())
+                // Boxed: the fold passes its state by value once per item,
+                // and a scratch of several vectors moved per edge cost about
+                // a third of the listing on a triangle-sparse graph.
+                Box::new((reused.unwrap_or_else(&new_scratch), identity()))
             },
-            |(mut scratch, mut acc), item| {
-                step(&mut scratch, &mut acc, item);
-                (scratch, acc)
+            |mut state, item| {
+                let (scratch, acc) = &mut *state;
+                step(scratch, acc, item);
+                state
             },
         )
-        .map(|(scratch, acc)| {
+        .map(|state| {
+            let (scratch, acc) = *state;
             free_list().push(scratch);
             acc
         })
@@ -217,19 +290,20 @@ where
 }
 
 /// Streams every triangle into one `identity()` accumulator per chunk of
-/// canonical edge ids, in parallel, and returns the accumulators in chunk —
-/// hence canonical — order. Inside a chunk `visit` sees the triangles in
-/// canonical order; the chunking depends only on `m`.
-fn fold_triangles<T: Send>(
+/// canonical edge ids, in parallel, one slice per edge, and returns the
+/// accumulators in chunk — hence canonical — order. Inside a chunk `visit`
+/// sees the slices in canonical order; the chunking depends only on `m`, so
+/// the result is the same at any thread count.
+pub fn fold_triangles<T: Send>(
     g: &CsrGraph,
     identity: impl Fn() -> T + Sync,
-    visit: impl Fn(&mut T, Triangle) + Sync,
+    visit: impl Fn(&mut T, &[Triangle]) + Sync,
 ) -> Vec<T> {
     fold_with_scratch(
         g.par_edge_ids(),
         || RowScratch::new(g),
         identity,
-        |scratch, acc, e_uv| for_triangles_on_edge(scratch, e_uv, &mut |t| visit(acc, t)),
+        |scratch, acc, e_uv| for_triangles_on_edge(scratch, e_uv, &mut |tris| visit(acc, tris)),
     )
 }
 
@@ -237,35 +311,13 @@ fn fold_triangles<T: Send>(
 /// must be thread-safe; the visit order is unspecified but the *set* of
 /// triangles is deterministic.
 pub fn for_each_triangle(g: &CsrGraph, f: impl Fn(Triangle) + Sync) {
-    fold_triangles(g, || (), |_, t| f(t));
+    fold_triangles(g, || (), |_, tris| tris.iter().copied().for_each(&f));
 }
 
-/// Collects the triangles `keep` accepts as one vector per chunk of edge
-/// ids; walking the chunks in order is canonical `(u, v, w)` order. Only
-/// kept triangles are ever materialized, the result is the same at any
-/// thread count, and a consumer that only walks the stream (Edge-Once TR,
-/// collapse) never pays for a second, concatenated copy.
-pub fn collect_triangle_chunks(
-    g: &CsrGraph,
-    keep: impl Fn(&Triangle) -> bool + Sync,
-) -> Vec<Vec<Triangle>> {
-    fold_triangles(g, Vec::new, |kept, t| {
-        if keep(&t) {
-            kept.push(t);
-        }
-    })
-}
-
-/// [`collect_triangle_chunks`] concatenated into one vector in canonical
-/// `(u, v, w)` order, for consumers that index or re-sort the listing.
-pub fn collect_triangles(g: &CsrGraph, keep: impl Fn(&Triangle) -> bool + Sync) -> Vec<Triangle> {
-    collect_triangle_chunks(g, keep).concat()
-}
-
-/// Collects all triangles in canonical `(u, v, w)` order. Intended for
-/// kernel scheduling at moderate T; counting paths never materialize.
+/// Collects all triangles in canonical `(u, v, w)` order — for tests and
+/// references; counting and reducing paths never materialize the listing.
 pub fn list_triangles(g: &CsrGraph) -> Vec<Triangle> {
-    collect_triangles(g, |_| true)
+    fold_triangles(g, Vec::new, |all, tris| all.extend_from_slice(tris)).concat()
 }
 
 /// Per-worker state of [`count_triangles`]: a bitset over the vertices and
@@ -389,10 +441,21 @@ mod tests {
         out
     }
 
-    /// The kernel's stream over an edge-id range, through `scratch`.
+    /// The kernel's stream over an edge-id range, through `scratch`. Every
+    /// slice is non-empty and holds triangles of its own edge only, in
+    /// ascending `w`, and an edge with `u > v` is never handed one.
     fn kernel_stream(scratch: &mut RowScratch<'_>, edges: std::ops::Range<usize>) -> Vec<Triangle> {
         let mut out = Vec::new();
-        edges.for_each(|e| for_triangles_on_edge(scratch, e as EdgeId, &mut |t| out.push(t)));
+        for e in edges.map(|e| e as EdgeId) {
+            let (u, v) = scratch.g.edge_endpoints(e);
+            for_triangles_on_edge(scratch, e, &mut |tris| {
+                assert!(u < v, "edge {e} = ({u}, {v}) owns no triangle");
+                assert!(!tris.is_empty(), "edge {e}: an empty slice");
+                assert!(tris.iter().all(|t| t.e_uv == e), "edge {e}: a foreign triangle");
+                assert!(tris.windows(2).all(|p| p[0].w < p[1].w), "edge {e}: w not ascending");
+                out.extend_from_slice(tris);
+            });
+        }
         out
     }
 
@@ -402,6 +465,45 @@ mod tests {
         let (u, v) = g.edge_endpoints(e_uv);
         let above = |x: VertexId| g.neighbors(x).iter().filter(|&&w| w > v).count();
         (above(u), above(v))
+    }
+
+    /// `(edges probed, edges galloped, candidates probed)` over the edges
+    /// of `g` that own a triangle candidate.
+    fn branches(g: &CsrGraph) -> (usize, usize, usize) {
+        let (mut probed, mut galloped, mut probes) = (0, 0, 0);
+        for e in 0..g.num_edges() as EdgeId {
+            let (u, v) = g.edge_endpoints(e);
+            let (len_u, len_v) = rows_above(g, e);
+            if u > v || len_u.min(len_v) == 0 {
+                continue;
+            }
+            if len_u * GALLOP_SKEW < len_v {
+                galloped += 1;
+            } else {
+                (probed, probes) = (probed + 1, probes + len_v);
+            }
+        }
+        (probed, galloped, probes)
+    }
+
+    /// The kernel's stream on `g` equals the merge walks' — same triangles,
+    /// same order, same three edge ids — sequentially through one scratch,
+    /// over `parts` edge ranges at a time through that scratch, through the
+    /// parallel listing and in the counter. Returns the stream.
+    fn assert_kernel_is_merge(g: &CsrGraph, parts: usize, label: &str) -> Vec<Triangle> {
+        let m = g.num_edges();
+        let expected = merge_stream(g, 0..m);
+        let mut scratch = RowScratch::new(g);
+        assert_eq!(kernel_stream(&mut scratch, 0..m), expected, "{label}");
+        let by_part: Vec<Triangle> = (0..parts)
+            .flat_map(|part| kernel_stream(&mut scratch, m * part / parts..m * (part + 1) / parts))
+            .collect();
+        assert_eq!(by_part, expected, "{label}, {parts} edge ranges");
+        assert_eq!(list_triangles(g), expected, "{label}, parallel");
+        assert_eq!(count_triangles(g), expected.len() as u64, "{label}, count");
+        // A directed edge with u > v owns nothing: u < v < w always.
+        assert!(expected.iter().all(|t| t.u < t.v && t.v < t.w), "{label}");
+        expected
     }
 
     /// A hub-heavy random graph under a random relabelling: up to three raw
@@ -428,40 +530,47 @@ mod tests {
 
     #[test]
     fn kernel_stream_is_the_merge_walks_on_random_relabelled_graphs() {
-        // Same triangles, same order, same three edge ids — sequentially
-        // through one scratch, over a part's edge range at a time, and through
-        // the parallel listing.
         let (mut triangles, mut probed, mut galloped, mut ownerless) = (0, 0, 0, 0);
         for case in 0..300 {
             let directed = case % 4 == 3;
             let g = skewed_random_graph(case, directed);
-            let m = g.num_edges();
-            let expected = merge_stream(&g, 0..m);
-            let mut scratch = RowScratch::new(&g);
-            assert_eq!(kernel_stream(&mut scratch, 0..m), expected, "case {case}");
-            let parts = 1 + case as usize % 7;
-            let by_part: Vec<Triangle> = (0..parts)
-                .flat_map(|part| {
-                    kernel_stream(&mut scratch, m * part / parts..m * (part + 1) / parts)
-                })
-                .collect();
-            assert_eq!(by_part, expected, "case {case}, {parts} edge ranges");
-            assert_eq!(list_triangles(&g), expected, "case {case}, parallel");
-            assert_eq!(count_triangles(&g), expected.len() as u64, "case {case}, count");
-            // A directed edge with u > v owns nothing: u < v < w always.
-            assert!(expected.iter().all(|t| t.u < t.v && t.v < t.w));
+            let expected =
+                assert_kernel_is_merge(&g, 1 + case as usize % 7, &format!("case {case}"));
             ownerless += g.edge_slice().iter().filter(|&&(u, v)| u > v).count();
             triangles += expected.len();
-            for e in 0..m as EdgeId {
-                let (len_u, len_v) = rows_above(&g, e);
-                if g.edge_endpoints(e).0 < g.edge_endpoints(e).1 && len_u.min(len_v) > 0 {
-                    *(if len_u * GALLOP_SKEW < len_v { &mut galloped } else { &mut probed }) += 1;
-                }
-            }
+            let (p, gal, _) = branches(&g);
+            (probed, galloped) = (probed + p, galloped + gal);
         }
         assert!(triangles > 2_000, "only {triangles} triangles over all cases");
         assert!(probed > 500 && galloped > 500, "{probed} probed, {galloped} galloped");
         assert!(ownerless > 500, "{ownerless} directed edges with u > v");
+
+        // The probe loop writes every candidate and keeps the hits: in K_64
+        // every probe hits, so the stream is exactly the probes.
+        let k64 = generators::complete(64);
+        let (_, _, probes) = branches(&k64);
+        assert_eq!(assert_kernel_is_merge(&k64, 5, "K_64").len(), probes);
+        assert_eq!(probes, 64 * 63 * 62 / 6);
+        // A star whose leaves each lead into a path: every edge (0, v) probes
+        // v's pendant against the hub's marks, and no probe hits.
+        let leaves: VertexId = 60;
+        let mut pairs: Vec<(VertexId, VertexId)> = (1..=leaves).map(|v| (0, v)).collect();
+        pairs.extend((1..=leaves).map(|v| (v, leaves + v)));
+        pairs.extend((leaves + 1..2 * leaves).map(|v| (v, v + 1)));
+        let comb = CsrGraph::from_pairs(2 * leaves as usize + 1, &pairs);
+        let (probed, _, probes) = branches(&comb);
+        assert!(probed >= leaves as usize - 1 && probes >= probed, "{probed} probed, {probes}");
+        assert!(assert_kernel_is_merge(&comb, 3, "star + paths").is_empty());
+        // Directed: a triangle whose arcs all point down owns nothing, its
+        // upward twin on three more vertices owns one.
+        let arcs = [(2, 1), (1, 0), (2, 0), (3, 4), (4, 5), (3, 5)];
+        let directed = CsrGraph::from_edge_list_directed(EdgeList::from_pairs(6, arcs));
+        let owned = assert_kernel_is_merge(&directed, 2, "directed");
+        assert_eq!(owned.iter().map(key).collect::<Vec<_>>(), vec![(3, 4, 5)]);
+        // No edges at all.
+        let edgeless = CsrGraph::from_pairs(5, &[]);
+        assert!(assert_kernel_is_merge(&edgeless, 2, "m = 0").is_empty());
+        for_each_triangle(&edgeless, |t| panic!("triangle {t:?} without edges"));
     }
 
     #[test]
@@ -503,6 +612,25 @@ mod tests {
         assert_eq!(expected.len(), 20);
         assert_eq!(kernel_stream(&mut RowScratch::new(&g), 0..g.num_edges()), expected);
         assert_eq!(count_triangles(&g), 20);
+
+        // A book: spine (3, 4) under 5 000 pages, after a lone triangle. The
+        // scratch's buffers are sized for the triangle's edges when the spine
+        // comes, whose probe loop must hand over all 5 000 hits in one slice.
+        let pages: VertexId = 5_000;
+        let mut pairs = vec![(0, 1), (1, 2), (0, 2), (3, 4)];
+        pairs.extend((5..5 + pages).flat_map(|w| [(3, w), (4, w)]));
+        let book = CsrGraph::from_pairs(5 + pages as usize, &pairs);
+        let spine = book.find_edge(3, 4).expect("spine");
+        let (len_u, len_v) = rows_above(&book, spine);
+        assert!(len_u * GALLOP_SKEW >= len_v, "the spine must probe");
+        let mut scratch = RowScratch::new(&book);
+        let mut slices = Vec::new();
+        for e in 0..book.num_edges() as EdgeId {
+            for_triangles_on_edge(&mut scratch, e, &mut |tris| slices.push((e, tris.len())));
+        }
+        assert_eq!(slices.iter().map(|&(_, len)| len).max(), Some(pages as usize));
+        assert!(slices.contains(&(spine, pages as usize)));
+        assert_eq!(assert_kernel_is_merge(&book, 3, "book").len(), 1 + pages as usize);
     }
 
     #[test]
@@ -626,12 +754,20 @@ mod tests {
 
     #[test]
     fn collect_is_the_filtered_listing() {
+        // A consumer that keeps part of each slice, chunk by chunk, sees the
+        // listing in order: what it keeps, concatenated, is the filtered list.
         let g = generators::rmat_graph500(10, 8, 8);
         let keep = |t: &Triangle| (t.u + t.w) % 3 == 1;
         let filtered: Vec<Triangle> = list_triangles(&g).into_iter().filter(keep).collect();
         assert!(!filtered.is_empty());
-        assert_eq!(collect_triangles(&g, keep), filtered);
-        assert!(collect_triangles(&g, |_| false).is_empty());
+        let collect = |keep: &(dyn Fn(&Triangle) -> bool + Sync)| {
+            let kept = |kept: &mut Vec<Triangle>, tris: &[Triangle]| {
+                kept.extend(tris.iter().filter(|t| keep(t)));
+            };
+            fold_triangles(&g, Vec::new, kept).concat()
+        };
+        assert_eq!(collect(&keep), filtered);
+        assert!(collect(&|_| false).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A fixed-size concurrent bitset.
 //!
-//! Deletion marks and Edge-Once `considered` flags are written concurrently
-//! by kernel instances (`atomic SG.del(e)` in the paper's syntax); an atomic
-//! bitset keeps that state at one bit per edge.
+//! Subgraph kernels write deletion marks concurrently (`atomic SG.del(e)` in
+//! the paper's syntax); an atomic bitset keeps that state at one bit per
+//! edge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,11 +56,6 @@ impl AtomicBitset {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.load(Ordering::Relaxed).count_ones() as usize).sum()
-    }
-
-    /// Snapshot into a plain `Vec<bool>`.
-    pub fn to_vec(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
     }
 }
 
@@ -120,7 +115,7 @@ mod tests {
         let (claims, bs) = contention_round(4096, 8);
         assert_eq!(claims, 4096);
         assert_eq!(bs.count_ones(), 4096);
-        assert!(bs.to_vec().iter().all(|&b| b));
+        assert!((0..4096).all(|i| bs.get(i)));
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! In the paper (§4.1), `SG` is the global object kernels use to delete
 //! graph elements (`SG.del`), draw randomness (`SG.rand`), and read scheme
-//! parameters. Here [`SgContext`] carries the input graph, the atomic
-//! deletion/consideration bitsets, and a deterministic per-element RNG:
-//! the random decision for element `x` depends only on `(seed, x)`, so
+//! parameters. Here [`SgContext`] carries the input graph, the atomic edge
+//! deletion bitset subgraph kernels write, and a deterministic per-element
+//! RNG: the random decision for element `x` depends only on `(seed, x)`, so
 //! parallel runs are bit-identical to sequential ones.
 
 use crate::atomic_bitset::AtomicBitset;
 use sg_graph::prng;
-use sg_graph::{CsrGraph, EdgeId, VertexId};
+use sg_graph::{CsrGraph, EdgeId};
 
 /// The deterministic per-element random source behind `SG.rand`.
 ///
@@ -51,21 +51,12 @@ pub struct SgContext<'g> {
     /// Global seed for deterministic per-element randomness.
     pub seed: u64,
     deleted_edges: AtomicBitset,
-    deleted_vertices: AtomicBitset,
-    /// Edge-Once `considered` flags (paper's `e.considered`).
-    considered_edges: AtomicBitset,
 }
 
 impl<'g> SgContext<'g> {
     /// Creates a context for `graph` with deterministic seed `seed`.
     pub fn new(graph: &'g CsrGraph, seed: u64) -> Self {
-        Self {
-            graph,
-            seed,
-            deleted_edges: AtomicBitset::new(graph.num_edges()),
-            deleted_vertices: AtomicBitset::new(graph.num_vertices()),
-            considered_edges: AtomicBitset::new(graph.num_edges()),
-        }
+        Self { graph, seed, deleted_edges: AtomicBitset::new(graph.num_edges()) }
     }
 
     /// `SG.del(e)` — atomically marks edge `e` deleted. Returns true if this
@@ -75,35 +66,10 @@ impl<'g> SgContext<'g> {
         !self.deleted_edges.set(e as usize)
     }
 
-    /// `SG.del(v)` — atomically marks vertex `v` deleted.
-    #[inline]
-    pub fn del_vertex(&self, v: VertexId) -> bool {
-        !self.deleted_vertices.set(v as usize)
-    }
-
     /// True when edge `e` is currently marked deleted.
     #[inline]
     pub fn edge_deleted(&self, e: EdgeId) -> bool {
         self.deleted_edges.get(e as usize)
-    }
-
-    /// True when vertex `v` is currently marked deleted.
-    #[inline]
-    pub fn vertex_deleted(&self, v: VertexId) -> bool {
-        self.deleted_vertices.get(v as usize)
-    }
-
-    /// Atomically marks edge `e` considered (Edge-Once discipline); returns
-    /// true when this kernel instance is the *first* to consider it.
-    #[inline]
-    pub fn consider_edge_once(&self, e: EdgeId) -> bool {
-        !self.considered_edges.set(e as usize)
-    }
-
-    /// True when edge `e` was already considered.
-    #[inline]
-    pub fn edge_considered(&self, e: EdgeId) -> bool {
-        self.considered_edges.get(e as usize)
     }
 
     /// The context's random source as a standalone value (shared with the
@@ -131,16 +97,6 @@ impl<'g> SgContext<'g> {
     pub fn deleted_edge_count(&self) -> usize {
         self.deleted_edges.count_ones()
     }
-
-    /// Number of vertices currently marked deleted.
-    pub fn deleted_vertex_count(&self) -> usize {
-        self.deleted_vertices.count_ones()
-    }
-
-    /// Snapshot of vertex deletion marks (for materialization).
-    pub fn deleted_vertices_vec(&self) -> Vec<bool> {
-        self.deleted_vertices.to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -159,16 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn consider_once_claims_exactly_once() {
-        let g = generators::cycle(5);
-        let sg = SgContext::new(&g, 1);
-        assert!(sg.consider_edge_once(3));
-        assert!(!sg.consider_edge_once(3));
-        assert!(sg.edge_considered(3));
-        assert!(!sg.edge_considered(2));
-    }
-
-    #[test]
     fn rand_is_deterministic_per_element() {
         let g = generators::cycle(5);
         let a = SgContext::new(&g, 77);
@@ -179,14 +125,5 @@ mod tests {
         let c = SgContext::new(&g, 78);
         let diff = (0..100).filter(|&e| a.rand_unit(e, 0) != c.rand_unit(e, 0)).count();
         assert!(diff > 90);
-    }
-
-    #[test]
-    fn vertex_deletion() {
-        let g = generators::star(6);
-        let sg = SgContext::new(&g, 2);
-        sg.del_vertex(3);
-        assert!(sg.vertex_deleted(3));
-        assert_eq!(sg.deleted_vertices_vec(), vec![false, false, false, true, false, false]);
     }
 }

@@ -10,13 +10,15 @@
 //! kernel, [`materialize_edges`] turns edge decisions into the output
 //! graph. [`Engine`] maps them over the whole graph on the rayon pool; an
 //! `sg-dist` rank maps them sequentially over its own range, and a
-//! federation shard is one such range. Triangle and subgraph kernels record
-//! deletions in the [`SgContext`] bitsets instead (the paper's `atomic`).
+//! federation shard is one such range. Subgraph kernels record deletions in
+//! the [`SgContext`] bitset instead (the paper's `atomic`). Triangles (§4.3)
+//! are decided in [`crate::schemes::triangle_reduction::decide_triangle`],
+//! a slice at a time, with no per-instance route here (see `crate::kernel`).
 
 use crate::context::SgContext;
 use crate::kernel::{
     EdgeDecision, EdgeKernel, EdgeView, SubgraphKernel, SubgraphScratch, SubgraphView,
-    TriangleKernel, VertexDecision, VertexKernel, VertexView,
+    VertexDecision, VertexKernel, VertexView,
 };
 use crate::mapping::VertexMapping;
 use rayon::prelude::*;
@@ -172,35 +174,13 @@ impl Engine {
         CompressionResult::of(g, graph, Some(mapping), start)
     }
 
-    /// Executes a triangle kernel over every triangle (§4.3). Kernels that
-    /// declare `parallel()` stream triangles concurrently, edge-parallel;
-    /// order-sensitive ones run sequentially over the triangle listing,
-    /// which is collected in parallel and arrives in canonical `(u, v, w)`
-    /// order because canonical edge ids do — nothing is locked or sorted.
-    pub fn run_triangle_kernel<K: TriangleKernel>(
-        &self,
-        g: &CsrGraph,
-        kernel: &K,
-    ) -> CompressionResult {
-        let start = Instant::now();
-        let sg = SgContext::new(g, self.seed);
-        if kernel.parallel() {
-            sg_algos::tc::for_each_triangle(g, |t| kernel.process(&t, &sg));
-        } else {
-            for t in sg_algos::tc::list_triangles(g) {
-                kernel.process(&t, &sg);
-            }
-        }
-        CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
-    }
-
     /// Executes a subgraph kernel over every cluster of `mapping` in
     /// parallel (§4.5). The runtime follows Listing 2: the mapping has
     /// already been constructed (`SG.construct_mapping()`), then all kernels
     /// run concurrently (`SG.run_kernels()`). Every instance is lent a
     /// [`SubgraphScratch`]: `n` + `#clusters` words, created once per worker
     /// that runs a chunk of clusters (the free list of
-    /// [`sg_algos::tc::fold_with_scratch`], as for the triangle kernels'
+    /// [`sg_algos::tc::fold_with_scratch`], as for the triangle listing's
     /// row scratch) and dropped when the call returns.
     pub fn run_subgraph_kernel<K: SubgraphKernel>(
         &self,
@@ -322,20 +302,6 @@ mod tests {
         let mapping = r.vertex_mapping.expect("vertex kernel relabels");
         assert!(mapping[0].is_some());
         assert!(mapping[1..].iter().all(Option::is_none));
-    }
-
-    struct DeleteFirstEdge;
-    impl TriangleKernel for DeleteFirstEdge {
-        fn process(&self, t: &Triangle, sg: &SgContext<'_>) {
-            sg.del_edge(t.e_uv);
-        }
-    }
-
-    #[test]
-    fn triangle_kernel_deletes_marked() {
-        let g = generators::complete(4); // 4 triangles, 6 edges
-        let r = Engine::new(0).run_triangle_kernel(&g, &DeleteFirstEdge);
-        assert!(r.graph.num_edges() < 6);
     }
 
     struct DropIntraCluster;

@@ -5,10 +5,16 @@
 //! view structs carrying the fields the paper's opaque `E`/`V` references
 //! provide (`e.u`, `e.v`, `e.weight`, `v.deg`, …). Kernels either return a
 //! declarative decision (edge/vertex kernels — pure per element) or mutate
-//! shared state through [`crate::SgContext`] (triangle/subgraph kernels,
-//! which need the paper's `atomic` semantics). A subgraph kernel is also
-//! lent private working memory, a per-worker [`SubgraphScratch`]; the kernel
-//! author still writes only the body of `process`.
+//! shared state through [`crate::SgContext`] (subgraph kernels, which need
+//! the paper's `atomic` semantics). A subgraph kernel is also lent private
+//! working memory, a per-worker [`SubgraphScratch`]; the kernel author
+//! still writes only the body of `process`.
+//!
+//! Triangle kernels (§4.3) have no trait: the one triangle scheme family
+//! decides each [`Triangle`] purely in
+//! [`crate::schemes::triangle_reduction::decide_triangle`] — sampled or
+//! not, edges ranked — over whole slices of the listing, and its executors
+//! keep the outcome in plain per-chunk vectors.
 
 use crate::context::SgContext;
 pub use sg_algos::tc::Triangle;
@@ -80,22 +86,6 @@ pub enum VertexDecision {
 pub trait VertexKernel: Sync {
     /// Decides the fate of one vertex. Invoked in parallel across vertices.
     fn process(&self, vertex: VertexView, sg: &SgContext<'_>) -> VertexDecision;
-}
-
-/// A triangle compression kernel (§4.3). The argument mirrors the paper's
-/// `vector<E> triangle`; deletions go through `sg` so the Edge-Once /
-/// `considered` disciplines can be expressed atomically.
-pub trait TriangleKernel: Sync {
-    /// Processes one triangle.
-    fn process(&self, triangle: &Triangle, sg: &SgContext<'_>);
-
-    /// Whether instances may run concurrently. Disciplines that need a
-    /// deterministic consideration order (Edge-Once, Count-Triangles) return
-    /// false and are executed sequentially in canonical `(u, v, w)` order —
-    /// the order of canonical edge ids, so the stream is never sorted.
-    fn parallel(&self) -> bool {
-        true
-    }
 }
 
 /// Local view of a subgraph (cluster) handed to a [`SubgraphKernel`]: the

@@ -24,8 +24,7 @@ pub use spanner::{spanner, SpannerKernel};
 pub use spectral::{spectral_sparsify, SpectralKernel, UpsilonVariant};
 pub use summarization::{summarize, summarize_to_graph, SummarizationConfig, Summary};
 pub use triangle_reduction::{
-    edge_once_commit, for_sampled_triangles, plain_tr_deletions, ranked_triangle_edges,
-    triangle_collapse, triangle_key, triangle_reduce, triangle_sampled, Discipline, EdgeChoice,
-    TrConfig, TriangleReductionKernel,
+    decide_triangle, edge_once_commit, for_sampled_triangles, plain_tr_deletions,
+    triangle_collapse, triangle_key, triangle_reduce, Discipline, EdgeChoice, TrConfig,
 };
 pub use uniform::{uniform_sample, UniformKernel};

@@ -20,12 +20,35 @@
 //! * **Collapse** — contract each sampled triangle into a single vertex
 //!   (changes the vertex set; maximal storage reduction).
 //!
-//! Partitioned executors (engine chunks, `sg-dist` ranks, federation shards)
-//! split the canonical edge ids: a triangle belongs to its edge `e_uv`.
+//! **One decision per triangle.** [`decide_triangle`] hashes the triangle
+//! once ([`triangle_key`]) and derives both "sampled?" and the ranked edges
+//! from that key; every executor — the engine's chunks, `sg-dist`'s ranks,
+//! federation shards, collapse — calls it and nothing else decides.
+//!
+//! **Executors.** Partitioned executors split the canonical edge ids: a
+//! triangle belongs to its edge `e_uv`, and `sg_algos::tc` hands each edge's
+//! triangles over as one slice. Over a slice the decisions are appended
+//! without a data-dependent branch (`Kept::append`): every triangle's
+//! result is written through an index into a pre-sized buffer and the index
+//! advances by what is kept — a 50 % coin is a branch no predictor learns.
+//!
+//! * **Plain** — state-free, so each chunk of canonical edges collects its
+//!   deletions into a plain list of edge ids; the lists are OR-ed into one
+//!   bitset and the survivors filtered. No atomic is touched: one atomic
+//!   read-modify-write per sampled triangle inside the probe loop cost more
+//!   than the rest of the decision (see `sg_algos::tc`).
+//! * **Ordered (EO, max-weight, CT)** — each chunk keeps only its sampled
+//!   triangles, as ranked 12-byte edge triples in canonical `(u, v, w)`
+//!   order (a `Triangle` is 24 bytes), and one sequential pass commits them
+//!   chunk after chunk through [`edge_once_commit`] against two plain
+//!   bitsets (considered, deleted). CT wants the order `(min count, u, v, w)`:
+//!   a triple is ranked by `(count, id)`, so its first edge carries the
+//!   triangle's min count, and a *stable* sort by that count of the
+//!   canonical stream leaves ties in `(u, v, w)` order — that very order.
 
-use crate::context::{DetRand, SgContext};
-use crate::engine::{CompressionResult, Engine};
-use crate::kernel::{Triangle, TriangleKernel};
+use crate::context::DetRand;
+use crate::engine::CompressionResult;
+use crate::kernel::Triangle;
 use sg_algos::tc;
 use sg_algos::union_find::UnionFind;
 use sg_graph::prng::mix64;
@@ -114,50 +137,40 @@ impl TrConfig {
     }
 }
 
-/// Deterministic per-triangle key for sampling decisions. Public so the
-/// sharded executors in sg-dist draw the *same* randomness per triangle as
-/// the in-process kernel — the single source of truth for TR sampling.
+/// Deterministic per-triangle key for sampling decisions — the single
+/// source of truth for TR randomness, hashed once per triangle by
+/// [`decide_triangle`].
 #[inline]
 pub fn triangle_key(t: &Triangle) -> u64 {
     mix64(t.u as u64 ^ mix64(t.v as u64 ^ mix64(t.w as u64)))
 }
 
-/// Whether triangle `t` is sampled for reduction at probability `p` under
-/// `rand`. This is the exact sampling rule of
-/// [`TriangleReductionKernel::process`]; sg-dist ranks call it so sharded
-/// runs stay bit-identical to `scheme.apply`.
-#[inline]
-pub fn triangle_sampled(t: &Triangle, p: f64, rand: DetRand) -> bool {
-    1.0 - p < rand.unit(triangle_key(t), 1)
-}
+/// The six orders of a triangle's edges; [`EdgeChoice::Random`] picks one
+/// with a uniform draw in `0..6` — a random rotation plus swap.
+const PERMUTATIONS: [[usize; 3]; 6] =
+    [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
 
-/// Orders a triangle's edges by `choice`; the first `x` are deletion
-/// candidates. `weight_of` supplies edge weights (only consulted by
-/// [`EdgeChoice::MaxWeight`]); `tri_counts` supplies per-edge triangle
-/// counts (required by [`EdgeChoice::FewestTriangles`]). Shared between the
-/// in-process kernel and the sharded executors so both rank identically.
-pub fn ranked_triangle_edges(
+/// The TR decision for triangle `t`: whether it is sampled at `cfg.p`
+/// under `rand`, and its edges ranked by `cfg.choice` — a sampled
+/// triangle's first `x` are its deletion candidates. Random ranks by a
+/// uniform permutation, max-weight by `weight_of` (heaviest first, ties to
+/// the larger id), CT by `tri_counts` (rarest first, ties to the smaller
+/// id). Both halves come from one [`triangle_key`]. Pure: every executor
+/// gets the same answer for the same triangle.
+#[inline]
+pub fn decide_triangle(
     t: &Triangle,
-    choice: EdgeChoice,
+    cfg: TrConfig,
     rand: DetRand,
     weight_of: impl Fn(EdgeId) -> Weight,
     tri_counts: Option<&[u64]>,
-) -> [EdgeId; 3] {
+) -> (bool, [EdgeId; 3]) {
+    let key = triangle_key(t);
+    let sampled = 1.0 - cfg.p < rand.unit(key, 1);
     let mut edges = t.edges();
-    match choice {
+    match cfg.choice {
         EdgeChoice::Random => {
-            let key = triangle_key(t);
-            // Deterministic random rotation + swap = uniform permutation.
-            let r = rand.below(key, 2, 6);
-            let perm: [usize; 3] = match r {
-                0 => [0, 1, 2],
-                1 => [0, 2, 1],
-                2 => [1, 0, 2],
-                3 => [1, 2, 0],
-                4 => [2, 0, 1],
-                _ => [2, 1, 0],
-            };
-            edges = [edges[perm[0]], edges[perm[1]], edges[perm[2]]];
+            edges = PERMUTATIONS[rand.below(key, 2, 6) as usize].map(|i| edges[i])
         }
         EdgeChoice::MaxWeight => {
             edges.sort_unstable_by(|&a, &b| weight_of(b).total_cmp(&weight_of(a)).then(b.cmp(&a)));
@@ -167,64 +180,123 @@ pub fn ranked_triangle_edges(
             edges.sort_unstable_by_key(|&e| (counts[e as usize], e));
         }
     }
-    edges
+    (sampled, edges)
 }
 
-/// Calls `f` on every sampled triangle whose `e_uv` is a canonical edge in
-/// `edges`, in canonical `(u, v, w)` order — the triangles one part (an
-/// `sg-dist` rank, a federation shard) owns and reduces. Sequential; the
-/// call owns the one [`tc::RowScratch`] its part needs.
-pub fn for_sampled_triangles(
-    g: &CsrGraph,
-    p: f64,
-    rand: DetRand,
-    edges: impl IntoIterator<Item = EdgeId>,
-    mut f: impl FnMut(Triangle),
-) {
-    let mut scratch = tc::RowScratch::new(g);
-    for e_uv in edges {
-        tc::for_triangles_on_edge(&mut scratch, e_uv, &mut |t: Triangle| {
-            if triangle_sampled(&t, p, rand) {
-                f(t);
-            }
-        });
+/// A list appended to without a data-dependent branch: `items` may run
+/// ahead of the list's `len` (the tail is scratch), so [`Kept::append`]
+/// writes all of a triangle's items through an index and advances the
+/// index by what it keeps.
+struct Kept<T> {
+    items: Vec<T>,
+    len: usize,
+}
+
+impl<T: Copy + Default> Kept<T> {
+    fn new() -> Self {
+        Self { items: Vec::new(), len: 0 }
+    }
+
+    /// Appends, triangle by triangle of `tris`, the first `kept` of the `N`
+    /// items `f` returns. Room for all of them is made first: one branch
+    /// per slice, none per triangle.
+    #[inline]
+    fn append<const N: usize>(
+        &mut self,
+        tris: &[Triangle],
+        f: impl Fn(&Triangle) -> ([T; N], usize),
+    ) {
+        let end = self.len + N * tris.len();
+        if self.items.len() < end {
+            self.items.resize(end, T::default());
+        }
+        let mut len = self.len;
+        for t in tris {
+            let (items, kept) = f(t);
+            self.items[len..len + N].copy_from_slice(&items);
+            len += kept;
+        }
+        self.len = len;
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+
+    fn into_vec(mut self) -> Vec<T> {
+        self.items.truncate(self.len);
+        self.items
     }
 }
 
-/// Plain TR over the part's sampled triangles: calls `delete(e)` once per
-/// sampled triangle and chosen edge (so an edge shared by two sampled
-/// triangles may be reported twice). An `sg-dist` rank routes each call to
-/// the edge's owner; a federation shard collects them into its deletion
-/// list.
+/// Plain TR over one slice of triangles: appends the first `x` ranked edges
+/// of every sampled triangle to a deletion list (so an edge shared by two
+/// sampled triangles may be listed twice).
+fn plain_deletions<'a>(
+    g: &'a CsrGraph,
+    cfg: TrConfig,
+    rand: DetRand,
+    tri_counts: Option<&'a [u64]>,
+) -> impl Fn(&mut Kept<EdgeId>, &[Triangle]) + Sync + 'a {
+    move |deletions, tris| {
+        deletions.append(tris, |t| {
+            let (sampled, ranked) = decide_triangle(t, cfg, rand, |e| g.edge_weight(e), tri_counts);
+            (ranked, usize::from(sampled) * cfg.x)
+        })
+    }
+}
+
+/// Plain TR over the triangles one part owns (`e_uv` in `edges`): the
+/// part's deletion list, in canonical triangle order, repeats included. An
+/// `sg-dist` rank routes each entry to the edge's owner; a federation shard
+/// sorts and deduplicates it into its reply.
 pub fn plain_tr_deletions(
     g: &CsrGraph,
     cfg: TrConfig,
     rand: DetRand,
     tri_counts: Option<&[u64]>,
     edges: impl IntoIterator<Item = EdgeId>,
-    mut delete: impl FnMut(EdgeId),
+) -> Vec<EdgeId> {
+    let append = plain_deletions(g, cfg, rand, tri_counts);
+    let mut deletions = Kept::new();
+    tc::for_triangles_in(g, edges, |tris| append(&mut deletions, tris));
+    deletions.into_vec()
+}
+
+/// Calls `f` with every sampled triangle whose `e_uv` is a canonical edge in
+/// `edges` and its ranked edges, in canonical `(u, v, w)` order — the
+/// triangles an `sg-dist` rank reduces under the Edge-Once protocol.
+/// Sequential; the call owns the one row scratch its part needs.
+pub fn for_sampled_triangles(
+    g: &CsrGraph,
+    cfg: TrConfig,
+    rand: DetRand,
+    tri_counts: Option<&[u64]>,
+    edges: impl IntoIterator<Item = EdgeId>,
+    mut f: impl FnMut(&Triangle, [EdgeId; 3]),
 ) {
-    for_sampled_triangles(g, cfg.p, rand, edges, |t| {
-        let ranked = ranked_triangle_edges(&t, cfg.choice, rand, |e| g.edge_weight(e), tri_counts);
-        ranked.iter().take(cfg.x).for_each(|&e| delete(e));
+    tc::for_triangles_in(g, edges, |tris| {
+        for t in tris {
+            let (sampled, ranked) = decide_triangle(t, cfg, rand, |e| g.edge_weight(e), tri_counts);
+            if sampled {
+                f(t, ranked);
+            }
+        }
     });
 }
 
-/// The Edge-Once commit of one sampled triangle, given the `considered`
-/// flags it observes on its edges: `claim(e, delete)` marks `e` considered
-/// and, when `delete`, deleted. The in-process kernel reads and writes the
-/// [`SgContext`] bitsets; an `sg-dist` rank reads the flags its edge owners
-/// reported and sends each claim to the owner.
+/// The Edge-Once commit of one sampled triangle with edges `ranked` (as
+/// [`decide_triangle`] ranks them), given whether each is already
+/// considered: calls `claim(e, delete)` for every edge it marks considered
+/// and, when `delete`, deleted. The engine reads and writes two plain
+/// bitsets in one sequential pass; an `sg-dist` rank reads the flags its
+/// edge owners reported and sends each claim to the owner.
 pub fn edge_once_commit(
-    t: &Triangle,
+    ranked: [EdgeId; 3],
+    considered: [bool; 3],
     cfg: TrConfig,
-    rand: DetRand,
-    weight_of: impl Fn(EdgeId) -> Weight,
-    tri_counts: Option<&[u64]>,
-    considered: impl Fn(EdgeId) -> bool,
     mut claim: impl FnMut(EdgeId, bool),
 ) {
-    let ranked = || ranked_triangle_edges(t, cfg.choice, rand, &weight_of, tri_counts);
     if cfg.choice == EdgeChoice::FewestTriangles {
         // CT: each edge is considered at most once, and edges in the fewest
         // triangles are removed first. A sampled triangle deletes its first
@@ -232,10 +304,9 @@ pub fn edge_once_commit(
         // triangles spread their deletions over *distinct* edges, which is
         // why CT consistently yields smaller m than plain p-1-TR (Figure 6,
         // right).
-        for e in ranked().into_iter().filter(|&e| !considered(e)).take(cfg.x) {
-            claim(e, true);
-        }
-    } else {
+        let fresh = ranked.into_iter().zip(considered).filter(|&(_, seen)| !seen);
+        fresh.take(cfg.x).for_each(|(e, _)| claim(e, true));
+    } else if !considered.contains(&true) {
         // Protective EO: a sampled triangle proceeds only when *all three*
         // edges are unconsidered, then claims them and deletes x. Reduced
         // triangles are therefore edge-disjoint — the assumption under
@@ -243,84 +314,7 @@ pub fn edge_once_commit(
         // max-weight choice) exact MST weight. (Listing 1's EO kernel is
         // ambiguous on this point; we pick the reading that realizes the
         // paper's stated guarantees.)
-        if t.edges().iter().any(|&e| considered(e)) {
-            return; // some edge already claimed by another triangle
-        }
-        let ranked = ranked();
-        for e in t.edges() {
-            claim(e, ranked[..cfg.x].contains(&e));
-        }
-    }
-}
-
-/// The TR compression kernel (`p-1-reduction` / `p-1-reduction-EO` of
-/// Listing 1, generalized over x and the edge choice).
-pub struct TriangleReductionKernel {
-    cfg: TrConfig,
-    /// Per-edge triangle counts; required by [`EdgeChoice::FewestTriangles`].
-    tri_counts: Option<Vec<u64>>,
-}
-
-impl TriangleReductionKernel {
-    /// Builds the kernel, precomputing per-edge triangle counts when the CT
-    /// choice needs them.
-    pub fn new(g: &CsrGraph, cfg: TrConfig) -> Self {
-        cfg.validate().expect("valid TR configuration");
-        let tri_counts =
-            (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
-        Self { cfg, tri_counts }
-    }
-
-    /// Orders the triangle's edges by the configured choice; the first `x`
-    /// are deleted.
-    fn ranked_edges(&self, t: &Triangle, sg: &SgContext<'_>) -> [EdgeId; 3] {
-        ranked_triangle_edges(
-            t,
-            self.cfg.choice,
-            sg.rand(),
-            |e| sg.graph.edge_weight(e),
-            self.tri_counts.as_deref(),
-        )
-    }
-
-    /// Reduces one *sampled* triangle under the configured discipline.
-    fn reduce(&self, t: &Triangle, sg: &SgContext<'_>) {
-        match self.cfg.discipline {
-            Discipline::Plain => {
-                let ranked = self.ranked_edges(t, sg);
-                for &e in ranked.iter().take(self.cfg.x) {
-                    sg.del_edge(e);
-                }
-            }
-            Discipline::EdgeOnce => edge_once_commit(
-                t,
-                self.cfg,
-                sg.rand(),
-                |e| sg.graph.edge_weight(e),
-                self.tri_counts.as_deref(),
-                |e| sg.edge_considered(e),
-                |e, delete| {
-                    sg.consider_edge_once(e);
-                    if delete {
-                        sg.del_edge(e);
-                    }
-                },
-            ),
-        }
-    }
-}
-
-impl TriangleKernel for TriangleReductionKernel {
-    fn parallel(&self) -> bool {
-        // Edge-Once semantics are enforced via a deterministic sequential
-        // pass over the canonically ordered triangle stream.
-        self.cfg.discipline == Discipline::Plain
-    }
-
-    fn process(&self, t: &Triangle, sg: &SgContext<'_>) {
-        if triangle_sampled(t, self.cfg.p, sg.rand()) {
-            self.reduce(t, sg);
-        }
+        ranked.into_iter().enumerate().for_each(|(i, e)| claim(e, i < cfg.x));
     }
 }
 
@@ -336,35 +330,68 @@ pub fn edge_triangle_counts(g: &CsrGraph) -> Vec<u64> {
     counts.into_iter().map(|a| a.into_inner()).collect()
 }
 
-/// Runs Triangle Reduction with the given configuration. Plain TR streams
-/// every triangle through the engine in parallel. The Edge-Once family (EO,
-/// max-weight, CT) is order-sensitive: it collects only the *sampled*
-/// triangles — in parallel, one vector per chunk of canonical edge ids,
-/// already in canonical `(u, v, w)` order because the ids are — and commits
-/// them sequentially, chunk after chunk. Only CT, which re-sorts the stream,
-/// pays for a concatenated copy of the sampled list.
+/// One bit per canonical edge, written by a single thread.
+struct EdgeBits(Vec<u64>);
+
+impl EdgeBits {
+    fn new(m: usize) -> Self {
+        Self(vec![0; m.div_ceil(64)])
+    }
+
+    #[inline]
+    fn get(&self, e: EdgeId) -> bool {
+        self.0[e as usize / 64] >> (e % 64) & 1 == 1
+    }
+
+    #[inline]
+    fn set(&mut self, e: EdgeId) {
+        self.0[e as usize / 64] |= 1 << (e % 64);
+    }
+}
+
+/// Runs Triangle Reduction with the given configuration (see the module
+/// docs for the two executors). Plain TR collects one deletion list per
+/// chunk of canonical edges in parallel; the Edge-Once family (EO,
+/// max-weight, CT) collects the ranked sampled triangles per chunk in
+/// parallel and commits them sequentially, chunk after chunk — only CT,
+/// which re-sorts the stream, pays for a concatenated copy.
 pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionResult {
-    let kernel = TriangleReductionKernel::new(g, cfg);
-    if cfg.discipline == Discipline::Plain {
-        return Engine::new(seed).run_triangle_kernel(g, &kernel);
-    }
+    cfg.validate().expect("valid TR configuration");
+    let counts = (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
+    let counts = counts.as_deref();
     let start = Instant::now();
-    let sg = SgContext::new(g, seed);
-    let rand = sg.rand();
-    let sampled = |t: &Triangle| triangle_sampled(t, cfg.p, rand);
-    if let Some(counts) = &kernel.tri_counts {
-        // CT processes triangles starting from the rarest edges.
-        let mut tris = tc::collect_triangles(g, sampled);
-        tris.sort_by_key(|t| {
-            let c = t.edges().map(|e| counts[e as usize]);
-            (*c.iter().min().expect("three edges"), t.u, t.v, t.w)
-        });
-        tris.iter().for_each(|t| kernel.reduce(t, &sg));
+    let rand = DetRand::new(seed);
+    let mut deleted = EdgeBits::new(g.num_edges());
+    if cfg.discipline == Discipline::Plain {
+        let lists = tc::fold_triangles(g, Kept::new, plain_deletions(g, cfg, rand, counts));
+        lists.iter().flat_map(Kept::as_slice).for_each(|&e| deleted.set(e));
     } else {
-        let chunks = tc::collect_triangle_chunks(g, sampled);
-        chunks.iter().flatten().for_each(|t| kernel.reduce(t, &sg));
+        let chunks = tc::fold_triangles(g, Kept::new, |kept, tris| {
+            kept.append(tris, |t| {
+                let (sampled, ranked) = decide_triangle(t, cfg, rand, |e| g.edge_weight(e), counts);
+                ([ranked], usize::from(sampled))
+            })
+        });
+        let mut considered = EdgeBits::new(g.num_edges());
+        let commit = |ranked: [EdgeId; 3]| {
+            edge_once_commit(ranked, ranked.map(|e| considered.get(e)), cfg, |e, delete| {
+                considered.set(e);
+                if delete {
+                    deleted.set(e);
+                }
+            })
+        };
+        let stream = chunks.iter().flat_map(Kept::as_slice).copied();
+        if let Some(counts) = counts {
+            // CT processes triangles starting from the rarest edges.
+            let mut stream: Vec<[EdgeId; 3]> = stream.collect();
+            stream.sort_by_key(|ranked| counts[ranked[0] as usize]);
+            stream.into_iter().for_each(commit);
+        } else {
+            stream.for_each(commit);
+        }
     }
-    CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
+    CompressionResult::of(g, g.filter_edges(|e| !deleted.get(e)), None, start)
 }
 
 /// Triangle p-Reduction by Collapse: each sampled triangle is contracted to
@@ -373,12 +400,17 @@ pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionRes
 pub fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> CompressionResult {
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
     let start = Instant::now();
-    let rand = DetRand::new(seed);
+    let (cfg, rand) = (TrConfig::plain_1(p), DetRand::new(seed));
+    let chunks = tc::fold_triangles(g, Kept::new, |kept, tris| {
+        kept.append(tris, |t| {
+            let (sampled, _) = decide_triangle(t, cfg, rand, |_| 1.0, None);
+            ([[t.u, t.v, t.w]], usize::from(sampled))
+        })
+    });
     let mut uf = UnionFind::new(g.num_vertices());
-    let chunks = tc::collect_triangle_chunks(g, |t| triangle_sampled(t, p, rand));
-    for t in chunks.iter().flatten() {
-        uf.union(t.u, t.v);
-        uf.union(t.v, t.w);
+    for &[u, v, w] in chunks.iter().flat_map(Kept::as_slice) {
+        uf.union(u, v);
+        uf.union(v, w);
     }
     // Compact representative ids.
     let n = g.num_vertices();
@@ -541,6 +573,82 @@ mod tests {
         let a = triangle_reduce(&g, TrConfig::edge_once_1(0.6), 18);
         let b = triangle_reduce(&g, TrConfig::edge_once_1(0.6), 18);
         assert_eq!(a.graph.edge_slice(), b.graph.edge_slice());
+    }
+
+    #[test]
+    fn one_key_draws_the_coin_and_the_permutation() {
+        // Listing 1's coin and a uniform permutation, both keyed by the one
+        // triangle key; max-weight and CT rank by their tables instead.
+        let g = generators::with_random_weights(&triangle_rich(), 1.0, 100.0, 19);
+        let counts = edge_triangle_counts(&g);
+        let rand = DetRand::new(20);
+        let tris = tc::list_triangles(&g);
+        let (mut sampled, mut firsts) = (0usize, [0usize; 3]);
+        for t in &tris {
+            let key = triangle_key(t);
+            let coin = 1.0 - 0.4 < rand.unit(key, 1);
+            let weight = |e: EdgeId| g.edge_weight(e);
+            let decide = |choice| {
+                let cfg = TrConfig { choice, ..TrConfig::plain_1(0.4) };
+                decide_triangle(t, cfg, rand, weight, Some(&counts))
+            };
+            let (s, ranked) = decide(EdgeChoice::Random);
+            assert_eq!(s, coin);
+            let perm = PERMUTATIONS[rand.below(key, 2, 6) as usize];
+            assert_eq!(ranked, perm.map(|i| t.edges()[i]));
+            firsts[perm[0]] += 1;
+            sampled += usize::from(s);
+            let (s, heaviest_first) = decide(EdgeChoice::MaxWeight);
+            assert_eq!(s, coin);
+            assert!(heaviest_first.windows(2).all(|p| weight(p[0]) >= weight(p[1])));
+            let (s, rarest_first) = decide(EdgeChoice::FewestTriangles);
+            assert_eq!(s, coin);
+            assert!(rarest_first
+                .windows(2)
+                .all(|p| counts[p[0] as usize] <= counts[p[1] as usize]));
+        }
+        let n = tris.len();
+        assert!(sampled.abs_diff(4 * n / 10) < n / 20, "{sampled} of {n} sampled at p = 0.4");
+        assert!(firsts.iter().all(|&f| f.abs_diff(n / 3) < n / 20), "first edges {firsts:?}");
+    }
+
+    #[test]
+    fn edge_once_commit_claims_by_discipline() {
+        let claims = |considered, cfg| {
+            let mut out = Vec::new();
+            edge_once_commit([7, 8, 9], considered, cfg, |e, delete| out.push((e, delete)));
+            out
+        };
+        // Protective EO: all three unconsidered → claim all, delete the first x.
+        let eo = TrConfig::edge_once_1(1.0);
+        assert_eq!(claims([false; 3], eo), [(7, true), (8, false), (9, false)]);
+        let eo2 = TrConfig { x: 2, ..eo };
+        assert_eq!(claims([false; 3], eo2), [(7, true), (8, true), (9, false)]);
+        assert!(claims([false, false, true], eo).is_empty());
+        // CT: the first x unconsidered edges in rank order, each deleted.
+        let ct = TrConfig::count_triangles(1.0);
+        assert_eq!(claims([true, false, false], ct), [(8, true)]);
+        assert_eq!(claims([true, false, false], TrConfig { x: 2, ..ct }), [(8, true), (9, true)]);
+        assert!(claims([true; 3], ct).is_empty());
+    }
+
+    #[test]
+    fn kept_list_is_the_concatenation_of_what_each_triangle_keeps() {
+        // Slices of different lengths, an empty one, and kept counts 0..=N:
+        // every item is written, only the kept prefix of each survives.
+        let t = |w| Triangle { u: 0, v: 1, w, e_uv: 0, e_vw: w, e_uw: w + 100 };
+        let slices: [Vec<Triangle>; 4] =
+            [(2..5).map(t).collect(), vec![], (5..6).map(t).collect(), (6..40).map(t).collect()];
+        let mut kept = Kept::new();
+        let mut expected = Vec::new();
+        for tris in &slices {
+            kept.append(tris, |t| ([t.w, t.e_uw], t.w as usize % 3));
+            for t in tris {
+                expected.extend([t.w, t.e_uw].into_iter().take(t.w as usize % 3));
+            }
+            assert_eq!(kept.as_slice(), expected);
+        }
+        assert_eq!(kept.into_vec(), expected);
     }
 
     use sg_graph::CsrGraph;

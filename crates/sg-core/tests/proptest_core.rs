@@ -94,22 +94,4 @@ proptest! {
         let owners = heap_race::heap_race(&g, &heap_race::start_keys(n, beta, seed ^ 1));
         prop_assert_eq!(mapping.assignment, VertexMapping::from_labels(&owners).assignment);
     }
-
-    /// Edge-Once consideration is first-wins exactly once per edge even
-    /// under concurrency.
-    #[test]
-    fn consider_once_is_exclusive(seed in 0u64..50) {
-        use rayon::prelude::*;
-        let g = generators::erdos_renyi(100, 400, seed);
-        let sg = SgContext::new(&g, seed);
-        let winners: usize = (0..8u32)
-            .into_par_iter()
-            .map(|_| {
-                (0..g.num_edges() as u32)
-                    .filter(|&e| sg.consider_edge_once(e))
-                    .count()
-            })
-            .sum();
-        prop_assert_eq!(winners, g.num_edges());
-    }
 }

@@ -311,11 +311,8 @@ pub fn shard_compress(
             let part = partition_edges(g, shards)[shard];
             let counts =
                 (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
-            let mut deleted: Vec<EdgeId> = Vec::new();
             let rand = DetRand::new(seed);
-            plain_tr_deletions(g, *cfg, rand, counts.as_deref(), part.edge_ids(), |e| {
-                deleted.push(e)
-            });
+            let mut deleted = plain_tr_deletions(g, *cfg, rand, counts.as_deref(), part.edge_ids());
             deleted.sort_unstable();
             deleted.dedup();
             ShardOutcome::Edges(deleted)

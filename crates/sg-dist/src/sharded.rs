@@ -118,9 +118,11 @@ struct Update {
     delete: bool,
 }
 
-/// A sampled triangle awaiting its turn in the superstep protocol.
+/// A sampled triangle awaiting its turn in the superstep protocol: its edges
+/// in rank order, and per rank slot the grant and `considered` flag its
+/// owner reported.
 struct Pending {
-    t: Triangle,
+    ranked: [EdgeId; 3],
     key: TriKey,
     resolved: bool,
     won: [bool; 3],
@@ -232,12 +234,13 @@ fn sampled_triangles(
     counts: Option<&[u64]>,
 ) -> Vec<Pending> {
     let mut pending = Vec::new();
-    for_sampled_triangles(ctx.graph, cfg.p, ctx.rand, ctx.edges.edge_ids(), |t| {
-        let count = counts
-            .map(|c| t.edges().iter().map(|&e| c[e as usize]).min().expect("three edges"))
-            .unwrap_or(0);
+    let (g, edges) = (ctx.graph, ctx.edges.edge_ids());
+    for_sampled_triangles(g, cfg, ctx.rand, counts, edges, |t, ranked| {
+        // Count-Triangles ranks rarest first: the first edge's count is the
+        // triangle's smallest.
+        let count = counts.map_or(0, |c| c[ranked[0] as usize]);
         pending.push(Pending {
-            t,
+            ranked,
             key: TriKey { count, u: t.u, v: t.v, w: t.w },
             resolved: false,
             won: [false; 3],
@@ -252,14 +255,11 @@ fn sampled_triangles(
 /// holds one row scratch for the whole range.
 fn owned_triangle_counts(g: &CsrGraph, part: EdgeShard) -> Vec<u64> {
     let mut partial = vec![0u64; g.num_edges()];
-    let mut scratch = sg_algos::tc::RowScratch::new(g);
-    for e_uv in part.edge_ids() {
-        sg_algos::tc::for_triangles_on_edge(&mut scratch, e_uv, &mut |t: Triangle| {
-            for e in t.edges() {
-                partial[e as usize] += 1;
-            }
-        });
-    }
+    sg_algos::tc::for_triangles_in(g, part.edge_ids(), |tris| {
+        for e in tris.iter().flat_map(Triangle::edges) {
+            partial[e as usize] += 1;
+        }
+    });
     partial
 }
 
@@ -322,9 +322,9 @@ pub(crate) fn sharded_triangle_compress(
 fn run_rank_plain(ctx: &mut ShardedContext<'_>, cfg: TrConfig, counts: Option<&[u64]>, net: &Net) {
     ctx.supersteps += 1;
     let mut updates = outbox(net.updates.ranks);
-    plain_tr_deletions(ctx.graph, cfg, ctx.rand, counts, ctx.edges.edge_ids(), |e| {
+    for e in plain_tr_deletions(ctx.graph, cfg, ctx.rand, counts, ctx.edges.edge_ids()) {
         updates[ctx.owner_of(e)].push(Update { edge: e, delete: true });
-    });
+    }
     ctx.messages_sent += net.updates.post(ctx.rank, &mut updates);
     net.barrier.wait();
     ctx.apply_updates(&net.updates);
@@ -356,7 +356,7 @@ fn run_rank_edge_once(
                 continue;
             }
             p.won = [false; 3];
-            for (slot, &e) in p.t.edges().iter().enumerate() {
+            for (slot, &e) in p.ranked.iter().enumerate() {
                 let proposal = Proposal {
                     edge: e,
                     key: p.key,
@@ -404,17 +404,9 @@ fn run_rank_edge_once(
             }
             p.resolved = true;
             resolved_now += 1;
-            let (graph, edges) = (ctx.graph, p.t.edges());
-            let slot_of = |e: EdgeId| edges.iter().position(|&x| x == e).expect("triangle edge");
-            edge_once_commit(
-                &p.t,
-                cfg,
-                ctx.rand,
-                |e| graph.edge_weight(e),
-                counts,
-                |e| p.considered[slot_of(e)],
-                |e, delete| updates[ctx.owner_of(e)].push(Update { edge: e, delete }),
-            );
+            edge_once_commit(p.ranked, p.considered, cfg, |e, delete| {
+                updates[ctx.owner_of(e)].push(Update { edge: e, delete })
+            });
         }
         ctx.messages_sent += net.updates.post(ctx.rank, &mut updates);
         if resolved_now > 0 {

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use sg_algos::tc;
-use sg_core::schemes::for_sampled_triangles;
+use sg_core::schemes::{for_sampled_triangles, TrConfig};
 use sg_core::{DetRand, SchemeParams, SchemeRegistry};
 use sg_dist::{
     apply_edge_deletions, apply_vertex_removals, distributed_compress, shard_compress, ShardOutcome,
@@ -262,9 +262,8 @@ proptest! {
         for shards in [1, 2, 3, 7] {
             let mut owned = Vec::new();
             for part in partition_edges(&g, shards) {
-                for_sampled_triangles(&g, 1.0, DetRand::new(seed), part.start..part.end, |t| {
-                    owned.push(t)
-                });
+                let (all, rand) = (TrConfig::plain_1(1.0), DetRand::new(seed));
+                for_sampled_triangles(&g, all, rand, None, part.edge_ids(), |t, _| owned.push(*t));
             }
             prop_assert_eq!(&owned, &listing, "shards={}", shards);
             for x in ["1", "2"] {
