@@ -1,19 +1,92 @@
-//! # sg-bench — harness utilities shared by the experiment binaries
+//! # sg-bench — the paper's tables and figures, from one registry
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (each binary's header names its experiment — `E5` is
-//! `fig7_spanner_degrees`, `E9` is `bfs_critical_edges` — and what it expects).
-//! This library holds the shared pieces: stage-2 algorithm timing, relative
-//! runtime differences (Figure 5's y-axis), and plain-text table rendering.
+//! [`tables::TABLES`] holds one function per table or figure of the
+//! paper's evaluation — Tables 2, 3, 5 and 6, Figs. 5–8, §7.2's
+//! critical-edge, reordered-pair and disconnection results, §7.1's
+//! weighted TR, §7.4's low-rank comparison and routine timing, and an
+//! `sg-tune` search. Each function only computes rows: it takes every
+//! graph it uses by name from a [`tables::GraphSource`] and returns
+//! [`Table`] values whose columns are marked deterministic or timing.
+//! The `reproduce` binary runs them on [`tables::paper_graph`] and prints
+//! them; `tests/paper_tables.rs` runs them on small graphs of the same
+//! families and pins every deterministic column byte for byte.
+//!
+//! This file holds the `Table` value, its plain-text rendering, and the
+//! stage-2 algorithm timing of Figure 5.
+
+pub mod tables;
 
 use sg_algos::{bfs, cc, pagerank, tc};
 use sg_core::{CompressionScheme, SchemeParams, SchemeRegistry};
 use sg_graph::CsrGraph;
 use std::time::{Duration, Instant};
 
-/// Instantiates a registry scheme for an experiment binary, panicking on
-/// unknown names or bad parameters (harness code wants loud failures).
-pub fn scheme(
+/// The verdict cell of a check whose bound does not hold; `reproduce`
+/// exits non-zero when any table contains one.
+pub const VIOLATED: &str = "VIOLATED";
+
+/// One column of a [`Table`].
+#[derive(Clone, Debug)]
+pub struct Column {
+    pub name: &'static str,
+    /// A wall time or a value derived from one: it differs between runs,
+    /// so the transcript test leaves it out.
+    pub timing: bool,
+}
+
+/// One table or figure panel: a title, columns, rows of cells, and notes.
+#[derive(Clone, Debug)]
+pub struct Table {
+    pub title: String,
+    pub columns: Vec<Column>,
+    pub rows: Vec<Vec<String>>,
+    /// Lines printed under the rows; none of them depends on a timing.
+    pub notes: Vec<String>,
+}
+
+impl Table {
+    /// A table with `columns` in order, of which those named in `timing`
+    /// are timing columns.
+    pub fn new(title: impl Into<String>, columns: &[&'static str], timing: &[&str]) -> Table {
+        Table {
+            title: title.into(),
+            columns: columns
+                .iter()
+                .map(|&name| Column { name, timing: timing.contains(&name) })
+                .collect(),
+            rows: Vec::new(),
+            notes: Vec::new(),
+        }
+    }
+
+    /// Number of [`VIOLATED`] cells.
+    pub fn violations(&self) -> usize {
+        self.rows.iter().flatten().filter(|c| *c == VIOLATED).count()
+    }
+
+    /// Title, aligned rows and notes; timing columns only when `timings`.
+    pub fn render(&self, timings: bool) -> String {
+        let keep: Vec<usize> =
+            (0..self.columns.len()).filter(|&i| timings || !self.columns[i].timing).collect();
+        let headers: Vec<&str> = keep.iter().map(|&i| self.columns[i].name).collect();
+        let rows: Vec<Vec<String>> =
+            self.rows.iter().map(|r| keep.iter().map(|&i| r[i].clone()).collect()).collect();
+        let mut out = format!("== {} ==\n\n{}", self.title, render_table(&headers, &rows));
+        if !self.notes.is_empty() {
+            out.push('\n');
+        }
+        for note in &self.notes {
+            out.push_str(note);
+            out.push('\n');
+        }
+        out.push('\n');
+        out
+    }
+}
+
+/// Instantiates a registry scheme for a table, panicking on unknown names
+/// or bad parameters (harness code wants loud failures).
+pub(crate) fn scheme(
     registry: &SchemeRegistry,
     name: &str,
     params: &[(&str, &str)],
@@ -25,7 +98,7 @@ pub fn scheme(
 
 /// Median wall time of `runs` executions (first run discarded as warmup
 /// when `runs > 1`, mirroring the paper's warmup policy).
-pub fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
+pub(crate) fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
     assert!(runs >= 1);
     if runs > 1 {
         f(); // warmup
@@ -42,10 +115,10 @@ pub fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
 }
 
 /// The stage-2 algorithm set of Figure 5.
-pub const FIG5_ALGORITHMS: [&str; 4] = ["BFS", "CC", "PR", "TC"];
+pub(crate) const FIG5_ALGORITHMS: [&str; 4] = ["BFS", "CC", "PR", "TC"];
 
 /// Runs one Figure 5 algorithm and returns its wall time.
-pub fn run_algorithm(name: &str, g: &CsrGraph) -> Duration {
+pub(crate) fn run_algorithm(name: &str, g: &CsrGraph) -> Duration {
     match name {
         "BFS" => {
             // The highest-degree vertex: stable across compression, and
@@ -73,7 +146,7 @@ pub fn run_algorithm(name: &str, g: &CsrGraph) -> Duration {
 
 /// Figure 5's y-axis: relative difference between runtimes over the
 /// compressed and the original graph (positive = speedup).
-pub fn relative_runtime_diff(original: Duration, compressed: Duration) -> f64 {
+pub(crate) fn relative_runtime_diff(original: Duration, compressed: Duration) -> f64 {
     let o = original.as_secs_f64();
     if o == 0.0 {
         return 0.0;
@@ -82,7 +155,7 @@ pub fn relative_runtime_diff(original: Duration, compressed: Duration) -> f64 {
 }
 
 /// Renders an aligned plain-text table.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -112,87 +185,8 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// One benchmark measurement in the machine-readable schema the experiment
-/// binaries emit under `--json` (so CI can track perf/accuracy
-/// trajectories): workload, scheme/pipeline label, parameters, compression
-/// ratio, and per-stage wall times.
-#[derive(Clone, Debug)]
-pub struct BenchRecord {
-    /// Workload identifier (generator preset or input file).
-    pub workload: String,
-    /// Scheme/pipeline label (or the measured operation for non-scheme
-    /// benchmarks, e.g. `load:mmap`).
-    pub label: String,
-    /// Parameters as `(key, value)` strings.
-    pub params: Vec<(String, String)>,
-    /// Compression ratio `m'/m` where applicable.
-    pub ratio: Option<f64>,
-    /// Per-stage wall times in milliseconds, in execution order.
-    pub timings_ms: Vec<(String, f64)>,
-}
-
-impl BenchRecord {
-    /// Serializes the record as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"workload\":\"{}\"", json_escape(&self.workload)));
-        out.push_str(&format!(",\"label\":\"{}\"", json_escape(&self.label)));
-        out.push_str(",\"params\":{");
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-        }
-        out.push_str("},\"ratio\":");
-        out.push_str(&json_number(self.ratio));
-        out.push_str(",\"timings_ms\":{");
-        for (i, (stage, ms)) in self.timings_ms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(stage), json_number(Some(*ms))));
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    sg_obs::trace::escape_into(&mut out, s);
-    out
-}
-
-fn json_number(x: Option<f64>) -> String {
-    match x {
-        Some(v) if v.is_finite() => format!("{v}"),
-        _ => "null".to_string(),
-    }
-}
-
-/// Renders records as a JSON array, one object per line (log-friendly,
-/// still valid JSON for CI consumers).
-pub fn render_json(records: &[BenchRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&r.to_json());
-        out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    out.push(']');
-    out
-}
-
-/// True when the binary was invoked with `--json` (machine-readable output
-/// instead of the plain-text table).
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
 /// Formats a fraction as a fixed-width value.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
@@ -209,6 +203,19 @@ mod tests {
         );
         assert!(t.contains("long-name"));
         assert_eq!(t.lines().count(), 4);
+    }
+
+    #[test]
+    fn render_leaves_timing_columns_out_when_asked() {
+        let mut t = Table::new("t", &["scheme", "ms", "m'/m"], &["ms"]);
+        t.rows.push(vec!["uniform".into(), "12.5".into(), "0.500".into()]);
+        t.rows.push(vec!["tr".into(), "7.0".into(), VIOLATED.into()]);
+        t.notes.push("a note".into());
+        assert!(t.render(true).contains("12.5"));
+        let det = t.render(false);
+        assert!(!det.contains("12.5") && !det.contains("ms"), "{det}");
+        assert!(det.starts_with("== t ==\n\n") && det.ends_with("VIOLATED\n\na note\n\n"), "{det}");
+        assert_eq!(t.violations(), 1);
     }
 
     #[test]
@@ -232,41 +239,6 @@ mod tests {
     #[should_panic(expected = "unknown scheme")]
     fn scheme_helper_panics_loudly_on_unknown_names() {
         scheme(&SchemeRegistry::with_defaults(), "nope", &[]);
-    }
-
-    #[test]
-    fn bench_record_serializes_to_stable_json() {
-        let r = BenchRecord {
-            workload: "ba-1k".into(),
-            label: "uniform (p=0.5)".into(),
-            params: vec![("p".into(), "0.5".into()), ("seed".into(), "7".into())],
-            ratio: Some(0.5),
-            timings_ms: vec![("compress".into(), 12.5), ("pagerank".into(), 3.25)],
-        };
-        assert_eq!(
-            r.to_json(),
-            "{\"workload\":\"ba-1k\",\"label\":\"uniform (p=0.5)\",\
-             \"params\":{\"p\":\"0.5\",\"seed\":\"7\"},\"ratio\":0.5,\
-             \"timings_ms\":{\"compress\":12.5,\"pagerank\":3.25}}"
-        );
-        let arr = render_json(&[r.clone(), r]);
-        assert!(arr.starts_with("[\n") && arr.ends_with(']'));
-        assert_eq!(arr.matches("\"workload\"").count(), 2);
-    }
-
-    #[test]
-    fn json_escaping_and_non_finite_numbers() {
-        let r = BenchRecord {
-            workload: "a\"b\\c\nd".into(),
-            label: String::new(),
-            params: vec![],
-            ratio: Some(f64::NAN),
-            timings_ms: vec![],
-        };
-        let j = r.to_json();
-        assert!(j.contains("a\\\"b\\\\c\\nd"));
-        assert!(j.contains("\"ratio\":null"), "non-finite numbers become null: {j}");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -172,8 +172,8 @@ fn race(g: &CsrGraph, start: &[f64]) -> Vec<VertexId> {
 /// smoothly and reproduces the paper's observed sweep (edge removal rising
 /// from ≈20% at k = 2 towards the spanning-forest floor at k = 128) while
 /// keeping the defining monotonicity: larger k → larger clusters → fewer
-/// edges, more stretch. Measured by the `fig7_spanner_degrees` and
-/// `bfs_critical_edges` bins of `sg-bench` (see their headers).
+/// edges, more stretch. Measured by the `fig7` and `bfs-critical` tables
+/// of `sg-bench` (`reproduce --table <id>`).
 pub fn ldd_for_spanner(g: &CsrGraph, k: f64, seed: u64) -> VertexMapping {
     let n = g.num_vertices().max(2) as f64;
     let beta = (1.5 * (n.ln() / k.max(1.0)).sqrt()).max(1e-6);

@@ -41,7 +41,7 @@
 //! | `evict` | drop a graph and its cache entries, and/or clear the cache |
 //! | `shutdown` | stop accepting and drain in-flight connections |
 //!
-//! Responses embed per-request `BenchRecord`-style timing (`total_ms`,
+//! Responses embed per-request timing (`total_ms`,
 //! per-stage `ms`) and cache accounting (`stages_cached`, per-stage
 //! `cached`), plus a `checksum` — an FNV-1a content digest
 //! ([`graph_digest`]) a client can compare against a local run to verify

@@ -1331,8 +1331,8 @@ fn federation_status(state: &ServeState) -> Json {
 }
 
 /// The shared compress/analyze result fields: output shape, compression
-/// ratio, content digest, per-stage reports with cache flags, and
-/// `BenchRecord`-style timings.
+/// ratio, content digest, per-stage reports with cache flags, and wall
+/// times (`total_ms`, per-stage `ms`).
 fn run_body(run: &SessionRun) -> Json {
     let stages: Vec<Json> = run
         .stages
