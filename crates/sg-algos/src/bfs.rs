@@ -2,14 +2,38 @@
 //!
 //! BFS is the Graph500 kernel and the paper's special-cased accuracy target
 //! (§5): its output is the vector of parents in the traversal tree, from
-//! which `sg-metrics` derives the critical-edge sets. The parallel variant
-//! processes each frontier with rayon and resolves parent races with atomics
-//! (any valid parent is acceptable, exactly as in GAPBS).
+//! which `sg-metrics` derives the critical-edge sets. [`bfs`] is the
+//! sequential queue, deterministic down to the parents; `diameter` and the
+//! critical-edge metric use it.
+//!
+//! [`bfs_parallel`] is direction-optimizing BFS (Beamer, Asanović and
+//! Patterson, "Direction-Optimizing Breadth-First Search", SC 2012), as in
+//! the GAP benchmark suite's reference `bfs.cc`. A *top-down* step claims
+//! the out-neighbours of the frontier with a CAS, and the claimer is the
+//! parent. A *bottom-up* step lets every unvisited vertex scan its in-row
+//! and stop at the first member of the previous level's frontier bitmap,
+//! which becomes its parent; on an encoded row that decodes only a prefix.
+//! The search goes bottom-up when the frontier's out-slots exceed the
+//! unexplored slots over [`ALPHA`], and back top-down when the frontier
+//! stops growing and holds at most `n` over [`BETA`] vertices.
+//!
+//! Either step puts exactly the vertices at hop distance `level` into
+//! level `level`, so `depth` and `reached` are unique and equal those of
+//! [`bfs`] at any thread count. Parents are "any valid parent", as in GAP:
+//! an equal-depth race or a bottom-up scan may pick a different one.
 
 use rayon::prelude::*;
 use sg_graph::types::NO_VERTEX;
 use sg_graph::{CsrGraph, GraphView, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// GAP's α: a step runs bottom-up once the frontier's out-slots exceed the
+/// unexplored slots divided by this.
+const ALPHA: u64 = 15;
+
+/// GAP's β: the bottom-up phase ends once the frontier stops growing and
+/// holds at most `n` divided by this vertices.
+const BETA: usize = 18;
 
 /// Depth value for unreachable vertices.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -68,9 +92,13 @@ pub fn validate_bfs_tree(g: &CsrGraph, root: VertexId, r: &BfsResult) -> bool {
     true
 }
 
-/// Sequential BFS from `root`.
+/// Sequential BFS from `root`. The zero-vertex graph gives the empty
+/// traversal.
 pub fn bfs<G: GraphView>(g: &G, root: VertexId) -> BfsResult {
     let n = g.num_vertices();
+    if n == 0 {
+        return BfsResult { parent: Vec::new(), depth: Vec::new(), reached: 0 };
+    }
     let mut parent = vec![NO_VERTEX; n];
     let mut depth = vec![UNREACHABLE; n];
     let mut queue = std::collections::VecDeque::new();
@@ -91,44 +119,127 @@ pub fn bfs<G: GraphView>(g: &G, root: VertexId) -> BfsResult {
     BfsResult { parent, depth, reached }
 }
 
-/// Frontier-parallel BFS from `root`. Produces a valid BFS tree (depths are
-/// deterministic; parents may differ between runs among equal-depth
-/// candidates, as in any parallel BFS).
+/// Direction-optimizing parallel BFS from `root`; see the module docs.
+/// Depths and `reached` equal [`bfs`]'s; parents are any valid parent. The
+/// zero-vertex graph gives the empty traversal.
 pub fn bfs_parallel<G: GraphView>(g: &G, root: VertexId) -> BfsResult {
     let n = g.num_vertices();
-    let depth_atomic: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHABLE)).collect();
-    let parent_atomic: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_VERTEX)).collect();
-    depth_atomic[root as usize].store(0, Ordering::Relaxed);
+    if n == 0 {
+        return BfsResult { parent: Vec::new(), depth: Vec::new(), reached: 0 };
+    }
+    let depth: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHABLE)).collect();
+    let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_VERTEX)).collect();
+    depth[root as usize].store(0, Ordering::Relaxed);
     let mut frontier = vec![root];
     let mut level = 0u32;
     let mut reached = 1usize;
-    let depth_ref = &depth_atomic;
-    let parent_ref = &parent_atomic;
+    let mut unexplored = g.num_edges() as u64 * if g.is_directed() { 1 } else { 2 };
+    let mut scout = g.degree(root) as u64;
     while !frontier.is_empty() {
-        level += 1;
-        let next: Vec<VertexId> = frontier
-            .par_iter()
-            .flat_map_iter(|&u| {
-                g.cursor(u).filter(move |&v| {
-                    // Claim v if still unvisited; the winner sets the parent.
-                    let claimed = depth_ref[v as usize]
-                        .compare_exchange(UNREACHABLE, level, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok();
-                    if claimed {
-                        parent_ref[v as usize].store(u, Ordering::Relaxed);
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        reached += next.len();
-        frontier = next;
+        if scout > unexplored / ALPHA {
+            let mut front = vec![0u64; n.div_ceil(64)];
+            for &v in &frontier {
+                front[v as usize / 64] |= 1 << (v % 64);
+            }
+            let mut awake = frontier.len();
+            loop {
+                level += 1;
+                let grew_from = awake;
+                front = bottom_up_step(g, &front, level, &depth, &parent);
+                awake = front.iter().map(|w| w.count_ones() as usize).sum();
+                reached += awake;
+                if awake < grew_from && awake <= n / BETA {
+                    break;
+                }
+            }
+            frontier = members(&front);
+            scout = 1;
+        } else {
+            unexplored = unexplored.saturating_sub(scout);
+            level += 1;
+            frontier = top_down_step(g, &frontier, level, &depth, &parent);
+            reached += frontier.len();
+            scout = frontier.par_iter().map(|&v| g.degree(v) as u64).sum();
+        }
     }
     BfsResult {
-        parent: parent_atomic.into_iter().map(|a| a.into_inner()).collect(),
-        depth: depth_atomic.into_iter().map(|a| a.into_inner()).collect(),
+        parent: parent.into_iter().map(AtomicU32::into_inner).collect(),
+        depth: depth.into_iter().map(AtomicU32::into_inner).collect(),
         reached,
     }
+}
+
+/// One top-down step: every unvisited out-neighbour of the frontier is
+/// claimed by CAS, and the claimer is its parent. Returns the claimed.
+fn top_down_step<G: GraphView>(
+    g: &G,
+    frontier: &[VertexId],
+    level: u32,
+    depth: &[AtomicU32],
+    parent: &[AtomicU32],
+) -> Vec<VertexId> {
+    frontier
+        .par_iter()
+        .flat_map_iter(|&u| {
+            g.cursor(u).filter(move |&v| {
+                let claimed = depth[v as usize]
+                    .compare_exchange(UNREACHABLE, level, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok();
+                if claimed {
+                    parent[v as usize].store(u, Ordering::Relaxed);
+                }
+                claimed
+            })
+        })
+        .collect()
+}
+
+/// One bottom-up step over 64-vertex words: every unvisited vertex scans
+/// its in-row up to the first member of `front` and joins `level` under it.
+/// Each word is written by one worker, so no bit needs an atomic. Returns
+/// the bitmap of the vertices that joined.
+fn bottom_up_step<G: GraphView>(
+    g: &G,
+    front: &[u64],
+    level: u32,
+    depth: &[AtomicU32],
+    parent: &[AtomicU32],
+) -> Vec<u64> {
+    let in_front = |p: VertexId| front[p as usize / 64] >> (p % 64) & 1 == 1;
+    (0..front.len())
+        .into_par_iter()
+        .map(|w| {
+            let mut joined = 0u64;
+            for v in w * 64..(w * 64 + 64).min(depth.len()) {
+                if depth[v].load(Ordering::Relaxed) != UNREACHABLE {
+                    continue;
+                }
+                if let Some(p) = g.in_cursor(v as VertexId).find(|&p| in_front(p)) {
+                    depth[v].store(level, Ordering::Relaxed);
+                    parent[v].store(p, Ordering::Relaxed);
+                    joined |= 1 << (v % 64);
+                }
+            }
+            joined
+        })
+        .collect()
+}
+
+/// The members of a frontier bitmap, ascending.
+fn members(front: &[u64]) -> Vec<VertexId> {
+    (0..front.len())
+        .into_par_iter()
+        .flat_map_iter(|w| {
+            let mut bits = front[w];
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    (w * 64) as VertexId + bit
+                })
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -153,6 +264,15 @@ mod tests {
         assert_eq!(r.reached, 2);
         assert!(!r.is_reached(3));
         assert_eq!(r.depth[3], UNREACHABLE);
+    }
+
+    #[test]
+    fn zero_vertices_give_the_empty_traversal() {
+        let g = CsrGraph::from_pairs(0, &[]);
+        for r in [bfs(&g, 0), bfs_parallel(&g, 0)] {
+            assert_eq!(r.reached, 0);
+            assert!(r.parent.is_empty() && r.depth.is_empty());
+        }
     }
 
     #[test]

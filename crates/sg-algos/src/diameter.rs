@@ -114,5 +114,12 @@ mod tests {
         assert_eq!(average_path_length_sampled(&g, 3, 1), 0.0);
     }
 
+    #[test]
+    fn zero_vertex_graph() {
+        let g = CsrGraph::from_pairs(0, &[]);
+        assert_eq!(diameter_double_sweep(&g, 0), 0);
+        assert_eq!(diameter_exact(&g), 0);
+    }
+
     use sg_graph::CsrGraph;
 }

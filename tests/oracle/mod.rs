@@ -3,11 +3,14 @@
 //! (the engine's chunks, `sg-dist`'s ranks, federation shards) are checked
 //! against. An oracle shares only the schemes' random draws — `DetRand` keyed
 //! by `triangle_key` — so a disagreement says which side left the paper.
+//! Each test binary uses some of them.
+#![allow(dead_code)]
 
 use sg_algos::tc::{list_triangles, Triangle};
 use sg_core::schemes::{triangle_key, Discipline, EdgeChoice, TrConfig};
 use sg_core::DetRand;
 use sg_graph::{CsrGraph, EdgeList, VertexId};
+use std::collections::VecDeque;
 
 /// Listing 1's coin: `if rand < p` with the draw keyed by the triangle.
 fn sampled(t: &Triangle, p: f64, rand: DetRand) -> bool {
@@ -75,4 +78,37 @@ pub fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> (CsrGraph, Vec<Opti
     let pairs = g.edge_slice().iter().map(|&(a, b)| (id(a), id(b))).filter(|(a, b)| a != b);
     let graph = CsrGraph::from_edge_list(EdgeList::from_pairs(names.len(), pairs));
     (graph, (0..n).map(|v| Some(id(v))).collect())
+}
+
+/// Weak components by flood fill from each unlabelled vertex in id order:
+/// the first id to reach a component, its minimum, labels it.
+pub fn components(g: &CsrGraph) -> Vec<VertexId> {
+    let mut label = vec![VertexId::MAX; g.num_vertices()];
+    for s in 0..g.num_vertices() as VertexId {
+        let mut stack = vec![s];
+        while let Some(u) = stack.pop() {
+            if label[u as usize] == VertexId::MAX {
+                label[u as usize] = s;
+                stack.extend(g.neighbors(u).iter().chain(g.in_neighbors(u)));
+            }
+        }
+    }
+    label
+}
+
+/// Hop distance from `root` along out-arcs, by a FIFO queue; `u32::MAX`
+/// where `root` does not reach.
+pub fn bfs_depths(g: &CsrGraph, root: VertexId) -> Vec<u32> {
+    let mut depth = vec![u32::MAX; g.num_vertices()];
+    depth[root as usize] = 0;
+    let mut queue = VecDeque::from([root]);
+    while let Some(u) = queue.pop_front() {
+        for &v in g.neighbors(u) {
+            if depth[v as usize] == u32::MAX {
+                depth[v as usize] = depth[u as usize] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    depth
 }

@@ -551,17 +551,23 @@ fn in_out_skewed() -> CsrGraph {
     g
 }
 
+/// Afforest links concurrently, so only the labels' definition (component
+/// minima) makes them thread-invariant: pinned on a sparse graph with many
+/// components, its encoded twin, and a directed graph whose weak components
+/// need in-rows.
 #[test]
 fn connected_components_are_thread_count_invariant() {
+    use slimgraph::graph::{EdgeList, EncodedCsr};
     let g = generators::erdos_renyi(2000, 2500, 4); // sparse: many components
-    assert_thread_invariant("cc (label propagation)", || {
-        let r = cc::connected_components_parallel(&g);
-        (r.labels, r.num_components)
-    });
-    assert_thread_invariant("cc (union-find)", || {
-        let r = cc::connected_components(&g);
-        (r.labels, r.num_components)
-    });
+    let encoded = EncodedCsr::from_graph(&g);
+    let arcs = (0..3000u32).filter(|v| v % 7 != 0).map(|v| (v, (v * 37 + 11) % 3000));
+    let directed = CsrGraph::from_edge_list_directed(EdgeList::from_pairs(3000, arcs));
+    let pin = |r: cc::CcResult| (r.labels, r.num_components);
+    let raw = assert_thread_invariant("cc raw", || pin(cc::connected_components(&g)));
+    let twin = assert_thread_invariant("cc encoded", || pin(cc::connected_components(&encoded)));
+    assert_eq!(twin, raw, "raw and encoded labels differ");
+    let weak = assert_thread_invariant("cc directed", || pin(cc::connected_components(&directed)));
+    assert!(raw.1 > 1 && weak.1 > 1, "both inputs must have several components");
 }
 
 #[test]
