@@ -14,8 +14,8 @@
 //! and stop at the first member of the previous level's frontier bitmap,
 //! which becomes its parent; on an encoded row that decodes only a prefix.
 //! The search goes bottom-up when the frontier's out-slots exceed the
-//! unexplored slots over [`ALPHA`], and back top-down when the frontier
-//! stops growing and holds at most `n` over [`BETA`] vertices.
+//! unexplored slots over `ALPHA`, and back top-down when the frontier
+//! stops growing and holds at most `n` over `BETA` vertices.
 //!
 //! Either step puts exactly the vertices at hop distance `level` into
 //! level `level`, so `depth` and `reached` are unique and equal those of

@@ -8,13 +8,13 @@
 //! The engine is Afforest (Sutton, Ben-Nun and Bader, "Optimizing Parallel
 //! Graph Connectivity Computation via Subgraph Sampling", IPDPS 2018), as in
 //! the GAP benchmark suite's reference `cc.cc`. `comp` starts as the
-//! identity, and [`link`] hooks the higher of two roots onto the lower one,
+//! identity, and `link` hooks the higher of two roots onto the lower one,
 //! so a pointer only ever goes to a smaller id:
 //!
-//! 1. **Sample the subgraph.** In each of [`NEIGHBOR_ROUNDS`] rounds every
+//! 1. **Sample the subgraph.** In each of `NEIGHBOR_ROUNDS` rounds every
 //!    vertex links its r-th out-neighbour (on an encoded row that decodes at
 //!    most `r + 1` gaps), and a pointer-jumping pass follows.
-//! 2. **Find the giant.** The most frequent root among [`SAMPLES`] evenly
+//! 2. **Find the giant.** The most frequent root among `SAMPLES` evenly
 //!    spaced vertices is probably the largest component's.
 //! 3. **Finish the rest.** Every vertex outside that root links the rest of
 //!    its out-row and, on a directed graph, its whole in-row: an arc from the

@@ -1,9 +1,8 @@
-//! k-core decomposition, degeneracy ordering and arboricity bounds.
+//! k-core decomposition and degeneracy ordering.
 //!
 //! Table 3 reasons about the coloring number via arboricity
 //! (α ≤ C_G ≤ 2α, §6.1); this module supplies the degeneracy ordering used
-//! by greedy coloring and the arboricity lower bound used by the
-//! bound-checking harness.
+//! by greedy coloring.
 
 use sg_graph::{CsrGraph, VertexId};
 
@@ -75,29 +74,6 @@ pub fn core_decomposition(g: &CsrGraph) -> CoreResult {
     CoreResult { core, degeneracy, order }
 }
 
-/// Arboricity lower bound ⌈m(S)/(|S|-1)⌉ using the densest prefix the core
-/// decomposition exposes (the whole graph and the maximum core subgraph are
-/// both checked). True arboricity is NP-easy via matroids but this bound is
-/// all the harness needs.
-pub fn arboricity_lower_bound(g: &CsrGraph) -> u32 {
-    let n = g.num_vertices();
-    if n < 2 {
-        return 0;
-    }
-    let whole = (g.num_edges() as f64 / (n as f64 - 1.0)).ceil() as u32;
-    let cores = core_decomposition(&g.clone());
-    // Subgraph induced by vertices with maximum core number.
-    let kmax = cores.degeneracy;
-    let in_core: Vec<bool> = cores.core.iter().map(|&c| c == kmax).collect();
-    let core_n = in_core.iter().filter(|&&b| b).count();
-    let core_m =
-        g.edge_iter().filter(|&(_, u, v)| in_core[u as usize] && in_core[v as usize]).count();
-    let core_bound =
-        if core_n >= 2 { (core_m as f64 / (core_n as f64 - 1.0)).ceil() as u32 } else { 0 };
-    // Degeneracy/2 is also a classic arboricity lower bound.
-    whole.max(core_bound).max(cores.degeneracy.div_ceil(2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,18 +112,5 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn arboricity_of_tree_is_one() {
-        let g = generators::path(20);
-        assert_eq!(arboricity_lower_bound(&g), 1);
-    }
-
-    #[test]
-    fn arboricity_of_k5() {
-        // α(K5) = ⌈10/4⌉ = 3.
-        let g = generators::complete(5);
-        assert_eq!(arboricity_lower_bound(&g), 3);
     }
 }

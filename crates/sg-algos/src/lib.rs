@@ -16,7 +16,7 @@
 //! * [`mst`] — minimum spanning tree/forest (Kruskal),
 //! * [`matching`] — maximal cardinality matching (greedy, randomized),
 //! * [`coloring`] — greedy coloring in degeneracy order (coloring number),
-//! * [`kcore`] — core decomposition, degeneracy, arboricity bounds,
+//! * [`kcore`] — core decomposition and degeneracy ordering,
 //! * [`mis`] — maximal independent set,
 //! * [`diameter`] — exact (small graphs) and double-sweep estimates,
 //! * [`spanning`] — BFS spanning trees of clusters.

@@ -96,17 +96,6 @@ pub fn delta_stepping_auto(g: &CsrGraph, source: VertexId) -> Vec<f64> {
     delta_stepping(g, source, delta)
 }
 
-/// Average finite distance from `source` (used when summarizing path-length
-/// impact of compression).
-pub fn average_distance(dist: &[f64]) -> f64 {
-    let finite: Vec<f64> = dist.iter().copied().filter(|d| d.is_finite() && *d > 0.0).collect();
-    if finite.is_empty() {
-        0.0
-    } else {
-        finite.iter().sum::<f64>() / finite.len() as f64
-    }
-}
-
 mod ordered {
     /// Total-order wrapper for non-NaN f64 heap keys.
     #[derive(Clone, Copy, PartialEq)]
@@ -122,11 +111,6 @@ mod ordered {
             self.0.partial_cmp(&other.0).expect("distances are never NaN")
         }
     }
-}
-
-/// Convenience: SSSP distances treating the graph as unweighted if needed.
-pub fn shortest_path_length(g: &CsrGraph, u: VertexId, v: VertexId) -> f64 {
-    dijkstra(g, u)[v as usize]
 }
 
 #[cfg(test)]
@@ -178,12 +162,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn average_distance_skips_unreachable() {
-        assert_eq!(average_distance(&[0.0, 2.0, 4.0, INF]), 3.0);
-        assert_eq!(average_distance(&[0.0, INF]), 0.0);
     }
 
     use sg_graph::CsrGraph;

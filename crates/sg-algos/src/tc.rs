@@ -15,7 +15,7 @@
 //! Θ(Σ d²) steps in total. Instead a [`RowScratch`] marks the higher row of
 //! the current `u` once (`slot[w] = 1 + index of w in N(u)`), and each edge
 //! walks only `N(v)>v`, probing the marks: a hit *is* the slot of `e_uw`.
-//! When `N(u)>v` is [`GALLOP_SKEW`] times shorter still (hubs at the
+//! When `N(u)>v` is `GALLOP_SKEW` times shorter still (hubs at the
 //! *highest* ids), the kernel walks that side and gallops forward through
 //! `N(v)>v`. Either way `w` ascends, so the stream is the merge walk's,
 //! triangle for triangle, and the work is Σₑ min(d(u), d(v)) ≤ 2·α·m row
@@ -392,16 +392,6 @@ pub fn triangles_per_vertex(g: &CsrGraph) -> Vec<u64> {
         counts[t.w as usize].fetch_add(1, Ordering::Relaxed);
     });
     counts.into_iter().map(|a| a.into_inner()).collect()
-}
-
-/// Doulion \[156\] approximate triangle count: sparsify with a coin of
-/// keep-probability `q`, count triangles there, scale by `1/q^3`. This is
-/// the estimator whose accuracy motivates uniform sampling "preserving the
-/// triangle count best" (Table 2).
-pub fn doulion_estimate(g: &CsrGraph, q: f64, seed: u64) -> f64 {
-    assert!(q > 0.0 && q <= 1.0, "keep probability must be in (0, 1]");
-    let sparse = g.filter_edges(|e| sg_graph::prng::unit_f64(seed ^ 0xd071, e as u64) < q);
-    count_triangles(&sparse) as f64 / (q * q * q)
 }
 
 #[cfg(test)]
@@ -802,20 +792,6 @@ mod tests {
         assert_eq!(count_triangles(&g), 1);
         // The pendant edge (2, 3) owns nothing.
         assert!(kernel_stream(&mut RowScratch::new(&g), 3..4).is_empty());
-    }
-
-    #[test]
-    fn doulion_estimates_within_tolerance() {
-        let g = generators::planted_triangles(&generators::erdos_renyi(2000, 8000, 9), 4000, 10);
-        let exact = count_triangles(&g) as f64;
-        let est: f64 = (0..5).map(|s| doulion_estimate(&g, 0.6, s)).sum::<f64>() / 5.0;
-        assert!((est - exact).abs() < 0.1 * exact, "est {est} vs exact {exact}");
-    }
-
-    #[test]
-    fn doulion_q1_is_exact() {
-        let g = generators::complete(8);
-        assert_eq!(doulion_estimate(&g, 1.0, 3) as u64, count_triangles(&g));
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl UnionFind {
     pub fn num_components(&self) -> usize {
         self.components
     }
-
-    /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: VertexId) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
 }
 
 #[cfg(test)]
@@ -71,7 +65,6 @@ mod tests {
         assert_eq!(uf.num_components(), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
-        assert_eq!(uf.component_size(2), 3);
     }
 
     #[test]

@@ -63,13 +63,6 @@ impl Args {
             Some(raw) => raw.parse().map_err(|_| format!("flag --{key}: cannot parse '{raw}'")),
         }
     }
-
-    /// Required typed option.
-    #[allow(dead_code)] // exercised by tests; kept for future subcommands
-    pub fn require_as<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        let raw = self.require(key)?;
-        raw.parse().map_err(|_| format!("flag --{key}: cannot parse '{raw}'"))
-    }
 }
 
 #[cfg(test)]
@@ -118,6 +111,5 @@ mod tests {
     fn typed_parse_errors() {
         let a = Args::parse(&sv(&["x", "--p", "abc"])).expect("ok");
         assert!(a.get_or::<f64>("p", 0.0).is_err());
-        assert!(a.require_as::<f64>("missing").is_err());
     }
 }

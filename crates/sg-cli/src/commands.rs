@@ -189,17 +189,12 @@ fn dispatch_command(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Loads a graph honoring `--format` (shared with the catalog/daemon:
-/// `.sgr` inputs go through the zero-copy mmap loader; `trusted` =
-/// `--no-verify` skips the `.sgr` checksum pass, structural validation
-/// still rejects corrupt files).
-fn load_as(path: &str, explicit: Option<&str>, trusted: bool) -> Result<CsrGraph, String> {
-    catalog::load_graph(path, explicit, trusted)
-}
-
-/// [`load_as`] wired to a command's `--input`/`--format`/`--no-verify`.
+/// Loads `--input` honoring `--format` (shared with the catalog/daemon:
+/// `.sgr` inputs go through the zero-copy mmap loader; `--no-verify`
+/// skips the `.sgr` checksum pass, structural validation still rejects
+/// corrupt files).
 fn load_input(args: &Args) -> Result<CsrGraph, String> {
-    load_as(args.require("input")?, args.get("format"), args.flag("no-verify"))
+    catalog::load_graph(args.require("input")?, args.get("format"), args.flag("no-verify"))
 }
 
 /// Parses `--encoding raw|delta|auto` (default raw). The encoding picks
@@ -211,15 +206,6 @@ fn encoding_from(args: &Args) -> Result<sg_store::Encoding, String> {
         Some(raw) => sg_store::Encoding::parse(raw)
             .ok_or_else(|| format!("flag --encoding: '{raw}' is not raw|delta|auto")),
     }
-}
-
-fn save_as(
-    g: &CsrGraph,
-    path: &str,
-    explicit: Option<&str>,
-    encoding: sg_store::Encoding,
-) -> Result<(), String> {
-    catalog::save_graph_with(g, path, explicit, encoding)
 }
 
 /// Parses `--scheme` into a [`PipelineSpec`] plus the shared base
@@ -282,7 +268,12 @@ fn compress(args: &Args) -> Result<(), String> {
         run.compression_ratio() * 100.0,
         run.elapsed().as_secs_f64() * 1e3
     );
-    save_as(&run.graph, args.require("output")?, args.get("output-format"), encoding_from(args)?)
+    catalog::save_graph_with(
+        &run.graph,
+        args.require("output")?,
+        args.get("output-format"),
+        encoding_from(args)?,
+    )
 }
 
 fn analyze(args: &Args) -> Result<(), String> {
@@ -396,7 +387,7 @@ fn tune(args: &Args) -> Result<(), String> {
         match &outcome.winner {
             Some(w) => {
                 let out = w.spec.build(&registry)?.apply(&g, w.seed);
-                save_as(
+                catalog::save_graph_with(
                     &out.result.graph,
                     output,
                     args.get("output-format"),
@@ -729,8 +720,8 @@ fn convert(args: &Args) -> Result<(), String> {
     let output = args.require("output")?;
     let from = catalog::GraphFormat::resolve(input, args.get("format"))?;
     let to = catalog::GraphFormat::resolve(output, args.get("output-format"))?;
-    let g = load_as(input, args.get("format"), args.flag("no-verify"))?;
-    save_as(&g, output, args.get("output-format"), encoding_from(args)?)?;
+    let g = catalog::load_graph(input, args.get("format"), args.flag("no-verify"))?;
+    catalog::save_graph_with(&g, output, args.get("output-format"), encoding_from(args)?)?;
     let bytes = std::fs::metadata(output).map_err(|e| format!("stat {output}: {e}"))?.len();
     println!(
         "converted {input} ({from:?}) -> {output} ({to:?}): n = {}, m = {}, {bytes} bytes",
@@ -814,7 +805,12 @@ fn generate(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown generator '{other}'")),
     };
     println!("generated n = {}, m = {}", g.num_vertices(), g.num_edges());
-    save_as(&g, args.require("output")?, args.get("output-format"), encoding_from(args)?)
+    catalog::save_graph_with(
+        &g,
+        args.require("output")?,
+        args.get("output-format"),
+        encoding_from(args)?,
+    )
 }
 
 #[cfg(test)]
@@ -833,7 +829,7 @@ mod tests {
 
     /// Extension-driven load, as the subcommands themselves do it.
     fn load(path: &str) -> Result<CsrGraph, String> {
-        load_as(path, None, false)
+        catalog::load_graph(path, None, false)
     }
 
     #[test]

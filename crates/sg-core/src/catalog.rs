@@ -64,6 +64,15 @@ impl GraphFormat {
             None => Ok(GraphFormat::Text),
         }
     }
+
+    /// The explicit name [`GraphFormat::resolve`] maps back to this format.
+    pub fn name(self) -> &'static str {
+        match self {
+            GraphFormat::Text => "text",
+            GraphFormat::Bin => "bin",
+            GraphFormat::Sgr => "sgr",
+        }
+    }
 }
 
 /// Loads a graph from `path` honoring an optional explicit format name.
@@ -97,17 +106,11 @@ pub fn graph_approx_bytes(g: &CsrGraph) -> usize {
         + g.weight_slice().map_or(0, |w| w.len() * 4)
 }
 
-/// Saves a graph to `path` honoring an optional explicit format name.
-/// `.sgr` outputs are written raw (v1); use [`save_graph_with`] to pick
-/// an adjacency encoding.
-pub fn save_graph(g: &CsrGraph, path: &str, explicit: Option<&str>) -> Result<(), String> {
-    save_graph_with(g, path, explicit, sg_store::Encoding::Raw)
-}
-
-/// [`save_graph`] with an explicit `.sgr` adjacency [`sg_store::Encoding`]
-/// (raw v1 sections, delta+varint/bitmap v2 sections, or auto = whichever
-/// container is smaller). The encoding only affects the `.sgr` format;
-/// text and binary outputs ignore it.
+/// Saves a graph to `path` honoring an optional explicit format name and
+/// `.sgr` adjacency [`sg_store::Encoding`] (raw v1 sections,
+/// delta+varint/bitmap v2 sections, or auto = whichever container is
+/// smaller). The encoding only affects the `.sgr` format; text and binary
+/// outputs ignore it.
 pub fn save_graph_with(
     g: &CsrGraph,
     path: &str,
@@ -156,12 +159,6 @@ impl GraphHandle {
     /// The shared graph allocation (for zero-clone handoff into caches).
     pub fn graph_arc(&self) -> &Arc<CsrGraph> {
         &self.graph
-    }
-
-    /// Number of live references to the graph (catalog entry + handles +
-    /// cache entries holding the pipeline input).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.graph)
     }
 
     /// Estimated byte footprint of the registered graph
@@ -303,6 +300,13 @@ mod tests {
         let dir = std::env::temp_dir().join("sg-core-catalog-tests");
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn format_names_resolve_to_their_format() {
+        for f in [GraphFormat::Text, GraphFormat::Bin, GraphFormat::Sgr] {
+            assert_eq!(GraphFormat::resolve("x", Some(f.name())), Ok(f));
+        }
     }
 
     #[test]

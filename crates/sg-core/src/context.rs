@@ -86,17 +86,6 @@ impl<'g> SgContext<'g> {
     pub fn rand_unit(&self, element: u64, stream: u64) -> f64 {
         self.rand().unit(element, stream)
     }
-
-    /// Deterministic uniform integer in `[0, bound)` for `element`.
-    #[inline]
-    pub fn rand_below(&self, element: u64, stream: u64, bound: u64) -> u64 {
-        self.rand().below(element, stream, bound)
-    }
-
-    /// Number of edges currently marked deleted.
-    pub fn deleted_edge_count(&self) -> usize {
-        self.deleted_edges.count_ones()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +100,6 @@ mod tests {
         assert!(sg.del_edge(0));
         assert!(!sg.del_edge(0));
         assert!(sg.edge_deleted(0));
-        assert_eq!(sg.deleted_edge_count(), 1);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Vertex → subgraph mappings (§4.5.2).
 //!
 //! Subgraph schemes first decompose the graph into disjoint clusters; the
-//! decomposition is captured by a [`VertexMapping`]. Two example mappings are
-//! provided, exactly the two the paper names: low-diameter decomposition
-//! (in [`crate::ldd`], used by spanners) and Jaccard-similarity clustering
-//! (here, used by graph summarization).
+//! decomposition is captured by a [`VertexMapping`]. The one mapping built
+//! here is the low-diameter decomposition in [`crate::ldd`], used by
+//! spanners; graph summarization groups vertices by minhash inside
+//! `schemes/summarization.rs` instead.
 
 use rustc_hash::FxHashMap;
-use sg_graph::prng::mix64;
-use sg_graph::{CsrGraph, VertexId};
+use sg_graph::VertexId;
 
 /// A partition of the vertex set into disjoint clusters.
 #[derive(Clone, Debug)]
@@ -54,11 +53,6 @@ impl VertexMapping {
         self.assignment[v as usize]
     }
 
-    /// Size of the largest cluster.
-    pub fn max_cluster_size(&self) -> usize {
-        self.clusters.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Checks the partition invariant (every vertex in exactly the cluster
     /// its assignment says).
     pub fn validate(&self) -> bool {
@@ -75,177 +69,9 @@ impl VertexMapping {
     }
 }
 
-/// Jaccard-similarity clustering via minhash grouping (the SWeG-style
-/// mapping \[141\]): vertices whose neighborhoods share a minhash land in the
-/// same candidate group; within a group, a vertex joins the representative's
-/// cluster when the Jaccard similarity of the *closed* neighborhoods reaches
-/// `threshold`.
-pub fn jaccard_clustering(g: &CsrGraph, threshold: f64, seed: u64) -> VertexMapping {
-    let n = g.num_vertices();
-    // Minhash of the closed neighborhood (vertex + neighbors); closed so
-    // that an isolated vertex still hashes.
-    let minhash = |v: VertexId| -> u64 {
-        let mut h = mix64(seed ^ v as u64);
-        for &u in g.neighbors(v) {
-            h = h.min(mix64(seed ^ u as u64));
-        }
-        h
-    };
-    let mut groups: FxHashMap<u64, Vec<VertexId>> = FxHashMap::default();
-    for v in 0..n as VertexId {
-        groups.entry(minhash(v)).or_default().push(v);
-    }
-    let mut assignment = vec![u32::MAX; n];
-    let mut next_cluster = 0u32;
-    // Deterministic group order.
-    let mut keys: Vec<u64> = groups.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let members = &groups[&key];
-        let rep = members[0];
-        let rep_cluster = next_cluster;
-        next_cluster += 1;
-        assignment[rep as usize] = rep_cluster;
-        for &v in &members[1..] {
-            if jaccard_closed(g, rep, v) >= threshold {
-                assignment[v as usize] = rep_cluster;
-            } else {
-                assignment[v as usize] = next_cluster;
-                next_cluster += 1;
-            }
-        }
-    }
-    VertexMapping::from_labels(&assignment)
-}
-
-/// Label-propagation community mapping — a third example mapping (§4.5.2
-/// notes mappings can be built with "the established vertex-centric
-/// abstraction"; synchronous min-label propagation is exactly such a
-/// program). `rounds` bounds the iteration count; labels converge to
-/// connected, community-like clusters usable by subgraph kernels and the
-/// clustered low-rank baseline.
-pub fn label_propagation_clustering(g: &CsrGraph, rounds: usize, seed: u64) -> VertexMapping {
-    let n = g.num_vertices();
-    // Start from hashed labels so ties don't all resolve towards vertex 0.
-    let mut labels: Vec<u64> = (0..n as u64).map(|v| mix64(seed ^ v)).collect();
-    let mut next = labels.clone();
-    for _ in 0..rounds {
-        let mut changed = false;
-        for v in 0..n {
-            // Most frequent neighbor label; ties -> smallest hash.
-            let mut counts: FxHashMap<u64, usize> = FxHashMap::default();
-            for &u in g.neighbors(v as VertexId) {
-                *counts.entry(labels[u as usize]).or_insert(0) += 1;
-            }
-            let best = counts
-                .into_iter()
-                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                .map(|(l, _)| l)
-                .unwrap_or(labels[v]);
-            if best != next[v] {
-                next[v] = best;
-                changed = true;
-            }
-        }
-        std::mem::swap(&mut labels, &mut next);
-        if !changed {
-            break;
-        }
-    }
-    // Dense cluster ids; isolated label islands stay separate clusters.
-    let as_u32: Vec<u32> = {
-        let mut remap: FxHashMap<u64, u32> = FxHashMap::default();
-        labels
-            .iter()
-            .map(|&l| {
-                let next_id = remap.len() as u32;
-                *remap.entry(l).or_insert(next_id)
-            })
-            .collect()
-    };
-    VertexMapping::from_labels(&as_u32)
-}
-
-/// Jaccard similarity of closed neighborhoods |N\[a\] ∩ N\[b\]| / |N\[a\] ∪ N\[b\]|.
-pub fn jaccard_closed(g: &CsrGraph, a: VertexId, b: VertexId) -> f64 {
-    let na = g.neighbors(a);
-    let nb = g.neighbors(b);
-    // Merge the two sorted lists, treating the vertex itself as a member.
-    let mut ia = 0;
-    let mut ib = 0;
-    let mut inter = 0usize;
-    let mut union = 0usize;
-    let merged_a = MergedSorted::new(na, a);
-    let merged_b = MergedSorted::new(nb, b);
-    let va: Vec<VertexId> = merged_a.collect();
-    let vb: Vec<VertexId> = merged_b.collect();
-    while ia < va.len() && ib < vb.len() {
-        match va[ia].cmp(&vb[ib]) {
-            std::cmp::Ordering::Less => {
-                ia += 1;
-                union += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                ib += 1;
-                union += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                ia += 1;
-                ib += 1;
-                inter += 1;
-                union += 1;
-            }
-        }
-    }
-    union += va.len() - ia + vb.len() - ib;
-    if union == 0 {
-        1.0
-    } else {
-        inter as f64 / union as f64
-    }
-}
-
-/// Iterator yielding a sorted slice with one extra element spliced in order.
-struct MergedSorted<'a> {
-    slice: &'a [VertexId],
-    extra: Option<VertexId>,
-    i: usize,
-}
-
-impl<'a> MergedSorted<'a> {
-    fn new(slice: &'a [VertexId], extra: VertexId) -> Self {
-        Self { slice, extra: Some(extra), i: 0 }
-    }
-}
-
-impl Iterator for MergedSorted<'_> {
-    type Item = VertexId;
-    fn next(&mut self) -> Option<VertexId> {
-        match (self.slice.get(self.i), self.extra) {
-            (Some(&s), Some(e)) if e <= s => {
-                self.extra = None;
-                if e == s {
-                    self.i += 1; // dedup (self-loop-free, but be safe)
-                }
-                Some(e)
-            }
-            (Some(&s), _) => {
-                self.i += 1;
-                Some(s)
-            }
-            (None, Some(e)) => {
-                self.extra = None;
-                Some(e)
-            }
-            (None, None) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_graph::generators;
 
     #[test]
     fn mapping_from_assignment_validates() {
@@ -253,7 +79,6 @@ mod tests {
         assert_eq!(m.num_clusters(), 3);
         assert!(m.validate());
         assert_eq!(m.cluster_of(4), 1);
-        assert_eq!(m.max_cluster_size(), 2);
     }
 
     #[test]
@@ -262,57 +87,4 @@ mod tests {
         assert_eq!(m.num_clusters(), 3);
         assert!(m.validate());
     }
-
-    #[test]
-    fn jaccard_of_twins_is_one() {
-        // Vertices 0 and 1 both connect to 2 and 3 and to each other.
-        let g = CsrGraph::from_pairs(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]);
-        assert!((jaccard_closed(&g, 0, 1) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jaccard_of_strangers_is_low() {
-        let g = CsrGraph::from_pairs(4, &[(0, 1), (2, 3)]);
-        assert_eq!(jaccard_closed(&g, 0, 2), 0.0);
-    }
-
-    #[test]
-    fn clustering_partitions_all_vertices() {
-        let g = generators::barabasi_albert(500, 3, 1);
-        let m = jaccard_clustering(&g, 0.3, 2);
-        assert!(m.validate());
-        let total: usize = m.clusters.iter().map(Vec::len).sum();
-        assert_eq!(total, 500);
-    }
-
-    #[test]
-    fn label_propagation_partitions() {
-        let g = generators::watts_strogatz(300, 4, 0.05, 5);
-        let m = label_propagation_clustering(&g, 10, 6);
-        assert!(m.validate());
-        let total: usize = m.clusters.iter().map(Vec::len).sum();
-        assert_eq!(total, 300);
-        // Communities form: far fewer clusters than vertices.
-        assert!(m.num_clusters() < 300);
-    }
-
-    #[test]
-    fn label_propagation_separates_components() {
-        let g = CsrGraph::from_pairs(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
-        let m = label_propagation_clustering(&g, 10, 7);
-        assert!(m.validate());
-        // Vertices in different components can never share a label.
-        assert_ne!(m.cluster_of(0), m.cluster_of(3));
-    }
-
-    #[test]
-    fn twins_cluster_together() {
-        // Two twin pairs sharing hubs.
-        let g = CsrGraph::from_pairs(6, &[(0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (4, 5)]);
-        let m = jaccard_clustering(&g, 0.9, 3);
-        assert!(m.validate());
-        assert_eq!(m.cluster_of(0), m.cluster_of(1));
-    }
-
-    use sg_graph::CsrGraph;
 }

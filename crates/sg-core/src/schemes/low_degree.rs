@@ -38,28 +38,6 @@ pub fn remove_low_degree(g: &CsrGraph, seed: u64) -> CompressionResult {
     Engine::new(seed).run_vertex_kernel(g, &LowDegreeKernel::default())
 }
 
-/// Iterates [`remove_low_degree`] to a fixed point (peeling chains).
-/// Returns the final graph plus the number of passes.
-pub fn remove_low_degree_to_fixpoint(g: &CsrGraph, seed: u64) -> (CompressionResult, usize) {
-    let mut result = remove_low_degree(g, seed);
-    let mut passes = 1;
-    loop {
-        let again = remove_low_degree(&result.graph, seed);
-        if again.graph.num_vertices() == result.graph.num_vertices() {
-            return (result, passes);
-        }
-        // Keep original baselines so ratios refer to the true input.
-        result = CompressionResult {
-            graph: again.graph,
-            original_edges: result.original_edges,
-            original_vertices: result.original_vertices,
-            elapsed: result.elapsed + again.elapsed,
-            vertex_mapping: None, // composite mapping not tracked across passes
-        };
-        passes += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,14 +68,6 @@ mod tests {
         let r = remove_low_degree(&g, 3);
         assert_eq!(r.graph.num_vertices(), 4);
         assert_eq!(r.graph.num_edges(), 4);
-    }
-
-    #[test]
-    fn fixpoint_peels_paths_completely() {
-        let g = generators::path(10);
-        let (r, passes) = remove_low_degree_to_fixpoint(&g, 4);
-        assert_eq!(r.graph.num_vertices(), 0);
-        assert!(passes >= 2);
     }
 
     #[test]

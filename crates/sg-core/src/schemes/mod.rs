@@ -6,9 +6,9 @@
 //! | [`spectral`] spectral sparsification | edge | graph spectra |
 //! | [`triangle_reduction`] Triangle Reduction family | triangle | several (CC, MST, matchings, …) |
 //! | [`low_degree`] degree-≤1 vertex removal | vertex | betweenness centrality |
-//! | [`spanner`] O(k)-spanners | subgraph | distances |
+//! | [`spanner`](mod@spanner) O(k)-spanners | subgraph | distances |
 //! | [`summarization`] lossy ϵ-summaries (SWeG-style) | subgraph | common-neighbor counts |
-//! | [`cut_sparsify`] Nagamochi–Ibaraki cut sparsifier (§4.6 extension) | edge | cut values ≤ k |
+//! | [`cut_sparsify`](mod@cut_sparsify) Nagamochi–Ibaraki cut sparsifier (§4.6 extension) | edge | cut values ≤ k |
 
 pub mod cut_sparsify;
 pub mod low_degree;

@@ -12,14 +12,14 @@
 //! # Determinism and bit-identity
 //!
 //! Pipelines are pure functions of `(graph, spec, seed)` and stage seeds
-//! are positional ([`Pipeline::stage_seed`]), so a cache hit returns the
-//! exact bytes a cold [`Pipeline::apply`] run would produce — at any
+//! are positional ([`Pipeline::stage_seed`](crate::Pipeline::stage_seed)),
+//! so a cache hit returns the exact bytes a cold
+//! [`Pipeline::apply`](crate::Pipeline::apply) run would produce — at any
 //! `SG_THREADS`. The only observable difference is the per-stage `cached`
 //! flag and wall-clock time. `tests/session_cache.rs` pins this contract.
 
 use crate::cache::{prefix_hash, CachedPrefix, StageCache, StageKey};
 use crate::catalog::{GraphCatalog, GraphHandle};
-use crate::engine::CompressionResult;
 use crate::pipeline::{self, StageReport};
 use crate::scheme::{SchemeParams, SchemeRegistry};
 use crate::spec::PipelineSpec;
@@ -82,18 +82,6 @@ impl SessionRun {
             1.0
         } else {
             self.graph.num_edges() as f64 / self.original_edges as f64
-        }
-    }
-
-    /// Materializes the classic [`CompressionResult`] view (clones the
-    /// graph and mapping out of their shared allocations).
-    pub fn to_compression_result(&self) -> CompressionResult {
-        CompressionResult {
-            graph: self.graph.as_ref().clone(),
-            original_edges: self.original_edges,
-            original_vertices: self.original_vertices,
-            elapsed: self.elapsed(),
-            vertex_mapping: self.vertex_mapping.as_ref().map(|m| m.as_ref().clone()),
         }
     }
 }
@@ -434,10 +422,6 @@ mod tests {
         assert_eq!(run.graph.edge_slice(), g.edge_slice());
         assert!(run.stages.is_empty());
         assert_eq!(run.compression_ratio(), 1.0);
-        // to_compression_result mirrors Pipeline::apply's identity shape.
-        let r = run.to_compression_result();
-        assert_eq!(r.graph.edge_slice(), g.edge_slice());
-        assert!(r.vertex_mapping.is_none());
     }
 
     #[test]

@@ -252,15 +252,6 @@ impl CsrGraph {
         }
     }
 
-    /// Canonical edge ids parallel to [`CsrGraph::in_neighbors`].
-    #[inline]
-    pub fn in_neighbor_edge_ids(&self, v: VertexId) -> &[EdgeId] {
-        match (&self.in_offsets, &self.in_slot_edge) {
-            (Some(off), Some(se)) => &se[off[v as usize]..off[v as usize + 1]],
-            _ => self.neighbor_edge_ids(v),
-        }
-    }
-
     /// Endpoints of canonical edge `e` (`u < v` when undirected).
     #[inline]
     pub fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
@@ -413,11 +404,6 @@ impl CsrGraph {
     /// Parallel iterator over canonical edge ids.
     pub fn par_edge_ids(&self) -> rayon::range::Iter<u32> {
         (0..self.edges.len() as EdgeId).into_par_iter()
-    }
-
-    /// Parallel iterator over vertex ids.
-    pub fn par_vertex_ids(&self) -> rayon::range::Iter<u32> {
-        (0..self.num_vertices as VertexId).into_par_iter()
     }
 
     /// Raw out-adjacency offsets (`n + 1` entries) — serializer view.

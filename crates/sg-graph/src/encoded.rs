@@ -508,36 +508,6 @@ impl EncodedCsr {
         self.in_adj.as_ref()
     }
 
-    /// Canonical-edge-id of the first forward slot of each row (`n + 1`
-    /// entries): for row `v`, the forward targets (`t > v` undirected, all
-    /// targets directed) carry consecutive ids starting at
-    /// `offsets[v]` — a pure function of the row index, which is what keeps
-    /// the encoded edge-kernel path bit-identical to the raw one.
-    pub fn forward_edge_offsets(&self) -> Vec<usize> {
-        let n = self.num_vertices();
-        let counts: Vec<usize> = (0..n as VertexId)
-            .into_par_iter()
-            .map(|v| {
-                if self.directed {
-                    self.degree(v)
-                } else {
-                    let mut c = 0usize;
-                    self.cursor(v).for_each(|t| c += usize::from(t > v));
-                    c
-                }
-            })
-            .collect();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for c in counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        debug_assert_eq!(acc, self.num_edges);
-        offsets
-    }
-
     /// Decodes back to a raw [`CsrGraph`]; canonical edge ids, weights and
     /// adjacency are bit-identical to the graph that was encoded.
     pub fn to_csr(&self) -> CsrGraph {
@@ -675,27 +645,6 @@ mod tests {
         let back = enc.to_csr();
         assert_eq!(back.edge_slice(), g.edge_slice());
         assert_eq!(back.weight_slice(), g.weight_slice());
-    }
-
-    #[test]
-    fn forward_edge_offsets_match_canonical_ids() {
-        for g in [generators::erdos_renyi(100, 500, 9), generators::barabasi_albert(150, 4, 2)] {
-            let enc = EncodedCsr::from_graph(&g);
-            let offsets = enc.forward_edge_offsets();
-            assert_eq!(offsets[g.num_vertices()], g.num_edges());
-            // Edge id offsets[v] + k must be the canonical id of the k-th
-            // forward target of v.
-            for v in 0..g.num_vertices() as VertexId {
-                let mut k = 0;
-                for &t in g.neighbors(v) {
-                    if t > v {
-                        let e = (offsets[v as usize] + k) as EdgeId;
-                        assert_eq!(g.edge_endpoints(e), (v, t));
-                        k += 1;
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -123,45 +123,6 @@ pub fn by_name(name: &str) -> Option<CsrGraph> {
     })
 }
 
-/// The three graphs of Figure 5 (chosen by the paper to span T/n regimes).
-pub fn fig5_suite() -> Vec<(&'static str, CsrGraph)> {
-    vec![("s-cds", s_cds_like()), ("s-pok", s_pok_like()), ("v-ewk", v_ewk_like())]
-}
-
-/// The five graphs of Table 5 (KL divergence of PageRank).
-pub fn table5_suite() -> Vec<(&'static str, CsrGraph)> {
-    vec![
-        ("s-you", s_you_like()),
-        ("h-hud", h_hud_like()),
-        ("l-dbl", l_dbl_like()),
-        ("v-skt", v_skt_like()),
-        ("v-usa", v_usa_like()),
-    ]
-}
-
-/// The twelve graphs of Table 6 (triangles per vertex).
-pub fn table6_suite() -> Vec<(&'static str, CsrGraph)> {
-    vec![
-        ("s-you", s_you_like()),
-        ("s-flx", s_flx_like()),
-        ("s-flc", s_flc_like()),
-        ("s-cds", s_cds_like()),
-        ("s-lib", s_lib_like()),
-        ("s-pok", s_pok_like()),
-        ("h-dbp", h_dbp_like()),
-        ("h-hud", h_hud_like()),
-        ("l-cit", l_cit_like()),
-        ("l-dbl", l_dbl_like()),
-        ("v-ewk", v_ewk_like()),
-        ("v-skt", v_skt_like()),
-    ]
-}
-
-/// The three graphs of Figure 7 (spanner degree distributions).
-pub fn fig7_suite() -> Vec<(&'static str, CsrGraph)> {
-    vec![("h-dit", h_dit_like()), ("m-twt", m_twt_like()), ("s-frs", s_frs_like())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,12 +40,6 @@ impl DenseMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Matrix product `self * other` (parallel over rows).
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
@@ -112,11 +106,6 @@ impl DenseMatrix {
         norms
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.par_iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Bytes of storage used by the data (for Table 2 storage accounting).
     pub fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f64>()
@@ -167,11 +156,5 @@ mod tests {
         assert!(dot.abs() < 1e-10);
         assert!((n0 - 1.0).abs() < 1e-10);
         assert!((n1 - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let a = DenseMatrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((a.frobenius() - 5.0).abs() < 1e-12);
     }
 }

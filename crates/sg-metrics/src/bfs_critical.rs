@@ -27,11 +27,6 @@ impl CriticalEdges {
     pub fn count(&self) -> usize {
         self.edges.len()
     }
-
-    /// Number of non-critical edges.
-    pub fn non_critical(&self) -> usize {
-        self.total_edges - self.edges.len()
-    }
 }
 
 /// Whether edge `(u, v)` joins consecutive BFS frontiers — such an edge
@@ -88,7 +83,6 @@ mod tests {
         let c = critical_edges(&g, 0);
         assert_eq!(c.count(), 5);
         assert_eq!(c.tree_edges, 5);
-        assert_eq!(c.non_critical(), 0);
     }
 
     #[test]

@@ -149,8 +149,8 @@ fn record(event: TraceEvent) {
     });
 }
 
-/// A RAII span guard: created by [`span`]/[`span!`], records one
-/// complete event on drop. When tracing is disabled the guard is inert.
+/// A RAII span guard: created by [`span`]/[`span!`](crate::span!), records
+/// one complete event on drop. When tracing is disabled the guard is inert.
 pub struct Span {
     start: Option<Instant>,
     name: String,
@@ -187,8 +187,8 @@ impl Drop for Span {
     }
 }
 
-/// Opens a span named `name`. Prefer the [`span!`] macro, which also
-/// takes `key = value` annotations.
+/// Opens a span named `name`. Prefer the [`span!`](crate::span!) macro,
+/// which also takes `key = value` annotations.
 pub fn span(name: &str) -> Span {
     if !trace_enabled() {
         return Span { start: None, name: String::new(), args: Vec::new() };

@@ -127,11 +127,7 @@ impl Client {
         // The declared format must survive the server-side reload of the
         // spool (whose temp path has no useful extension), so resolve it
         // from the path now rather than letting the server guess.
-        let format = match sg_core::GraphFormat::resolve(path, format)? {
-            sg_core::GraphFormat::Text => "text",
-            sg_core::GraphFormat::Bin => "bin",
-            sg_core::GraphFormat::Sgr => "sgr",
-        };
+        let format = sg_core::GraphFormat::resolve(path, format)?.name();
         let begin = self.request(
             &Client::request_for("upload")
                 .with("name", Json::str(name))

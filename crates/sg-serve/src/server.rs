@@ -39,7 +39,7 @@ use crate::upload::UploadRegistry;
 use crate::{b64, quota::QuotaBook};
 use sg_algos::cc;
 use sg_core::{
-    CompressionScheme, GraphCatalog, GraphHandle, GraphId, PipelineSpec, SchemeParams,
+    CompressionScheme, GraphCatalog, GraphFormat, GraphHandle, GraphId, PipelineSpec, SchemeParams,
     SchemeRegistry, SessionRun, SgSession, StageCache, StageOutcome, StageReport,
 };
 use sg_graph::CsrGraph;
@@ -812,8 +812,13 @@ fn handle(state: &ServeState, ctx: &ConnCtx, request: Request) -> Result<Reply, 
             let ran = run_or_federate(state, ctx, &graph, &spec, seed)?;
             let mut body = run_body(&ran.run);
             if let Some(path) = output {
-                sg_core::catalog::save_graph(&ran.run.graph, &path, output_format.as_deref())
-                    .map_err(|e| ProtoError::new(ErrorCode::Io, e))?;
+                sg_core::catalog::save_graph_with(
+                    &ran.run.graph,
+                    &path,
+                    output_format.as_deref(),
+                    sg_store::Encoding::Raw,
+                )
+                .map_err(|e| ProtoError::new(ErrorCode::Io, e))?;
                 body = body.with("output", Json::str(path));
             }
             return Ok(ran.reply(body));
@@ -1008,13 +1013,8 @@ fn handle_upload(
             // The declared format applies to the uploaded bytes; with
             // none given, infer from the catalog name's extension (the
             // spool path carries no meaningful one).
-            let format = finished.format.as_deref().unwrap_or_else(|| {
-                match sg_core::GraphFormat::resolve(name, None) {
-                    Ok(sg_core::GraphFormat::Bin) => "bin",
-                    Ok(sg_core::GraphFormat::Sgr) => "sgr",
-                    _ => "text",
-                }
-            });
+            let inferred = GraphFormat::resolve(name, None).map_or("text", GraphFormat::name);
+            let format = finished.format.as_deref().unwrap_or(inferred);
             let loaded = sg_core::catalog::load_graph(&spool, Some(format), false);
             state.uploads.discard_spool(&finished);
             let corrupted = |what: String| {

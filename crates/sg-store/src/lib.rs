@@ -19,7 +19,7 @@
 //!   unmapped when the last reference drops. Algorithms, schemes, and
 //!   pipelines observe bit-identical data either way.
 //!
-//! File layout (details in [`format`]):
+//! File layout (details in [`format`](mod@format)):
 //!
 //! ```text
 //! ┌────────────────────────────────────────────┐
@@ -474,7 +474,6 @@ pub fn load_sgr_with(path: impl AsRef<Path>, verify: Verify) -> io::Result<CsrGr
 /// Derefs to [`CsrGraph`], so it drops into any API taking `&CsrGraph`.
 pub struct MmapGraph {
     graph: CsrGraph,
-    mapped_bytes: usize,
 }
 
 impl MmapGraph {
@@ -496,9 +495,8 @@ impl MmapGraph {
             // A v2 file decodes to the bit-identical raw graph; the heap
             // copy means the mapping can be dropped right after. Callers
             // who want the zero-copy *encoded* form use [`MmapEncoded`].
-            let mapped_bytes = map.len();
             let enc = MmapEncoded::from_mapping(map, verify)?;
-            return Ok(Self { graph: enc.encoded().to_csr(), mapped_bytes });
+            return Ok(Self { graph: enc.encoded().to_csr() });
         }
         let toc = format::parse_toc(&map)?;
         if verify == Verify::Checksum {
@@ -518,7 +516,7 @@ impl MmapGraph {
             map.advise_willneed(section.off, section.len);
         }
         let graph = assemble(&map, &toc, Some(&map))?;
-        Ok(Self { graph, mapped_bytes: map.len() })
+        Ok(Self { graph })
     }
 
     /// The loaded graph.
@@ -529,11 +527,6 @@ impl MmapGraph {
     /// Unwraps into the graph; the mapping stays alive behind the sections.
     pub fn into_graph(self) -> CsrGraph {
         self.graph
-    }
-
-    /// Size of the underlying mapping in bytes.
-    pub fn mapped_bytes(&self) -> usize {
-        self.mapped_bytes
     }
 
     /// True when every CSR section borrows from the mapping (the zero-copy
@@ -583,7 +576,6 @@ impl GraphView for MmapGraph {
 /// traverse it through [`GraphView`] — decode happens on the fly, per row.
 pub struct MmapEncoded {
     enc: EncodedCsr,
-    mapped_bytes: usize,
 }
 
 impl MmapEncoded {
@@ -613,7 +605,7 @@ impl MmapEncoded {
             map.advise_willneed(section.off, section.len);
         }
         let enc = assemble_encoded(&map, &toc, Some(&map))?;
-        Ok(Self { enc, mapped_bytes: map.len() })
+        Ok(Self { enc })
     }
 
     /// The loaded encoded graph.
@@ -625,11 +617,6 @@ impl MmapEncoded {
     /// sections.
     pub fn into_encoded(self) -> EncodedCsr {
         self.enc
-    }
-
-    /// Size of the underlying mapping in bytes.
-    pub fn mapped_bytes(&self) -> usize {
-        self.mapped_bytes
     }
 
     /// True when every encoded section borrows from the mapping.

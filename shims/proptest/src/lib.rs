@@ -267,7 +267,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec`](fn@vec).
     pub trait SizeRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -297,7 +297,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

@@ -3,7 +3,7 @@
 //! Every parallel iterator describes a pipeline over an indexed *base*
 //! (a range, a slice, a zip of slices). [`ParallelIterator::seq_chunk`]
 //! instantiates the whole pipeline as a plain sequential [`Iterator`] over
-//! one contiguous sub-range of the base; the [`drive`] function splits the
+//! one contiguous sub-range of the base; the `drive` function splits the
 //! base into [`chunk_bounds`]-determined chunks, hands them to the
 //! persistent [`crate::pool`] workers through an atomic cursor, and
 //! returns the per-chunk results **in chunk order**. Terminal operations combine that ordered
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// of the base length.
 const MAX_CHUNKS: usize = 64;
 
-/// Splits `0..len` into at most [`MAX_CHUNKS`] contiguous ranges whose
+/// Splits `0..len` into at most `MAX_CHUNKS` contiguous ranges whose
 /// sizes differ by at most one. A pure function of `len` — never of the
 /// thread count — which is the heart of the determinism contract.
 pub fn chunk_bounds(len: usize) -> Vec<Range<usize>> {
@@ -231,7 +231,7 @@ where
 ///
 /// Mirrors the `rayon::iter::ParallelIterator` surface this workspace uses;
 /// adapters compose pipelines, terminal operations execute them via
-/// [`drive`]. Unlike real rayon there is no indexed/unindexed trait split —
+/// `drive`. Unlike real rayon there is no indexed/unindexed trait split —
 /// everything here is chunked at the indexed base, which preserves rayon's
 /// observable semantics (order-preserving `collect`, per-split `fold`
 /// accumulators) for the combinator subset the workspace uses.
@@ -264,7 +264,7 @@ pub trait ParallelIterator: Sized {
     /// call on the same pipeline may be given an overlapping range:
     /// mutable sources ([`crate::slice::IterMut`],
     /// [`crate::slice::ChunksMut`]) reborrow their elements mutably per
-    /// range, so overlap would alias `&mut`. [`drive`] — the only caller
+    /// range, so overlap would alias `&mut`. `drive` — the only caller
     /// in this crate — partitions `0..base_len()` into disjoint chunks.
     unsafe fn seq_chunk(&self, range: Range<usize>) -> Self::SeqIter<'_>;
 

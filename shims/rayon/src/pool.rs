@@ -20,7 +20,7 @@
 //! # Lifetimes and panics
 //!
 //! The submitted body is lifetime-erased (workers are `'static`, the body
-//! borrows the caller's stack). Soundness rests on [`GroupHandle`]: both
+//! borrows the caller's stack). Soundness rests on `GroupHandle`: both
 //! `join` and `Drop` block until every ticket has finished, so the erased
 //! borrow can never dangle. A panicking ticket is caught on the worker
 //! (workers are immortal), recorded in the group, and re-raised on the
@@ -30,7 +30,7 @@
 //!
 //! A pool worker must never *block on* the pool (all workers could be
 //! blocked waiters — deadlock). Terminal operations therefore check
-//! [`on_worker_thread`] and run inline sequentially when already on a
+//! `on_worker_thread` and run inline sequentially when already on a
 //! worker; the outer operation's chunks are the parallelism. The inline
 //! path walks the same chunk order, so results are unchanged.
 
