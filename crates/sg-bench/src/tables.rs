@@ -14,10 +14,8 @@ use crate::{
 use sg_algos::pagerank::pagerank_default;
 use sg_algos::{bc, cc, coloring, diameter, matching, mis, mst, sssp, tc};
 use sg_core::ldd::low_diameter_decomposition;
-use sg_core::schemes::{
-    remove_low_degree, spanner, spectral_sparsify, summarize, triangle_reduce, uniform_sample,
-    SummarizationConfig, TrConfig, UpsilonVariant,
-};
+use sg_core::scheme::{LowDegree, Spanner, Spectral, TriangleReduction, Uniform};
+use sg_core::schemes::{summarize, SummarizationConfig, TrConfig, UpsilonVariant};
 use sg_core::{CompressionScheme, SchemeRegistry};
 use sg_graph::generators::{self, presets};
 use sg_graph::properties::DegreeDistribution;
@@ -171,7 +169,7 @@ fn tab3(graph: &GraphSource) -> Vec<Table> {
     // EO p-1-Triangle Reduction.
     {
         let g = graph("tab3-eo-tr");
-        let r = triangle_reduce(&g, TrConfig::edge_once_1(1.0), seed);
+        let r = TriangleReduction { cfg: TrConfig::edge_once_1(1.0) }.apply(&g, seed);
         let h = &r.graph;
         let (n0, n1) = (g.num_vertices(), h.num_vertices());
         check("EO p-1-TR", "|V|", "n", &format!("{n0} -> {n1}"), n0 == n1);
@@ -221,7 +219,7 @@ fn tab3(graph: &GraphSource) -> Vec<Table> {
         // The max-weight choice keeps the MST weight.
         let gw = generators::with_random_weights(&g, 1.0, 100.0, seed ^ 2);
         let w0 = mst::minimum_spanning_forest(&gw).total_weight;
-        let rw = triangle_reduce(&gw, TrConfig::max_weight(1.0), seed);
+        let rw = TriangleReduction { cfg: TrConfig::max_weight(1.0) }.apply(&gw, seed);
         let w1 = mst::minimum_spanning_forest(&rw.graph).total_weight;
         check(
             "EO p-1-TR (maxw)",
@@ -236,7 +234,7 @@ fn tab3(graph: &GraphSource) -> Vec<Table> {
     {
         let g = graph("tab3-uniform");
         let p = 0.3;
-        let r = uniform_sample(&g, p, seed);
+        let r = Uniform { p }.apply(&g, seed);
         let h = &r.graph;
         let (e0, e1) = (g.num_edges() as f64, h.num_edges() as f64);
         check(
@@ -297,7 +295,7 @@ fn tab3(graph: &GraphSource) -> Vec<Table> {
     // Spectral sparsifier.
     {
         let g = graph("tab3-spectral");
-        let r = spectral_sparsify(&g, 0.6, UpsilonVariant::LogN, true, seed);
+        let r = Spectral { p: 0.6, variant: UpsilonVariant::LogN, reweight: true }.apply(&g, seed);
         let h = &r.graph;
         let c0 = cc::connected_components(&g).num_components;
         let c1 = cc::connected_components(h).num_components;
@@ -322,7 +320,7 @@ fn tab3(graph: &GraphSource) -> Vec<Table> {
     {
         let g = graph("tab3-spanner");
         let k = 8.0;
-        let r = spanner(&g, k, seed);
+        let r = Spanner { k }.apply(&g, seed);
         let h = &r.graph;
         let c0 = cc::connected_components(&g).num_components;
         let c1 = cc::connected_components(h).num_components;
@@ -352,7 +350,7 @@ fn tab3(graph: &GraphSource) -> Vec<Table> {
     // Removing k vertices of degree <= 1.
     {
         let g = graph("tab3-lowdeg");
-        let r = remove_low_degree(&g, seed);
+        let r = LowDegree.apply(&g, seed);
         let h = &r.graph;
         let k = g.num_vertices() - h.num_vertices();
         check(
@@ -540,7 +538,8 @@ fn fig6(graph: &GraphSource) -> Vec<Table> {
         let g = graph(name);
         let mut row = vec![label.to_string()];
         for variant in [UpsilonVariant::AvgDegree, UpsilonVariant::LogN] {
-            row.push(f3(spectral_sparsify(&g, 0.5, variant, false, seed).edge_reduction()));
+            let r = Spectral { p: 0.5, variant, reweight: false }.apply(&g, seed);
+            row.push(f3(r.edge_reduction()));
         }
         left.rows.push(row);
     }
@@ -555,7 +554,7 @@ fn fig6(graph: &GraphSource) -> Vec<Table> {
         for cfg in
             [TrConfig::plain_1(0.5), TrConfig::count_triangles(0.5), TrConfig::edge_once_1(0.5)]
         {
-            row.push(f3(triangle_reduce(&g, cfg, seed).edge_reduction()));
+            row.push(f3(TriangleReduction { cfg }.apply(&g, seed).edge_reduction()));
         }
         right.rows.push(row);
     }
@@ -598,8 +597,8 @@ fn fig7(graph: &GraphSource) -> Vec<Table> {
         let g = graph(name);
         let before = describe(&mut table, name, "original", &g);
         for (i, k) in ks.into_iter().enumerate() {
-            let after =
-                describe(&mut table, name, &format!("spanner k={k}"), &spanner(&g, k, seed).graph);
+            let spanner = Spanner { k }.apply(&g, seed).graph;
+            let after = describe(&mut table, name, &format!("spanner k={k}"), &spanner);
             raised[i] += usize::from(after > before);
         }
     }
@@ -622,7 +621,7 @@ fn fig7(graph: &GraphSource) -> Vec<Table> {
     );
     let orig = DegreeDistribution::of(&g);
     let dists: Vec<DegreeDistribution> =
-        ks.iter().map(|&k| DegreeDistribution::of(&spanner(&g, k, seed).graph)).collect();
+        ks.iter().map(|&k| DegreeDistribution::of(&Spanner { k }.apply(&g, seed).graph)).collect();
     let lookup = |d: &DegreeDistribution, deg: usize| -> String {
         let f = d.fractions().iter().find(|&&(x, _)| x == deg).map_or(0.0, |&(_, f)| f);
         format!("{f:.6}")
@@ -694,7 +693,7 @@ fn weighted_tr(graph: &GraphSource) -> Vec<Table> {
     );
     for (name, g) in workloads {
         for p in [0.5, 0.9] {
-            let r = triangle_reduce(&g, TrConfig::max_weight(p), seed);
+            let r = TriangleReduction { cfg: TrConfig::max_weight(p) }.apply(&g, seed);
             let w0 = mst::minimum_spanning_forest(&g).total_weight;
             let w1 = mst::minimum_spanning_forest(&r.graph).total_weight;
             let mst_time = |h: &CsrGraph| {
@@ -743,7 +742,7 @@ fn bfs_critical(graph: &GraphSource) -> Vec<Table> {
             let mut removed = 0.0;
             let mut ratios = Vec::new();
             for &seed in &seeds {
-                let r = spanner(&g, k, seed);
+                let r = Spanner { k }.apply(&g, seed);
                 removed += r.edge_reduction();
                 for i in 0..3u64 {
                     let root = sg_graph::prng::bounded_u64(seed, i, 3, g.num_vertices() as u64);
@@ -790,9 +789,10 @@ fn reordered_pairs(graph: &GraphSource) -> Vec<Table> {
     for name in graphs {
         let g = graph(name);
         // Spectral fixes the edge budget; uniform is matched to it.
-        let spec = spectral_sparsify(&g, 0.4, UpsilonVariant::LogN, false, seed);
+        let spec =
+            Spectral { p: 0.4, variant: UpsilonVariant::LogN, reweight: false }.apply(&g, seed);
         let budget = spec.edge_reduction();
-        let (spec, unif) = (spec.graph, uniform_sample(&g, budget, seed ^ 1).graph);
+        let (spec, unif) = (spec.graph, Uniform { p: budget }.apply(&g, seed ^ 1).graph);
         let tpv = |h: &CsrGraph| -> Vec<f64> {
             tc::triangles_per_vertex(h).iter().map(|&x| x as f64).collect()
         };
@@ -918,7 +918,7 @@ fn lowrank(graph: &GraphSource) -> Vec<Table> {
             format!("{:.2}x", r.storage_overhead()),
         ]);
     }
-    let u = uniform_sample(&g, 0.5, seed);
+    let u = Uniform { p: 0.5 }.apply(&g, seed);
     clustered.notes = vec![
         format!(
             "reference: uniform sampling p=0.5 -> edge 'error' = {:.2} of m, storage {:.2}x CSR",

@@ -742,14 +742,25 @@ fn stats(args: &Args) -> Result<(), String> {
         sg_store::Encoding::Raw => stats_over(&g),
         _ => {
             let enc = EncodedCsr::from_graph(&g);
-            let raw_adj = g.csr_offsets().len() * 8
-                + g.csr_targets().len() * 4
-                + g.csr_slot_edges().len() * 4;
+            let raw_adj = raw_adjacency_bytes(&g);
             println!("adjacency:    {} bytes encoded ({raw_adj} raw)", enc.adjacency_bytes());
             stats_over(&enc);
         }
     }
     Ok(())
+}
+
+/// Bytes of `g`'s raw offsets, targets and slot edge ids, in both
+/// directions: what [`EncodedCsr::adjacency_bytes`] replaces.
+fn raw_adjacency_bytes(g: &CsrGraph) -> usize {
+    use std::mem::size_of_val;
+    let out = size_of_val(g.csr_offsets())
+        + size_of_val(g.csr_targets())
+        + size_of_val(g.csr_slot_edges());
+    let inward = g.in_csr_offsets().map_or(0, size_of_val)
+        + g.in_csr_targets().map_or(0, size_of_val)
+        + g.in_csr_slot_edges().map_or(0, size_of_val);
+    out + inward
 }
 
 /// The structural statistics shared by the raw and encoded `stats` paths.
@@ -848,6 +859,21 @@ mod tests {
         assert!(h.num_edges() < g.num_edges());
         run(&sv(&["analyze", "--input", &gpath, "--scheme", "tr-eo", "--p", "0.8"]))
             .expect("analyze");
+    }
+
+    #[test]
+    fn raw_adjacency_of_a_directed_sgr_counts_both_directions() {
+        let el = sg_graph::EdgeList::from_pairs(5, vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 0)]);
+        let path = tmp("directed.sgr");
+        sg_store::save_sgr(&CsrGraph::from_edge_list_directed(el), &path).expect("save");
+        let g = load(&path).expect("load");
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        // Per direction: n + 1 offsets, m targets and m slot edge ids.
+        let one_direction = (n + 1) * size_of::<usize>() + m * 4 + m * 4;
+        assert_eq!(raw_adjacency_bytes(&g), 2 * one_direction);
+        // An undirected graph has one adjacency, each edge in two rows.
+        let undirected = generators::cycle(5);
+        assert_eq!(raw_adjacency_bytes(&undirected), 6 * size_of::<usize>() + 2 * 5 * 8);
     }
 
     #[test]

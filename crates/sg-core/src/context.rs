@@ -2,14 +2,15 @@
 //!
 //! In the paper (§4.1), `SG` is the global object kernels use to delete
 //! graph elements (`SG.del`), draw randomness (`SG.rand`), and read scheme
-//! parameters. Here [`SgContext`] carries the input graph, the atomic edge
-//! deletion bitset subgraph kernels write, and a deterministic per-element
-//! RNG: the random decision for element `x` depends only on `(seed, x)`, so
-//! parallel runs are bit-identical to sequential ones.
+//! parameters. Here [`SgContext`] is read-only: it carries the input graph
+//! and a deterministic per-element RNG — the random decision for element
+//! `x` depends only on `(seed, x)`, so parallel runs are bit-identical to
+//! sequential ones. Deletions are not state in `SG`: edge and vertex
+//! kernels return them as decisions, subgraph kernels as lists (see
+//! `crate::kernel`).
 
-use crate::atomic_bitset::AtomicBitset;
 use sg_graph::prng;
-use sg_graph::{CsrGraph, EdgeId};
+use sg_graph::CsrGraph;
 
 /// The deterministic per-element random source behind `SG.rand`.
 ///
@@ -44,39 +45,18 @@ impl DetRand {
     }
 }
 
-/// Shared kernel-visible state for one compression run.
+/// Kernel-visible state for one compression run, shared read-only.
 pub struct SgContext<'g> {
     /// The input graph (kernels have read-only structural access).
     pub graph: &'g CsrGraph,
     /// Global seed for deterministic per-element randomness.
     pub seed: u64,
-    deleted_edges: AtomicBitset,
 }
 
 impl<'g> SgContext<'g> {
     /// Creates a context for `graph` with deterministic seed `seed`.
     pub fn new(graph: &'g CsrGraph, seed: u64) -> Self {
-        Self { graph, seed, deleted_edges: AtomicBitset::new(graph.num_edges()) }
-    }
-
-    /// `SG.del(e)` — atomically marks edge `e` deleted. Returns true if this
-    /// call performed the deletion (false if already deleted).
-    #[inline]
-    pub fn del_edge(&self, e: EdgeId) -> bool {
-        !self.deleted_edges.set(e as usize)
-    }
-
-    /// True when edge `e` is currently marked deleted.
-    #[inline]
-    pub fn edge_deleted(&self, e: EdgeId) -> bool {
-        self.deleted_edges.get(e as usize)
-    }
-
-    /// The context's random source as a standalone value (shared with the
-    /// sharded executors in sg-dist).
-    #[inline]
-    pub fn rand(&self) -> DetRand {
-        DetRand::new(self.seed)
+        Self { graph, seed }
     }
 
     /// `SG.rand(0,1)` — deterministic uniform draw for element `element`
@@ -84,7 +64,7 @@ impl<'g> SgContext<'g> {
     /// values).
     #[inline]
     pub fn rand_unit(&self, element: u64, stream: u64) -> f64 {
-        self.rand().unit(element, stream)
+        DetRand::new(self.seed).unit(element, stream)
     }
 }
 
@@ -92,15 +72,6 @@ impl<'g> SgContext<'g> {
 mod tests {
     use super::*;
     use sg_graph::generators;
-
-    #[test]
-    fn deletion_marks_are_idempotent() {
-        let g = generators::cycle(5);
-        let sg = SgContext::new(&g, 1);
-        assert!(sg.del_edge(0));
-        assert!(!sg.del_edge(0));
-        assert!(sg.edge_deleted(0));
-    }
 
     #[test]
     fn rand_is_deterministic_per_element() {

@@ -5,15 +5,21 @@
 //! *materializes* a compacted CSR graph. Stage 2 — graph algorithms over
 //! the compressed graph — is `sg-algos`, invoked by the harness.
 //!
-//! Each kernel class decides in one place and every executor calls it:
+//! A scheme describes itself once, as a [`Plan`]: its kernel, by class.
+//! Each class decides in one place and every executor calls it:
 //! [`decide_edge`] / [`decide_vertex`] build the element's view and run the
 //! kernel, [`materialize_edges`] turns edge decisions into the output
-//! graph. [`Engine`] maps them over the whole graph on the rayon pool; an
-//! `sg-dist` rank maps them sequentially over its own range, and a
-//! federation shard is one such range. Subgraph kernels record deletions in
-//! the [`SgContext`] bitset instead (the paper's `atomic`). Triangles (§4.3)
-//! are decided in [`crate::schemes::triangle_reduction::decide_triangle`],
-//! a slice at a time, with no per-instance route here (see `crate::kernel`).
+//! graph, and triangles (§4.3) are decided in
+//! [`crate::schemes::triangle_reduction::decide_triangle`], a slice at a
+//! time (see `crate::kernel`). [`run_plan`] maps a plan over the whole
+//! graph on the rayon pool; an `sg-dist` rank maps it sequentially over its
+//! own range, and a federation shard is one such range.
+//!
+//! Subgraph kernels — the spanner's, which needs a mapping built first —
+//! run through [`run_subgraph_kernel`]. The paper's `atomic SG.del` is
+//! realized without an atomic: each chunk of clusters returns its
+//! deletions as a list, and the lists are ORed into one mask, which is
+//! order-free.
 
 use crate::context::SgContext;
 use crate::kernel::{
@@ -21,6 +27,7 @@ use crate::kernel::{
     VertexDecision, VertexKernel, VertexView,
 };
 use crate::mapping::VertexMapping;
+use crate::schemes::triangle_reduction::{triangle_reduce, TrConfig};
 use rayon::prelude::*;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
 use std::time::{Duration, Instant};
@@ -131,76 +138,116 @@ pub fn materialize_edges(g: &CsrGraph, decisions: &[EdgeDecision]) -> CsrGraph {
     }
 }
 
-/// The kernel executor. Holds the deterministic seed for the run.
-#[derive(Clone, Copy, Debug)]
-pub struct Engine {
-    /// Seed for all kernel randomness.
-    pub seed: u64,
+/// How a scheme runs: its kernel, by class. [`run_plan`] executes a plan
+/// on the rayon pool; `sg_dist::distributed_compress` splits the same plan
+/// over its ranks and `sg_dist::shard_compress` computes one part of it, so
+/// a scheme's kernel is built in one place
+/// ([`crate::CompressionScheme::plan`]) whoever runs it.
+pub enum Plan {
+    /// A pure edge kernel: every edge is decided independently.
+    Edge(Box<dyn EdgeKernel>),
+    /// The Triangle Reduction family: decided per triangle, and for the
+    /// Edge-Once disciplines committed in canonical triangle order (the
+    /// paper's shared `considered` flags).
+    Triangle(TrConfig),
+    /// A pure vertex kernel: every vertex is decided independently.
+    Vertex(Box<dyn VertexKernel>),
 }
 
-impl Engine {
-    /// Creates an engine with the given seed.
-    pub fn new(seed: u64) -> Self {
-        Self { seed }
+/// Executes `plan` on `g` over the rayon pool with deterministic seed
+/// `seed` — what [`crate::CompressionScheme::apply`] does for every scheme
+/// that has a plan.
+pub fn run_plan(g: &CsrGraph, plan: &Plan, seed: u64) -> CompressionResult {
+    match plan {
+        Plan::Edge(kernel) => run_edge_kernel(g, kernel.as_ref(), seed),
+        Plan::Triangle(cfg) => triangle_reduce(g, *cfg, seed),
+        Plan::Vertex(kernel) => run_vertex_kernel(g, kernel.as_ref(), seed),
+    }
+}
+
+/// Executes an edge kernel over every canonical edge in parallel (§4.2).
+/// Kernels returning [`EdgeDecision::Reweight`] produce a weighted output
+/// graph.
+pub(crate) fn run_edge_kernel<K: EdgeKernel + ?Sized>(
+    g: &CsrGraph,
+    kernel: &K,
+    seed: u64,
+) -> CompressionResult {
+    let start = Instant::now();
+    let sg = SgContext::new(g, seed);
+    let decisions: Vec<EdgeDecision> =
+        g.par_edge_ids().map(|e| decide_edge(kernel, &sg, e)).collect();
+    CompressionResult::of(g, materialize_edges(g, &decisions), None, start)
+}
+
+/// Executes a vertex kernel over every vertex in parallel (§4.4). Deleted
+/// vertices take their incident edges with them; survivors are relabelled
+/// compactly (Table 3's `remove k deg-1 vertices` row changes `n`).
+pub(crate) fn run_vertex_kernel<K: VertexKernel + ?Sized>(
+    g: &CsrGraph,
+    kernel: &K,
+    seed: u64,
+) -> CompressionResult {
+    let start = Instant::now();
+    let sg = SgContext::new(g, seed);
+    let removed: Vec<bool> = (0..g.num_vertices() as VertexId)
+        .into_par_iter()
+        .map(|v| decide_vertex(kernel, &sg, v) == VertexDecision::Delete)
+        .collect();
+    let (graph, mapping) = g.remove_vertices(&removed);
+    CompressionResult::of(g, graph, Some(mapping), start)
+}
+
+/// Executes a subgraph kernel over every cluster of `mapping` in parallel
+/// (§4.5). The runtime follows Listing 2: the mapping has already been
+/// constructed (`SG.construct_mapping()`), then all kernels run
+/// concurrently (`SG.run_kernels()`). Each chunk of clusters appends its
+/// instances' deletions to one list of its own; the lists are ORed into one
+/// mask and the survivors filtered, so neither the order in which instances
+/// run nor an edge deleted twice changes the output. Every instance is also
+/// lent a [`SubgraphScratch`]: `n` + `#clusters` words, created once per
+/// worker that runs a chunk (the free list of
+/// [`sg_algos::tc::fold_with_scratch`], as for the triangle listing's row
+/// scratch) and dropped when the call returns.
+pub fn run_subgraph_kernel<K: SubgraphKernel + ?Sized>(
+    g: &CsrGraph,
+    mapping: &VertexMapping,
+    kernel: &K,
+    seed: u64,
+) -> CompressionResult {
+    let start = Instant::now();
+    let sg = SgContext::new(g, seed);
+    let lists = sg_algos::tc::fold_with_scratch(
+        mapping.clusters.par_iter().enumerate(),
+        || SubgraphScratch::new(g.num_vertices(), mapping.num_clusters()),
+        Vec::new,
+        |scratch, deleted, (cid, members)| {
+            let view = SubgraphView { cluster_id: cid, members, assignment: &mapping.assignment };
+            kernel.process(view, &sg, scratch, deleted);
+        },
+    );
+    let mut deleted = EdgeBits::new(g.num_edges());
+    lists.iter().flatten().for_each(|&e| deleted.set(e));
+    CompressionResult::of(g, g.filter_edges(|e| !deleted.get(e)), None, start)
+}
+
+/// One bit per canonical edge, written by a single thread: the mask the
+/// subgraph and Triangle Reduction executors OR their deletion lists into.
+pub(crate) struct EdgeBits(Vec<u64>);
+
+impl EdgeBits {
+    pub(crate) fn new(m: usize) -> Self {
+        Self(vec![0; m.div_ceil(64)])
     }
 
-    /// Executes an edge kernel over every canonical edge in parallel
-    /// (§4.2). Kernels returning [`EdgeDecision::Reweight`] produce a
-    /// weighted output graph.
-    pub fn run_edge_kernel<K: EdgeKernel>(&self, g: &CsrGraph, kernel: &K) -> CompressionResult {
-        let start = Instant::now();
-        let sg = SgContext::new(g, self.seed);
-        let decisions: Vec<EdgeDecision> =
-            g.par_edge_ids().map(|e| decide_edge(kernel, &sg, e)).collect();
-        CompressionResult::of(g, materialize_edges(g, &decisions), None, start)
+    #[inline]
+    pub(crate) fn get(&self, e: EdgeId) -> bool {
+        self.0[e as usize / 64] >> (e % 64) & 1 == 1
     }
 
-    /// Executes a vertex kernel over every vertex in parallel (§4.4).
-    /// Deleted vertices take their incident edges with them; survivors are
-    /// relabelled compactly (Table 3's `remove k deg-1 vertices` row changes
-    /// `n`).
-    pub fn run_vertex_kernel<K: VertexKernel>(
-        &self,
-        g: &CsrGraph,
-        kernel: &K,
-    ) -> CompressionResult {
-        let start = Instant::now();
-        let sg = SgContext::new(g, self.seed);
-        let removed: Vec<bool> = (0..g.num_vertices() as VertexId)
-            .into_par_iter()
-            .map(|v| decide_vertex(kernel, &sg, v) == VertexDecision::Delete)
-            .collect();
-        let (graph, mapping) = g.remove_vertices(&removed);
-        CompressionResult::of(g, graph, Some(mapping), start)
-    }
-
-    /// Executes a subgraph kernel over every cluster of `mapping` in
-    /// parallel (§4.5). The runtime follows Listing 2: the mapping has
-    /// already been constructed (`SG.construct_mapping()`), then all kernels
-    /// run concurrently (`SG.run_kernels()`). Every instance is lent a
-    /// [`SubgraphScratch`]: `n` + `#clusters` words, created once per worker
-    /// that runs a chunk of clusters (the free list of
-    /// [`sg_algos::tc::fold_with_scratch`], as for the triangle listing's
-    /// row scratch) and dropped when the call returns.
-    pub fn run_subgraph_kernel<K: SubgraphKernel>(
-        &self,
-        g: &CsrGraph,
-        mapping: &VertexMapping,
-        kernel: &K,
-    ) -> CompressionResult {
-        let start = Instant::now();
-        let sg = SgContext::new(g, self.seed);
-        sg_algos::tc::fold_with_scratch(
-            mapping.clusters.par_iter().enumerate(),
-            || SubgraphScratch::new(g.num_vertices(), mapping.num_clusters()),
-            || (),
-            |scratch, (), (cid, members)| {
-                let view =
-                    SubgraphView { cluster_id: cid, members, assignment: &mapping.assignment };
-                kernel.process(view, &sg, scratch);
-            },
-        );
-        CompressionResult::of(g, g.filter_edges(|e| !sg.edge_deleted(e)), None, start)
+    #[inline]
+    pub(crate) fn set(&mut self, e: EdgeId) {
+        self.0[e as usize / 64] |= 1 << (e % 64);
     }
 }
 
@@ -249,7 +296,7 @@ mod tests {
     #[test]
     fn keep_all_is_identity() {
         let g = generators::erdos_renyi(100, 400, 1);
-        let r = Engine::new(0).run_edge_kernel(&g, &KeepAll);
+        let r = run_edge_kernel(&g, &KeepAll, 0);
         assert_eq!(r.graph.num_edges(), g.num_edges());
         assert_eq!(r.compression_ratio(), 1.0);
         assert_eq!(r.edges_removed(), 0);
@@ -258,7 +305,7 @@ mod tests {
     #[test]
     fn drop_even_halves() {
         let g = generators::erdos_renyi(100, 400, 2);
-        let r = Engine::new(0).run_edge_kernel(&g, &DropEven);
+        let r = run_edge_kernel(&g, &DropEven, 0);
         assert_eq!(r.graph.num_edges(), g.num_edges() / 2);
         assert!((r.compression_ratio() - 0.5).abs() < 0.01);
     }
@@ -266,7 +313,7 @@ mod tests {
     #[test]
     fn reweight_produces_weighted_graph() {
         let g = generators::cycle(6);
-        let r = Engine::new(0).run_edge_kernel(&g, &DoubleWeight);
+        let r = run_edge_kernel(&g, &DoubleWeight, 0);
         assert!(r.graph.is_weighted());
         assert_eq!(r.graph.num_edges(), 6);
         for (e, _, _) in r.graph.edge_iter() {
@@ -296,7 +343,7 @@ mod tests {
     #[test]
     fn vertex_kernel_removes_and_relabels() {
         let g = generators::star(6); // hub + 5 leaves
-        let r = Engine::new(0).run_vertex_kernel(&g, &DropLeaves);
+        let r = run_vertex_kernel(&g, &DropLeaves, 0);
         assert_eq!(r.graph.num_vertices(), 1);
         assert_eq!(r.graph.num_edges(), 0);
         let mapping = r.vertex_mapping.expect("vertex kernel relabels");
@@ -306,13 +353,21 @@ mod tests {
 
     struct DropIntraCluster;
     impl SubgraphKernel for DropIntraCluster {
-        fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>, _: &mut SubgraphScratch) {
+        fn process(
+            &self,
+            sgv: SubgraphView<'_>,
+            sg: &SgContext<'_>,
+            _: &mut SubgraphScratch,
+            deleted: &mut Vec<EdgeId>,
+        ) {
+            // Both endpoints list an intra-cluster edge: deleting it twice
+            // is deleting it.
             for &v in sgv.members {
                 let row = sg.graph.neighbors(v);
                 let eids = sg.graph.neighbor_edge_ids(v);
                 for (i, &u) in row.iter().enumerate() {
                     if sgv.assignment[u as usize] == sgv.cluster_id as u32 {
-                        sg.del_edge(eids[i]);
+                        deleted.push(eids[i]);
                     }
                 }
             }
@@ -325,7 +380,7 @@ mod tests {
         // Two clusters {0,1,2} and {3,4,5}: dropping intra-cluster edges
         // leaves only the 9 cross edges.
         let mapping = VertexMapping::from_assignment(vec![0, 0, 0, 1, 1, 1]);
-        let r = Engine::new(0).run_subgraph_kernel(&g, &mapping, &DropIntraCluster);
+        let r = run_subgraph_kernel(&g, &mapping, &DropIntraCluster, 0);
         assert_eq!(r.graph.num_edges(), 9);
     }
 
@@ -360,8 +415,8 @@ mod tests {
                 }
             }
         }
-        let a = Engine::new(123).run_edge_kernel(&g, &CoinFlip);
-        let b = Engine::new(123).run_edge_kernel(&g, &CoinFlip);
+        let a = run_edge_kernel(&g, &CoinFlip, 123);
+        let b = run_edge_kernel(&g, &CoinFlip, 123);
         assert_eq!(a.graph.edge_slice(), b.graph.edge_slice());
     }
 }

@@ -3,11 +3,11 @@
 //! A kernel is a small program with a *local view* of the graph (§3.1): its
 //! argument is an edge, a vertex, a triangle, or a subgraph, exposed here as
 //! view structs carrying the fields the paper's opaque `E`/`V` references
-//! provide (`e.u`, `e.v`, `e.weight`, `v.deg`, …). Kernels either return a
-//! declarative decision (edge/vertex kernels — pure per element) or mutate
-//! shared state through [`crate::SgContext`] (subgraph kernels, which need
-//! the paper's `atomic` semantics). A subgraph kernel is also lent private
-//! working memory, a per-worker [`SubgraphScratch`]; the kernel author
+//! provide (`e.u`, `e.v`, `e.weight`, `v.deg`, …). [`crate::SgContext`] is
+//! read-only: edge and vertex kernels return a decision, pure per element,
+//! and a subgraph kernel lists the edges it deletes (the paper's `atomic
+//! SG.del`) in a per-chunk list the engine ORs into one mask, order-free.
+//! It is also lent a per-worker [`SubgraphScratch`]; the kernel author
 //! still writes only the body of `process`.
 //!
 //! Triangle kernels (§4.3) have no trait: the one triangle scheme family
@@ -22,7 +22,7 @@ use sg_graph::types::NO_EDGE;
 use sg_graph::{EdgeId, VertexId, Weight};
 
 /// Local view of an edge handed to an [`EdgeKernel`] (the paper's `E e`
-/// argument plus the degree fields kernels like `spectral_sparsify` read).
+/// argument plus the degree fields kernels like the spectral one read).
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeView {
     /// Canonical edge id.
@@ -103,7 +103,7 @@ pub struct SubgraphView<'a> {
 /// Flat working memory the engine lends a [`SubgraphKernel`], so that a
 /// kernel instance needs no container of its own (on a decomposition into
 /// 10 000 clusters, three hash containers per instance were about half of
-/// `derive_spanner`'s time). [`crate::Engine::run_subgraph_kernel`] creates
+/// `derive_spanner`'s time). [`crate::engine::run_subgraph_kernel`] creates
 /// one scratch per worker that runs clusters, *per call* — never per cluster
 /// — and hands it to every `process` that worker executes, one at a time.
 ///
@@ -142,14 +142,17 @@ impl SubgraphScratch {
 
 /// A subgraph compression kernel (§4.5).
 pub trait SubgraphKernel: Sync {
-    /// Processes one cluster. Invoked in parallel across clusters; `scratch`
-    /// is the invoking worker's own (see [`SubgraphScratch`] for the state
-    /// it arrives in and must be left in).
+    /// Processes one cluster, appending every edge it deletes (`SG.del(e)`)
+    /// to `deleted`, the invoking chunk's list: it may hold other clusters'
+    /// edges, and an edge listed twice is deleted once. Invoked in parallel
+    /// across clusters; `scratch` is the invoking worker's own (see
+    /// [`SubgraphScratch`] for the state it arrives in and must be left in).
     fn process(
         &self,
         subgraph: SubgraphView<'_>,
         sg: &SgContext<'_>,
         scratch: &mut SubgraphScratch,
+        deleted: &mut Vec<EdgeId>,
     );
 }
 

@@ -5,14 +5,19 @@
 //! 1. **Programming model** ([`kernel`], [`context`]): developers express
 //!    lossy compression as small *compression kernels* whose scope is an
 //!    edge, a vertex, a triangle, or an arbitrary subgraph. Kernels access
-//!    local graph structure through their argument views and global state
-//!    (sampling parameters, atomic deletion, `considered` flags) through the
-//!    [`context::SgContext`] container — the paper's `SG` object.
-//! 2. **Execution engine** ([`engine`]): kernels are executed in parallel by
-//!    the engine, which then *materializes* the compressed graph. The
-//!    subgraph path additionally builds vertex→subgraph [`mapping`]s (the
-//!    paper's §4.5.2), for which [`ldd`] provides the low-diameter
-//!    decomposition used by spanners.
+//!    local graph structure through their argument views and read-only
+//!    global state (the graph, per-element randomness) through the
+//!    [`context::SgContext`] container — the paper's `SG` object. A kernel
+//!    never writes `SG`: it returns its deletions (`SG.del`), as a decision
+//!    per edge or vertex, or as a per-chunk list from a subgraph kernel,
+//!    which the engine ORs together — order-free.
+//! 2. **Execution engine** ([`engine`]): a scheme describes itself once, as
+//!    a [`Plan`] (its kernel, by class); [`run_plan`] executes it in
+//!    parallel and *materializes* the compressed graph, and `sg-dist`'s
+//!    ranks and federation shards run the same plan. The subgraph path
+//!    additionally builds vertex→subgraph [`mapping`]s (the paper's
+//!    §4.5.2), for which [`ldd`] provides the low-diameter decomposition
+//!    used by spanners.
 //! 3. **Compression schemes** ([`schemes`]): the paper's scheme zoo — random
 //!    uniform sampling, spectral sparsification (both Υ variants), the
 //!    Triangle Reduction family (p-x, Edge-Once, Count-Triangles,
@@ -38,7 +43,6 @@
 //!   prefix recompute only the divergent suffix, bit-identically to a
 //!   cold run.
 
-pub mod atomic_bitset;
 pub mod cache;
 pub mod catalog;
 pub mod context;
@@ -55,8 +59,10 @@ pub mod spec;
 pub use cache::{CacheStats, StageCache, StageKey};
 pub use catalog::{graph_approx_bytes, GraphCatalog, GraphFormat, GraphHandle, GraphId};
 pub use context::{DetRand, SgContext};
-pub use engine::{decide_edge, decide_vertex, materialize_edges, CompressionResult, Engine};
+pub use engine::{
+    decide_edge, decide_vertex, materialize_edges, run_plan, CompressionResult, Plan,
+};
 pub use pipeline::{run_stage, Pipeline, PipelineResult, StageReport};
-pub use scheme::{CompressionScheme, DistPlan, SchemeParams, SchemeRegistry};
+pub use scheme::{CompressionScheme, SchemeParams, SchemeRegistry};
 pub use session::{SessionRun, SgSession, StageOutcome};
 pub use spec::{PipelineSpec, StageSpec};

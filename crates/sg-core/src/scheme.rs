@@ -7,39 +7,26 @@
 //! an object-safe trait plus a registry, so new schemes can be added (and
 //! chained into [`crate::Pipeline`]s) without touching dispatch code.
 
-use crate::engine::CompressionResult;
-use crate::kernel::{EdgeKernel, VertexKernel};
+use crate::engine::{run_plan, CompressionResult, Plan};
+use crate::schemes::spanner::spanner;
+use crate::schemes::triangle_reduction::triangle_collapse;
 use crate::schemes::{
-    cut_sparsify, forest_indices, remove_low_degree, spanner, spectral_sparsify,
-    summarize_to_graph, triangle_collapse, triangle_reduce, uniform_sample, CutSparsifyKernel,
-    Discipline, EdgeChoice, LowDegreeKernel, SpectralKernel, SummarizationConfig, TrConfig,
-    UniformKernel, UpsilonVariant,
+    summarize, CutSparsifyKernel, Discipline, EdgeChoice, LowDegreeKernel, SpectralKernel,
+    SummarizationConfig, TrConfig, UniformKernel, UpsilonVariant,
 };
 use sg_graph::CsrGraph;
 use std::collections::BTreeMap;
-
-/// How a scheme runs on the sharded/distributed backend (sg-dist).
-///
-/// The paper's distributed design (§7.3) partitions vertices across ranks
-/// and exchanges the shared `considered` flags over RMA; which protocol a
-/// scheme needs depends on its kernel class. [`CompressionScheme::dist_plan`]
-/// reports the class so `sg_dist::distributed_compress` can pick the right
-/// executor without downcasting.
-pub enum DistPlan {
-    /// A pure edge kernel: every rank decides its own edge range
-    /// independently (no shared state, single superstep).
-    EdgeKernel(Box<dyn EdgeKernel>),
-    /// The Triangle Reduction family: ranks own vertex/edge partitions and,
-    /// for the Edge-Once disciplines, reconcile the shared `considered`
-    /// flags through deterministic superstep rounds.
-    Triangle(TrConfig),
-    /// A pure vertex kernel: every rank decides its own vertex range
-    /// independently; removals are merged in rank order.
-    Vertex(Box<dyn VertexKernel>),
-}
+use std::time::Instant;
 
 /// A lossy compression scheme: one stage-1 kernel family plus its
 /// parameters. Object-safe so schemes can live in registries and pipelines.
+///
+/// A scheme is written once: [`CompressionScheme::plan`] builds its kernel,
+/// and every executor runs that plan — [`CompressionScheme::apply`] on the
+/// rayon pool, `sg_dist::distributed_compress` over its ranks,
+/// `sg_dist::shard_compress` for one federation shard. A scheme with no
+/// plan (one that rewrites the vertex set or builds a mapping first)
+/// overrides `apply` instead.
 pub trait CompressionScheme: Send + Sync {
     /// Registry name (`"uniform"`, `"spanner"`, `"tr-eo"`, …).
     fn name(&self) -> &str;
@@ -49,8 +36,21 @@ pub trait CompressionScheme: Send + Sync {
         Vec::new()
     }
 
-    /// Applies the scheme to `g` with deterministic seed `seed`.
-    fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult;
+    /// The scheme's kernel for `g`, by class. `None` (the default) means
+    /// the scheme has no plan — contraction, spanners and summarization
+    /// rewrite the graph globally — and overrides [`CompressionScheme::apply`]:
+    /// it runs on the pool only, never on ranks or shards.
+    fn plan(&self, g: &CsrGraph) -> Option<Plan> {
+        let _ = g;
+        None
+    }
+
+    /// Applies the scheme to `g` with deterministic seed `seed`: runs
+    /// [`CompressionScheme::plan`] on the pool through [`run_plan`].
+    fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
+        let plan = self.plan(g).expect("a scheme without a plan overrides apply");
+        run_plan(g, &plan, seed)
+    }
 
     /// Human-readable label: the name plus its parameters.
     fn label(&self) -> String {
@@ -61,16 +61,6 @@ pub trait CompressionScheme: Send + Sync {
             let rendered: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
             format!("{} ({})", self.name(), rendered.join(", "))
         }
-    }
-
-    /// The scheme's sharded-execution plan, if it can run distributed:
-    /// schemes with an edge-, triangle- or vertex-class kernel build it for
-    /// `g`. `None` (the default) means shared-memory only
-    /// (contraction/summarization classes that rewrite the vertex set
-    /// globally).
-    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
-        let _ = g;
-        None
     }
 }
 
@@ -179,12 +169,8 @@ impl CompressionScheme for Uniform {
         vec![("p", self.p.to_string())]
     }
 
-    fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
-        uniform_sample(g, self.p, seed)
-    }
-
-    fn dist_plan(&self, _g: &CsrGraph) -> Option<DistPlan> {
-        Some(DistPlan::EdgeKernel(Box::new(UniformKernel::new(self.p))))
+    fn plan(&self, _g: &CsrGraph) -> Option<Plan> {
+        Some(Plan::Edge(Box::new(UniformKernel::new(self.p))))
     }
 }
 
@@ -216,13 +202,9 @@ impl CompressionScheme for Spectral {
         ]
     }
 
-    fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
-        spectral_sparsify(g, self.p, self.variant, self.reweight, seed)
-    }
-
-    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
+    fn plan(&self, g: &CsrGraph) -> Option<Plan> {
         let kernel = SpectralKernel::for_graph(g, self.p, self.variant, self.reweight);
-        Some(DistPlan::EdgeKernel(Box::new(kernel)))
+        Some(Plan::Edge(Box::new(kernel)))
     }
 }
 
@@ -248,17 +230,13 @@ impl CompressionScheme for TriangleReduction {
         vec![("p", self.cfg.p.to_string()), ("x", self.cfg.x.to_string())]
     }
 
-    fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
-        triangle_reduce(g, self.cfg, seed)
+    fn plan(&self, _g: &CsrGraph) -> Option<Plan> {
+        Some(Plan::Triangle(self.cfg))
     }
 
     /// Paper-style label (`EO-0.5-1-TR`, …).
     fn label(&self) -> String {
         self.cfg.label()
-    }
-
-    fn dist_plan(&self, _g: &CsrGraph) -> Option<DistPlan> {
-        Some(DistPlan::Triangle(self.cfg))
     }
 }
 
@@ -292,12 +270,8 @@ impl CompressionScheme for LowDegree {
         "lowdeg"
     }
 
-    fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
-        remove_low_degree(g, seed)
-    }
-
-    fn dist_plan(&self, _g: &CsrGraph) -> Option<DistPlan> {
-        Some(DistPlan::Vertex(Box::new(LowDegreeKernel::default())))
+    fn plan(&self, _g: &CsrGraph) -> Option<Plan> {
+        Some(Plan::Vertex(Box::new(LowDegreeKernel::default())))
     }
 }
 
@@ -339,9 +313,12 @@ impl CompressionScheme for Summarization {
         vec![("epsilon", self.epsilon.to_string())]
     }
 
+    /// Summarizes `g` and reconstructs the approximate graph, so
+    /// downstream algorithms run on it (what stage 2 measures).
     fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
+        let start = Instant::now();
         let cfg = SummarizationConfig { epsilon: self.epsilon, seed, ..Default::default() };
-        summarize_to_graph(g, cfg).1
+        CompressionResult::of(g, summarize(g, cfg).decompress(), None, start)
     }
 }
 
@@ -361,15 +338,8 @@ impl CompressionScheme for CutSparsifier {
         vec![("k", self.k.to_string())]
     }
 
-    fn apply(&self, g: &CsrGraph, seed: u64) -> CompressionResult {
-        cut_sparsify(g, self.k, seed)
-    }
-
-    fn dist_plan(&self, g: &CsrGraph) -> Option<DistPlan> {
-        Some(DistPlan::EdgeKernel(Box::new(CutSparsifyKernel {
-            indices: forest_indices(g),
-            k: self.k,
-        })))
+    fn plan(&self, g: &CsrGraph) -> Option<Plan> {
+        Some(Plan::Edge(Box::new(CutSparsifyKernel::for_graph(g, self.k))))
     }
 }
 

@@ -12,7 +12,6 @@
 //! the same pattern the spectral kernel uses for its Υ parameter.
 
 use crate::context::SgContext;
-use crate::engine::{CompressionResult, Engine};
 use crate::kernel::{EdgeDecision, EdgeKernel, EdgeView};
 use sg_algos::union_find::UnionFind;
 use sg_graph::{CsrGraph, EdgeId};
@@ -52,11 +51,21 @@ pub fn forest_indices(g: &CsrGraph) -> Vec<u32> {
 }
 
 /// The cut-sparsification kernel: keep edge e iff its forest index is ≤ k.
+/// The result preserves all cuts of value ≤ `k` and keeps at most
+/// `k·(n-1)` edges.
 pub struct CutSparsifyKernel {
     /// Precomputed per-edge forest indices.
     pub indices: Vec<u32>,
     /// Connectivity threshold: cuts of value ≤ k are preserved exactly.
     pub k: u32,
+}
+
+impl CutSparsifyKernel {
+    /// Builds the kernel for `g` and threshold `k ≥ 1`.
+    pub fn for_graph(g: &CsrGraph, k: u32) -> Self {
+        assert!(k >= 1, "connectivity threshold must be at least 1");
+        Self { indices: forest_indices(g), k }
+    }
 }
 
 impl EdgeKernel for CutSparsifyKernel {
@@ -69,17 +78,10 @@ impl EdgeKernel for CutSparsifyKernel {
     }
 }
 
-/// Cut-sparsifies `g`: the result preserves all cuts of value ≤ `k` and
-/// keeps at most `k·(n-1)` edges.
-pub fn cut_sparsify(g: &CsrGraph, k: u32, seed: u64) -> CompressionResult {
-    assert!(k >= 1, "connectivity threshold must be at least 1");
-    let kernel = CutSparsifyKernel { indices: forest_indices(g), k };
-    Engine::new(seed).run_edge_kernel(g, &kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{CompressionScheme, CutSparsifier};
     use sg_algos::cc::connected_components;
     use sg_graph::generators;
 
@@ -142,7 +144,7 @@ mod tests {
     fn sparsifier_edge_budget() {
         let g = generators::erdos_renyi(200, 3000, 2);
         for k in [1, 2, 4] {
-            let r = cut_sparsify(&g, k, 3);
+            let r = CutSparsifier { k }.apply(&g, 3);
             assert!(r.graph.num_edges() <= (k as usize) * 199, "k = {k}");
         }
     }
@@ -150,7 +152,7 @@ mod tests {
     #[test]
     fn k1_preserves_connectivity() {
         let g = generators::rmat_graph500(10, 8, 4);
-        let r = cut_sparsify(&g, 1, 5);
+        let r = CutSparsifier { k: 1 }.apply(&g, 5);
         assert_eq!(
             connected_components(&g).num_components,
             connected_components(&r.graph).num_components
@@ -162,7 +164,7 @@ mod tests {
         // NI certificate: every s-t cut of value <= k keeps its exact value.
         let g = generators::erdos_renyi(24, 90, 6);
         let k = 3;
-        let r = cut_sparsify(&g, k, 7);
+        let r = CutSparsifier { k }.apply(&g, 7);
         for t in 1..12u32 {
             let before = min_st_cut(&g, 0, t);
             let after = min_st_cut(&r.graph, 0, t);
@@ -177,10 +179,8 @@ mod tests {
     #[test]
     fn larger_k_keeps_more() {
         let g = generators::erdos_renyi(150, 2000, 8);
-        let r1 = cut_sparsify(&g, 1, 9);
-        let r3 = cut_sparsify(&g, 3, 9);
+        let r1 = CutSparsifier { k: 1 }.apply(&g, 9);
+        let r3 = CutSparsifier { k: 3 }.apply(&g, 9);
         assert!(r3.graph.num_edges() > r1.graph.num_edges());
     }
-
-    use sg_graph::CsrGraph;
 }

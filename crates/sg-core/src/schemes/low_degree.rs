@@ -6,9 +6,7 @@
 //! exactly \[132\].
 
 use crate::context::SgContext;
-use crate::engine::{CompressionResult, Engine};
 use crate::kernel::{VertexDecision, VertexKernel, VertexView};
-use sg_graph::CsrGraph;
 
 /// The `low_degree` kernel of Listing 1, generalized to a threshold.
 #[derive(Clone, Copy, Debug)]
@@ -33,21 +31,16 @@ impl VertexKernel for LowDegreeKernel {
     }
 }
 
-/// Removes all degree-0 and degree-1 vertices (one pass).
-pub fn remove_low_degree(g: &CsrGraph, seed: u64) -> CompressionResult {
-    Engine::new(seed).run_vertex_kernel(g, &LowDegreeKernel::default())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scheme::{CompressionScheme, LowDegree};
     use sg_algos::bc::betweenness_exact;
-    use sg_graph::generators;
+    use sg_graph::{generators, CsrGraph};
 
     #[test]
     fn star_collapses_to_hub() {
         let g = generators::star(10);
-        let r = remove_low_degree(&g, 1);
+        let r = LowDegree.apply(&g, 1);
         assert_eq!(r.graph.num_vertices(), 1);
         assert_eq!(r.graph.num_edges(), 0);
     }
@@ -55,7 +48,7 @@ mod tests {
     #[test]
     fn cycle_is_untouched() {
         let g = generators::cycle(12);
-        let r = remove_low_degree(&g, 2);
+        let r = LowDegree.apply(&g, 2);
         assert_eq!(r.graph.num_vertices(), 12);
         assert_eq!(r.graph.num_edges(), 12);
     }
@@ -65,7 +58,7 @@ mod tests {
         // Table 3: removing k degree-1 vertices gives n-k vertices, m-k edges.
         let g = CsrGraph::from_pairs(7, &[(0, 1), (1, 2), (2, 0), (2, 3), (2, 4), (4, 5)]);
         // Degree-1: 3, 5; degree-0: 6 -> k = 3 vertices, 2 edges removed.
-        let r = remove_low_degree(&g, 3);
+        let r = LowDegree.apply(&g, 3);
         assert_eq!(r.graph.num_vertices(), 4);
         assert_eq!(r.graph.num_edges(), 4);
     }
@@ -80,7 +73,7 @@ mod tests {
             8,
             &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 4), (3, 5), (5, 6), (2, 7)],
         );
-        let r = remove_low_degree(&g, 5);
+        let r = LowDegree.apply(&g, 5);
         let mapping = r.vertex_mapping.expect("vertex kernel");
         let survivors: Vec<usize> = (0..8).filter(|&v| mapping[v].is_some()).collect();
         for &a in &survivors {
@@ -96,6 +89,4 @@ mod tests {
         let bc_after = betweenness_exact(&r.graph);
         assert!(bc_after.iter().any(|&x| x > 0.0));
     }
-
-    use sg_graph::CsrGraph;
 }

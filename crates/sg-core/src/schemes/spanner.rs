@@ -18,24 +18,31 @@
 //! one row pass over each cluster's vertices and nothing per cluster.
 
 use crate::context::SgContext;
-use crate::engine::{CompressionResult, Engine};
+use crate::engine::{run_subgraph_kernel, CompressionResult};
 use crate::kernel::{SubgraphKernel, SubgraphScratch, SubgraphView};
 use crate::ldd::ldd_for_spanner;
 use sg_algos::spanning::cluster_spanning_tree_by;
 use sg_graph::types::NO_EDGE;
-use sg_graph::CsrGraph;
+use sg_graph::{CsrGraph, EdgeId};
 
 /// The `derive_spanner` kernel of Listing 1.
 ///
 /// Deletion-based: the kernel deletes (a) intra-cluster non-tree edges and
 /// (b) per member vertex, all but one edge to each neighbouring cluster.
-/// Instances never race: each instance only deletes edges incident to its
-/// own members, and cross-cluster deletions compose (an edge survives iff
-/// neither side prunes it — see `process` for why connectivity holds).
+/// Each instance lists only edges incident to its own members, and
+/// cross-cluster deletions compose (an edge survives iff neither side
+/// prunes it — see `process` for why connectivity holds); an edge both
+/// sides prune is listed twice and deleted once.
 pub struct SpannerKernel;
 
 impl SubgraphKernel for SpannerKernel {
-    fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>, scratch: &mut SubgraphScratch) {
+    fn process(
+        &self,
+        sgv: SubgraphView<'_>,
+        sg: &SgContext<'_>,
+        scratch: &mut SubgraphScratch,
+        deleted: &mut Vec<EdgeId>,
+    ) {
         let g = sg.graph;
         let my = sgv.cluster_id as u32;
         let SubgraphScratch { vertex_edge: parent_edge, cluster_edge: kept, queue, touched } =
@@ -62,7 +69,7 @@ impl SubgraphKernel for SpannerKernel {
                     // (a) Delete intra-cluster edges (once, from the lower
                     // endpoint) that are neither endpoint's tree edge.
                     if u > v && parent_edge[u as usize] != e && parent_edge[v as usize] != e {
-                        sg.del_edge(e);
+                        deleted.push(e);
                     }
                 } else if kept[other as usize] == NO_EDGE {
                     // (b) Per vertex, keep one edge to each neighbouring
@@ -79,7 +86,7 @@ impl SubgraphKernel for SpannerKernel {
                     kept[other as usize] = e;
                     touched.push(other);
                 } else {
-                    sg.del_edge(e);
+                    deleted.push(e);
                 }
             }
             for other in touched.drain(..) {
@@ -89,12 +96,13 @@ impl SubgraphKernel for SpannerKernel {
     }
 }
 
-/// Derives an O(k)-spanner of `g`.
-pub fn spanner(g: &CsrGraph, k: f64, seed: u64) -> CompressionResult {
+/// Derives an O(k)-spanner of `g`: the body of the `spanner` scheme's
+/// `apply`.
+pub(crate) fn spanner(g: &CsrGraph, k: f64, seed: u64) -> CompressionResult {
     assert!(k >= 1.0, "spanner parameter k must be >= 1");
     let start = std::time::Instant::now();
     let mapping = ldd_for_spanner(g, k, seed);
-    let mut result = Engine::new(seed).run_subgraph_kernel(g, &mapping, &SpannerKernel);
+    let mut result = run_subgraph_kernel(g, &mapping, &SpannerKernel, seed);
     // Fold the mapping-construction time into the reported compression time
     // (the paper attributes LDD overhead to the spanner scheme: "spanners
     // are >20% slower due to overheads from low-diameter decomposition").
@@ -111,7 +119,7 @@ mod tests {
     use rustc_hash::{FxHashMap, FxHashSet};
     use sg_algos::cc::connected_components;
     use sg_algos::sssp::dijkstra;
-    use sg_graph::{generators, EdgeId, VertexId};
+    use sg_graph::{generators, VertexId};
 
     /// `derive_spanner` as it was on hash containers — a depth map under the
     /// cluster BFS, a set of tree edges, a min-edge map per member vertex —
@@ -143,7 +151,13 @@ mod tests {
     }
 
     impl SubgraphKernel for HashMapSpannerKernel {
-        fn process(&self, sgv: SubgraphView<'_>, sg: &SgContext<'_>, _: &mut SubgraphScratch) {
+        fn process(
+            &self,
+            sgv: SubgraphView<'_>,
+            sg: &SgContext<'_>,
+            _: &mut SubgraphScratch,
+            deleted: &mut Vec<EdgeId>,
+        ) {
             let g = sg.graph;
             let my = sgv.cluster_id as u32;
             let tree: FxHashSet<EdgeId> =
@@ -153,7 +167,7 @@ mod tests {
                 let eids = g.neighbor_edge_ids(v);
                 for (i, &u) in row.iter().enumerate() {
                     if sgv.assignment[u as usize] == my && u > v && !tree.contains(&eids[i]) {
-                        sg.del_edge(eids[i]);
+                        deleted.push(eids[i]);
                     }
                 }
             }
@@ -174,7 +188,7 @@ mod tests {
                 for (i, &u) in row.iter().enumerate() {
                     let other = sgv.assignment[u as usize];
                     if other != my && chosen[&other] != eids[i] {
-                        sg.del_edge(eids[i]);
+                        deleted.push(eids[i]);
                     }
                 }
             }
@@ -190,9 +204,8 @@ mod tests {
             for beta in [1e-6, 0.05, 0.13, 0.4, 0.7, 1.7, 50.0] {
                 for seed in 0..3 {
                     let mapping = low_diameter_decomposition(g, beta, seed);
-                    let engine = Engine::new(seed);
-                    let flat = engine.run_subgraph_kernel(g, &mapping, &SpannerKernel);
-                    let hashed = engine.run_subgraph_kernel(g, &mapping, &HashMapSpannerKernel);
+                    let flat = run_subgraph_kernel(g, &mapping, &SpannerKernel, seed);
+                    let hashed = run_subgraph_kernel(g, &mapping, &HashMapSpannerKernel, seed);
                     assert_eq!(
                         flat.graph.edge_slice(),
                         hashed.graph.edge_slice(),
@@ -209,7 +222,7 @@ mod tests {
     fn hostile_k_matches_the_references() {
         let g = generators::erdos_renyi(2_000, 6_000, 8);
         let mapping = VertexMapping::from_labels(&heap_race(&g, &start_keys(2_000, 1e-6, 9)));
-        let expected = Engine::new(9).run_subgraph_kernel(&g, &mapping, &HashMapSpannerKernel);
+        let expected = run_subgraph_kernel(&g, &mapping, &HashMapSpannerKernel, 9);
         for k in [1e300, f64::MAX] {
             assert_eq!(ldd_for_spanner(&g, k, 9).assignment, mapping.assignment, "k = {k}");
             let r = spanner(&g, k, 9);

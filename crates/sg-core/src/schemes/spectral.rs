@@ -8,7 +8,6 @@
 //! Survivors are reweighted by `1/p_{u,v}` to keep the Laplacian unbiased.
 
 use crate::context::SgContext;
-use crate::engine::{CompressionResult, Engine};
 use crate::kernel::{EdgeDecision, EdgeKernel, EdgeView};
 use sg_graph::{CsrGraph, Weight};
 
@@ -22,7 +21,7 @@ pub enum UpsilonVariant {
     AvgDegree,
 }
 
-/// The `spectral_sparsify` kernel of Listing 1.
+/// The spectral-sparsification kernel of Listing 1.
 #[derive(Clone, Copy, Debug)]
 pub struct SpectralKernel {
     /// Precomputed Υ (`SG.connectivity_spectral_parameter()`).
@@ -62,21 +61,11 @@ impl EdgeKernel for SpectralKernel {
     }
 }
 
-/// Convenience wrapper: spectral sparsification with parameter `p`.
-pub fn spectral_sparsify(
-    g: &CsrGraph,
-    p: f64,
-    variant: UpsilonVariant,
-    reweight: bool,
-    seed: u64,
-) -> CompressionResult {
-    let kernel = SpectralKernel::for_graph(g, p, variant, reweight);
-    Engine::new(seed).run_edge_kernel(g, &kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_edge_kernel;
+    use crate::scheme::{CompressionScheme, Spectral, Uniform};
     use sg_algos::cc::connected_components;
     use sg_graph::generators;
 
@@ -85,7 +74,7 @@ mod tests {
         let g = generators::erdos_renyi(200, 1000, 1);
         // Υ >= max degree -> every p_e = 1.
         let k = SpectralKernel { upsilon: 1e9, reweight: false };
-        let r = Engine::new(2).run_edge_kernel(&g, &k);
+        let r = run_edge_kernel(&g, &k, 2);
         assert_eq!(r.graph.num_edges(), g.num_edges());
     }
 
@@ -94,7 +83,7 @@ mod tests {
         // A hub-heavy graph: edges between two hubs should vanish more often
         // than edges to leaves (p_e = Υ/min(deg)).
         let g = generators::barabasi_albert(3000, 5, 3);
-        let r = spectral_sparsify(&g, 0.5, UpsilonVariant::LogN, false, 4);
+        let r = Spectral { p: 0.5, variant: UpsilonVariant::LogN, reweight: false }.apply(&g, 4);
         // Average degree of surviving structure is flatter: max degree drops
         // by more than average degree does.
         let max_ratio = r.graph.max_degree() as f64 / g.max_degree() as f64;
@@ -107,7 +96,7 @@ mod tests {
         let g = generators::complete(40); // uniform degrees: single p_e
         let n = 40f64;
         let p = 0.2;
-        let r = spectral_sparsify(&g, p, UpsilonVariant::LogN, true, 5);
+        let r = Spectral { p, variant: UpsilonVariant::LogN, reweight: true }.apply(&g, 5);
         assert!(r.graph.is_weighted());
         let expected_pe = (p * n.ln() / 39.0).min(1.0);
         for (e, _, _) in r.graph.edge_iter() {
@@ -125,10 +114,11 @@ mod tests {
         // §7.2: "for a fixed p, [spectral sparsification] generates
         // significantly fewer components than [uniform sampling]".
         let g = generators::barabasi_albert(4000, 4, 6);
-        let r_spec = spectral_sparsify(&g, 0.45, UpsilonVariant::LogN, false, 7);
+        let r_spec =
+            Spectral { p: 0.45, variant: UpsilonVariant::LogN, reweight: false }.apply(&g, 7);
         // Match the uniform removal rate to the spectral one.
         let removed = r_spec.edge_reduction();
-        let r_uni = crate::schemes::uniform::uniform_sample(&g, removed, 8);
+        let r_uni = Uniform { p: removed }.apply(&g, 8);
         let cc_spec = connected_components(&r_spec.graph).num_components;
         let cc_uni = connected_components(&r_uni.graph).num_components;
         assert!(cc_spec < cc_uni, "spectral {cc_spec} components vs uniform {cc_uni}");
@@ -137,16 +127,17 @@ mod tests {
     #[test]
     fn avgdeg_variant_differs_from_logn() {
         let g = generators::rmat_graph500(12, 10, 9);
-        let a = spectral_sparsify(&g, 0.5, UpsilonVariant::LogN, false, 10);
-        let b = spectral_sparsify(&g, 0.5, UpsilonVariant::AvgDegree, false, 10);
+        let a = Spectral { p: 0.5, variant: UpsilonVariant::LogN, reweight: false }.apply(&g, 10);
+        let b =
+            Spectral { p: 0.5, variant: UpsilonVariant::AvgDegree, reweight: false }.apply(&g, 10);
         assert_ne!(a.graph.num_edges(), b.graph.num_edges());
     }
 
     #[test]
     fn deterministic() {
         let g = generators::erdos_renyi(300, 1200, 11);
-        let a = spectral_sparsify(&g, 0.3, UpsilonVariant::LogN, true, 12);
-        let b = spectral_sparsify(&g, 0.3, UpsilonVariant::LogN, true, 12);
+        let a = Spectral { p: 0.3, variant: UpsilonVariant::LogN, reweight: true }.apply(&g, 12);
+        let b = Spectral { p: 0.3, variant: UpsilonVariant::LogN, reweight: true }.apply(&g, 12);
         assert_eq!(a.graph.edge_slice(), b.graph.edge_slice());
     }
 }

@@ -36,12 +36,10 @@
 //!    reconstruction is **unweighted** — input weights are dropped — and
 //!    keeps all `n` input vertices, merged or isolated.
 
-use crate::engine::CompressionResult;
 use rayon::prelude::*;
 use sg_graph::prng::mix64;
 use sg_graph::{CsrGraph, EdgeList, VertexId};
 use std::ops::Range;
-use std::time::Instant;
 
 type Edge = (VertexId, VertexId);
 
@@ -468,18 +466,10 @@ fn drop_corrections(corrections: &mut Vec<Edge>, budget: usize, seed: u64) -> us
     drop
 }
 
-/// Runs summarization and reconstructs the approximate graph so downstream
-/// algorithms can run on it (what stage 2 measures).
-pub fn summarize_to_graph(g: &CsrGraph, cfg: SummarizationConfig) -> (Summary, CompressionResult) {
-    let start = Instant::now();
-    let summary = summarize(g, cfg);
-    let graph = summary.decompress();
-    (summary, CompressionResult::of(g, graph, None, start))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{CompressionScheme, Summarization};
     use sg_graph::generators;
     use sg_graph::CsrGraph;
 
@@ -553,9 +543,11 @@ mod tests {
     }
 
     #[test]
-    fn summarize_to_graph_reports_sizes() {
+    fn summary_scheme_reports_sizes() {
         let g = generators::barabasi_albert(300, 4, 11);
-        let (s, r) = summarize_to_graph(&g, cfg(0.1, 12));
+        let r = Summarization { epsilon: 0.1 }.apply(&g, 12);
+        let s = summarize(&g, SummarizationConfig { epsilon: 0.1, seed: 12, ..Default::default() });
+        assert_eq!(r.graph.edge_slice(), s.decompress().edge_slice());
         assert_eq!(r.original_edges, g.num_edges());
         // Reconstruction within the ±2ϵm band.
         let band = 2.0 * 0.1 * g.num_edges() as f64;

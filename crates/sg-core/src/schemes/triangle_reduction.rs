@@ -47,7 +47,7 @@
 //!   canonical stream leaves ties in `(u, v, w)` order — that very order.
 
 use crate::context::DetRand;
-use crate::engine::CompressionResult;
+use crate::engine::{CompressionResult, EdgeBits};
 use crate::kernel::Triangle;
 use sg_algos::tc;
 use sg_algos::union_find::UnionFind;
@@ -330,32 +330,14 @@ pub fn edge_triangle_counts(g: &CsrGraph) -> Vec<u64> {
     counts.into_iter().map(|a| a.into_inner()).collect()
 }
 
-/// One bit per canonical edge, written by a single thread.
-struct EdgeBits(Vec<u64>);
-
-impl EdgeBits {
-    fn new(m: usize) -> Self {
-        Self(vec![0; m.div_ceil(64)])
-    }
-
-    #[inline]
-    fn get(&self, e: EdgeId) -> bool {
-        self.0[e as usize / 64] >> (e % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn set(&mut self, e: EdgeId) {
-        self.0[e as usize / 64] |= 1 << (e % 64);
-    }
-}
-
-/// Runs Triangle Reduction with the given configuration (see the module
-/// docs for the two executors). Plain TR collects one deletion list per
-/// chunk of canonical edges in parallel; the Edge-Once family (EO,
-/// max-weight, CT) collects the ranked sampled triangles per chunk in
-/// parallel and commits them sequentially, chunk after chunk — only CT,
-/// which re-sorts the stream, pays for a concatenated copy.
-pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionResult {
+/// Runs Triangle Reduction with the given configuration on the pool — what
+/// `crate::run_plan` does with a triangle plan (see the module docs for the
+/// two executors). Plain TR collects one deletion list per chunk of
+/// canonical edges in parallel; the Edge-Once family (EO, max-weight, CT)
+/// collects the ranked sampled triangles per chunk in parallel and commits
+/// them sequentially, chunk after chunk — only CT, which re-sorts the
+/// stream, pays for a concatenated copy.
+pub(crate) fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionResult {
     cfg.validate().expect("valid TR configuration");
     let counts = (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
     let counts = counts.as_deref();
@@ -396,8 +378,9 @@ pub fn triangle_reduce(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CompressionRes
 
 /// Triangle p-Reduction by Collapse: each sampled triangle is contracted to
 /// a single vertex (§4.3). Changes the vertex set; parallel edges merge and
-/// self-loops vanish during re-canonicalization.
-pub fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> CompressionResult {
+/// self-loops vanish during re-canonicalization. The body of the
+/// `collapse` scheme's `apply`.
+pub(crate) fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> CompressionResult {
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
     let start = Instant::now();
     let (cfg, rand) = (TrConfig::plain_1(p), DetRand::new(seed));

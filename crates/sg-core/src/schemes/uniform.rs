@@ -6,9 +6,7 @@
 //! \[156\] this scheme rapidly approximates).
 
 use crate::context::SgContext;
-use crate::engine::{CompressionResult, Engine};
 use crate::kernel::{EdgeDecision, EdgeKernel, EdgeView};
-use sg_graph::CsrGraph;
 
 /// The `random_uniform` kernel of Listing 1.
 #[derive(Clone, Copy, Debug)]
@@ -36,20 +34,16 @@ impl EdgeKernel for UniformKernel {
     }
 }
 
-/// Convenience wrapper: uniform sampling with removal probability `p`.
-pub fn uniform_sample(g: &CsrGraph, p: f64, seed: u64) -> CompressionResult {
-    Engine::new(seed).run_edge_kernel(g, &UniformKernel::new(p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{CompressionScheme, Uniform};
     use sg_graph::generators;
 
     #[test]
     fn removes_expected_fraction() {
         let g = generators::erdos_renyi(2000, 20_000, 1);
-        let r = uniform_sample(&g, 0.3, 2);
+        let r = Uniform { p: 0.3 }.apply(&g, 2);
         let ratio = r.compression_ratio();
         assert!((ratio - 0.7).abs() < 0.02, "ratio {ratio}");
     }
@@ -57,14 +51,14 @@ mod tests {
     #[test]
     fn p_zero_keeps_everything() {
         let g = generators::erdos_renyi(200, 1000, 3);
-        let r = uniform_sample(&g, 0.0, 4);
+        let r = Uniform { p: 0.0 }.apply(&g, 4);
         assert_eq!(r.graph.num_edges(), g.num_edges());
     }
 
     #[test]
     fn p_one_removes_everything() {
         let g = generators::erdos_renyi(200, 1000, 5);
-        let r = uniform_sample(&g, 1.0, 6);
+        let r = Uniform { p: 1.0 }.apply(&g, 6);
         assert_eq!(r.graph.num_edges(), 0);
         assert_eq!(r.graph.num_vertices(), 200); // vertex set untouched
     }
@@ -77,7 +71,7 @@ mod tests {
         let p = 0.5;
         let mut ratios = Vec::new();
         for seed in 0..5 {
-            let r = uniform_sample(&g, p, 100 + seed);
+            let r = Uniform { p }.apply(&g, 100 + seed);
             let t1 = sg_algos::tc::count_triangles(&r.graph) as f64;
             ratios.push(t1 / t0);
         }
@@ -95,10 +89,10 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = generators::erdos_renyi(500, 2000, 9);
-        let a = uniform_sample(&g, 0.4, 42);
-        let b = uniform_sample(&g, 0.4, 42);
+        let a = Uniform { p: 0.4 }.apply(&g, 42);
+        let b = Uniform { p: 0.4 }.apply(&g, 42);
         assert_eq!(a.graph.edge_slice(), b.graph.edge_slice());
-        let c = uniform_sample(&g, 0.4, 43);
+        let c = Uniform { p: 0.4 }.apply(&g, 43);
         assert_ne!(a.graph.edge_slice(), c.graph.edge_slice());
     }
 }

@@ -1,39 +1,80 @@
-//! Property-based tests for sg-core's shared state: the atomic bitset, the
+//! Property-based tests for sg-core's runtime: the subgraph executor, the
 //! SG context, mappings, and the low-diameter decomposition.
 
 use proptest::prelude::*;
-use sg_core::atomic_bitset::AtomicBitset;
+use sg_core::engine::run_subgraph_kernel;
+use sg_core::kernel::{SubgraphKernel, SubgraphScratch, SubgraphView};
 use sg_core::ldd::low_diameter_decomposition;
 use sg_core::mapping::VertexMapping;
 use sg_core::SgContext;
-use sg_graph::generators;
+use sg_graph::prng::mix64;
+use sg_graph::{generators, EdgeId, VertexId};
+use std::collections::BTreeSet;
 
 /// The reference `sg-core`'s own unit tests use; test-only there, so it is
 /// included by path here.
 #[path = "../src/ldd/heap_race.rs"]
 mod heap_race;
 
+/// Whether the instance holding member `v` deletes its incident edge `e`.
+/// A draw on `e` alone is made by both endpoints — twice inside one
+/// cluster, once from each side across two — and a draw on `(e, v)` by one
+/// side only.
+fn drawn(seed: u64, e: EdgeId, v: VertexId) -> bool {
+    let h = mix64(seed ^ e as u64);
+    h.is_multiple_of(3) || mix64(h ^ v as u64).is_multiple_of(5)
+}
+
+/// A subgraph kernel that deletes random member-incident edges.
+struct RandomDeletions {
+    seed: u64,
+}
+
+impl SubgraphKernel for RandomDeletions {
+    fn process(
+        &self,
+        sgv: SubgraphView<'_>,
+        sg: &SgContext<'_>,
+        _: &mut SubgraphScratch,
+        deleted: &mut Vec<EdgeId>,
+    ) {
+        for &v in sgv.members {
+            let drawn_here =
+                sg.graph.neighbor_edge_ids(v).iter().filter(|&&e| drawn(self.seed, e, v));
+            deleted.extend(drawn_here);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The bitset is a faithful set: after a sequence of sets/clears, its
-    /// contents equal a model HashSet.
+    /// The subgraph executor deletes exactly the union of what its instances
+    /// list — whatever the chunking, the worker count, or how often an edge
+    /// is listed — as a sequential model that visits the clusters backwards
+    /// and deletes the union.
     #[test]
-    fn bitset_matches_model(ops in proptest::collection::vec((0usize..200, any::<bool>()), 0..100)) {
-        let bs = AtomicBitset::new(200);
-        let mut model = std::collections::HashSet::new();
-        for (i, set) in ops {
-            if set {
-                bs.set(i);
-                model.insert(i);
-            } else {
-                bs.clear(i);
-                model.remove(&i);
+    fn subgraph_executor_deletes_the_union_of_the_instances_lists(
+        labels in proptest::collection::vec(0u32..64, 20..300),
+        m_factor in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let n = labels.len();
+        let g = generators::erdos_renyi(n, m_factor * n, seed);
+        let mapping = VertexMapping::from_labels(&labels);
+        let mut union = BTreeSet::new();
+        for members in mapping.clusters.iter().rev() {
+            for &v in members {
+                let row = g.neighbor_edge_ids(v);
+                union.extend(row.iter().copied().filter(|&e| drawn(seed, e, v)));
             }
         }
-        prop_assert_eq!(bs.count_ones(), model.len());
-        for i in 0..200 {
-            prop_assert_eq!(bs.get(i), model.contains(&i));
+        let expected = g.filter_edges(|e| !union.contains(&e));
+        for threads in [1, 4] {
+            rayon::set_num_threads(threads);
+            let r = run_subgraph_kernel(&g, &mapping, &RandomDeletions { seed }, seed);
+            rayon::set_num_threads(0);
+            prop_assert_eq!(r.graph.edge_slice(), expected.edge_slice(), "threads={}", threads);
         }
     }
 

@@ -6,8 +6,9 @@
 //! a contiguous part of the graph (`sg_graph::partition`), and the root
 //! gathers the ranks' results in rank order.
 //!
-//! No kernel logic lives in this crate: a rank calls the per-element
-//! functions the shared-memory engine maps over its pool
+//! No kernel logic lives in this crate: a rank runs the scheme's
+//! `sg_core::Plan` — the one `scheme.apply` runs on the pool — by calling
+//! the same per-element functions the engine maps over its pool
 //! (`sg_core::decide_edge`, `decide_vertex`, `plain_tr_deletions`),
 //! sequentially over its own range — ranks are the parallelism here.
 //!
@@ -20,8 +21,8 @@
 //!   protocol.
 //!
 //! The result is **bit-identical** — edges, weights, vertex mapping — to
-//! `scheme.apply(g, seed)` at any rank count. Schemes that rewrite the
-//! graph globally (summarization, spanners, collapse) report
+//! `scheme.apply(g, seed)` at any rank count. Schemes with no plan, which
+//! rewrite the graph globally (summarization, spanners, collapse), report
 //! [`DistError::Unsupported`].
 //!
 //! A *federation* shard ([`shard_compress`]) is the same per-part closure
@@ -42,7 +43,7 @@ use sg_core::schemes::triangle_reduction::edge_triangle_counts;
 use sg_core::schemes::{plain_tr_deletions, Discipline, EdgeChoice};
 use sg_core::{
     decide_edge, decide_vertex, materialize_edges, CompressionResult, CompressionScheme, DetRand,
-    DistPlan, SgContext,
+    Plan, SgContext,
 };
 use sg_graph::partition::{partition_edges, partition_vertices, EdgeShard};
 use sg_graph::properties::DegreeDistribution;
@@ -184,9 +185,9 @@ pub fn distributed_compress(
         return Err(DistError::InvalidRanks { ranks });
     }
     let start = Instant::now();
-    let plan = scheme.dist_plan(g).ok_or_else(|| unsupported_global(scheme))?;
+    let plan = scheme.plan(g).ok_or_else(|| unsupported_global(scheme))?;
     let (graph, vertex_mapping, stats) = match &plan {
-        DistPlan::EdgeKernel(kernel) => {
+        Plan::Edge(kernel) => {
             let shards = partition_edges(g, ranks);
             let decisions =
                 run_ranks(ranks, |rank| edge_part(g, kernel.as_ref(), shards[rank], seed)).concat();
@@ -196,11 +197,11 @@ pub fn distributed_compress(
                 stateless_stats(&edge_starts, |e| decisions[e as usize] != EdgeDecision::Delete);
             (materialize_edges(g, &decisions), None, stats)
         }
-        DistPlan::Triangle(cfg) => {
+        Plan::Triangle(cfg) => {
             let (deleted, stats) = sharded::sharded_triangle_compress(g, *cfg, ranks, seed);
             (g.filter_edges(|e| !deleted[e as usize]), None, stats)
         }
-        DistPlan::Vertex(kernel) => {
+        Plan::Vertex(kernel) => {
             let parts = partition_vertices(g.num_vertices(), ranks);
             let removed =
                 run_ranks(ranks, |rank| vertex_part(g, kernel.as_ref(), parts[rank], seed))
@@ -251,25 +252,25 @@ pub fn federation_plan(
     g: &CsrGraph,
     scheme: &dyn CompressionScheme,
 ) -> Result<ShardKind, DistError> {
-    let plan = scheme.dist_plan(g).ok_or_else(|| unsupported_global(scheme))?;
+    let plan = scheme.plan(g).ok_or_else(|| unsupported_global(scheme))?;
     shard_kind(scheme, &plan)
 }
 
 /// What the shards of `plan` return, or why the plan cannot federate: a
 /// shard reply is a list of ids, so it can carry neither the Edge-Once flag
 /// exchange nor a survivor's new weight.
-fn shard_kind(scheme: &dyn CompressionScheme, plan: &DistPlan) -> Result<ShardKind, DistError> {
+fn shard_kind(scheme: &dyn CompressionScheme, plan: &Plan) -> Result<ShardKind, DistError> {
     let reason = match plan {
-        DistPlan::EdgeKernel(kernel) if kernel.reweights() => {
+        Plan::Edge(kernel) if kernel.reweights() => {
             "the kernel reweights surviving edges and shard replies carry deletion ids only; \
              run it through distributed_compress"
         }
-        DistPlan::Triangle(cfg) if cfg.discipline != Discipline::Plain => {
+        Plan::Triangle(cfg) if cfg.discipline != Discipline::Plain => {
             "Edge-Once disciplines need the cross-shard flag exchange; \
              run them through distributed_compress"
         }
-        DistPlan::EdgeKernel(_) | DistPlan::Triangle(_) => return Ok(ShardKind::Edges),
-        DistPlan::Vertex(_) => return Ok(ShardKind::Vertices),
+        Plan::Edge(_) | Plan::Triangle(_) => return Ok(ShardKind::Edges),
+        Plan::Vertex(_) => return Ok(ShardKind::Vertices),
     };
     Err(DistError::Unsupported { scheme: scheme.label(), reason: reason.to_string() })
 }
@@ -297,17 +298,17 @@ pub fn shard_compress(
     if shards == 0 || shard >= shards {
         return Err(DistError::InvalidShard { shard, shards });
     }
-    let plan = scheme.dist_plan(g).ok_or_else(|| unsupported_global(scheme))?;
+    let plan = scheme.plan(g).ok_or_else(|| unsupported_global(scheme))?;
     shard_kind(scheme, &plan)?;
     Ok(match &plan {
-        DistPlan::EdgeKernel(kernel) => {
+        Plan::Edge(kernel) => {
             let part = partition_edges(g, shards)[shard];
             let decisions = edge_part(g, kernel.as_ref(), part, seed);
             let deleted =
                 part.edge_ids().zip(decisions).filter(|&(_, d)| d == EdgeDecision::Delete);
             ShardOutcome::Edges(deleted.map(|(e, _)| e).collect())
         }
-        DistPlan::Triangle(cfg) => {
+        Plan::Triangle(cfg) => {
             let part = partition_edges(g, shards)[shard];
             let counts =
                 (cfg.choice == EdgeChoice::FewestTriangles).then(|| edge_triangle_counts(g));
@@ -317,7 +318,7 @@ pub fn shard_compress(
             deleted.dedup();
             ShardOutcome::Edges(deleted)
         }
-        DistPlan::Vertex(kernel) => {
+        Plan::Vertex(kernel) => {
             let (lo, hi) = partition_vertices(g.num_vertices(), shards)[shard];
             let removed = vertex_part(g, kernel.as_ref(), (lo, hi), seed);
             let ids = (lo..hi).zip(removed).filter(|&(_, gone)| gone);
@@ -355,7 +356,7 @@ pub fn apply_vertex_removals<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::schemes::uniform_sample;
+    use sg_core::scheme::Uniform;
     use sg_core::{SchemeParams, SchemeRegistry};
     use sg_graph::generators;
 
@@ -374,7 +375,7 @@ mod tests {
         // Determinism in (seed, edge id) means rank count cannot change the
         // result — the core guarantee of the simulation.
         let g = generators::rmat_graph500(12, 8, 1);
-        let shared = uniform_sample(&g, 0.4, 42);
+        let shared = Uniform { p: 0.4 }.apply(&g, 42);
         for ranks in [1, 2, 7, 16] {
             let dist = uniform_ranks(&g, "0.4", ranks, 42);
             assert_eq!(

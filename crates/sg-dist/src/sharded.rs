@@ -266,8 +266,8 @@ fn owned_triangle_counts(g: &CsrGraph, part: EdgeShard) -> Vec<u64> {
 /// Runs the Triangle Reduction family over `ranks` rank threads and returns
 /// the deletion flag of every canonical edge (the ranks' owned ranges
 /// concatenated in rank order) plus the per-rank statistics. Materialized
-/// by the caller, the result is bit-identical to `triangle_reduce(g, cfg,
-/// seed)` at any rank count.
+/// by the caller, the result is bit-identical to `sg_core::run_plan` of
+/// the same triangle plan at any rank count.
 pub(crate) fn sharded_triangle_compress(
     g: &CsrGraph,
     cfg: TrConfig,
@@ -425,6 +425,7 @@ mod tests {
     use super::*;
     use crate::distributed_compress;
     use sg_core::scheme::{LowDegree, TriangleReduction};
+    use sg_core::CompressionScheme;
     use sg_graph::generators;
 
     fn triangle_rich() -> CsrGraph {
@@ -450,7 +451,7 @@ mod tests {
     fn plain_tr_matches_shared_memory_at_every_rank_count() {
         let g = triangle_rich();
         let scheme = TriangleReduction { cfg: TrConfig::plain_1(0.6) };
-        let shared = sg_core::schemes::triangle_reduce(&g, scheme.cfg, 33);
+        let shared = scheme.apply(&g, 33);
         for ranks in [1, 2, 3, 8] {
             let dist = distributed_compress(&g, &scheme, ranks, 33).expect("plain shards");
             assert_eq!(
@@ -467,7 +468,7 @@ mod tests {
         for cfg in
             [TrConfig::edge_once_1(0.7), TrConfig::count_triangles(0.7), TrConfig::max_weight(0.7)]
         {
-            let shared = sg_core::schemes::triangle_reduce(&g, cfg, 91);
+            let shared = TriangleReduction { cfg }.apply(&g, 91);
             for ranks in [1, 2, 4, 7] {
                 let dist = distributed_compress(&g, &TriangleReduction { cfg }, ranks, 91)
                     .expect("EO shards");
@@ -488,7 +489,7 @@ mod tests {
     #[test]
     fn vertex_kernel_matches_engine_and_keeps_mapping() {
         let g = generators::barabasi_albert(900, 3, 7);
-        let shared = sg_core::schemes::remove_low_degree(&g, 5);
+        let shared = LowDegree.apply(&g, 5);
         for ranks in [1, 2, 6] {
             let dist = distributed_compress(&g, &LowDegree, ranks, 5).expect("vertex shards");
             assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice());

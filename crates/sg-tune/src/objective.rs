@@ -222,7 +222,7 @@ impl Objective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::schemes::uniform_sample;
+    use sg_core::scheme::Uniform;
     use sg_core::{CompressionScheme, PipelineSpec, SchemeRegistry};
     use sg_graph::generators;
 
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn identity_compression_scores_near_zero() {
         let g = generators::erdos_renyi(300, 1200, 1);
-        let r = uniform_sample(&g, 0.0, 2); // keeps everything
+        let r = Uniform { p: 0.0 }.apply(&g, 2); // keeps everything
         for m in MetricKind::ALL {
             let obj = Objective::new(&g, m);
             let s = obj.score(&r);
@@ -270,15 +270,15 @@ mod tests {
             MetricKind::ComponentsRel,
         ] {
             let obj = Objective::new(&g, m);
-            let mild = obj.score(&uniform_sample(&g, 0.1, 5));
-            let harsh = obj.score(&uniform_sample(&g, 0.8, 5));
+            let mild = obj.score(&Uniform { p: 0.1 }.apply(&g, 5));
+            let harsh = obj.score(&Uniform { p: 0.8 }.apply(&g, 5));
             assert!(
                 mild <= harsh,
                 "{m}: mild {mild} should not exceed harsh {harsh} on the same seed"
             );
         }
         let obj = Objective::new(&g, MetricKind::ReorderedTc);
-        let s = obj.score(&uniform_sample(&g, 0.4, 5));
+        let s = obj.score(&Uniform { p: 0.4 }.apply(&g, 5));
         assert!(s > 0.0 && s.is_finite(), "real compression reorders some pairs: {s}");
     }
 
@@ -303,7 +303,7 @@ mod tests {
         // Regression: pagerank-kl used to panic on n = 0 via kl_divergence's
         // non-empty assertion. An empty graph is trivially undistorted.
         let g = sg_graph::CsrGraph::from_pairs(0, &[]);
-        let r = uniform_sample(&g, 0.5, 1);
+        let r = Uniform { p: 0.5 }.apply(&g, 1);
         for m in MetricKind::ALL {
             let s = Objective::new(&g, m).score(&r);
             assert_eq!(s, 0.0, "{m}: empty graph must score 0, got {s}");
@@ -316,7 +316,7 @@ mod tests {
         let other = generators::erdos_renyi(50, 120, 10);
         // A result claiming identity mapping but with a different vertex
         // count cannot be aligned.
-        let bogus = sg_core::scheme::Uniform { p: 0.0 }.apply(&other, 0);
+        let bogus = Uniform { p: 0.0 }.apply(&other, 0);
         let obj = Objective::new(&g, MetricKind::PagerankKl);
         assert_eq!(obj.score(&bogus), f64::INFINITY);
     }

@@ -2,15 +2,15 @@
 //!
 //! This is the 60-second tour of the Slim Graph pipeline:
 //!   1. build (or load) a graph,
-//!   2. stage 1 — apply a compression kernel through the engine,
+//!   2. stage 1 — apply a compression scheme (its kernel runs on the engine),
 //!   3. stage 2 — run a graph algorithm on the compressed graph,
 //!   4. analytics — quantify the information loss with a Slim Graph metric.
 //!
 //! Run: `cargo run --release -p slimgraph --example quickstart`
 
 use sg_algos::pagerank::pagerank_default;
-use sg_core::schemes::uniform_sample;
-use sg_core::{SchemeParams, SchemeRegistry};
+use sg_core::scheme::Uniform;
+use sg_core::{CompressionScheme, SchemeParams, SchemeRegistry};
 use sg_graph::generators;
 use sg_metrics::kl_divergence;
 
@@ -21,7 +21,8 @@ fn main() {
     println!("input: n = {}, m = {}", graph.num_vertices(), graph.num_edges());
 
     // 2. Stage 1 — lossy compression. Here: remove 30% of edges uniformly.
-    let compressed = uniform_sample(&graph, 0.3, 7);
+    //    A scheme is a value; `apply` runs its kernel on the engine.
+    let compressed = Uniform { p: 0.3 }.apply(&graph, 7);
     println!(
         "uniform p=0.3: kept {} edges ({:.1}% of original) in {:.1} ms",
         compressed.graph.num_edges(),

@@ -9,7 +9,9 @@
 //! Run: `cargo run --release -p slimgraph --example road_network_routing`
 
 use sg_algos::sssp;
-use sg_core::schemes::{spanner, triangle_reduce, TrConfig};
+use sg_core::scheme::{Spanner, TriangleReduction};
+use sg_core::schemes::TrConfig;
+use sg_core::CompressionScheme;
 use sg_graph::generators::presets;
 
 fn main() {
@@ -19,7 +21,7 @@ fn main() {
     let base = sssp::dijkstra(&road, source);
 
     for k in [2.0, 8.0, 32.0] {
-        let r = spanner(&road, k, 11);
+        let r = Spanner { k }.apply(&road, 11);
         let after = sssp::dijkstra(&r.graph, source);
         // Average multiplicative stretch over reachable destinations.
         let mut stretch_sum = 0.0;
@@ -42,7 +44,7 @@ fn main() {
     }
 
     // TR on a (nearly triangle-free) road network: little to remove.
-    let tr = triangle_reduce(&road, TrConfig::max_weight(0.9), 12);
+    let tr = TriangleReduction { cfg: TrConfig::max_weight(0.9) }.apply(&road, 12);
     println!(
         "\nmaxw-0.9-1-TR on the road network: kept {:.2}% of edges — sparse graphs",
         tr.compression_ratio() * 100.0

@@ -1,18 +1,20 @@
 //! Sharded-vs-local bit-identity sweep — the determinism contract of the
 //! sharded subsystem (ISSUE 10 acceptance).
 //!
-//! Every supported scheme class (edge, triangle — plain and both stateful
-//! Edge-Once disciplines plus max-weight — and vertex) must produce a graph
-//! bit-identical to the shared-memory `scheme.apply(g, seed)` at ranks ∈
-//! {1, 2, 4}. CI runs the whole suite at SG_THREADS ∈ {1, 4}, closing the
-//! ranks × threads matrix.
+//! Every registered scheme with a plan (edge, triangle — plain and both
+//! stateful Edge-Once disciplines plus max-weight — and vertex) must produce
+//! a graph bit-identical to the shared-memory `scheme.apply(g, seed)` at
+//! ranks ∈ {1, 2, 4}. The scheme lists come from the registry, so a new
+//! scheme is swept as soon as it is registered. CI runs the whole suite at
+//! SG_THREADS ∈ {1, 4}, closing the ranks × threads matrix.
 
 use proptest::prelude::*;
 use sg_algos::tc;
 use sg_core::schemes::{for_sampled_triangles, TrConfig};
-use sg_core::{DetRand, SchemeParams, SchemeRegistry};
+use sg_core::{CompressionScheme, DetRand, SchemeParams, SchemeRegistry};
 use sg_dist::{
-    apply_edge_deletions, apply_vertex_removals, distributed_compress, shard_compress, ShardOutcome,
+    apply_edge_deletions, apply_vertex_removals, distributed_compress, federation_plan,
+    shard_compress, ShardOutcome,
 };
 use sg_graph::partition::partition_edges;
 use sg_graph::{generators, EdgeList};
@@ -31,19 +33,35 @@ fn weight_bits(g: &CsrGraph) -> Option<Vec<u32>> {
     g.weight_slice().map(|w| w.iter().map(|x| x.to_bits()).collect())
 }
 
-/// Every scheme with a sharded plan, with the params the sweep uses.
-fn sharded_schemes() -> Vec<(&'static str, SchemeParams)> {
-    let p = SchemeParams::from_pairs(&[("p", "0.6")]);
-    vec![
-        ("uniform", p.clone()),
-        ("spectral", SchemeParams::from_pairs(&[("p", "0.5"), ("reweight", "true")])),
-        ("cut", SchemeParams::from_pairs(&[("k", "3")])),
-        ("tr", p.clone()),
-        ("tr-eo", p.clone()),
-        ("tr-ct", p.clone()),
-        ("tr-mw", p.clone()),
-        ("lowdeg", SchemeParams::from_pairs(&[])),
-    ]
+/// Every registered name whose scheme, built from `params`, satisfies
+/// `keep` on the sweep's graph.
+fn registered_where(
+    params: &SchemeParams,
+    keep: impl Fn(&dyn CompressionScheme, &CsrGraph) -> bool,
+) -> Vec<(String, SchemeParams)> {
+    let g = triangle_rich();
+    let registry = SchemeRegistry::with_defaults();
+    let names = registry
+        .names()
+        .filter(|name| keep(registry.create(name, params).expect("registered").as_ref(), &g));
+    names.map(|name| (name.to_string(), params.clone())).collect()
+}
+
+/// Every scheme with a sharded plan, with the params the sweep uses (each
+/// scheme ignores the keys it does not read; `spectral` reweights, so the
+/// ranks must carry its new weights too).
+fn sharded_schemes() -> Vec<(String, SchemeParams)> {
+    let params = SchemeParams::from_pairs(&[("p", "0.6"), ("k", "3"), ("reweight", "true")]);
+    registered_where(&params, |scheme, g| scheme.plan(g).is_some())
+}
+
+#[test]
+fn exactly_the_global_rewrites_have_no_plan() {
+    let planless = registered_where(&SchemeParams::new(), |scheme, g| scheme.plan(g).is_none());
+    let names: Vec<&str> = planless.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["collapse", "spanner", "summary"]);
+    let registered = SchemeRegistry::with_defaults().names().count();
+    assert_eq!(sharded_schemes().len(), registered - names.len());
 }
 
 #[test]
@@ -51,7 +69,7 @@ fn sharded_runs_are_bit_identical_to_local_at_every_rank_count() {
     let g = triangle_rich();
     let registry = SchemeRegistry::with_defaults();
     for (name, params) in sharded_schemes() {
-        let scheme = registry.create(name, &params).expect("registered");
+        let scheme = registry.create(&name, &params).expect("registered");
         let shared = scheme.apply(&g, 45);
         for ranks in [1, 2, 4] {
             let dist = distributed_compress(&g, scheme.as_ref(), ranks, 45)
@@ -147,7 +165,7 @@ fn rank_stats_account_for_the_whole_graph() {
     let hubs_low = generators::barabasi_albert(2_000, 6, 5);
     let registry = SchemeRegistry::with_defaults();
     for (name, params) in sharded_schemes() {
-        let scheme = registry.create(name, &params).expect("registered");
+        let scheme = registry.create(&name, &params).expect("registered");
         if name.starts_with("tr") {
             for ranks in [2, 4] {
                 let dist =
@@ -177,14 +195,11 @@ fn federation_shards_union_to_the_local_result() {
     // union of per-shard outcomes applied to a replica equals scheme.apply.
     let g = triangle_rich();
     let registry = SchemeRegistry::with_defaults();
-    let federable = [
-        ("uniform", SchemeParams::from_pairs(&[("p", "0.6")])),
-        ("cut", SchemeParams::from_pairs(&[("k", "3")])),
-        ("tr", SchemeParams::from_pairs(&[("p", "0.6")])),
-        ("lowdeg", SchemeParams::from_pairs(&[])),
-    ];
+    let params = SchemeParams::from_pairs(&[("p", "0.6"), ("k", "3")]);
+    let federable = registered_where(&params, |scheme, g| federation_plan(g, scheme).is_ok());
+    assert!(federable.iter().any(|(name, _)| name == "spectral"), "{federable:?}");
     for (name, params) in federable {
-        let scheme = registry.create(name, &params).expect("registered");
+        let scheme = registry.create(&name, &params).expect("registered");
         let shared = scheme.apply(&g, 83);
         for shards in [1, 2, 4] {
             let mut edges: Vec<EdgeId> = Vec::new();

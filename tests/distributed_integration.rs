@@ -1,8 +1,8 @@
 //! Integration tests for the simulated distributed pipeline against the
 //! shared-memory engine and the analytics subsystem.
 
-use sg_core::schemes::uniform_sample;
-use sg_core::{SchemeParams, SchemeRegistry};
+use sg_core::scheme::Uniform;
+use sg_core::{CompressionScheme, SchemeParams, SchemeRegistry};
 use sg_dist::{distributed_compress, DistResult};
 use sg_graph::properties::DegreeDistribution;
 use sg_graph::{generators, CsrGraph};
@@ -18,7 +18,7 @@ fn uniform_ranks(g: &CsrGraph, p: &str, ranks: usize, seed: u64) -> DistResult {
 #[test]
 fn distributed_uniform_equals_shared_for_any_rank_count() {
     let g = generators::rmat_graph500(11, 8, 21);
-    let shared = uniform_sample(&g, 0.35, 1234);
+    let shared = Uniform { p: 0.35 }.apply(&g, 1234);
     for ranks in [1, 3, 8, 12] {
         let dist = uniform_ranks(&g, "0.35", ranks, 1234);
         assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice());

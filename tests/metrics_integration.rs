@@ -2,8 +2,8 @@
 //! outputs (not synthetic score vectors).
 
 use sg_algos::{bc, cc, pagerank, tc};
-use sg_core::scheme::{Spanner, Spectral};
-use sg_core::schemes::{uniform_sample, UpsilonVariant};
+use sg_core::scheme::{Spanner, Spectral, Uniform};
+use sg_core::schemes::UpsilonVariant;
 use sg_core::{CompressionScheme, SchemeParams, SchemeRegistry};
 use sg_graph::{generators, CsrGraph, EncodedCsr, GraphView};
 use sg_metrics::{
@@ -17,8 +17,8 @@ fn all_divergences_agree_on_direction() {
     // Every divergence must rank "mild compression" closer than "harsh".
     let g = generators::barabasi_albert(2000, 4, 1);
     let base = pagerank::pagerank_default(&g).scores;
-    let mild = pagerank::pagerank_default(&uniform_sample(&g, 0.1, 2).graph).scores;
-    let harsh = pagerank::pagerank_default(&uniform_sample(&g, 0.8, 3).graph).scores;
+    let mild = pagerank::pagerank_default(&Uniform { p: 0.1 }.apply(&g, 2).graph).scores;
+    let harsh = pagerank::pagerank_default(&Uniform { p: 0.8 }.apply(&g, 3).graph).scores;
     for (name, f) in [
         ("kl", kl_divergence as fn(&[f64], &[f64]) -> f64),
         ("js", jensen_shannon),
@@ -34,7 +34,7 @@ fn all_divergences_agree_on_direction() {
 #[test]
 fn reordered_pairs_zero_for_identity_compression() {
     let g = generators::erdos_renyi(400, 1600, 4);
-    let r = uniform_sample(&g, 0.0, 5); // keeps everything
+    let r = Uniform { p: 0.0 }.apply(&g, 5); // keeps everything
     let before: Vec<f64> = tc::triangles_per_vertex(&g).iter().map(|&x| x as f64).collect();
     let after: Vec<f64> = tc::triangles_per_vertex(&r.graph).iter().map(|&x| x as f64).collect();
     assert_eq!(reordered_pair_fraction(&before, &after), 0.0);
@@ -50,7 +50,7 @@ fn neighbor_metric_is_cheaper_proxy_for_full_metric() {
     // warns the metric should compare schemes at *equal* edge budgets.)
     let g = generators::planted_triangles(&generators::erdos_renyi(500, 1500, 6), 1000, 7);
     let base: Vec<f64> = tc::triangles_per_vertex(&g).iter().map(|&x| x as f64).collect();
-    let r = uniform_sample(&g, 0.3, 8);
+    let r = Uniform { p: 0.3 }.apply(&g, 8);
     let after: Vec<f64> = tc::triangles_per_vertex(&r.graph).iter().map(|&x| x as f64).collect();
     let full = reordered_pair_fraction(&base, &after);
     let nbr = reordered_neighbor_fraction(&g, &base, &after);
@@ -62,8 +62,8 @@ fn neighbor_metric_is_cheaper_proxy_for_full_metric() {
 fn bc_ordering_damage_grows_with_compression() {
     let g = generators::barabasi_albert(600, 4, 9);
     let base = bc::betweenness_sampled(&g, 64, 1);
-    let mild = uniform_sample(&g, 0.1, 10);
-    let harsh = uniform_sample(&g, 0.7, 11);
+    let mild = Uniform { p: 0.1 }.apply(&g, 10);
+    let harsh = Uniform { p: 0.7 }.apply(&g, 11);
     let f_mild = reordered_pair_fraction(&base, &bc::betweenness_sampled(&mild.graph, 64, 1));
     let f_harsh = reordered_pair_fraction(&base, &bc::betweenness_sampled(&harsh.graph, 64, 1));
     assert!(f_mild < f_harsh, "mild {f_mild} vs harsh {f_harsh}");
@@ -85,7 +85,7 @@ fn tuner_objectives_match_direct_metric_calls() {
     // calling the underlying sg-metrics function directly.
     use slimgraph::tune::{MetricKind, Objective};
     let g = generators::planted_triangles(&generators::barabasi_albert(700, 4, 20), 500, 21);
-    let r = uniform_sample(&g, 0.35, 22);
+    let r = Uniform { p: 0.35 }.apply(&g, 22);
 
     let kl = Objective::new(&g, MetricKind::PagerankKl).score(&r);
     let direct_kl = kl_divergence(
@@ -157,7 +157,7 @@ fn tuner_objective_projects_vertex_removing_results() {
 fn spectral_beats_uniform_on_critical_edges_too() {
     let g = generators::barabasi_albert(1500, 5, 14);
     let spec = Spectral { p: 0.4, variant: UpsilonVariant::LogN, reweight: false }.apply(&g, 15);
-    let unif = uniform_sample(&g, spec.edge_reduction(), 16);
+    let unif = Uniform { p: spec.edge_reduction() }.apply(&g, 16);
     let root = max_degree_vertex(&g);
     let p_spec = critical_edge_preservation(&g, &spec.graph, root);
     let p_unif = critical_edge_preservation(&g, &unif.graph, root);

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use sg_algos::{cc, mst, sssp, tc};
-use sg_core::schemes::{
-    spanner, summarize, triangle_reduce, uniform_sample, SummarizationConfig, TrConfig,
-};
+use sg_core::scheme::{Spanner, TriangleReduction, Uniform};
+use sg_core::schemes::{summarize, SummarizationConfig, TrConfig};
+use sg_core::CompressionScheme;
 use sg_graph::generators;
 
 proptest! {
@@ -23,7 +23,7 @@ proptest! {
         let base = generators::erdos_renyi(n, 2 * n, seed);
         let g = generators::planted_triangles(&base, extra, seed ^ 1);
         let before = cc::connected_components(&g).num_components;
-        let r = triangle_reduce(&g, TrConfig::edge_once_1(p), seed ^ 2);
+        let r = TriangleReduction { cfg: TrConfig::edge_once_1(p) }.apply(&g, seed ^ 2);
         let after = cc::connected_components(&r.graph).num_components;
         prop_assert_eq!(before, after);
     }
@@ -39,7 +39,7 @@ proptest! {
             &generators::erdos_renyi(n, 3 * n, seed), n, seed ^ 3);
         let g = generators::with_random_weights(&base, 1.0, 50.0, seed ^ 4);
         let w0 = mst::minimum_spanning_forest(&g).total_weight;
-        let r = triangle_reduce(&g, TrConfig::max_weight(p), seed ^ 5);
+        let r = TriangleReduction { cfg: TrConfig::max_weight(p) }.apply(&g, seed ^ 5);
         let w1 = mst::minimum_spanning_forest(&r.graph).total_weight;
         prop_assert!((w0 - w1).abs() < 1e-2, "MST {} -> {}", w0, w1);
     }
@@ -48,7 +48,7 @@ proptest! {
     #[test]
     fn eo_tr_stretch_bound(n in 50usize..200, seed in 0u64..500) {
         let g = generators::watts_strogatz(n, 4, 0.1, seed);
-        let r = triangle_reduce(&g, TrConfig::edge_once_1(1.0), seed ^ 6);
+        let r = TriangleReduction { cfg: TrConfig::edge_once_1(1.0) }.apply(&g, seed ^ 6);
         let before = sssp::dijkstra(&g, 0);
         let after = sssp::dijkstra(&r.graph, 0);
         for (b, a) in before.iter().zip(&after) {
@@ -69,7 +69,7 @@ proptest! {
     ) {
         let g = generators::rmat_graph500(scale, ef, seed);
         let before = cc::connected_components(&g).num_components;
-        let r = spanner(&g, k, seed ^ 7);
+        let r = Spanner { k }.apply(&g, seed ^ 7);
         let after = cc::connected_components(&r.graph).num_components;
         prop_assert_eq!(before, after);
     }
@@ -79,7 +79,7 @@ proptest! {
     #[test]
     fn uniform_edge_count_concentrates(p in 0.05f64..0.95, seed in 0u64..500) {
         let g = generators::erdos_renyi(800, 8000, seed);
-        let r = uniform_sample(&g, p, seed ^ 8);
+        let r = Uniform { p }.apply(&g, seed ^ 8);
         let expected = (1.0 - p) * g.num_edges() as f64;
         let got = r.graph.num_edges() as f64;
         prop_assert!((got - expected).abs() < 0.1 * g.num_edges() as f64,
@@ -110,9 +110,9 @@ proptest! {
         let g = generators::planted_triangles(
             &generators::erdos_renyi(300, 900, seed), 500, seed ^ 9);
         let t0 = tc::count_triangles(&g);
-        let half = uniform_sample(&g, 0.5, seed ^ 10);
+        let half = Uniform { p: 0.5 }.apply(&g, seed ^ 10);
         prop_assert!(tc::count_triangles(&half.graph) <= t0);
-        let all = uniform_sample(&g, 1.0, seed ^ 11);
+        let all = Uniform { p: 1.0 }.apply(&g, seed ^ 11);
         prop_assert_eq!(tc::count_triangles(&all.graph), 0);
     }
 }
