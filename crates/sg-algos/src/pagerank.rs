@@ -52,9 +52,14 @@
 //! | windows of 64                     | 37.6 | 105.2     | 310.6         |
 //! | windows of 256                    | 33.4 | 107.2     | 325.4         |
 //! | windows of 1024                   | 34.3 | 113.8     | 330.7         |
+//! | windows of 256, `.sgr` v3 rows    |      | 220.1     | 349.6         |
 //!
 //! At two threads windows of 64, 128 and 256 read within noise of each
-//! other on all three graphs; 256 keeps the 50 k gain largest.
+//! other on all three graphs; 256 keeps the 50 k gain largest. The last
+//! row was measured later, over the Stream VByte rows of `.sgr` v3, on the
+//! same host at a busier hour (two alternated rounds of 9): in the same
+//! rounds the LEB128 rows it replaced read 524.5 ms, so the encoded pull
+//! went from 2.3× to 1.6× its raw twin.
 
 use rayon::prelude::*;
 use sg_graph::{GraphView, VertexId};

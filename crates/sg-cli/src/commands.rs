@@ -117,10 +117,10 @@ STORAGE FORMATS (inferred from the file extension, overridable with
          (structural validation still runs)
          --encoding picks the adjacency sections written:
            raw    v1 container, raw CSR arrays (default)
-           delta  v2 container, delta+varint rows and bitmap rows for
+           delta  v3 container, Stream VByte gap rows and bitmap rows for
                   dense vertices (smaller on skewed graphs)
            auto   whichever of the two is smaller for this graph
-         v2 files load transparently everywhere .sgr is accepted.
+         v3 files load transparently everywhere .sgr is accepted.
 
 SCHEME SPEC:
   A comma-separated chain of registry names; stages run left to right over
@@ -946,8 +946,8 @@ mod tests {
 
     #[test]
     fn convert_encoding_delta_round_trips_byte_identical() {
-        // text -> sgr v2 (delta) -> text must reproduce the original file,
-        // and a skewed graph's v2 container must be smaller than v1.
+        // text -> sgr v3 (delta) -> text must reproduce the original file,
+        // and a skewed graph's v3 container must be smaller than v1.
         let gtxt = tmp("enc.txt");
         run(&sv(&["generate", "--kind", "ba", "--n", "3000", "--k", "6", "--output", &gtxt]))
             .expect("generate");
@@ -968,10 +968,10 @@ mod tests {
         assert!(db < rb, "delta container {db} must beat raw {rb} on a BA graph");
         assert_eq!(ab, db.min(rb), "auto writes the smaller container");
         let back = tmp("enc-back.txt");
-        run(&sv(&["convert", "--input", &delta, "--output", &back])).expect("sgr v2 -> text");
+        run(&sv(&["convert", "--input", &delta, "--output", &back])).expect("sgr v3 -> text");
         assert_eq!(std::fs::read(&gtxt).expect("orig"), std::fs::read(&back).expect("back"));
         // stats + analyze accept the flag and run over encoded adjacency;
-        // compress reads a v2 input and writes a v2 output.
+        // compress reads a v3 input and writes a v3 output.
         run(&sv(&["stats", "--input", &delta, "--encoding", "delta"])).expect("encoded stats");
         run(&sv(&["analyze", "--input", &delta, "--scheme", "lowdeg", "--encoding", "delta"]))
             .expect("encoded analyze");
@@ -989,8 +989,8 @@ mod tests {
             "--encoding",
             "delta",
         ]))
-        .expect("compress v2 -> v2");
-        assert!(load(&out).expect("v2 output loads").num_edges() > 0);
+        .expect("compress v3 -> v3");
+        assert!(load(&out).expect("v3 output loads").num_edges() > 0);
         assert!(
             run(&sv(&["stats", "--input", &gtxt, "--encoding", "nope"])).is_err(),
             "bad encoding name is rejected"

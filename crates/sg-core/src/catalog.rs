@@ -108,7 +108,7 @@ pub fn graph_approx_bytes(g: &CsrGraph) -> usize {
 
 /// Saves a graph to `path` honoring an optional explicit format name and
 /// `.sgr` adjacency [`sg_store::Encoding`] (raw v1 sections,
-/// delta+varint/bitmap v2 sections, or auto = whichever container is
+/// Stream VByte/bitmap v3 sections, or auto = whichever container is
 /// smaller). The encoding only affects the `.sgr` format; text and binary
 /// outputs ignore it.
 pub fn save_graph_with(

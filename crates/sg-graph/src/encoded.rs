@@ -1,29 +1,41 @@
-//! Compressed adjacency storage: delta+varint rows and bitmap rows.
+//! Compressed adjacency storage: Stream VByte delta rows and bitmap rows.
 //!
-//! WebGraph-style encoding (Boldi & Vigna; the paper's storage discussion in
-//! §6): each sorted adjacency row is stored either as LEB128 varints of
-//! first-target + gaps (sparse rows) or as an `n`-bit bitmap (dense rows,
-//! selected when `64·degree > n`, i.e. when the bitmap is smaller than raw
-//! u32 targets). [`EncodedCsr`] is the encoded counterpart of
-//! [`CsrGraph`]: same vertex ids, same canonical edge ids (forward
-//! enumeration order), owned or mmap-backed sections, iterated through
-//! [`NeighborCursor`] so kernels never materialize raw CSR.
+//! WebGraph-style gap coding (Boldi & Vigna; the paper's storage discussion
+//! in §6) in a layout that decodes without a per-byte branch: each sorted
+//! adjacency row is stored either as a Stream VByte array of gaps (sparse
+//! rows; Lemire, Kurz, Rupp, IPL 2018 — `ceil(d/4)` control bytes holding
+//! four 2-bit length codes each, then the gaps in their minimal
+//! little-endian lengths) or as an `n`-bit bitmap (dense rows, selected
+//! when `64·degree > n`, i.e. when the bitmap is smaller than raw u32
+//! targets). [`EncodedCsr`] is the encoded
+//! counterpart of [`CsrGraph`]: same vertex ids, same canonical edge ids
+//! (forward enumeration order), owned or mmap-backed sections, iterated
+//! through [`NeighborCursor`] so kernels never materialize raw CSR.
 //!
-//! Determinism: row class and row content depend only on `(row, n)`; decode
-//! order is a pure function of the row index, so every kernel result is
-//! bit-identical to the raw-CSR run at any `SG_THREADS`.
+//! No row index is stored: a row's byte length follows from its degree (and,
+//! for a delta row, its control bytes), so [`EncodedAdjacency::from_parts`]
+//! derives the `n + 1` row offsets in one pass over the control bytes, as
+//! part of the validation every load runs.
+//!
+//! Determinism: row class and row content depend only on `(row, n)` — one
+//! graph has exactly one encoding; decode order is a pure function of the
+//! row index, so every kernel result is bit-identical to the raw-CSR run at
+//! any `SG_THREADS`.
 
 use crate::edge_list::EdgeList;
 use crate::storage::Section;
 use crate::types::{EdgeId, VertexId, Weight};
-use crate::view::{write_varint, BitmapCursor, DeltaCursor, GraphView, NeighborCursor};
+use crate::view::{
+    delta_row_bytes, delta_row_is_valid, delta_row_span, write_delta_row, BitmapCursor,
+    DeltaCursor, GraphView, NeighborCursor,
+};
 use crate::CsrGraph;
 use rayon::prelude::*;
 
 /// How one adjacency row is stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RowClass {
-    /// Gap-encoded LEB128 varints (first target absolute, then gaps).
+    /// Stream VByte gaps (the first from 0, then to the previous target).
     Delta,
     /// `ceil(n/64)` little-endian u64 words, bit `t` set iff `t` is a
     /// neighbor.
@@ -62,124 +74,118 @@ fn pair_hash(a: VertexId, b: VertexId) -> u64 {
     splitmix64((u64::from(a) << 32) | u64::from(b))
 }
 
-/// One encoded adjacency structure (out- or in-rows): per-row byte offsets
-/// into a shared blob, per-row degrees, and the blob itself. All three are
-/// [`Section`]s, so they can borrow from an `.sgr` mapping.
+/// One encoded adjacency structure (out- or in-rows): per-row degrees and
+/// the blob of encoded rows — both [`Section`]s, so they can borrow from an
+/// `.sgr` mapping — plus the per-row byte offsets into the blob, which are
+/// derived, never stored.
 #[derive(Clone, Debug)]
 pub struct EncodedAdjacency {
     num_vertices: usize,
     /// Byte offset of each row in `blob` (`n + 1` entries).
-    row_starts: Section<usize>,
+    row_starts: Vec<usize>,
     /// Degree of each row (`n` entries).
     degrees: Section<u32>,
     /// Concatenated encoded rows.
     blob: Section<u8>,
 }
 
+/// Runs of whole rows the encoder writes in parallel: a few per worker, so
+/// a run of hub rows does not hold the others up.
+const ENCODE_RUNS: usize = 16;
+
+/// Bytes row `row` takes in the blob.
+#[inline]
+fn encoded_row_bytes(row: &[VertexId], num_vertices: usize) -> usize {
+    match row_class(row.len(), num_vertices) {
+        RowClass::Delta => delta_row_bytes(row),
+        RowClass::Bitmap => bitmap_row_bytes(num_vertices),
+    }
+}
+
 impl EncodedAdjacency {
-    /// Encodes sorted rows. Each yielded slice must be strictly increasing
-    /// with targets `< num_vertices` (the `CsrGraph` row invariant).
-    pub fn from_rows<'r>(num_vertices: usize, rows: impl Iterator<Item = &'r [VertexId]>) -> Self {
-        let mut row_starts = Vec::with_capacity(num_vertices + 1);
-        let mut degrees = Vec::with_capacity(num_vertices);
-        let mut blob = Vec::new();
-        row_starts.push(0usize);
-        for row in rows {
-            debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "rows must be sorted");
-            degrees.push(row.len() as u32);
-            match row_class(row.len(), num_vertices) {
-                RowClass::Delta => {
-                    let mut prev = 0;
-                    for (i, &t) in row.iter().enumerate() {
-                        write_varint(&mut blob, if i == 0 { t } else { t - prev });
-                        prev = t;
-                    }
-                }
-                RowClass::Bitmap => {
-                    let base = blob.len();
-                    blob.resize(base + bitmap_row_bytes(num_vertices), 0);
-                    for &t in row {
-                        blob[base + t as usize / 8] |= 1 << (t % 8);
+    /// Encodes the rows of a CSR adjacency: row `v` is
+    /// `targets[offsets[v]..offsets[v + 1]]`, strictly increasing with
+    /// targets `< num_vertices` (the `CsrGraph` row invariant). A parallel
+    /// sizing pass lays the rows out; the blob is then written in one
+    /// exact-size allocation, runs of whole rows in parallel. A row's bytes
+    /// depend on the row alone, so the split cannot move a bit.
+    pub fn from_csr(num_vertices: usize, offsets: &[usize], targets: &[VertexId]) -> Self {
+        let n = num_vertices;
+        assert_eq!(offsets.len(), n + 1, "one row per vertex required");
+        let row = |v: usize| &targets[offsets[v]..offsets[v + 1]];
+        let lens: Vec<usize> =
+            (0..n).into_par_iter().map(|v| encoded_row_bytes(row(v), n)).collect();
+        let mut row_starts = Vec::with_capacity(n + 1);
+        let mut end = 0;
+        row_starts.push(end);
+        for len in lens {
+            end += len;
+            row_starts.push(end);
+        }
+        let mut blob = vec![0u8; end];
+        let mut runs = Vec::with_capacity(ENCODE_RUNS);
+        let mut rest = blob.as_mut_slice();
+        for k in 0..ENCODE_RUNS {
+            let rows = k * n / ENCODE_RUNS..(k + 1) * n / ENCODE_RUNS;
+            let (run, tail) = rest.split_at_mut(row_starts[rows.end] - row_starts[rows.start]);
+            runs.push((rows, run));
+            rest = tail;
+        }
+        runs.par_iter_mut().for_each(|(rows, run)| {
+            let mut at = 0;
+            for v in rows.clone() {
+                let (row, len) = (row(v), row_starts[v + 1] - row_starts[v]);
+                let out = &mut run[at..at + len];
+                at += len;
+                match row_class(row.len(), n) {
+                    RowClass::Delta => write_delta_row(row, out),
+                    RowClass::Bitmap => {
+                        for &t in row {
+                            out[t as usize / 8] |= 1 << (t % 8);
+                        }
                     }
                 }
             }
-            row_starts.push(blob.len());
-        }
-        assert_eq!(row_starts.len(), num_vertices + 1, "one row per vertex required");
-        Self {
-            num_vertices,
-            row_starts: row_starts.into(),
-            degrees: degrees.into(),
-            blob: blob.into(),
-        }
+        });
+        let degrees: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        Self { num_vertices, row_starts, degrees: degrees.into(), blob: blob.into() }
     }
 
-    /// Assembles an encoded adjacency from raw (owned or mapped) sections,
-    /// validating every row: byte ranges in bounds and monotone, delta rows
-    /// strictly increasing below `n` with no truncated or over-long varint,
-    /// bitmap rows exactly `ceil(n/64)` words with popcount matching the
-    /// degree and no bit at or above `n`. A hostile `.sgr` file is rejected
-    /// here instead of misbehaving in a kernel later.
+    /// Assembles an encoded adjacency from raw (owned or mapped) sections.
+    /// Derives the row offsets from the degrees and the control bytes
+    /// (every row must end inside the blob, and the last exactly at its
+    /// end), then validates every row: delta rows strictly increasing below
+    /// `n` with minimal lengths and no stray length code, bitmap rows by
+    /// popcount against the degree and no bit at or above `n`. A hostile
+    /// `.sgr` file is rejected here instead of misbehaving in a kernel later.
     pub fn from_parts(
         num_vertices: usize,
-        row_starts: Section<usize>,
         degrees: Section<u32>,
         blob: Section<u8>,
     ) -> Result<Self, String> {
         let n = num_vertices;
-        if row_starts.len() != n + 1 {
-            return Err(format!("row index length {} != n + 1 = {}", row_starts.len(), n + 1));
-        }
         if degrees.len() != n {
             return Err(format!("degrees length {} != n = {n}", degrees.len()));
         }
-        if row_starts[0] != 0 {
-            return Err("row index does not start at 0".into());
-        }
-        if !row_starts.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("row index not monotone".into());
-        }
-        if row_starts[n] != blob.len() {
-            return Err(format!("row index end {} != blob length {}", row_starts[n], blob.len()));
-        }
+        let row_starts = derive_row_starts(n, &degrees, &blob)?;
         let adj = Self { num_vertices, row_starts, degrees, blob };
         let rows_ok = (0..n).into_par_iter().all(|v| adj.validate_row(v));
         if !rows_ok {
-            return Err("encoded adjacency row invalid (truncated varint, gap overflow, \
-                        or malformed bitmap)"
+            return Err("encoded adjacency row invalid (truncated group, non-minimal length, \
+                        stray length code, gap overflow, or malformed bitmap)"
                 .into());
         }
         Ok(adj)
     }
 
     fn validate_row(&self, v: usize) -> bool {
-        let degree = self.degrees[v] as usize;
-        if degree > self.num_vertices {
-            return false;
-        }
-        let bytes = self.row_bytes(v as VertexId);
-        match row_class(degree, self.num_vertices) {
+        let degree = self.degrees[v];
+        match row_class(degree as usize, self.num_vertices) {
             RowClass::Delta => {
-                let mut pos = 0;
-                let mut prev: u64 = 0;
-                for i in 0..degree {
-                    let Some(gap) = crate::view::read_varint(bytes, &mut pos) else {
-                        return false;
-                    };
-                    if i > 0 && gap == 0 {
-                        return false; // duplicate target
-                    }
-                    prev = if i == 0 { u64::from(gap) } else { prev + u64::from(gap) };
-                    if prev >= self.num_vertices as u64 {
-                        return false; // gap overflow past n
-                    }
-                }
-                pos == bytes.len() // no trailing garbage
+                delta_row_is_valid(&self.blob[self.row_starts[v]..], degree, self.num_vertices)
             }
             RowClass::Bitmap => {
-                if bytes.len() != bitmap_row_bytes(self.num_vertices) {
-                    return false; // over- or undersized bitmap
-                }
+                let bytes = self.row_bytes(v as VertexId);
                 let mut popcount = 0usize;
                 for (w, chunk) in bytes.chunks_exact(8).enumerate() {
                     let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
@@ -193,7 +199,7 @@ impl EncodedAdjacency {
                     }
                     popcount += word.count_ones() as usize;
                 }
-                popcount == degree
+                popcount == degree as usize
             }
         }
     }
@@ -216,21 +222,18 @@ impl EncodedAdjacency {
         &self.blob[self.row_starts[v as usize]..self.row_starts[v as usize + 1]]
     }
 
-    /// Cursor over row `v`.
+    /// Cursor over row `v`. A delta cursor's slice runs on to the end of
+    /// the blob, so its group loads stay in bounds past the row's end.
     #[inline]
     pub fn cursor(&self, v: VertexId) -> NeighborCursor<'_> {
         let degree = self.degrees[v as usize];
-        let bytes = self.row_bytes(v);
         match row_class(degree as usize, self.num_vertices) {
-            RowClass::Delta => NeighborCursor::Delta(DeltaCursor::new(bytes, degree)),
-            RowClass::Bitmap => NeighborCursor::Bitmap(BitmapCursor::new(bytes)),
+            RowClass::Delta => NeighborCursor::Delta(DeltaCursor::new(
+                &self.blob[self.row_starts[v as usize]..],
+                degree,
+            )),
+            RowClass::Bitmap => NeighborCursor::Bitmap(BitmapCursor::new(self.row_bytes(v))),
         }
-    }
-
-    /// Raw row-index section (serializer view).
-    #[inline]
-    pub fn row_starts(&self) -> &[usize] {
-        &self.row_starts
     }
 
     /// Raw degrees section (serializer view).
@@ -245,21 +248,60 @@ impl EncodedAdjacency {
         &self.blob
     }
 
-    /// Bytes held by the three sections (8-byte row index entries).
+    /// Bytes the stored sections take on disk: degrees and blob (the
+    /// derived row offsets are not stored).
     pub fn encoded_bytes(&self) -> usize {
-        self.row_starts.len() * 8 + self.degrees.len() * 4 + self.blob.len()
+        self.degrees.len() * 4 + self.blob.len()
     }
 
+    /// Whether both stored sections borrow from a mapping.
     fn is_mapped(&self) -> bool {
-        self.row_starts.is_mapped() && self.degrees.is_mapped() && self.blob.is_mapped()
+        self.degrees.is_mapped() && self.blob.is_mapped()
     }
+}
+
+/// Derives the byte offset of every row (`n + 1` entries) from the degrees
+/// and, for delta rows, the control bytes: one sequential pass that reads
+/// `ceil(d/4)` bytes of a delta row and none of a bitmap row. Fails when a
+/// degree exceeds `n`, a row would end past the blob, or bytes are left
+/// after the last row.
+fn derive_row_starts(n: usize, degrees: &[u32], blob: &[u8]) -> Result<Vec<usize>, String> {
+    let invalid = |v: usize, what: &str| format!("encoded adjacency row invalid: row {v} {what}");
+    let mut row_starts = Vec::with_capacity(n + 1);
+    let mut at = 0usize;
+    for (v, &degree) in degrees.iter().enumerate() {
+        row_starts.push(at);
+        let degree = degree as usize;
+        if degree > n {
+            return Err(invalid(v, "has more neighbors than there are vertices"));
+        }
+        let len = match row_class(degree, n) {
+            RowClass::Delta => {
+                let ctrl = blob
+                    .get(at..at + degree.div_ceil(4))
+                    .ok_or_else(|| invalid(v, "ends past the blob"))?;
+                delta_row_span(ctrl, degree)
+            }
+            RowClass::Bitmap => bitmap_row_bytes(n),
+        };
+        at = at
+            .checked_add(len)
+            .filter(|&end| end <= blob.len())
+            .ok_or_else(|| invalid(v, "ends past the blob"))?;
+    }
+    if at != blob.len() {
+        return Err(format!(
+            "encoded adjacency row invalid: {} bytes after the last row",
+            blob.len() - at
+        ));
+    }
+    row_starts.push(at);
+    Ok(row_starts)
 }
 
 /// Per-direction encoded sections handed to [`EncodedCsr::from_parts`] by
 /// loaders.
 pub struct EncodedAdjacencyParts {
-    /// Byte offset of each row (`n + 1` entries).
-    pub row_starts: Section<usize>,
     /// Degree of each row (`n` entries).
     pub degrees: Section<u32>,
     /// Concatenated encoded rows.
@@ -267,7 +309,7 @@ pub struct EncodedAdjacencyParts {
 }
 
 /// The encoded counterpart of [`CsrGraph`]: adjacency stored as
-/// delta+varint / bitmap rows, canonical edge ids defined by forward
+/// Stream VByte delta rows / bitmap rows, canonical edge ids defined by forward
 /// enumeration order (identical to the raw graph's ids), optional weights
 /// indexed by canonical id. Kernels iterate it through [`GraphView`].
 #[derive(Clone, Debug)]
@@ -287,10 +329,11 @@ impl EncodedCsr {
     /// order).
     pub fn from_graph(g: &CsrGraph) -> Self {
         let n = g.num_vertices();
-        let out_adj = EncodedAdjacency::from_rows(n, (0..n as VertexId).map(|v| g.neighbors(v)));
+        let out_adj = EncodedAdjacency::from_csr(n, g.csr_offsets(), g.csr_targets());
         let in_adj = g
-            .is_directed()
-            .then(|| EncodedAdjacency::from_rows(n, (0..n as VertexId).map(|v| g.in_neighbors(v))));
+            .in_csr_offsets()
+            .zip(g.in_csr_targets())
+            .map(|(offsets, targets)| EncodedAdjacency::from_csr(n, offsets, targets));
         Self {
             directed: g.is_directed(),
             num_edges: g.num_edges(),
@@ -318,8 +361,7 @@ impl EncodedCsr {
         if num_edges > EdgeId::MAX as usize {
             return Err("edge count exceeds EdgeId capacity".into());
         }
-        let out_adj =
-            EncodedAdjacency::from_parts(num_vertices, out.row_starts, out.degrees, out.blob)?;
+        let out_adj = EncodedAdjacency::from_parts(num_vertices, out.degrees, out.blob)?;
         let slot_total: u64 = out_adj.degrees().par_iter().map(|&d| u64::from(d)).sum();
         let expected_slots = if directed { num_edges as u64 } else { 2 * num_edges as u64 };
         if slot_total != expected_slots {
@@ -332,9 +374,7 @@ impl EncodedCsr {
         }
         let in_adj = match (directed, in_) {
             (false, None) => None,
-            (true, Some(p)) => {
-                Some(EncodedAdjacency::from_parts(num_vertices, p.row_starts, p.degrees, p.blob)?)
-            }
+            (true, Some(p)) => Some(EncodedAdjacency::from_parts(num_vertices, p.degrees, p.blob)?),
             (false, Some(_)) => return Err("undirected graph carries in-adjacency".into()),
             (true, None) => return Err("directed graph missing in-adjacency".into()),
         };
@@ -529,9 +569,9 @@ impl EncodedCsr {
         }
     }
 
-    /// Bytes of the adjacency sections alone (row index + degrees + blob,
-    /// both directions) — the quantity `slimgraph stats` prints next to
-    /// the raw offsets + targets + slot ids it replaces.
+    /// Bytes of the stored adjacency sections alone (degrees + blob, both
+    /// directions) — the quantity `slimgraph stats` prints next to the raw
+    /// offsets + targets + slot ids it replaces.
     pub fn adjacency_bytes(&self) -> usize {
         self.out_adj.encoded_bytes() + self.in_adj.as_ref().map_or(0, |a| a.encoded_bytes())
     }
@@ -542,8 +582,9 @@ impl EncodedCsr {
             + self.weights.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<Weight>())
     }
 
-    /// True when every section borrows from an external mapping (the
-    /// zero-copy invariant of `sg-store`'s encoded mmap loader).
+    /// True when every stored section borrows from an external mapping (the
+    /// zero-copy invariant of `sg-store`'s encoded mmap loader). The derived
+    /// row offsets are owned and do not count.
     pub fn is_fully_mapped(&self) -> bool {
         self.out_adj.is_mapped()
             && self.in_adj.as_ref().is_none_or(EncodedAdjacency::is_mapped)
@@ -597,6 +638,7 @@ impl GraphView for EncodedCsr {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::view::{delta_row_bytes, write_delta_row};
 
     fn assert_rows_match(g: &CsrGraph, enc: &EncodedCsr) {
         for v in 0..g.num_vertices() as VertexId {
@@ -647,49 +689,61 @@ mod tests {
         assert_eq!(back.weight_slice(), g.weight_slice());
     }
 
+    /// The out-adjacency sections of `enc`, as a loader would hand them over.
+    fn out_parts(enc: &EncodedCsr) -> EncodedAdjacencyParts {
+        EncodedAdjacencyParts {
+            degrees: enc.out_adjacency().degrees().to_vec().into(),
+            blob: enc.out_adjacency().blob().to_vec().into(),
+        }
+    }
+
+    /// Delta rows of an `n`-vertex graph, encoded as the writer does.
+    fn delta_rows(n: usize, rows: &[&[VertexId]]) -> EncodedAdjacencyParts {
+        let mut degrees = vec![0u32; n];
+        let mut blob = Vec::new();
+        for (v, row) in rows.iter().enumerate() {
+            assert_eq!(row_class(row.len(), n), RowClass::Delta);
+            degrees[v] = row.len() as u32;
+            let at = blob.len();
+            blob.resize(at + delta_row_bytes(row), 0);
+            write_delta_row(row, &mut blob[at..]);
+        }
+        EncodedAdjacencyParts { degrees: degrees.into(), blob: blob.into() }
+    }
+
     #[test]
     fn from_parts_accepts_own_encoding() {
         let g = generators::barabasi_albert(400, 6, 5);
         let enc = EncodedCsr::from_graph(&g);
-        let parts = EncodedAdjacencyParts {
-            row_starts: enc.out_adjacency().row_starts().to_vec().into(),
-            degrees: enc.out_adjacency().degrees().to_vec().into(),
-            blob: enc.out_adjacency().blob().to_vec().into(),
-        };
-        let rebuilt =
-            EncodedCsr::from_parts(false, g.num_vertices(), g.num_edges(), parts, None, None)
-                .expect("valid encoding round-trips");
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let rebuilt = EncodedCsr::from_parts(false, n, m, out_parts(&enc), None, None)
+            .expect("valid encoding round-trips");
         assert_rows_match(&g, &rebuilt);
+        // The derived row offsets are the ones the encoder laid out.
+        for v in 0..n as VertexId {
+            assert_eq!(rebuilt.out_adjacency().row_bytes(v), enc.out_adjacency().row_bytes(v));
+        }
     }
 
     #[test]
     fn from_parts_rejects_truncated_varint() {
-        let g = generators::erdos_renyi(64, 200, 1);
+        // Every row of a 2 000-vertex BA graph is a delta row; dropping the
+        // blob's last byte cuts the last row's last value short.
+        let g = generators::barabasi_albert(2000, 6, 1);
         let enc = EncodedCsr::from_graph(&g);
-        let mut blob = enc.out_adjacency().blob().to_vec();
-        let last = blob.len() - 1;
-        blob[last] |= 0x80; // final byte now demands a continuation
-        let parts = EncodedAdjacencyParts {
-            row_starts: enc.out_adjacency().row_starts().to_vec().into(),
-            degrees: enc.out_adjacency().degrees().to_vec().into(),
-            blob: blob.into(),
-        };
-        let err = EncodedCsr::from_parts(false, 64, g.num_edges(), parts, None, None)
-            .expect_err("truncated varint rejected");
+        let mut parts = out_parts(&enc);
+        let blob = enc.out_adjacency().blob();
+        parts.blob = blob[..blob.len() - 1].to_vec().into();
+        let err = EncodedCsr::from_parts(false, 2000, g.num_edges(), parts, None, None)
+            .expect_err("truncated value rejected");
         assert!(err.contains("row invalid"), "{err}");
     }
 
     #[test]
     fn from_parts_rejects_gap_overflow() {
-        // Row 0 of a 2-vertex graph claiming target gap 200 (>= n).
-        let mut blob = Vec::new();
-        write_varint(&mut blob, 200);
-        let parts = EncodedAdjacencyParts {
-            row_starts: vec![0usize, blob.len(), blob.len()].into(),
-            degrees: vec![1u32, 0].into(),
-            blob: blob.into(),
-        };
-        let err = EncodedCsr::from_parts(false, 2, 1, parts, None, None)
+        // Row 0 of a 100-vertex graph claiming target 200 (>= n).
+        let parts = delta_rows(100, &[&[200]]);
+        let err = EncodedCsr::from_parts(false, 100, 1, parts, None, None)
             .expect_err("gap overflow rejected");
         assert!(err.contains("row invalid"), "{err}");
     }
@@ -698,24 +752,23 @@ mod tests {
     fn from_parts_rejects_malformed_bitmap() {
         let g = generators::star(200);
         let enc = EncodedCsr::from_graph(&g);
-        // Oversize the hub's bitmap row by 8 bytes.
-        let hub_end = enc.out_adjacency().row_starts()[1];
+        // Oversize the hub's bitmap row by 8 bytes: the rows after it shift
+        // and the blob ends 8 bytes after the last derived row end.
+        let hub_end = enc.out_adjacency().row_bytes(0).len();
         let mut blob = enc.out_adjacency().blob().to_vec();
         blob.splice(hub_end..hub_end, std::iter::repeat_n(0u8, 8));
-        let row_starts: Vec<usize> = enc
-            .out_adjacency()
-            .row_starts()
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| if i >= 1 { s + 8 } else { s })
-            .collect();
-        let parts = EncodedAdjacencyParts {
-            row_starts: row_starts.into(),
-            degrees: enc.out_adjacency().degrees().to_vec().into(),
-            blob: blob.into(),
-        };
+        let mut parts = out_parts(&enc);
+        parts.blob = blob.into();
         let err = EncodedCsr::from_parts(false, 200, g.num_edges(), parts, None, None)
             .expect_err("oversized bitmap rejected");
+        assert!(err.contains("row invalid"), "{err}");
+        // A bit past n (bit 200 of the hub's 256-bit row).
+        let mut blob = enc.out_adjacency().blob().to_vec();
+        blob[200 / 8] |= 1;
+        let mut parts = out_parts(&enc);
+        parts.blob = blob.into();
+        let err = EncodedCsr::from_parts(false, 200, g.num_edges(), parts, None, None)
+            .expect_err("bitmap bit past n rejected");
         assert!(err.contains("row invalid"), "{err}");
     }
 
@@ -724,21 +777,8 @@ mod tests {
         // Vertex 0 claims neighbor 1, but vertex 1 is empty; vertex 2
         // claims neighbor 1 instead. Slot counts balance (one forward, one
         // backward), so only the pair-hash check can catch it.
-        let n = 200;
-        let mut blob = Vec::new();
-        write_varint(&mut blob, 1); // row 0: [1]
-        let r1 = blob.len();
-        write_varint(&mut blob, 1); // row 2: [1]
-        let mut row_starts = vec![0usize, r1, r1, blob.len()];
-        row_starts.resize(n + 1, blob.len());
-        let mut degrees = vec![1u32, 0, 1];
-        degrees.resize(n, 0);
-        let parts = EncodedAdjacencyParts {
-            row_starts: row_starts.into(),
-            degrees: degrees.into(),
-            blob: blob.into(),
-        };
-        let err = EncodedCsr::from_parts(false, n, 1, parts, None, None)
+        let parts = delta_rows(200, &[&[1], &[], &[1]]);
+        let err = EncodedCsr::from_parts(false, 200, 1, parts, None, None)
             .expect_err("asymmetric adjacency rejected");
         assert!(err.contains("symmetric"), "{err}");
     }

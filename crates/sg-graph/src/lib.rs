@@ -16,7 +16,7 @@
 //!   lets `sg-store` load graphs zero-copy from a file mapping,
 //! * [`view`] — [`NeighborCursor`] and the [`GraphView`] trait, the single
 //!   row-iteration API shared by raw and encoded graphs,
-//! * [`encoded`] — [`EncodedCsr`], delta+varint / bitmap compressed
+//! * [`encoded`] — [`EncodedCsr`], Stream VByte / bitmap compressed
 //!   adjacency that kernels traverse without materializing raw CSR,
 //! * [`properties`] — degree statistics and histograms,
 //! * [`partition`] — edge partitioning used by the simulated distributed

@@ -5,11 +5,18 @@
 //! *processing*, not just disk. That only works if kernels can run over an
 //! encoded graph without first materializing raw CSR, which in turn needs a
 //! single row-iteration abstraction: `CsrGraph` hands out borrowed slices,
-//! [`crate::encoded::EncodedCsr`] decodes delta/varint or bitmap rows on the
-//! fly. The cursor decodes in 64-lane chunks into a stack buffer so the hot
-//! loops stay prefetch- and vectorizer-friendly, and decode order is a pure
-//! function of the row index — parallel runs stay bit-identical at any
-//! `SG_THREADS`.
+//! [`crate::encoded::EncodedCsr`] decodes Stream VByte delta rows or bitmap
+//! rows on the fly. A delta row's control byte gives the lengths of four
+//! gaps, so a whole group decodes with four masked `u32` loads and no
+//! per-byte branch (Lemire, Kurz, Rupp, "Stream VByte", IPL 2018). The
+//! cursor drains whole groups into 64-lane chunks or straight into a
+//! closure, and decode order is a pure function of the row index — parallel
+//! runs stay bit-identical at any `SG_THREADS`.
+//!
+//! The delta-row codec lives here too: the writer (`delta_row_bytes`,
+//! `write_delta_row`), the byte length a row's control bytes imply
+//! (`delta_row_span`) and the strict check loaders run before any kernel
+//! sees a row (`delta_row_is_valid`).
 
 use crate::types::{VertexId, Weight};
 use crate::CsrGraph;
@@ -18,56 +25,231 @@ use crate::CsrGraph;
 /// enough to live on the stack, large enough to amortize dispatch.
 pub const CURSOR_CHUNK: usize = 64;
 
-/// Streaming decoder over one delta+varint row (gap-encoded sorted targets,
-/// LEB128). The first varint is the absolute first target; every following
-/// varint is the gap to the previous target (≥ 1 in a valid row).
+/// Keeps the low `code + 1` bytes of a little-endian `u32` load.
+const GAP_MASK: [u32; 4] = [0xff, 0xffff, 0xff_ffff, 0xffff_ffff];
+
+/// Minimal little-endian byte length of a gap (1–4).
+#[inline]
+fn gap_bytes(gap: u32) -> usize {
+    4 - (gap | 1).leading_zeros() as usize / 8
+}
+
+/// Bytes of a strictly increasing row stored as a delta row: `ceil(d/4)`
+/// control bytes plus each gap in its minimal length.
+pub(crate) fn delta_row_bytes(row: &[VertexId]) -> usize {
+    let mut prev = 0;
+    let mut data = 0;
+    for &t in row {
+        data += gap_bytes(t - prev);
+        prev = t;
+    }
+    row.len().div_ceil(4) + data
+}
+
+/// Writes a strictly increasing row as a delta row into `out`, which must be
+/// exactly [`delta_row_bytes`]`(row)` long. Value `i` is the gap to the
+/// previous target (the first is the gap from 0) in its minimal length; the
+/// length code `len - 1` sits in bits `2·(i%4)..` of control byte `i/4`, and
+/// the unused fields of the last control byte stay zero — so a row has
+/// exactly one encoding.
+pub(crate) fn write_delta_row(row: &[VertexId], out: &mut [u8]) {
+    let (ctrl, data) = out.split_at_mut(row.len().div_ceil(4));
+    let (mut at, mut prev) = (0, 0);
+    for (group, ctrl) in row.chunks(4).zip(ctrl) {
+        let mut codes = 0;
+        for (lane, &t) in group.iter().enumerate() {
+            let gap = t - prev;
+            prev = t;
+            let len = gap_bytes(gap);
+            codes |= ((len - 1) as u8) << (2 * lane);
+            // A full-width store's spare bytes are overwritten by the next
+            // value; only the row's last few bytes go one at a time.
+            match data.get_mut(at..at + 4) {
+                Some(word) => word.copy_from_slice(&gap.to_le_bytes()),
+                None => {
+                    for (k, byte) in data[at..at + len].iter_mut().enumerate() {
+                        *byte = (gap >> (8 * k)) as u8;
+                    }
+                }
+            }
+            at += len;
+        }
+        *ctrl = codes;
+    }
+    debug_assert_eq!(at, data.len(), "out must be delta_row_bytes(row) long");
+}
+
+/// Byte length of a delta row of `degree` values, read from its
+/// `ceil(degree/4)` control bytes `ctrl`: the control bytes plus `code + 1`
+/// data bytes per value, plus the code of any unused field of the last
+/// control byte (zero in a valid row; [`delta_row_is_valid`] rejects
+/// others).
+pub(crate) fn delta_row_span(ctrl: &[u8], degree: usize) -> usize {
+    let codes: usize = ctrl
+        .iter()
+        .map(|&c| ((c & 0x55).count_ones() + 2 * (c & 0xaa).count_ones()) as usize)
+        .sum();
+    ctrl.len() + degree + codes
+}
+
+/// Whether the delta row of `degree` values at the start of `bytes` is the
+/// one valid encoding of `degree` strictly increasing targets below `n`: its
+/// [`delta_row_span`] fits in `bytes`, no gap after the first is zero, the
+/// last target is below `n`, every length is minimal and the unused fields
+/// of the last control byte are zero.
+///
+/// The row is decoded by the same [`DeltaCursor`] kernels use. The span
+/// counts `code + 1` bytes per value plus any unused field's code, and a
+/// stored length `code + 1` is never shorter than the minimal length of the
+/// value it yields; so the last two conditions hold exactly when the span
+/// equals the control bytes plus the minimal lengths of the decoded gaps.
+pub(crate) fn delta_row_is_valid(bytes: &[u8], degree: u32, n: usize) -> bool {
+    let ctrl_len = (degree as usize).div_ceil(4);
+    let Some(ctrl) = bytes.get(..ctrl_len) else { return false };
+    let span = delta_row_span(ctrl, degree as usize);
+    if bytes.len() < span {
+        return false; // truncated: the row runs past its bytes
+    }
+    let (mut count, mut minimal, mut last, mut prev) = (0, ctrl_len, 0u64, 0u32);
+    let mut zero_gap = false;
+    DeltaCursor::new(bytes, degree).for_each(|t| {
+        let gap = t.wrapping_sub(prev);
+        zero_gap |= count > 0 && gap == 0;
+        minimal += gap_bytes(gap);
+        last += u64::from(gap);
+        prev = t;
+        count += 1;
+    });
+    count == degree && !zero_gap && minimal == span && (degree == 0 || last < n as u64)
+}
+
+/// Loads the gap stored at `at` with length code `code`: one bounds-checked
+/// `u32` load masked to `code + 1` bytes (the bytes past the value belong
+/// to the row's next value or to the next row), or a byte-wise load in the
+/// last three bytes of the blob. `None` when the value itself runs past.
+#[inline(always)]
+fn load_gap(bytes: &[u8], at: usize, code: u8) -> Option<u32> {
+    if let Some(word) = bytes.get(at..at + 4) {
+        let word = u32::from_le_bytes(word.try_into().expect("4-byte window"));
+        return Some(word & GAP_MASK[usize::from(code & 3)]);
+    }
+    let tail = bytes.get(at..at + usize::from(code) + 1)?;
+    Some(tail.iter().rev().fold(0, |v, &b| v << 8 | u32::from(b)))
+}
+
+/// Streaming decoder over one Stream VByte delta row: `ceil(d/4)` control
+/// bytes, then the gaps (the first from 0), value `i`'s length code
+/// (`bytes - 1`) in bits `2·(i%4)..` of control byte `i/4`. `next` decodes one value; `fold` / `for_each` and
+/// [`NeighborCursor::next_chunk`] run whole groups of four.
 #[derive(Clone, Debug)]
 pub struct DeltaCursor<'a> {
+    /// From the row's first control byte to the end of the blob: group
+    /// loads may read up to 3 bytes past the row, which their masks drop.
     bytes: &'a [u8],
-    pos: usize,
-    remaining: u32,
+    /// Values decoded so far.
+    index: u32,
+    /// Values in the row.
+    degree: u32,
+    /// Offset of the next value's first data byte.
+    data: usize,
+    /// Last target decoded (0 before the first: the first gap is from 0).
     prev: u32,
-    started: bool,
 }
 
 impl<'a> DeltaCursor<'a> {
-    /// Creates a cursor over `degree` gap-encoded targets in `bytes`.
+    /// Creates a cursor over the `degree`-value delta row at the start of
+    /// `bytes`; `bytes` may run on past the row.
     #[inline]
     pub fn new(bytes: &'a [u8], degree: u32) -> Self {
-        Self { bytes, pos: 0, remaining: degree, prev: 0, started: false }
+        Self { bytes, index: 0, degree, data: (degree as usize).div_ceil(4), prev: 0 }
     }
-}
 
-/// Reads one LEB128 varint (u32 range). Returns `None` on a truncated or
-/// over-long encoding — loaders reject such rows up front, so hitting this
-/// in a kernel means the cursor simply stops early instead of misbehaving.
-#[inline]
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let mut acc: u64 = 0;
-    let mut shift: u32 = 0;
-    loop {
-        let b = *bytes.get(*pos)?;
-        *pos += 1;
-        acc |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-        if shift > 28 {
-            return None;
-        }
+    /// Values not yet decoded.
+    #[inline]
+    fn remaining(&self) -> u32 {
+        self.degree - self.index
     }
-    u32::try_from(acc).ok()
-}
 
-/// Appends the LEB128 encoding of `x` to `out`.
-#[inline]
-pub fn write_varint(out: &mut Vec<u8>, mut x: u32) {
-    while x >= 0x80 {
-        out.push((x as u8 & 0x7f) | 0x80);
-        x >>= 7;
+    /// Decodes the first `lanes` (1–4) values of the group at the cursor,
+    /// which must sit on a group boundary with at least `lanes` values left;
+    /// the rest of the returned array is scratch. The loads of all four
+    /// fields stay inside the blob (a short last group's unused fields are
+    /// zero: one byte each), so a partial group decodes like a full one.
+    /// `None`, and the cursor exhausted, when the group runs past the blob.
+    /// Callers pass `lanes` as a constant where they can.
+    #[inline(always)]
+    fn next_group(&mut self, lanes: usize) -> Option<[VertexId; 4]> {
+        debug_assert!(self.index.is_multiple_of(4) && (1..=4).contains(&lanes));
+        debug_assert!(lanes <= self.remaining() as usize);
+        let group = self.decode_group(lanes);
+        if group.is_none() {
+            self.index = self.degree;
+        }
+        group
     }
-    out.push(x as u8);
+
+    #[inline(always)]
+    fn decode_group(&mut self, lanes: usize) -> Option<[VertexId; 4]> {
+        let ctrl = *self.bytes.get(self.index as usize / 4)?;
+        let codes = [ctrl & 3, (ctrl >> 2) & 3, (ctrl >> 4) & 3, ctrl >> 6];
+        let o1 = usize::from(codes[0]) + 1;
+        let o2 = o1 + usize::from(codes[1]) + 1;
+        let o3 = o2 + usize::from(codes[2]) + 1;
+        let offsets = [0, o1, o2, o3, o3 + usize::from(codes[3]) + 1];
+        let at = self.data;
+        let mut gaps = [0u32; 4];
+        match self.bytes.get(at..at + 16) {
+            // Four u32 loads from one window, each masked to its length.
+            Some(window) => {
+                for lane in 0..4 {
+                    let word = &window[offsets[lane]..offsets[lane] + 4];
+                    let word = u32::from_le_bytes(word.try_into().expect("4-byte word"));
+                    gaps[lane] = word & GAP_MASK[usize::from(codes[lane] & 3)];
+                }
+            }
+            // The blob's last bytes: only the lanes the row has, each load
+            // falling back to bytes where a full word would run past.
+            None => {
+                for lane in 0..lanes {
+                    gaps[lane] = load_gap(self.bytes, at + offsets[lane], codes[lane])?;
+                }
+            }
+        }
+        let mut targets = [0u32; 4];
+        let mut prev = self.prev;
+        for (target, gap) in targets.iter_mut().zip(gaps) {
+            prev = prev.wrapping_add(gap);
+            *target = prev;
+        }
+        self.data = at + offsets[lanes];
+        self.index += lanes as u32;
+        self.prev = targets[lanes - 1];
+        Some(targets)
+    }
+
+    /// Decodes into `out` until it is full or the row ends, whole groups at
+    /// a time once on a group boundary; returns how many values it wrote.
+    #[inline(always)]
+    fn fill(&mut self, out: &mut [VertexId]) -> usize {
+        let mut filled = 0;
+        while filled < out.len() && !self.index.is_multiple_of(4) {
+            let Some(t) = self.next() else { return filled };
+            out[filled] = t;
+            filled += 1;
+        }
+        while filled + 4 <= out.len() && self.remaining() >= 4 {
+            let Some(group) = self.next_group(4) else { return filled };
+            out[filled..filled + 4].copy_from_slice(&group);
+            filled += 4;
+        }
+        let lanes = (self.remaining() as usize).min(out.len() - filled);
+        if lanes > 0 {
+            let Some(group) = self.next_group(lanes) else { return filled };
+            out[filled..filled + lanes].copy_from_slice(&group[..lanes]);
+            filled += lanes;
+        }
+        filled
+    }
 }
 
 impl Iterator for DeltaCursor<'_> {
@@ -75,24 +257,56 @@ impl Iterator for DeltaCursor<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<VertexId> {
-        if self.remaining == 0 {
+        if self.index == self.degree {
             return None;
         }
-        let Some(gap) = read_gap_fast(self.bytes, &mut self.pos) else {
-            self.remaining = 0;
+        let i = self.index as usize;
+        let decoded = self.bytes.get(i / 4).and_then(|&ctrl| {
+            let code = (ctrl >> (2 * (i % 4))) & 3;
+            Some((load_gap(self.bytes, self.data, code)?, usize::from(code) + 1))
+        });
+        let Some((gap, len)) = decoded else {
+            // Loaders reject such rows up front; a cursor simply stops.
+            self.index = self.degree;
             return None;
         };
+        self.data += len;
+        self.index += 1;
         // Wrapping add keeps the loop branch-light; loaders guarantee the
         // accumulated value never exceeds n.
-        let value = if self.started { self.prev.wrapping_add(gap) } else { gap };
-        self.started = true;
-        self.prev = value;
-        self.remaining -= 1;
-        Some(value)
+        self.prev = self.prev.wrapping_add(gap);
+        Some(self.prev)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining as usize))
+        (0, Some(self.remaining() as usize))
+    }
+
+    /// Whole groups (and so `for_each`): finishes a group `next` left open,
+    /// then decodes four values per control byte, the row's last partial
+    /// group included.
+    #[inline]
+    fn fold<B, F: FnMut(B, VertexId) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        while !self.index.is_multiple_of(4) {
+            let Some(t) = self.next() else { return acc };
+            acc = f(acc, t);
+        }
+        while self.remaining() >= 4 {
+            let Some([t0, t1, t2, t3]) = self.next_group(4) else { return acc };
+            acc = f(acc, t0);
+            acc = f(acc, t1);
+            acc = f(acc, t2);
+            acc = f(acc, t3);
+        }
+        let lanes = self.remaining() as usize;
+        if lanes > 0 {
+            let Some(group) = self.next_group(lanes) else { return acc };
+            for &t in &group[..lanes] {
+                acc = f(acc, t);
+            }
+        }
+        acc
     }
 }
 
@@ -151,7 +365,7 @@ impl Iterator for BitmapCursor<'_> {
 pub enum NeighborCursor<'a> {
     /// Borrowed raw row (sorted target slice).
     Slice(&'a [VertexId]),
-    /// Delta+varint encoded row.
+    /// Stream VByte delta row.
     Delta(DeltaCursor<'a>),
     /// Bitmap row for dense vertices.
     Bitmap(BitmapCursor<'a>),
@@ -179,28 +393,10 @@ impl<'a> NeighborCursor<'a> {
                 take
             }
             NeighborCursor::Delta(c) => {
-                // First element may need the absolute-value special case;
-                // afterwards run the branch-light gap loop.
-                let mut filled = 0;
-                if !c.started {
-                    match c.next() {
-                        Some(t) => {
-                            buf[filled] = t;
-                            filled += 1;
-                        }
-                        None => return 0,
-                    }
-                }
-                while filled < CURSOR_CHUNK && c.remaining > 0 {
-                    let Some(gap) = read_gap_fast(c.bytes, &mut c.pos) else {
-                        c.remaining = 0;
-                        break;
-                    };
-                    c.prev = c.prev.wrapping_add(gap);
-                    c.remaining -= 1;
-                    buf[filled] = c.prev;
-                    filled += 1;
-                }
+                // Decode on a copy the registers can hold; store it once.
+                let mut local = c.clone();
+                let filled = local.fill(buf);
+                *c = local;
                 filled
             }
             NeighborCursor::Bitmap(c) => {
@@ -219,10 +415,25 @@ impl<'a> NeighborCursor<'a> {
         }
     }
 
+    /// Appends the targets left in the row to `buf`: a slice or a whole
+    /// Stream VByte group at a time, bitmap rows bit by bit.
+    #[inline]
+    pub(crate) fn append_to(self, buf: &mut Vec<VertexId>) {
+        match self {
+            NeighborCursor::Slice(s) => buf.extend_from_slice(s),
+            NeighborCursor::Delta(mut c) => {
+                let start = buf.len();
+                buf.resize(start + c.remaining() as usize, 0);
+                let filled = c.fill(&mut buf[start..]);
+                buf.truncate(start + filled); // only a row loaders reject stops short
+            }
+            NeighborCursor::Bitmap(c) => c.for_each(|t| buf.push(t)),
+        }
+    }
+
     /// Applies `f` to every target in row order. Slices iterate directly;
-    /// encoded rows run dedicated branch-light decode loops (no per-element
-    /// `Option` dispatch, single-byte varint fast path, word-at-a-time
-    /// bitmap scan).
+    /// encoded rows run dedicated decode loops (whole Stream VByte groups,
+    /// word-at-a-time bitmap scan).
     #[inline]
     pub fn for_each<F: FnMut(VertexId)>(self, mut f: F) {
         match self {
@@ -231,21 +442,7 @@ impl<'a> NeighborCursor<'a> {
                     f(t);
                 }
             }
-            NeighborCursor::Delta(mut c) => {
-                if !c.started {
-                    match c.next() {
-                        Some(t) => f(t),
-                        None => return,
-                    }
-                }
-                let DeltaCursor { bytes, mut pos, mut remaining, mut prev, .. } = c;
-                while remaining > 0 {
-                    let Some(gap) = read_gap_fast(bytes, &mut pos) else { break };
-                    prev = prev.wrapping_add(gap);
-                    remaining -= 1;
-                    f(prev);
-                }
-            }
+            NeighborCursor::Delta(c) => c.for_each(f),
             NeighborCursor::Bitmap(c) => {
                 let BitmapCursor { bytes, word_idx, current } = c;
                 let mut cur = current;
@@ -265,54 +462,6 @@ impl<'a> NeighborCursor<'a> {
             }
         }
     }
-}
-
-/// Unrolled LEB128 decode for the kernel hot path: an explicit 1–5 byte
-/// ladder in u32 arithmetic instead of [`read_varint`]'s shift-counter loop.
-/// Decodes the identical value sequence on valid rows; on malformed input it
-/// returns `None` exactly where `read_varint` would (truncated, >5 bytes, or
-/// value past the u32 range), differing only in how far `pos` advanced —
-/// cursors stop on the first `None`, so the distinction is unobservable.
-#[inline]
-fn read_gap_fast(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let p = *pos;
-    let b0 = *bytes.get(p)?;
-    if b0 < 0x80 {
-        *pos = p + 1;
-        return Some(u32::from(b0));
-    }
-    let b1 = *bytes.get(p + 1)?;
-    if b1 < 0x80 {
-        *pos = p + 2;
-        return Some(u32::from(b0 & 0x7f) | u32::from(b1) << 7);
-    }
-    let b2 = *bytes.get(p + 2)?;
-    if b2 < 0x80 {
-        *pos = p + 3;
-        return Some(u32::from(b0 & 0x7f) | u32::from(b1 & 0x7f) << 7 | u32::from(b2) << 14);
-    }
-    let b3 = *bytes.get(p + 3)?;
-    if b3 < 0x80 {
-        *pos = p + 4;
-        return Some(
-            u32::from(b0 & 0x7f)
-                | u32::from(b1 & 0x7f) << 7
-                | u32::from(b2 & 0x7f) << 14
-                | u32::from(b3) << 21,
-        );
-    }
-    let b4 = *bytes.get(p + 4)?;
-    if b4 >= 0x10 {
-        return None; // continuation past 5 bytes, or value overflows u32
-    }
-    *pos = p + 5;
-    Some(
-        u32::from(b0 & 0x7f)
-            | u32::from(b1 & 0x7f) << 7
-            | u32::from(b2 & 0x7f) << 14
-            | u32::from(b3 & 0x7f) << 21
-            | u32::from(b4) << 28,
-    )
 }
 
 impl Iterator for NeighborCursor<'_> {
@@ -364,7 +513,7 @@ pub trait GraphView: Sync {
             Some(s) => s,
             None => {
                 buf.clear();
-                cursor.for_each(|t| buf.push(t));
+                cursor.append_to(buf);
                 buf.as_slice()
             }
         }
@@ -516,41 +665,65 @@ impl GraphView for CsrGraph {
 mod tests {
     use super::*;
 
+    fn encode(row: &[u32]) -> Vec<u8> {
+        let mut bytes = vec![0; delta_row_bytes(row)];
+        write_delta_row(row, &mut bytes);
+        bytes
+    }
+
     #[test]
     fn varint_round_trip() {
-        let mut buf = Vec::new();
-        let values = [0u32, 1, 127, 128, 300, 16_383, 16_384, 1 << 21, u32::MAX];
-        for &v in &values {
-            write_varint(&mut buf, v);
+        // Gaps on both sides of every length boundary, a first target of 0,
+        // and the u32 ceiling.
+        let gaps = [0u32, 1, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24, 7, 1];
+        let mut row = Vec::new();
+        let mut t = 0u32;
+        for (i, &g) in gaps.iter().enumerate() {
+            t += if i == 0 { g } else { g.max(1) };
+            row.push(t);
         }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(read_varint(&buf, &mut pos), Some(v));
-        }
-        assert_eq!(pos, buf.len());
+        row.push(u32::MAX);
+        let bytes = encode(&row);
+        let ctrl_len = row.len().div_ceil(4);
+        assert_eq!(delta_row_span(&bytes[..ctrl_len], row.len()), bytes.len());
+        // Minimal lengths: 1,1,1,2,2,3,3,4,1,1 data bytes, then the gap to
+        // u32::MAX in 4.
+        assert_eq!(bytes.len() - ctrl_len, 1 + 1 + 1 + 2 + 2 + 3 + 3 + 4 + 1 + 1 + 4);
+        let decoded: Vec<u32> = DeltaCursor::new(&bytes, row.len() as u32).collect();
+        assert_eq!(decoded, row);
+        assert!(delta_row_is_valid(&bytes, row.len() as u32, u32::MAX as usize + 1));
     }
 
     #[test]
     fn varint_rejects_truncated_and_overlong() {
-        let mut pos = 0;
-        assert_eq!(read_varint(&[0x80], &mut pos), None); // continuation, no tail
-        let mut pos = 0;
-        // 6-byte encoding exceeds the u32 range.
-        assert_eq!(read_varint(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], &mut pos), None);
-        let mut pos = 0;
-        // 5 bytes whose accumulated value overflows u32.
-        assert_eq!(read_varint(&[0xff, 0xff, 0xff, 0xff, 0x7f], &mut pos), None);
+        let row = [3u32, 300, 301, 70_000, 70_001];
+        let bytes = encode(&row);
+        let n = 100_000;
+        assert!(delta_row_is_valid(&bytes, 5, n));
+        // Truncated: the last data byte is missing.
+        assert!(!delta_row_is_valid(&bytes[..bytes.len() - 1], 5, n));
+        // Overlong: gap 5 stored in two bytes (code 1) instead of one.
+        assert!(!delta_row_is_valid(&[0b01, 5, 0], 1, n));
+        assert!(delta_row_is_valid(&[0b00, 5], 1, n));
+        // A length code set for a value the row does not have.
+        assert!(!delta_row_is_valid(&[0b0100, 5, 0], 1, n));
+        // A zero gap after the first value (a duplicate target).
+        assert!(!delta_row_is_valid(&[0, 5, 0], 2, n));
+        // A first target of 0 is fine; a last target at n is not.
+        assert!(delta_row_is_valid(&[0, 0, 1], 2, n));
+        assert!(!delta_row_is_valid(&encode(&[1, n as u32]), 2, n));
+        // A degree the bytes cannot even hold the control bytes for.
+        assert!(!delta_row_is_valid(&[], 1, n));
+        // Whatever follows the row is not the row's business.
+        let mut padded = bytes.clone();
+        padded.extend_from_slice(&[0xff; 3]);
+        assert!(delta_row_is_valid(&padded, 5, n));
     }
 
     #[test]
     fn delta_cursor_decodes_gaps() {
         let row = [3u32, 4, 9, 1000];
-        let mut bytes = Vec::new();
-        let mut prev = 0;
-        for (i, &t) in row.iter().enumerate() {
-            write_varint(&mut bytes, if i == 0 { t } else { t - prev });
-            prev = t;
-        }
+        let bytes = encode(&row);
         let decoded: Vec<u32> = DeltaCursor::new(&bytes, row.len() as u32).collect();
         assert_eq!(decoded, row);
     }

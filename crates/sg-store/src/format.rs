@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic   "SLIMSGR1"
-//!      8     4  version (currently 1)
+//!      8     4  version (1 = raw CSR, 3 = encoded adjacency)
 //!     12     4  flags   bit 0 = directed, bit 1 = weighted
 //!     16     8  n       vertex count
 //!     24     8  m       canonical edge count
@@ -19,7 +19,8 @@
 //! ```
 //!
 //! Sections appear in canonical id order and their byte lengths are fully
-//! determined by `(n, m, flags)`, so a parser can validate the table without
+//! determined by `(n, m, flags)` — except v3's row blobs, which the encoded
+//! loader validates row by row — so a parser can validate the table without
 //! trusting it. The checksum covers section payload bytes only (padding and
 //! header excluded); header fields are instead structurally validated.
 
@@ -30,9 +31,11 @@ use std::io;
 pub const SGR_MAGIC: u64 = u64::from_le_bytes(*b"SLIMSGR1");
 /// Container version 1: raw CSR sections.
 pub const SGR_VERSION: u32 = 1;
-/// Container version 2: encoded adjacency (delta+varint / bitmap rows).
-/// Version-1 readers reject v2 files cleanly at the header version check.
-pub const SGR_VERSION_V2: u32 = 2;
+/// Container version 3: encoded adjacency (Stream VByte delta rows and
+/// bitmap rows, no stored row index). Version 2 — LEB128 rows with a stored
+/// `u64` row index — is no longer read; every reader rejects it at the
+/// header version check, naming the version.
+pub const SGR_VERSION_V3: u32 = 3;
 /// Directed-graph flag bit.
 pub const FLAG_DIRECTED: u32 = 1;
 /// Weighted-graph flag bit.
@@ -66,17 +69,14 @@ pub enum SectionId {
     InTargets = 7,
     /// Canonical edge id per in slot, `u32 × m` (directed only).
     InSlotEdges = 8,
-    /// Out-row degrees, `u32 × n` (v2 only).
+    /// Out-row degrees, `u32 × n` (v3 only).
     Degrees = 9,
-    /// Out-row byte offsets into the blob, `u64 × (n + 1)` (v2 only).
-    RowIndex = 10,
-    /// Concatenated encoded out-rows, variable length (v2 only).
+    /// Concatenated encoded out-rows, variable length (v3 only). Ids 10
+    /// and 13 were version 2's row indexes; v3 derives them at load.
     AdjBlob = 11,
-    /// In-row degrees, `u32 × n` (v2 + directed only).
+    /// In-row degrees, `u32 × n` (v3 + directed only).
     InDegrees = 12,
-    /// In-row byte offsets, `u64 × (n + 1)` (v2 + directed only).
-    InRowIndex = 13,
-    /// Concatenated encoded in-rows, variable length (v2 + directed only).
+    /// Concatenated encoded in-rows, variable length (v3 + directed only).
     InAdjBlob = 14,
 }
 
@@ -93,32 +93,32 @@ pub fn expected_sections(directed: bool, weighted: bool) -> Vec<SectionId> {
     ids
 }
 
-/// The v2 section set implied by a flag combination, in canonical
-/// (ascending-id) order. v2 stores no raw targets/slot-edge/edge sections:
+/// The v3 section set implied by a flag combination, in canonical
+/// (ascending-id) order. v3 stores no raw targets/slot-edge/edge sections:
 /// canonical edges and their ids are reconstructed from the encoded rows by
-/// forward enumeration, which *is* the canonical lexicographic order.
-pub fn expected_sections_v2(directed: bool, weighted: bool) -> Vec<SectionId> {
+/// forward enumeration, which *is* the canonical lexicographic order. Nor
+/// does it store a row index: the loader derives one from the degrees and
+/// the rows' control bytes.
+pub fn expected_sections_v3(directed: bool, weighted: bool) -> Vec<SectionId> {
     let mut ids = Vec::new();
     if weighted {
         ids.push(SectionId::Weights);
     }
-    ids.extend([SectionId::Degrees, SectionId::RowIndex, SectionId::AdjBlob]);
+    ids.extend([SectionId::Degrees, SectionId::AdjBlob]);
     if directed {
-        ids.extend([SectionId::InDegrees, SectionId::InRowIndex, SectionId::InAdjBlob]);
+        ids.extend([SectionId::InDegrees, SectionId::InAdjBlob]);
     }
     ids
 }
 
 /// On-disk byte length of `id` for a graph with the given shape.
 /// Outer `None` signals arithmetic overflow (hostile header on a small
-/// platform); inner `None` marks variable-length sections (the v2 blobs),
+/// platform); inner `None` marks variable-length sections (the v3 blobs),
 /// whose bounds are checked against the file and whose content the encoded
 /// loader validates row by row.
 pub fn expected_len(id: SectionId, n: usize, m: usize, directed: bool) -> Option<Option<usize>> {
     match id {
-        SectionId::Offsets | SectionId::InOffsets | SectionId::RowIndex | SectionId::InRowIndex => {
-            n.checked_add(1)?.checked_mul(8).map(Some)
-        }
+        SectionId::Offsets | SectionId::InOffsets => n.checked_add(1)?.checked_mul(8).map(Some),
         SectionId::Targets | SectionId::SlotEdges => {
             let slots = if directed { m } else { m.checked_mul(2)? };
             slots.checked_mul(4).map(Some)
@@ -220,7 +220,7 @@ pub fn peek_version(data: &[u8]) -> io::Result<u32> {
 }
 
 /// Parses and validates the header and section table of a **v1** (raw CSR)
-/// `.sgr` buffer; rejects any other version, including v2.
+/// `.sgr` buffer; rejects any other version, including v3.
 ///
 /// Every field is checked against what `(n, m, flags)` imply — section ids,
 /// order, byte lengths, alignment, and file bounds — with checked arithmetic
@@ -230,9 +230,9 @@ pub fn parse_toc(data: &[u8]) -> io::Result<SgrToc> {
     parse_toc_version(data, SGR_VERSION)
 }
 
-/// [`parse_toc`] for **v2** (encoded adjacency) buffers.
-pub fn parse_toc_v2(data: &[u8]) -> io::Result<SgrToc> {
-    parse_toc_version(data, SGR_VERSION_V2)
+/// [`parse_toc`] for **v3** (encoded adjacency) buffers.
+pub fn parse_toc_v3(data: &[u8]) -> io::Result<SgrToc> {
+    parse_toc_version(data, SGR_VERSION_V3)
 }
 
 fn parse_toc_version(data: &[u8], want_version: u32) -> io::Result<SgrToc> {
@@ -265,8 +265,8 @@ fn parse_toc_version(data: &[u8], want_version: u32) -> io::Result<SgrToc> {
     let checksum = rd_u64(data, 32);
     let count = rd_u32(data, 40) as usize;
 
-    let expect = if want_version == SGR_VERSION_V2 {
-        expected_sections_v2(directed, weighted)
+    let expect = if want_version == SGR_VERSION_V3 {
+        expected_sections_v3(directed, weighted)
     } else {
         expected_sections(directed, weighted)
     };
@@ -493,16 +493,15 @@ mod tests {
         assert_eq!(expected_len(SectionId::Offsets, 4, 2, false), Some(Some(40)));
         assert_eq!(expected_len(SectionId::Targets, 4, 2, false), Some(Some(16)));
         assert_eq!(expected_len(SectionId::Targets, 4, 2, true), Some(Some(8)));
-        // v2 sections: fixed lengths from n, variable-length blobs.
+        // v3 sections: fixed lengths from n, variable-length blobs.
         assert_eq!(expected_len(SectionId::Degrees, 4, 2, false), Some(Some(16)));
-        assert_eq!(expected_len(SectionId::RowIndex, 4, 2, false), Some(Some(40)));
         assert_eq!(expected_len(SectionId::AdjBlob, 4, 2, false), Some(None));
     }
 
     #[test]
-    fn v2_section_order_is_ascending_ids() {
+    fn v3_section_order_is_ascending_ids() {
         for &(directed, weighted) in &[(false, false), (false, true), (true, false), (true, true)] {
-            let ids = expected_sections_v2(directed, weighted);
+            let ids = expected_sections_v3(directed, weighted);
             assert!(ids.windows(2).all(|w| (w[0] as u32) < (w[1] as u32)));
         }
     }

@@ -19,7 +19,13 @@
 //!   unmapped when the last reference drops. Algorithms, schemes, and
 //!   pipelines observe bit-identical data either way.
 //!
-//! File layout (details in [`format`](mod@format)):
+//! Version 3 of the container stores the adjacency encoded instead —
+//! Stream VByte delta rows and bitmap rows, no row index — for kernels that
+//! run over the encoded form ([`load_sgr_encoded`], [`MmapEncoded`]); both
+//! loaders above also accept it, decoding to the identical raw graph.
+//! [`Encoding`] picks the container a writer emits.
+//!
+//! File layout of version 1 (details in [`format`](mod@format)):
 //!
 //! ```text
 //! ┌────────────────────────────────────────────┐
@@ -95,18 +101,16 @@ fn collect_sections(g: &CsrGraph) -> Vec<(SectionId, Cow<'_, [u8]>)> {
     out
 }
 
-fn collect_sections_v2(enc: &EncodedCsr) -> Vec<(SectionId, Cow<'_, [u8]>)> {
+fn collect_sections_v3(enc: &EncodedCsr) -> Vec<(SectionId, Cow<'_, [u8]>)> {
     let mut out = Vec::new();
     if let Some(w) = enc.weight_slice() {
         out.push((SectionId::Weights, format::bytes_of_f32s(w)));
     }
     let adj = enc.out_adjacency();
     out.push((SectionId::Degrees, format::bytes_of_u32s(adj.degrees())));
-    out.push((SectionId::RowIndex, format::bytes_of_usizes(adj.row_starts())));
     out.push((SectionId::AdjBlob, Cow::Borrowed(adj.blob())));
     if let Some(adj) = enc.in_adjacency() {
         out.push((SectionId::InDegrees, format::bytes_of_u32s(adj.degrees())));
-        out.push((SectionId::InRowIndex, format::bytes_of_usizes(adj.row_starts())));
         out.push((SectionId::InAdjBlob, Cow::Borrowed(adj.blob())));
     }
     out
@@ -178,13 +182,13 @@ pub fn write_sgr<W: Write>(g: &CsrGraph, w: &mut W) -> io::Result<u64> {
     )
 }
 
-/// Serializes an encoded graph into the v2 `.sgr` format; returns bytes
+/// Serializes an encoded graph into the v3 `.sgr` format; returns bytes
 /// written.
 pub fn write_sgr_encoded<W: Write>(enc: &EncodedCsr, w: &mut W) -> io::Result<u64> {
-    let sections = collect_sections_v2(enc);
+    let sections = collect_sections_v3(enc);
     write_container(
         w,
-        format::SGR_VERSION_V2,
+        format::SGR_VERSION_V3,
         enc.is_directed(),
         enc.is_weighted(),
         enc.num_vertices(),
@@ -199,7 +203,8 @@ pub enum Encoding {
     /// v1 container: raw CSR sections.
     #[default]
     Raw,
-    /// v2 container: delta+varint rows, bitmap rows for dense vertices.
+    /// v3 container: Stream VByte delta rows, bitmap rows for dense
+    /// vertices.
     Delta,
     /// Whichever version yields the smaller file for this graph.
     Auto,
@@ -218,23 +223,36 @@ impl Encoding {
 }
 
 /// Serializes `g` with the requested [`Encoding`]; returns bytes written.
-/// `Auto` encodes once, compares total payload bytes, and writes the
-/// smaller container.
+/// `Auto` encodes once, compares the two payload sizes arithmetically (v1's
+/// follows from `n`, `m` and the flags, v3's is the encoded sections), and
+/// serializes only the smaller container.
 pub fn write_sgr_with<W: Write>(g: &CsrGraph, w: &mut W, encoding: Encoding) -> io::Result<u64> {
     match encoding {
         Encoding::Raw => write_sgr(g, w),
         Encoding::Delta => write_sgr_encoded(&EncodedCsr::from_graph(g), w),
         Encoding::Auto => {
             let enc = EncodedCsr::from_graph(g);
-            let raw_payload: usize = collect_sections(g).iter().map(|(_, b)| b.len()).sum();
-            let v2_payload: usize = collect_sections_v2(&enc).iter().map(|(_, b)| b.len()).sum();
-            if v2_payload < raw_payload {
+            if enc.storage_bytes() < raw_payload_bytes(g) {
                 write_sgr_encoded(&enc, w)
             } else {
                 write_sgr(g, w)
             }
         }
     }
+}
+
+/// Payload bytes of `g`'s v1 container: the sum of its section lengths,
+/// each fixed by `(n, m, flags)`.
+fn raw_payload_bytes(g: &CsrGraph) -> usize {
+    let (n, m, directed) = (g.num_vertices(), g.num_edges(), g.is_directed());
+    format::expected_sections(directed, g.is_weighted())
+        .into_iter()
+        .map(|id| {
+            format::expected_len(id, n, m, directed)
+                .flatten()
+                .expect("an in-memory graph's v1 sections have fixed, representable lengths")
+        })
+        .sum()
 }
 
 fn padding(len: usize) -> usize {
@@ -341,40 +359,29 @@ fn assemble(data: &[u8], toc: &SgrToc, anchor: Option<&Arc<Mmap>>) -> io::Result
     CsrGraph::from_parts(parts).map_err(|e| bad(format!("invalid .sgr contents: {e}")))
 }
 
-/// Assembles an [`EncodedCsr`] from a parsed, checksum-verified v2 buffer.
+/// Assembles an [`EncodedCsr`] from a parsed, checksum-verified v3 buffer.
 /// With `anchor` set, sections borrow from the mapping wherever sound; the
-/// blob sections (`u8`, alignment 1) always borrow when anchored.
+/// blob sections (`u8`, alignment 1) always borrow when anchored. The row
+/// offsets are derived (and every row validated) by
+/// [`EncodedCsr::from_parts`].
 fn assemble_encoded(
     data: &[u8],
     toc: &SgrToc,
     anchor: Option<&Arc<Mmap>>,
 ) -> io::Result<EncodedCsr> {
     let le = cfg!(target_endian = "little");
-    let usize_ok = le && std::mem::size_of::<usize>() == 8;
     let raw = |id: SectionId| -> RawSection {
         *toc.sections.iter().find(|s| s.id == id).expect("validated toc has the section")
     };
-    let adjacency = |degrees: SectionId,
-                     row_index: SectionId,
-                     blob: SectionId|
-     -> io::Result<EncodedAdjacencyParts> {
+    let adjacency = |degrees: SectionId, blob: SectionId| -> io::Result<EncodedAdjacencyParts> {
         Ok(EncodedAdjacencyParts {
-            row_starts: make_section(
-                data,
-                raw(row_index),
-                anchor,
-                usize_ok,
-                format::decode_usizes,
-            )?,
             degrees: make_section(data, raw(degrees), anchor, le, |b| Ok(format::decode_u32s(b)))?,
             blob: make_section(data, raw(blob), anchor, true, |b| Ok(b.to_vec()))?,
         })
     };
-    let out = adjacency(SectionId::Degrees, SectionId::RowIndex, SectionId::AdjBlob)?;
-    let in_ = toc
-        .directed
-        .then(|| adjacency(SectionId::InDegrees, SectionId::InRowIndex, SectionId::InAdjBlob))
-        .transpose()?;
+    let out = adjacency(SectionId::Degrees, SectionId::AdjBlob)?;
+    let in_ =
+        toc.directed.then(|| adjacency(SectionId::InDegrees, SectionId::InAdjBlob)).transpose()?;
     let weights = toc
         .weighted
         .then(|| {
@@ -382,7 +389,7 @@ fn assemble_encoded(
         })
         .transpose()?;
     EncodedCsr::from_parts(toc.directed, toc.n, toc.m, out, in_, weights)
-        .map_err(|e| bad(format!("invalid .sgr v2 contents: {e}")))
+        .map_err(|e| bad(format!("invalid .sgr v3 contents: {e}")))
 }
 
 /// How much integrity checking a load performs.
@@ -410,11 +417,11 @@ pub fn load_sgr_bytes(data: &[u8]) -> io::Result<CsrGraph> {
 }
 
 /// [`load_sgr_bytes`] with an explicit [`Verify`] mode. Accepts both
-/// container versions: a v2 image is decoded to the bit-identical raw
+/// container versions: a v3 image is decoded to the bit-identical raw
 /// graph ([`EncodedCsr::to_csr`]); use [`load_sgr_encoded_bytes`] to keep
 /// the encoded form.
 pub fn load_sgr_bytes_with(data: &[u8], verify: Verify) -> io::Result<CsrGraph> {
-    if format::peek_version(data)? == format::SGR_VERSION_V2 {
+    if format::peek_version(data)? == format::SGR_VERSION_V3 {
         return Ok(load_sgr_encoded_bytes_with(data, verify)?.to_csr());
     }
     let toc = format::parse_toc(data)?;
@@ -424,7 +431,7 @@ pub fn load_sgr_bytes_with(data: &[u8], verify: Verify) -> io::Result<CsrGraph> 
     assemble(data, &toc, None)
 }
 
-/// Owned loader for v2 images: decodes into an [`EncodedCsr`] whose rows
+/// Owned loader for v3 images: decodes into an [`EncodedCsr`] whose rows
 /// kernels traverse without materializing raw CSR.
 pub fn load_sgr_encoded_bytes(data: &[u8]) -> io::Result<EncodedCsr> {
     load_sgr_encoded_bytes_with(data, Verify::Checksum)
@@ -432,14 +439,14 @@ pub fn load_sgr_encoded_bytes(data: &[u8]) -> io::Result<EncodedCsr> {
 
 /// [`load_sgr_encoded_bytes`] with an explicit [`Verify`] mode.
 pub fn load_sgr_encoded_bytes_with(data: &[u8], verify: Verify) -> io::Result<EncodedCsr> {
-    let toc = format::parse_toc_v2(data)?;
+    let toc = format::parse_toc_v3(data)?;
     if verify == Verify::Checksum {
         format::verify_checksum(data, &toc)?;
     }
     assemble_encoded(data, &toc, None)
 }
 
-/// Owned loader for v2 files: reads `path` fully and decodes the encoded
+/// Owned loader for v3 files: reads `path` fully and decodes the encoded
 /// graph.
 pub fn load_sgr_encoded(path: impl AsRef<Path>) -> io::Result<EncodedCsr> {
     load_sgr_encoded_with(path, Verify::Checksum)
@@ -491,8 +498,8 @@ impl MmapGraph {
     pub fn open_with(path: impl AsRef<Path>, verify: Verify) -> io::Result<Self> {
         let file = File::open(path)?;
         let map = Arc::new(Mmap::map(&file)?);
-        if format::peek_version(&map)? == format::SGR_VERSION_V2 {
-            // A v2 file decodes to the bit-identical raw graph; the heap
+        if format::peek_version(&map)? == format::SGR_VERSION_V3 {
+            // A v3 file decodes to the bit-identical raw graph; the heap
             // copy means the mapping can be dropped right after. Callers
             // who want the zero-copy *encoded* form use [`MmapEncoded`].
             let enc = MmapEncoded::from_mapping(map, verify)?;
@@ -570,10 +577,11 @@ impl GraphView for MmapGraph {
     }
 }
 
-/// An [`EncodedCsr`] served zero-copy out of a read-only v2 file mapping:
-/// the row index, degrees, and encoded blob borrow directly from the
-/// mapping, so resident memory is the (compressed) file itself. Kernels
-/// traverse it through [`GraphView`] — decode happens on the fly, per row.
+/// An [`EncodedCsr`] served zero-copy out of a read-only v3 file mapping:
+/// the degrees and the encoded blob borrow directly from the mapping, so
+/// resident memory is the (compressed) file itself plus the `n + 1` row
+/// offsets derived at open. Kernels traverse it through [`GraphView`] —
+/// decode happens on the fly, per row.
 pub struct MmapEncoded {
     enc: EncodedCsr,
 }
@@ -594,7 +602,7 @@ impl MmapEncoded {
     }
 
     fn from_mapping(map: Arc<Mmap>, verify: Verify) -> io::Result<Self> {
-        let toc = format::parse_toc_v2(&map)?;
+        let toc = format::parse_toc_v3(&map)?;
         if verify == Verify::Checksum {
             map.advise_sequential();
             let verified = format::verify_checksum(&map, &toc);
@@ -619,7 +627,8 @@ impl MmapEncoded {
         self.enc
     }
 
-    /// True when every encoded section borrows from the mapping.
+    /// True when every stored section borrows from the mapping (the
+    /// derived row offsets are owned).
     pub fn is_zero_copy(&self) -> bool {
         self.enc.is_fully_mapped()
     }
@@ -675,11 +684,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_bytes_roundtrip_is_bit_identical() {
+    fn v3_bytes_roundtrip_is_bit_identical() {
         let g = generators::barabasi_albert(500, 6, 3);
         let img = to_sgr_bytes_with(&g, Encoding::Delta);
         assert_eq!(img.len() % 8, 0, "file length stays 8-aligned");
-        // Transparent path: the generic loader decodes v2 to the raw graph.
+        // Transparent path: the generic loader decodes v3 to the raw graph.
         let h = load_sgr_bytes(&img).expect("load");
         assert_eq!(g.edge_slice(), h.edge_slice());
         assert_eq!(g.csr_offsets(), h.csr_offsets());
@@ -695,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_directed_weighted_roundtrip() {
+    fn v3_directed_weighted_roundtrip() {
         let el = sg_graph::EdgeList::from_weighted(
             6,
             [(0, 1, 2.0), (1, 2, 0.5), (2, 0, 1.5), (4, 5, 3.0)],
@@ -710,24 +719,29 @@ mod tests {
 
     #[test]
     fn auto_encoding_picks_the_smaller_container() {
-        // A social-style graph compresses well: auto must pick v2.
+        // A social-style graph compresses well: auto must pick v3.
         let g = generators::barabasi_albert(2000, 8, 1);
         let auto = to_sgr_bytes_with(&g, Encoding::Auto);
         let raw = to_sgr_bytes(&g);
         let delta = to_sgr_bytes_with(&g, Encoding::Delta);
         assert!(delta.len() < raw.len());
-        assert_eq!(auto.len(), delta.len());
-        assert_eq!(format::peek_version(&auto).expect("header"), format::SGR_VERSION_V2);
+        assert_eq!(auto, delta);
+        assert_eq!(format::peek_version(&auto).expect("header"), format::SGR_VERSION_V3);
+        // The arithmetic v1 size is the v1 payload the writer lays out.
+        for g in [g, generators::with_random_weights(&generators::star(50), 1.0, 2.0, 3)] {
+            let sections = collect_sections(&g);
+            assert_eq!(raw_payload_bytes(&g), sections.iter().map(|(_, b)| b.len()).sum());
+        }
     }
 
     #[test]
     fn version_mismatch_is_rejected_both_ways() {
         let g = generators::erdos_renyi(50, 100, 1);
         let v1 = to_sgr_bytes(&g);
-        let v2 = to_sgr_bytes_with(&g, Encoding::Delta);
-        let err = load_sgr_encoded_bytes(&v1).expect_err("v1 into v2 loader");
+        let v3 = to_sgr_bytes_with(&g, Encoding::Delta);
+        let err = load_sgr_encoded_bytes(&v1).expect_err("v1 into v3 loader");
         assert!(err.to_string().contains("unsupported .sgr version"), "{err}");
-        let err = format::parse_toc(&v2).expect_err("v2 into v1 parser");
+        let err = format::parse_toc(&v3).expect_err("v3 into v1 parser");
         assert!(err.to_string().contains("unsupported .sgr version"), "{err}");
     }
 }
