@@ -1,15 +1,12 @@
 //! Subcommand implementations.
 //!
-//! Compression commands run through the sg-core **session API**
-//! ([`SgSession`] over a [`GraphCatalog`]): the CLI is the same execution
-//! path as the `sg-serve` daemon, just with a process-lifetime session
-//! instead of a long-running one.
+//! Compression commands build their `--scheme` chain and run it with
+//! [`Pipeline::apply`](sg_core::Pipeline::apply) — the stage loop the
+//! `sg-serve` daemon's session resumes from its cache.
 
 use crate::args::Args;
 use sg_algos::{cc, tc};
-use sg_core::{
-    catalog, GraphCatalog, PipelineSpec, SchemeParams, SchemeRegistry, SessionRun, SgSession,
-};
+use sg_core::{catalog, PipelineResult, PipelineSpec, SchemeParams, SchemeRegistry};
 use sg_graph::{generators, CsrGraph, EncodedCsr, GraphView};
 use sg_serve::Json;
 use std::sync::Arc;
@@ -221,52 +218,39 @@ fn spec_from(args: &Args) -> Result<(PipelineSpec, SchemeParams), String> {
     Ok((PipelineSpec::parse(args.require("scheme")?)?, base))
 }
 
-/// Loads `--input` into a one-shot session and runs `--scheme` over it —
-/// the CLI's execution path *is* the serving path. The graph moves into a
-/// shared `Arc` (no copy), and the stage cache is disabled: a one-shot
-/// process never re-reads it, so there is no reason to pin intermediate
-/// graphs until exit.
-fn run_session(args: &Args) -> Result<(Arc<CsrGraph>, SessionRun, String), String> {
-    let g = Arc::new(load_input(args)?);
+/// Loads `--input` and runs `--scheme` over it, cold: a one-shot process
+/// has no cache to resume from, and keeps no stage's graph past the next.
+/// Returns the input, the run and the chain's label.
+fn run_pipeline(args: &Args) -> Result<(CsrGraph, PipelineResult, String), String> {
+    let g = load_input(args)?;
     let (spec, base) = spec_from(args)?;
-    let registry = Arc::new(SchemeRegistry::with_defaults());
-    let catalog = Arc::new(GraphCatalog::new());
-    let handle = catalog
-        .insert_arc("input", Arc::clone(&g), args.require("input")?)
-        .expect("fresh catalog has no names");
-    let session = SgSession::with_cache(
-        catalog,
-        Arc::clone(&registry),
-        Arc::new(sg_core::StageCache::with_capacity(0)),
-    );
-    let run = session.run_with_base(&handle, &spec, &base, args.get_or("seed", 42)?)?;
-    // The stage reports carry the constructed schemes' labels, so the
-    // pipeline label needs no second build.
-    let label = run.stages.iter().map(|s| s.report.label.clone()).collect::<Vec<_>>().join(" -> ");
-    Ok((g, run, label))
+    let seed = args.get_or("seed", 42)?;
+    let pipeline = spec.build_with_base(&SchemeRegistry::with_defaults(), &base)?;
+    let out = pipeline.apply(&g, seed);
+    Ok((g, out, pipeline.label()))
 }
 
 fn compress(args: &Args) -> Result<(), String> {
-    let (_, run, label) = run_session(args)?;
-    for (i, stage) in run.stages.iter().enumerate() {
+    let (_, out, label) = run_pipeline(args)?;
+    for (i, stage) in out.stages.iter().enumerate() {
         println!(
-            "stage {}: {}: m {} -> {} ({:.1}% kept) in {:.1} ms{}",
+            "stage {}: {}: m {} -> {} ({:.1}% kept) in {:.1} ms",
             i + 1,
-            stage.report.label,
-            stage.report.input_edges,
-            stage.report.output_edges,
-            stage.report.compression_ratio() * 100.0,
-            stage.report.elapsed.as_secs_f64() * 1e3,
-            if stage.cached { " (cached)" } else { "" }
+            stage.label,
+            stage.input_edges,
+            stage.output_edges,
+            stage.compression_ratio() * 100.0,
+            stage.elapsed.as_secs_f64() * 1e3,
         );
     }
+    let run = &out.result;
     println!(
         "total: {}: m {} -> {} ({:.1}% kept) in {:.1} ms",
         label,
         run.original_edges,
         run.graph.num_edges(),
         run.compression_ratio() * 100.0,
-        run.elapsed().as_secs_f64() * 1e3
+        run.elapsed.as_secs_f64() * 1e3
     );
     catalog::save_graph_with(
         &run.graph,
@@ -278,7 +262,8 @@ fn compress(args: &Args) -> Result<(), String> {
 
 fn analyze(args: &Args) -> Result<(), String> {
     let encoding = encoding_from(args)?;
-    let (g, run, label) = run_session(args)?;
+    let (g, out, label) = run_pipeline(args)?;
+    let run = &out.result;
     println!("pipeline:          {label}");
     println!("edges kept:        {:.1}%", run.compression_ratio() * 100.0);
     // With --encoding delta|auto the "before" metrics run over the encoded
@@ -286,7 +271,7 @@ fn analyze(args: &Args) -> Result<(), String> {
     // the raw run, the path is just exercised end to end.
     let report = match (encoding != sg_store::Encoding::Raw).then(|| EncodedCsr::from_graph(&g)) {
         Some(encoded) => sg_metrics::accuracy_report(&encoded, &g, &run.graph),
-        None => sg_metrics::accuracy_report(&*g, &g, &run.graph),
+        None => sg_metrics::accuracy_report(&g, &g, &run.graph),
     };
     println!("components:        {} -> {}", report.components[0], report.components[1]);
     println!("triangles:         {} -> {}", report.triangles[0], report.triangles[1]);
@@ -1064,12 +1049,10 @@ mod tests {
             .expect("per-stage overrides");
     }
 
-    /// Mirrors what `run_session` does with `--scheme` flags: parse,
-    /// resolve against the registry, build.
+    /// Mirrors what `run_pipeline` does with `--scheme` flags: parse, build.
     fn pipeline_from(args: &Args) -> Result<sg_core::Pipeline, String> {
         let (spec, base) = spec_from(args)?;
-        let registry = SchemeRegistry::with_defaults();
-        spec.resolve(&registry, &base)?.build(&registry)
+        spec.build_with_base(&SchemeRegistry::with_defaults(), &base)
     }
 
     #[test]
@@ -1082,7 +1065,7 @@ mod tests {
         // And the full zoo as one chain.
         let chain: Vec<&str> = registry.names().collect();
         let a = Args::parse(&sv(&["compress", "--scheme", &chain.join(",")])).expect("parse");
-        assert_eq!(pipeline_from(&a).expect("pipeline").len(), chain.len());
+        assert_eq!(pipeline_from(&a).expect("pipeline").stages().len(), chain.len());
     }
 
     #[test]
@@ -1135,8 +1118,8 @@ mod tests {
             let registry = Arc::new(SchemeRegistry::with_defaults());
             let outcome = sg_tune::tune(&g, &registry, &cfg).expect("tune");
             let w = outcome.winner.expect("feasible");
-            let standalone = registry
-                .parse_pipeline(&w.rendered, &SchemeParams::new())
+            let standalone = PipelineSpec::parse(&w.rendered)
+                .and_then(|spec| spec.build(&registry))
                 .expect("winner spec parses as a --scheme spec")
                 .apply(&g, w.seed);
             assert_eq!(standalone.result.graph.num_edges(), w.edges, "standalone re-run matches");

@@ -26,18 +26,17 @@
 //!
 //! The scheme layer is *open*: [`scheme::CompressionScheme`] is an
 //! object-safe trait, [`scheme::SchemeRegistry`] resolves schemes by name,
-//! and [`pipeline::Pipeline`] chains them into multi-stage compression
-//! runs — the paper's kernel-combining model.
-//!
-//! On top of the one-shot [`Pipeline::apply`] path sits the **session
-//! execution API** — the programming model of the serving layer:
+//! and a [`spec::PipelineSpec`] builds into a [`pipeline::Pipeline`] that
+//! chains them — the paper's kernel-combining model. One stage loop runs
+//! every chain: [`Pipeline::apply`] from stage 0, and the **session
+//! execution API** (the serving layer's model) from a cached prefix:
 //!
 //! * [`catalog::GraphCatalog`] — named, ref-counted graph handles, loaded
 //!   at most once (heap, `.sgr` mmap via `sg-store`, or inserted from
 //!   memory);
-//! * [`session::SgSession`] — executes [`spec::PipelineSpec`]s
-//!   stage-by-stage against a handle, exposing every stage's intermediate
-//!   graph;
+//! * [`session::SgSession`] — runs a [`spec::PipelineSpec`] against a
+//!   handle from its longest cached prefix, exposing every stage's
+//!   intermediate graph;
 //! * [`cache::StageCache`] — content-addressed on
 //!   `(graph id, chain-prefix hash, seed)`, so requests sharing a chain
 //!   prefix recompute only the divergent suffix, bit-identically to a
@@ -62,7 +61,7 @@ pub use context::{DetRand, SgContext};
 pub use engine::{
     decide_edge, decide_vertex, materialize_edges, run_plan, CompressionResult, Plan,
 };
-pub use pipeline::{run_stage, Pipeline, PipelineResult, StageReport};
+pub use pipeline::{Pipeline, PipelineResult, StageReport};
 pub use scheme::{CompressionScheme, SchemeParams, SchemeRegistry};
 pub use session::{SessionRun, SgSession, StageOutcome};
 pub use spec::{PipelineSpec, StageSpec};

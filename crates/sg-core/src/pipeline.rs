@@ -2,10 +2,15 @@
 //!
 //! Slim Graph kernels are designed to compose: a spanner can strip long
 //! cycles, low-degree removal can then delete the exposed leaves, and a
-//! final uniform sample can trim the rest. [`Pipeline`] runs a sequence of
-//! [`CompressionScheme`] stages, feeding each stage the previous stage's
-//! output, composing old→new vertex relabellings across stages, and
-//! recording a per-stage [`StageReport`].
+//! final uniform sample can trim the rest. A [`Pipeline`] is built from a
+//! [`PipelineSpec`] and runs its [`CompressionScheme`] stages in order,
+//! feeding each stage the previous stage's output, composing old→new
+//! vertex relabellings across stages, and recording a per-stage
+//! [`StageReport`].
+//!
+//! One stage loop runs every chain: [`Pipeline::apply`] from stage 0,
+//! [`SgSession`](crate::SgSession) from its longest cached prefix. Each
+//! executed stage records a `session.stage` span and `session.stage*` metrics.
 //!
 //! Determinism: stage `i` derives its seed from `(seed, i)`, so a pipeline
 //! run is bit-reproducible, and a single-stage pipeline is bit-identical to
@@ -13,8 +18,10 @@
 
 use crate::engine::CompressionResult;
 use crate::scheme::CompressionScheme;
+use crate::spec::PipelineSpec;
 use sg_graph::prng::mix64;
 use sg_graph::{CsrGraph, VertexId};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-stage statistics recorded by [`Pipeline::apply`].
@@ -45,11 +52,6 @@ impl StageReport {
             self.output_edges as f64 / self.input_edges as f64
         }
     }
-
-    /// Signed edge delta (positive = edges removed).
-    pub fn edge_delta(&self) -> i64 {
-        self.input_edges as i64 - self.output_edges as i64
-    }
 }
 
 /// Outcome of a pipeline run: the end-to-end [`CompressionResult`]
@@ -63,51 +65,34 @@ pub struct PipelineResult {
     pub stages: Vec<StageReport>,
 }
 
-/// An ordered chain of compression schemes.
+/// A built chain of compression schemes: the [resolved](PipelineSpec::resolve)
+/// spec it was built from, next to one scheme per stage. Built only by
+/// [`PipelineSpec::build_with_base`].
 pub struct Pipeline {
-    stages: Vec<Box<dyn CompressionScheme>>,
+    pub(crate) spec: PipelineSpec,
+    pub(crate) schemes: Vec<Box<dyn CompressionScheme>>,
+}
+
+/// Where a chain run stands after its first `reports.len()` stages.
+#[derive(Default)]
+pub(crate) struct Prefix {
+    /// The last stage's output; `None` while no stage has run.
+    pub(crate) graph: Option<Arc<CsrGraph>>,
+    /// The stages' relabellings composed (`None` = identity).
+    pub(crate) mapping: Option<Arc<Vec<Option<VertexId>>>>,
+    /// One report per stage run so far.
+    pub(crate) reports: Vec<StageReport>,
 }
 
 impl Pipeline {
-    /// An empty pipeline (applies as the identity).
-    pub fn new() -> Self {
-        Self { stages: Vec::new() }
-    }
-
-    /// A pipeline over the given stages.
-    pub fn from_stages(stages: Vec<Box<dyn CompressionScheme>>) -> Self {
-        Self { stages }
-    }
-
-    /// Appends a stage (builder style).
-    pub fn then(mut self, scheme: Box<dyn CompressionScheme>) -> Self {
-        self.stages.push(scheme);
-        self
-    }
-
-    /// Appends a stage.
-    pub fn push(&mut self, scheme: Box<dyn CompressionScheme>) {
-        self.stages.push(scheme);
-    }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Whether the pipeline has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// The stages, in execution order.
+    /// The stages' schemes, in execution order.
     pub fn stages(&self) -> &[Box<dyn CompressionScheme>] {
-        &self.stages
+        &self.schemes
     }
 
     /// Stage labels joined with `->`.
     pub fn label(&self) -> String {
-        self.stages.iter().map(|s| s.label()).collect::<Vec<_>>().join(" -> ")
+        self.schemes.iter().map(|s| s.label()).collect::<Vec<_>>().join(" -> ")
     }
 
     /// The deterministic seed handed to stage `index` of a run seeded with
@@ -121,102 +106,112 @@ impl Pipeline {
         }
     }
 
-    /// Runs every stage in order over `g`.
-    ///
-    /// This is the *cold* execution path; it shares its per-stage runner
-    /// ([`run_stage`]) with the session API ([`crate::session::SgSession`]),
-    /// which additionally caches and resumes chain prefixes. A session run
-    /// of the same `(graph, spec, seed)` is bit-identical to this.
+    /// Runs every stage in order over `g`: the cold path. A session run
+    /// of the same `(graph, spec, seed)` resumes the same stage loop from
+    /// a cached prefix and is bit-identical to this.
     pub fn apply(&self, g: &CsrGraph, seed: u64) -> PipelineResult {
-        let mut current: Option<CsrGraph> = None;
-        let mut mapping: Option<Vec<Option<VertexId>>> = None;
-        let mut stages = Vec::with_capacity(self.stages.len());
-        let mut elapsed = Duration::ZERO;
-        for (index, scheme) in self.stages.iter().enumerate() {
-            let input = current.as_ref().unwrap_or(g);
-            let (r, report) = run_stage(scheme.as_ref(), input, seed, index);
-            elapsed += report.elapsed;
-            stages.push(report);
-            mapping = compose_mappings(mapping, r.vertex_mapping);
-            current = Some(r.graph);
-        }
+        let end = self.run_from(g, seed, Prefix::default(), |_| {});
         PipelineResult {
             result: CompressionResult {
-                graph: current.unwrap_or_else(|| g.clone()),
+                graph: end.graph.map_or_else(|| g.clone(), unshared),
                 original_edges: g.num_edges(),
                 original_vertices: g.num_vertices(),
-                elapsed,
-                vertex_mapping: mapping,
+                elapsed: end.reports.iter().map(|r| r.elapsed).sum(),
+                vertex_mapping: end.mapping.map(unshared),
             },
-            stages,
+            stages: end.reports,
         }
     }
-}
 
-/// Runs one pipeline stage: applies `scheme` to `g` with the deterministic
-/// seed for position `index` of a run seeded with `seed`, and builds the
-/// stage's [`StageReport`]. The single execution primitive shared by
-/// [`Pipeline::apply`] and the session executor, so the two paths cannot
-/// drift.
-pub fn run_stage(
-    scheme: &dyn CompressionScheme,
-    g: &CsrGraph,
-    seed: u64,
-    index: usize,
-) -> (CompressionResult, StageReport) {
-    let (input_vertices, input_edges) = (g.num_vertices(), g.num_edges());
-    let r = scheme.apply(g, Pipeline::stage_seed(seed, index));
-    let report = StageReport {
-        name: scheme.name().to_string(),
-        label: scheme.label(),
-        input_vertices,
-        input_edges,
-        output_vertices: r.graph.num_vertices(),
-        output_edges: r.graph.num_edges(),
-        elapsed: r.elapsed,
-    };
-    (r, report)
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Composes two old→new relabellings: `so_far` maps pipeline-input ids to
-/// the previous stage's ids, `next` maps those to the new stage's ids.
-/// `None` means "identity" (the stage kept the vertex set).
-pub(crate) fn compose_mappings(
-    so_far: Option<Vec<Option<VertexId>>>,
-    next: Option<Vec<Option<VertexId>>>,
-) -> Option<Vec<Option<VertexId>>> {
-    match (so_far, next) {
-        (None, next) => next,
-        (so_far, None) => so_far,
-        (Some(first), Some(second)) => {
-            Some(first.into_iter().map(|mid| mid.and_then(|m| second[m as usize])).collect())
+    /// The one stage loop. Runs stages `prefix.reports.len()..` over
+    /// `prefix` (over `input` while no stage has run), and hands each new
+    /// prefix to `publish`. A stage's graph is dropped once the next
+    /// stage's output replaces it, unless `publish` kept a clone.
+    pub(crate) fn run_from(
+        &self,
+        input: &CsrGraph,
+        seed: u64,
+        mut prefix: Prefix,
+        mut publish: impl FnMut(&Prefix),
+    ) -> Prefix {
+        let stages = self.spec.stages.iter().zip(&self.schemes).enumerate();
+        for (index, (stage, scheme)) in stages.skip(prefix.reports.len()) {
+            let g = prefix.graph.as_deref().unwrap_or(input);
+            let mut span = sg_obs::span!("session.stage", scheme = stage.name, index = index);
+            // With the tracking allocator profiling, bracket the stage so
+            // its span (and a per-scheme counter) carries the allocation
+            // cost of that compression scheme. Process-wide counters:
+            // under concurrency the delta includes other threads' churn.
+            let alloc_before =
+                sg_obs::alloc::profiling_enabled().then(|| sg_obs::alloc::stats().allocated_bytes);
+            let r = scheme.apply(g, Self::stage_seed(seed, index));
+            let report = StageReport {
+                name: scheme.name().to_string(),
+                label: scheme.label(),
+                input_vertices: g.num_vertices(),
+                input_edges: g.num_edges(),
+                output_vertices: r.graph.num_vertices(),
+                output_edges: r.graph.num_edges(),
+                elapsed: r.elapsed,
+            };
+            if let Some(before) = alloc_before {
+                let delta = sg_obs::alloc::stats().allocated_bytes.saturating_sub(before);
+                if span.is_recording() {
+                    span.arg("alloc_bytes", delta.to_string());
+                }
+                if sg_obs::metrics_enabled() {
+                    sg_obs::global()
+                        .counter(&format!("session.stage_alloc_bytes.{}", stage.name))
+                        .add(delta);
+                }
+            }
+            drop(span);
+            if sg_obs::metrics_enabled() {
+                let reg = sg_obs::global();
+                reg.counter("session.stages_executed").inc();
+                reg.counter(&format!("session.stage_executed.{}", stage.name)).inc();
+                reg.histogram("session.stage_ms").observe(report.elapsed);
+            }
+            prefix.mapping = match (prefix.mapping, r.vertex_mapping) {
+                (so_far, None) => so_far,
+                (None, Some(next)) => Some(Arc::new(next)),
+                (Some(first), Some(next)) => Some(Arc::new(
+                    first.iter().map(|mid| mid.and_then(|m| next[m as usize])).collect(),
+                )),
+            };
+            prefix.graph = Some(Arc::new(r.graph));
+            prefix.reports.push(report);
+            publish(&prefix);
         }
+        prefix
     }
+}
+
+/// Takes a cold run's output out of its `Arc` — never a copy: with nothing
+/// published, the run holds the only reference.
+fn unshared<T>(arc: Arc<T>) -> T {
+    Arc::try_unwrap(arc).unwrap_or_else(|_| panic!("a cold run shares no stage output"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{LowDegree, Spanner, Uniform};
+    use crate::scheme::{SchemeRegistry, Uniform};
     use sg_graph::generators;
 
+    fn build(spec: &str) -> Pipeline {
+        PipelineSpec::parse(spec).expect("parses").build(&SchemeRegistry::with_defaults()).unwrap()
+    }
+
     fn three_stage() -> Pipeline {
-        Pipeline::new()
-            .then(Box::new(Spanner { k: 4.0 }))
-            .then(Box::new(LowDegree))
-            .then(Box::new(Uniform { p: 0.3 }))
+        build("spanner:k=4,lowdeg,uniform:p=0.3")
     }
 
     #[test]
     fn empty_pipeline_is_identity() {
         let g = generators::erdos_renyi(100, 400, 1);
-        let out = Pipeline::new().apply(&g, 7);
+        let empty = PipelineSpec::default().build(&SchemeRegistry::with_defaults()).unwrap();
+        let out = empty.apply(&g, 7);
         assert_eq!(out.result.graph.edge_slice(), g.edge_slice());
         assert!(out.stages.is_empty());
         assert_eq!(out.result.compression_ratio(), 1.0);
@@ -226,7 +221,7 @@ mod tests {
     fn single_stage_matches_direct_apply() {
         let g = generators::rmat_graph500(10, 8, 3);
         let direct = crate::scheme::CompressionScheme::apply(&Uniform { p: 0.4 }, &g, 99);
-        let piped = Pipeline::new().then(Box::new(Uniform { p: 0.4 })).apply(&g, 99);
+        let piped = build("uniform:p=0.4").apply(&g, 99);
         assert_eq!(direct.graph.edge_slice(), piped.result.graph.edge_slice());
     }
 
@@ -265,12 +260,12 @@ mod tests {
         // star(6): lowdeg removes the 5 leaves, leaving the hub; a second
         // lowdeg stage then removes the now-isolated hub.
         let g = generators::star(6);
-        let one = Pipeline::new().then(Box::new(LowDegree)).apply(&g, 1);
+        let one = build("lowdeg").apply(&g, 1);
         let mapping = one.result.vertex_mapping.expect("vertex scheme maps");
         assert_eq!(mapping[0], Some(0));
         assert!(mapping[1..].iter().all(Option::is_none));
 
-        let two = Pipeline::new().then(Box::new(LowDegree)).then(Box::new(LowDegree)).apply(&g, 1);
+        let two = build("lowdeg,lowdeg").apply(&g, 1);
         let mapping = two.result.vertex_mapping.expect("composed mapping");
         assert_eq!(mapping.len(), 6, "mapping is indexed by pipeline-input ids");
         assert!(mapping.iter().all(Option::is_none), "everything removed");

@@ -94,25 +94,15 @@ impl SchemeParams {
         self
     }
 
-    /// Parses a `key=value` assignment into the bag; returns the key.
-    pub fn parse_assignment(&mut self, assignment: &str) -> Result<String, String> {
+    /// Parses a `key=value` assignment into the bag.
+    pub fn parse_assignment(&mut self, assignment: &str) -> Result<(), String> {
         match assignment.split_once('=') {
             Some((k, v)) if !k.is_empty() && !v.is_empty() => {
-                let key = k.trim().to_string();
-                self.set(&key, v.trim());
-                Ok(key)
+                self.set(k.trim(), v.trim());
+                Ok(())
             }
             _ => Err(format!("expected key=value, got '{assignment}'")),
         }
-    }
-
-    /// This bag with `overrides` layered on top.
-    pub fn merged_with(&self, overrides: &SchemeParams) -> Self {
-        let mut merged = self.clone();
-        for (k, v) in &overrides.values {
-            merged.set(k, v);
-        }
-        merged
     }
 
     /// Raw string value.
@@ -123,11 +113,6 @@ impl SchemeParams {
     /// All `(key, value)` pairs in sorted key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.values.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// Whether the bag holds no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// `f64` value with a default.
@@ -350,7 +335,7 @@ pub type SchemeFactory =
 struct RegisteredScheme {
     factory: SchemeFactory,
     /// Parameter keys the factory reads; per-stage overrides outside this
-    /// set are rejected by [`SchemeRegistry::parse_pipeline`].
+    /// set are rejected by [`crate::PipelineSpec::resolve`].
     param_keys: &'static [&'static str],
 }
 
@@ -475,29 +460,14 @@ impl SchemeRegistry {
         name: &str,
         params: &SchemeParams,
     ) -> Result<Box<dyn CompressionScheme>, String> {
-        match self.schemes.get(name) {
-            Some(scheme) => (scheme.factory)(params),
-            None => {
-                let known: Vec<&str> = self.names().collect();
-                Err(format!("unknown scheme '{name}' (known: {})", known.join(", ")))
-            }
-        }
+        let scheme = self.schemes.get(name).ok_or_else(|| self.unknown(name))?;
+        (scheme.factory)(params)
     }
 
-    /// Parses a pipeline spec: comma-separated stages, each `name` or
-    /// `name:key=value[:key=value…]`, with per-stage assignments layered
-    /// over `base` parameters. Example:
-    /// `"spanner:k=4,lowdeg,uniform:p=0.3"`. Per-stage keys are validated
-    /// against the scheme's declared parameters so typos fail loudly
-    /// instead of silently running with defaults. The parsed intermediate
-    /// form is [`crate::PipelineSpec`]; use it directly when the chain is
-    /// constructed programmatically (as `sg-tune` does).
-    pub fn parse_pipeline(
-        &self,
-        spec: &str,
-        base: &SchemeParams,
-    ) -> Result<crate::Pipeline, String> {
-        crate::PipelineSpec::parse(spec)?.build_with_base(self, base)
+    /// The error for a name nothing is registered under.
+    pub(crate) fn unknown(&self, name: &str) -> String {
+        let known: Vec<&str> = self.names().collect();
+        format!("unknown scheme '{name}' (known: {})", known.join(", "))
     }
 }
 
@@ -618,21 +588,21 @@ mod tests {
     #[test]
     fn pipeline_specs_reject_unknown_stage_parameters() {
         let registry = SchemeRegistry::with_defaults();
+        let build = |spec: &str, base: &SchemeParams| {
+            crate::PipelineSpec::parse(spec)?.build_with_base(&registry, base)
+        };
         let base = SchemeParams::new();
         // Typo'd key (capital K) must fail loudly, not run with defaults.
-        let err = registry.parse_pipeline("spanner:K=4", &base).err().expect("typo rejected");
+        let err = build("spanner:K=4", &base).err().expect("typo rejected");
         assert!(err.contains("does not accept parameter 'K'"), "{err}");
         assert!(err.contains("accepts: k"), "{err}");
-        let err = registry.parse_pipeline("lowdeg:p=0.5", &base).err().expect("rejected");
+        let err = build("lowdeg:p=0.5", &base).err().expect("rejected");
         assert!(err.contains("accepts: none"), "{err}");
         // Valid per-stage keys still parse.
-        assert_eq!(
-            registry.parse_pipeline("spanner:k=4,uniform:p=0.3", &base).expect("parses").len(),
-            2
-        );
+        assert_eq!(build("spanner:k=4,uniform:p=0.3", &base).expect("parses").stages().len(), 2);
         // Shared base params may carry keys some stages ignore.
         let shared = SchemeParams::from_pairs(&[("p", "0.5"), ("k", "4")]);
-        assert!(registry.parse_pipeline("spanner,lowdeg,uniform", &shared).is_ok());
+        assert!(build("spanner,lowdeg,uniform", &shared).is_ok());
     }
 
     #[test]

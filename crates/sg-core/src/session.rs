@@ -1,13 +1,12 @@
 //! The session execution API: incremental, cache-aware pipeline runs
 //! against catalog graph handles.
 //!
-//! [`SgSession`] is the execution front door the serving layer (and the
-//! CLI, the tuner, and the bench harness) drive: it executes a
-//! [`PipelineSpec`] stage-by-stage against a [`GraphHandle`], consulting
-//! the [`StageCache`] for the **longest already-computed chain prefix**
-//! and recomputing only the divergent suffix. Each stage's output graph is
-//! exposed in the returned [`SessionRun`] (not just the final result), and
-//! every newly executed prefix is published back to the cache.
+//! [`SgSession`] is the execution front door the serving layer, the tuner
+//! and the bench harness drive. It probes the [`StageCache`] for the
+//! **longest already-computed prefix** of a [`PipelineSpec`] and runs the
+//! stage loop of [`Pipeline::apply`](crate::Pipeline::apply) from there,
+//! publishing every new prefix; probing and publishing are all it adds.
+//! Each stage's output graph is exposed in the returned [`SessionRun`].
 //!
 //! # Determinism and bit-identity
 //!
@@ -20,7 +19,7 @@
 
 use crate::cache::{prefix_hash, CachedPrefix, StageCache, StageKey};
 use crate::catalog::{GraphCatalog, GraphHandle};
-use crate::pipeline::{self, StageReport};
+use crate::pipeline::{Prefix, StageReport};
 use crate::scheme::{SchemeParams, SchemeRegistry};
 use crate::spec::PipelineSpec;
 use sg_graph::{CsrGraph, VertexId};
@@ -162,6 +161,10 @@ impl SgSession {
     /// [resolved](PipelineSpec::resolve) first, so the cache key reflects
     /// the *effective* per-stage configuration — two invocations that
     /// would run different scheme parameters can never share an entry.
+    /// The schemes are instantiated after the probe, and only when a stage
+    /// must execute: a parameter value a factory rejects fails the run
+    /// after its probe, and a spec served whole from the cache passed its
+    /// factories when it first ran.
     pub fn run_with_base(
         &self,
         handle: &GraphHandle,
@@ -175,19 +178,19 @@ impl SgSession {
         if sg_obs::metrics_enabled() {
             sg_obs::global().counter("session.runs").inc();
         }
-        let key_at =
-            |len: usize| StageKey { graph: handle.id(), prefix: prefix_hash(&resolved, len), seed };
+        // `keys[len - 1]` addresses the prefix of the first `len` stages.
+        let keys: Vec<StageKey> = (1..=n)
+            .map(|len| StageKey { graph: handle.id(), prefix: prefix_hash(&resolved, len), seed })
+            .collect();
 
         // Longest cached prefix, probed from the full chain down.
-        let mut start = 0usize;
-        let mut current: Arc<CsrGraph> = Arc::clone(handle.graph_arc());
-        let mut mapping: Option<Arc<Vec<Option<VertexId>>>> = None;
+        let mut prefix = Prefix::default();
         let mut outcomes: Vec<StageOutcome> = Vec::with_capacity(n);
         for len in (1..=n).rev() {
             // Scheme-keyed hit/miss attribution: each probe is charged to
             // the scheme ending the probed prefix (observation only).
             let probe_scheme = resolved.stages[len - 1].name.as_str();
-            let Some(hit) = self.cache.get(&key_at(len)) else {
+            let Some(hit) = self.cache.get(&keys[len - 1]) else {
                 if sg_obs::metrics_enabled() {
                     sg_obs::global().counter(&format!("core.cache.miss.{probe_scheme}")).inc();
                 }
@@ -205,91 +208,50 @@ impl SgSession {
                 let graph = if i + 1 == len {
                     Some(Arc::clone(&hit.graph))
                 } else {
-                    self.cache.peek(&key_at(i + 1)).map(|c| c.graph)
+                    self.cache.peek(&keys[i]).map(|c| c.graph)
                 };
                 outcomes.push(StageOutcome { report: report.clone(), cached: true, graph });
             }
-            current = hit.graph;
-            mapping = hit.mapping;
-            start = len;
+            prefix = Prefix {
+                graph: Some(hit.graph),
+                mapping: hit.mapping,
+                reports: hit.reports.to_vec(),
+            };
             break;
         }
+        let cached = prefix.reports.len();
 
-        // Execute (and publish) the divergent suffix.
-        let mut reports: Vec<StageReport> = outcomes.iter().map(|o| o.report.clone()).collect();
-        for (i, stage) in resolved.stages.iter().enumerate().skip(start) {
-            let scheme = self.registry.create(&stage.name, &stage.params)?;
-            let mut stage_span = sg_obs::span!("session.stage", scheme = stage.name, index = i);
-            // With the tracking allocator profiling, bracket the stage so
-            // its span (and a per-scheme counter) carries the allocation
-            // cost of that compression scheme. Process-wide counters:
-            // under concurrency the delta includes other threads' churn.
-            let alloc_before =
-                sg_obs::alloc::profiling_enabled().then(|| sg_obs::alloc::stats().allocated_bytes);
-            let (r, report) = pipeline::run_stage(scheme.as_ref(), &current, seed, i);
-            if let Some(before) = alloc_before {
-                let delta = sg_obs::alloc::stats().allocated_bytes.saturating_sub(before);
-                if stage_span.is_recording() {
-                    stage_span.arg("alloc_bytes", delta.to_string());
-                }
-                if sg_obs::metrics_enabled() {
-                    sg_obs::global()
-                        .counter(&format!("session.stage_alloc_bytes.{}", stage.name))
-                        .add(delta);
-                }
-            }
-            drop(stage_span);
-            if sg_obs::metrics_enabled() {
-                let reg = sg_obs::global();
-                reg.counter("session.stages_executed").inc();
-                reg.counter(&format!("session.stage_executed.{}", stage.name)).inc();
-                reg.histogram("session.stage_ms").observe(report.elapsed);
-            }
-            mapping = compose_arc_mappings(mapping, r.vertex_mapping);
-            current = Arc::new(r.graph);
-            reports.push(report.clone());
-            self.cache.insert(
-                key_at(i + 1),
-                CachedPrefix {
-                    graph: Arc::clone(&current),
-                    mapping: mapping.clone(),
-                    reports: Arc::new(reports.clone()),
-                },
-            );
-            outcomes.push(StageOutcome {
-                report,
-                cached: false,
-                graph: Some(Arc::clone(&current)),
-            });
-        }
+        // Execute the divergent suffix, publishing each new prefix. A full
+        // hit executes nothing, so it instantiates no scheme either.
+        let end = if cached == n {
+            prefix
+        } else {
+            resolved.instantiate(&self.registry)?.run_from(handle.graph(), seed, prefix, |p| {
+                let graph = p.graph.clone().expect("an executed stage has an output");
+                self.cache.insert(
+                    keys[p.reports.len() - 1],
+                    CachedPrefix {
+                        graph: Arc::clone(&graph),
+                        mapping: p.mapping.clone(),
+                        reports: Arc::new(p.reports.clone()),
+                    },
+                );
+                let report = p.reports.last().expect("an executed stage has a report").clone();
+                outcomes.push(StageOutcome { report, cached: false, graph: Some(graph) });
+            })
+        };
 
         if run_span.is_recording() {
-            run_span.arg("cached", start.to_string());
-            run_span.arg("executed", (n - start).to_string());
+            run_span.arg("cached", cached.to_string());
+            run_span.arg("executed", (n - cached).to_string());
         }
         Ok(SessionRun {
-            graph: current,
-            vertex_mapping: mapping,
+            graph: end.graph.unwrap_or_else(|| Arc::clone(handle.graph_arc())),
+            vertex_mapping: end.mapping,
             original_vertices: handle.graph().num_vertices(),
             original_edges: handle.graph().num_edges(),
             stages: outcomes,
         })
-    }
-}
-
-/// [`pipeline::compose_mappings`] lifted over the session's shared
-/// (`Arc`ed) accumulated mapping. Semantics are identical; only the
-/// ownership shape differs.
-fn compose_arc_mappings(
-    so_far: Option<Arc<Vec<Option<VertexId>>>>,
-    next: Option<Vec<Option<VertexId>>>,
-) -> Option<Arc<Vec<Option<VertexId>>>> {
-    match (so_far, next) {
-        (so_far, None) => so_far,
-        (None, Some(next)) => Some(Arc::new(next)),
-        (Some(first), Some(second)) => {
-            Some(Arc::new(first.iter().map(|mid| mid.and_then(|m| second[m as usize])).collect()))
-        }
     }
 }
 
@@ -418,7 +380,7 @@ mod tests {
     fn empty_specs_are_the_identity() {
         let g = generators::grid(6, 6);
         let (session, handle) = session_over(g.clone());
-        let run = session.run(&handle, &PipelineSpec::new(), 3).expect("runs");
+        let run = session.run(&handle, &PipelineSpec::default(), 3).expect("runs");
         assert_eq!(run.graph.edge_slice(), g.edge_slice());
         assert!(run.stages.is_empty());
         assert_eq!(run.compression_ratio(), 1.0);

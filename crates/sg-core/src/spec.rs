@@ -58,20 +58,9 @@ pub struct PipelineSpec {
 }
 
 impl PipelineSpec {
-    /// The empty spec (builds into the identity pipeline).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A spec over the given stages.
     pub fn from_stages(stages: Vec<StageSpec>) -> Self {
         Self { stages }
-    }
-
-    /// Appends a stage (builder style).
-    pub fn then(mut self, stage: StageSpec) -> Self {
-        self.stages.push(stage);
-        self
     }
 
     /// Parses the CLI spec syntax: comma-separated stages, each `name` or
@@ -112,32 +101,26 @@ impl PipelineSpec {
         self.stages.is_empty()
     }
 
-    /// Validates the spec against `registry` (names known, per-stage keys
-    /// accepted) and instantiates the pipeline, layering each stage's
-    /// parameters over `base`.
+    /// [Resolves](PipelineSpec::resolve) the spec against `registry` and
+    /// `base`, then instantiates one scheme per resolved stage. The
+    /// returned pipeline carries the resolved spec next to its schemes.
     pub fn build_with_base(
         &self,
         registry: &SchemeRegistry,
         base: &SchemeParams,
     ) -> Result<Pipeline, String> {
-        let mut stages: Vec<Box<dyn crate::CompressionScheme>> =
-            Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            if let Some(keys) = registry.param_keys(&stage.name) {
-                for (key, _) in stage.params.iter() {
-                    if !keys.contains(&key) {
-                        return Err(format!(
-                            "scheme '{}' does not accept parameter '{key}' (accepts: {})",
-                            stage.name,
-                            if keys.is_empty() { "none".to_string() } else { keys.join(", ") }
-                        ));
-                    }
-                }
-            }
-            let params = base.merged_with(&stage.params);
-            stages.push(registry.create(&stage.name, &params)?);
-        }
-        Ok(Pipeline::from_stages(stages))
+        self.resolve(registry, base)?.instantiate(registry)
+    }
+
+    /// Instantiates one scheme per stage of a resolved spec; a factory
+    /// rejects a parameter value out of its range.
+    pub(crate) fn instantiate(self, registry: &SchemeRegistry) -> Result<Pipeline, String> {
+        let schemes = self
+            .stages
+            .iter()
+            .map(|stage| registry.create(&stage.name, &stage.params))
+            .collect::<Result<_, _>>()?;
+        Ok(Pipeline { spec: self, schemes })
     }
 
     /// [`PipelineSpec::build_with_base`] with an empty base bag.
@@ -145,15 +128,14 @@ impl PipelineSpec {
         self.build_with_base(registry, &SchemeParams::new())
     }
 
-    /// Canonicalizes the spec against a registry and a base parameter bag:
-    /// validates stage names and per-stage keys exactly as
-    /// [`PipelineSpec::build_with_base`] does, then folds the base
-    /// parameters into each stage — keeping only keys the stage's scheme
-    /// actually reads — so the returned spec is **self-contained**:
-    /// `resolved.build(registry)` constructs bit-identical schemes to
-    /// `self.build_with_base(registry, base)`, and the resolved rendering
-    /// is a sound cache key (two invocations that would run different
-    /// scheme configurations can never render identically).
+    /// Canonicalizes the spec against a registry and a base parameter bag —
+    /// the one place stage names and per-stage keys are validated — then
+    /// folds the base parameters into each stage, keeping only keys the
+    /// stage's scheme actually reads. The returned spec is
+    /// **self-contained**: `resolved.build(registry)` constructs the same
+    /// schemes as `self.build_with_base(registry, base)`, and the resolved
+    /// rendering is a sound cache key (two invocations that would run
+    /// different scheme configurations can never render identically).
     pub fn resolve(
         &self,
         registry: &SchemeRegistry,
@@ -161,10 +143,8 @@ impl PipelineSpec {
     ) -> Result<PipelineSpec, String> {
         let mut stages = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
-            let keys = registry.param_keys(&stage.name).ok_or_else(|| {
-                let known: Vec<&str> = registry.names().collect();
-                format!("unknown scheme '{}' (known: {})", stage.name, known.join(", "))
-            })?;
+            let keys =
+                registry.param_keys(&stage.name).ok_or_else(|| registry.unknown(&stage.name))?;
             for (key, _) in stage.params.iter() {
                 if !keys.contains(&key) {
                     return Err(format!(
@@ -174,9 +154,9 @@ impl PipelineSpec {
                     ));
                 }
             }
-            let merged = base.merged_with(&stage.params);
+            // The stage's own values override the base bag's.
             let mut params = SchemeParams::new();
-            for (key, value) in merged.iter() {
+            for (key, value) in base.iter().chain(stage.params.iter()) {
                 if keys.contains(&key) {
                     params.set(key, value);
                 }
@@ -200,10 +180,11 @@ mod tests {
 
     #[test]
     fn render_parse_roundtrip() {
-        let spec = PipelineSpec::new()
-            .then(StageSpec::with_params("spanner", &[("k", "4")]))
-            .then(StageSpec::new("lowdeg"))
-            .then(StageSpec::with_params("uniform", &[("p", "0.3")]));
+        let spec = PipelineSpec::from_stages(vec![
+            StageSpec::with_params("spanner", &[("k", "4")]),
+            StageSpec::new("lowdeg"),
+            StageSpec::with_params("uniform", &[("p", "0.3")]),
+        ]);
         let rendered = spec.render();
         assert_eq!(rendered, "spanner:k=4,lowdeg,uniform:p=0.3");
         assert_eq!(PipelineSpec::parse(&rendered).expect("parses"), spec);
@@ -212,33 +193,42 @@ mod tests {
 
     #[test]
     fn multi_key_stages_render_sorted() {
-        let spec = PipelineSpec::new()
-            .then(StageSpec::with_params("spectral", &[("variant", "avgdeg"), ("p", "0.4")]));
+        let spec = PipelineSpec::from_stages(vec![StageSpec::with_params(
+            "spectral",
+            &[("variant", "avgdeg"), ("p", "0.4")],
+        )]);
         // BTreeMap ordering: p before variant regardless of insertion order.
         assert_eq!(spec.render(), "spectral:p=0.4:variant=avgdeg");
         assert_eq!(PipelineSpec::parse(&spec.render()).expect("parses"), spec);
     }
 
     #[test]
-    fn build_matches_textual_parse_pipeline() {
+    fn build_with_base_matches_the_textual_spec() {
+        // A base bag layered under bare stages builds the same pipeline as
+        // the textual per-stage form, and carries that form resolved.
         let registry = SchemeRegistry::with_defaults();
         let g = generators::erdos_renyi(300, 1000, 3);
         let text = "spanner:k=4,uniform:p=0.3";
-        let via_spec = PipelineSpec::parse(text).expect("parses").build(&registry).expect("builds");
-        let via_registry =
-            registry.parse_pipeline(text, &SchemeParams::new()).expect("parses directly");
-        let a = via_spec.apply(&g, 9);
-        let b = via_registry.apply(&g, 9);
+        let via_text = PipelineSpec::parse(text).expect("parses").build(&registry).expect("builds");
+        let base = SchemeParams::from_pairs(&[("k", "4"), ("p", "0.3"), ("epsilon", "0.2")]);
+        let via_base = PipelineSpec::parse("spanner,uniform")
+            .expect("parses")
+            .build_with_base(&registry, &base)
+            .expect("builds");
+        assert_eq!(via_base.spec.render(), text);
+        let a = via_text.apply(&g, 9);
+        let b = via_base.apply(&g, 9);
         assert_eq!(a.result.graph.edge_slice(), b.result.graph.edge_slice());
     }
 
     #[test]
     fn build_validates_names_and_keys() {
         let registry = SchemeRegistry::with_defaults();
-        let unknown = PipelineSpec::new().then(StageSpec::new("nope"));
+        let unknown = PipelineSpec::from_stages(vec![StageSpec::new("nope")]);
         let err = unknown.build(&registry).err().expect("unknown name errors");
         assert!(err.contains("unknown scheme"), "{err}");
-        let bad_key = PipelineSpec::new().then(StageSpec::with_params("lowdeg", &[("p", "0.5")]));
+        let bad_key =
+            PipelineSpec::from_stages(vec![StageSpec::with_params("lowdeg", &[("p", "0.5")])]);
         let err = bad_key.build(&registry).err().expect("bad key errors");
         assert!(err.contains("accepts: none"), "{err}");
     }

@@ -36,7 +36,6 @@ use crate::json::Json;
 use crate::proto::{ErrorCode, ProtoError};
 use sg_dist::ShardOutcome;
 use sg_graph::{CsrGraph, EdgeId, VertexId};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Federation settings of a coordinator daemon. A daemon with no
@@ -108,26 +107,31 @@ enum ShardError {
 pub(crate) fn fan_out(job: &FanOut<'_>) -> Result<Vec<ShardReport>, ProtoError> {
     let shards = job.cfg.workers.len();
     job.registry.counter("fed.shards").add(shards as u64);
-    let slots: Vec<Mutex<Option<Result<ShardReport, ShardError>>>> =
-        (0..shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for (shard, slot) in slots.iter().enumerate() {
-            scope.spawn(move || {
-                let _trace = sg_obs::trace::set_trace_id(job.trace_id);
-                let result = run_shard(job, shard, shards);
-                *slot.lock().expect("fan-out slot poisoned") = Some(result);
-            });
-        }
+    // A shard thread that panics is re-raised here, on the request thread,
+    // where `contain_panic` answers `internal`.
+    let results: Vec<Result<ShardReport, ShardError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| {
+                scope.spawn(move || {
+                    let _trace = sg_obs::trace::set_trace_id(job.trace_id);
+                    run_shard(job, shard, shards)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
     let mut reports = Vec::with_capacity(shards);
-    for (shard, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().expect("fan-out slot poisoned") {
-            Some(Ok(report)) => reports.push(report),
-            Some(Err(ShardError::DigestMismatch(message))) => {
+    for (shard, result) in results.into_iter().enumerate() {
+        match result {
+            Ok(report) => reports.push(report),
+            Err(ShardError::DigestMismatch(message)) => {
                 job.registry.counter("fed.digest_mismatches").inc();
                 return Err(ProtoError::new(ErrorCode::FedDigestMismatch, message));
             }
-            Some(Err(ShardError::Transient(message))) => {
+            Err(ShardError::Transient(message)) => {
                 job.registry.counter("fed.failures").inc();
                 return Err(ProtoError::new(
                     ErrorCode::FedShardFailed,
@@ -137,7 +141,6 @@ pub(crate) fn fan_out(job: &FanOut<'_>) -> Result<Vec<ShardReport>, ProtoError> 
                     ),
                 ));
             }
-            None => unreachable!("every shard thread fills its slot"),
         }
     }
     Ok(reports)

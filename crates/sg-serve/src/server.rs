@@ -39,8 +39,8 @@ use crate::upload::UploadRegistry;
 use crate::{b64, quota::QuotaBook};
 use sg_algos::cc;
 use sg_core::{
-    CompressionScheme, GraphCatalog, GraphFormat, GraphHandle, GraphId, PipelineSpec, SchemeParams,
-    SchemeRegistry, SessionRun, SgSession, StageCache, StageOutcome, StageReport,
+    GraphCatalog, GraphFormat, GraphHandle, GraphId, PipelineSpec, SchemeRegistry, SessionRun,
+    SgSession, StageCache, StageOutcome, StageReport,
 };
 use sg_graph::CsrGraph;
 use sg_metrics::AccuracyBaseline;
@@ -1166,22 +1166,6 @@ fn run_pipeline(
     Ok(run)
 }
 
-/// Resolves `spec` against the registry and, when it is a single stage,
-/// instantiates that stage's scheme (`None` for a chain) — the unit both
-/// sides of a federation work in.
-fn sole_stage(
-    state: &ServeState,
-    spec: &PipelineSpec,
-) -> Result<(PipelineSpec, Option<Box<dyn CompressionScheme>>), ProtoError> {
-    let registry = state.session.registry();
-    let resolved = spec.resolve(registry, &SchemeParams::new()).map_err(bad_spec)?;
-    let scheme = match resolved.stages.as_slice() {
-        [stage] => Some(registry.create(&stage.name, &stage.params).map_err(bad_spec)?),
-        _ => None,
-    };
-    Ok((resolved, scheme))
-}
-
 /// The coordinator path: classify the spec, fan `shard_run` requests out
 /// to the workers, verify replica digests, and merge the shard outcomes
 /// into a [`SessionRun`] shaped exactly like a local one (so
@@ -1202,7 +1186,9 @@ fn federated_run(
         state.metrics.registry.counter("fed.local_fallbacks").inc();
         Ok((run_pipeline(state, ctx, handle, spec, seed)?, fed::local_block(&reason)))
     };
-    let (resolved, Some(scheme)) = sole_stage(state, spec)? else {
+    // Federation works in single-stage chains, on both sides.
+    let pipeline = spec.build(state.session.registry()).map_err(bad_spec)?;
+    let [scheme] = pipeline.stages() else {
         return local(format!(
             "only single-stage specs federate; this chain has {} stages",
             spec.len()
@@ -1224,7 +1210,8 @@ fn federated_run(
         graph,
         source: handle.source(),
         local_checksum: &local_checksum,
-        spec: &resolved.render(),
+        // Built with no base bag, the spec is its own resolved form.
+        spec: &spec.render(),
         seed,
         trace_id: &trace_id,
     })?;
@@ -1271,7 +1258,8 @@ fn shard_run(
 ) -> Result<Json, ProtoError> {
     let handle = lookup(state, graph)?;
     let spec = PipelineSpec::parse(spec).map_err(bad_spec)?;
-    let (_, Some(scheme)) = sole_stage(state, &spec)? else {
+    let pipeline = spec.build(state.session.registry()).map_err(bad_spec)?;
+    let [scheme] = pipeline.stages() else {
         return Err(bad_spec(format!(
             "shard_run takes a single-stage spec, got {} stages",
             spec.len()

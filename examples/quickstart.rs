@@ -10,7 +10,7 @@
 
 use sg_algos::pagerank::pagerank_default;
 use sg_core::scheme::Uniform;
-use sg_core::{CompressionScheme, SchemeParams, SchemeRegistry};
+use sg_core::{CompressionScheme, PipelineSpec, SchemeParams, SchemeRegistry};
 use sg_graph::generators;
 use sg_metrics::kl_divergence;
 
@@ -56,9 +56,9 @@ fn main() {
     // Schemes chain into pipelines — the paper's kernel-combining model.
     // Strip long cycles with a spanner, drop the exposed leaves, then trim
     // uniformly; each stage reports its own statistics.
-    let pipeline = registry
-        .parse_pipeline("spanner:k=8,lowdeg,uniform:p=0.2", &SchemeParams::new())
-        .expect("pipeline spec parses");
+    let pipeline = PipelineSpec::parse("spanner:k=8,lowdeg,uniform:p=0.2")
+        .and_then(|spec| spec.build(&registry))
+        .expect("pipeline spec builds");
     let out = pipeline.apply(&graph, 7);
     println!("\npipeline: {}", pipeline.label());
     for (i, stage) in out.stages.iter().enumerate() {

@@ -17,7 +17,7 @@
 //! garbage graph.
 
 use slimgraph::algos::{bfs, cc, pagerank, tc};
-use slimgraph::core::{SchemeParams, SchemeRegistry};
+use slimgraph::core::{PipelineSpec, SchemeParams, SchemeRegistry};
 use slimgraph::graph::view::CURSOR_CHUNK;
 use slimgraph::graph::{
     generators, properties, CsrGraph, EdgeList, EncodedAdjacencyParts, EncodedCsr, Section,
@@ -179,9 +179,9 @@ fn every_registry_scheme_and_pipeline_identical_after_v2_round_trip() {
             }
         });
     }
-    let pipeline = SchemeRegistry::with_defaults()
-        .parse_pipeline("spanner:k=4,lowdeg,uniform:p=0.6", &SchemeParams::new())
-        .expect("pipeline parses");
+    let pipeline = PipelineSpec::parse("spanner:k=4,lowdeg,uniform:p=0.6")
+        .and_then(|s| s.build(&SchemeRegistry::with_defaults()))
+        .expect("pipeline builds");
     let g = unweighted();
     let (heap, _) = encoded_twins(&g, "pipeline.sgr");
     let back = heap.to_csr();

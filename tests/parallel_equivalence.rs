@@ -17,7 +17,7 @@
 //! checked against the Graph500 tree validator instead.
 
 use slimgraph::algos::{bc, bfs, cc, diameter, pagerank};
-use slimgraph::core::{CompressionScheme, SchemeParams, SchemeRegistry};
+use slimgraph::core::{CompressionScheme, PipelineSpec, SchemeParams, SchemeRegistry};
 use slimgraph::graph::{generators, CsrGraph};
 use std::sync::Mutex;
 
@@ -323,7 +323,9 @@ fn triangle_schemes_match_the_merge_kernel_on_skewed_ids() {
         let got: Pin = assert_thread_invariant(label, || {
             let outputs = SPECS.map(|spec| {
                 let input = if spec == "tr-mw" { &weighted } else { g };
-                let pipeline = registry.parse_pipeline(spec, &params).expect("spec parses");
+                let pipeline = PipelineSpec::parse(spec)
+                    .and_then(|s| s.build_with_base(&registry, &params))
+                    .expect("spec builds");
                 let r = pipeline.apply(input, 3).result;
                 (
                     r.graph.num_vertices(),
@@ -406,9 +408,9 @@ fn chained_pipeline_is_thread_count_invariant() {
     let registry = SchemeRegistry::with_defaults();
     let params = SchemeParams::from_pairs(&[("p", "0.5")]);
     assert_thread_invariant("pipeline spanner,lowdeg,uniform", || {
-        let out = registry
-            .parse_pipeline("spanner,lowdeg,uniform", &params)
-            .expect("spec parses")
+        let out = PipelineSpec::parse("spanner,lowdeg,uniform")
+            .and_then(|s| s.build_with_base(&registry, &params))
+            .expect("spec builds")
             .apply(&g, 21);
         (graph_fingerprint(&out.result.graph), out.result.vertex_mapping)
     });
@@ -458,9 +460,9 @@ fn pagerank_matches_the_four_pass_sweep_to_the_last_bit() {
     use slimgraph::graph::{EdgeList, EncodedCsr};
     type Pin = (usize, u64, u64);
     let ba = generators::barabasi_albert(4000, 4, 5);
-    let sampled = SchemeRegistry::with_defaults()
-        .parse_pipeline("uniform:p=0.5", &SchemeParams::new())
-        .expect("spec parses")
+    let sampled = PipelineSpec::parse("uniform:p=0.5")
+        .and_then(|s| s.build(&SchemeRegistry::with_defaults()))
+        .expect("spec builds")
         .apply(&ba, 3)
         .result
         .graph;

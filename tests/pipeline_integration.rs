@@ -1,10 +1,10 @@
 //! Integration tests: the full generator → compressor → algorithm →
 //! metric pipeline, spanning every crate. Schemes are resolved by name
 //! through the [`SchemeRegistry`] — no hand-written scheme list — and
-//! multi-stage [`Pipeline`]s exercise the paper's kernel-chaining model.
+//! multi-stage pipelines exercise the paper's kernel-chaining model.
 
 use sg_algos::{bfs, cc, pagerank, tc};
-use sg_core::{CompressionScheme, Pipeline, SchemeParams, SchemeRegistry};
+use sg_core::{CompressionScheme, PipelineSpec, SchemeParams, SchemeRegistry};
 use sg_graph::generators::{self, presets};
 use sg_metrics::{critical_edge_preservation, kl_divergence, reordered_pair_fraction};
 
@@ -135,8 +135,9 @@ fn chained_pipeline_runs_end_to_end_and_composes_stats() {
     // a single spec string.
     let registry = SchemeRegistry::with_defaults();
     let base = SchemeParams::from_pairs(&[("p", "0.5")]);
-    let pipeline = registry.parse_pipeline("spanner,lowdeg,uniform", &base).expect("spec parses");
-    assert_eq!(pipeline.len(), 3);
+    let spec = PipelineSpec::parse("spanner,lowdeg,uniform").expect("spec parses");
+    let pipeline = spec.build_with_base(&registry, &base).expect("spec builds");
+    assert_eq!(pipeline.stages().len(), 3);
 
     let g = presets::s_pok_like();
     let out = pipeline.apply(&g, 21);
@@ -156,24 +157,6 @@ fn chained_pipeline_runs_end_to_end_and_composes_stats() {
     assert!(cc::connected_components(&out.result.graph).num_components >= 1);
 
     // Bit-identical across repeated runs with the same seed.
-    let again = registry
-        .parse_pipeline("spanner,lowdeg,uniform", &base)
-        .expect("spec parses")
-        .apply(&g, 21);
+    let again = spec.build_with_base(&registry, &base).expect("spec builds").apply(&g, 21);
     assert_eq!(out.result.graph.edge_slice(), again.result.graph.edge_slice());
-}
-
-#[test]
-fn pipeline_builder_matches_registry_spec() {
-    let registry = SchemeRegistry::with_defaults();
-    let params = SchemeParams::from_pairs(&[("p", "0.4"), ("k", "4")]);
-    let from_spec = registry.parse_pipeline("spanner,uniform", &params).expect("parses");
-    let built = Pipeline::new()
-        .then(registry.create("spanner", &params).expect("spanner"))
-        .then(registry.create("uniform", &params).expect("uniform"));
-    let g = generators::rmat_graph500(10, 8, 31);
-    assert_eq!(
-        from_spec.apply(&g, 5).result.graph.edge_slice(),
-        built.apply(&g, 5).result.graph.edge_slice()
-    );
 }

@@ -6,10 +6,19 @@
 //! 2. Prefix sharing actually *skips stages*, asserted via the session's
 //!    stage reports: a second `compress` with a shared chain prefix
 //!    executes strictly fewer stages than the chain has.
+//! 3. Random chains of registry schemes, resumed from a small, pre-warmed
+//!    cache, equal `Pipeline::apply` of the same build — result and every
+//!    stage's report. The ignored twin runs 2 000 cases:
+//!    `cargo test --release --test session_cache -- --ignored`.
 
+use proptest::prelude::*;
 use slimgraph::core::cache::StageCache;
-use slimgraph::core::{GraphCatalog, PipelineSpec, SchemeRegistry, SessionRun, SgSession};
+use slimgraph::core::{
+    GraphCatalog, PipelineSpec, SchemeParams, SchemeRegistry, SessionRun, SgSession, StageReport,
+    StageSpec,
+};
 use slimgraph::graph::generators;
+use slimgraph::graph::prng::{bounded_u64, unit_f64};
 use slimgraph::CsrGraph;
 use std::sync::{Arc, Mutex};
 
@@ -183,4 +192,102 @@ fn capacity_bounded_cache_stays_correct_under_eviction() {
         assert_bit_identical(&out, &cold(spec, &g, 5), spec);
     }
     assert!(session.cache().stats().evictions > 0, "the tiny cache must have evicted");
+}
+
+/// A small skewed input drawn from `seed`, weighted half the time.
+fn case_graph(seed: u64) -> CsrGraph {
+    let g = generators::barabasi_albert(40 + bounded_u64(seed, 0, 0, 120) as usize, 3, seed);
+    if unit_f64(seed, 1) < 0.5 {
+        generators::with_random_weights(&g, 1.0, 100.0, seed)
+    } else {
+        g
+    }
+}
+
+/// A chain of `len` registry schemes drawn from `seed`; each stage sets
+/// each of `p` and `k` it reads with probability ½.
+fn chain(registry: &SchemeRegistry, seed: u64, len: usize) -> Vec<StageSpec> {
+    let names: Vec<&str> = registry.names().collect();
+    (0..len as u64)
+        .map(|i| {
+            let name = names[bounded_u64(seed, i, 0, names.len() as u64) as usize];
+            let mut stage = StageSpec::new(name);
+            let keys = registry.param_keys(name).expect("registered");
+            if keys.contains(&"p") && unit_f64(seed ^ 1, i) < 0.5 {
+                stage.params.set("p", &format!("{:.2}", 0.2 + 0.6 * unit_f64(seed ^ 2, i)));
+            }
+            if keys.contains(&"k") && unit_f64(seed ^ 3, i) < 0.5 {
+                stage.params.set("k", &(2 + bounded_u64(seed, i, 4, 7)).to_string());
+            }
+            stage
+        })
+        .collect()
+}
+
+/// A base bag under every stage: most stages ignore most of its keys.
+fn base_bag(seed: u64) -> SchemeParams {
+    SchemeParams::from_pairs(&[
+        ("p", &format!("{:.2}", 0.3 + 0.5 * unit_f64(seed, 10))),
+        ("k", &(2 + bounded_u64(seed, 11, 0, 7)).to_string()),
+        ("epsilon", &format!("{:.2}", 0.05 + 0.25 * unit_f64(seed, 12))),
+        ("x", &(1 + bounded_u64(seed, 13, 0, 2)).to_string()),
+        ("reweight", if unit_f64(seed, 14) < 0.5 { "true" } else { "false" }),
+    ])
+}
+
+/// Every stage report field but the wall time.
+fn shapes<'a>(reports: impl Iterator<Item = &'a StageReport>) -> Vec<(String, String, [usize; 4])> {
+    let counts =
+        |r: &StageReport| [r.input_vertices, r.input_edges, r.output_vertices, r.output_edges];
+    reports.map(|r| (r.name.clone(), r.label.clone(), counts(r))).collect()
+}
+
+/// One case drawn from `case_seed`: warm a small cache with a chain that
+/// shares a prefix of the tested 1–4-stage chain, then run the tested chain
+/// twice through the session. Each run must equal the cold build in result
+/// and stage reports.
+fn check_chain_case(case_seed: u64) {
+    let draw = |stream: u64, bound: u64| bounded_u64(case_seed, 20, stream, bound) as usize;
+    let registry = Arc::new(SchemeRegistry::with_defaults());
+    let (g, base, seed) = (case_graph(case_seed), base_bag(case_seed), case_seed >> 8);
+    let tested = PipelineSpec::from_stages(chain(&registry, case_seed, 1 + draw(0, 4)));
+    let mut warm = tested.stages[..draw(1, 5).min(tested.len())].to_vec();
+    warm.extend(chain(&registry, !case_seed, draw(2, 3)));
+
+    let catalog = Arc::new(GraphCatalog::new());
+    let handle = catalog.insert("g", g.clone(), "case graph").expect("insert");
+    let cache = Arc::new(StageCache::with_capacity((8 + draw(3, 248)) << 10));
+    let session = SgSession::with_cache(catalog, Arc::clone(&registry), cache);
+    let warm = PipelineSpec::from_stages(warm);
+    session.run_with_base(&handle, &warm, &base, seed).expect("warm-up chain runs");
+
+    let cold = tested.build_with_base(&registry, &base).expect("builds").apply(&g, seed);
+    for pass in ["after warm-up", "repeated"] {
+        let what = format!("{tested} over base {base:?} at seed {seed}, {pass}");
+        let run = session.run_with_base(&handle, &tested, &base, seed).expect("session runs");
+        assert_bit_identical(&run, &cold, &what);
+        let got = shapes(run.stages.iter().map(|s| &s.report));
+        assert_eq!(got, shapes(cold.stages.iter()), "{what}: stage reports");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A session run resumed from a warmed, evicting cache is the cold run.
+    #[test]
+    fn random_chains_match_the_cold_pipeline(case_seed in 0u64..u64::MAX) {
+        check_chain_case(case_seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The stress twin: more chains, caches and seeds.
+    #[test]
+    #[ignore = "stress; run in release: cargo test --release --test session_cache -- --ignored"]
+    fn random_chains_match_the_cold_pipeline_under_stress(case_seed in 0u64..u64::MAX) {
+        check_chain_case(case_seed);
+    }
 }

@@ -13,7 +13,7 @@
 //! `4` via the rayon shim's programmatic knob.
 
 use slimgraph::algos::{bfs, cc, pagerank};
-use slimgraph::core::{SchemeParams, SchemeRegistry};
+use slimgraph::core::{PipelineSpec, SchemeParams, SchemeRegistry};
 use slimgraph::graph::{generators, CsrGraph};
 use slimgraph::store::{load_sgr, save_sgr, MmapGraph};
 use std::path::PathBuf;
@@ -108,9 +108,9 @@ fn every_registry_scheme_is_identical_on_mmap_graphs() {
 #[test]
 fn pipelines_are_identical_on_mmap_graphs() {
     let registry = SchemeRegistry::with_defaults();
-    let pipeline = registry
-        .parse_pipeline("spanner:k=4,lowdeg,uniform:p=0.6", &SchemeParams::new())
-        .expect("pipeline parses");
+    let pipeline = PipelineSpec::parse("spanner:k=4,lowdeg,uniform:p=0.6")
+        .and_then(|s| s.build(&registry))
+        .expect("pipeline builds");
     let (h, m) = twins(&unweighted(), "pipeline.sgr");
     with_threads(|t| {
         let a = pipeline.apply(&h, 7);
