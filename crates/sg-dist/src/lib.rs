@@ -18,7 +18,8 @@
 //! * **Triangle Reduction** — the one class whose ranks exchange messages
 //!   (the `sharded` module): Plain routes each deletion to the edge's owner
 //!   in one superstep, Edge-Once / Count-Triangles run the reservation
-//!   protocol.
+//!   protocol, where a triangle drops out as soon as a reply shows that the
+//!   sequential pass would leave it idle.
 //!
 //! The result is **bit-identical** — edges, weights, vertex mapping — to
 //! `scheme.apply(g, seed)` at any rank count. Schemes with no plan, which
@@ -127,16 +128,33 @@ impl DistResult {
     }
 }
 
+/// Panic payload of a rank that unwound only because another rank panicked
+/// (the sharded protocol's poisoned barrier).
+pub(crate) struct RankAborted;
+
 /// Runs `body(rank)` on one scoped thread per rank (thread = MPI rank) and
-/// returns the results in rank order — the gather at the root.
+/// returns the results in rank order — the gather at the root. If a rank
+/// panics, every rank is joined and the first panic that is not a
+/// [`RankAborted`] is resumed on the caller.
 pub(crate) fn run_ranks<T: Send>(ranks: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let body = &body;
         let handles: Vec<_> = (0..ranks).map(|rank| scope.spawn(move || body(rank))).collect();
-        handles
-            .into_iter()
-            .map(|rank| rank.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
+        let mut results = Vec::with_capacity(ranks);
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        for rank in handles {
+            match rank.join() {
+                Ok(result) => results.push(result),
+                Err(p) if panic.as_ref().is_none_or(|first| first.is::<RankAborted>()) => {
+                    panic = Some(p)
+                }
+                Err(_) => {}
+            }
+        }
+        if let Some(panic) = panic {
+            std::panic::resume_unwind(panic);
+        }
+        results
     })
 }
 

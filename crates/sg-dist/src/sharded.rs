@@ -17,17 +17,31 @@
 //!   pure function of the input — results are bit-identical at any `ranks` ×
 //!   `SG_THREADS` combination;
 //! * stateful disciplines (Edge-Once, Count-Triangles) run in *superstep
-//!   rounds*: pending sampled triangles propose on their three edges, edge
-//!   owners grant each edge to the smallest pending triangle in the
-//!   sequential processing order, and a triangle commits only when it holds
-//!   all three grants — at which point the flag state it observes on its
-//!   edges is exactly the state the sequential pass would have shown it.
+//!   rounds*: live sampled triangles propose on their three edges, edge
+//!   owners grant each edge to the smallest live triangle in the
+//!   sequential processing order and report the edge's `considered` flag,
+//!   and a triangle commits when it holds all three grants — at which point
+//!   the flag state it observes on its edges is exactly the state the
+//!   sequential pass would have shown it;
+//! * a live triangle also resolves, without committing, as soon as the
+//!   reported flags show the sequential pass would leave it idle: under
+//!   protective EO and max-weight when **any** of its edges is considered,
+//!   under CT when **all three** are. This is exact because an edge's flag
+//!   is set only by a triangle that won the edge's grant in a round where
+//!   this triangle was also proposing on it; that winner has the smaller
+//!   key, so the sequential pass commits it first too and this triangle
+//!   finds the edge considered. A triangle resolved this way changes no
+//!   flag, so dropping it from contention changes nothing any later
+//!   committer observes — it only stops blocking the triangles behind it.
 //!
-//! Each round resolves at least the globally smallest pending triangle, so
-//! the protocol terminates; committed triangles within one round are
-//! edge-disjoint (each edge has a single winner), so their updates commute.
+//! Each round resolves at least the globally smallest live triangle, so
+//! the protocol terminates within one round per sampled triangle;
+//! committed triangles within one round are edge-disjoint (each edge has a
+//! single winner), so their updates commute. A rank that panics poisons
+//! the shared barrier on its way out, so the others unwind instead of
+//! waiting for it forever.
 
-use crate::{run_ranks, RankStats};
+use crate::{run_ranks, RankAborted, RankStats};
 use sg_core::kernel::Triangle;
 use sg_core::schemes::{
     edge_once_commit, for_sampled_triangles, plain_tr_deletions, Discipline, EdgeChoice, TrConfig,
@@ -35,9 +49,8 @@ use sg_core::schemes::{
 use sg_core::DetRand;
 use sg_graph::partition::{partition_edges, EdgeShard};
 use sg_graph::{CsrGraph, EdgeId, VertexId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Per-`(src, dst)` outboxes with deterministic drain order.
 ///
@@ -120,23 +133,104 @@ struct Update {
 
 /// A sampled triangle awaiting its turn in the superstep protocol: its edges
 /// in rank order, and per rank slot the grant and `considered` flag its
-/// owner reported.
+/// owner reported this round.
 struct Pending {
     ranked: [EdgeId; 3],
     key: TriKey,
-    resolved: bool,
     won: [bool; 3],
     considered: [bool; 3],
+}
+
+/// A reusable barrier that a panicking rank poisons: once poisoned, every
+/// rank waiting on it — or arriving later — unwinds with [`RankAborted`]
+/// instead of waiting for a rank that will never come.
+struct RankBarrier {
+    ranks: usize,
+    state: Mutex<BarrierState>,
+    turn: Condvar,
+}
+
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    poisoned: bool,
+}
+
+impl RankBarrier {
+    fn new(ranks: usize) -> Self {
+        let state = BarrierState { arrived: 0, generation: 0, poisoned: false };
+        Self { ranks, state: Mutex::new(state), turn: Condvar::new() }
+    }
+
+    /// Blocks until all ranks have arrived; unwinds if a rank panicked. A
+    /// poisoned generation never completes: its poisoner never arrives.
+    fn wait(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.arrived += 1;
+        if state.arrived == self.ranks {
+            state.arrived = 0;
+            state.generation += 1;
+            self.turn.notify_all();
+            return;
+        }
+        let generation = state.generation;
+        let state = self
+            .turn
+            .wait_while(state, |s| s.generation == generation && !s.poisoned)
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.generation == generation {
+            drop(state);
+            std::panic::resume_unwind(Box::new(RankAborted));
+        }
+    }
+
+    fn poison(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).poisoned = true;
+        self.turn.notify_all();
+    }
+}
+
+/// Held by a rank for its whole run: poisons the barrier if the rank
+/// unwinds.
+struct PoisonOnPanic<'a>(&'a RankBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
 }
 
 /// Everything the ranks of one run share: the barrier, the global count of
 /// unresolved triangles, and one exchange per message type.
 struct Net {
-    barrier: Barrier,
+    barrier: RankBarrier,
     pending_total: AtomicUsize,
     proposals: Exchange<Proposal>,
     replies: Exchange<Reply>,
     updates: Exchange<Update>,
+}
+
+impl Net {
+    fn new(ranks: usize) -> Self {
+        Self {
+            barrier: RankBarrier::new(ranks),
+            pending_total: AtomicUsize::new(0),
+            proposals: Exchange::new(ranks),
+            replies: Exchange::new(ranks),
+            updates: Exchange::new(ranks),
+        }
+    }
+
+    /// [`run_ranks`] with every rank guarded by [`PoisonOnPanic`]: a rank's
+    /// panic reaches the caller instead of hanging the others.
+    fn run<T: Send>(&self, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_ranks(self.barrier.ranks, |rank| {
+            let _poison = PoisonOnPanic(&self.barrier);
+            body(rank)
+        })
+    }
 }
 
 /// One rank's partitioned state: the canonical edges it owns — and through
@@ -185,16 +279,16 @@ impl<'g> ShardedContext<'g> {
         self.shards.partition_point(|s| s.start <= e) - 1
     }
 
-    /// Authoritative `considered` flag of an *owned* edge.
+    /// Index of an *owned* edge in the rank's flag arrays.
     #[inline]
-    fn edge_considered(&self, e: EdgeId) -> bool {
-        self.considered[(e - self.edges.start) as usize]
+    fn local(&self, e: EdgeId) -> usize {
+        (e - self.edges.start) as usize
     }
 
     /// Applies the updates addressed to this rank to its owned edges.
     fn apply_updates(&mut self, updates: &Exchange<Update>) {
         for update in updates.drain(self.rank) {
-            let i = (update.edge - self.edges.start) as usize;
+            let i = self.local(update.edge);
             self.considered[i] = true;
             if update.delete {
                 self.deleted[i] = true;
@@ -242,7 +336,6 @@ fn sampled_triangles(
         pending.push(Pending {
             ranked,
             key: TriKey { count, u: t.u, v: t.v, w: t.w },
-            resolved: false,
             won: [false; 3],
             considered: [false; 3],
         });
@@ -276,13 +369,7 @@ pub(crate) fn sharded_triangle_compress(
 ) -> (Vec<bool>, Vec<RankStats>) {
     cfg.validate().expect("valid TR configuration");
     let shards = partition_edges(g, ranks);
-    let net = Net {
-        barrier: Barrier::new(ranks),
-        pending_total: AtomicUsize::new(0),
-        proposals: Exchange::new(ranks),
-        replies: Exchange::new(ranks),
-        updates: Exchange::new(ranks),
-    };
+    let net = Net::new(ranks);
     // Count-Triangles needs global per-edge triangle counts: every rank
     // counts its owned triangles — one superstep and one gather message
     // each — and the root sums the partial histograms (sums commute).
@@ -297,7 +384,7 @@ pub(crate) fn sharded_triangle_compress(
     });
     let counts = counts.as_deref();
 
-    let per_rank = run_ranks(ranks, |rank| {
+    let per_rank = net.run(|rank| {
         let mut ctx = ShardedContext::new(g, rank, &shards, seed);
         if counts.is_some() {
             ctx.messages_sent += 1;
@@ -331,10 +418,14 @@ fn run_rank_plain(ctx: &mut ShardedContext<'_>, cfg: TrConfig, counts: Option<&[
     net.barrier.wait();
 }
 
+/// No proposal holds this owned edge's grant yet.
+const NO_GRANT: u32 = u32::MAX;
+
 /// Edge-Once / Count-Triangles: the superstep reservation protocol. Every
-/// round, pending triangles propose on their three edges; owners grant each
-/// edge to the smallest pending key; triangles holding all three grants
-/// commit against the authoritative flags and resolve.
+/// round, live triangles propose on their three edges; owners grant each
+/// edge to the smallest live key; triangles holding all three grants
+/// commit against the authoritative flags, and triangles whose reported
+/// flags already show they would commit nothing resolve idle.
 fn run_rank_edge_once(
     ctx: &mut ShardedContext<'_>,
     cfg: TrConfig,
@@ -346,69 +437,76 @@ fn run_rank_edge_once(
     net.barrier.wait();
     let ranks = net.updates.ranks;
     let (mut proposals, mut replies, mut updates) = (outbox(ranks), outbox(ranks), outbox(ranks));
+    // Indices of the unresolved entries of `pending`.
+    let mut live: Vec<u32> = (0..pending.len() as u32).collect();
+    // Per owned edge, the inbox index of the smallest proposal this round.
+    let mut grant = vec![NO_GRANT; ctx.edges.len()];
 
     while net.pending_total.load(Ordering::SeqCst) != 0 {
         ctx.supersteps += 1;
 
-        // Phase 1: unresolved triangles propose on their three edges.
-        for (i, p) in pending.iter_mut().enumerate() {
-            if p.resolved {
-                continue;
-            }
-            p.won = [false; 3];
+        // Phase 1: live triangles propose on their three edges.
+        for &tri in &live {
+            let p = &pending[tri as usize];
             for (slot, &e) in p.ranked.iter().enumerate() {
-                let proposal = Proposal {
-                    edge: e,
-                    key: p.key,
-                    src: ctx.rank,
-                    tri: i as u32,
-                    slot: slot as u8,
-                };
+                let proposal =
+                    Proposal { edge: e, key: p.key, src: ctx.rank, tri, slot: slot as u8 };
                 proposals[ctx.owner_of(e)].push(proposal);
             }
         }
         ctx.messages_sent += net.proposals.post(ctx.rank, &mut proposals);
         net.barrier.wait();
 
-        // Phase 2: owners grant each edge to the smallest pending key and
-        // report the authoritative `considered` flag.
+        // Phase 2: owners grant each edge to the smallest live key and
+        // report the authoritative `considered` flag. A touched slot has
+        // exactly one winner, whose reply resets it for the next round.
         let inbox = net.proposals.drain(ctx.rank);
-        let mut winner: HashMap<EdgeId, TriKey> = HashMap::new();
-        for p in &inbox {
-            winner.entry(p.edge).and_modify(|k| *k = p.key.min(*k)).or_insert(p.key);
+        assert!(inbox.len() < NO_GRANT as usize, "a round's proposals fit a u32 index");
+        for (i, p) in inbox.iter().enumerate() {
+            let holder = &mut grant[ctx.local(p.edge)];
+            if *holder == NO_GRANT || p.key < inbox[*holder as usize].key {
+                *holder = i as u32;
+            }
         }
-        for p in &inbox {
-            let reply = Reply {
-                tri: p.tri,
-                slot: p.slot,
-                won: winner[&p.edge] == p.key,
-                considered: ctx.edge_considered(p.edge),
-            };
+        for (i, p) in inbox.iter().enumerate() {
+            let e = ctx.local(p.edge);
+            let won = grant[e] == i as u32;
+            if won {
+                grant[e] = NO_GRANT;
+            }
+            let reply = Reply { tri: p.tri, slot: p.slot, won, considered: ctx.considered[e] };
             replies[p.src].push(reply);
         }
         ctx.messages_sent += net.replies.post(ctx.rank, &mut replies);
         net.barrier.wait();
 
-        // Phase 3: triangles holding all three grants commit. Same-round
+        // Phase 3: triangles holding all three grants commit — same-round
         // committers are edge-disjoint (one winner per edge), so the flag
-        // snapshot from the replies is exact.
+        // snapshot from the replies is exact — and triangles whose reported
+        // flags already make the commit a no-op resolve idle: flags only
+        // ever get set, so the sequential pass shows them at least these.
         for r in net.replies.drain(ctx.rank) {
             let p = &mut pending[r.tri as usize];
             p.won[r.slot as usize] = r.won;
             p.considered[r.slot as usize] = r.considered;
         }
-        let mut resolved_now = 0usize;
-        for p in pending.iter_mut() {
-            if p.resolved || !(p.won[0] && p.won[1] && p.won[2]) {
-                continue;
+        let before = live.len();
+        live.retain(|&tri| {
+            let p = &pending[tri as usize];
+            if p.won == [true; 3] {
+                edge_once_commit(p.ranked, p.considered, cfg, |e, delete| {
+                    updates[ctx.owner_of(e)].push(Update { edge: e, delete })
+                });
+                return false;
             }
-            p.resolved = true;
-            resolved_now += 1;
-            edge_once_commit(p.ranked, p.considered, cfg, |e, delete| {
-                updates[ctx.owner_of(e)].push(Update { edge: e, delete })
-            });
-        }
+            // A commit that claims nothing under these flags claims nothing
+            // under more of them (EO: any edge considered; CT: all three).
+            let mut idle = true;
+            edge_once_commit(p.ranked, p.considered, cfg, |_, _| idle = false);
+            !idle
+        });
         ctx.messages_sent += net.updates.post(ctx.rank, &mut updates);
+        let resolved_now = before - live.len();
         if resolved_now > 0 {
             net.pending_total.fetch_sub(resolved_now, Ordering::SeqCst);
         }
@@ -506,6 +604,30 @@ mod tests {
         assert!(deleted.iter().all(|&d| !d));
         assert_eq!(deleted.len(), 64);
         assert!(stats.iter().all(|r| r.supersteps == 0));
+    }
+
+    #[test]
+    fn a_panicking_rank_unwinds_the_ranks_waiting_on_the_barrier() {
+        // Rank 1 panics before the first barrier; rank 0 must unwind from
+        // its wait and the caller must get rank 1's panic, not hang.
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let net = Net::new(2);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.run(|rank| {
+                    if rank == 1 {
+                        panic!("rank 1 fails");
+                    }
+                    net.barrier.wait();
+                })
+            }));
+            let message = run.map_err(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            done.send(message).expect("the test is waiting");
+        });
+        let message = outcome
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a panicking rank must not hang the others");
+        assert_eq!(message.unwrap_err().as_deref(), Some("rank 1 fails"));
     }
 
     #[test]

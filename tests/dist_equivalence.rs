@@ -6,7 +6,9 @@
 //! a graph bit-identical to the shared-memory `scheme.apply(g, seed)` at
 //! ranks ∈ {1, 2, 4}. The scheme lists come from the registry, so a new
 //! scheme is swept as soon as it is registered. CI runs the whole suite at
-//! SG_THREADS ∈ {1, 4}, closing the ranks × threads matrix.
+//! SG_THREADS ∈ {1, 4}, closing the ranks × threads matrix. The Edge-Once
+//! protocol's property test has a 2 000-case ignored twin:
+//! `cargo test --release --test dist_equivalence -- --ignored`.
 
 use proptest::prelude::*;
 use sg_algos::tc;
@@ -115,16 +117,18 @@ fn input_weights_survive_distribution() {
 
 #[test]
 fn message_and_superstep_counts_are_pinned() {
-    // Exact work counters of the exchange, measured before the per-part
-    // closure was shared between ranks and shards: a refactor of sg-dist
-    // may not move them. `(scheme, ranks, total_messages, max_supersteps)`.
+    // Exact work counters of the exchange: a refactor of sg-dist may not
+    // move them. The Edge-Once rows count the early-resolve rule — a live
+    // triangle drops out once a reply shows an edge considered (EO; CT once
+    // all three are), which took `tr-eo` from 17 757 messages to 16 845;
+    // `tr-ct` held. `(scheme, ranks, total_messages, max_supersteps)`.
     let pinned = [
         ("uniform", 2, 2, 1),
         ("uniform", 4, 4, 1),
         ("tr", 2, 1512, 1),
         ("tr", 4, 1512, 1),
-        ("tr-eo", 2, 17757, 6),
-        ("tr-eo", 4, 17757, 6),
+        ("tr-eo", 2, 16845, 6),
+        ("tr-eo", 4, 16845, 6),
         ("tr-ct", 2, 14234, 6),
         ("tr-ct", 4, 14236, 6),
         ("lowdeg", 2, 2, 1),
@@ -302,5 +306,74 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// One case of the Edge-Once protocol check: at ranks 1–4, `tr-eo`,
+/// `tr-ct` and `tr-mw` (over random weights) are bit-identical to
+/// `scheme.apply`, and no rank runs more supersteps than the run has
+/// sampled triangles, plus Count-Triangles' count superstep — each round
+/// resolves at least the smallest live triangle.
+fn check_edge_once_protocol(g: &CsrGraph, p: f64, x: usize, seed: u64) {
+    let weighted = generators::with_random_weights(g, 1.0, 100.0, seed);
+    let mut sampled = 0u64;
+    let (all, rand) = (TrConfig::plain_1(p), DetRand::new(seed));
+    for_sampled_triangles(g, all, rand, None, 0..g.num_edges() as EdgeId, |_, _| sampled += 1);
+    let registry = SchemeRegistry::with_defaults();
+    let params = SchemeParams::from_pairs(&[("p", &p.to_string()), ("x", &x.to_string())]);
+    for (name, g) in [("tr-eo", g), ("tr-ct", g), ("tr-mw", &weighted)] {
+        let scheme = registry.create(name, &params).expect("registered");
+        let shared = scheme.apply(g, seed);
+        for ranks in 1..=4 {
+            let dist = distributed_compress(g, scheme.as_ref(), ranks, seed).expect("runs");
+            let what = format!("{name}:p={p}:x={x} at ranks={ranks}, seed {seed}");
+            assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice(), "{what}");
+            assert!(weight_bits(&dist.result.graph) == weight_bits(&shared.graph), "{what}");
+            for r in &dist.ranks {
+                assert!(
+                    r.supersteps <= sampled + 1,
+                    "{what}: rank {} ran {} supersteps for {sampled} sampled triangles",
+                    r.rank,
+                    r.supersteps
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The superstep protocol, early resolution included, is the sequential
+    /// Edge-Once pass on every shape — the hub shape 2 builds the longest
+    /// reservation chains.
+    #[test]
+    fn edge_once_protocol_matches_the_sequential_pass(
+        n in 4usize..48,
+        pairs in proptest::collection::vec((0u32..48, 0u32..48), 0..260),
+        shape in 0u8..5,
+        tenths in 2u32..11,
+        x in 1usize..3,
+        seed in 0u64..1000,
+    ) {
+        check_edge_once_protocol(&shaped_graph(n, &pairs, shape), f64::from(tenths) / 10.0, x, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The stress twin: more graphs, rates and seeds.
+    #[test]
+    #[ignore = "stress; run in release: cargo test --release --test dist_equivalence -- --ignored"]
+    fn edge_once_protocol_matches_the_sequential_pass_under_stress(
+        n in 4usize..64,
+        pairs in proptest::collection::vec((0u32..64, 0u32..64), 0..400),
+        shape in 0u8..5,
+        tenths in 2u32..11,
+        x in 1usize..3,
+        seed in 0u64..100_000,
+    ) {
+        check_edge_once_protocol(&shaped_graph(n, &pairs, shape), f64::from(tenths) / 10.0, x, seed);
     }
 }
