@@ -33,7 +33,7 @@ pub fn compare_degree_distributions(before: &CsrGraph, after: &CsrGraph) -> Degr
 
 /// [`compare_degree_distributions`] against a precomputed baseline
 /// distribution — callers that score many compressed graphs against one
-/// original (e.g. `sg-tune`'s objective) build the baseline once.
+/// original (e.g. [`crate::AccuracyBaseline`]) build the baseline once.
 pub fn compare_degree_distribution_baseline(
     db: &DegreeDistribution,
     after: &CsrGraph,

@@ -13,10 +13,11 @@
 //! * whole-graph structure → [`degree_dist`] degree-distribution comparison
 //!   (the visual instrument of Figures 7 and 8).
 //!
-//! [`report`] runs one metric of each class as the before/after accuracy
-//! report `slimgraph analyze` and the daemon's `analyze` op print; its
-//! [`AccuracyBaseline`] is the original's side of that report, computed once
-//! for any number of comparisons.
+//! [`report`] is the one vocabulary over them: the [`Metric`]s `slimgraph
+//! tune` targets and the before/after [`AccuracyReport`] that `slimgraph
+//! analyze` and the daemon's `analyze` op print, both measured against one
+//! [`AccuracyBaseline`] — the original's side, computed once for any number
+//! of comparisons.
 
 pub mod bfs_critical;
 pub mod degree_dist;
@@ -33,5 +34,5 @@ pub use degree_dist::{
 pub use divergences::{hellinger, jensen_shannon, kl_divergence, total_variation};
 pub use projection::project_scores;
 pub use reordered::{reordered_neighbor_fraction, reordered_pair_fraction};
-pub use report::{accuracy_report, max_degree_vertex, AccuracyBaseline, AccuracyReport};
+pub use report::{accuracy_report, max_degree_vertex, AccuracyBaseline, AccuracyReport, Metric};
 pub use scalar::{relative_change, relative_error};

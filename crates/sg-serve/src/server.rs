@@ -43,7 +43,7 @@ use sg_core::{
     SgSession, StageCache, StageOutcome, StageReport,
 };
 use sg_graph::CsrGraph;
-use sg_metrics::AccuracyBaseline;
+use sg_metrics::{AccuracyBaseline, Metric};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -830,9 +830,15 @@ fn handle(state: &ServeState, ctx: &ConnCtx, request: Request) -> Result<Reply, 
             let baseline = facts.baseline.get_or_init(|| {
                 state.metrics.baselines_computed.inc();
                 let _span = sg_obs::span!("serve.facts.baseline", graph = ran.input.name());
-                AccuracyBaseline::new(original)
+                // What every report reads; BFS-critical waits for a kept vertex set.
+                let baseline = AccuracyBaseline::default();
+                for metric in [Metric::ComponentsRel, Metric::TrianglesRel, Metric::PagerankKl] {
+                    baseline.fill(metric, original, original);
+                }
+                baseline
             });
-            let report = baseline.compare(original, original, &ran.run.graph);
+            let mapping = ran.run.vertex_mapping.as_deref().map(Vec::as_slice);
+            let report = baseline.compare(original, original, &ran.run.graph, mapping);
             let [cc0, cc1] = report.components.map(|n| Json::u64(n as u64));
             let [tc0, tc1] = report.triangles.map(Json::u64);
             let metrics = Json::obj()

@@ -12,10 +12,12 @@
 //!
 //! The pieces:
 //!
-//! * [`objective`] — [`MetricKind`]/[`Target`]/[`Objective`]: quality
-//!   metrics (PageRank KL, reordered per-vertex triangle ordering,
-//!   degree-distribution L1, scalar deltas) as scoring functions, with the
-//!   uncompressed baseline computed once and cached for the whole run.
+//! * [`objective`] — [`Target`]: a bound on one [`MetricKind`] (PageRank
+//!   KL, reordered per-vertex triangle ordering, degree-distribution L1,
+//!   scalar deltas). The metrics are `sg-metrics`' own
+//!   ([`sg_metrics::Metric`], re-exported here as [`MetricKind`]), scored
+//!   against one [`sg_metrics::AccuracyBaseline`] of the uncompressed graph
+//!   for the whole run — the numbers `analyze` reports for the same spec.
 //! * [`candidates`] — deterministic enumeration of chains (bounded depth,
 //!   full registry or a user subset) and per-stage parameter grids, plus
 //!   grid *refinement*: each round halves the parameter step around the
@@ -74,6 +76,7 @@ pub mod pareto;
 pub mod search;
 
 pub use candidates::{axis_for, enumerate_chains, Axis, Scale};
-pub use objective::{MetricKind, Objective, Target};
+pub use objective::Target;
 pub use pareto::{ParetoFront, ParetoPoint};
 pub use search::{tune, Evaluated, TuneConfig, TuneOutcome};
+pub use sg_metrics::Metric as MetricKind;

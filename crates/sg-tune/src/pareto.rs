@@ -19,7 +19,7 @@ pub struct ParetoPoint {
     pub edges: usize,
     /// Compression ratio `m'/m`.
     pub ratio: f64,
-    /// Objective metric value (lower = more accurate).
+    /// Target metric value (lower = more accurate).
     pub metric: f64,
 }
 

@@ -19,11 +19,12 @@
 //! evaluation interleaving and is therefore excluded from the JSON.
 
 use crate::candidates::{enumerate_chains, initial_candidates, refine};
-use crate::objective::{Objective, Target};
+use crate::objective::Target;
 use crate::pareto::{ParetoFront, ParetoPoint};
 use rayon::prelude::*;
 use sg_core::{GraphCatalog, PipelineSpec, SchemeRegistry, SgSession, StageCache};
-use sg_graph::CsrGraph;
+use sg_graph::{CsrGraph, VertexId};
+use sg_metrics::AccuracyBaseline;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -94,7 +95,7 @@ pub struct Evaluated {
     pub vertices: usize,
     /// Compression ratio `m'/m`.
     pub ratio: f64,
-    /// Objective metric value (lower = better; `INFINITY` = incomparable).
+    /// Target metric value (lower = better; `INFINITY` = incomparable).
     pub metric: f64,
     /// The pipeline seed this candidate ran with.
     pub seed: u64,
@@ -218,13 +219,13 @@ impl TuneOutcome {
 fn evaluate(
     session: &SgSession,
     handle: &sg_core::GraphHandle,
-    objective: &Objective,
+    score: &impl Fn(&CsrGraph, Option<&[Option<VertexId>]>) -> f64,
     seed: u64,
     spec: &PipelineSpec,
 ) -> Option<(Evaluated, usize)> {
     let rendered = spec.render();
     let run = session.run(handle, spec, seed).ok()?;
-    let metric = objective.score_parts(&run.graph, run.vertex_mapping.as_deref().map(|m| &m[..]));
+    let metric = score(&run.graph, run.vertex_mapping.as_deref().map(Vec::as_slice));
     let executed = run.stages_executed();
     Some((
         Evaluated {
@@ -322,7 +323,12 @@ pub fn tune(
         ));
     }
 
-    let objective = Objective::new(g, cfg.target.metric);
+    // Filled before the parallel screen: no candidate waits on another's.
+    let baseline = AccuracyBaseline::default();
+    baseline.fill(cfg.target.metric, g, g);
+    let score = |graph: &CsrGraph, mapping: Option<&[Option<VertexId>]>| {
+        baseline.score(cfg.target.metric, g, g, graph, mapping)
+    };
     let chains = enumerate_chains(&names, cfg.max_depth);
     let mut batch = initial_candidates(&chains, cfg.grid);
     debug_assert_eq!(batch.len() as u128, round0, "cap arithmetic matches enumeration");
@@ -358,7 +364,7 @@ pub fn tune(
         // result is bit-identical at any thread count.
         let evals: Vec<Option<(Evaluated, usize)>> = batch
             .par_iter()
-            .map(|spec| evaluate(&session, &handle, &objective, cfg.seed, spec))
+            .map(|spec| evaluate(&session, &handle, &score, cfg.seed, spec))
             .collect();
         for (evaluated, executed) in evals.into_iter().flatten() {
             stages_total += evaluated.spec.len();
@@ -389,7 +395,7 @@ pub fn tune(
             .build(registry)
             .map_err(|e| format!("winner '{}' failed to rebuild: {e}", w.rendered))?
             .apply(g, w.seed);
-        let fresh_metric = objective.score(&fresh.result);
+        let fresh_metric = score(&fresh.result.graph, fresh.result.vertex_mapping.as_deref());
         if fresh.result.graph.num_edges() != w.edges || fresh_metric.to_bits() != w.metric.to_bits()
         {
             return Err(format!(
@@ -428,7 +434,7 @@ pub fn tune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::MetricKind;
+    use crate::MetricKind;
     use sg_graph::generators;
 
     fn small_cfg(budget: usize, max: f64) -> TuneConfig {

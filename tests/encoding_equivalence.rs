@@ -87,7 +87,7 @@ fn encoded_twins(g: &CsrGraph, name: &str) -> (EncodedCsr, EncodedCsr) {
     let heap = load_sgr_encoded(&path).expect("heap encoded load");
     let mapped = MmapEncoded::open(&path).expect("mmap encoded load");
     #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    assert!(mapped.is_zero_copy(), "v2 mmap loader must borrow the byte sections");
+    assert!(mapped.is_zero_copy(), "v3 mmap loader must borrow the byte sections");
     (heap, mapped.into_encoded())
 }
 
@@ -145,11 +145,11 @@ fn kernels_bit_identical_raw_vs_encoded() {
 }
 
 #[test]
-fn every_registry_scheme_and_pipeline_identical_after_v2_round_trip() {
+fn every_registry_scheme_and_pipeline_identical_after_v3_round_trip() {
     let registry = SchemeRegistry::with_defaults();
     for (g, name) in [(unweighted(), "schemes-u.sgr"), (weighted(), "schemes-w.sgr")] {
         let (heap, mapped) = encoded_twins(&g, name);
-        // Decoding the v2 sections back to raw CSR must reproduce the exact
+        // Decoding the v3 sections back to raw CSR must reproduce the exact
         // canonical graph (edge ids included) — on top of which every
         // scheme, being deterministic in (seed, element id), must behave
         // identically.
@@ -191,17 +191,17 @@ fn every_registry_scheme_and_pipeline_identical_after_v2_round_trip() {
         assert_eq!(
             a.result.graph.edge_slice(),
             b.result.graph.edge_slice(),
-            "pipeline diverged after v2 round trip at {t} threads"
+            "pipeline diverged after v3 round trip at {t} threads"
         );
     });
 }
 
 #[test]
-fn v2_files_load_transparently_as_raw_graphs() {
+fn v3_files_load_transparently_as_raw_graphs() {
     let g = weighted();
     let path = tmp("transparent.sgr");
-    save_sgr_with(&g, &path, Encoding::Delta).expect("save v2");
-    let back = load_sgr(&path).expect("v1-style entry point accepts v2");
+    save_sgr_with(&g, &path, Encoding::Delta).expect("save v3");
+    let back = load_sgr(&path).expect("v1-style entry point accepts v3");
     assert_eq!(g.edge_slice(), back.edge_slice());
     assert_eq!(g.csr_offsets(), back.csr_offsets());
     assert_eq!(weight_bits(&g), weight_bits(&back));

@@ -5,11 +5,12 @@ use sg_algos::{bc, cc, pagerank, tc};
 use sg_core::scheme::{Spanner, Spectral, Uniform};
 use sg_core::schemes::UpsilonVariant;
 use sg_core::{CompressionScheme, SchemeParams, SchemeRegistry};
-use sg_graph::{generators, CsrGraph, EncodedCsr, GraphView};
+use sg_graph::{generators, CsrGraph, EncodedCsr, GraphView, VertexId};
 use sg_metrics::{
     accuracy_report, compare_degree_distributions, critical_edge_preservation, critical_edges,
-    hellinger, jensen_shannon, kl_divergence, max_degree_vertex, reordered_neighbor_fraction,
-    reordered_pair_fraction, total_variation, AccuracyBaseline, AccuracyReport,
+    hellinger, jensen_shannon, kl_divergence, max_degree_vertex, project_scores,
+    reordered_neighbor_fraction, reordered_pair_fraction, total_variation, AccuracyBaseline,
+    AccuracyReport, Metric,
 };
 
 #[test]
@@ -78,23 +79,28 @@ fn degree_distribution_comparison_detects_spanner_flattening() {
     assert!(cmp.support_after < cmp.support_before);
 }
 
+/// `metric` of `r` against a fresh baseline of `g`, as `tune` scores it.
+fn tuner_score(g: &CsrGraph, metric: Metric, r: &sg_core::CompressionResult) -> f64 {
+    AccuracyBaseline::default().score(metric, g, g, &r.graph, r.vertex_mapping.as_deref())
+}
+
 #[test]
 fn tuner_objectives_match_direct_metric_calls() {
-    // The sg-tune objective layer must be a thin adapter: for every metric
-    // kind, its score over a real compression result is bit-identical to
-    // calling the underlying sg-metrics function directly.
-    use slimgraph::tune::{MetricKind, Objective};
+    // The metrics `tune` targets are thin adapters: for every metric kind,
+    // its score over a real compression result is bit-identical to calling
+    // the underlying sg-metrics function directly.
+    use slimgraph::tune::MetricKind;
     let g = generators::planted_triangles(&generators::barabasi_albert(700, 4, 20), 500, 21);
     let r = Uniform { p: 0.35 }.apply(&g, 22);
 
-    let kl = Objective::new(&g, MetricKind::PagerankKl).score(&r);
+    let kl = tuner_score(&g, MetricKind::PagerankKl, &r);
     let direct_kl = kl_divergence(
         &pagerank::pagerank_default(&g).scores,
         &pagerank::pagerank_default(&r.graph).scores,
     );
     assert_eq!(kl.to_bits(), direct_kl.to_bits(), "pagerank-kl adapter");
 
-    let flips = Objective::new(&g, MetricKind::ReorderedTc).score(&r);
+    let flips = tuner_score(&g, MetricKind::ReorderedTc, &r);
     let tc0: Vec<f64> = tc::triangles_per_vertex(&g).iter().map(|&x| x as f64).collect();
     let tc1: Vec<f64> = tc::triangles_per_vertex(&r.graph).iter().map(|&x| x as f64).collect();
     assert_eq!(
@@ -103,21 +109,21 @@ fn tuner_objectives_match_direct_metric_calls() {
         "reordered-tc adapter"
     );
 
-    let l1 = Objective::new(&g, MetricKind::DegreeL1).score(&r);
+    let l1 = tuner_score(&g, MetricKind::DegreeL1, &r);
     assert_eq!(
         l1.to_bits(),
         compare_degree_distributions(&g, &r.graph).l1_distance.to_bits(),
         "degree-l1 adapter"
     );
 
-    let tri = Objective::new(&g, MetricKind::TrianglesRel).score(&r);
+    let tri = tuner_score(&g, MetricKind::TrianglesRel, &r);
     let direct_tri = sg_metrics::relative_error(
         tc::count_triangles(&g) as f64,
         tc::count_triangles(&r.graph) as f64,
     );
     assert_eq!(tri.to_bits(), direct_tri.to_bits(), "triangles-rel adapter");
 
-    let comps = Objective::new(&g, MetricKind::ComponentsRel).score(&r);
+    let comps = tuner_score(&g, MetricKind::ComponentsRel, &r);
     let direct_comps = sg_metrics::relative_error(
         slimgraph::algos::cc::connected_components(&g).num_components as f64,
         slimgraph::algos::cc::connected_components(&r.graph).num_components as f64,
@@ -129,7 +135,7 @@ fn tuner_objectives_match_direct_metric_calls() {
 fn tuner_objective_projects_vertex_removing_results() {
     // With a vertex-removing stage, the adapter's score equals the direct
     // metric over scores lifted back through the recorded vertex mapping.
-    use slimgraph::tune::{MetricKind, Objective};
+    use slimgraph::tune::MetricKind;
     use slimgraph::PipelineSpec;
     let g = generators::planted_triangles(&generators::barabasi_albert(600, 2, 23), 300, 24);
     let registry = slimgraph::SchemeRegistry::with_defaults();
@@ -141,8 +147,8 @@ fn tuner_objective_projects_vertex_removing_results() {
     let r = &out.result;
     assert!(r.vertex_mapping.is_some(), "lowdeg records a mapping");
 
-    let kl = Objective::new(&g, MetricKind::PagerankKl).score(r);
-    let projected = sg_metrics::project_scores(
+    let kl = tuner_score(&g, MetricKind::PagerankKl, r);
+    let projected = project_scores(
         g.num_vertices(),
         r.vertex_mapping.as_deref(),
         &pagerank::pagerank_default(&r.graph).scores,
@@ -167,30 +173,31 @@ fn spectral_beats_uniform_on_critical_edges_too() {
 
 /// `accuracy_report` as commit e8654ec computed it — both sides from
 /// scratch on every call, the critical edges collected to be counted —
-/// kept as the reference the baseline form is compared against.
+/// with the compressed PageRank lifted onto the original ids through the
+/// run's mapping before the KL, as `tune` scores it: kept as the reference
+/// the baseline form is compared against.
 fn from_scratch_report<B: GraphView>(
     before: &B,
     original: &CsrGraph,
     compressed: &CsrGraph,
+    mapping: Option<&[Option<VertexId>]>,
 ) -> AccuracyReport {
     let components = [
         cc::connected_components(before).num_components,
         cc::connected_components(compressed).num_components,
     ];
     let triangles = [tc::count_triangles(before), tc::count_triangles(compressed)];
-    let (pagerank_kl, bfs_critical_kept) = if compressed.num_vertices() == original.num_vertices() {
-        let pr0 = pagerank::pagerank_default(before).scores;
-        let pr1 = pagerank::pagerank_default(compressed).scores;
+    let pr1 = pagerank::pagerank_default(compressed).scores;
+    let pagerank_kl = project_scores(original.num_vertices(), mapping, &pr1)
+        .map(|pr1| kl_divergence(&pagerank::pagerank_default(before).scores, &pr1));
+    let bfs_critical_kept = (compressed.num_vertices() == original.num_vertices()).then(|| {
         let root = max_degree_vertex(original);
         let ecr = critical_edges(original, root).count();
-        let kept = match ecr {
+        match ecr {
             0 => 1.0,
             _ => critical_edges(compressed, root).count() as f64 / ecr as f64,
-        };
-        (Some(kl_divergence(&pr0, &pr1)), Some(kept))
-    } else {
-        (None, None)
-    };
+        }
+    });
     AccuracyReport { components, triangles, pagerank_kl, bfs_critical_kept }
 }
 
@@ -216,42 +223,124 @@ fn one_baseline_answers_every_scheme_as_a_from_scratch_report_does() {
     let registry = SchemeRegistry::with_defaults();
     let params = SchemeParams::from_pairs(&[("p", "0.5")]);
     let (raw_baseline, encoded_baseline) =
-        (AccuracyBaseline::new(&g), AccuracyBaseline::new(&encoded));
+        (AccuracyBaseline::default(), AccuracyBaseline::default());
     let mut vertex_removing = 0;
     for name in registry.names() {
         let out = registry.create(name, &params).expect("default factories succeed").apply(&g, 3);
-        let reference = report_bits(&from_scratch_report(&g, &g, &out.graph));
-        vertex_removing += usize::from(reference.2.is_none());
+        let mapping = out.vertex_mapping.as_deref();
+        let reference = report_bits(&from_scratch_report(&g, &g, &out.graph, mapping));
+        assert!(reference.2.is_some(), "`{name}`: the run's mapping aligns its PageRank");
+        vertex_removing += usize::from(reference.3.is_none());
         let reports = [
-            ("raw baseline", raw_baseline.compare(&g, &g, &out.graph)),
-            ("encoded baseline", encoded_baseline.compare(&encoded, &g, &out.graph)),
-            ("one-shot", accuracy_report(&g, &g, &out.graph)),
-            ("one-shot, encoded", accuracy_report(&encoded, &g, &out.graph)),
+            ("raw baseline", raw_baseline.compare(&g, &g, &out.graph, mapping)),
+            ("encoded baseline", encoded_baseline.compare(&encoded, &g, &out.graph, mapping)),
+            ("one-shot", accuracy_report(&g, &g, &out.graph, mapping)),
+            ("one-shot, encoded", accuracy_report(&encoded, &g, &out.graph, mapping)),
         ];
         for (form, report) in reports {
             assert_eq!(report_bits(&report), reference, "`{name}`, {form}");
         }
     }
     assert!(vertex_removing >= 2, "lowdeg and collapse must change the vertex set here");
-    assert!(raw_baseline.has_distribution() && encoded_baseline.has_distribution());
+    let every_report_part = ["components", "triangles", "pagerank", "bfs-critical"];
+    assert_eq!(raw_baseline.filled(), every_report_part);
+    assert_eq!(encoded_baseline.filled(), every_report_part);
 }
 
-/// The PageRank half of a baseline is filled by the first comparison that
-/// can use it: a graph only ever analysed through vertex-removing schemes
-/// never pays for one.
+/// A baseline computes only the parts its comparisons read: reports of a
+/// `lowdeg`-only sequence never fill the BFS-critical part (its root may
+/// be gone), and `degree-l1` scores never compute PageRank or triangles.
 #[test]
-fn a_lowdeg_only_sequence_never_fills_the_distribution_part() {
+fn a_baseline_computes_only_the_parts_its_comparisons_read() {
     let g = generators::erdos_renyi(800, 2400, 1);
     let registry = SchemeRegistry::with_defaults();
     let lowdeg = registry.create("lowdeg", &SchemeParams::new()).expect("lowdeg");
-    let baseline = AccuracyBaseline::new(&g);
+    let (reports, degree_l1) = (AccuracyBaseline::default(), AccuracyBaseline::default());
     for seed in 1..=3 {
-        let out = lowdeg.apply(&g, seed).graph;
-        assert!(out.num_vertices() < g.num_vertices(), "lowdeg must remove a vertex");
-        let report = baseline.compare(&g, &g, &out);
-        assert_eq!(report_bits(&report), report_bits(&from_scratch_report(&g, &g, &out)));
-        assert!(!baseline.has_distribution());
+        let out = lowdeg.apply(&g, seed);
+        assert!(out.graph.num_vertices() < g.num_vertices(), "lowdeg must remove a vertex");
+        let mapping = out.vertex_mapping.as_deref();
+        let report = reports.compare(&g, &g, &out.graph, mapping);
+        assert_eq!(
+            report_bits(&report),
+            report_bits(&from_scratch_report(&g, &g, &out.graph, mapping))
+        );
+        assert_eq!(reports.filled(), ["components", "triangles", "pagerank"]);
+        let l1 = degree_l1.score(Metric::DegreeL1, &g, &g, &out.graph, mapping);
+        assert_eq!(
+            l1.to_bits(),
+            compare_degree_distributions(&g, &out.graph).l1_distance.to_bits()
+        );
+        assert_eq!(degree_l1.filled(), ["degree-distribution"]);
     }
-    baseline.compare(&g, &g, &g);
-    assert!(baseline.has_distribution(), "a vertex-preserving comparison fills it");
+    reports.compare(&g, &g, &g, None);
+    assert_eq!(
+        reports.filled(),
+        ["components", "triangles", "pagerank", "bfs-critical"],
+        "a vertex-preserving comparison fills the BFS-critical part"
+    );
+}
+
+/// `tune`, a served `analyze` and the one-shot report agree on
+/// `pagerank-kl` to the last bit, vertex-removing chains included: for
+/// each spec, the score `tune` evaluates (the spec is made its winner),
+/// the daemon's `metrics.pagerank_kl` and `accuracy_report`'s field.
+#[test]
+fn tune_analyze_and_the_report_agree_on_pagerank_kl() {
+    use slimgraph::serve::{Client, Json, ServeConfig, Server};
+    use slimgraph::tune::{tune, MetricKind, Target, TuneConfig};
+    use slimgraph::PipelineSpec;
+    use std::sync::Arc;
+
+    let g = generators::planted_triangles(&generators::erdos_renyi(600, 1500, 31), 300, 32);
+    assert!((0..g.num_vertices() as VertexId).any(|v| g.degree(v) == 1), "a degree-1 vertex");
+    assert!(tc::count_triangles(&g) > 0, "triangles");
+    let path = std::env::temp_dir().join("slimgraph-metrics-agreement.sgr");
+    let path = path.to_string_lossy().into_owned();
+    slimgraph::store::save_sgr(&g, &path).expect("write input");
+
+    let cfg = ServeConfig { listen: "127.0.0.1:0".into(), transcript: false, ..Default::default() };
+    let server = Server::bind(&cfg).expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(&addr).expect("connect");
+    let load =
+        Client::request_for("load").with("name", Json::str("g")).with("path", Json::str(&path));
+    client.request(&load).expect("load");
+
+    let registry = Arc::new(SchemeRegistry::with_defaults());
+    let seed = 7;
+    for (spec, removes_vertices) in
+        [("uniform:p=0.5", false), ("lowdeg,uniform:p=0.3", true), ("collapse", true)]
+    {
+        let parsed = PipelineSpec::parse(spec).expect("parses");
+        let out = parsed.build(&registry).expect("builds").apply(&g, seed).result;
+        assert_eq!(out.graph.num_vertices() < g.num_vertices(), removes_vertices, "{spec}");
+
+        // `lowdeg` alone keeps more edges than any of the three specs, so
+        // the warm-started spec is the smallest feasible candidate.
+        let target = Target { metric: MetricKind::PagerankKl, max: f64::MAX };
+        let mut tune_cfg = TuneConfig::new(g.num_edges(), target, seed);
+        tune_cfg.schemes = Some(vec!["lowdeg".into()]);
+        tune_cfg.max_depth = 1;
+        tune_cfg.rounds = 0;
+        tune_cfg.warm_start = vec![parsed];
+        let winner = tune(&g, &registry, &tune_cfg).expect("tunes").winner.expect("a winner");
+        assert_eq!(winner.rendered, spec, "the spec wins");
+
+        let request = Client::request_for("analyze")
+            .with("graph", Json::str("g"))
+            .with("spec", Json::str(spec))
+            .with("seed", Json::u64(seed));
+        let reply = client.request(&request).expect("analyze");
+        let served = reply.get("metrics").and_then(|m| m.get("pagerank_kl")).and_then(Json::as_f64);
+
+        let report = accuracy_report(&g, &g, &out.graph, out.vertex_mapping.as_deref());
+        let one_shot = report.pagerank_kl.expect("the run's mapping aligns");
+        assert_eq!(Some(winner.metric.to_bits()), served.map(f64::to_bits), "{spec}: served");
+        assert_eq!(winner.metric.to_bits(), one_shot.to_bits(), "{spec}: one-shot");
+        assert_eq!(report.bfs_critical_kept.is_none(), removes_vertices, "{spec}: BFS root");
+    }
+    client.request(&Client::request_for("shutdown")).expect("shutdown");
+    daemon.join().expect("daemon thread").expect("clean exit");
 }

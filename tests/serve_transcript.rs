@@ -332,7 +332,7 @@ fn standalone_daemon_transcript() {
             .render(),
     );
 
-    s.note("analyze: distribution metrics, and null when the vertex set changes");
+    s.note("analyze: KL projected when the vertex set changes, BFS-critical null");
     s.send(r#"{"v":2,"id":"a-1","op":"analyze","graph":"g","spec":"uniform:p=0.5","seed":9}"#);
     s.send(r#"{"v":2,"id":"a-2","op":"analyze","graph":"g","spec":"collapse","seed":3}"#);
     s.send(r#"{"v":2,"op":"analyze","graph":"nope","spec":"uniform"}"#);
