@@ -30,7 +30,7 @@
 //! without dangling vertices keeps its seed, and the sign of that zero is
 //! lost in `teleport + share`.) Scores, residual and iteration count are
 //! therefore those of a plain vertex-order loop, pinned on raw and encoded
-//! views at 1, 4 and 8 threads in `tests/parallel_equivalence.rs`.
+//! views at 1, 4 and 8 threads in the table of `tests/contract/mod.rs`.
 //!
 //! Why sort at all: on cache-resident graphs (50 k vertices, ≈ 4 slots a
 //! row) the pull is limited less by memory than by the row loop's
@@ -246,13 +246,7 @@ mod tests {
         // low ids, so in-degree falls with the id while out-degree cycles.
         let arcs = (0..1000u32).flat_map(|v| (0..v % 7).map(move |j| (v, (v * 31 + j * 17) % 300)));
         let g = sg_graph::CsrGraph::from_edge_list_directed(EdgeList::from_pairs(1000, arcs));
-        let _knob = crate::THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        let orders = [1, 4].map(|threads| {
-            rayon::set_num_threads(threads);
-            let order = visit_order(&g);
-            rayon::set_num_threads(0);
-            order
-        });
+        let orders = [1, 4].map(|threads| rayon::with_num_threads(threads, || visit_order(&g)));
         assert_eq!(orders[0], orders[1], "the order must not depend on the thread count");
         let order = &orders[0];
         let mut seen = order.clone();

@@ -713,27 +713,26 @@ mod tests {
     #[test]
     fn listing_is_canonically_ordered_at_any_thread_count() {
         // Nothing sorts the listing, so a mis-ordered chunk merge would show.
-        let _knob = crate::THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let g = generators::rmat_graph500(10, 8, 7);
         let encoded = EncodedCsr::from_graph(&g);
         let expected = count_triangles(&g);
         assert!(expected > 0);
         let listings = [1, 4, 8].map(|threads| {
-            rayon::set_num_threads(threads);
-            let tris = list_triangles(&g);
-            // The counter agrees on the raw rows and on the delta-encoded view.
-            assert_eq!(count_triangles(&g), expected, "{threads} threads");
-            assert_eq!(count_triangles(&encoded), expected, "{threads} threads, encoded");
-            // 64 chunks share at most one scratch per worker.
-            let created = AtomicU64::new(0);
-            let new_scratch = || created.fetch_add(1, Ordering::Relaxed);
-            let sums =
-                fold_with_scratch(g.par_edge_ids(), new_scratch, || 0, |_, sum, e| *sum += e);
-            assert_eq!(sums.len(), 64);
-            assert_eq!(sums.iter().sum::<EdgeId>(), (0..g.num_edges() as EdgeId).sum());
-            assert!((1..=threads as u64).contains(&created.into_inner()), "{threads} threads");
-            rayon::set_num_threads(0);
-            tris
+            rayon::with_num_threads(threads, || {
+                let tris = list_triangles(&g);
+                // The counter agrees on the raw rows and on the delta-encoded view.
+                assert_eq!(count_triangles(&g), expected, "{threads} threads");
+                assert_eq!(count_triangles(&encoded), expected, "{threads} threads, encoded");
+                // 64 chunks share at most one scratch per worker.
+                let created = AtomicU64::new(0);
+                let new_scratch = || created.fetch_add(1, Ordering::Relaxed);
+                let sums =
+                    fold_with_scratch(g.par_edge_ids(), new_scratch, || 0, |_, sum, e| *sum += e);
+                assert_eq!(sums.len(), 64);
+                assert_eq!(sums.iter().sum::<EdgeId>(), (0..g.num_edges() as EdgeId).sum());
+                assert!((1..=threads as u64).contains(&created.into_inner()), "{threads} threads");
+                tris
+            })
         });
         for tris in &listings {
             assert_eq!(tris.len() as u64, expected);

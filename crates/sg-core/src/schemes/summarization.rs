@@ -595,22 +595,20 @@ mod tests {
 
     #[test]
     fn group_order_and_thread_count_do_not_change_the_merge() {
-        // The only test in this binary that turns the process-global knob.
         let mut merging = 0;
         for seed in 0..40 {
             let g = blocks(seed);
             let (mut forward, mut backward) = (MergeState::new(&g), MergeState::new(&g));
             for t in 0..MAX_MERGE_ITERATIONS {
-                rayon::set_num_threads(1);
-                let merged = forward.iterate(seed, t);
-                rayon::set_num_threads(8);
-                let pairs = backward.minhash_pairs(seed, t);
-                let mut groups: Vec<_> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
-                groups.retain(|group| group.len() > 1);
-                groups.reverse();
-                let merges = backward.score(&groups, 1.0 / (1.0 + t as f64));
-                backward.commit(merges);
-                rayon::set_num_threads(0);
+                let merged = rayon::with_num_threads(1, || forward.iterate(seed, t));
+                rayon::with_num_threads(8, || {
+                    let pairs = backward.minhash_pairs(seed, t);
+                    let mut groups: Vec<_> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
+                    groups.retain(|group| group.len() > 1);
+                    groups.reverse();
+                    let merges = backward.score(&groups, 1.0 / (1.0 + t as f64));
+                    backward.commit(merges);
+                });
                 assert_eq!(snapshot(&forward), snapshot(&backward), "seed {seed}, iteration {t}");
                 if merged == 0 {
                     break;

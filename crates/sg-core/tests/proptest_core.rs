@@ -71,9 +71,9 @@ proptest! {
         }
         let expected = g.filter_edges(|e| !union.contains(&e));
         for threads in [1, 4] {
-            rayon::set_num_threads(threads);
-            let r = run_subgraph_kernel(&g, &mapping, &RandomDeletions { seed }, seed);
-            rayon::set_num_threads(0);
+            let r = rayon::with_num_threads(threads, || {
+                run_subgraph_kernel(&g, &mapping, &RandomDeletions { seed }, seed)
+            });
             prop_assert_eq!(r.graph.edge_slice(), expected.edge_slice(), "threads={}", threads);
         }
     }

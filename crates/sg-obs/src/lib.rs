@@ -22,7 +22,7 @@
 //! counter, gauge, histogram, or span, and no timestamp may enter a
 //! digest, checksum, or equivalence comparison. Results are bit-identical
 //! at any `SG_THREADS` with telemetry enabled or disabled —
-//! `tests/obs_equivalence.rs` pins this.
+//! the contract harness's `Telemetry` axis (`tests/contract/`) pins this.
 //!
 //! ## Overhead
 //!

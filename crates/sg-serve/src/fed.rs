@@ -13,8 +13,8 @@
 //! * only schemes whose [`sg_dist::federation_plan`] admits independent
 //!   shards are federated (edge kernels, Plain Triangle Reduction, vertex
 //!   kernels) — the union of shard outcomes is then bit-identical to the
-//!   shared-memory `scheme.apply`, the contract `tests/dist_equivalence.rs`
-//!   pins. Everything else (Edge-Once disciplines, global rewrites,
+//!   shared-memory `scheme.apply`, the contract the harness's `Shards`
+//!   axis pins. Everything else (Edge-Once disciplines, global rewrites,
 //!   multi-stage chains) silently falls back to coordinator-local
 //!   execution, reported in the response's `federation.mode`.
 //! * every worker response carries the [`crate::server::graph_digest`] of

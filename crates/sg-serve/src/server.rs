@@ -1227,7 +1227,7 @@ fn federated_run(
     // Synthesize the one-stage run a local execution would have produced
     // (pipelines are pure in `(graph, spec, seed)` and
     // `Pipeline::stage_seed(seed, 0) == seed`, so the merged graph IS the
-    // local stage output — dist_equivalence pins that bit-identity).
+    // local stage output — the contract harness pins that bit-identity).
     let run = SessionRun {
         graph: Arc::clone(&merged),
         vertex_mapping: mapping.map(Arc::new),

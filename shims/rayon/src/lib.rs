@@ -18,8 +18,8 @@
 //! merges per-chunk results left-to-right in chunk order, the full result —
 //! including the exact floating-point rounding — is **bit-identical at any
 //! thread count**, including the sequential fallback at 1 thread. The
-//! top-level `parallel_equivalence` test suite pins this contract for every
-//! compression scheme and stage-2 algorithm in the workspace.
+//! top-level contract harness (`tests/contract/`) pins this contract for
+//! every compression scheme and stage-2 algorithm in the workspace.
 //!
 //! The same reasoning makes the slice sorts deterministic: the
 //! `par_sort_unstable*` entry points are backed by a *stable* parallel
@@ -32,8 +32,7 @@
 //!
 //! The worker count comes from, in priority order:
 //!
-//! 1. [`set_num_threads`] (a shim-only programmatic override; pass 0 to
-//!    clear it),
+//! 1. [`with_num_threads`] (a shim-only override scoped to one closure),
 //! 2. the `SG_THREADS` environment variable,
 //! 3. the `RAYON_NUM_THREADS` environment variable (rayon compatible),
 //! 4. [`std::thread::available_parallelism`].
@@ -59,12 +58,14 @@ pub mod prelude {
 }
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Programmatic thread-count override; 0 means "unset, use the default".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Environment/default thread count, resolved once per process.
 static DEFAULT: OnceLock<usize> = OnceLock::new();
+/// Held by whoever has moved [`OVERRIDE`]: one scope at a time per process.
+static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
 fn default_num_threads() -> usize {
     *DEFAULT.get_or_init(|| {
@@ -90,42 +91,79 @@ pub fn current_num_threads() -> usize {
     }
 }
 
-/// Overrides the worker-thread count for subsequent parallel calls in this
-/// process; `set_num_threads(0)` restores the environment-derived default.
+/// Runs `f` with every parallel call in the process using `threads`
+/// workers (0: the environment-derived default), then restores the count
+/// that was in force before — also when `f` panics.
 ///
-/// Shim-only API (real rayon sizes its global pool via
-/// `ThreadPoolBuilder`): results never depend on the thread count, so this
-/// is a performance knob and a test hook, not a semantic one.
-pub fn set_num_threads(threads: usize) {
-    OVERRIDE.store(threads, Ordering::Relaxed);
+/// Shim-only API, shaped like real rayon's `ThreadPool::install`: results
+/// never depend on the thread count, so this is a performance knob and a
+/// test hook, not a semantic one. The count is process-wide, so one
+/// process-wide lock admits one scope at a time, and a panic inside a scope
+/// does not poison it. Scopes do not nest: a call from inside `f` on the
+/// same thread panics rather than wait on the lock its caller holds.
+pub fn with_num_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    thread_local! {
+        static IN_SCOPE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.store(self.0, Ordering::Relaxed);
+            IN_SCOPE.with(|s| s.set(false));
+        }
+    }
+    assert!(!IN_SCOPE.with(|s| s.replace(true)), "with_num_threads scopes do not nest");
+    let _lock = SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Declared after the lock, so it drops (and restores) before unlocking.
+    let _restore = Restore(OVERRIDE.swap(threads, Ordering::Relaxed));
+    f()
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The thread-count override is process-global and the test harness
-    /// runs tests concurrently, so every test that touches the knob must
-    /// hold this lock for its whole body.
-    static KNOB: Mutex<()> = Mutex::new(());
-
-    fn lock_knob() -> MutexGuard<'static, ()> {
-        KNOB.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::with_num_threads;
 
     /// Runs `f` at several thread counts and asserts all results agree.
     fn invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
-        let _guard = lock_knob();
-        crate::set_num_threads(1);
-        let base = f();
+        let base = with_num_threads(1, &f);
         for t in [2, 4, 8] {
-            crate::set_num_threads(t);
-            let got = f();
+            let got = with_num_threads(t, &f);
             assert_eq!(got, base, "result changed at {t} threads");
         }
-        crate::set_num_threads(0);
         base
+    }
+
+    #[test]
+    fn a_panicking_scope_restores_the_default_and_releases_the_lock() {
+        let default = crate::default_num_threads();
+        let r = std::panic::catch_unwind(|| {
+            with_num_threads(default + 3, || {
+                assert_eq!(crate::current_num_threads(), default + 3);
+                panic!("mid-scope panic");
+            })
+        });
+        assert!(r.is_err());
+        {
+            // The panic poisoned the lock; holding it, no other scope can
+            // move the count while it is read.
+            let _lock = crate::SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            assert_eq!(crate::current_num_threads(), default, "the override outlived its scope");
+        }
+        // The next scope neither blocks on the poisoned lock nor panics.
+        let sum = with_num_threads(4, || (0u64..1000).into_par_iter().sum::<u64>());
+        assert_eq!(sum, 499_500);
+    }
+
+    #[test]
+    fn a_nested_scope_panics_instead_of_deadlocking() {
+        let nested = with_num_threads(2, || {
+            let r = std::panic::catch_unwind(|| with_num_threads(3, || ()));
+            assert_eq!(crate::current_num_threads(), 2, "the outer scope's count holds");
+            r
+        });
+        assert!(nested.is_err(), "a nested scope must panic");
+        assert_eq!(with_num_threads(5, crate::current_num_threads), 5);
     }
 
     #[test]
@@ -221,19 +259,18 @@ mod tests {
 
     #[test]
     fn par_iter_mut_and_chunks_mut_cover_all_elements() {
-        let _guard = lock_knob();
-        crate::set_num_threads(4);
-        let mut v = vec![1u64; 10_000];
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x += i as u64);
-        assert_eq!(v[9_999], 10_000);
-        let mut m = vec![0u8; 1000];
-        m.par_chunks_mut(7).enumerate().for_each(|(i, chunk)| {
-            for x in chunk.iter_mut() {
-                *x = (i % 251) as u8 + 1;
-            }
+        with_num_threads(4, || {
+            let mut v = vec![1u64; 10_000];
+            v.par_iter_mut().enumerate().for_each(|(i, x)| *x += i as u64);
+            assert_eq!(v[9_999], 10_000);
+            let mut m = vec![0u8; 1000];
+            m.par_chunks_mut(7).enumerate().for_each(|(i, chunk)| {
+                for x in chunk.iter_mut() {
+                    *x = (i % 251) as u8 + 1;
+                }
+            });
+            assert!(m.iter().all(|&x| x != 0));
         });
-        assert!(m.iter().all(|&x| x != 0));
-        crate::set_num_threads(0);
     }
 
     #[test]
@@ -253,17 +290,16 @@ mod tests {
 
     #[test]
     fn sort_by_key_and_plain_sort() {
-        let _guard = lock_knob();
         let mut v: Vec<u32> = (0..20_000).map(|i: u32| i.wrapping_mul(48271) % 65536).collect();
         let mut w = v.clone();
-        crate::set_num_threads(8);
-        v.par_sort_unstable();
-        w.sort_unstable();
-        assert_eq!(v, w);
-        let mut pairs: Vec<(u32, u32)> = (0..9999u32).map(|i| (i % 13, i)).collect();
-        pairs.par_sort_unstable_by_key(|&(k, _)| k);
-        assert!(pairs.windows(2).all(|p| p[0].0 <= p[1].0));
-        crate::set_num_threads(0);
+        with_num_threads(8, || {
+            v.par_sort_unstable();
+            w.sort_unstable();
+            assert_eq!(v, w);
+            let mut pairs: Vec<(u32, u32)> = (0..9999u32).map(|i| (i % 13, i)).collect();
+            pairs.par_sort_unstable_by_key(|&(k, _)| k);
+            assert!(pairs.windows(2).all(|p| p[0].0 <= p[1].0));
+        });
     }
 
     #[test]
@@ -287,7 +323,6 @@ mod tests {
 
     #[test]
     fn parallel_merge_rounds_preserve_stability_with_odd_run_counts() {
-        let _guard = lock_knob();
         // 5 workers -> 5 sorted runs -> pairing rounds of (2,2,1), (2,1),
         // (1): both the odd-run pass-through and multi-round concurrent
         // merging execute, and the stable order must survive all of it.
@@ -296,46 +331,42 @@ mod tests {
         let mut expect = data.clone();
         expect.sort_by_key(|p| p.0);
         for t in [1, 3, 5, 8] {
-            crate::set_num_threads(t);
             let mut v = data.clone();
-            v.par_sort_unstable_by_key(|p| p.0);
+            with_num_threads(t, || v.par_sort_unstable_by_key(|p| p.0));
             assert_eq!(v, expect, "stable order must hold at {t} threads");
         }
-        crate::set_num_threads(0);
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        let _guard = lock_knob();
-        crate::set_num_threads(8);
-        let empty: Vec<u32> = (0u32..0).into_par_iter().collect();
-        assert!(empty.is_empty());
-        assert_eq!((0u32..0).into_par_iter().sum::<u32>(), 0);
-        assert_eq!((0u32..0).into_par_iter().max(), None);
-        assert_eq!((0u32..1).into_par_iter().collect::<Vec<_>>(), vec![0]);
-        let mut one = [3u8];
-        one.par_sort_unstable();
-        crate::set_num_threads(0);
+        with_num_threads(8, || {
+            let empty: Vec<u32> = (0u32..0).into_par_iter().collect();
+            assert!(empty.is_empty());
+            assert_eq!((0u32..0).into_par_iter().sum::<u32>(), 0);
+            assert_eq!((0u32..0).into_par_iter().max(), None);
+            assert_eq!((0u32..1).into_par_iter().collect::<Vec<_>>(), vec![0]);
+            let mut one = [3u8];
+            one.par_sort_unstable();
+        });
     }
 
     #[test]
     fn chunks_run_on_spawned_worker_threads() {
-        let _guard = lock_knob();
         use std::collections::HashSet;
         use std::sync::Mutex;
-        crate::set_num_threads(4);
-        let caller = std::thread::current().id();
-        let ids = Mutex::new(HashSet::new());
-        (0u32..64).into_par_iter().for_each(|_| {
-            ids.lock().expect("no poison").insert(std::thread::current().id());
-            std::thread::yield_now();
+        with_num_threads(4, || {
+            let caller = std::thread::current().id();
+            let ids = Mutex::new(HashSet::new());
+            (0u32..64).into_par_iter().for_each(|_| {
+                ids.lock().expect("no poison").insert(std::thread::current().id());
+                std::thread::yield_now();
+            });
+            let ids = ids.into_inner().expect("no poison");
+            // With >1 configured workers every chunk runs on a spawned thread,
+            // never inline on the caller (how many workers get scheduled is up
+            // to the OS, so that is all we can assert deterministically).
+            assert!(!ids.is_empty() && !ids.contains(&caller), "chunks ran inline on the caller");
         });
-        let ids = ids.into_inner().expect("no poison");
-        // With >1 configured workers every chunk runs on a spawned thread,
-        // never inline on the caller (how many workers get scheduled is up
-        // to the OS, so that is all we can assert deterministically).
-        assert!(!ids.is_empty() && !ids.contains(&caller), "chunks ran inline on the caller");
-        crate::set_num_threads(0);
     }
 
     #[test]
@@ -354,35 +385,33 @@ mod tests {
 
     #[test]
     fn pool_survives_panics_and_keeps_serving() {
-        let _guard = lock_knob();
-        crate::set_num_threads(4);
-        for _ in 0..3 {
-            let r = std::panic::catch_unwind(|| {
-                (0u32..500).into_par_iter().for_each(|x| {
-                    if x == 250 {
-                        panic!("mid-op panic");
-                    }
+        with_num_threads(4, || {
+            for _ in 0..3 {
+                let r = std::panic::catch_unwind(|| {
+                    (0u32..500).into_par_iter().for_each(|x| {
+                        if x == 250 {
+                            panic!("mid-op panic");
+                        }
+                    });
                 });
-            });
-            assert!(r.is_err());
-            let sum: u64 = (0u64..10_000).into_par_iter().sum();
-            assert_eq!(sum, 49_995_000, "pool must keep working after a panic");
-        }
-        crate::set_num_threads(0);
+                assert!(r.is_err());
+                let sum: u64 = (0u64..10_000).into_par_iter().sum();
+                assert_eq!(sum, 49_995_000, "pool must keep working after a panic");
+            }
+        });
     }
 
     #[test]
     fn worker_panic_propagates() {
-        let _guard = lock_knob();
-        crate::set_num_threads(4);
-        let result = std::panic::catch_unwind(|| {
-            (0u32..1000).into_par_iter().for_each(|x| {
-                if x == 777 {
-                    panic!("boom");
-                }
-            });
+        let result = with_num_threads(4, || {
+            std::panic::catch_unwind(|| {
+                (0u32..1000).into_par_iter().for_each(|x| {
+                    if x == 777 {
+                        panic!("boom");
+                    }
+                });
+            })
         });
-        crate::set_num_threads(0);
         assert!(result.is_err(), "panic in a worker must reach the caller");
     }
 }

@@ -21,11 +21,6 @@ use proptest::prelude::*;
 use sg_algos::{bfs, cc};
 use sg_graph::prng::{bounded_u64, unit_f64};
 use sg_graph::{generators, CsrGraph, EdgeList, EncodedCsr, GraphView, VertexId};
-use std::sync::Mutex;
-
-/// The worker-count override is process-global and the tests of this binary
-/// run concurrently: whoever moves it holds this lock.
-static KNOB: Mutex<()> = Mutex::new(());
 
 /// The undirected input of shape `shape` on about `n ≥ 2` vertices.
 fn shape_graph(shape: u8, n: usize, seed: u64) -> CsrGraph {
@@ -96,14 +91,13 @@ fn check<G: GraphView>(view: &G, g: &CsrGraph, root: VertexId, what: &str) {
 fn check_case(shape: u8, n: usize, directed: bool, seed: u64, threads: &[usize]) {
     let (g, root) = case(shape, n, directed, seed);
     let encoded = EncodedCsr::from_graph(&g);
-    let _knob = KNOB.lock().unwrap_or_else(|e| e.into_inner());
     for &t in threads {
-        rayon::set_num_threads(t);
         let what = format!("shape {shape}, n {n}, directed {directed}, seed {seed}, {t} threads");
-        check(&g, &g, root, &format!("{what}, raw"));
-        check(&encoded, &g, root, &format!("{what}, encoded"));
+        rayon::with_num_threads(t, || {
+            check(&g, &g, root, &format!("{what}, raw"));
+            check(&encoded, &g, root, &format!("{what}, encoded"));
+        });
     }
-    rayon::set_num_threads(0);
 }
 
 proptest! {

@@ -1,23 +1,21 @@
-//! Sharded-vs-local bit-identity sweep — the determinism contract of the
-//! sharded subsystem (ISSUE 10 acceptance).
-//!
-//! Every registered scheme with a plan (edge, triangle — plain and both
-//! stateful Edge-Once disciplines plus max-weight — and vertex) must produce
-//! a graph bit-identical to the shared-memory `scheme.apply(g, seed)` at
-//! ranks ∈ {1, 2, 4}. The scheme lists come from the registry, so a new
-//! scheme is swept as soon as it is registered. CI runs the whole suite at
-//! SG_THREADS ∈ {1, 4}, closing the ranks × threads matrix. The Edge-Once
-//! protocol's property test has a 2 000-case ignored twin:
+//! The sharded subsystem. Sharded runs equal to `scheme.apply` — every
+//! case of the contract table with a plan, ranks ∈ {1, 2, 4}, each at 1 and
+//! 4 threads — are the contract harness's `Ranks` axis (`tests/contract/`),
+//! split between the first two tests; federation shards are its `Shards`
+//! axis (`contract_equivalence`). This suite also keeps which schemes have
+//! a plan, the exact message and superstep counts of the exchange, the
+//! ranks' work accounting, triangle ownership across shards, and the
+//! Edge-Once protocol's property test on random graphs, whose 2 000-case
+//! ignored twin runs with
 //! `cargo test --release --test dist_equivalence -- --ignored`.
+
+mod contract;
 
 use proptest::prelude::*;
 use sg_algos::tc;
 use sg_core::schemes::{for_sampled_triangles, TrConfig};
-use sg_core::{CompressionScheme, DetRand, SchemeParams, SchemeRegistry};
-use sg_dist::{
-    apply_edge_deletions, apply_vertex_removals, distributed_compress, federation_plan,
-    shard_compress, ShardOutcome,
-};
+use sg_core::{CompressionResult, CompressionScheme, DetRand, SchemeParams, SchemeRegistry};
+use sg_dist::{apply_edge_deletions, distributed_compress, shard_compress, ShardOutcome};
 use sg_graph::partition::partition_edges;
 use sg_graph::{generators, EdgeList};
 use sg_graph::{CsrGraph, EdgeId, VertexId};
@@ -27,12 +25,6 @@ use sg_graph::{CsrGraph, EdgeId, VertexId};
 /// multiple supersteps).
 fn triangle_rich() -> CsrGraph {
     generators::planted_triangles(&generators::erdos_renyi(900, 2200, 11), 1800, 12)
-}
-
-/// Edge weights by bit pattern (`None` when unweighted): a reweighted
-/// survivor must match to the last bit, not to a tolerance.
-fn weight_bits(g: &CsrGraph) -> Option<Vec<u32>> {
-    g.weight_slice().map(|w| w.iter().map(|x| x.to_bits()).collect())
 }
 
 /// Every registered name whose scheme, built from `params`, satisfies
@@ -57,6 +49,26 @@ fn sharded_schemes() -> Vec<(String, SchemeParams)> {
     registered_where(&params, |scheme, g| scheme.plan(g).is_some())
 }
 
+/// Runs the `Ranks` axis at 1, 2 and 4 ranks over the cases `rows` selects.
+fn ranks_axis(rows: impl Fn(&contract::Case) -> bool) {
+    for r in [1, 2, 4] {
+        contract::check_where(contract::Axis::Ranks(r), &rows);
+    }
+}
+
+/// Every unweighted case with a plan.
+#[test]
+fn sharded_runs_are_bit_identical_to_local_at_every_rank_count() {
+    ranks_axis(|case| !contract::graph(case.graph).is_weighted());
+}
+
+/// Every weighted case with a plan (`tr-mw` and the reweighting `spectral`
+/// among them): the pinned digest covers every weight's bits.
+#[test]
+fn input_weights_survive_distribution() {
+    ranks_axis(|case| contract::graph(case.graph).is_weighted());
+}
+
 #[test]
 fn exactly_the_global_rewrites_have_no_plan() {
     let planless = registered_where(&SchemeParams::new(), |scheme, g| scheme.plan(g).is_none());
@@ -64,55 +76,6 @@ fn exactly_the_global_rewrites_have_no_plan() {
     assert_eq!(names, ["collapse", "spanner", "summary"]);
     let registered = SchemeRegistry::with_defaults().names().count();
     assert_eq!(sharded_schemes().len(), registered - names.len());
-}
-
-#[test]
-fn sharded_runs_are_bit_identical_to_local_at_every_rank_count() {
-    let g = triangle_rich();
-    let registry = SchemeRegistry::with_defaults();
-    for (name, params) in sharded_schemes() {
-        let scheme = registry.create(&name, &params).expect("registered");
-        let shared = scheme.apply(&g, 45);
-        for ranks in [1, 2, 4] {
-            let dist = distributed_compress(&g, scheme.as_ref(), ranks, 45)
-                .unwrap_or_else(|e| panic!("{name} at ranks={ranks}: {e}"));
-            assert_eq!(
-                dist.result.graph.edge_slice(),
-                shared.graph.edge_slice(),
-                "{name} at ranks={ranks}: sharded edges diverge from scheme.apply"
-            );
-            assert_eq!(
-                dist.result.graph.num_vertices(),
-                shared.graph.num_vertices(),
-                "{name} at ranks={ranks}"
-            );
-            assert_eq!(
-                dist.result.vertex_mapping, shared.vertex_mapping,
-                "{name} at ranks={ranks}: vertex mappings diverge"
-            );
-            assert!(
-                weight_bits(&dist.result.graph) == weight_bits(&shared.graph),
-                "{name} at ranks={ranks}: edge weights diverge"
-            );
-        }
-    }
-}
-
-#[test]
-fn input_weights_survive_distribution() {
-    // Max-weight TR reads the weights to rank a triangle's edges and must
-    // hand the survivors' weights through untouched.
-    let g = generators::with_random_weights(&triangle_rich(), 1.0, 100.0, 13);
-    let registry = SchemeRegistry::with_defaults();
-    let scheme =
-        registry.create("tr-mw", &SchemeParams::from_pairs(&[("p", "0.6")])).expect("registered");
-    let shared = scheme.apply(&g, 45);
-    assert!(shared.graph.is_weighted());
-    for ranks in [1, 2, 4] {
-        let dist = distributed_compress(&g, scheme.as_ref(), ranks, 45).expect("runs");
-        assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice(), "ranks={ranks}");
-        assert!(weight_bits(&dist.result.graph) == weight_bits(&shared.graph), "ranks={ranks}");
-    }
 }
 
 #[test]
@@ -190,47 +153,6 @@ fn rank_stats_account_for_the_whole_graph() {
         // send their gather messages.
         assert!(dist.total_messages() >= 1, "{name}");
         assert!(dist.max_supersteps() >= 1, "{name}");
-    }
-}
-
-#[test]
-fn federation_shards_union_to_the_local_result() {
-    // The coordinator's merge contract: for every federable scheme the
-    // union of per-shard outcomes applied to a replica equals scheme.apply.
-    let g = triangle_rich();
-    let registry = SchemeRegistry::with_defaults();
-    let params = SchemeParams::from_pairs(&[("p", "0.6"), ("k", "3")]);
-    let federable = registered_where(&params, |scheme, g| federation_plan(g, scheme).is_ok());
-    assert!(federable.iter().any(|(name, _)| name == "spectral"), "{federable:?}");
-    for (name, params) in federable {
-        let scheme = registry.create(&name, &params).expect("registered");
-        let shared = scheme.apply(&g, 83);
-        for shards in [1, 2, 4] {
-            let mut edges: Vec<EdgeId> = Vec::new();
-            let mut vertices: Vec<VertexId> = Vec::new();
-            for shard in 0..shards {
-                match shard_compress(&g, scheme.as_ref(), shard, shards, 83)
-                    .unwrap_or_else(|e| panic!("{name} shard {shard}/{shards}: {e}"))
-                {
-                    ShardOutcome::Edges(d) => edges.extend(d),
-                    ShardOutcome::Vertices(v) => vertices.extend(v),
-                }
-            }
-            if vertices.is_empty() {
-                edges.sort_unstable();
-                edges.dedup();
-                let merged = apply_edge_deletions(&g, &edges);
-                assert_eq!(
-                    merged.edge_slice(),
-                    shared.graph.edge_slice(),
-                    "{name} at shards={shards}"
-                );
-            } else {
-                let (merged, mapping) = apply_vertex_removals(&g, &vertices);
-                assert_eq!(merged.edge_slice(), shared.graph.edge_slice(), "{name}");
-                assert_eq!(Some(mapping), shared.vertex_mapping, "{name}");
-            }
-        }
     }
 }
 
@@ -327,8 +249,9 @@ fn check_edge_once_protocol(g: &CsrGraph, p: f64, x: usize, seed: u64) {
         for ranks in 1..=4 {
             let dist = distributed_compress(g, scheme.as_ref(), ranks, seed).expect("runs");
             let what = format!("{name}:p={p}:x={x} at ranks={ranks}, seed {seed}");
-            assert_eq!(dist.result.graph.edge_slice(), shared.graph.edge_slice(), "{what}");
-            assert!(weight_bits(&dist.result.graph) == weight_bits(&shared.graph), "{what}");
+            let outcome =
+                |r: &CompressionResult| contract::outcome(&r.graph, r.vertex_mapping.as_deref());
+            assert_eq!(outcome(&dist.result), outcome(&shared), "{what}");
             for r in &dist.ranks {
                 assert!(
                     r.supersteps <= sampled + 1,

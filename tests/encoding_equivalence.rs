@@ -1,210 +1,49 @@
-//! Raw vs encoded equivalence: a graph traversed through `.sgr` v3's
-//! decode-on-the-fly adjacency (Stream VByte sparse rows, bitmap dense
-//! rows) must be indistinguishable — bit for bit — from the same graph in
-//! raw CSR form, for every registered compression scheme, for pipelines,
-//! and for the stage-2 algorithms, whether the encoded sections live on the
-//! heap or borrow from an mmap, at any thread count.
-//!
-//! This is the acceptance gate of the encoded-adjacency subsystem: kernels
-//! consume rows through the one `GraphView`/`NeighborCursor` API, decode
-//! order is a pure function of the row index, and canonical edge ids are
-//! defined by forward enumeration — so nothing downstream can tell the
-//! representations apart. The suite also aims hostile sections at the
-//! validators (stray length codes, truncated groups, gap overflow,
-//! non-minimal lengths, malformed bitmaps, wrong container versions, and a
-//! seeded loop of byte-flip, truncation and length-field mutations) and
-//! requires clean rejections or valid graphs — never a panic, never a
-//! garbage graph.
+//! The `.sgr` v3 adjacency (Stream VByte sparse rows, bitmap dense rows).
+//! Raw-vs-encoded bit-identity is the contract harness's `Encoded` axis
+//! (`tests/contract/`), split between the first two tests. The rest is what
+//! only the codec has: every decode boundary in front of a cursor, heap and
+//! mmap; hostile sections aimed at the validators (stray length codes,
+//! truncated groups, gap overflow, non-minimal lengths, malformed bitmaps,
+//! wrong container versions); and a seeded loop of byte-flip, truncation
+//! and length-field mutations — each must end in a clean rejection or a
+//! valid graph, never a panic, never a garbage graph.
 
-use slimgraph::algos::{bfs, cc, pagerank, tc};
-use slimgraph::core::{PipelineSpec, SchemeParams, SchemeRegistry};
+mod contract;
+
+use contract::{directed, encoded_twins, tmp};
 use slimgraph::graph::view::CURSOR_CHUNK;
 use slimgraph::graph::{
-    generators, properties, CsrGraph, EdgeList, EncodedAdjacencyParts, EncodedCsr, Section,
-    VertexId,
+    generators, CsrGraph, EdgeList, EncodedAdjacencyParts, EncodedCsr, Section, VertexId,
 };
+use slimgraph::serve::graph_digest;
 use slimgraph::store::{
-    format, load_sgr, load_sgr_bytes, load_sgr_encoded, load_sgr_encoded_bytes,
-    load_sgr_encoded_bytes_with, save_sgr_with, to_sgr_bytes, to_sgr_bytes_with, Encoding,
-    MmapEncoded, Verify,
+    format, load_sgr, load_sgr_bytes, load_sgr_encoded_bytes, load_sgr_encoded_bytes_with,
+    save_sgr_with, to_sgr_bytes, to_sgr_bytes_with, Encoding, MmapEncoded, Verify,
 };
-use std::path::PathBuf;
-use std::sync::Mutex;
 
-/// The worker-count override is process-global; tests in this binary run
-/// concurrently, so every test serializes on this lock.
-static KNOB: Mutex<()> = Mutex::new(());
-
-/// Thread counts each raw-vs-encoded comparison runs under.
-const THREAD_COUNTS: [usize; 2] = [1, 4];
-
-fn with_threads(f: impl Fn(usize)) {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    for &t in &THREAD_COUNTS {
-        rayon::set_num_threads(t);
-        f(t);
-    }
-    rayon::set_num_threads(0);
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("slimgraph-encoding-equivalence");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name)
-}
-
-/// Skewed degrees: hubs cross the bitmap threshold, leaves stay delta rows.
-fn unweighted() -> CsrGraph {
-    generators::barabasi_albert(1500, 4, 0x6106)
-}
-
-fn weighted() -> CsrGraph {
-    generators::with_random_weights(&generators::erdos_renyi(1200, 6000, 0x6107), 0.5, 4.5, 11)
-}
-
-fn directed() -> CsrGraph {
-    // Deterministic pseudo-random arcs; duplicates collapse in EdgeList.
-    let n = 900u32;
-    let mut x = 0x9e37_79b9u64;
-    let mut pairs = Vec::new();
-    for _ in 0..5000 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let u = (x >> 33) as u32 % n;
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let v = (x >> 33) as u32 % n;
-        if u != v {
-            pairs.push((u, v));
-        }
-    }
-    CsrGraph::from_edge_list_directed(EdgeList::from_pairs(n as usize, pairs))
-}
-
-/// Writes `g` as a v3 file and returns (heap-decoded, mmap-backed) encoded
-/// twins.
-fn encoded_twins(g: &CsrGraph, name: &str) -> (EncodedCsr, EncodedCsr) {
-    let path = tmp(name);
-    save_sgr_with(g, &path, Encoding::Delta).expect("save v3");
-    let heap = load_sgr_encoded(&path).expect("heap encoded load");
-    let mapped = MmapEncoded::open(&path).expect("mmap encoded load");
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    assert!(mapped.is_zero_copy(), "v3 mmap loader must borrow the byte sections");
-    (heap, mapped.into_encoded())
-}
-
-fn pr_bits<G: slimgraph::graph::GraphView>(g: &G) -> Vec<u64> {
-    pagerank::pagerank_default(g).scores.iter().map(|x| x.to_bits()).collect()
-}
-
-fn weight_bits(g: &CsrGraph) -> Option<Vec<u32>> {
-    g.weight_slice().map(|w| w.iter().map(|x| x.to_bits()).collect())
-}
-
+/// The kernels over both encoded twins (heap-decoded and mapped) of every
+/// kernel case the `Encoded` axis accepts, at 1 and 4 threads.
 #[test]
 fn kernels_bit_identical_raw_vs_encoded() {
-    for (g, name) in [
-        (unweighted(), "kernels-u.sgr"),
-        (weighted(), "kernels-w.sgr"),
-        (directed(), "kernels-d.sgr"),
-    ] {
-        let (heap, mapped) = encoded_twins(&g, name);
-        let root = (0..g.num_vertices() as u32).max_by_key(|&v| g.degree(v)).unwrap_or(0);
-        with_threads(|t| {
-            for (label, e) in [("heap", &heap), ("mmap", &mapped)] {
-                assert_eq!(pr_bits(&g), pr_bits(e), "PageRank {name}/{label} at {t} threads");
-
-                // Parallel BFS parents race among equal-depth candidates,
-                // so bit-identity is pinned on parallel depths plus the
-                // sequential traversal (fixed iteration order).
-                let br = bfs::bfs_parallel(&g, root);
-                let be = bfs::bfs_parallel(e, root);
-                assert_eq!(br.depth, be.depth, "BFS depths {name}/{label} at {t} threads");
-                assert_eq!(br.reached, be.reached);
-                let sr = bfs::bfs(&g, root);
-                let se = bfs::bfs(e, root);
-                assert_eq!(sr.parent, se.parent, "seq BFS parents {name}/{label} at {t} threads");
-
-                let cr = cc::connected_components(&g);
-                let ce = cc::connected_components(e);
-                assert_eq!(cr.labels, ce.labels, "CC labels {name}/{label} at {t} threads");
-
-                if !g.is_directed() {
-                    assert_eq!(
-                        tc::count_triangles(&g),
-                        tc::count_triangles(e),
-                        "triangle count {name}/{label} at {t} threads"
-                    );
-                }
-                assert_eq!(
-                    properties::degree_stats(&g),
-                    properties::degree_stats(e),
-                    "degree stats {name}/{label} at {t} threads"
-                );
-            }
-        });
-    }
+    contract::check_where(contract::Axis::Encoded, contract::Case::is_kernels);
 }
 
+/// Every scheme and chain of the table on the mapped v3 twin, decoded, at
+/// 1 and 4 threads.
 #[test]
 fn every_registry_scheme_and_pipeline_identical_after_v3_round_trip() {
-    let registry = SchemeRegistry::with_defaults();
-    for (g, name) in [(unweighted(), "schemes-u.sgr"), (weighted(), "schemes-w.sgr")] {
-        let (heap, mapped) = encoded_twins(&g, name);
-        // Decoding the v3 sections back to raw CSR must reproduce the exact
-        // canonical graph (edge ids included) — on top of which every
-        // scheme, being deterministic in (seed, element id), must behave
-        // identically.
-        let twins = [("heap", heap.to_csr()), ("mmap", mapped.to_csr())];
-        for (label, back) in &twins {
-            assert_eq!(g.edge_slice(), back.edge_slice(), "{name}/{label} edges");
-            assert_eq!(weight_bits(&g), weight_bits(back), "{name}/{label} weights");
-        }
-        with_threads(|t| {
-            for scheme_name in registry.names() {
-                let scheme =
-                    registry.create(scheme_name, &SchemeParams::new()).expect("known scheme");
-                let want = scheme.apply(&g, 42);
-                for (label, back) in &twins {
-                    let got = scheme.apply(back, 42);
-                    assert_eq!(
-                        want.graph.edge_slice(),
-                        got.graph.edge_slice(),
-                        "scheme {scheme_name} diverged on {name}/{label} at {t} threads"
-                    );
-                    assert_eq!(
-                        weight_bits(&want.graph),
-                        weight_bits(&got.graph),
-                        "scheme {scheme_name} weights diverged on {name}/{label} at {t} threads"
-                    );
-                }
-            }
-        });
-    }
-    let pipeline = PipelineSpec::parse("spanner:k=4,lowdeg,uniform:p=0.6")
-        .and_then(|s| s.build(&SchemeRegistry::with_defaults()))
-        .expect("pipeline builds");
-    let g = unweighted();
-    let (heap, _) = encoded_twins(&g, "pipeline.sgr");
-    let back = heap.to_csr();
-    with_threads(|t| {
-        let a = pipeline.apply(&g, 7);
-        let b = pipeline.apply(&back, 7);
-        assert_eq!(
-            a.result.graph.edge_slice(),
-            b.result.graph.edge_slice(),
-            "pipeline diverged after v3 round trip at {t} threads"
-        );
-    });
+    contract::check_where(contract::Axis::Encoded, |case| !case.is_kernels());
 }
 
 #[test]
 fn v3_files_load_transparently_as_raw_graphs() {
-    let g = weighted();
+    let er = generators::erdos_renyi(1200, 6000, 0x6107);
+    let g = generators::with_random_weights(&er, 0.5, 4.5, 11);
     let path = tmp("transparent.sgr");
     save_sgr_with(&g, &path, Encoding::Delta).expect("save v3");
     let back = load_sgr(&path).expect("v1-style entry point accepts v3");
-    assert_eq!(g.edge_slice(), back.edge_slice());
     assert_eq!(g.csr_offsets(), back.csr_offsets());
-    assert_eq!(weight_bits(&g), weight_bits(&back));
+    assert_eq!(graph_digest(&g), graph_digest(&back), "edges and weight bits");
 }
 
 // --- decode boundaries ----------------------------------------------------
@@ -280,15 +119,17 @@ fn assert_cursor_drains_match(
 #[test]
 fn decode_boundaries_match_raw_heap_and_mmap() {
     let g = boundary_graph();
-    let (heap, mapped) = encoded_twins(&g, "boundaries.sgr");
-    let blob = mapped.out_adjacency().blob();
+    let path = tmp("boundaries.sgr");
+    save_sgr_with(&g, &path, Encoding::Delta).expect("save v3");
+    let twins = encoded_twins(&path);
+    let adjacency = twins[1].1.out_adjacency();
     let last = (BOUNDARY_N - 1) as VertexId;
     assert_eq!(
-        mapped.out_adjacency().row_bytes(last).as_ptr_range().end,
-        blob.as_ptr_range().end,
+        adjacency.row_bytes(last).as_ptr_range().end,
+        adjacency.blob().as_ptr_range().end,
         "the last row ends at the blob's end"
     );
-    for (label, e) in [("heap", heap), ("mmap", mapped)] {
+    for (label, e) in twins {
         // The cursors borrow `e`; leaking one small graph per twin keeps
         // the helper's opener free of lifetimes.
         let e: &'static EncodedCsr = Box::leak(Box::new(e));
@@ -357,7 +198,7 @@ fn hostile_rows_are_rejected_not_decoded() {
 
 #[test]
 fn container_versions_reject_cleanly_both_ways() {
-    let g = unweighted();
+    let g = generators::barabasi_albert(1500, 4, 0x6106);
     let v1 = to_sgr_bytes(&g);
     let v3 = to_sgr_bytes_with(&g, Encoding::Delta);
 

@@ -5,45 +5,21 @@
 //! death + ring retry, total-fleet failure, the coordinator-local
 //! fallback for non-federable plans, and the split-brain digest guard.
 
-use slimgraph::core::{PipelineSpec, SchemeRegistry};
-use slimgraph::graph::generators;
-use slimgraph::serve::{graph_digest, Client, FedConfig, Json, ServeConfig, Server};
-use slimgraph::CsrGraph;
+mod contract;
 
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("slimgraph-federation-tests");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name).to_string_lossy().into_owned()
-}
+use contract::{cold, compress_request, ok, quiet, tmp, Daemon};
+use slimgraph::graph::generators;
+use slimgraph::serve::{graph_digest, Client, FedConfig, Json, ServeConfig};
+use slimgraph::CsrGraph;
 
 /// A graph with planted triangles so TR schemes have real work.
 fn input_graph() -> CsrGraph {
     generators::planted_triangles(&generators::barabasi_albert(600, 4, 71), 400, 72)
 }
 
-fn cold(spec: &str, g: &CsrGraph, seed: u64) -> CsrGraph {
-    PipelineSpec::parse(spec)
-        .expect("spec parses")
-        .build(&SchemeRegistry::with_defaults())
-        .expect("spec builds")
-        .apply(g, seed)
-        .result
-        .graph
-}
-
-type Daemon = (String, std::thread::JoinHandle<std::io::Result<()>>);
-
 /// Binds a quiet daemon (worker or coordinator) on an ephemeral TCP port.
 fn spawn(federation: Option<FedConfig>) -> Daemon {
-    let cfg = ServeConfig {
-        listen: "127.0.0.1:0".into(),
-        transcript: false,
-        federation,
-        ..Default::default()
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
+    contract::spawn(ServeConfig { federation, ..quiet() })
 }
 
 fn spawn_worker() -> Daemon {
@@ -62,16 +38,6 @@ fn shutdown(daemons: Vec<Daemon>) {
     }
 }
 
-fn ok(response: &Json) -> &Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
-}
-
 fn error_code(response: &Json) -> &str {
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
     response
@@ -79,13 +45,6 @@ fn error_code(response: &Json) -> &str {
         .and_then(|e| e.get("code"))
         .and_then(Json::as_str)
         .unwrap_or_else(|| panic!("no error code in {}", response.render()))
-}
-
-fn compress_request(graph: &str, spec: &str, seed: u64) -> Json {
-    Client::request_for("compress")
-        .with("graph", Json::str(graph))
-        .with("spec", Json::str(spec))
-        .with("seed", Json::u64(seed))
 }
 
 /// An address nothing listens on (bind an ephemeral port, then drop it).
@@ -117,7 +76,7 @@ fn coordinator_federates_and_byte_matches_a_local_run() {
     // (checksum is the FNV digest of the final graph).
     for (spec, seed) in [("uniform:p=0.5", 7u64), ("tr:p=0.6", 9), ("lowdeg", 3)] {
         let response = client.request(&compress_request("g", spec, seed)).expect("compress");
-        let reference = cold(spec, &g, seed);
+        let reference = cold(spec, &g, seed).graph;
         assert_eq!(
             ok(&response).get("checksum").and_then(Json::as_str),
             Some(format!("{:016x}", graph_digest(&reference)).as_str()),
@@ -203,7 +162,7 @@ fn dead_worker_shards_migrate_to_the_next_in_the_ring() {
         waited < std::time::Duration::from_secs(2),
         "a dead worker must cost a refused connect, not the 5 s timeout (took {waited:?})"
     );
-    let reference = cold("uniform:p=0.4", &g, 11);
+    let reference = cold("uniform:p=0.4", &g, 11).graph;
     assert_eq!(
         ok(&response).get("checksum").and_then(Json::as_str),
         Some(format!("{:016x}", graph_digest(&reference)).as_str()),
@@ -265,7 +224,7 @@ fn non_federable_plans_fall_back_to_the_coordinator() {
     // with the correct result and an explanatory federation block.
     for spec in ["tr-eo:p=0.6", "spanner:k=4,lowdeg"] {
         let response = client.request(&compress_request("g", spec, 5)).expect("compress");
-        let reference = cold(spec, &g, 5);
+        let reference = cold(spec, &g, 5).graph;
         assert_eq!(
             ok(&response).get("checksum").and_then(Json::as_str),
             Some(format!("{:016x}", graph_digest(&reference)).as_str()),
@@ -303,7 +262,7 @@ fn reweighting_edge_kernels_run_on_the_coordinator() {
     let request = compress_request("g", "spectral:p=0.5:reweight=true", 5);
     let federated = client.request(&request).expect("compress");
     let direct = standalone.request(&request).expect("direct compress");
-    let reference = cold("spectral:p=0.5:reweight=true", &g, 5);
+    let reference = cold("spectral:p=0.5:reweight=true", &g, 5).graph;
     assert!(reference.is_weighted(), "the reference run reweights its survivors");
     let checksum = ok(&federated).get("checksum").and_then(Json::as_str);
     assert_eq!(checksum, Some(format!("{:016x}", graph_digest(&reference)).as_str()));
@@ -373,7 +332,7 @@ fn a_replica_swapped_after_it_was_verified_is_refused_on_the_next_request() {
         let response = client.request(&compress_request("g", "uniform:p=0.4", seed)).expect("ok");
         assert_eq!(
             ok(&response).get("checksum").and_then(Json::as_str),
-            Some(format!("{:016x}", graph_digest(&cold("uniform:p=0.4", &g, seed))).as_str())
+            Some(format!("{:016x}", graph_digest(&cold("uniform:p=0.4", &g, seed).graph)).as_str())
         );
     }
 

@@ -5,16 +5,20 @@
 //! results stay **bit-identical** with every knob on or off, at
 //! `SG_THREADS` ∈ {1, 4}.
 //!
-//! The tracing flag, the profiling flag, and the worker-count override
-//! are process-global, so every test serializes on one lock.
+//! The tracing and profiling flags are process-global, so every test holds
+//! [`TELEMETRY_FLAGS`] while it moves them.
 
+mod contract;
+
+use contract::{ok, quiet, spawn, Outcome};
 use slimgraph::core::{GraphCatalog, PipelineSpec, SchemeRegistry, SgSession, StageCache};
 use slimgraph::graph::generators;
-use slimgraph::serve::{graph_digest, Client, Json, ServeConfig, Server};
+use slimgraph::serve::{Client, Json};
 use slimgraph::CsrGraph;
 use std::sync::{Arc, Mutex};
 
-static KNOB: Mutex<()> = Mutex::new(());
+/// Held by every test that moves a telemetry flag.
+static TELEMETRY_FLAGS: Mutex<()> = Mutex::new(());
 
 /// Restores the documented out-of-the-box state (metrics on, tracing
 /// off, profiling off) for sibling tests in this binary.
@@ -24,23 +28,9 @@ fn restore_obs() {
     slimgraph::obs::alloc::set_profiling(false);
 }
 
-/// (vertex count, edge list, weight bits, content digest) — every part
-/// of a graph that "bit-identical" covers.
-type Fingerprint = (usize, Vec<(u32, u32)>, Option<Vec<u64>>, u64);
-
-fn fingerprint(g: &CsrGraph) -> Fingerprint {
-    (
-        g.num_vertices(),
-        g.edge_slice().to_vec(),
-        g.weight_slice().map(|w| w.iter().map(|x| u64::from(x.to_bits())).collect()),
-        graph_digest(g),
-    )
-}
-
 /// Runs a chained pipeline through the session layer (cache enabled, so
-/// stage spans and per-stage alloc deltas fire) and fingerprints the
-/// result.
-fn session_compress(g: &Arc<CsrGraph>, spec: &str, seed: u64) -> Fingerprint {
+/// stage spans and per-stage alloc deltas fire).
+fn session_compress(g: &Arc<CsrGraph>, spec: &str, seed: u64) -> Outcome {
     let catalog = Arc::new(GraphCatalog::new());
     let handle = catalog.insert_arc("g", Arc::clone(g), "mem").expect("fresh name");
     let session = SgSession::with_cache(
@@ -50,43 +40,17 @@ fn session_compress(g: &Arc<CsrGraph>, spec: &str, seed: u64) -> Fingerprint {
     );
     let spec = PipelineSpec::parse(spec).expect("spec parses");
     let run = session.run(&handle, &spec, seed).expect("run");
-    fingerprint(&run.graph)
-}
-
-fn spawn_daemon(cfg: ServeConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-fn quiet_config() -> ServeConfig {
-    ServeConfig { listen: "127.0.0.1:0".into(), transcript: false, ..Default::default() }
-}
-
-fn ok(response: Json) -> Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
+    contract::outcome(&run.graph, run.vertex_mapping.as_deref().map(Vec::as_slice))
 }
 
 /// Saves a small BA graph and loads it into the daemon as `g`.
 fn load_graph(client: &mut Client, tag: &str) {
     let g = generators::barabasi_albert(600, 4, 77);
-    let dir = std::env::temp_dir().join(format!("slimgraph-obs-deep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join(format!("g-{tag}.sgr"));
+    let path = contract::tmp(&format!("obs-deep-{tag}.sgr"));
     slimgraph::store::save_sgr(&g, &path).expect("save");
-    ok(client
-        .request(
-            &Client::request_for("load")
-                .with("name", Json::str("g"))
-                .with("path", Json::str(path.to_string_lossy().into_owned())),
-        )
-        .expect("load"));
+    let load =
+        Client::request_for("load").with("name", Json::str("g")).with("path", Json::str(path));
+    ok(&client.request(&load).expect("load"));
 }
 
 /// Every complete (`ph == "X"`) span in the current trace export, as
@@ -115,50 +79,56 @@ fn exported_spans() -> Vec<(String, Json)> {
 /// `srv-N` id — at 1 and 4 worker threads.
 #[test]
 fn trace_id_correlates_all_three_span_levels() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [1usize, 4] {
-        rayon::set_num_threads(threads);
-        slimgraph::obs::trace::set_trace_enabled(true);
-        slimgraph::obs::trace::reset();
+        rayon::with_num_threads(threads, || {
+            slimgraph::obs::trace::set_trace_enabled(true);
+            slimgraph::obs::trace::reset();
 
-        let (addr, daemon) = spawn_daemon(quiet_config());
-        let mut client = Client::connect(&addr).expect("connect");
-        load_graph(&mut client, &format!("trace-{threads}"));
-        let id = format!("req-deep-{threads}");
-        ok(client
-            .request(
-                &Client::request_for("compress")
-                    .with("id", Json::str(id.clone()))
-                    .with("graph", Json::str("g"))
-                    .with("spec", Json::str("spanner:k=4,uniform:p=0.5"))
-                    .with("seed", Json::u64(7)),
-            )
-            .expect("compress"));
-        // An id-less request must still get a correlatable (generated) id.
-        ok(client.request(&Client::request_for("ping")).expect("ping"));
-        let _ = client.request(&Client::request_for("shutdown"));
-        daemon.join().expect("daemon").expect("clean exit");
-        slimgraph::obs::trace::set_trace_enabled(false);
+            let (addr, daemon) = spawn(quiet());
+            let mut client = Client::connect(&addr).expect("connect");
+            load_graph(&mut client, &format!("trace-{threads}"));
+            let id = format!("req-deep-{threads}");
+            ok(&client
+                .request(
+                    &Client::request_for("compress")
+                        .with("id", Json::str(id.clone()))
+                        .with("graph", Json::str("g"))
+                        .with("spec", Json::str("spanner:k=4,uniform:p=0.5"))
+                        .with("seed", Json::u64(7)),
+                )
+                .expect("compress"));
+            // An id-less request must still get a correlatable (generated) id.
+            ok(&client.request(&Client::request_for("ping")).expect("ping"));
+            let _ = client.request(&Client::request_for("shutdown"));
+            daemon.join().expect("daemon").expect("clean exit");
+            slimgraph::obs::trace::set_trace_enabled(false);
 
-        let spans = exported_spans();
-        let tagged = |name: &str| {
-            spans
-                .iter()
-                .filter(|(n, args)| {
-                    n == name && args.get("trace").and_then(Json::as_str) == Some(id.as_str())
-                })
-                .count()
-        };
-        assert!(tagged("serve.request") >= 1, "serve.request tagged {id} ({threads} threads)");
-        assert!(tagged("session.run") >= 1, "session.run tagged {id} ({threads} threads)");
-        assert!(tagged("session.stage") >= 2, "every stage span tagged {id} ({threads} threads)");
-        let generated = spans.iter().any(|(n, args)| {
-            n == "serve.request"
-                && args.get("trace").and_then(Json::as_str).is_some_and(|t| t.starts_with("srv-"))
+            let spans = exported_spans();
+            let tagged = |name: &str| {
+                spans
+                    .iter()
+                    .filter(|(n, args)| {
+                        n == name && args.get("trace").and_then(Json::as_str) == Some(id.as_str())
+                    })
+                    .count()
+            };
+            assert!(tagged("serve.request") >= 1, "serve.request tagged {id} ({threads} threads)");
+            assert!(tagged("session.run") >= 1, "session.run tagged {id} ({threads} threads)");
+            assert!(
+                tagged("session.stage") >= 2,
+                "every stage span tagged {id} ({threads} threads)"
+            );
+            let generated = spans.iter().any(|(n, args)| {
+                n == "serve.request"
+                    && args
+                        .get("trace")
+                        .and_then(Json::as_str)
+                        .is_some_and(|t| t.starts_with("srv-"))
+            });
+            assert!(generated, "id-less requests carry a server-generated srv-N trace id");
         });
-        assert!(generated, "id-less requests carry a server-generated srv-N trace id");
     }
-    rayon::set_num_threads(0);
     restore_obs();
     slimgraph::obs::trace::reset();
 }
@@ -170,19 +140,19 @@ fn trace_id_correlates_all_three_span_levels() {
 /// threshold records nothing.
 #[test]
 fn slowlog_captures_requests_and_respects_ring_bound() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
     slimgraph::obs::set_metrics_enabled(true);
 
-    let mut cfg = quiet_config();
+    let mut cfg = quiet();
     cfg.slow_ms = 0;
     cfg.slowlog_capacity = 4;
-    let (addr, daemon) = spawn_daemon(cfg);
+    let (addr, daemon) = spawn(cfg);
     let mut client = Client::connect(&addr).expect("connect");
     load_graph(&mut client, "slowlog");
     for _ in 0..6 {
-        ok(client.request(&Client::request_for("ping")).expect("ping"));
+        ok(&client.request(&Client::request_for("ping")).expect("ping"));
     }
-    ok(client
+    ok(&client
         .request(
             &Client::request_for("compress")
                 .with("id", Json::str("slow-compress"))
@@ -191,7 +161,8 @@ fn slowlog_captures_requests_and_respects_ring_bound() {
                 .with("seed", Json::u64(7)),
         )
         .expect("compress"));
-    let response = ok(client.request(&Client::request_for("slowlog")).expect("slowlog"));
+    let response = client.request(&Client::request_for("slowlog")).expect("slowlog");
+    ok(&response);
     let recorded = response.get("recorded").and_then(Json::as_u64).expect("recorded");
     let returned = response.get("returned").and_then(Json::as_u64).expect("returned");
     let records = response.get("slowlog").and_then(Json::as_arr).expect("slowlog array");
@@ -212,7 +183,8 @@ fn slowlog_captures_requests_and_respects_ring_bound() {
     assert!(newest.get("stages_executed").and_then(Json::as_u64).is_some());
     assert!(newest.get("stages_cached").and_then(Json::as_u64).is_some());
     // The qualifying requests also moved the serve.slow_requests counter.
-    let metrics = ok(client.request(&Client::request_for("metrics")).expect("metrics"));
+    let metrics = client.request(&Client::request_for("metrics")).expect("metrics");
+    ok(&metrics);
     let slow = metrics
         .get("metrics")
         .and_then(|m| m.get("counters"))
@@ -224,14 +196,15 @@ fn slowlog_captures_requests_and_respects_ring_bound() {
     daemon.join().expect("daemon").expect("clean exit");
 
     // A threshold nothing can meet records nothing.
-    let mut cfg = quiet_config();
+    let mut cfg = quiet();
     cfg.slow_ms = 10_000_000;
-    let (addr, daemon) = spawn_daemon(cfg);
+    let (addr, daemon) = spawn(cfg);
     let mut client = Client::connect(&addr).expect("connect");
     for _ in 0..3 {
-        ok(client.request(&Client::request_for("ping")).expect("ping"));
+        ok(&client.request(&Client::request_for("ping")).expect("ping"));
     }
-    let response = ok(client.request(&Client::request_for("slowlog")).expect("slowlog"));
+    let response = client.request(&Client::request_for("slowlog")).expect("slowlog");
+    ok(&response);
     assert_eq!(response.get("recorded").and_then(Json::as_u64), Some(0));
     assert_eq!(
         response.get("slowlog").and_then(Json::as_arr).map(<[Json]>::len),
@@ -249,29 +222,33 @@ fn slowlog_captures_requests_and_respects_ring_bound() {
 /// threads.
 #[test]
 fn alloc_profiling_reports_gauges_and_stays_bit_identical() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
     slimgraph::obs::set_metrics_enabled(true);
     let g = Arc::new(generators::barabasi_albert(700, 4, 23));
     const SPEC: &str = "spanner:k=4,lowdeg,uniform:p=0.5";
     for threads in [1usize, 4] {
-        rayon::set_num_threads(threads);
-        slimgraph::obs::alloc::set_profiling(false);
-        let baseline = session_compress(&g, SPEC, 13);
+        rayon::with_num_threads(threads, || {
+            slimgraph::obs::alloc::set_profiling(false);
+            let baseline = session_compress(&g, SPEC, 13);
 
-        slimgraph::obs::alloc::reset();
-        slimgraph::obs::alloc::set_profiling(true);
-        let profiled = session_compress(&g, SPEC, 13);
-        slimgraph::obs::alloc::set_profiling(false);
-        assert_eq!(baseline, profiled, "profiling changed the result at {threads} threads");
+            slimgraph::obs::alloc::reset();
+            slimgraph::obs::alloc::set_profiling(true);
+            let profiled = session_compress(&g, SPEC, 13);
+            slimgraph::obs::alloc::set_profiling(false);
+            assert_eq!(baseline, profiled, "profiling changed the result at {threads} threads");
 
-        // The umbrella crate installs sg-obs's tracking allocator for
-        // this test binary, so a compress run must have moved every
-        // cumulative counter.
-        let stats = slimgraph::obs::alloc::stats();
-        assert!(stats.allocated_bytes > 0, "allocated_bytes counted ({threads} threads)");
-        assert!(stats.allocs > 0, "alloc calls counted ({threads} threads)");
-        assert!(stats.peak_bytes > 0, "peak live bytes tracked ({threads} threads)");
-        assert!(stats.peak_bytes >= stats.live_bytes, "peak dominates live ({threads} threads)");
+            // The umbrella crate installs sg-obs's tracking allocator for
+            // this test binary, so a compress run must have moved every
+            // cumulative counter.
+            let stats = slimgraph::obs::alloc::stats();
+            assert!(stats.allocated_bytes > 0, "allocated_bytes counted ({threads} threads)");
+            assert!(stats.allocs > 0, "alloc calls counted ({threads} threads)");
+            assert!(stats.peak_bytes > 0, "peak live bytes tracked ({threads} threads)");
+            assert!(
+                stats.peak_bytes >= stats.live_bytes,
+                "peak dominates live ({threads} threads)"
+            );
+        });
     }
 
     // Gauges surface through the shared snapshot while profiling is on…
@@ -298,7 +275,6 @@ fn alloc_profiling_reports_gauges_and_stays_bit_identical() {
         let value = counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
         assert!(value.is_some_and(|v| v > 0), "{name} recorded a nonzero delta: {value:?}");
     }
-    rayon::set_num_threads(0);
     restore_obs();
 }
 
@@ -309,7 +285,7 @@ fn alloc_profiling_reports_gauges_and_stays_bit_identical() {
 /// that installs the tracking allocator can count.
 #[test]
 fn id_arrays_cross_json_without_an_allocation_per_element() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
     const IDS: u64 = 100_000;
     let allocs_of = |work: &mut dyn FnMut()| {
         slimgraph::obs::alloc::reset();

@@ -1,28 +1,23 @@
-//! Observability-neutrality suite: telemetry (sg-obs metrics + span
-//! tracing) is observation-only. Every compress/analyze/serve result
-//! must be **bit-identical** with telemetry fully enabled and fully
-//! disabled, at `SG_THREADS` ∈ {1, 4} — and timestamps must never leak
-//! into digests. On top, the Chrome trace export must be well-formed
-//! JSON whose same-thread spans nest properly.
+//! Telemetry. That results are bit-identical with every telemetry flag
+//! flipped is the contract harness's `Telemetry` axis (in process) and its
+//! `TelemetryServed` axis (a daemon), one test each (`tests/contract/`).
+//! The rest is what telemetry itself promises: a disabled registry records
+//! nothing while the `metrics` op still answers, and the Chrome trace
+//! export is well-formed JSON whose same-thread spans nest.
 //!
-//! The metrics flag, the tracing flag, and the worker-count override are
-//! all process-global, so every test serializes on one lock.
+//! The metrics and tracing flags are process-global, so every test holds
+//! [`TELEMETRY_FLAGS`] while it moves them.
 
+mod contract;
+
+use contract::{check, ok, quiet, spawn, Axis};
 use slimgraph::core::{GraphCatalog, PipelineSpec, SchemeRegistry, SgSession, StageCache};
 use slimgraph::graph::generators;
-use slimgraph::serve::{graph_digest, Client, Json, ServeConfig, Server};
-use slimgraph::CsrGraph;
+use slimgraph::serve::{Client, Json};
 use std::sync::{Arc, Mutex};
 
-static KNOB: Mutex<()> = Mutex::new(());
-
-/// Telemetry settings compared: everything off vs everything on.
-const OBS_MODES: [bool; 2] = [false, true];
-
-fn set_obs(enabled: bool) {
-    slimgraph::obs::set_metrics_enabled(enabled);
-    slimgraph::obs::trace::set_trace_enabled(enabled);
-}
+/// Held by every test that moves a telemetry flag.
+static TELEMETRY_FLAGS: Mutex<()> = Mutex::new(());
 
 /// Restores the defaults (metrics on, tracing off) so sibling test
 /// binaries observe the documented out-of-the-box state.
@@ -31,169 +26,32 @@ fn restore_obs() {
     slimgraph::obs::trace::set_trace_enabled(false);
 }
 
-/// (vertex count, edge list, weight bits, content digest) — every part of
-/// a graph that "bit-identical" covers.
-type Fingerprint = (usize, Vec<(u32, u32)>, Option<Vec<u64>>, u64);
-
-fn fingerprint(g: &CsrGraph) -> Fingerprint {
-    (
-        g.num_vertices(),
-        g.edge_slice().to_vec(),
-        g.weight_slice().map(|w| w.iter().map(|x| u64::from(x.to_bits())).collect()),
-        graph_digest(g),
-    )
-}
-
-/// Runs a chained pipeline through the session layer (cache enabled, so
-/// the StageCache counters/spans fire) and fingerprints the result.
-fn session_compress(g: &Arc<CsrGraph>, spec: &str, seed: u64) -> impl PartialEq + std::fmt::Debug {
-    let catalog = Arc::new(GraphCatalog::new());
-    let handle = catalog.insert_arc("g", Arc::clone(g), "mem").expect("fresh name");
-    let session = SgSession::with_cache(
-        catalog,
-        Arc::new(SchemeRegistry::with_defaults()),
-        Arc::new(StageCache::with_capacity(sg_core::cache::DEFAULT_CACHE_BYTES)),
-    );
-    let spec = PipelineSpec::parse(spec).expect("spec parses");
-    // Twice: the second run exercises the cache-hit path (probe spans +
-    // hit counters), which must be just as invisible in the output.
-    let first = session.run(&handle, &spec, seed).expect("run");
-    let second = session.run(&handle, &spec, seed).expect("rerun");
-    assert_eq!(fingerprint(&first.graph), fingerprint(&second.graph), "cache changed the result");
-    (fingerprint(&first.graph), first.vertex_mapping)
-}
-
-/// Analyze-shaped numbers over a compressed graph, floats as raw bits.
-fn analyze_bits(g: &CsrGraph) -> (u64, usize, Vec<u64>) {
-    let pr = slimgraph::algos::pagerank::pagerank_default(g);
-    (
-        slimgraph::algos::tc::count_triangles(g),
-        slimgraph::algos::cc::connected_components(g).num_components,
-        pr.scores.iter().map(|x| x.to_bits()).collect(),
-    )
-}
-
+/// The kernels (what `analyze` computes) and a session's compress, metrics
+/// off and tracing and allocation profiling on, against the pins taken with
+/// every flag at its default: the `Telemetry` axis.
 #[test]
 fn compress_and_analyze_are_bit_identical_with_telemetry_on_and_off() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let g =
-        Arc::new(generators::planted_triangles(&generators::barabasi_albert(700, 4, 31), 400, 32));
-    let mut baseline = None;
-    for threads in [1usize, 4] {
-        rayon::set_num_threads(threads);
-        for enabled in OBS_MODES {
-            set_obs(enabled);
-            let compressed = session_compress(&g, "spanner:k=4,lowdeg,uniform:p=0.5", 17);
-            let direct = PipelineSpec::parse("spanner:k=4,lowdeg,uniform:p=0.5")
-                .expect("parses")
-                .build(&SchemeRegistry::with_defaults())
-                .expect("builds")
-                .apply(&g, 17)
-                .result
-                .graph;
-            let result = (compressed, analyze_bits(&direct));
-            match &baseline {
-                None => baseline = Some(result),
-                Some(b) => assert_eq!(
-                    &result, b,
-                    "telemetry={enabled} at {threads} threads diverged from the baseline"
-                ),
-            }
-        }
-    }
-    rayon::set_num_threads(0);
-    restore_obs();
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
+    check(Axis::Telemetry);
 }
 
-fn spawn_daemon() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let cfg = ServeConfig { listen: "127.0.0.1:0".into(), transcript: false, ..Default::default() };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-fn ok(response: Json) -> Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
-}
-
-/// One served compress, returning the response checksum.
-fn served_checksum(threads: usize, seed: u64) -> String {
-    rayon::set_num_threads(threads);
-    let g = generators::barabasi_albert(600, 4, 77);
-    let dir = std::env::temp_dir().join(format!("slimgraph-obs-tests-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join(format!("g-{threads}-{seed}.sgr"));
-    slimgraph::store::save_sgr(&g, &path).expect("save");
-    let (addr, daemon) = spawn_daemon();
-    let mut client = Client::connect(&addr).expect("connect");
-    ok(client
-        .request(
-            &Client::request_for("load")
-                .with("name", Json::str("g"))
-                .with("path", Json::str(path.to_string_lossy().into_owned())),
-        )
-        .expect("load"));
-    let response = ok(client
-        .request(
-            &Client::request_for("compress")
-                .with("graph", Json::str("g"))
-                .with("spec", Json::str("spanner:k=4,uniform:p=0.4"))
-                .with("seed", Json::u64(seed)),
-        )
-        .expect("compress"));
-    let checksum =
-        response.get("checksum").and_then(Json::as_str).expect("checksum present").to_string();
-    // The response carries no wall-clock-derived identity: the digest of a
-    // re-run must match even though timings differ.
-    let again = ok(client
-        .request(
-            &Client::request_for("compress")
-                .with("graph", Json::str("g"))
-                .with("spec", Json::str("spanner:k=4,uniform:p=0.4"))
-                .with("seed", Json::u64(seed)),
-        )
-        .expect("recompress"));
-    assert_eq!(again.get("checksum").and_then(Json::as_str), Some(checksum.as_str()));
-    let _ = client.request(&Client::request_for("shutdown"));
-    daemon.join().expect("daemon").expect("clean exit");
-    rayon::set_num_threads(0);
-    checksum
-}
-
+/// A daemon's `compress` with every telemetry flag flipped: the
+/// `TelemetryServed` axis.
 #[test]
 fn served_results_are_bit_identical_with_telemetry_on_and_off() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let mut baseline = None;
-    for threads in [1usize, 4] {
-        for enabled in OBS_MODES {
-            set_obs(enabled);
-            let checksum = served_checksum(threads, 9);
-            match &baseline {
-                None => baseline = Some(checksum),
-                Some(b) => assert_eq!(
-                    &checksum, b,
-                    "served digest drifted (telemetry={enabled}, {threads} threads)"
-                ),
-            }
-        }
-    }
-    restore_obs();
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
+    check(Axis::TelemetryServed);
 }
 
 #[test]
 fn metrics_op_reports_while_disabled_metrics_stay_frozen() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    set_obs(false);
-    let (addr, daemon) = spawn_daemon();
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
+    slimgraph::obs::set_metrics_enabled(false);
+    slimgraph::obs::trace::set_trace_enabled(false);
+    let (addr, daemon) = spawn(quiet());
     let mut client = Client::connect(&addr).expect("connect");
-    ok(client.request(&Client::request_for("ping")).expect("ping"));
-    let frozen = ok(client.request(&Client::request_for("metrics")).expect("metrics"));
+    ok(&client.request(&Client::request_for("ping")).expect("ping"));
+    let frozen = client.request(&Client::request_for("metrics")).expect("metrics");
     let counters = |r: &Json, name: &str| {
         r.get("metrics")
             .and_then(|m| m.get("counters"))
@@ -201,11 +59,11 @@ fn metrics_op_reports_while_disabled_metrics_stay_frozen() {
             .and_then(Json::as_u64)
     };
     // Counters exist (pre-registered at bind) but recorded nothing.
-    assert_eq!(counters(&frozen, "serve.requests"), Some(0), "disabled counters must not move");
+    assert_eq!(counters(ok(&frozen), "serve.requests"), Some(0), "disabled counters must not move");
     slimgraph::obs::set_metrics_enabled(true);
-    ok(client.request(&Client::request_for("ping")).expect("ping again"));
-    let live = ok(client.request(&Client::request_for("metrics")).expect("metrics again"));
-    let requests = counters(&live, "serve.requests").expect("serve.requests present");
+    ok(&client.request(&Client::request_for("ping")).expect("ping again"));
+    let live = client.request(&Client::request_for("metrics")).expect("metrics again");
+    let requests = counters(ok(&live), "serve.requests").expect("serve.requests present");
     assert!(requests >= 2, "enabled counters count the ping + metrics requests, got {requests}");
     // The snapshot carries the serve histograms the acceptance bar names.
     let histograms = live.get("metrics").and_then(|m| m.get("histograms")).expect("histograms");
@@ -223,11 +81,22 @@ fn metrics_op_reports_while_disabled_metrics_stay_frozen() {
 /// microsecond rounding).
 #[test]
 fn trace_export_is_well_formed_and_spans_nest() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = TELEMETRY_FLAGS.lock().unwrap_or_else(|e| e.into_inner());
     slimgraph::obs::trace::set_trace_enabled(true);
     slimgraph::obs::trace::reset();
-    let g = Arc::new(generators::barabasi_albert(500, 4, 5));
-    let _ = session_compress(&g, "spanner:k=4,lowdeg,uniform:p=0.5", 3);
+    let catalog = Arc::new(GraphCatalog::new());
+    let g = generators::barabasi_albert(500, 4, 5);
+    let handle = catalog.insert("g", g, "mem").expect("fresh name");
+    let session = SgSession::with_cache(
+        catalog,
+        Arc::new(SchemeRegistry::with_defaults()),
+        Arc::new(StageCache::new()),
+    );
+    let spec = PipelineSpec::parse("spanner:k=4,lowdeg,uniform:p=0.5").expect("spec parses");
+    // A cold run and a cache hit: the hit's probe spans must nest too.
+    for _ in 0..2 {
+        session.run(&handle, &spec, 3).expect("run");
+    }
     slimgraph::obs::trace::set_trace_enabled(false);
 
     let text = slimgraph::obs::trace::chrome_trace_json();

@@ -4,40 +4,12 @@
 //! byte budgets answer `quota-exceeded` once breached, and eviction
 //! refunds the budget.
 
+mod contract;
+
+use contract::{error_code, ok, spawn, tmp};
 use slimgraph::core::graph_approx_bytes;
 use slimgraph::graph::generators;
-use slimgraph::serve::{Client, Json, ServeConfig, Server};
-
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("slimgraph-serve-authquota-tests");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name).to_string_lossy().into_owned()
-}
-
-fn spawn(cfg: ServeConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-fn ok(response: &Json) -> &Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
-}
-
-fn error_code(response: &Json) -> String {
-    response
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_default()
-}
+use slimgraph::serve::{Client, Json, ServeConfig};
 
 #[test]
 fn token_gates_everything_but_ping() {

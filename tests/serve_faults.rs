@@ -5,28 +5,15 @@
 //! offender within its deadline, and keep serving healthy clients
 //! **bit-identically** afterward, at `SG_THREADS` ∈ {1, 4}.
 
+mod contract;
+
+use contract::{error_code, ok, spawn, tmp};
 use slimgraph::core::{PipelineSpec, SchemeRegistry};
 use slimgraph::graph::generators;
-use slimgraph::serve::{graph_digest, Client, Json, ServeConfig, Server};
+use slimgraph::serve::{graph_digest, Client, Json, ServeConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// The worker-count override is process-global; tests serialize on it.
-static KNOB: Mutex<()> = Mutex::new(());
-
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("slimgraph-serve-fault-tests");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name).to_string_lossy().into_owned()
-}
-
-fn spawn(cfg: ServeConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
 
 fn fault_config() -> ServeConfig {
     ServeConfig {
@@ -37,25 +24,6 @@ fn fault_config() -> ServeConfig {
         upload_grace_ms: 0, // partial uploads die with their connection
         ..Default::default()
     }
-}
-
-fn ok(response: &Json) -> &Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
-}
-
-fn error_code(response: &Json) -> String {
-    response
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_default()
 }
 
 /// Reads everything until EOF (or timeout) and returns the first line.
@@ -86,7 +54,6 @@ fn raw_roundtrip(addr: &str, payload: &[u8]) -> String {
 /// The core storm: every hostile client in sequence, then a healthy
 /// client proving the daemon still answers bit-identical results.
 fn fault_storm(threads: usize) {
-    rayon::set_num_threads(threads);
     let g = generators::planted_triangles(&generators::barabasi_albert(400, 4, 71), 300, 72);
     let path = tmp(&format!("faults-{threads}.sgr"));
     slimgraph::store::save_sgr(&g, &path).expect("save input");
@@ -226,16 +193,12 @@ fn fault_storm(threads: usize) {
 
 #[test]
 fn fault_storm_at_1_thread() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    fault_storm(1);
-    rayon::set_num_threads(0);
+    rayon::with_num_threads(1, || fault_storm(1));
 }
 
 #[test]
 fn fault_storm_at_4_threads() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    fault_storm(4);
-    rayon::set_num_threads(0);
+    rayon::with_num_threads(4, || fault_storm(4));
 }
 
 /// An out-of-range parameter value is a `bad-spec` answered by the

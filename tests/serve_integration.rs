@@ -1,67 +1,25 @@
-//! End-to-end daemon suite (the ISSUE 5 bar): spawn `sg-serve` on an
-//! ephemeral socket, drive `load`/`compress`/`analyze`/`stats`/`evict`
-//! over a real connection, and assert the responses **byte-match** direct
-//! `Pipeline::apply` output — at `SG_THREADS` ∈ {1, 4}.
+//! End-to-end daemon suite: spawn `sg-serve` on an ephemeral socket, drive
+//! `load`/`compress`/`analyze`/`stats`/`evict` over a real connection, and
+//! check what the protocol promises — load-once, per-stage cache flags, an
+//! output file byte-equal to a local save, eviction, stable error codes
+//! that leave the connection open, concurrent clients, the unix socket. A
+//! served digest equal to the cold run on the whole corpus is the contract
+//! harness's `Served` axis (`tests/contract/`).
 
-use slimgraph::core::{PipelineSpec, SchemeRegistry};
+mod contract;
+
+use contract::{cold, compress_request, ok, quiet, spawn, tmp};
 use slimgraph::graph::generators;
 use slimgraph::serve::{graph_digest, Client, Json, ServeConfig, Server};
-use slimgraph::CsrGraph;
-use std::sync::Mutex;
-
-/// The worker-count override is process-global; tests serialize on it.
-static KNOB: Mutex<()> = Mutex::new(());
-
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("slimgraph-serve-tests");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name).to_string_lossy().into_owned()
-}
-
-/// Binds a quiet daemon on an ephemeral TCP port and runs it on a thread.
-fn spawn_daemon() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let cfg = ServeConfig { listen: "127.0.0.1:0".into(), transcript: false, ..Default::default() };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-fn cold(spec: &str, g: &CsrGraph, seed: u64) -> CsrGraph {
-    PipelineSpec::parse(spec)
-        .expect("spec parses")
-        .build(&SchemeRegistry::with_defaults())
-        .expect("spec builds")
-        .apply(g, seed)
-        .result
-        .graph
-}
-
-fn ok(response: &Json) -> &Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
-}
-
-fn compress_request(graph: &str, spec: &str, seed: u64) -> Json {
-    Client::request_for("compress")
-        .with("graph", Json::str(graph))
-        .with("spec", Json::str(spec))
-        .with("seed", Json::u64(seed))
-}
 
 /// The full load → compress ×2 → analyze → stats → evict → shutdown
 /// session at one thread count.
 fn full_session_scenario(threads: usize) {
-    rayon::set_num_threads(threads);
     let g = generators::planted_triangles(&generators::barabasi_albert(700, 4, 51), 500, 52);
     let sgr = tmp(&format!("serve-{threads}.sgr"));
     slimgraph::store::save_sgr(&g, &sgr).expect("write input");
 
-    let (addr, daemon) = spawn_daemon();
+    let (addr, daemon) = spawn(quiet());
     let mut client = Client::connect(&addr).expect("connect");
 
     // ping → load (twice: the second must be a no-op).
@@ -81,7 +39,7 @@ fn full_session_scenario(threads: usize) {
     let response = client
         .request(&compress_request("g", spec_a, 7).with("output", Json::str(&out_path)))
         .expect("compress");
-    let reference = cold(spec_a, &g, 7);
+    let reference = cold(spec_a, &g, 7).graph;
     assert_eq!(
         ok(&response).get("checksum").and_then(Json::as_str),
         Some(format!("{:016x}", graph_digest(&reference)).as_str()),
@@ -103,7 +61,7 @@ fn full_session_scenario(threads: usize) {
     let response = client.request(&compress_request("g", spec_b, 7)).expect("compress b");
     assert_eq!(ok(&response).get("stages_cached").and_then(Json::as_u64), Some(2));
     assert_eq!(response.get("stages_executed").and_then(Json::as_u64), Some(1));
-    let reference_b = cold(spec_b, &g, 7);
+    let reference_b = cold(spec_b, &g, 7).graph;
     assert_eq!(
         response.get("checksum").and_then(Json::as_str),
         Some(format!("{:016x}", graph_digest(&reference_b)).as_str()),
@@ -124,7 +82,7 @@ fn full_session_scenario(threads: usize) {
         .with("spec", Json::str("uniform:p=0.5"))
         .with("seed", Json::u64(9));
     let response = client.request(&analyze).expect("analyze");
-    let compressed = cold("uniform:p=0.5", &g, 9);
+    let compressed = cold("uniform:p=0.5", &g, 9).graph;
     let metrics = ok(&response).get("metrics").expect("metrics object");
     let triangles = metrics.get("triangles").and_then(Json::as_arr).expect("triangle pair");
     assert_eq!(triangles[0].as_u64(), Some(slimgraph::algos::tc::count_triangles(&g)));
@@ -169,30 +127,19 @@ fn full_session_scenario(threads: usize) {
 
 #[test]
 fn full_session_over_tcp_at_1_thread() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    full_session_scenario(1);
-    rayon::set_num_threads(0);
+    rayon::with_num_threads(1, || full_session_scenario(1));
 }
 
 #[test]
 fn full_session_over_tcp_at_4_threads() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    full_session_scenario(4);
-    rayon::set_num_threads(0);
+    rayon::with_num_threads(4, || full_session_scenario(4));
 }
 
 #[test]
 fn protocol_errors_have_stable_codes_and_do_not_kill_the_connection() {
-    let (addr, daemon) = spawn_daemon();
+    let (addr, daemon) = spawn(quiet());
     let mut client = Client::connect(&addr).expect("connect");
-    let code = |response: &Json| {
-        response
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .unwrap_or_default()
-    };
+    let code = contract::error_code;
     let bad = Json::parse(&client.request_line("this is not json").expect("answered"))
         .expect("error response is valid JSON");
     assert_eq!(code(&bad), "bad-request");
@@ -233,7 +180,7 @@ fn concurrent_clients_share_the_catalog_and_cache() {
     let g = generators::erdos_renyi(500, 2000, 61);
     let path = tmp("serve-concurrent.txt");
     slimgraph::graph::io::save_text(&g, &path).expect("save");
-    let (addr, daemon) = spawn_daemon();
+    let (addr, daemon) = spawn(quiet());
 
     // One client loads; many clients compress the same spec concurrently.
     let mut loader = Client::connect(&addr).expect("connect");
@@ -244,7 +191,8 @@ fn concurrent_clients_share_the_catalog_and_cache() {
                 .with("path", Json::str(&path)),
         )
         .expect("load"));
-    let reference = format!("{:016x}", graph_digest(&cold("spanner:k=4,uniform:p=0.5", &g, 3)));
+    let reference =
+        format!("{:016x}", graph_digest(&cold("spanner:k=4,uniform:p=0.5", &g, 3).graph));
     let digests: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {

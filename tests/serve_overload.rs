@@ -4,41 +4,13 @@
 //! request exactly one response, and leave the daemon in a consistent
 //! state after the storm.
 
+mod contract;
+
+use contract::{error_code, ok, spawn, tmp};
 use slimgraph::core::{PipelineSpec, SchemeRegistry};
 use slimgraph::graph::generators;
-use slimgraph::serve::{graph_digest, Client, Json, ServeConfig, Server};
+use slimgraph::serve::{graph_digest, Client, Json, ServeConfig};
 use std::time::Duration;
-
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("slimgraph-serve-overload-tests");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name).to_string_lossy().into_owned()
-}
-
-fn spawn(cfg: ServeConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-fn ok(response: &Json) -> &Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
-}
-
-fn error_code(response: &Json) -> String {
-    response
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_default()
-}
 
 /// Deterministic saturation: 2 workers pinned by live connections,
 /// 2 more queued, the 5th rejected with `busy` + `retry_after_ms`.

@@ -4,45 +4,13 @@
 //! text — and the transfer must survive reconnects (resume) while
 //! rejecting corruption (digest mismatch).
 
+mod contract;
+
+use contract::{error_code, ok, quiet, spawn, tmp};
 use slimgraph::graph::generators;
-use slimgraph::serve::{b64, graph_digest, Client, Json, ServeConfig, Server};
+use slimgraph::serve::{b64, graph_digest, Client, Json};
 use slimgraph::store::{save_sgr, save_sgr_with, Encoding};
 use std::time::Duration;
-
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("slimgraph-serve-upload-tests");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name).to_string_lossy().into_owned()
-}
-
-fn spawn(cfg: ServeConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-fn daemon_config() -> ServeConfig {
-    ServeConfig { listen: "127.0.0.1:0".into(), transcript: false, ..Default::default() }
-}
-
-fn ok(response: &Json) -> &Json {
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "request failed: {}",
-        response.render()
-    );
-    response
-}
-
-fn error_code(response: &Json) -> String {
-    response
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_default()
-}
 
 fn sample_graph() -> slimgraph::CsrGraph {
     generators::planted_triangles(&generators::barabasi_albert(500, 5, 31), 400, 32)
@@ -63,7 +31,7 @@ fn upload_equals_server_side_load_across_encodings() {
     let text = tmp("eq-text.txt");
     slimgraph::graph::io::save_text(&g, &text).expect("save text");
 
-    let (addr, daemon) = spawn(daemon_config());
+    let (addr, daemon) = spawn(quiet());
     let mut client = Client::connect(&addr).expect("connect");
 
     for (label, path) in [("raw", &raw), ("delta", &delta), ("text", &text)] {
@@ -127,7 +95,7 @@ fn interrupted_upload_resumes_after_reconnect() {
     let digest = format!("{:016x}", graph_digest(&g));
     let half = bytes.len() / 2;
 
-    let (addr, daemon) = spawn(daemon_config()); // default 60s grace
+    let (addr, daemon) = spawn(quiet()); // default 60s grace
     let begin = |name: &str| {
         Client::request_for("upload")
             .with("name", Json::str(name))
@@ -216,7 +184,7 @@ fn corrupted_chunk_is_rejected_at_commit() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff; // flip one payload byte in transit
 
-    let (addr, daemon) = spawn(daemon_config());
+    let (addr, daemon) = spawn(quiet());
     let mut client = Client::connect(&addr).expect("connect");
     ok(&client
         .request(
@@ -270,7 +238,7 @@ fn chunk_sequencing_rules() {
     let bytes = std::fs::read(&path).expect("read");
     let digest = format!("{:016x}", graph_digest(&g));
 
-    let (addr, daemon) = spawn(daemon_config());
+    let (addr, daemon) = spawn(quiet());
     let mut client = Client::connect(&addr).expect("connect");
     ok(&client
         .request(

@@ -4,19 +4,16 @@
 //! references in `oracle` on small random graphs of every shape the
 //! executors have to survive.
 
+mod contract;
 mod oracle;
 
+use contract::Outcome;
 use proptest::prelude::*;
 use sg_core::schemes::{Discipline, EdgeChoice, TrConfig};
 use sg_core::{SchemeParams, SchemeRegistry};
 use sg_dist::{apply_edge_deletions, distributed_compress, shard_compress, ShardOutcome};
 use sg_graph::prng::unit_f64;
 use sg_graph::{generators, CsrGraph, EdgeId, EdgeList, VertexId};
-use std::sync::Mutex;
-
-/// The worker-count override is process-global and the tests of this binary
-/// run concurrently: whoever moves it holds this lock.
-static KNOB: Mutex<()> = Mutex::new(());
 
 /// The registry's triangle schemes with the configuration each one runs.
 const SCHEMES: [(&str, Discipline, EdgeChoice); 4] = [
@@ -28,11 +25,8 @@ const SCHEMES: [(&str, Discipline, EdgeChoice); 4] = [
 
 /// Everything a triangle scheme's output can differ in: `n'`, the edges,
 /// the weights' bits and the vertex mapping.
-type Output = (usize, Vec<(VertexId, VertexId)>, Option<Vec<u32>>, Option<Vec<Option<VertexId>>>);
-
-fn output(g: &CsrGraph, mapping: Option<Vec<Option<VertexId>>>) -> Output {
-    let weights = g.weight_slice().map(|w| w.iter().map(|x| x.to_bits()).collect());
-    (g.num_vertices(), g.edge_slice().to_vec(), weights, mapping)
+fn output(g: &CsrGraph, mapping: Option<Vec<Option<VertexId>>>) -> Outcome {
+    contract::outcome(g, mapping.as_deref())
 }
 
 /// One input of shape `shape` on `n ≥ 5` vertices: Erdős–Rényi plus
@@ -72,29 +66,29 @@ fn params(p: f64, x: usize) -> SchemeParams {
 /// `(label, registry output, oracle output)` for every triangle scheme and
 /// `collapse` on `g` at p ∈ {0, 0.5, 1} and x ∈ {1, 2}, run at `threads`
 /// workers (`tr-mw` on `g` with random weights).
-fn registry_and_oracle(g: &CsrGraph, seed: u64, threads: usize) -> Vec<(String, Output, Output)> {
+fn registry_and_oracle(g: &CsrGraph, seed: u64, threads: usize) -> Vec<(String, Outcome, Outcome)> {
     let registry = SchemeRegistry::with_defaults();
     let weighted = generators::with_random_weights(g, 1.0, 100.0, seed);
     let mut rows = Vec::new();
-    let _knob = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    rayon::set_num_threads(threads);
-    for p in [0.0, 0.5, 1.0] {
-        for x in [1, 2] {
-            for (name, discipline, choice) in SCHEMES {
-                let g = if name == "tr-mw" { &weighted } else { g };
-                let got = registry.create(name, &params(p, x)).expect("valid").apply(g, seed);
-                let cfg = TrConfig { p, x, discipline, choice };
-                let want = oracle::triangle_reduction(g, cfg, seed);
-                let label = format!("{name}:p={p}:x={x}");
-                rows.push((label, output(&got.graph, got.vertex_mapping), output(&want, None)));
+    rayon::with_num_threads(threads, || {
+        for p in [0.0, 0.5, 1.0] {
+            for x in [1, 2] {
+                for (name, discipline, choice) in SCHEMES {
+                    let g = if name == "tr-mw" { &weighted } else { g };
+                    let got = registry.create(name, &params(p, x)).expect("valid").apply(g, seed);
+                    let cfg = TrConfig { p, x, discipline, choice };
+                    let want = oracle::triangle_reduction(g, cfg, seed);
+                    let label = format!("{name}:p={p}:x={x}");
+                    rows.push((label, output(&got.graph, got.vertex_mapping), output(&want, None)));
+                }
             }
+            let got = registry.create("collapse", &params(p, 1)).expect("valid").apply(g, seed);
+            let (want, mapping) = oracle::triangle_collapse(g, p, seed);
+            let (got, want) =
+                (output(&got.graph, got.vertex_mapping), output(&want, Some(mapping)));
+            rows.push((format!("collapse:p={p}"), got, want));
         }
-        let got = registry.create("collapse", &params(p, 1)).expect("valid").apply(g, seed);
-        let (want, mapping) = oracle::triangle_collapse(g, p, seed);
-        let (got, want) = (output(&got.graph, got.vertex_mapping), output(&want, Some(mapping)));
-        rows.push((format!("collapse:p={p}"), got, want));
-    }
-    rayon::set_num_threads(0);
+    });
     rows
 }
 

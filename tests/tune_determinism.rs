@@ -7,13 +7,12 @@
 //! and the rayon shim assembles parallel evaluation results in input
 //! order, so nothing observable may depend on `SG_THREADS`.
 
+mod contract;
+
 use slimgraph::core::SchemeRegistry;
 use slimgraph::graph::generators;
 use slimgraph::tune::{tune, MetricKind, Target, TuneConfig, TuneOutcome};
-use std::sync::{Arc, Mutex};
-
-/// The worker-count override is process-global; tests serialize on it.
-static KNOB: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 /// Everything observable about an outcome, floats as raw IEEE-754 bits.
 type Fingerprint = (Vec<(String, usize, u64, u64)>, Option<(String, usize, u64, u64, u64)>, usize);
@@ -43,23 +42,15 @@ fn search_cfg(budget: usize, metric: MetricKind, max: f64) -> TuneConfig {
 /// Runs the same search at 1, 4, and 8 threads and asserts bit-identical
 /// outcomes (including the JSON rendering, which covers field formatting).
 fn assert_thread_invariant(graph: &slimgraph::CsrGraph, cfg: &TuneConfig) -> TuneOutcome {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Arc::new(SchemeRegistry::with_defaults());
-    rayon::set_num_threads(1);
-    let baseline = tune(graph, &registry, cfg).expect("1-thread run");
-    for threads in [4usize, 8] {
-        rayon::set_num_threads(threads);
-        let threaded = tune(graph, &registry, cfg).expect("threaded run");
-        rayon::set_num_threads(0);
-        assert_eq!(
-            fingerprint(&threaded),
-            fingerprint(&baseline),
-            "tuning outcome at {threads} threads differs from the 1-thread baseline"
-        );
-        assert_eq!(threaded.to_json(), baseline.to_json());
-    }
-    rayon::set_num_threads(0);
-    baseline
+    let first = std::cell::OnceCell::new();
+    contract::assert_thread_invariant("tuning outcome", || {
+        let out = tune(graph, &registry, cfg).expect("search runs");
+        let observed = (fingerprint(&out), out.to_json());
+        first.get_or_init(|| out);
+        observed
+    });
+    first.into_inner().expect("the 1-thread run")
 }
 
 #[test]
@@ -97,8 +88,6 @@ fn infeasible_searches_are_thread_invariant_too() {
 
 #[test]
 fn repeated_runs_and_reordered_scheme_lists_agree() {
-    let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    rayon::set_num_threads(0);
     let g = generators::barabasi_albert(400, 3, 19);
     let registry = Arc::new(SchemeRegistry::with_defaults());
     let cfg = search_cfg(g.num_edges(), MetricKind::DegreeL1, 0.8);
