@@ -20,8 +20,9 @@
 //! each proposal going to the vector of the round its key falls in.
 //! `O(n + m)` after one sort of the wake-ups by round.
 //!
-//! **Why this is the heap race.** The reference (`ldd/heap_race.rs`, the
-//! implementation this replaced, kept for the tests) pops `(key, v, center)`
+//! **Why this is the heap race.** The reference (the binary-heap race this
+//! replaced, now the `ldd` oracle of the workspace's `tests/oracle/`, which
+//! `tests/ldd_oracle.rs` compares against) pops `(key, v, center)`
 //! triples in order and gives a vertex to its first pop — the smallest
 //! `(key, center)` among the candidates pushed for it. A claim at key `d`
 //! only ever pushes `d + 1.0 ≥ ⌊d⌋ + 1`, i.e. into a *later* round, so when
@@ -51,9 +52,6 @@
 use crate::mapping::VertexMapping;
 use sg_graph::prng::unit_f64;
 use sg_graph::{CsrGraph, VertexId};
-
-#[cfg(test)]
-pub(crate) mod heap_race;
 
 /// Shifts stay below this. A chain of claims is shorter than n ≤ 2^32 hops,
 /// so every key stays below 2^52 — far inside the range where `d + 1.0 > d`
@@ -181,33 +179,10 @@ pub fn ldd_for_spanner(g: &CsrGraph, k: f64, seed: u64) -> VertexMapping {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
-    use super::heap_race::{heap_race, start_keys};
+mod tests {
     use super::*;
-    use sg_algos::cc::connected_components;
     use sg_graph::generators;
     use sg_graph::types::NO_EDGE;
-
-    /// The inputs both reference sweeps run on (this module's and the
-    /// spanner kernel's): skewed, dense, 1 000+ components, lattice, small
-    /// world, the two extreme trees, and the degenerate sizes.
-    pub(crate) fn sweep_graphs() -> Vec<(&'static str, CsrGraph)> {
-        let isolated = |n| CsrGraph::from_pairs(n, &[]);
-        let sparse = generators::erdos_renyi(3_000, 1_500, 3);
-        assert!(connected_components(&sparse).num_components > 1_000);
-        vec![
-            ("rmat", generators::rmat_graph500(11, 8, 1)),
-            ("dense er", generators::erdos_renyi(600, 6_000, 2)),
-            ("sparse er", sparse),
-            ("grid", generators::grid(40, 40)),
-            ("watts-strogatz", generators::watts_strogatz(500, 4, 0.1, 4)),
-            ("path", generators::path(300)),
-            ("star", generators::star(200)),
-            ("isolated", isolated(50)),
-            ("one vertex", isolated(1)),
-            ("no vertex", isolated(0)),
-        ]
-    }
 
     #[test]
     fn partition_is_valid() {
@@ -267,39 +242,6 @@ pub(crate) mod tests {
         assert_eq!(a.assignment, b.assignment);
     }
 
-    /// The rounds against the heap race, vertex for vertex, from "every
-    /// vertex its own cluster" (β = 50) to "one cluster per component after
-    /// ≈ 10⁷ mostly idle rounds" (β = 1e-6).
-    #[test]
-    fn rounds_match_the_heap_race() {
-        for (label, g) in &sweep_graphs() {
-            let n = g.num_vertices();
-            let components = connected_components(g).num_components;
-            for beta in [1e-6, 1e-3, 0.05, 0.13, 0.4, 0.7, 1.7, 4.0, 50.0] {
-                for seed in 0..6 {
-                    let start = start_keys(n, beta, seed);
-                    let expected = heap_race(g, &start);
-                    assert_eq!(race(g, &start), expected, "{label}, beta {beta}, seed {seed}");
-                    let mapping = low_diameter_decomposition(g, beta, seed);
-                    assert_eq!(
-                        mapping.assignment,
-                        VertexMapping::from_labels(&expected).assignment
-                    );
-                    if beta == 50.0 {
-                        assert_eq!(mapping.num_clusters(), n, "{label}: not all singletons");
-                    }
-                    if beta == 1e-6 {
-                        assert_eq!(
-                            mapping.num_clusters(),
-                            components,
-                            "{label}: split a component"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Trap 1 and the tie-break, by hand. On the path 0 – 1 – 2, vertex 2
     /// wakes at the largest double below 2 (round 1) and its proposal to
     /// vertex 1 rounds up to key 3.0 — *two* rounds ahead; vertex 0 wakes at
@@ -313,11 +255,9 @@ pub(crate) mod tests {
         let g = generators::path(3);
         let start = [2.0, 10.0, below_two];
         assert_eq!(race(&g, &start), [0, 0, 2]);
-        assert_eq!(heap_race(&g, &start), [0, 0, 2]);
         // Without the tie (vertex 0 a little late) vertex 2 gets there first.
         let start = [2.5, 10.0, below_two];
         assert_eq!(race(&g, &start), [0, 2, 2]);
-        assert_eq!(heap_race(&g, &start), [0, 2, 2]);
     }
 
     #[test]

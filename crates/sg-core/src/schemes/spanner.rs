@@ -113,122 +113,9 @@ pub(crate) fn spanner(g: &CsrGraph, k: f64, seed: u64) -> CompressionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ldd::heap_race::{heap_race, start_keys};
-    use crate::ldd::low_diameter_decomposition;
-    use crate::mapping::VertexMapping;
-    use rustc_hash::{FxHashMap, FxHashSet};
     use sg_algos::cc::connected_components;
     use sg_algos::sssp::dijkstra;
-    use sg_graph::{generators, VertexId};
-
-    /// `derive_spanner` as it was on hash containers — a depth map under the
-    /// cluster BFS, a set of tree edges, a min-edge map per member vertex —
-    /// kept as the reference [`SpannerKernel`] is compared against.
-    struct HashMapSpannerKernel;
-
-    impl HashMapSpannerKernel {
-        fn cluster_tree(g: &CsrGraph, members: &[VertexId], assignment: &[u32]) -> Vec<EdgeId> {
-            let mut edges = Vec::new();
-            let root = members[0];
-            let my = assignment[root as usize];
-            let mut depth_of: FxHashMap<VertexId, u32> = FxHashMap::default();
-            depth_of.insert(root, 0);
-            let mut queue = std::collections::VecDeque::from([root]);
-            while let Some(u) = queue.pop_front() {
-                let du = depth_of[&u];
-                let row = g.neighbors(u);
-                let eids = g.neighbor_edge_ids(u);
-                for (i, &v) in row.iter().enumerate() {
-                    if assignment[v as usize] == my && !depth_of.contains_key(&v) {
-                        depth_of.insert(v, du + 1);
-                        edges.push(eids[i]);
-                        queue.push_back(v);
-                    }
-                }
-            }
-            edges
-        }
-    }
-
-    impl SubgraphKernel for HashMapSpannerKernel {
-        fn process(
-            &self,
-            sgv: SubgraphView<'_>,
-            sg: &SgContext<'_>,
-            _: &mut SubgraphScratch,
-            deleted: &mut Vec<EdgeId>,
-        ) {
-            let g = sg.graph;
-            let my = sgv.cluster_id as u32;
-            let tree: FxHashSet<EdgeId> =
-                Self::cluster_tree(g, sgv.members, sgv.assignment).into_iter().collect();
-            for &v in sgv.members {
-                let row = g.neighbors(v);
-                let eids = g.neighbor_edge_ids(v);
-                for (i, &u) in row.iter().enumerate() {
-                    if sgv.assignment[u as usize] == my && u > v && !tree.contains(&eids[i]) {
-                        deleted.push(eids[i]);
-                    }
-                }
-            }
-            let mut chosen: FxHashMap<u32, EdgeId> = FxHashMap::default();
-            for &v in sgv.members {
-                let row = g.neighbors(v);
-                let eids = g.neighbor_edge_ids(v);
-                chosen.clear();
-                for (i, &u) in row.iter().enumerate() {
-                    let other = sgv.assignment[u as usize];
-                    if other != my {
-                        let entry = chosen.entry(other).or_insert(eids[i]);
-                        if eids[i] < *entry {
-                            *entry = eids[i];
-                        }
-                    }
-                }
-                for (i, &u) in row.iter().enumerate() {
-                    let other = sgv.assignment[u as usize];
-                    if other != my && chosen[&other] != eids[i] {
-                        deleted.push(eids[i]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The flat kernel against the hash-map kernel: same surviving edges on
-    /// the mappings of the LDD sweep — singletons only, a few giant clusters,
-    /// one cluster per component — and on graphs with no edge at all.
-    #[test]
-    fn flat_kernel_deletes_what_the_hash_map_kernel_deleted() {
-        for (label, g) in &crate::ldd::tests::sweep_graphs() {
-            for beta in [1e-6, 0.05, 0.13, 0.4, 0.7, 1.7, 50.0] {
-                for seed in 0..3 {
-                    let mapping = low_diameter_decomposition(g, beta, seed);
-                    let flat = run_subgraph_kernel(g, &mapping, &SpannerKernel, seed);
-                    let hashed = run_subgraph_kernel(g, &mapping, &HashMapSpannerKernel, seed);
-                    assert_eq!(
-                        flat.graph.edge_slice(),
-                        hashed.graph.edge_slice(),
-                        "{label}, beta {beta}, seed {seed}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// `k` is user input (aim 3): at `1e300` and `f64::MAX` the spanner is
-    /// the reference race under the reference kernel, edge for edge.
-    #[test]
-    fn hostile_k_matches_the_references() {
-        let g = generators::erdos_renyi(2_000, 6_000, 8);
-        let mapping = VertexMapping::from_labels(&heap_race(&g, &start_keys(2_000, 1e-6, 9)));
-        let expected = run_subgraph_kernel(&g, &mapping, &HashMapSpannerKernel, 9);
-        for k in [1e300, f64::MAX] {
-            assert_eq!(ldd_for_spanner(&g, k, 9).assignment, mapping.assignment, "k = {k}");
-            let r = spanner(&g, k, 9);
-            assert_eq!(r.graph.edge_slice(), expected.graph.edge_slice(), "k = {k}");
-        }
-    }
+    use sg_graph::generators;
 
     #[test]
     fn spanner_preserves_connectivity() {

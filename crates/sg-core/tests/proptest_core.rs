@@ -1,20 +1,16 @@
 //! Property-based tests for sg-core's runtime: the subgraph executor, the
-//! SG context, mappings, and the low-diameter decomposition.
+//! SG context and mappings. The low-diameter decomposition and the spanner
+//! kernel are proptested against their oracles in the workspace's
+//! `tests/ldd_oracle.rs`.
 
 use proptest::prelude::*;
 use sg_core::engine::run_subgraph_kernel;
 use sg_core::kernel::{SubgraphKernel, SubgraphScratch, SubgraphView};
-use sg_core::ldd::low_diameter_decomposition;
 use sg_core::mapping::VertexMapping;
 use sg_core::SgContext;
 use sg_graph::prng::mix64;
 use sg_graph::{generators, EdgeId, VertexId};
 use std::collections::BTreeSet;
-
-/// The reference `sg-core`'s own unit tests use; test-only there, so it is
-/// included by path here.
-#[path = "../src/ldd/heap_race.rs"]
-mod heap_race;
 
 /// Whether the instance holding member `v` deletes its incident edge `e`.
 /// A draw on `e` alone is made by both endpoints — twice inside one
@@ -106,33 +102,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// LDD always yields a valid partition into connected clusters, for any
-    /// beta and seed — the partition the binary-heap race yields.
-    #[test]
-    fn ldd_partitions_connectedly(
-        n in 20usize..120,
-        m_factor in 1usize..5,
-        beta in 1e-6f64..50.0,
-        seed in 0u64..100,
-    ) {
-        let g = generators::erdos_renyi(n, m_factor * n, seed);
-        let mapping = low_diameter_decomposition(&g, beta, seed ^ 1);
-        prop_assert!(mapping.validate());
-        let mut parent_edge = vec![sg_graph::types::NO_EDGE; n];
-        let mut queue = Vec::new();
-        for (cid, members) in mapping.clusters.iter().enumerate() {
-            let tree_edges = sg_algos::spanning::cluster_spanning_tree_by(
-                &g,
-                members,
-                |v| mapping.assignment[v as usize] == cid as u32,
-                &mut parent_edge,
-                &mut queue,
-            );
-            prop_assert_eq!(tree_edges, members.len() - 1, "cluster disconnected");
-        }
-        let owners = heap_race::heap_race(&g, &heap_race::start_keys(n, beta, seed ^ 1));
-        prop_assert_eq!(mapping.assignment, VertexMapping::from_labels(&owners).assignment);
     }
 }

@@ -74,7 +74,10 @@ impl<M> Exchange<M> {
         let mut sent = 0;
         for (dst, batch) in outbox.iter_mut().enumerate().filter(|(_, batch)| !batch.is_empty()) {
             sent += batch.len() as u64;
-            self.slots[src * self.ranks + dst].lock().expect("no poisoned lock").append(batch);
+            self.slots[src * self.ranks + dst]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .append(batch);
         }
         sent
     }
@@ -82,7 +85,9 @@ impl<M> Exchange<M> {
     fn drain(&self, dst: usize) -> Vec<M> {
         let mut out = Vec::new();
         for src in 0..self.ranks {
-            out.append(&mut self.slots[src * self.ranks + dst].lock().expect("no poisoned lock"));
+            out.append(
+                &mut self.slots[src * self.ranks + dst].lock().unwrap_or_else(|e| e.into_inner()),
+            );
         }
         out
     }
@@ -525,6 +530,28 @@ mod tests {
     use sg_core::scheme::{LowDegree, TriangleReduction};
     use sg_core::CompressionScheme;
     use sg_graph::generators;
+
+    /// A rank that panics holding a slot poisons it. `post` and `drain` still
+    /// deliver, so the rank's own panic — not a secondary poisoned-lock one
+    /// of a lower rank — is what `run_ranks` re-raises.
+    #[test]
+    fn a_poisoned_slot_still_delivers_in_source_rank_order() {
+        let exchange = Exchange::new(3);
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = exchange.slots[3 + 2].lock();
+                panic!("rank 1 fails holding its slot to rank 2");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && exchange.slots[3 + 2].is_poisoned());
+        for src in [2, 0, 1] {
+            let mut batches = outbox(3);
+            batches[2] = vec![10 * src, 10 * src + 1];
+            assert_eq!(exchange.post(src, &mut batches), 2);
+        }
+        assert_eq!(exchange.drain(2), [0, 1, 10, 11, 20, 21]);
+    }
 
     fn triangle_rich() -> CsrGraph {
         generators::planted_triangles(&generators::erdos_renyi(700, 1500, 1), 1100, 2)

@@ -8,19 +8,27 @@
 //! Differential testing in McKeeman's sense ("Differential testing for
 //! software", Digital Technical Journal, 1998), with a pinned oracle.
 //!
-//! Each axis runs once, under the tests of the suite it belongs to:
-//! `Threads` in `parallel_equivalence`, `Mmap` in `storage_equivalence`,
-//! `Encoded` in `encoding_equivalence`, `Ranks` in `dist_equivalence`,
-//! `Telemetry` and `TelemetryServed` in `obs_equivalence`, each suite
-//! splitting the axis's cases among its tests with [`check_where`] (every
-//! case an axis accepts runs in exactly one test); `contract_equivalence`
-//! runs the rest (`Shards`, `Session`, `Served`). The module also holds the
+//! Each axis runs once, under the tests of the suite it belongs to, each
+//! suite splitting the axis's cases among its tests with [`check_where`]
+//! (every case an axis accepts runs in exactly one test):
+//! - `Threads` (at 1, 4 and 8) in `parallel_equivalence`;
+//! - `Mmap` in `storage_equivalence`, `Encoded` in `encoding_equivalence`;
+//! - `Ranks` in `dist_equivalence`;
+//! - `Telemetry` and `TelemetryServed` in `obs_equivalence`;
+//! - `Shards`, `Session`, `Served` and `Oracle` (the sequential oracles of
+//!   `tests/oracle/`, once) in `contract_equivalence`, one test each.
+//!
+//! The `Oracle` axis calls `crate::oracle`, so every binary that declares
+//! `mod contract;` declares `mod oracle;` too. The module also holds the
 //! helpers the suites share (daemon spawning, response checks, the
 //! thread-invariance assertion). Each test binary uses some of them.
 #![allow(dead_code)]
 
+use crate::oracle;
 use slimgraph::algos::{bfs, cc, pagerank, tc};
-use slimgraph::core::{PipelineSpec, SchemeParams, SchemeRegistry, SgSession, StageCache};
+use slimgraph::core::{
+    Pipeline, PipelineSpec, SchemeParams, SchemeRegistry, SgSession, StageCache,
+};
 use slimgraph::dist::{
     apply_edge_deletions, apply_vertex_removals, distributed_compress, federation_plan,
     shard_compress, ShardOutcome,
@@ -699,6 +707,10 @@ pub enum Axis {
     Session,
     /// An in-process daemon's `compress`, cold and then from its cache.
     Served,
+    /// The sequential oracles of `tests/oracle/`, stage by stage (every
+    /// compress case none of whose stages is in
+    /// [`oracle::WITHOUT_ORACLE`]). No oracle uses the pool: it runs once.
+    Oracle,
 }
 
 impl Axis {
@@ -710,6 +722,10 @@ impl Axis {
             _ if graph(case.graph).num_edges() > AXIS_EDGES => false,
             Axis::Mmap | Axis::Encoded | Axis::Telemetry => true,
             Axis::Session | Axis::Served | Axis::TelemetryServed => compress,
+            Axis::Oracle => {
+                let stages = if compress { case.resolved().stages } else { Vec::new() };
+                compress && stages.iter().all(|s| !oracle::WITHOUT_ORACLE.contains(&&*s.name))
+            }
             Axis::Ranks(_) => {
                 compress && case.scheme().is_some_and(|s| s.plan(&graph(case.graph)).is_some())
             }
@@ -749,22 +765,7 @@ impl Axis {
             }
             Axis::Shards(s) => {
                 let scheme = case.scheme().expect("one stage");
-                let (mut edges, mut vertices) = (Vec::new(), Vec::new());
-                for shard in 0..s {
-                    match shard_compress(&g, scheme.as_ref(), shard, s, case.seed).expect("runs") {
-                        ShardOutcome::Edges(d) => edges.extend(d),
-                        ShardOutcome::Vertices(v) => vertices.extend(v),
-                    }
-                }
-                let outcome = if vertices.is_empty() {
-                    edges.sort_unstable();
-                    edges.dedup();
-                    outcome(&apply_edge_deletions(&g, &edges), None)
-                } else {
-                    let (merged, mapping) = apply_vertex_removals(&g, &vertices);
-                    outcome(&merged, Some(&mapping))
-                };
-                vec![("union", outcome)]
+                vec![("union", shard_union(&g, scheme.as_ref(), s, case.seed))]
             }
             Axis::Telemetry => match case.spec {
                 KERNELS => vec![("kernels", kernels(g.as_ref(), &g))],
@@ -779,6 +780,7 @@ impl Axis {
                 let [cold, hit] = served_runs(case, 2)[..] else { unreachable!() };
                 vec![("cold", cold), ("hit", hit)]
             }
+            Axis::Oracle => vec![("oracle", oracle_run(case, &g))],
         }
     }
 }
@@ -804,6 +806,49 @@ impl Drop for TelemetryFlipped {
         slimgraph::obs::alloc::set_profiling(false);
         slimgraph::obs::trace::reset();
     }
+}
+
+/// The outcome of the union of `shards` federation shards of `scheme` on
+/// `g`: their edge deletions applied, or their vertex removals (with the
+/// old→new map, even when no vertex goes).
+pub fn shard_union(
+    g: &CsrGraph,
+    scheme: &dyn slimgraph::CompressionScheme,
+    shards: usize,
+    seed: u64,
+) -> Outcome {
+    let (mut edges, mut vertices) = (Vec::new(), None::<Vec<VertexId>>);
+    for shard in 0..shards {
+        match shard_compress(g, scheme, shard, shards, seed).expect("runs") {
+            ShardOutcome::Edges(ids) => edges.extend(ids),
+            ShardOutcome::Vertices(ids) => vertices.get_or_insert_default().extend(ids),
+        }
+    }
+    let Some(vertices) = vertices else { return outcome(&apply_edge_deletions(g, &edges), None) };
+    let (merged, mapping) = apply_vertex_removals(g, &vertices);
+    outcome(&merged, Some(&mapping))
+}
+
+/// `case` through the oracles, stage by stage: stage `i` at
+/// `Pipeline::stage_seed`, with the parameters its registry scheme resolved
+/// to, the stages' vertex maps composed as the pipeline composes them.
+fn oracle_run(case: &Case, g: &CsrGraph) -> Outcome {
+    let registry = SchemeRegistry::with_defaults();
+    let (mut out, mut mapping) = (g.clone(), None::<oracle::Mapping>);
+    for (index, stage) in case.resolved().stages.iter().enumerate() {
+        let params = registry.create(&stage.name, &stage.params).expect("builds").params();
+        let seed = Pipeline::stage_seed(case.seed, index);
+        let (next, map) = oracle::scheme(&out, &stage.name, &params, seed);
+        mapping = match (mapping, map) {
+            (so_far, None) => so_far,
+            (None, map) => map,
+            (Some(first), Some(map)) => {
+                Some(first.iter().map(|old| old.and_then(|mid| map[mid as usize])).collect())
+            }
+        };
+        out = next;
+    }
+    outcome(&out, mapping.as_deref())
 }
 
 /// `runs` session runs of `case` in one fresh session; every run after the
@@ -857,13 +902,14 @@ const AXIS_EDGES: usize = 5_000;
 /// thread axis's cost.
 const TWIN_EDGES: usize = 20_000;
 
-/// Thread counts every axis but [`Axis::Threads`] runs at.
+/// Thread counts every axis but [`Axis::Threads`] and [`Axis::Oracle`] runs
+/// at.
 const THREADS: [usize; 2] = [1, 4];
 
 /// Runs every case `axis` accepts at each of [`THREADS`] (an
-/// [`Axis::Threads`] axis at its own count) and asserts each outcome agrees
-/// with the case's pin; a failure names the case, the axis and the thread
-/// count.
+/// [`Axis::Threads`] axis at its own count, [`Axis::Oracle`] once) and
+/// asserts each outcome agrees with the case's pin; a failure names the
+/// case, the axis and the thread count.
 pub fn check(axis: Axis) {
     check_where(axis, |_| true);
 }
@@ -873,7 +919,11 @@ pub fn check(axis: Axis) {
 pub fn check_where(axis: Axis, rows: impl Fn(&Case) -> bool) {
     let cases: Vec<(Case, Outcome)> =
         corpus().filter(|(case, _)| rows(case) && axis.accepts(case)).collect();
-    let counts: &[usize] = if let Axis::Threads(t) = axis { &[t] } else { &THREADS };
+    let counts: &[usize] = match axis {
+        Axis::Threads(t) => &[t],
+        Axis::Oracle => &[1],
+        _ => &THREADS,
+    };
     let mut compared = 0;
     for &t in counts {
         let outcomes = rayon::with_num_threads(t, || {
@@ -893,6 +943,11 @@ pub fn check_where(axis: Axis, rows: impl Fn(&Case) -> bool) {
         }
     }
     assert!(compared > 0, "axis {axis:?}: the selection compared no outcome");
+}
+
+/// Every case of the table `axis` accepts.
+pub fn accepted(axis: Axis) -> Vec<Case> {
+    corpus().map(|(case, _)| case).filter(|case| axis.accepts(case)).collect()
 }
 
 /// Runs the cases on a few threads of the harness's own. The rayon count

@@ -10,9 +10,9 @@
 //! `cargo test --release --test dist_equivalence -- --ignored`.
 
 mod contract;
+mod oracle;
 
 use proptest::prelude::*;
-use sg_algos::tc;
 use sg_core::schemes::{for_sampled_triangles, TrConfig};
 use sg_core::{CompressionResult, CompressionScheme, DetRand, SchemeParams, SchemeRegistry};
 use sg_dist::{apply_edge_deletions, distributed_compress, shard_compress, ShardOutcome};
@@ -195,7 +195,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let g = shaped_graph(n, &pairs, shape);
-        let listing = tc::list_triangles(&g);
+        let listing = oracle::triangles(&g);
         if shape == 3 {
             prop_assert!(listing.is_empty(), "a bipartite graph has no triangle");
         }

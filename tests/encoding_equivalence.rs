@@ -9,6 +9,7 @@
 //! valid graph, never a panic, never a garbage graph.
 
 mod contract;
+mod oracle;
 
 use contract::{directed, encoded_twins, tmp};
 use slimgraph::graph::view::CURSOR_CHUNK;

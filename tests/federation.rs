@@ -6,6 +6,7 @@
 //! fallback for non-federable plans, and the split-brain digest guard.
 
 mod contract;
+mod oracle;
 
 use contract::{cold, compress_request, ok, quiet, tmp, Daemon};
 use slimgraph::graph::generators;

@@ -9,6 +9,7 @@
 //! [`TELEMETRY_FLAGS`] while it moves them.
 
 mod contract;
+mod oracle;
 
 use contract::{ok, quiet, spawn, Outcome};
 use slimgraph::core::{GraphCatalog, PipelineSpec, SchemeRegistry, SgSession, StageCache};

@@ -9,6 +9,7 @@
 //! [`TELEMETRY_FLAGS`] while it moves them.
 
 mod contract;
+mod oracle;
 
 use contract::{check, ok, quiet, spawn, Axis};
 use slimgraph::core::{GraphCatalog, PipelineSpec, SchemeRegistry, SgSession, StageCache};

@@ -9,6 +9,7 @@
 //! are also pinned to the outputs of the implementations they replaced.
 
 mod contract;
+mod oracle;
 
 use contract::{assert_thread_invariant, check_where, fnv, Axis, Case, Graph, KERNELS};
 use slimgraph::algos::{bc, cc, diameter, pagerank};
@@ -250,8 +251,9 @@ fn summary_matches_the_hash_map_implementation_field_for_field() {
     }
 }
 
-/// The low-diameter decomposition under the spanner, pinned to an FNV of
-/// the `assignment` that the binary-heap race of commit 3ef2dc1 printed, at
+/// The low-diameter decomposition under the spanner, equal to the heap race
+/// of `tests/oracle/` and pinned to an FNV of the `assignment` that the
+/// binary-heap race of commit 3ef2dc1 printed, at
 /// the small, the default and a near-forest `k`, on hub-heavy R-MAT (one
 /// giant cluster from `k = 8` on), on Barabási–Albert, and on a sparse
 /// Erdős–Rényi graph with isolated vertices and well over 100 components
@@ -260,6 +262,7 @@ fn summary_matches_the_hash_map_implementation_field_for_field() {
 #[test]
 fn spanner_matches_the_heap_race_and_the_hash_map_kernel() {
     use slimgraph::core::ldd::ldd_for_spanner;
+    use slimgraph::core::mapping::VertexMapping;
     const KS: [f64; 3] = [2.0, 8.0, 128.0];
     let rmat = generators::rmat_graph500(11, 8, 5);
     let ba = generators::barabasi_albert(4_000, 4, 6);
@@ -291,6 +294,12 @@ fn spanner_matches_the_heap_race_and_the_hash_map_kernel() {
         let got = assert_thread_invariant(label, || {
             KS.map(|k| fnv(ldd_for_spanner(g, k, 3).assignment.iter().map(|&c| u64::from(c))))
         });
+        for (k, got) in KS.iter().zip(got) {
+            let race = oracle::ldd(g, oracle::spanner_beta(g.num_vertices(), *k), 3);
+            let want = VertexMapping::from_labels(&race).assignment;
+            let want = fnv(want.iter().map(|&c| u64::from(c)));
+            assert_eq!(got, want, "`{label}` at k = {k} is not the heap race's decomposition");
+        }
         assert_eq!(got, pinned, "`{label}` moved off the heap race's output");
     }
 }

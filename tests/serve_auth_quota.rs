@@ -5,6 +5,7 @@
 //! refunds the budget.
 
 mod contract;
+mod oracle;
 
 use contract::{error_code, ok, spawn, tmp};
 use slimgraph::core::graph_approx_bytes;

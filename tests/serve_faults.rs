@@ -6,6 +6,7 @@
 //! **bit-identically** afterward, at `SG_THREADS` ∈ {1, 4}.
 
 mod contract;
+mod oracle;
 
 use contract::{error_code, ok, spawn, tmp};
 use slimgraph::core::{PipelineSpec, SchemeRegistry};

@@ -7,6 +7,7 @@
 //! harness's `Served` axis (`tests/contract/`).
 
 mod contract;
+mod oracle;
 
 use contract::{cold, compress_request, ok, quiet, spawn, tmp};
 use slimgraph::graph::generators;

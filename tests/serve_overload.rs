@@ -5,6 +5,7 @@
 //! state after the storm.
 
 mod contract;
+mod oracle;
 
 use contract::{error_code, ok, spawn, tmp};
 use slimgraph::core::{PipelineSpec, SchemeRegistry};

@@ -5,6 +5,7 @@
 //! rejecting corruption (digest mismatch).
 
 mod contract;
+mod oracle;
 
 use contract::{error_code, ok, quiet, spawn, tmp};
 use slimgraph::graph::generators;

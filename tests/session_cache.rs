@@ -13,6 +13,7 @@
 //!    `cargo test --release --test session_cache -- --ignored`.
 
 mod contract;
+mod oracle;
 
 use contract::cold;
 use proptest::prelude::*;

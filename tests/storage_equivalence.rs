@@ -6,6 +6,7 @@
 //! every case of the table on the mapped graph against its pin.
 
 mod contract;
+mod oracle;
 
 use contract::{check_where, graph, mapped, sgr_file, Axis, Graph};
 use slimgraph::serve::graph_digest;

@@ -2,26 +2,21 @@
 //! registry at `SG_THREADS` 1 and 4, the sharded ranks and the union of the
 //! federation shards, compared bit for bit with the sequential Listing-sized
 //! references in `oracle` on small random graphs of every shape the
-//! executors have to survive.
+//! executors have to survive. The other schemes with a plan — `uniform`,
+//! `spectral`, `cut`, `lowdeg` — meet their oracles the same ways.
 
 mod contract;
 mod oracle;
 
 use contract::Outcome;
 use proptest::prelude::*;
-use sg_core::schemes::{Discipline, EdgeChoice, TrConfig};
 use sg_core::{SchemeParams, SchemeRegistry};
-use sg_dist::{apply_edge_deletions, distributed_compress, shard_compress, ShardOutcome};
+use sg_dist::{distributed_compress, federation_plan};
 use sg_graph::prng::unit_f64;
-use sg_graph::{generators, CsrGraph, EdgeId, EdgeList, VertexId};
+use sg_graph::{generators, CsrGraph, EdgeList, VertexId};
 
-/// The registry's triangle schemes with the configuration each one runs.
-const SCHEMES: [(&str, Discipline, EdgeChoice); 4] = [
-    ("tr", Discipline::Plain, EdgeChoice::Random),
-    ("tr-eo", Discipline::EdgeOnce, EdgeChoice::Random),
-    ("tr-mw", Discipline::EdgeOnce, EdgeChoice::MaxWeight),
-    ("tr-ct", Discipline::EdgeOnce, EdgeChoice::FewestTriangles),
-];
+/// The registry's triangle schemes and `collapse`.
+const SCHEMES: [&str; 5] = ["tr", "tr-eo", "tr-mw", "tr-ct", "collapse"];
 
 /// Everything a triangle scheme's output can differ in: `n'`, the edges,
 /// the weights' bits and the vertex mapping.
@@ -73,23 +68,40 @@ fn registry_and_oracle(g: &CsrGraph, seed: u64, threads: usize) -> Vec<(String, 
     rayon::with_num_threads(threads, || {
         for p in [0.0, 0.5, 1.0] {
             for x in [1, 2] {
-                for (name, discipline, choice) in SCHEMES {
+                for name in SCHEMES.into_iter().filter(|&name| x == 1 || name != "collapse") {
                     let g = if name == "tr-mw" { &weighted } else { g };
-                    let got = registry.create(name, &params(p, x)).expect("valid").apply(g, seed);
-                    let cfg = TrConfig { p, x, discipline, choice };
-                    let want = oracle::triangle_reduction(g, cfg, seed);
-                    let label = format!("{name}:p={p}:x={x}");
-                    rows.push((label, output(&got.graph, got.vertex_mapping), output(&want, None)));
+                    let scheme = registry.create(name, &params(p, x)).expect("valid");
+                    let got = scheme.apply(g, seed);
+                    let (want, mapping) = oracle::scheme(g, name, &scheme.params(), seed);
+                    let (got, want) =
+                        (output(&got.graph, got.vertex_mapping), output(&want, mapping));
+                    rows.push((format!("{name}:p={p}:x={x}"), got, want));
                 }
             }
-            let got = registry.create("collapse", &params(p, 1)).expect("valid").apply(g, seed);
-            let (want, mapping) = oracle::triangle_collapse(g, p, seed);
-            let (got, want) =
-                (output(&got.graph, got.vertex_mapping), output(&want, Some(mapping)));
-            rows.push((format!("collapse:p={p}"), got, want));
         }
     });
     rows
+}
+
+/// The planned schemes that are not TR, each with a bag of parameters it
+/// reads part of: `spectral` in both Υ variants, with and without
+/// `reweight`.
+fn planned(p: f64) -> Vec<(&'static str, SchemeParams)> {
+    let (p, k) = (p.to_string(), (1.0 + 3.0 * p).to_string());
+    let runs = [
+        ("uniform", "logn", "false"),
+        ("cut", "logn", "false"),
+        ("lowdeg", "logn", "false"),
+        ("spectral", "logn", "false"),
+        ("spectral", "logn", "true"),
+        ("spectral", "avgdeg", "false"),
+        ("spectral", "avgdeg", "true"),
+    ];
+    let bag = |variant, reweight| {
+        let pairs = [("p", p.as_str()), ("k", &k), ("variant", variant), ("reweight", reweight)];
+        SchemeParams::from_pairs(&pairs)
+    };
+    runs.map(|(name, variant, reweight)| (name, bag(variant, reweight))).to_vec()
 }
 
 proptest! {
@@ -122,29 +134,54 @@ proptest! {
         let registry = SchemeRegistry::with_defaults();
         for p in [0.0, 0.5, 1.0] {
             for x in [1, 2] {
-                for (name, discipline, choice) in &SCHEMES[..2] {
-                    let cfg = TrConfig { p, x, discipline: *discipline, choice: *choice };
-                    let want = output(&oracle::triangle_reduction(&g, cfg, seed), None);
+                for name in &SCHEMES[..2] {
                     let scheme = registry.create(name, &params(p, x)).expect("valid");
+                    let (want, _) = oracle::scheme(&g, name, &scheme.params(), seed);
+                    let want = output(&want, None);
                     for parts in [1, 2, 3] {
                         let label = format!("{name}:p={p}:x={x} over {parts} parts");
                         let dist = distributed_compress(&g, scheme.as_ref(), parts, seed)
                             .expect("TR has a plan");
                         let got = output(&dist.result.graph, dist.result.vertex_mapping);
                         prop_assert_eq!(&got, &want, "{} (ranks)", label);
-                        if *discipline != Discipline::Plain {
-                            continue;
+                        if *name == "tr" {
+                            let merged = contract::shard_union(&g, scheme.as_ref(), parts, seed);
+                            prop_assert_eq!(&merged, &want, "{} (shards)", label);
                         }
-                        let mut deleted: Vec<EdgeId> = Vec::new();
-                        for shard in 0..parts {
-                            match shard_compress(&g, scheme.as_ref(), shard, parts, seed) {
-                                Ok(ShardOutcome::Edges(ids)) => deleted.extend(ids),
-                                other => panic!("{label}: shard {shard} returned {other:?}"),
-                            }
-                        }
-                        let merged = output(&apply_edge_deletions(&g, &deleted), None);
-                        prop_assert_eq!(&merged, &want, "{} (shards)", label);
                     }
+                }
+            }
+        }
+    }
+
+    /// `uniform`, `spectral`, `cut` and `lowdeg` at 1 and 4 workers, over
+    /// 2 and 3 ranks and, where federable, as the union of 2 and 3 shards,
+    /// are their oracles.
+    #[test]
+    fn planned_schemes_are_their_oracles(
+        shape in 0u8..6,
+        n in 5usize..60,
+        seed in 0u64..1000,
+        tenths in 0u32..11,
+    ) {
+        let g = input(shape, n, seed);
+        let registry = SchemeRegistry::with_defaults();
+        for (name, params) in planned(f64::from(tenths) / 10.0) {
+            let scheme = registry.create(name, &params).expect("valid");
+            let (want, mapping) = oracle::scheme(&g, name, &scheme.params(), seed);
+            let (want, label) = (output(&want, mapping), scheme.label());
+            for threads in [1, 4] {
+                let got = rayon::with_num_threads(threads, || scheme.apply(&g, seed));
+                let got = output(&got.graph, got.vertex_mapping);
+                prop_assert_eq!(&got, &want, "{} on shape {} at {} threads", label, shape, threads);
+            }
+            for parts in [2, 3] {
+                let dist = distributed_compress(&g, scheme.as_ref(), parts, seed).expect("a plan");
+                let got = output(&dist.result.graph, dist.result.vertex_mapping);
+                prop_assert_eq!(&got, &want, "{} over {} ranks", label, parts);
+                if federation_plan(&g, scheme.as_ref()).is_ok() {
+                    let got = contract::shard_union(&g, scheme.as_ref(), parts, seed);
+                    prop_assert_eq!(&got, &want, "{} over {} shards", label, parts);
                 }
             }
         }

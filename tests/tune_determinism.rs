@@ -8,6 +8,7 @@
 //! order, so nothing observable may depend on `SG_THREADS`.
 
 mod contract;
+mod oracle;
 
 use slimgraph::core::SchemeRegistry;
 use slimgraph::graph::generators;
