@@ -66,21 +66,10 @@ pub struct RankStats {
     pub supersteps: u64,
 }
 
-/// Statistics of stateless ranks — one superstep, one gather message each —
-/// where rank `r` owns the edge ids `edge_starts[r]..edge_starts[r + 1]` and
-/// `survives(e)` tells whether edge `e` is in the output.
-fn stateless_stats(edge_starts: &[usize], survives: impl Fn(EdgeId) -> bool) -> Vec<RankStats> {
-    edge_starts
-        .windows(2)
-        .enumerate()
-        .map(|(rank, owned)| RankStats {
-            rank,
-            owned_edges: owned[1] - owned[0],
-            kept_edges: (owned[0]..owned[1]).filter(|&e| survives(e as EdgeId)).count(),
-            messages_sent: 1,
-            supersteps: 1,
-        })
-        .collect()
+/// Statistics of a stateless rank — one superstep, one gather message —
+/// that owns `owned` edges, `kept` of which survive.
+fn stateless_stats(rank: usize, owned: usize, kept: usize) -> RankStats {
+    RankStats { rank, owned_edges: owned, kept_edges: kept, messages_sent: 1, supersteps: 1 }
 }
 
 /// Outcome of a distributed compression run.
@@ -207,13 +196,13 @@ pub fn distributed_compress(
     let (graph, vertex_mapping, stats) = match &plan {
         Plan::Edge(kernel) => {
             let shards = partition_edges(g, ranks);
-            let decisions =
-                run_ranks(ranks, |rank| edge_part(g, kernel.as_ref(), shards[rank], seed)).concat();
-            let mut edge_starts: Vec<usize> = shards.iter().map(|s| s.start as usize).collect();
-            edge_starts.push(g.num_edges());
-            let stats =
-                stateless_stats(&edge_starts, |e| decisions[e as usize] != EdgeDecision::Delete);
-            (materialize_edges(g, &decisions), None, stats)
+            let parts = run_ranks(ranks, |rank| {
+                let decisions = edge_part(g, kernel.as_ref(), shards[rank], seed);
+                let kept = decisions.iter().filter(|&&d| d != EdgeDecision::Delete).count();
+                (stateless_stats(rank, decisions.len(), kept), decisions)
+            });
+            let (stats, decisions): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+            (materialize_edges(g, &decisions.concat()), None, stats)
         }
         Plan::Triangle(cfg) => {
             let (deleted, stats) = sharded::sharded_triangle_compress(g, *cfg, ranks, seed);
@@ -224,10 +213,14 @@ pub fn distributed_compress(
             let removed =
                 run_ranks(ranks, |rank| vertex_part(g, kernel.as_ref(), parts[rank], seed))
                     .concat();
-            let stats = stateless_stats(&sharded::edge_rank_starts(g, &parts), |e| {
-                // An edge survives when both endpoints survive.
-                let (u, v) = g.edge_endpoints(e);
-                !removed[u as usize] && !removed[v as usize]
+            // Once every verdict is in, each rank counts its own edges that
+            // survive: those with both endpoints left.
+            let starts = sharded::edge_rank_starts(g, &parts);
+            let stats = run_ranks(ranks, |rank| {
+                let owned = &g.edge_slice()[starts[rank]..starts[rank + 1]];
+                let kept =
+                    owned.iter().filter(|&&(u, v)| !removed[u as usize] && !removed[v as usize]);
+                stateless_stats(rank, owned.len(), kept.count())
             });
             let (graph, mapping) = g.remove_vertices(&removed);
             (graph, Some(mapping), stats)

@@ -4,8 +4,15 @@
 //! flat `targets` array. The Slim Graph-specific addition is `slot_edge`: for
 //! every adjacency *slot* it stores the canonical id of the underlying edge,
 //! so the two directions of an undirected edge share one id. Compression
-//! kernels mark canonical ids for deletion in an atomic bitset and the engine
-//! then calls [`CsrGraph::filter_edges`] to materialize the compressed graph.
+//! kernels only decide which edges or vertices go; the engine then
+//! materializes the compressed graph with [`CsrGraph::filter_edges`],
+//! [`CsrGraph::filter_reweight`] or [`CsrGraph::remove_vertices`]. All three
+//! run one row-carving routine: a bitset of surviving edges with a running
+//! count per word gives every survivor its new id, and each row of the
+//! output is its parent row with the dropped slots taken out, filtered in
+//! parallel blocks of rows (the Ligra / GBBS packing idiom). No edge is
+//! scattered and nothing is re-sorted; [`CsrGraph::from_edge_list`] builds
+//! graphs from scratch.
 
 use crate::edge_list::EdgeList;
 use crate::storage::Section;
@@ -329,71 +336,111 @@ impl CsrGraph {
 
     /// Materializes the subgraph that keeps exactly the canonical edges for
     /// which `keep(e)` is true. Vertex set (and ids) are unchanged — this is
-    /// the engine's compaction step after kernels marked deletions.
+    /// the engine's compaction step after kernels decided deletions. Like
+    /// every materializer it carves the output's rows out of this graph's
+    /// sorted rows in parallel (see `carve`): no edge is scattered, and the
+    /// output is the graph [`CsrGraph::from_edge_list`] would build from the
+    /// surviving edges, to the byte.
     pub fn filter_edges(&self, keep: impl Fn(EdgeId) -> bool + Sync) -> CsrGraph {
-        let kept_ids: Vec<u32> =
-            (0..self.edges.len() as EdgeId).into_par_iter().filter(|&e| keep(e)).collect();
-        let edges: Vec<(VertexId, VertexId)> =
-            kept_ids.par_iter().map(|&e| self.edges[e as usize]).collect();
-        let weights =
-            self.weights.as_ref().map(|w| kept_ids.par_iter().map(|&e| w[e as usize]).collect());
-        let el = EdgeList { num_vertices: self.num_vertices, edges, weights };
-        // Canonical order is preserved by filtering, so rebuild directly.
-        Self::from_canonical(el, self.directed)
+        let kept = Survivors::new(self.num_edges(), keep);
+        self.carve(&kept, None, self.weights.as_deref().map(|w| move |e: usize| w[e]))
     }
 
     /// Materializes the subgraph after *reweighting*: keeps edge `e` iff
     /// `decide(e)` returns `Some(weight)`, with the new weight attached. Used
     /// by spectral sparsification, which must reweight survivors by `1/p_e`.
+    /// `decide` must be a function of `e` alone: it is asked once per edge
+    /// for the survivors and once more per survivor for its weight.
     pub fn filter_reweight(&self, decide: impl Fn(EdgeId) -> Option<Weight> + Sync) -> CsrGraph {
-        let kept: Vec<(EdgeId, Weight)> = (0..self.edges.len() as EdgeId)
-            .into_par_iter()
-            .filter_map(|e| decide(e).map(|w| (e, w)))
-            .collect();
-        let edges: Vec<(VertexId, VertexId)> =
-            kept.par_iter().map(|&(e, _)| self.edges[e as usize]).collect();
-        let weights: Vec<Weight> = kept.par_iter().map(|&(_, w)| w).collect();
-        let el = EdgeList { num_vertices: self.num_vertices, edges, weights: Some(weights) };
-        Self::from_canonical(el, self.directed)
+        let kept = Survivors::new(self.num_edges(), |e| decide(e).is_some());
+        self.carve(&kept, None, Some(|e: usize| decide(e as EdgeId).unwrap_or_default()))
     }
 
     /// Removes the vertices flagged in `removed` (and all incident edges),
-    /// relabelling survivors compactly. Returns the new graph and the
-    /// old-id → new-id map (`None` entries are removed vertices).
+    /// relabelling survivors compactly in id order. Returns the new graph
+    /// and the old-id → new-id map (`None` entries are removed vertices).
+    /// The relabelling keeps the survivors' order, so their rows, carved out
+    /// of this graph's as in [`CsrGraph::filter_edges`], stay sorted and the
+    /// canonical edges stay in order: nothing is re-sorted.
     pub fn remove_vertices(&self, removed: &[bool]) -> (CsrGraph, Vec<Option<VertexId>>) {
         assert_eq!(removed.len(), self.num_vertices);
-        let mut mapping: Vec<Option<VertexId>> = vec![None; self.num_vertices];
-        let mut next: VertexId = 0;
-        for v in 0..self.num_vertices {
-            if !removed[v] {
-                mapping[v] = Some(next);
-                next += 1;
-            }
+        // renamed[v]: the survivors below `v`, which is `v`'s new id.
+        let mut renamed = Vec::with_capacity(self.num_vertices + 1);
+        renamed.push(0);
+        let mut survivors: VertexId = 0;
+        for &gone in removed {
+            survivors += VertexId::from(!gone);
+            renamed.push(survivors);
         }
-        let mut el = EdgeList::with_capacity(next as usize, self.edges.len());
-        if self.weights.is_some() {
-            el.weights = Some(Vec::with_capacity(self.edges.len()));
-        }
-        for (e, &(u, v)) in self.edges.iter().enumerate() {
-            if let (Some(nu), Some(nv)) = (mapping[u as usize], mapping[v as usize]) {
-                el.edges.push((nu, nv));
-                if let Some(w) = &mut el.weights {
-                    w.push(self.weights.as_ref().expect("weighted").get(e).copied().unwrap_or(1.0));
-                }
-            }
-        }
-        (Self::from_canonical_unsorted(el, self.directed), mapping)
+        let mapping = removed.iter().zip(&renamed).map(|(&gone, &id)| (!gone).then_some(id));
+        let kept = Survivors::new(self.num_edges(), |e| {
+            let (u, v) = self.edges[e as usize];
+            !removed[u as usize] && !removed[v as usize]
+        });
+        let relabel = removed.contains(&true).then_some(&renamed[..]);
+        let weight = self.weights.as_deref().map(|w| move |e: usize| w[e]);
+        (self.carve(&kept, relabel, weight), mapping.collect())
     }
 
-    /// Builds from an edge list that is unique but possibly unsorted after
-    /// relabelling.
-    fn from_canonical_unsorted(mut el: EdgeList, directed: bool) -> Self {
-        if directed {
-            el.canonicalize_directed();
-        } else {
-            el.canonicalize_undirected();
+    /// The one materializer: the subgraph of the edges `kept` selects, its
+    /// vertices renamed by `relabel` (`relabel[v]` is `v`'s new id and
+    /// `relabel[n]` the new vertex count; `None` keeps the ids) and weighted
+    /// by `weight(parent edge id)` when given.
+    ///
+    /// Each row of the output is the parent's row with its dropped slots
+    /// taken out, for the in-adjacency of a directed graph too. The parent's
+    /// rows are sorted and a relabel must be monotone, so the rows come out
+    /// sorted and the canonical edges in order. Every block of rows and of
+    /// edges writes only its own window of the output, so the bytes do not
+    /// depend on the thread count.
+    fn carve<W>(&self, kept: &Survivors, relabel: Option<&[VertexId]>, weight: Option<W>) -> Self
+    where
+        W: Fn(usize) -> Weight + Sync,
+    {
+        let rows = |offsets: &[usize], targets: &[VertexId], slot_edge: &[EdgeId]| {
+            let parent = (offsets, targets, slot_edge);
+            let (offsets, targets, slot_edge) = match relabel {
+                None => carve_rows(kept, parent, |v| v, |_| true),
+                Some(r) => {
+                    let live = |v: usize| r[v] < r[v + 1];
+                    let (offsets, targets, slot_edge) =
+                        carve_rows(kept, parent, |v| r[v as usize], live);
+                    // A removed vertex kept no slot: its empty row goes.
+                    let n = offsets.len() - 1;
+                    let rows = (0..n + 1).into_par_iter().filter(|&v| v == n || live(v));
+                    (rows.map(|v| offsets[v]).collect(), targets, slot_edge)
+                }
+            };
+            (offsets.into(), targets.into(), slot_edge.into())
+        };
+        let (offsets, targets, slot_edge) = rows(&self.offsets, &self.targets, &self.slot_edge);
+        let (in_offsets, in_targets, in_slot_edge) =
+            match (&self.in_offsets, &self.in_targets, &self.in_slot_edge) {
+                (Some(o), Some(t), Some(e)) => {
+                    let (o, t, e) = rows(o, t, e);
+                    (Some(o), Some(t), Some(e))
+                }
+                _ => (None, None, None),
+            };
+        let edges = match relabel {
+            None => gather(kept, |e| self.edges[e]),
+            Some(r) => gather(kept, |e| {
+                let (u, v) = self.edges[e];
+                (r[u as usize], r[v as usize])
+            }),
+        };
+        Self {
+            directed: self.directed,
+            num_vertices: relabel.map_or(self.num_vertices, |r| r[self.num_vertices] as usize),
+            offsets,
+            targets,
+            slot_edge,
+            edges: edges.into(),
+            weights: weight.map(|w| gather(kept, w).into()),
+            in_offsets,
+            in_targets,
+            in_slot_edge,
         }
-        Self::from_canonical(el, directed)
     }
 
     /// Iterates over all canonical edges as `(edge_id, u, v)`.
@@ -565,6 +612,171 @@ impl CsrGraph {
             + self.in_targets.as_ref().map_or(0, |t| t.len() * size_of::<VertexId>())
             + self.in_slot_edge.as_ref().map_or(0, |t| t.len() * size_of::<EdgeId>())
     }
+}
+
+/// Blocks a materializer splits its rows and its edges into: a few per
+/// worker, so a block of hub rows does not hold the others up.
+const CARVE_BLOCKS: usize = 64;
+
+/// 64 canonical edges of a [`Survivors`] set: bit `i` is set when edge
+/// `64w + i` survives, and `rank` counts the survivors before the word.
+#[derive(Clone, Copy)]
+struct SurvivorWord {
+    bits: u64,
+    rank: EdgeId,
+}
+
+/// The canonical edges a materialization keeps, as a bitset with a
+/// running survivor count per word: a survivor's id in the output is its
+/// word's `rank` plus the survivors below it in the word. The table takes
+/// `m/4` bytes, so it stays in cache while the rows stream past it.
+struct Survivors {
+    words: Vec<SurvivorWord>,
+    len: usize,
+}
+
+impl Survivors {
+    fn new(m: usize, keep: impl Fn(EdgeId) -> bool + Sync) -> Self {
+        let bits: Vec<u64> = (0..m.div_ceil(64))
+            .into_par_iter()
+            .map(|w| {
+                let lo = w * 64;
+                (lo..m.min(lo + 64))
+                    .fold(0, |word, e| word | u64::from(keep(e as EdgeId)) << (e - lo))
+            })
+            .collect();
+        let mut len = 0;
+        let words = bits
+            .into_iter()
+            .map(|bits| {
+                let word = SurvivorWord { bits, rank: len as EdgeId };
+                len += bits.count_ones() as usize;
+                word
+            })
+            .collect();
+        Self { words, len }
+    }
+
+    /// Survivors in the words before word `w`.
+    fn rank(&self, w: usize) -> usize {
+        self.words.get(w).map_or(self.len, |word| word.rank as usize)
+    }
+
+    /// Edge `e`'s id in the output (its would-be id when dropped) and 1
+    /// when it survives, else 0.
+    #[inline]
+    fn locate(&self, e: EdgeId) -> (EdgeId, usize) {
+        let SurvivorWord { bits, rank } = self.words[e as usize / 64];
+        let below = bits & ((1 << (e % 64)) - 1);
+        (rank + below.count_ones(), (bits >> (e % 64) & 1) as usize)
+    }
+}
+
+/// Splits `out` into consecutive windows of the given lengths.
+fn split_windows<T>(mut out: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (window, rest) = std::mem::take(&mut out).split_at_mut(len);
+        out = rest;
+        window
+    })
+    .collect()
+}
+
+/// Carves one adjacency (rows `offsets`, `targets`, `slot_edge`) down to
+/// the slots of the `kept` edges, targets renamed by `rename`; rows `live`
+/// rejects are known to keep nothing and are skipped. Returns the carved
+/// offsets, one row per input row, and the carved slots.
+///
+/// Rows are cut into blocks of about equal input slots; a block's output
+/// window starts at the survivors before its first row, and the block
+/// fills it in one pass over the slots of its live rows. The fill writes
+/// every slot and advances by the kept bit, so a dropped slot is
+/// overwritten and the loop has no data-dependent branch; it stops at the
+/// block's last survivor, past which a write would leave the window.
+fn carve_rows(
+    kept: &Survivors,
+    (offsets, targets, slot_edge): (&[usize], &[VertexId], &[EdgeId]),
+    rename: impl Fn(VertexId) -> VertexId + Sync,
+    live: impl Fn(usize) -> bool + Sync,
+) -> (Vec<usize>, Vec<VertexId>, Vec<EdgeId>) {
+    let rows = offsets.len() - 1;
+    let row = |v: usize| offsets[v]..offsets[v + 1];
+    let degrees: Vec<usize> = (0..rows)
+        .into_par_iter()
+        .map(
+            |v| if live(v) { slot_edge[row(v)].iter().map(|&e| kept.locate(e).1).sum() } else { 0 },
+        )
+        .collect();
+    let mut carved = Vec::with_capacity(rows + 1);
+    let mut end = 0;
+    carved.push(end);
+    for degree in degrees {
+        end += degree;
+        carved.push(end);
+    }
+    let per_block = offsets[rows].div_ceil(CARVE_BLOCKS);
+    let bounds: Vec<usize> = (1..CARVE_BLOCKS)
+        .map(|k| offsets.partition_point(|&o| o < k * per_block).min(rows))
+        .collect();
+    let bounds = [&[0], &bounds[..], &[rows]].concat();
+    let lens = || bounds.windows(2).map(|b| carved[b[1]] - carved[b[0]]);
+    let (mut new_targets, mut new_ids) = (vec![0; end], vec![0; end]);
+    let mut blocks: Vec<_> = bounds
+        .windows(2)
+        .zip(
+            split_windows(&mut new_targets, lens())
+                .into_iter()
+                .zip(split_windows(&mut new_ids, lens())),
+        )
+        .collect();
+    blocks.par_iter_mut().for_each(|(b, (out_targets, out_ids))| {
+        let slots = offsets[b[0]]..offsets[b[1]];
+        let Some(last) = slots.rev().find(|&s| kept.locate(slot_edge[s]).1 == 1) else {
+            return;
+        };
+        let (mut at, mut v) = (0, b[0]);
+        while offsets[v] <= last {
+            // The next run of live rows, as one stretch of slots.
+            if !live(v) {
+                v += 1;
+                continue;
+            }
+            let lo = offsets[v];
+            while v < b[1] && live(v) {
+                v += 1;
+            }
+            let hi = offsets[v].min(last + 1);
+            for (&t, &e) in targets[lo..hi].iter().zip(&slot_edge[lo..hi]) {
+                let (id, survives) = kept.locate(e);
+                out_targets[at] = rename(t);
+                out_ids[at] = id;
+                at += survives;
+            }
+        }
+    });
+    (carved, new_targets, new_ids)
+}
+
+/// `value(e)` for every survivor `e` in id order — the output's canonical
+/// arrays. Blocks of bitset words fill their rank windows in parallel.
+fn gather<T: Copy + Default + Send>(kept: &Survivors, value: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let words = kept.words.len();
+    let bounds: Vec<usize> = (0..=CARVE_BLOCKS).map(|k| k * words / CARVE_BLOCKS).collect();
+    let mut out = vec![T::default(); kept.len];
+    let lens = bounds.windows(2).map(|b| kept.rank(b[1]) - kept.rank(b[0]));
+    let mut blocks: Vec<_> = bounds.windows(2).zip(split_windows(&mut out, lens)).collect();
+    blocks.par_iter_mut().for_each(|(b, window)| {
+        let mut at = 0;
+        for w in b[0]..b[1] {
+            let mut bits = kept.words[w].bits;
+            while bits != 0 {
+                window[at] = value(w * 64 + bits.trailing_zeros() as usize);
+                at += 1;
+                bits &= bits - 1;
+            }
+        }
+    });
+    out
 }
 
 #[cfg(test)]

@@ -709,23 +709,27 @@ pub enum Axis {
     Served,
     /// The sequential oracles of `tests/oracle/`, stage by stage (every
     /// compress case none of whose stages is in
-    /// [`oracle::WITHOUT_ORACLE`]). No oracle uses the pool: it runs once.
+    /// [`oracle::WITHOUT_ORACLE`], on graphs up to [`ORACLE_EDGES`]). No
+    /// oracle uses the pool: it runs once.
     Oracle,
 }
 
 impl Axis {
     fn accepts(self, case: &Case) -> bool {
         let compress = case.spec != KERNELS;
+        let edges = graph(case.graph).num_edges();
         match self {
             Axis::Threads(_) => true,
-            // Larger graphs pin values: the thread axis alone runs them.
-            _ if graph(case.graph).num_edges() > AXIS_EDGES => false,
-            Axis::Mmap | Axis::Encoded | Axis::Telemetry => true,
-            Axis::Session | Axis::Served | Axis::TelemetryServed => compress,
             Axis::Oracle => {
                 let stages = if compress { case.resolved().stages } else { Vec::new() };
-                compress && stages.iter().all(|s| !oracle::WITHOUT_ORACLE.contains(&&*s.name))
+                compress
+                    && edges <= ORACLE_EDGES
+                    && stages.iter().all(|s| !oracle::WITHOUT_ORACLE.contains(&&*s.name))
             }
+            // Larger graphs pin values: the thread axis alone runs them.
+            _ if edges > AXIS_EDGES => false,
+            Axis::Mmap | Axis::Encoded | Axis::Telemetry => true,
+            Axis::Session | Axis::Served | Axis::TelemetryServed => compress,
             Axis::Ranks(_) => {
                 compress && case.scheme().is_some_and(|s| s.plan(&graph(case.graph)).is_some())
             }
@@ -893,8 +897,14 @@ fn served_runs(case: &Case, runs: usize) -> Vec<Outcome> {
     outcomes
 }
 
-/// The most edges a graph may have for any axis but [`Axis::Threads`].
+/// The most edges a graph may have for any axis but [`Axis::Threads`] and
+/// [`Axis::Oracle`].
 const AXIS_EDGES: usize = 5_000;
+
+/// The most edges a graph may have for [`Axis::Oracle`], which runs each
+/// case once and sequentially: the R-MAT hub graphs' rows take ≈ 3 s in a
+/// debug build.
+const ORACLE_EDGES: usize = 100_000;
 
 /// The most edges a kernel case's graph may have for [`Axis::Threads`] to
 /// run the kernels on its encoded twin too: all but the two R-MAT hub

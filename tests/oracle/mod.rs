@@ -176,13 +176,14 @@ pub fn low_degree(g: &CsrGraph) -> (CsrGraph, Mapping) {
 }
 
 /// Every triangle `u < v < w` of `g`, in that order, with its edge ids:
-/// `v` from `u`'s row, `w` from `v`'s, and `u`'s row searched for `w`.
+/// `v` from `u`'s row, `w` from `v`'s, and `u`'s row binary-searched for
+/// `w`.
 pub fn triangles(g: &CsrGraph) -> Vec<Triangle> {
     let mut all = Vec::new();
     for u in 0..g.num_vertices() as VertexId {
         for (v, e_uv) in row(g, u).filter(|&(v, _)| v > u) {
             for (w, e_vw) in row(g, v).filter(|&(w, _)| w > v) {
-                if let Some((_, e_uw)) = row(g, u).find(|&(x, _)| x == w) {
+                if let Some(e_uw) = g.find_edge(u, w) {
                     all.push(Triangle { u, v, w, e_uv, e_vw, e_uw });
                 }
             }
@@ -237,7 +238,7 @@ pub fn triangle_reduction(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CsrGraph {
         };
         chosen.iter().for_each(|&e| (deleted[e as usize], considered[e as usize]) = (true, true));
     }
-    g.filter_edges(|e| !deleted[e as usize])
+    keep_edges(g, false, |e| (!deleted[e as usize]).then(|| g.edge_weight(e)))
 }
 
 /// §4.3's Triangle p-Reduction by Collapse: every sampled triangle merges
@@ -247,10 +248,15 @@ pub fn triangle_reduction(g: &CsrGraph, cfg: TrConfig, seed: u64) -> CsrGraph {
 pub fn triangle_collapse(g: &CsrGraph, p: f64, seed: u64) -> (CsrGraph, Vec<Option<VertexId>>) {
     let (rand, n) = (DetRand::new(seed), g.num_vertices() as VertexId);
     let mut class: Vec<VertexId> = (0..n).collect();
+    let mut members: Vec<Vec<VertexId>> = (0..n).map(|v| vec![v]).collect();
     for t in triangles(g).iter().filter(|t| sampled(t, p, rand)) {
         let old = [t.u, t.v, t.w].map(|x| class[x as usize]);
         let merged = *old.iter().min().expect("three corners");
-        class.iter_mut().filter(|c| old.contains(c)).for_each(|c| *c = merged);
+        for c in old.into_iter().filter(|&c| c != merged) {
+            let moved = std::mem::take(&mut members[c as usize]);
+            moved.iter().for_each(|&v| class[v as usize] = merged);
+            members[merged as usize].extend(moved);
+        }
     }
     let names: Vec<VertexId> = (0..n).filter(|&v| class[v as usize] == v).collect();
     let id = |v: VertexId| names.binary_search(&class[v as usize]).expect("named") as VertexId;
