@@ -9,7 +9,20 @@ use sg_algos::{cc, tc};
 use sg_core::{catalog, PipelineResult, PipelineSpec, SchemeParams, SchemeRegistry};
 use sg_graph::{generators, CsrGraph, EncodedCsr, GraphView};
 use sg_serve::Json;
+use std::io::Write;
 use std::sync::Arc;
+
+/// `writeln!` to the command's output sink. A failed write (a closed
+/// pipe, a full disk) ends the command with an error, never a panic.
+macro_rules! emit {
+    ($out:expr, $($fmt:tt)*) => {
+        writeln!($out, $($fmt)*).map_err(write_error)?
+    };
+}
+
+fn write_error(e: std::io::Error) -> String {
+    format!("writing output: {e}")
+}
 
 const HELP: &str = "\
 slimgraph — practical lossy graph compression (Slim Graph, SC'19)
@@ -132,8 +145,10 @@ SCHEME SPEC:
   lowdeg, spanner, summary, cut (see `slimgraph schemes`).
 ";
 
-/// Entry point shared with tests.
-pub fn run(argv: &[String]) -> Result<(), String> {
+/// Runs `slimgraph <argv>` (without the program name), writing the
+/// command's report to `out`. Notes about side files (`--trace-out`,
+/// `--metrics-out`, the daemon's listen address) go to stderr.
+pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), String> {
     let args = Args::parse(argv)?;
     // --trace-out FILE: record sg-obs spans for the whole command and
     // write a Chrome trace-event JSON (chrome://tracing / Perfetto) on
@@ -152,7 +167,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if args.flag("alloc-profile") {
         sg_obs::alloc::set_profiling(true);
     }
-    let result = dispatch_command(&args);
+    let result = dispatch_command(&args, out).and_then(|()| out.flush().map_err(write_error));
     if let Some(path) = trace_out {
         sg_obs::trace::write_chrome_trace(std::path::Path::new(&path))
             .map_err(|e| format!("writing trace to {path}: {e}"))?;
@@ -167,19 +182,19 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     result
 }
 
-fn dispatch_command(args: &Args) -> Result<(), String> {
+fn dispatch_command(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     match args.command.as_str() {
-        "compress" => compress(args),
-        "analyze" => analyze(args),
-        "tune" => tune(args),
-        "stats" => stats(args),
-        "convert" => convert(args),
-        "generate" => generate(args),
-        "schemes" => schemes(),
+        "compress" => compress(args, out),
+        "analyze" => analyze(args, out),
+        "tune" => tune(args, out),
+        "stats" => stats(args, out),
+        "convert" => convert(args, out),
+        "generate" => generate(args, out),
+        "schemes" => schemes(out),
         "serve" => serve(args),
-        "client" => client(args),
+        "client" => client(args, out),
         "help" | "--help" | "-h" => {
-            println!("{HELP}");
+            emit!(out, "{HELP}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'")),
@@ -230,10 +245,11 @@ fn run_pipeline(args: &Args) -> Result<(CsrGraph, PipelineResult, String), Strin
     Ok((g, out, pipeline.label()))
 }
 
-fn compress(args: &Args) -> Result<(), String> {
-    let (_, out, label) = run_pipeline(args)?;
-    for (i, stage) in out.stages.iter().enumerate() {
-        println!(
+fn compress(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let (_, piped, label) = run_pipeline(args)?;
+    for (i, stage) in piped.stages.iter().enumerate() {
+        emit!(
+            out,
             "stage {}: {}: m {} -> {} ({:.1}% kept) in {:.1} ms",
             i + 1,
             stage.label,
@@ -243,8 +259,9 @@ fn compress(args: &Args) -> Result<(), String> {
             stage.elapsed.as_secs_f64() * 1e3,
         );
     }
-    let run = &out.result;
-    println!(
+    let run = &piped.result;
+    emit!(
+        out,
         "total: {}: m {} -> {} ({:.1}% kept) in {:.1} ms",
         label,
         run.original_edges,
@@ -260,12 +277,12 @@ fn compress(args: &Args) -> Result<(), String> {
     )
 }
 
-fn analyze(args: &Args) -> Result<(), String> {
+fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let encoding = encoding_from(args)?;
-    let (g, out, label) = run_pipeline(args)?;
-    let run = &out.result;
-    println!("pipeline:          {label}");
-    println!("edges kept:        {:.1}%", run.compression_ratio() * 100.0);
+    let (g, piped, label) = run_pipeline(args)?;
+    let run = &piped.result;
+    emit!(out, "pipeline:          {label}");
+    emit!(out, "edges kept:        {:.1}%", run.compression_ratio() * 100.0);
     // With --encoding delta|auto the "before" metrics run over the encoded
     // adjacency (decode-on-the-fly kernels); results are bit-identical to
     // the raw run, the path is just exercised end to end.
@@ -274,14 +291,14 @@ fn analyze(args: &Args) -> Result<(), String> {
         Some(encoded) => sg_metrics::accuracy_report(&encoded, &g, &run.graph, mapping),
         None => sg_metrics::accuracy_report(&g, &g, &run.graph, mapping),
     };
-    println!("components:        {} -> {}", report.components[0], report.components[1]);
-    println!("triangles:         {} -> {}", report.triangles[0], report.triangles[1]);
+    emit!(out, "components:        {} -> {}", report.components[0], report.components[1]);
+    emit!(out, "triangles:         {} -> {}", report.triangles[0], report.triangles[1]);
     if let Some(kl) = report.pagerank_kl {
-        println!("PageRank KL:       {kl:.5} bits");
+        emit!(out, "PageRank KL:       {kl:.5} bits");
     }
     match report.bfs_critical_kept {
-        Some(kept) => println!("BFS critical kept: {:.1}%", kept * 100.0),
-        None => println!("(vertex set changed; BFS critical skipped)"),
+        Some(kept) => emit!(out, "BFS critical kept: {:.1}%", kept * 100.0),
+        None => emit!(out, "(vertex set changed; BFS critical skipped)"),
     }
     Ok(())
 }
@@ -290,7 +307,7 @@ fn analyze(args: &Args) -> Result<(), String> {
 /// meeting `--target`, report the Pareto frontier and the re-validated
 /// winner (or honest infeasibility), and optionally write the winner's
 /// compressed graph to `--output`.
-fn tune(args: &Args) -> Result<(), String> {
+fn tune(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let g = load_input(args)?;
     let target = sg_tune::Target::parse(args.require("target")?)?;
     let budget: usize = args.get_or("budget-edges", g.num_edges())?;
@@ -319,21 +336,23 @@ fn tune(args: &Args) -> Result<(), String> {
     if args.flag("json") {
         // The diagnostics block is non-contractual (see OBSERVABILITY.md);
         // warm-start consumers only read frontier/winner and are unaffected.
-        println!("{}", outcome.to_json_with_diagnostics());
+        emit!(out, "{}", outcome.to_json_with_diagnostics());
     } else {
-        println!("target:      {}", target.render());
-        println!("budget:      {budget} edges (input m = {})", g.num_edges());
-        println!("evaluated:   {} candidates", outcome.evaluated);
-        println!(
+        emit!(out, "target:      {}", target.render());
+        emit!(out, "budget:      {budget} edges (input m = {})", g.num_edges());
+        emit!(out, "evaluated:   {} candidates", outcome.evaluated);
+        emit!(
+            out,
             "stages:      {} executed of {} (prefix cache reused {})",
             outcome.stages_executed,
             outcome.stages_total,
             outcome.stages_total - outcome.stages_executed
         );
-        println!("frontier ({} non-dominated points, * = feasible):", outcome.frontier.len());
+        emit!(out, "frontier ({} non-dominated points, * = feasible):", outcome.frontier.len());
         for p in outcome.frontier.points() {
             let feasible = p.edges <= budget && p.metric <= target.max;
-            println!(
+            emit!(
+                out,
                 "  {} {:>9} edges  ratio {:.3}  {} {:.5}  {}",
                 if feasible { "*" } else { " " },
                 p.edges,
@@ -345,8 +364,9 @@ fn tune(args: &Args) -> Result<(), String> {
         }
         match &outcome.winner {
             Some(w) => {
-                println!("winner:      {}", w.rendered);
-                println!(
+                emit!(out, "winner:      {}", w.rendered);
+                emit!(
+                    out,
                     "  m {} -> {} ({:.1}% kept), {} = {:.5} <= {}, pipeline seed {}",
                     g.num_edges(),
                     w.edges,
@@ -356,12 +376,15 @@ fn tune(args: &Args) -> Result<(), String> {
                     target.max,
                     w.seed
                 );
-                println!(
+                emit!(
+                    out,
                     "  re-run:    slimgraph compress --input <in> --scheme '{}' --seed {}",
-                    w.rendered, w.seed
+                    w.rendered,
+                    w.seed
                 );
             }
-            None => println!(
+            None => emit!(
+                out,
                 "winner:      none — no candidate met {} within {budget} edges \
                  (closest trade-offs listed above)",
                 target.render()
@@ -480,8 +503,8 @@ fn federation_config(args: &Args) -> Result<Option<sg_serve::FedConfig>, String>
 
 /// `client`: one-shot protocol requests (`--op …`) or a scripted session
 /// (`--script FILE`, one JSON request per line). Raw response lines go to
-/// stdout.
-fn client(args: &Args) -> Result<(), String> {
+/// `out`.
+fn client(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let addr = args.require("connect")?;
     let mut client =
         sg_serve::Client::connect_with_patience(addr, std::time::Duration::from_secs(5))
@@ -490,7 +513,7 @@ fn client(args: &Args) -> Result<(), String> {
     if let Some(script) = args.get("script") {
         let text = std::fs::read_to_string(script).map_err(|e| format!("reading {script}: {e}"))?;
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            println!("{}", client.request_line(line)?);
+            emit!(out, "{}", client.request_line(line)?);
         }
         return Ok(());
     }
@@ -502,7 +525,7 @@ fn client(args: &Args) -> Result<(), String> {
         let path = args.require("path")?;
         let chunk = args.get_or("chunk-kb", sg_serve::client::DEFAULT_UPLOAD_CHUNK >> 10)? << 10;
         let response = client.upload(name, path, args.get("format"), chunk)?;
-        println!("{}", response.render());
+        emit!(out, "{}", response.render());
         return if response.get("ok").and_then(Json::as_bool) == Some(true) {
             Ok(())
         } else {
@@ -541,13 +564,12 @@ fn client(args: &Args) -> Result<(), String> {
     let response = client.request(&request)?;
     // `metrics` answers are deep JSON; render a human table unless the
     // caller asked for the raw line with --json (scripts/CI scrape that).
-    if op == "metrics" && !args.flag("json") {
-        print!("{}", metrics_table(&response));
-    } else if op == "slowlog" && !args.flag("json") {
-        print!("{}", slowlog_table(&response));
-    } else {
-        println!("{}", response.render());
-    }
+    let text = match op {
+        "metrics" if !args.flag("json") => metrics_table(&response),
+        "slowlog" if !args.flag("json") => slowlog_table(&response),
+        _ => response.render() + "\n",
+    };
+    out.write_all(text.as_bytes()).map_err(write_error)?;
     if response.get("ok").and_then(Json::as_bool) == Some(true) {
         Ok(())
     } else {
@@ -701,7 +723,7 @@ fn bucket_quantile(hist: &Json, q: f64) -> String {
     "+Inf".to_string()
 }
 
-fn convert(args: &Args) -> Result<(), String> {
+fn convert(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let input = args.require("input")?;
     let output = args.require("output")?;
     let from = catalog::GraphFormat::resolve(input, args.get("format"))?;
@@ -709,7 +731,8 @@ fn convert(args: &Args) -> Result<(), String> {
     let g = catalog::load_graph(input, args.get("format"), args.flag("no-verify"))?;
     catalog::save_graph_with(&g, output, args.get("output-format"), encoding_from(args)?)?;
     let bytes = std::fs::metadata(output).map_err(|e| format!("stat {output}: {e}"))?.len();
-    println!(
+    emit!(
+        out,
         "converted {input} ({from:?}) -> {output} ({to:?}): n = {}, m = {}, {bytes} bytes",
         g.num_vertices(),
         g.num_edges()
@@ -717,23 +740,23 @@ fn convert(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn stats(args: &Args) -> Result<(), String> {
+fn stats(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let encoding = encoding_from(args)?;
     let g = load_input(args)?;
-    println!("vertices:     {}", g.num_vertices());
-    println!("edges:        {}", g.num_edges());
-    println!("weighted:     {}", g.is_weighted());
+    emit!(out, "vertices:     {}", g.num_vertices());
+    emit!(out, "edges:        {}", g.num_edges());
+    emit!(out, "weighted:     {}", g.is_weighted());
     // --encoding delta|auto: compute everything below over the encoded
     // adjacency instead of raw CSR (same numbers, decode-on-the-fly path).
-    match encoding_from(args)? {
-        sg_store::Encoding::Raw => stats_over(&g),
+    match encoding {
+        sg_store::Encoding::Raw => stats_over(&g, out),
         _ => {
             let enc = EncodedCsr::from_graph(&g);
             let raw_adj = raw_adjacency_bytes(&g);
-            println!("adjacency:    {} bytes encoded ({raw_adj} raw)", enc.adjacency_bytes());
-            stats_over(&enc);
+            emit!(out, "adjacency:    {} bytes encoded ({raw_adj} raw)", enc.adjacency_bytes());
+            stats_over(&enc, out)
         }
     }
-    Ok(())
 }
 
 /// Bytes of `g`'s raw offsets, targets and slot edge ids, in both
@@ -750,29 +773,30 @@ fn raw_adjacency_bytes(g: &CsrGraph) -> usize {
 }
 
 /// The structural statistics shared by the raw and encoded `stats` paths.
-fn stats_over<G: GraphView>(g: &G) {
+fn stats_over<G: GraphView>(g: &G, out: &mut dyn Write) -> Result<(), String> {
     let s = sg_graph::properties::degree_stats(g);
-    println!("degrees:      min {} / mean {:.2} / max {}", s.min, s.mean, s.max);
-    println!("isolated:     {}", s.isolated);
-    println!("leaves:       {}", s.leaves);
-    println!("components:   {}", cc::connected_components(g).num_components);
-    println!("triangles:    {}", tc::count_triangles(g));
+    emit!(out, "degrees:      min {} / mean {:.2} / max {}", s.min, s.mean, s.max);
+    emit!(out, "isolated:     {}", s.isolated);
+    emit!(out, "leaves:       {}", s.leaves);
+    emit!(out, "components:   {}", cc::connected_components(g).num_components);
+    emit!(out, "triangles:    {}", tc::count_triangles(g));
     if let Some(fit) = sg_graph::properties::DegreeDistribution::of(g).power_law_fit() {
-        println!("power law:    exponent {:.2}, R2 {:.3}", fit.exponent, fit.r2);
-    }
-}
-
-fn schemes() -> Result<(), String> {
-    let registry = SchemeRegistry::with_defaults();
-    println!("registered compression schemes (chain with commas):");
-    for name in registry.names() {
-        let scheme = registry.create(name, &SchemeParams::new())?;
-        println!("  {name:<10} defaults: {}", scheme.label());
+        emit!(out, "power law:    exponent {:.2}, R2 {:.3}", fit.exponent, fit.r2);
     }
     Ok(())
 }
 
-fn generate(args: &Args) -> Result<(), String> {
+fn schemes(out: &mut dyn Write) -> Result<(), String> {
+    let registry = SchemeRegistry::with_defaults();
+    emit!(out, "registered compression schemes (chain with commas):");
+    for name in registry.names() {
+        let scheme = registry.create(name, &SchemeParams::new())?;
+        emit!(out, "  {name:<10} defaults: {}", scheme.label());
+    }
+    Ok(())
+}
+
+fn generate(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let seed: u64 = args.get_or("seed", 42)?;
     let g = match args.require("kind")? {
         "rmat" => {
@@ -801,7 +825,7 @@ fn generate(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown generator '{other}'")),
     };
-    println!("generated n = {}, m = {}", g.num_vertices(), g.num_edges());
+    emit!(out, "generated n = {}, m = {}", g.num_vertices(), g.num_edges());
     catalog::save_graph_with(
         &g,
         args.require("output")?,
@@ -818,41 +842,14 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("slimgraph-cli-tests");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir.join(name).to_string_lossy().into_owned()
-    }
-
-    /// Extension-driven load, as the subcommands themselves do it.
-    fn load(path: &str) -> Result<CsrGraph, String> {
-        catalog::load_graph(path, None, false)
-    }
-
-    #[test]
-    fn generate_stats_compress_analyze_roundtrip() {
-        let gpath = tmp("g.txt");
-        run(&sv(&["generate", "--kind", "ba", "--n", "500", "--k", "3", "--output", &gpath]))
-            .expect("generate");
-        run(&sv(&["stats", "--input", &gpath])).expect("stats");
-        let out = tmp("g-compressed.bin");
-        run(&sv(&[
-            "compress", "--input", &gpath, "--scheme", "uniform", "--p", "0.4", "--output", &out,
-        ]))
-        .expect("compress");
-        let g = load(&gpath).expect("load original");
-        let h = load(&out).expect("load compressed");
-        assert!(h.num_edges() < g.num_edges());
-        run(&sv(&["analyze", "--input", &gpath, "--scheme", "tr-eo", "--p", "0.8"]))
-            .expect("analyze");
-    }
-
     #[test]
     fn raw_adjacency_of_a_directed_sgr_counts_both_directions() {
         let el = sg_graph::EdgeList::from_pairs(5, vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 0)]);
-        let path = tmp("directed.sgr");
+        let dir = std::env::temp_dir().join("slimgraph-cli-tests");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("directed.sgr").to_string_lossy().into_owned();
         sg_store::save_sgr(&CsrGraph::from_edge_list_directed(el), &path).expect("save");
-        let g = load(&path).expect("load");
+        let g = catalog::load_graph(&path, None, false).expect("load");
         let (n, m) = (g.num_vertices(), g.num_edges());
         // Per direction: n + 1 offsets, m targets and m slot edge ids.
         let one_direction = (n + 1) * size_of::<usize>() + m * 4 + m * 4;
@@ -860,194 +857,6 @@ mod tests {
         // An undirected graph has one adjacency, each edge in two rows.
         let undirected = generators::cycle(5);
         assert_eq!(raw_adjacency_bytes(&undirected), 6 * size_of::<usize>() + 2 * 5 * 8);
-    }
-
-    #[test]
-    fn analyze_of_an_empty_graph_succeeds() {
-        // An empty file is a zero-vertex graph; its (empty) PageRank
-        // support used to trip `kl_divergence`'s non-emptiness assert.
-        let gpath = tmp("empty.txt");
-        std::fs::write(&gpath, "").expect("write empty input");
-        for encoding in ["raw", "delta"] {
-            run(&sv(&[
-                "analyze",
-                "--input",
-                &gpath,
-                "--scheme",
-                "uniform",
-                "--p",
-                "0.5",
-                "--encoding",
-                encoding,
-            ]))
-            .expect("analyze of an empty graph");
-        }
-    }
-
-    #[test]
-    fn binary_and_text_io_paths_roundtrip() {
-        // generate → compress → stats across both serialization formats:
-        // .bin in / .txt out, then .txt in / .bin out.
-        let gbin = tmp("io.bin");
-        run(&sv(&["generate", "--kind", "er", "--n", "300", "--m", "900", "--output", &gbin]))
-            .expect("generate binary");
-        let gtxt = tmp("io-compressed.txt");
-        run(&sv(&[
-            "compress", "--input", &gbin, "--scheme", "uniform", "--p", "0.2", "--output", &gtxt,
-        ]))
-        .expect("compress bin->txt");
-        run(&sv(&["stats", "--input", &gtxt])).expect("stats on txt");
-        let back = tmp("io-back.bin");
-        run(&sv(&["compress", "--input", &gtxt, "--scheme", "lowdeg", "--output", &back]))
-            .expect("compress txt->bin");
-        run(&sv(&["stats", "--input", &back])).expect("stats on bin");
-        assert!(load(&back).expect("load").num_edges() <= load(&gtxt).expect("load").num_edges());
-    }
-
-    #[test]
-    fn convert_round_trips_all_formats() {
-        // text -> bin -> sgr -> text: every pairwise hop, ending with a
-        // byte-identical text file (conversion preserves canonical order).
-        let gtxt = tmp("conv.txt");
-        run(&sv(&["generate", "--kind", "er", "--n", "400", "--m", "1200", "--output", &gtxt]))
-            .expect("generate");
-        let gbin = tmp("conv.bin");
-        let gsgr = tmp("conv.sgr");
-        let back = tmp("conv-back.txt");
-        run(&sv(&["convert", "--input", &gtxt, "--output", &gbin])).expect("text->bin");
-        run(&sv(&["convert", "--input", &gbin, "--output", &gsgr])).expect("bin->sgr");
-        run(&sv(&["convert", "--input", &gsgr, "--output", &back])).expect("sgr->text");
-        assert_eq!(
-            std::fs::read(&gtxt).expect("orig"),
-            std::fs::read(&back).expect("back"),
-            "text -> bin -> sgr -> text must be byte-identical"
-        );
-        // And the reverse direction: sgr -> bin and bin -> text.
-        let gbin2 = tmp("conv2.bin");
-        let gtxt2 = tmp("conv2.txt");
-        run(&sv(&["convert", "--input", &gsgr, "--output", &gbin2])).expect("sgr->bin");
-        run(&sv(&["convert", "--input", &gbin2, "--output", &gtxt2])).expect("bin->text");
-        assert_eq!(std::fs::read(&gtxt).expect("orig"), std::fs::read(&gtxt2).expect("back2"));
-    }
-
-    #[test]
-    fn convert_encoding_delta_round_trips_byte_identical() {
-        // text -> sgr v3 (delta) -> text must reproduce the original file,
-        // and a skewed graph's v3 container must be smaller than v1.
-        let gtxt = tmp("enc.txt");
-        run(&sv(&["generate", "--kind", "ba", "--n", "3000", "--k", "6", "--output", &gtxt]))
-            .expect("generate");
-        let raw = tmp("enc-raw.sgr");
-        let delta = tmp("enc-delta.sgr");
-        let auto = tmp("enc-auto.sgr");
-        run(&sv(&["convert", "--input", &gtxt, "--output", &raw, "--encoding", "raw"]))
-            .expect("raw convert");
-        run(&sv(&["convert", "--input", &gtxt, "--output", &delta, "--encoding", "delta"]))
-            .expect("delta convert");
-        run(&sv(&["convert", "--input", &gtxt, "--output", &auto, "--encoding", "auto"]))
-            .expect("auto convert");
-        let (rb, db, ab) = (
-            std::fs::metadata(&raw).expect("raw").len(),
-            std::fs::metadata(&delta).expect("delta").len(),
-            std::fs::metadata(&auto).expect("auto").len(),
-        );
-        assert!(db < rb, "delta container {db} must beat raw {rb} on a BA graph");
-        assert_eq!(ab, db.min(rb), "auto writes the smaller container");
-        let back = tmp("enc-back.txt");
-        run(&sv(&["convert", "--input", &delta, "--output", &back])).expect("sgr v3 -> text");
-        assert_eq!(std::fs::read(&gtxt).expect("orig"), std::fs::read(&back).expect("back"));
-        // stats + analyze accept the flag and run over encoded adjacency;
-        // compress reads a v3 input and writes a v3 output.
-        run(&sv(&["stats", "--input", &delta, "--encoding", "delta"])).expect("encoded stats");
-        run(&sv(&["analyze", "--input", &delta, "--scheme", "lowdeg", "--encoding", "delta"]))
-            .expect("encoded analyze");
-        let out = tmp("enc-out.sgr");
-        run(&sv(&[
-            "compress",
-            "--input",
-            &delta,
-            "--scheme",
-            "uniform",
-            "--p",
-            "0.5",
-            "--output",
-            &out,
-            "--encoding",
-            "delta",
-        ]))
-        .expect("compress v3 -> v3");
-        assert!(load(&out).expect("v3 output loads").num_edges() > 0);
-        assert!(
-            run(&sv(&["stats", "--input", &gtxt, "--encoding", "nope"])).is_err(),
-            "bad encoding name is rejected"
-        );
-    }
-
-    #[test]
-    fn explicit_format_overrides_extension() {
-        // Write an .sgr image into a file with a misleading extension and
-        // load it back with --format sgr.
-        let gtxt = tmp("fmt.txt");
-        run(&sv(&["generate", "--kind", "grid", "--n", "12", "--output", &gtxt]))
-            .expect("generate");
-        let odd = tmp("fmt.graph");
-        run(&sv(&["convert", "--input", &gtxt, "--output", &odd, "--output-format", "sgr"]))
-            .expect("convert to sgr with odd extension");
-        run(&sv(&["stats", "--input", &odd, "--format", "sgr"])).expect("stats via --format");
-        assert!(run(&sv(&["stats", "--input", &odd])).is_err(), "text parse of sgr must fail");
-        assert!(
-            run(&sv(&["stats", "--input", &odd, "--format", "nope"])).is_err(),
-            "unknown format name"
-        );
-    }
-
-    #[test]
-    fn compress_reads_and_writes_sgr() {
-        let gsgr = tmp("pipeline.sgr");
-        run(&sv(&["generate", "--kind", "ba", "--n", "600", "--k", "4", "--output", &gsgr]))
-            .expect("generate straight to .sgr");
-        let out = tmp("pipeline-out.sgr");
-        run(&sv(&[
-            "compress", "--input", &gsgr, "--scheme", "uniform", "--p", "0.5", "--seed", "3",
-            "--output", &out,
-        ]))
-        .expect("compress sgr -> sgr");
-        let g = load(&gsgr).expect("load original");
-        let h = load(&out).expect("load compressed");
-        assert!(h.num_edges() < g.num_edges());
-        run(&sv(&["analyze", "--input", &gsgr, "--scheme", "lowdeg"])).expect("analyze from sgr");
-    }
-
-    #[test]
-    fn chained_scheme_compresses_and_is_deterministic() {
-        let gpath = tmp("chain.txt");
-        run(&sv(&["generate", "--kind", "ws", "--n", "400", "--k", "4", "--output", &gpath]))
-            .expect("generate");
-        let out_a = tmp("chain-a.bin");
-        let out_b = tmp("chain-b.bin");
-        for out in [&out_a, &out_b] {
-            run(&sv(&[
-                "compress",
-                "--input",
-                &gpath,
-                "--scheme",
-                "spanner,lowdeg,uniform",
-                "--p",
-                "0.5",
-                "--seed",
-                "7",
-                "--output",
-                out,
-            ]))
-            .expect("chained compress");
-        }
-        let a = load(&out_a).expect("load a");
-        let b = load(&out_b).expect("load b");
-        assert_eq!(a.edge_slice(), b.edge_slice(), "same seed must be bit-identical");
-        assert!(a.num_edges() < load(&gpath).expect("orig").num_edges());
-        // Per-stage parameter overrides parse too.
-        run(&sv(&["analyze", "--input", &gpath, "--scheme", "spanner:k=4,uniform:p=0.2"]))
-            .expect("per-stage overrides");
     }
 
     /// Mirrors what `run_pipeline` does with `--scheme` flags: parse, build.
@@ -1069,161 +878,44 @@ mod tests {
         assert_eq!(pipeline_from(&a).expect("pipeline").stages().len(), chain.len());
     }
 
-    #[test]
-    fn tune_winner_revalidates_standalone_on_two_graphs() {
-        // The acceptance bar for the tuner: the winning spec, re-run as a
-        // plain `compress` with the reported seed, must satisfy both the
-        // edge budget and the metric target — on two different generated
-        // graph families.
-        for (kind, n, extra, extra_val) in [("ba", "500", "k", "3"), ("ws", "400", "k", "4")] {
-            let gpath = tmp(&format!("tune-{kind}.txt"));
-            run(&sv(&[
-                "generate",
-                "--kind",
-                kind,
-                "--n",
-                n,
-                &format!("--{extra}"),
-                extra_val,
-                "--output",
-                &gpath,
-            ]))
-            .expect("generate");
-            let g = load(&gpath).expect("load");
-            let budget = g.num_edges() * 4 / 5;
-            let target = sg_tune::Target::parse("degree-l1<=0.75").expect("target");
-            let out = tmp(&format!("tune-{kind}-winner.txt"));
-            run(&sv(&[
-                "tune",
-                "--input",
-                &gpath,
-                "--budget-edges",
-                &budget.to_string(),
-                "--target",
-                "degree-l1<=0.75",
-                "--schemes",
-                "uniform,spanner,lowdeg",
-                "--rounds",
-                "1",
-                "--seed",
-                "9",
-                "--output",
-                &out,
-            ]))
-            .expect("tune finds a feasible winner under a generous target");
+    /// A sink that fails every write the way a pipe whose reader exited does.
+    struct ClosedPipe;
 
-            // Re-derive the winner independently and re-run it standalone.
-            let mut cfg = sg_tune::TuneConfig::new(budget, target, 9);
-            cfg.rounds = 1;
-            cfg.schemes = Some(vec!["uniform".into(), "spanner".into(), "lowdeg".into()]);
-            let registry = Arc::new(SchemeRegistry::with_defaults());
-            let outcome = sg_tune::tune(&g, &registry, &cfg).expect("tune");
-            let w = outcome.winner.expect("feasible");
-            let standalone = PipelineSpec::parse(&w.rendered)
-                .and_then(|spec| spec.build(&registry))
-                .expect("winner spec parses as a --scheme spec")
-                .apply(&g, w.seed);
-            assert_eq!(standalone.result.graph.num_edges(), w.edges, "standalone re-run matches");
-            assert!(w.edges <= budget, "budget respected");
-            assert!(w.metric <= target.max, "target respected");
-            // And the graph `tune --output` wrote is exactly that graph.
-            let written = load(&out).expect("winner graph written");
-            assert_eq!(written.edge_slice(), standalone.result.graph.edge_slice());
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
         }
     }
 
     #[test]
-    fn tune_reports_infeasibility_honestly() {
-        let gpath = tmp("tune-infeasible.txt");
-        run(&sv(&["generate", "--kind", "er", "--n", "200", "--m", "800", "--output", &gpath]))
-            .expect("generate");
-        // Budget 1 edge with a zero-distortion requirement: infeasible.
-        run(&sv(&[
-            "tune",
-            "--input",
-            &gpath,
-            "--budget-edges",
-            "1",
-            "--target",
-            "degree-l1<=0",
-            "--schemes",
-            "uniform",
-            "--rounds",
-            "0",
-        ]))
-        .expect("infeasible searches still succeed (reported, not errored)");
-        // But asking to write a winner that does not exist is an error.
-        let err = run(&sv(&[
-            "tune",
-            "--input",
-            &gpath,
-            "--budget-edges",
-            "1",
-            "--target",
-            "degree-l1<=0",
-            "--schemes",
-            "uniform",
-            "--rounds",
-            "0",
-            "--output",
-            &tmp("tune-no-winner.txt"),
-        ]))
-        .unwrap_err();
-        assert!(err.contains("no feasible winner"), "{err}");
-        // Bad targets and scheme names fail loudly.
-        assert!(run(&sv(&["tune", "--input", &gpath, "--target", "bogus<=1"])).is_err());
-        assert!(run(&sv(&["tune", "--input", &gpath, "--target", "degree-l1"])).is_err());
-        assert!(run(&sv(&[
-            "tune",
-            "--input",
-            &gpath,
-            "--target",
-            "degree-l1<=1",
-            "--schemes",
-            "nope",
-        ]))
-        .is_err());
+    fn a_closed_output_is_an_error_not_a_panic() {
+        for argv in [&["schemes"][..], &["help"], &["generate", "--kind", "grid", "--n", "2"]] {
+            let err = run(&sv(argv), &mut ClosedPipe).expect_err("the write fails");
+            assert!(err.starts_with("writing output: "), "{argv:?}: {err}");
+        }
     }
 
     #[test]
-    fn no_verify_loads_trusted_sgr_but_still_validates_structure() {
-        let gsgr = tmp("noverify.sgr");
-        run(&sv(&["generate", "--kind", "er", "--n", "200", "--m", "600", "--output", &gsgr]))
-            .expect("generate");
-        run(&sv(&["stats", "--input", &gsgr, "--no-verify"])).expect("trusted stats");
-        // Corrupt only the stored digest: default load fails, trusted load
-        // still decodes the (structurally intact) graph.
-        let mut img = std::fs::read(&gsgr).expect("read");
-        img[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
-        let bad = tmp("noverify-bad-digest.sgr");
-        std::fs::write(&bad, &img).expect("write");
-        assert!(run(&sv(&["stats", "--input", &bad])).is_err(), "checksum verified by default");
-        run(&sv(&["stats", "--input", &bad, "--no-verify"])).expect("trusted load skips digest");
-        run(&sv(&["analyze", "--input", &bad, "--no-verify", "--scheme", "lowdeg"]))
-            .expect("analyze honors --no-verify");
-    }
-
-    #[test]
-    fn unknown_command_and_scheme_error() {
-        assert!(run(&sv(&["frobnicate"])).is_err());
-        let a = Args::parse(&sv(&["compress", "--scheme", "nope"])).expect("parse");
-        assert!(pipeline_from(&a).is_err());
-        let b = Args::parse(&sv(&["compress", "--scheme", "uniform,,lowdeg"])).expect("parse");
-        assert!(pipeline_from(&b).is_err());
-        let c = Args::parse(&sv(&["compress", "--scheme", "uniform:p"])).expect("parse");
-        assert!(pipeline_from(&c).is_err());
-    }
-
-    #[test]
-    fn help_and_schemes_run() {
-        run(&sv(&["help"])).expect("help");
-        run(&[]).expect("implicit help");
-        run(&sv(&["schemes"])).expect("schemes listing");
-    }
-
-    #[test]
-    fn missing_input_is_reported() {
-        let err = run(&sv(&["stats", "--input", "/nonexistent/g.txt"])).unwrap_err();
-        assert!(err.contains("loading"));
+    fn bucket_quantile_reads_the_first_bucket_covering_the_rank() {
+        let hist = |count: u64, cumulative: [u64; 3]| {
+            let buckets = [Json::f64(0.5), Json::f64(2.0), Json::str("+Inf")]
+                .into_iter()
+                .zip(cumulative)
+                .map(|(le, count)| Json::obj().with("le", le).with("count", Json::u64(count)));
+            Json::obj()
+                .with("count", Json::u64(count))
+                .with("buckets", Json::Arr(buckets.collect()))
+        };
+        let h = hist(4, [1, 3, 4]);
+        assert_eq!(bucket_quantile(&h, 0.25), "0.5");
+        assert_eq!(bucket_quantile(&h, 0.50), "2");
+        assert_eq!(bucket_quantile(&h, 0.99), "+Inf");
+        assert_eq!(bucket_quantile(&hist(0, [0, 0, 0]), 0.5), "-", "an empty histogram");
+        // A rank past every bucket: counts that never reach the total.
+        assert_eq!(bucket_quantile(&hist(9, [1, 3, 4]), 0.99), "+Inf");
     }
 }

@@ -1,19 +1,5 @@
-//! `slimgraph` — command-line front end for the Slim Graph pipeline.
-//!
-//! ```text
-//! slimgraph compress --input g.txt --scheme uniform --p 0.3 --output out.bin
-//! slimgraph compress --input g.txt --scheme spanner,lowdeg,uniform --p 0.5 --output out.bin
-//! slimgraph analyze  --input g.txt --scheme spanner --k 8
-//! slimgraph stats    --input g.txt
-//! slimgraph generate --kind rmat --scale 12 --output g.txt
-//! slimgraph serve    --listen 127.0.0.1:7461
-//! slimgraph client   --connect 127.0.0.1:7461 --op load --name g --path g.sgr
-//! ```
-//!
-//! Arguments are parsed by hand (no CLI dependency); see `slimgraph help`.
-
-mod args;
-mod commands;
+//! The `slimgraph` binary: [`sg_cli::run`] over the process's arguments,
+//! writing to stdout.
 
 use std::process::ExitCode;
 
@@ -26,7 +12,9 @@ static ALLOC: sg_obs::alloc::TrackingAlloc = sg_obs::alloc::TrackingAlloc;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::run(&argv) {
+    // Not `stdout().lock()`: a `serve` daemon's workers print their
+    // transcript lines to stdout while `run` blocks in the accept loop.
+    match sg_cli::run(&argv, &mut std::io::stdout()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("slimgraph: error: {e}");

@@ -14,90 +14,18 @@
 //! To re-bless after an intended protocol change, copy the `.actual`
 //! file a failing run names over the expected transcript.
 
+mod transcript;
+
 use slimgraph::graph::generators;
 use slimgraph::serve::{b64, graph_digest, Client, FedConfig, Json, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-/// Values that legitimately differ between runs: wall times, uptimes,
-/// temp-dir paths, ephemeral worker addresses, the process-wide graph id
-/// counter, and the registry snapshot (whose `serve.*` / `fed.*` part is
-/// re-derived as a `#` line, see [`Session::send`]).
-const MASKED: &[&str] = &[
-    "ms",
-    "total_ms",
-    "uptime_ms",
-    "queue_wait_ms",
-    "service_ms",
-    "graph_id",
-    "source",
-    "path",
-    "output",
-    "addr",
-    "counters",
-    "gauges",
-    "histograms",
-];
+use transcript::{mask_all, tmp};
 
 /// A path no daemon can read or write, spelled out so `io` error
 /// messages are the same on every machine.
 const NOWHERE: &str = "/nonexistent/slimgraph-transcript";
-
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("slimgraph-serve-transcript-tests");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name).to_string_lossy().into_owned()
-}
-
-/// Byte length of the JSON value `text` starts with.
-fn value_len(text: &str) -> usize {
-    let (mut depth, mut in_str, mut i) = (0usize, false, 0usize);
-    let bytes = text.as_bytes();
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            match b {
-                b'\\' => i += 1,
-                b'"' => in_str = false,
-                _ => {}
-            }
-        } else {
-            match b {
-                b'"' => in_str = true,
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' | b',' if depth == 0 => return i, // end of a bare scalar
-                b'}' | b']' => depth -= 1,
-                _ => {}
-            }
-        }
-        i += 1;
-        if depth == 0 && !in_str && matches!(b, b'"' | b'}' | b']') {
-            return i; // closed a top-level string or container
-        }
-    }
-    i
-}
-
-/// Replaces the value after every `"key":` in `line` with `"*"`, leaving
-/// every other byte as the daemon wrote it.
-fn mask(line: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let mut out = String::with_capacity(line.len());
-    let mut rest = line;
-    while let Some(at) = rest.find(&needle) {
-        let value = at + needle.len();
-        out.push_str(&rest[..value]);
-        out.push_str("\"*\"");
-        rest = &rest[value + value_len(&rest[value..])..];
-    }
-    out.push_str(rest);
-    out
-}
-
-fn mask_all(line: &str, extra: &[&str]) -> String {
-    MASKED.iter().chain(extra).fold(line.to_string(), |line, key| mask(&line, key))
-}
 
 /// The deterministic part of a `metrics` response: this daemon's own
 /// `serve.*` / `fed.*` counters and the per-op request counts of its
@@ -159,26 +87,8 @@ impl Session {
         self.record(line, &response, extra);
     }
 
-    /// Compares the accumulated transcript to `expected`; on mismatch
-    /// the actual transcript is left next to the temp inputs.
     fn finish(self, name: &str, expected: &str) {
-        if self.log == expected {
-            return;
-        }
-        let actual = tmp(&format!("{name}.actual"));
-        std::fs::write(&actual, &self.log).expect("write actual transcript");
-        let line = self
-            .log
-            .lines()
-            .zip(expected.lines())
-            .position(|(got, want)| got != want)
-            .unwrap_or_else(|| self.log.lines().count().min(expected.lines().count()));
-        panic!(
-            "transcript '{name}' differs from tests/transcripts/{name}.txt at line {}:\n  got:  {}\n  want: {}\n(full actual transcript: {actual})",
-            line + 1,
-            self.log.lines().nth(line).unwrap_or("<end of transcript>"),
-            expected.lines().nth(line).unwrap_or("<end of transcript>"),
-        );
+        transcript::finish(name, &self.log, expected);
     }
 }
 
