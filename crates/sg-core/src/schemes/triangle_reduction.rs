@@ -126,11 +126,13 @@ impl TrConfig {
         Ok(())
     }
 
-    /// Scheme label matching the paper's naming (`EO-0.5-1-TR`, …).
+    /// Scheme label matching the paper's naming (`EO-0.5-1-TR`, …); the
+    /// max-weight edge choice is `MW-`.
     pub fn label(&self) -> String {
         let prefix = match (self.discipline, self.choice) {
             (Discipline::Plain, _) => "",
             (Discipline::EdgeOnce, EdgeChoice::FewestTriangles) => "CT-",
+            (Discipline::EdgeOnce, EdgeChoice::MaxWeight) => "MW-",
             (Discipline::EdgeOnce, _) => "EO-",
         };
         format!("{prefix}{}-{}-TR", self.p, self.x)
@@ -548,6 +550,7 @@ mod tests {
         assert_eq!(TrConfig::plain_1(0.5).label(), "0.5-1-TR");
         assert_eq!(TrConfig::edge_once_1(0.5).label(), "EO-0.5-1-TR");
         assert_eq!(TrConfig::count_triangles(0.5).label(), "CT-0.5-1-TR");
+        assert_eq!(TrConfig::max_weight(0.5).label(), "MW-0.5-1-TR");
     }
 
     #[test]

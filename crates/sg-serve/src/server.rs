@@ -344,7 +344,11 @@ impl ServeState {
             .with("op", Json::str(op))
             .with("ok", Json::Bool(ok))
             .with("ms", Json::f64(elapsed.as_secs_f64() * 1e3));
-        println!("{}", event.render());
+        // A closed stdout (`serve | head -1`) drops the line: a transcript
+        // write must never take a worker down. One `write_all` of the whole
+        // line, so a failed write leaves nothing buffered for a later flush.
+        let line = format!("{}\n", event.render());
+        let _ = std::io::stdout().lock().write_all(line.as_bytes());
     }
 }
 
